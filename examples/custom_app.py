@@ -13,8 +13,26 @@ Usage::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import KaleidoEngine, MiningApplication
 from repro.graph import datasets
+
+
+def one_neighbor_inside(ctx, block, rows, candidates) -> np.ndarray:
+    """Block filter (Listing 1's EmbeddingFilter, vectorized): stars are
+    triangle-free, so keep only candidates adjacent to exactly one
+    current member.
+
+    ``block[rows[i]]`` is the embedding pair ``i`` would extend by
+    ``candidates[i]``; ``ctx.has_edges`` tests a whole column of
+    ``(member, candidate)`` pairs with one batch of binary searches.  A
+    module-level function is picklable, so the filter also rides to the
+    process executor."""
+    inside = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in range(block.shape[1]):
+        inside += ctx.has_edges(block[rows, col], candidates)
+    return inside == 1
 
 
 class LabeledStarCensus(MiningApplication):
@@ -32,11 +50,8 @@ class LabeledStarCensus(MiningApplication):
     def iterations(self) -> int:
         return 2  # 1-embeddings -> 3-embeddings
 
-    def embedding_filter(self, embedding, candidate) -> bool:
-        # Stars are triangle-free: reject candidates adjacent to more than
-        # one current member.
-        adjacency = self._adjacency
-        return sum(1 for v in embedding if candidate in adjacency[v]) == 1
+    def block_filter(self, ctx):
+        return one_neighbor_inside
 
     def init(self, ctx):
         self._adjacency = ctx.graph.adjacency_sets()
@@ -63,7 +78,9 @@ class LabeledStarCensus(MiningApplication):
         labels = self._labels
         adjacency = self._adjacency
         for cand in canonical_extensions(ctx.graph, embedding):
-            if not self.embedding_filter(embedding, cand):
+            # The final extension happens here, outside the engine, so
+            # it repeats the filter's triangle-free test per candidate.
+            if sum(1 for v in embedding if cand in adjacency[v]) != 1:
                 continue
             verts = embedding + (cand,)
             hub = self._hub(adjacency, verts)

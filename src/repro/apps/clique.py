@@ -8,11 +8,31 @@ one pattern — so the aggregation just counts.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern, triangle_index
 
-__all__ = ["CliqueDiscovery", "CliqueResult"]
+__all__ = ["CliqueDiscovery", "CliqueResult", "AllAdjacent"]
+
+
+class AllAdjacent:
+    """Block filter: the candidate must close a clique with every member.
+
+    The canonical filter already guaranteed adjacency to at least one
+    member and ordering; here every embedding column is tested with one
+    batch of binary searches into the packed adjacency keys, over the
+    pairs still alive."""
+
+    def __call__(self, ctx, block, rows, candidates) -> np.ndarray:
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for col in range(block.shape[1]):
+            live = np.flatnonzero(keep)
+            if live.shape[0] == 0:
+                break
+            keep[live] = ctx.has_edges(block[rows[live], col], candidates[live])
+        return keep
 
 
 class CliqueResult:
@@ -60,17 +80,8 @@ class CliqueDiscovery(MiningApplication):
                 bits |= 1 << triangle_index(i, j, self.k)
         return Pattern((0,) * self.k, bits)
 
-    def embedding_filter(self, embedding: tuple[int, ...], candidate: int) -> bool:
-        """Candidate must close a clique with every current member.
-
-        The canonical filter already guaranteed adjacency to at least one
-        member and ordering; here we require adjacency to all."""
-        graph = self._graph
-        return all(graph.has_edge(v, candidate) for v in embedding)
-
-    def init(self, ctx: EngineContext):
-        self._graph = ctx.graph
-        return super().init(ctx)
+    def block_filter(self, ctx: EngineContext) -> AllAdjacent:
+        return AllAdjacent()
 
     def map_embedding(
         self, ctx: EngineContext, embedding: tuple[int, ...], pmap: PatternMap

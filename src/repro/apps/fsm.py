@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.api import EngineContext, MiningApplication, PatternMap
+from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern
 from .mni import MNIDomains, PositionMapper, merge_domains
@@ -115,7 +115,8 @@ class FrequentSubgraphMining(MiningApplication):
         #: Disable the app-level raw-structure hash memo (Figure 12 /
         #: caching ablation: the paper fingerprints every embedding).
         self.hash_every_embedding = hash_every_embedding
-        self._frequent_edges: set[tuple[int, int]] = set()
+        #: Per-edge-id table of the frequent single-edge patterns' edges.
+        self._frequent_edges = np.zeros(0, dtype=bool)
         self._iter_hashes: list[int] = []
         self._mapper = PositionMapper()
         self._phash_cache: dict[tuple[tuple[int, ...], int], int] = {}
@@ -155,17 +156,17 @@ class FrequentSubgraphMining(MiningApplication):
             pair = (lu, lv, int(elab)) if lu <= lv else (lv, lu, int(elab))
             if pair in frequent_pairs:
                 keep.append(eid)
-                self._frequent_edges.add((u, v))
-        return np.asarray(keep, dtype=np.int32)
+        roots = np.asarray(keep, dtype=np.int32)
+        self._frequent_edges = np.zeros(eu.shape[0], dtype=bool)
+        self._frequent_edges[roots] = True
+        return roots
 
     def iterations(self) -> int:
         return self.num_edges - 1
 
-    def embedding_filter(
-        self, embedding: tuple[int, ...], candidate: tuple[int, int]
-    ) -> bool:
+    def block_filter(self, ctx: EngineContext) -> CandidateTable:
         """Only expand by frequent edges (Section 5.1)."""
-        return candidate in self._frequent_edges
+        return CandidateTable(self._frequent_edges)
 
     # ------------------------------------------------------------------
     def start_part(self, ctx: EngineContext) -> FSMMapperPart:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.api import EngineContext, MiningApplication, PatternMap
+from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern
 from .fsm import FSMMapperPart, FSMResult
@@ -45,7 +45,7 @@ class VertexInducedFSM(MiningApplication):
         self.exact_mni = exact_mni
         self._mapper = PositionMapper()
         self._iter_hashes: list[int] = []
-        self._frequent_labels: set[int] = set()
+        self._frequent_vertices = np.zeros(0, dtype=bool)
 
     @property
     def name(self) -> str:
@@ -58,21 +58,16 @@ class VertexInducedFSM(MiningApplication):
     def init(self, ctx: EngineContext) -> np.ndarray:
         """Seed with vertices of frequent labels (the 1-vertex patterns)."""
         labels = ctx.graph.labels
-        self._labels = labels
         values, counts = np.unique(labels, return_counts=True)
-        self._frequent_labels = {
-            int(v) for v, c in zip(values, counts) if int(c) >= self.support
-        }
-        roots = np.flatnonzero(
-            np.isin(labels, sorted(self._frequent_labels))
-        ).astype(np.int32)
-        return roots
+        self._frequent_vertices = np.isin(labels, values[counts >= self.support])
+        return np.flatnonzero(self._frequent_vertices).astype(np.int32)
 
     def iterations(self) -> int:
         return self.num_vertices - 1
 
-    def embedding_filter(self, embedding: tuple[int, ...], candidate: int) -> bool:
-        return int(self._labels[candidate]) in self._frequent_labels
+    def block_filter(self, ctx: EngineContext) -> CandidateTable:
+        """Only expand by vertices of frequent labels."""
+        return CandidateTable(self._frequent_vertices)
 
     def start_part(self, ctx: EngineContext) -> FSMMapperPart:
         return FSMMapperPart()

@@ -13,13 +13,43 @@ Mapper keeping exactly the isomorphic ones.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.isomorphism import are_isomorphic
 from ..core.pattern import Pattern
 
-__all__ = ["PatternMatching", "MatchResult"]
+__all__ = ["PatternMatching", "MatchResult", "MatchFeasibility"]
+
+
+@dataclass(frozen=True, eq=False)
+class MatchFeasibility:
+    """Block filter: prune partial embeddings that cannot complete a match.
+
+    The extended label multiset must stay within the pattern's — every
+    embedding already is (its own extensions passed this filter), so only
+    the candidate's label can overflow — and the candidate may not have
+    more edges into the embedding than the pattern's maximum degree."""
+
+    #: Per-vertex label.
+    labels: np.ndarray
+    #: Per-vertex multiplicity of that vertex's label in the pattern
+    #: (0 for labels the pattern does not use).
+    budget: np.ndarray
+    max_degree: int
+
+    def __call__(self, ctx, block, rows, candidates) -> np.ndarray:
+        cand_labels = self.labels[candidates]
+        same_label = np.ones(rows.shape[0], dtype=np.int64)  # the candidate
+        internal = np.zeros(rows.shape[0], dtype=np.int64)
+        for col in range(block.shape[1]):
+            members = block[rows, col]
+            same_label += self.labels[members] == cand_labels
+            internal += ctx.has_edges(members, candidates)
+        return (same_label <= self.budget[candidates]) & (internal <= self.max_degree)
 
 
 class MatchResult:
@@ -73,32 +103,17 @@ class PatternMatching(MiningApplication):
         return self.pattern
 
     def init(self, ctx: EngineContext):
-        self._graph = ctx.graph
         self._matches: list[tuple[int, ...]] = []
-        import numpy as np
-
         # Seed only vertices whose label occurs in the pattern.
-        wanted = set(self._label_budget)
-        roots = [
-            v for v in range(ctx.graph.num_vertices)
-            if int(ctx.graph.labels[v]) in wanted
-        ]
-        return np.asarray(roots, dtype=np.int32)
+        wanted = np.isin(ctx.graph.labels, sorted(self._label_budget))
+        return np.flatnonzero(wanted).astype(np.int32)
 
-    def embedding_filter(self, embedding: tuple[int, ...], candidate: int) -> bool:
-        """Feasibility pruning: the partial label multiset must stay within
-        the pattern's, and no member may exceed the pattern's max degree
-        *within* the embedding."""
-        labels = self._graph.labels
-        counts = Counter(int(labels[v]) for v in embedding)
-        counts[int(labels[candidate])] += 1
-        for label, need in counts.items():
-            if need > self._label_budget.get(label, 0):
-                return False
-        # Internal-degree bound: candidate's edges into the embedding.
-        adjacency = self._graph.adjacency_sets()
-        internal = sum(1 for v in embedding if v in adjacency[candidate])
-        return internal <= self._max_degree
+    def block_filter(self, ctx: EngineContext) -> MatchFeasibility:
+        labels = np.asarray(ctx.graph.labels)
+        budget = np.zeros(labels.shape[0], dtype=np.int64)
+        for label, count in self._label_budget.items():
+            budget[labels == label] = count
+        return MatchFeasibility(labels, budget, self._max_degree)
 
     def start_part(self, ctx: EngineContext) -> list[tuple[int, ...]] | None:
         # Per-part match buffer, merged back in part-index order by

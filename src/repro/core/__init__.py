@@ -1,6 +1,13 @@
 """Kaleido core: CSE, canonicality, exploration, patterns, EigenHash, engine."""
 
-from .api import EngineContext, MiningApplication, MiningResult, PatternMap
+from .api import (
+    BlockFilter,
+    CandidateTable,
+    EngineContext,
+    MiningApplication,
+    MiningResult,
+    PatternMap,
+)
 from .canonical import (
     canonical_edge_order,
     canonical_order,
@@ -101,4 +108,6 @@ __all__ = [
     "MiningResult",
     "EngineContext",
     "PatternMap",
+    "BlockFilter",
+    "CandidateTable",
 ]

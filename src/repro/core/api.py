@@ -5,9 +5,11 @@ the hooks of Listing 1:
 
 * ``init``                — seed embeddings (vertices for vertex-induced
   exploration, edge ids for edge-induced);
-* ``embedding_filter``    — optional pruning of candidates during
-  exploration (the canonical filter is always applied first, as the
-  paper's "default embedding filter");
+* ``block_filter``        — optional pruning of candidates during
+  exploration, vectorized: a :data:`BlockFilter` that masks a whole
+  block of ``(embedding, candidate)`` pairs at once (the canonical
+  filter is always applied first, as the paper's "default embedding
+  filter");
 * ``map_embedding``       — the AggregatingMapper: fold one embedding into
   a PatternMap (a pure per-part function; side outputs go through the
   ``start_part`` / ``finish_part`` part-state hooks so concurrent
@@ -25,7 +27,7 @@ a ``prune`` callback to drop embeddings of infrequent patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -36,10 +38,52 @@ from .cse import CSE
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KaleidoEngine
 
-__all__ = ["PatternMap", "EngineContext", "MiningApplication", "MiningResult"]
+__all__ = [
+    "PatternMap",
+    "BlockFilter",
+    "CandidateTable",
+    "EngineContext",
+    "MiningApplication",
+    "MiningResult",
+]
 
 #: Pattern hash → application-defined aggregate (count, MNI domains, ...).
 PatternMap = dict[int, Any]
+
+#: Listing 1's ``EmbeddingFilter``, vectorized:
+#: ``keep = block_filter(ctx, block, rows, candidates)``.
+#:
+#: ``block`` is an ``(n_rows, k)`` ``int64`` array of same-length
+#: embeddings (vertex ids, or edge ids under edge-induced exploration);
+#: pair ``i`` proposes extending embedding ``block[rows[i]]`` by
+#: ``candidates[i]`` (both ``int64``, pairs grouped by row, candidates
+#: ascending within a row).  Every pair already passed dedup and the
+#: canonical filter.  ``ctx`` is the kernel's read-only graph bundle — a
+#: :class:`~repro.core.kernels.VertexKernelContext` (``has_edges``,
+#: ``indptr`` / ``indices``) or
+#: :class:`~repro.core.kernels.EdgeKernelContext` (``edge_u`` /
+#: ``edge_v`` endpoints) — so a filter never has to carry graph arrays
+#: itself.  Returns a ``bool`` array, one entry per pair.
+#:
+#: A filter must be a pure function of its arguments and picklable (a
+#: module-level function or an instance of a module-level class holding
+#: only its own lookup tables): it rides each part's task pickle to the
+#: process executor, and the engine calls it from pool threads.
+BlockFilter = Callable[[Any, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Block filter keeping the candidates a boolean table allows.
+
+    ``allowed`` is indexed by candidate id (vertex id, or edge id under
+    edge-induced exploration) — the shape of FSM's "expand only by
+    frequent edges / labels" pruning."""
+
+    allowed: np.ndarray
+
+    def __call__(self, ctx, block, rows, candidates) -> np.ndarray:
+        return self.allowed[candidates]
 
 
 @dataclass
@@ -87,19 +131,15 @@ class MiningApplication:
         """How many expansion iterations to run after ``init``."""
         raise NotImplementedError
 
-    def embedding_filter(self, embedding: tuple[int, ...], candidate) -> bool:
-        """Listing 1's EmbeddingFilter; default accepts everything."""
-        return True
+    def block_filter(self, ctx: EngineContext) -> "BlockFilter | None":
+        """Listing 1's EmbeddingFilter as a :data:`BlockFilter`, or None
+        (the default) to accept every canonical extension.
 
-    def overrides_embedding_filter(self) -> bool:
-        """Whether this app installs a real (non-default) embedding filter.
-
-        The engine checks this to pick the expansion path: the default
-        accept-everything filter lets the vectorized block kernels run;
-        an overridden filter must be called per candidate, which forces
-        the scalar per-embedding fallback.
-        """
-        return type(self).embedding_filter is not MiningApplication.embedding_filter
+        Called once per run, after ``init`` — build lookup tables there
+        and return the (picklable, pure) filter object here; the
+        expansion kernels apply it to each chunk's canonical survivors
+        on every executor."""
+        return None
 
     def query_pattern(self):
         """The single query :class:`~repro.core.pattern.Pattern` this app

@@ -371,11 +371,6 @@ class KaleidoEngine:
         elif app.induced != "vertex":
             raise ValueError(f"unknown induced mode {app.induced!r}")
 
-        # The default accept-everything filter means "no filter": passing
-        # None routes expansion through the vectorized block kernels; an
-        # overridden filter forces the scalar per-candidate fallback.
-        emb_filter = app.embedding_filter if app.overrides_embedding_filter() else None
-
         # Compile the app's query pattern (if it has one) into its
         # symmetry-breaking restriction set so level plans carry the
         # per-level ordering constraints alongside the fused kernel
@@ -384,6 +379,7 @@ class KaleidoEngine:
         self.planner.active_restriction_set = pattern_restrictions
 
         roots = app.init(ctx)
+        block_filter = app.block_filter(ctx)
         cse = CSE(roots)
         reduced: PatternMap = {}
         aggregated = False
@@ -430,7 +426,7 @@ class KaleidoEngine:
                                 stats = expand_vertex_level(
                                     self.graph,
                                     cse,
-                                    emb_filter,
+                                    block_filter,
                                     parts=plan.part_bounds,
                                     sink=plan.sink,
                                     executor=self.executor,
@@ -444,7 +440,7 @@ class KaleidoEngine:
                                     self.graph,
                                     ctx.edge_index,
                                     cse,
-                                    emb_filter,
+                                    block_filter,
                                     parts=plan.part_bounds,
                                     sink=plan.sink,
                                     executor=self.executor,

@@ -2,8 +2,9 @@
 
 Vertex-induced expansion appends one neighboring vertex per step;
 edge-induced expansion (used by FSM) appends one adjacent edge.  Both run
-the Definition-2 canonical filter plus an optional user filter (Listing 1's
-``EmbeddingFilter``).
+the Definition-2 canonical filter plus the application's optional block
+filter (Listing 1's ``EmbeddingFilter``, vectorized — see
+:data:`repro.core.api.BlockFilter`).
 
 Expansion is partitioned: the caller supplies contiguous part boundaries
 over the current top level (either an even split or the prediction-driven
@@ -16,14 +17,16 @@ part-index order.  Two per-part implementations exist:
 * the **vectorized kernels** (:mod:`repro.core.kernels`): each part's
   embeddings are decoded straight off the CSE ``off``/``vert`` arrays as
   one 2-D block (:meth:`repro.core.cse.CSE.decode_block`) and expanded by
-  batched numpy CSR gathers + canonical-filter masks.  This is the
-  default whenever no Python ``embedding_filter`` is installed and every
-  CSE level is resident;
+  batched numpy CSR gathers + canonical-filter masks, with the block
+  filter applied to each chunk's survivors.  This is the production
+  path whenever every CSE level is block-decodable — resident, or
+  spilled and mmap-served — filtered application or not;
 * the **scalar per-part functions** (:func:`expand_vertex_part` /
-  :func:`expand_edge_part`): the original per-embedding Python loops.
-  They remain the parity oracle for the kernels and the fallback when a
-  user filter must run per candidate or a level is spilled (streaming
-  tuple decode keeps the out-of-core memory bound).
+  :func:`expand_edge_part`): the original per-embedding Python loops,
+  calling the same block filter with one-row blocks.  They remain the
+  parity oracle for the kernels (``use_kernels=False``) and the fallback
+  for a spilled level that is not mmap-served (streaming tuple decode
+  keeps the out-of-core memory bound).
 
 Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
@@ -48,11 +51,10 @@ from .cse import CSE, InMemoryLevel, Level
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.trace import Tracer
+    from .api import BlockFilter
     from .executor import PartExecutor
 
 __all__ = [
-    "VertexFilter",
-    "EdgeFilter",
     "ExpansionStats",
     "PartExpansion",
     "LevelSink",
@@ -66,13 +68,6 @@ __all__ = [
     "expand_edge_level",
     "even_parts",
 ]
-
-#: Listing 1: ``bool EmbeddingFilter(Embedding e, Vertex v)``.
-VertexFilter = Callable[[tuple[int, ...], int], bool]
-#: Listing 1: ``bool EmbeddingFilter(Embedding e, Edge <u,v>)`` — receives
-#: the embedding's edge-id tuple and the candidate edge's (u, v) endpoints.
-EdgeFilter = Callable[[tuple[int, ...], tuple[int, int]], bool]
-
 
 @dataclass
 class PartExpansion:
@@ -216,44 +211,25 @@ def canonical_extensions(graph: Graph, embedding: Sequence[int]) -> list[int]:
 # ----------------------------------------------------------------------
 # Per-part pure functions
 # ----------------------------------------------------------------------
-def expand_vertex_part(
-    graph: Graph,
-    adjacency: list[frozenset[int]],
-    embeddings: Sequence[tuple[int, ...]],
-    bound: tuple[int, int],
-    index: int,
-    embedding_filter: VertexFilter | None = None,
-    out_dtype: np.dtype | None = None,
-) -> PartExpansion:
-    """Expand one contiguous part of a level by one vertex.
+def _filter_row(block_filter, ctx, emb: tuple[int, ...], survivors: list[int]) -> list[int]:
+    """Run the block filter over one embedding's canonical survivors.
 
-    Pure function of its inputs (the graph and adjacency are read-only),
-    so an executor may run parts concurrently and in any order.  This is
-    the scalar reference implementation — the parity oracle for
-    :func:`repro.core.kernels.expand_vertex_block` and the fallback when
-    a Python ``embedding_filter`` must run per candidate.
-    """
-    buffer: list[int] = []
-    counts = np.zeros(len(embeddings), dtype=np.int64)
-    examined = 0
-    for i, emb in enumerate(embeddings):
-        if len(emb) == 1:
-            candidates = graph.neighbors(emb[0]).tolist()
-        else:
-            merged: set[int] = set()
-            for v in emb:
-                merged.update(adjacency[v])
-            candidates = sorted(merged)
-        examined += len(candidates)
-        emitted_here = 0
-        for cand in candidates:
-            if not _extends_inline(adjacency, emb, cand):
-                continue
-            if embedding_filter is not None and not embedding_filter(emb, cand):
-                continue
-            buffer.append(cand)
-            emitted_here += 1
-        counts[i] = emitted_here
+    The scalar loops' form of the call the kernels make once per chunk:
+    a one-row block, every pair pointing at row 0."""
+    if block_filter is None or not survivors:
+        return survivors
+    cands = np.asarray(survivors, dtype=np.int64)
+    keep = kernels.call_block_filter(
+        block_filter,
+        ctx,
+        np.asarray([emb], dtype=np.int64),
+        np.zeros(cands.shape[0], dtype=np.int64),
+        cands,
+    )
+    return cands[keep].tolist()
+
+
+def _part_expansion(index, bound, buffer, counts, examined, out_dtype) -> PartExpansion:
     return PartExpansion(
         index=index,
         bound=bound,
@@ -267,6 +243,46 @@ def expand_vertex_part(
     )
 
 
+def expand_vertex_part(
+    graph: Graph,
+    adjacency: list[frozenset[int]],
+    embeddings: Sequence[tuple[int, ...]],
+    bound: tuple[int, int],
+    index: int,
+    block_filter: "BlockFilter | None" = None,
+    out_dtype: np.dtype | None = None,
+) -> PartExpansion:
+    """Expand one contiguous part of a level by one vertex.
+
+    Pure function of its inputs (the graph and adjacency are read-only),
+    so an executor may run parts concurrently and in any order.  This is
+    the scalar reference implementation — the parity oracle for
+    :func:`repro.core.kernels.expand_vertex_block`; ``block_filter``
+    is the same hook the kernel takes, called here once per embedding
+    with a one-row block.
+    """
+    ctx = kernels.vertex_kernel_context(graph) if block_filter is not None else None
+    buffer: list[int] = []
+    counts = np.zeros(len(embeddings), dtype=np.int64)
+    examined = 0
+    for i, emb in enumerate(embeddings):
+        if len(emb) == 1:
+            candidates = graph.neighbors(emb[0]).tolist()
+        else:
+            merged: set[int] = set()
+            for v in emb:
+                merged.update(adjacency[v])
+            candidates = sorted(merged)
+        examined += len(candidates)
+        survivors = [
+            cand for cand in candidates if _extends_inline(adjacency, emb, cand)
+        ]
+        survivors = _filter_row(block_filter, ctx, emb, survivors)
+        buffer.extend(survivors)
+        counts[i] = len(survivors)
+    return _part_expansion(index, bound, buffer, counts, examined, out_dtype)
+
+
 def expand_edge_part(
     eu: Sequence[int],
     ev: Sequence[int],
@@ -274,15 +290,20 @@ def expand_edge_part(
     embeddings: Sequence[tuple[int, ...]],
     bound: tuple[int, int],
     index: int,
-    embedding_filter: EdgeFilter | None = None,
+    block_filter: "BlockFilter | None" = None,
     out_dtype: np.dtype | None = None,
+    ctx: "kernels.EdgeKernelContext | None" = None,
 ) -> PartExpansion:
     """Edge-induced analogue of :func:`expand_vertex_part`.
 
     CSE levels hold edge ids; the candidate set of an embedding is every
     edge incident to one of its endpoint vertices.  Scalar reference for
-    :func:`repro.core.kernels.expand_edge_block`.
+    :func:`repro.core.kernels.expand_edge_block`.  ``ctx`` is the edge
+    kernel context handed to ``block_filter`` (required with a filter:
+    the endpoint lists alone cannot rebuild it).
     """
+    if block_filter is not None and ctx is None:
+        raise ValueError("expand_edge_part needs ctx= to run a block filter")
     buffer: list[int] = []
     counts = np.zeros(len(embeddings), dtype=np.int64)
     examined = 0
@@ -301,7 +322,7 @@ def expand_edge_part(
         emb_set = set(emb)
         first_id = emb[0]
         k = len(emb)
-        emitted_here = 0
+        survivors: list[int] = []
         examined += len(candidates)
         for cand in sorted(candidates):
             if cand <= first_id or cand in emb_set:
@@ -317,26 +338,12 @@ def expand_edge_part(
                 if emb[idx] > cand:
                     ok = False
                     break
-            if not ok:
-                continue
-            if embedding_filter is not None and not embedding_filter(
-                emb, (eu[cand], ev[cand])
-            ):
-                continue
-            buffer.append(cand)
-            emitted_here += 1
-        counts[i] = emitted_here
-    return PartExpansion(
-        index=index,
-        bound=bound,
-        vert=np.asarray(
-            buffer,
-            dtype=out_dtype if out_dtype is not None else kernels.DEFAULT_ID_DTYPE,
-        ),
-        counts=counts,
-        emitted=len(buffer),
-        candidates_examined=examined,
-    )
+            if ok:
+                survivors.append(cand)
+        survivors = _filter_row(block_filter, ctx, emb, survivors)
+        buffer.extend(survivors)
+        counts[i] = len(survivors)
+    return _part_expansion(index, bound, buffer, counts, examined, out_dtype)
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +372,7 @@ class _BlockTask:
         index: int,
         restrictions=None,
         level_handle=None,
+        block_filter=None,
     ) -> None:
         self.shared_context = ctx
         self.block = block
@@ -374,6 +382,10 @@ class _BlockTask:
         #: for the masked path.  Tiny and immutable, so unlike the
         #: context it stays in the pickle.
         self.restrictions = restrictions
+        #: The application's block filter (or None); rides the pickle
+        #: like the restrictions — graph arrays reach it through the
+        #: kernel context, so it carries only its own tables.
+        self.block_filter = block_filter
         #: Zero-copy mode: a :class:`repro.core.shm.SharedLevelsHandle`
         #: naming the CSE level arrays.  ``block`` is then ``None`` and
         #: the *worker* decodes its own bounds from the shared views, so
@@ -387,6 +399,7 @@ class _BlockTask:
             "index": self.index,
             "restrictions": self.restrictions,
             "level_handle": self.level_handle,
+            "block_filter": self.block_filter,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -404,7 +417,9 @@ class _BlockTask:
 
             verts, offs = shm.attach_levels(self.level_handle)
             block = decode_block_arrays(verts, offs, *self.bound)
-        vert, counts, examined = type(self).kernel(ctx, block, self.restrictions)
+        vert, counts, examined = type(self).kernel(
+            ctx, block, self.restrictions, self.block_filter
+        )
         return PartExpansion(
             index=self.index,
             bound=self.bound,
@@ -442,7 +457,12 @@ def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
 
 
 def _block_task_factory(
-    cse: CSE, ctx, task_cls: type[_BlockTask], restrictions=None, share=None
+    cse: CSE,
+    ctx,
+    task_cls: type[_BlockTask],
+    restrictions=None,
+    share=None,
+    block_filter=None,
 ):
     """Tasks that decode each part as one 2-D block (kernel fast path).
 
@@ -450,23 +470,26 @@ def _block_task_factory(
     bounded number of blocks (the executor's in-flight window) exist at
     once.  ``restrictions`` (optional
     :class:`~repro.core.restrictions.KernelRestrictions`) selects the
-    fused symmetry-breaking gather inside the kernel.  With ``share`` (a
-    :class:`repro.core.shm.LevelShare` from :func:`~repro.core.shm.export_levels`)
-    no block is decoded here at all: tasks carry only their bounds and
-    workers decode from the shared level views.
+    fused symmetry-breaking gather inside the kernel and ``block_filter``
+    the application's keep-mask over each chunk's survivors.  With
+    ``share`` (a :class:`repro.core.shm.LevelShare` from
+    :func:`~repro.core.shm.export_levels`) no block is decoded here at
+    all: tasks carry only their bounds and workers decode from the
+    shared level views.
     """
 
     def factory(parts: Sequence[tuple[int, int]]):
         for index, (start, end) in enumerate(parts):
-            if share is not None:
-                yield task_cls(
-                    ctx, None, (start, end), index, restrictions,
-                    level_handle=share.handle,
-                )
-            else:
-                yield task_cls(
-                    ctx, cse.decode_block(start, end), (start, end), index, restrictions
-                )
+            block = None if share is not None else cse.decode_block(start, end)
+            yield task_cls(
+                ctx,
+                block,
+                (start, end),
+                index,
+                restrictions,
+                level_handle=None if share is None else share.handle,
+                block_filter=block_filter,
+            )
 
     return factory
 
@@ -560,7 +583,7 @@ def _run_expansion(
 def expand_vertex_level(
     graph: Graph,
     cse: CSE,
-    embedding_filter: VertexFilter | None = None,
+    block_filter: "BlockFilter | None" = None,
     parts: Sequence[tuple[int, int]] | None = None,
     sink: LevelSink | None = None,
     executor: "PartExecutor | None" = None,
@@ -572,11 +595,12 @@ def expand_vertex_level(
     """Expand the CSE's top level by one vertex (one exploration iteration).
 
     Parts are contiguous position ranges over the top level; each becomes
-    one executor task.  Runs the vectorized block kernel when no
-    ``embedding_filter`` is installed and every level is resident
-    (``use_kernels=False`` forces the scalar path — the parity oracle);
-    otherwise falls back to the scalar per-embedding loop.
-    ``restrictions`` (a
+    one executor task.  Runs the vectorized block kernel whenever every
+    level is block-decodable (``use_kernels=False`` forces the scalar
+    path — the parity oracle); otherwise falls back to the scalar
+    per-embedding loop.  ``block_filter`` (the application's
+    :data:`~repro.core.api.BlockFilter`, or None) prunes canonical
+    survivors on either path.  ``restrictions`` (a
     :class:`~repro.core.restrictions.KernelRestrictions` from the level
     plan) fuses the symmetry-breaking bounds into the kernel gather; it
     only affects the kernel path — the scalar fallback always runs the
@@ -586,13 +610,15 @@ def expand_vertex_level(
     """
     dtype = graph.id_dtype
     share = None
-    if embedding_filter is None and use_kernels and cse.block_decodable():
+    if use_kernels and cse.block_decodable():
         ctx = kernels.vertex_kernel_context(graph, out_dtype=dtype)
         share = _maybe_share_levels(cse, executor)
-        factory = _block_task_factory(cse, ctx, VertexBlockTask, restrictions, share)
+        factory = _block_task_factory(
+            cse, ctx, VertexBlockTask, restrictions, share, block_filter
+        )
     else:
         adjacency = graph.adjacency_sets()
-        make_part = partial(_vertex_part_task, graph, adjacency, embedding_filter, dtype)
+        make_part = partial(_vertex_part_task, graph, adjacency, block_filter, dtype)
         factory = _scalar_task_factory(cse, make_part)
     try:
         return _run_expansion(
@@ -603,9 +629,9 @@ def expand_vertex_level(
             share.close()
 
 
-def _vertex_part_task(graph, adjacency, embedding_filter, dtype, embeddings, bound, index):
+def _vertex_part_task(graph, adjacency, block_filter, dtype, embeddings, bound, index):
     return expand_vertex_part(
-        graph, adjacency, embeddings, bound, index, embedding_filter, out_dtype=dtype
+        graph, adjacency, embeddings, bound, index, block_filter, out_dtype=dtype
     )
 
 
@@ -613,7 +639,7 @@ def expand_edge_level(
     graph: Graph,
     index: EdgeIndex,
     cse: CSE,
-    embedding_filter: EdgeFilter | None = None,
+    block_filter: "BlockFilter | None" = None,
     parts: Sequence[tuple[int, int]] | None = None,
     sink: LevelSink | None = None,
     executor: "PartExecutor | None" = None,
@@ -625,14 +651,23 @@ def expand_edge_level(
     """Edge-induced analogue of :func:`expand_vertex_level`."""
     dtype = index.id_dtype
     share = None
-    if embedding_filter is None and use_kernels and cse.block_decodable():
+    if use_kernels and cse.block_decodable():
         ctx = kernels.edge_kernel_context(index, out_dtype=dtype)
         share = _maybe_share_levels(cse, executor)
-        factory = _block_task_factory(cse, ctx, EdgeBlockTask, restrictions, share)
+        factory = _block_task_factory(
+            cse, ctx, EdgeBlockTask, restrictions, share, block_filter
+        )
     else:
         eu, ev = index.endpoint_lists()
         incident = index.incident_lists()
-        make_part = partial(_edge_part_task, eu, ev, incident, embedding_filter, dtype)
+        ctx = (
+            kernels.edge_kernel_context(index, out_dtype=dtype)
+            if block_filter is not None
+            else None
+        )
+        make_part = partial(
+            _edge_part_task, eu, ev, incident, block_filter, dtype, ctx
+        )
         factory = _scalar_task_factory(cse, make_part)
     try:
         return _run_expansion(
@@ -643,9 +678,10 @@ def expand_edge_level(
             share.close()
 
 
-def _edge_part_task(eu, ev, incident, embedding_filter, dtype, embeddings, bound, index):
+def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, bound, index):
     return expand_edge_part(
-        eu, ev, incident, embeddings, bound, index, embedding_filter, out_dtype=dtype
+        eu, ev, incident, embeddings, bound, index, block_filter,
+        out_dtype=dtype, ctx=ctx,
     )
 
 

@@ -29,7 +29,7 @@ position (edge kernel).  No ``np.unique`` (whose hash-based
 implementation in recent numpy is an order of magnitude slower than a
 plain sort at these sizes).
 
-Since the restriction compiler landed there are **two** filter paths:
+There are **two** canonical-filter paths:
 
 * **masked** (``restrictions=None``) — generate every neighbor, then
   apply the canonical clauses as post-hoc boolean masks as described
@@ -53,12 +53,21 @@ Since the restriction compiler landed there are **two** filter paths:
   (``Planner(use_restrictions=True)``; ``--no-restrictions`` is the
   escape hatch).
 
-The scalar path in :mod:`repro.core.explore` keeps the unrestricted
-post-hoc canonical filter: it is the parity oracle for both kernel paths
-and the fallback whenever a Python ``embedding_filter`` override must
-run per candidate or a CSE level is spilled (a non-block-decodable CSE
-never reaches the kernels, so spilled levels always take the masked —
-scalar — route regardless of the plan's restrictions).
+On either path the application's **block filter** (Listing 1's
+``EmbeddingFilter``, see :data:`repro.core.api.BlockFilter`) runs last,
+over the ``(row, candidate)`` pairs that survived dedup and the
+canonical clauses, and returns one boolean keep-mask per chunk — so
+filtered applications (clique, FSM, pattern matching) expand on the
+same kernels as unfiltered ones.
+
+Dispatch (:func:`repro.core.explore.expand_vertex_level`): the kernels
+run whenever every CSE level is block-decodable — resident in memory or
+spilled and served through ``mmap`` — whether or not the application
+installs a block filter.  The scalar loops in :mod:`repro.core.explore`
+keep the unrestricted post-hoc canonical filter and call the same block
+filter with one-row blocks; they are the parity oracle for both kernel
+paths (``use_kernels=False``) and the fallback for a spilled level that
+is not mmap-served.
 
 The :class:`VertexKernelContext` / :class:`EdgeKernelContext` bundles are
 plain picklable dataclasses so a :class:`repro.core.executor.ProcessExecutor`
@@ -85,13 +94,24 @@ __all__ = [
     "edge_kernel_context",
     "expand_vertex_block",
     "expand_edge_block",
+    "call_block_filter",
     "install_worker_context",
     "current_worker_context",
 ]
 
-#: Rows processed per internal chunk: bounds the transient ``(pairs, k)``
-#: mask matrices no matter how large a part the planner cut.
-BLOCK_ROWS = 16_384
+#: Gathered ``(row, candidate)`` pairs per internal chunk.  Chunks are cut
+#: from the per-row degree-sum prefix, so the transient pair arrays (about
+#: eight ``int64`` temporaries per pair) stay bounded however large a part
+#: the planner cut and however skewed the degrees — a row cap would not
+#: bound them: one hub in every row gathers its whole neighbor list per
+#: row.  A single row whose own degree sum exceeds the budget still runs,
+#: alone.  Measured on the perf ledger's graphs: on ``clique4-filter``
+#: (peak RSS 48.2 MB on the scalar loop) 16 Ki pairs costs +2.9% RSS,
+#: 32 Ki +4.0%, 64 Ki +8.3%, and 16 Ki is also the fastest there; on
+#: ``explore4-spill`` 16 Ki runs the three levels in the same 0.10-0.11 s
+#: as the former 16 Ki-*row* chunks did (at under half their peak RSS),
+#: 64 Ki about 15% faster — 3% of that op.  The RSS bound decides.
+PAIR_BUDGET = 16_384
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
@@ -134,6 +154,28 @@ class VertexKernelContext:
     adjacency_keys: np.ndarray | None = None
 
     kind = "vertex"
+
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorized adjacency test: ``out[i]`` is whether ``(u[i], v[i])``
+        is an edge — one binary search per pair into ``adjacency_keys``.
+
+        The building block for block filters that need adjacency (clique
+        closure, internal-degree bounds); ``u`` and ``v`` must be
+        ``int64`` (what the kernels hand a filter) so the packed probe
+        cannot overflow.
+        """
+        keys = self.adjacency_keys
+        if keys is None:
+            raise ValueError(
+                "has_edges needs a context with adjacency_keys "
+                "(build it with vertex_kernel_context)"
+            )
+        if keys.shape[0] == 0:
+            return np.zeros(np.shape(u), dtype=bool)
+        probe = u * self.num_vertices + v
+        pos = np.searchsorted(keys, probe)
+        np.minimum(pos, keys.shape[0] - 1, out=pos)
+        return keys[pos] == probe
 
 
 @dataclass
@@ -263,45 +305,123 @@ def _mask_members(
     keep[hits] = False
 
 
-# ----------------------------------------------------------------------
-# Vertex-induced kernel
-# ----------------------------------------------------------------------
-def expand_vertex_block(
-    ctx: VertexKernelContext, block: np.ndarray, restrictions=None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Expand a block of same-length embeddings by one vertex.
+def _dedup_heads(
+    values: np.ndarray, owner: np.ndarray, width: int, modulus: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort-dedup the gathered ``(row, candidate)`` pairs of one chunk.
 
-    ``block`` is ``(rows, k)``: row ``r`` is the vertex tuple of one
-    embedding.  Returns ``(vert, counts, candidates_examined)``; ``vert``
-    holds the emitted last vertices in embedding order (candidates
-    ascending within each row) and ``counts[r]`` how many row ``r``
-    emitted — both byte-identical to
-    :func:`repro.core.explore.expand_vertex_part`.  With
-    ``restrictions=None`` (the masked path) ``candidates_examined`` also
-    matches the scalar oracle exactly; with a
-    :class:`~repro.core.restrictions.KernelRestrictions` the fused
-    bounds skip filtered candidates during the gather, so it counts only
-    the surviving deduped pairs.
+    ``owner`` is the flat ``row * width + column`` position each value
+    was gathered for.  One sort of packed ``(row, candidate, column)``
+    keys does three jobs at once: it (a) dedups the per-row candidate
+    set, (b) orders candidates ascending within each row — the scalar
+    loop's ``sorted(set)`` emission order — and (c) leaves each group's
+    *head* carrying the smallest source column.  Returns the heads as
+    ``(pair_ids, rows, cands, first_column)`` with ``pair_ids = row *
+    modulus + candidate`` ascending.
     """
+    row = owner // width
+    # (row * modulus + value) * width + column, with column = owner - row * width.
+    keys = row * ((modulus - 1) * width)
+    keys += owner
+    keys += np.multiply(values, width, dtype=np.int64)
+    keys.sort()
+    pair_ids = keys // width
+    head = np.empty(keys.shape, dtype=bool)
+    head[0] = True
+    np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
+    first_keys = keys[head]
+    pair_ids = pair_ids[head]
+    rows = pair_ids // modulus
+    cands = pair_ids - rows * modulus
+    first_keys -= pair_ids * width
+    return pair_ids, rows, cands, first_keys
+
+
+def call_block_filter(
+    block_filter, ctx, block64: np.ndarray, rows: np.ndarray, cands: np.ndarray
+) -> np.ndarray:
+    """The one place the application's block filter is invoked — by the
+    kernels per chunk and by the scalar loops per embedding — so both
+    hold it to the same contract: one ``bool`` per pair."""
+    mask = np.asarray(block_filter(ctx, block64, rows, cands))
+    if mask.dtype != np.bool_ or mask.shape != rows.shape:
+        raise ValueError(
+            f"block filter must return a bool mask of shape {rows.shape}, "
+            f"got {mask.dtype} {mask.shape}"
+        )
+    return mask
+
+
+def _emit(
+    ctx,
+    block64: np.ndarray,
+    rows: np.ndarray,
+    cands: np.ndarray,
+    keep: np.ndarray,
+    block_filter,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the application's block filter to the canonical survivors
+    and return the chunk's ``(vert, counts)``."""
+    rows = rows[keep]
+    cands = cands[keep]
+    if block_filter is not None and rows.shape[0]:
+        mask = call_block_filter(block_filter, ctx, block64, rows, cands)
+        rows = rows[mask]
+        cands = cands[mask]
+    counts = np.bincount(rows, minlength=block64.shape[0])
+    return cands.astype(ctx.out_dtype), counts
+
+
+def _degree_sums(indptr: np.ndarray, id_columns, rows_total: int) -> np.ndarray:
+    """Per-row sum of CSR slice lengths over ``id_columns`` (one 1-D id
+    array per gather column): how many pairs each row gathers at most."""
+    pairs = np.zeros(rows_total, dtype=np.int64)
+    for ids in id_columns:
+        pairs += indptr[ids + 1]
+        pairs -= indptr[ids]
+    return pairs
+
+
+def _pair_budget_chunks(row_pairs: np.ndarray):
+    """Cut ``range(rows)`` into contiguous chunks of at most
+    :data:`PAIR_BUDGET` gathered pairs (``row_pairs[r]`` bounds row
+    ``r``'s); a row over the budget on its own gets a chunk to itself."""
+    prefix = np.cumsum(row_pairs)
+    rows_total = prefix.shape[0]
+    start = 0
+    done = 0
+    while start < rows_total:
+        end = int(np.searchsorted(prefix, done + PAIR_BUDGET, side="right"))
+        end = max(end, start + 1)
+        yield start, end
+        done = int(prefix[end - 1])
+        start = end
+
+
+def _expand_block(
+    ctx, block: np.ndarray, restrictions, block_filter, row_pairs, masked, fused
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Chunk driver shared by the vertex and edge kernels."""
     block = np.ascontiguousarray(block)
     if block.ndim != 2:
         raise ValueError(f"block must be 2-D (rows, k), got shape {block.shape}")
     _check_restrictions(ctx, block, restrictions)
-    rows_total = block.shape[0]
+    rows_total, k = block.shape
     counts = np.zeros(rows_total, dtype=np.int64)
     pieces: list[np.ndarray] = []
     examined = 0
-    for start in range(0, rows_total, BLOCK_ROWS):
-        chunk = block[start : start + BLOCK_ROWS]
-        if restrictions is None:
-            vert, chunk_counts, chunk_examined = _expand_vertex_chunk(ctx, chunk)
-        else:
-            vert, chunk_counts, chunk_examined = _expand_vertex_chunk_fused(
-                ctx, chunk, restrictions
-            )
-        counts[start : start + chunk.shape[0]] = chunk_counts
-        pieces.append(vert)
-        examined += chunk_examined
+    if rows_total and k:
+        for start, end in _pair_budget_chunks(row_pairs(ctx, block)):
+            chunk = block[start:end].astype(np.int64, copy=False)
+            if restrictions is None:
+                vert, chunk_counts, chunk_examined = masked(ctx, chunk, block_filter)
+            else:
+                vert, chunk_counts, chunk_examined = fused(
+                    ctx, chunk, restrictions, block_filter
+                )
+            counts[start:end] = chunk_counts
+            pieces.append(vert)
+            examined += chunk_examined
     if pieces:
         vert = np.concatenate(pieces)
     else:
@@ -325,44 +445,59 @@ def _check_restrictions(ctx, block: np.ndarray, restrictions) -> None:
         )
 
 
-def _expand_vertex_chunk(
-    ctx: VertexKernelContext, block: np.ndarray
+def _no_output(ctx, rows_total: int) -> tuple[np.ndarray, np.ndarray, int]:
+    return np.zeros(0, dtype=ctx.out_dtype), np.zeros(rows_total, dtype=np.int64), 0
+
+
+# ----------------------------------------------------------------------
+# Vertex-induced kernel
+# ----------------------------------------------------------------------
+def expand_vertex_block(
+    ctx: VertexKernelContext, block: np.ndarray, restrictions=None, block_filter=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    rows_total, k = block.shape
-    empty = np.zeros(0, dtype=ctx.out_dtype)
-    if rows_total == 0 or k == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
+    """Expand a block of same-length embeddings by one vertex.
+
+    ``block`` is ``(rows, k)``: row ``r`` is the vertex tuple of one
+    embedding.  Returns ``(vert, counts, candidates_examined)``; ``vert``
+    holds the emitted last vertices in embedding order (candidates
+    ascending within each row) and ``counts[r]`` how many row ``r``
+    emitted — both byte-identical to
+    :func:`repro.core.explore.expand_vertex_part` given the same
+    ``block_filter`` (a :data:`repro.core.api.BlockFilter`, applied to
+    the canonical survivors of each chunk).  With ``restrictions=None``
+    (the masked path) ``candidates_examined`` also matches the scalar
+    oracle exactly; with a
+    :class:`~repro.core.restrictions.KernelRestrictions` the fused
+    bounds skip filtered candidates during the gather, so it counts only
+    the surviving deduped pairs.
+    """
+    return _expand_block(
+        ctx, block, restrictions, block_filter,
+        _vertex_row_pairs, _expand_vertex_chunk, _expand_vertex_chunk_fused,
+    )
+
+
+def _vertex_row_pairs(ctx: VertexKernelContext, block: np.ndarray) -> np.ndarray:
+    """Per-row degree sum over the embedding's vertices."""
+    return _degree_sums(ctx.indptr, block.T, block.shape[0])
+
+
+def _expand_vertex_chunk(
+    ctx: VertexKernelContext, block64: np.ndarray, block_filter
+) -> tuple[np.ndarray, np.ndarray, int]:
+    rows_total, k = block64.shape
     n = ctx.num_vertices
-    block64 = block.astype(np.int64, copy=False)
 
     # Candidate generation: gather the neighbor list of every embedding
     # vertex, tagging each gathered neighbor with the flat (row, column)
     # position it came from.
-    flat_verts = block64.reshape(-1)
     positions = np.arange(rows_total * k, dtype=np.int64)
-    neigh, owner = _csr_gather(ctx.indptr, ctx.indices, flat_verts, positions)
+    neigh, owner = _csr_gather(ctx.indptr, ctx.indices, block64.reshape(-1), positions)
     if neigh.shape[0] == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
-
-    # One sort does three jobs at once.  Keys group by (row, candidate)
-    # with the source column as the low bits, so sorting (a) dedups the
-    # per-row candidate set, (b) orders candidates ascending within each
-    # row — the scalar loop's `sorted(set)` emission order — and (c)
-    # leaves each group's *head* carrying the smallest source column,
-    # which is exactly the canonical filter's first-neighbor index.
-    row = owner // k
-    col = owner - row * k
-    keys = (row * n + neigh) * k + col
-    keys.sort()
-    pair_ids = keys // k
-    head = np.empty(keys.shape, dtype=bool)
-    head[0] = True
-    np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
-    first_keys = keys[head]
-    pair_ids = pair_ids[head]
-    rows = pair_ids // n
-    cands = pair_ids - rows * n
-    first_nb = first_keys - pair_ids * k
+        return _no_output(ctx, rows_total)
+    # Each head's smallest source column is exactly the canonical
+    # filter's first-neighbor index.
+    pair_ids, rows, cands, first_nb = _dedup_heads(neigh, owner, k, n)
     examined = int(rows.shape[0])
 
     # Min-vertex bound.  (The scalar filter's no-neighbor rejection can
@@ -379,12 +514,12 @@ def _expand_vertex_chunk(
     tail_max = sfx[rows, first_nb + 1]
     np.logical_and(keep, tail_max <= cands, out=keep)
 
-    counts = np.bincount(rows[keep], minlength=rows_total)
-    return cands[keep].astype(ctx.out_dtype), counts, examined
+    vert, counts = _emit(ctx, block64, rows, cands, keep, block_filter)
+    return vert, counts, examined
 
 
 def _expand_vertex_chunk_fused(
-    ctx: VertexKernelContext, block: np.ndarray, restrictions
+    ctx: VertexKernelContext, block64: np.ndarray, restrictions, block_filter
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Restriction-fused vertex expansion: bounds applied *in* the gather.
 
@@ -402,10 +537,7 @@ def _expand_vertex_chunk_fused(
     pass below knocks them out by binary-searching ``(block[r, f],
     cand)`` edges for ``f`` before each head's ``g``.
     """
-    rows_total, k = block.shape
-    empty = np.zeros(0, dtype=ctx.out_dtype)
-    if rows_total == 0 or k == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
+    rows_total, k = block64.shape
     adjacency_keys = ctx.adjacency_keys
     if adjacency_keys is None:
         raise ValueError(
@@ -413,7 +545,6 @@ def _expand_vertex_chunk_fused(
             "(build it with vertex_kernel_context)"
         )
     n = ctx.num_vertices
-    block64 = block.astype(np.int64, copy=False)
     sfx = _suffix_max(block64)
 
     # Per-(row, column) inclusive lower bounds, flattened like the block.
@@ -428,23 +559,9 @@ def _expand_vertex_chunk_fused(
     positions = np.arange(rows_total * k, dtype=np.int64)
     neigh, owner = _ranged_gather(starts, slice_ends, ctx.indices, positions)
     if neigh.shape[0] == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
-
-    # Same one-sort dedup as the masked path: each group head carries the
-    # earliest surviving source column.
-    row = owner // k
-    col = owner - row * k
-    keys = (row * n + neigh) * k + col
-    keys.sort()
-    pair_ids = keys // k
-    head = np.empty(keys.shape, dtype=bool)
-    head[0] = True
-    np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
-    first_keys = keys[head]
-    pair_ids = pair_ids[head]
-    rows = pair_ids // n
-    cands = pair_ids - rows * n
-    first_nb = first_keys - pair_ids * k
+        return _no_output(ctx, rows_total)
+    # Each head carries the earliest *surviving* source column.
+    pair_ids, rows, cands, first_nb = _dedup_heads(neigh, owner, k, n)
     examined = int(rows.shape[0])
 
     keep = np.ones(examined, dtype=bool)
@@ -456,73 +573,59 @@ def _expand_vertex_chunk_fused(
         sel = np.nonzero(keep & (first_nb > f))[0]
         if sel.shape[0] == 0:
             continue
-        probe = block64[rows[sel], f] * n + cands[sel]
-        pos = np.searchsorted(adjacency_keys, probe)
-        np.minimum(pos, adjacency_keys.shape[0] - 1, out=pos)
-        keep[sel[adjacency_keys[pos] == probe]] = False
+        keep[sel[ctx.has_edges(block64[rows[sel], f], cands[sel])]] = False
 
-    counts = np.bincount(rows[keep], minlength=rows_total)
-    return cands[keep].astype(ctx.out_dtype), counts, examined
+    vert, counts = _emit(ctx, block64, rows, cands, keep, block_filter)
+    return vert, counts, examined
 
 
 # ----------------------------------------------------------------------
 # Edge-induced kernel
 # ----------------------------------------------------------------------
 def expand_edge_block(
-    ctx: EdgeKernelContext, block: np.ndarray, restrictions=None
+    ctx: EdgeKernelContext, block: np.ndarray, restrictions=None, block_filter=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Edge-induced analogue of :func:`expand_vertex_block`.
 
     ``block`` rows hold edge ids; candidates are the edges incident to
     any endpoint of the embedding, filtered by the edge-canonicality rule
     (min-edge-id bound, membership, first-reachable arrival position,
-    suffix order).  Emitted ids and counts match
+    suffix order) and then by ``block_filter``, whose candidates are
+    edge ids (``ctx.edge_u`` / ``ctx.edge_v`` give the endpoints).
+    Emitted ids and counts match
     :func:`repro.core.explore.expand_edge_part` exactly on both paths;
     as in the vertex kernel, ``candidates_examined`` only matches the
     scalar oracle on the masked path (``restrictions=None``).
     """
-    block = np.ascontiguousarray(block)
-    if block.ndim != 2:
-        raise ValueError(f"block must be 2-D (rows, k), got shape {block.shape}")
-    _check_restrictions(ctx, block, restrictions)
-    rows_total = block.shape[0]
-    counts = np.zeros(rows_total, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    examined = 0
-    for start in range(0, rows_total, BLOCK_ROWS):
-        chunk = block[start : start + BLOCK_ROWS]
-        if restrictions is None:
-            vert, chunk_counts, chunk_examined = _expand_edge_chunk(ctx, chunk)
-        else:
-            vert, chunk_counts, chunk_examined = _expand_edge_chunk_fused(
-                ctx, chunk, restrictions
-            )
-        counts[start : start + chunk.shape[0]] = chunk_counts
-        pieces.append(vert)
-        examined += chunk_examined
-    if pieces:
-        vert = np.concatenate(pieces)
-    else:
-        vert = np.zeros(0, dtype=ctx.out_dtype)
-    return vert.astype(ctx.out_dtype, copy=False), counts, examined
+    return _expand_block(
+        ctx, block, restrictions, block_filter,
+        _edge_row_pairs, _expand_edge_chunk, _expand_edge_chunk_fused,
+    )
 
 
-def _expand_edge_chunk(
-    ctx: EdgeKernelContext, block: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    rows_total, k = block.shape
-    empty = np.zeros(0, dtype=ctx.out_dtype)
-    if rows_total == 0 or k == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
-    block64 = block.astype(np.int64, copy=False)
-    m = ctx.num_edges
+def _edge_row_pairs(ctx: EdgeKernelContext, block: np.ndarray) -> np.ndarray:
+    """Per-row incidence-degree sum over both endpoints of every edge."""
+    endpoints = (ends[column] for column in block.T for ends in (ctx.edge_u, ctx.edge_v))
+    return _degree_sums(ctx.inc_indptr, endpoints, block.shape[0])
 
-    # Endpoint matrix: columns (2j, 2j + 1) are the endpoints of the j-th
-    # embedding edge, so column // 2 is the arrival position the
-    # edge-canonicality rule ranks by.
+
+def _endpoint_matrix(ctx: EdgeKernelContext, block64: np.ndarray) -> np.ndarray:
+    """Columns ``(2j, 2j + 1)`` are the endpoints of the j-th embedding
+    edge, so ``column // 2`` is the arrival position the
+    edge-canonicality rule ranks by."""
+    rows_total, k = block64.shape
     ends = np.empty((rows_total, 2 * k), dtype=np.int64)
     ends[:, 0::2] = ctx.edge_u[block64]
     ends[:, 1::2] = ctx.edge_v[block64]
+    return ends
+
+
+def _expand_edge_chunk(
+    ctx: EdgeKernelContext, block64: np.ndarray, block_filter
+) -> tuple[np.ndarray, np.ndarray, int]:
+    rows_total, k = block64.shape
+    m = ctx.num_edges
+    ends = _endpoint_matrix(ctx, block64)
 
     # Candidate generation: the incident-edge list of every endpoint
     # occurrence, tagged with the flat (row, column) position it came
@@ -531,26 +634,12 @@ def _expand_edge_chunk(
     positions = np.arange(rows_total * width, dtype=np.int64)
     inc, owner = _csr_gather(ctx.inc_indptr, ctx.incident, ends.reshape(-1), positions)
     if inc.shape[0] == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
-
-    # Same one-sort trick as the vertex kernel: keys group by (row,
-    # candidate edge) with the source column as the low bits, so each
-    # group's head carries the earliest endpoint occurrence — and since
+        return _no_output(ctx, rows_total)
+    # Each head carries the earliest endpoint occurrence — and since
     # column // 2 is monotone in the column, the head's position is the
     # candidate's minimum arrival `first`.
-    row = owner // width
-    col = owner - row * width
-    keys = (row * m + inc) * width + col
-    keys.sort()
-    pair_ids = keys // width
-    head = np.empty(keys.shape, dtype=bool)
-    head[0] = True
-    np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
-    first_keys = keys[head]
-    pair_ids = pair_ids[head]
-    rows = pair_ids // m
-    cands = pair_ids - rows * m
-    first = (first_keys - pair_ids * width) // 2
+    pair_ids, rows, cands, first = _dedup_heads(inc, owner, width, m)
+    first //= 2
     examined = int(rows.shape[0])
 
     # Min-edge-id bound and membership clauses.  (Every candidate is
@@ -563,12 +652,12 @@ def _expand_edge_chunk(
     tail_max = sfx[rows, first + 1]
     np.logical_and(keep, tail_max <= cands, out=keep)
 
-    counts = np.bincount(rows[keep], minlength=rows_total)
-    return cands[keep].astype(ctx.out_dtype), counts, examined
+    vert, counts = _emit(ctx, block64, rows, cands, keep, block_filter)
+    return vert, counts, examined
 
 
 def _expand_edge_chunk_fused(
-    ctx: EdgeKernelContext, block: np.ndarray, restrictions
+    ctx: EdgeKernelContext, block64: np.ndarray, restrictions, block_filter
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Restriction-fused edge expansion.
 
@@ -584,10 +673,7 @@ def _expand_edge_chunk_fused(
     the endpoint columns before its surviving arrival (direct equality,
     no searches needed — endpoints are right there in ``ends``).
     """
-    rows_total, k = block.shape
-    empty = np.zeros(0, dtype=ctx.out_dtype)
-    if rows_total == 0 or k == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
+    rows_total, k = block64.shape
     incident_keys = ctx.incident_keys
     if incident_keys is None:
         raise ValueError(
@@ -595,12 +681,8 @@ def _expand_edge_chunk_fused(
             "(build it with edge_kernel_context)"
         )
     m = ctx.num_edges
-    block64 = block.astype(np.int64, copy=False)
     sfx = _suffix_max(block64)
-
-    ends = np.empty((rows_total, 2 * k), dtype=np.int64)
-    ends[:, 0::2] = ctx.edge_u[block64]
-    ends[:, 1::2] = ctx.edge_v[block64]
+    ends = _endpoint_matrix(ctx, block64)
 
     strict = block64[:, restrictions.strict_lower_col, None] + 1
     cols = np.asarray(restrictions.suffix_from, dtype=np.int64)
@@ -614,21 +696,9 @@ def _expand_edge_chunk_fused(
     positions = np.arange(rows_total * width, dtype=np.int64)
     inc, owner = _ranged_gather(starts, slice_ends, ctx.incident, positions)
     if inc.shape[0] == 0:
-        return empty, np.zeros(rows_total, dtype=np.int64), 0
-
-    row = owner // width
-    col = owner - row * width
-    keys = (row * m + inc) * width + col
-    keys.sort()
-    pair_ids = keys // width
-    head = np.empty(keys.shape, dtype=bool)
-    head[0] = True
-    np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
-    first_keys = keys[head]
-    pair_ids = pair_ids[head]
-    rows = pair_ids // m
-    cands = pair_ids - rows * m
-    first = (first_keys - pair_ids * width) // 2
+        return _no_output(ctx, rows_total)
+    pair_ids, rows, cands, first = _dedup_heads(inc, owner, width, m)
+    first //= 2
     examined = int(rows.shape[0])
 
     keep = np.ones(examined, dtype=bool)
@@ -645,8 +715,8 @@ def _expand_edge_chunk_fused(
         hit = (cand_u[sel] == endpoint) | (cand_v[sel] == endpoint)
         keep[sel[hit]] = False
 
-    counts = np.bincount(rows[keep], minlength=rows_total)
-    return cands[keep].astype(ctx.out_dtype), counts, examined
+    vert, counts = _emit(ctx, block64, rows, cands, keep, block_filter)
+    return vert, counts, examined
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,10 @@ class LeakyApp(MiningApplication):
         self.seen.append(embedding)  # hit 2: mutator call on self attr
         self._note(embedding)
 
-    def embedding_filter(self, embedding, candidate):
-        self.cache[candidate] = True
-        self.last = candidate  # hit 3: plain Assign on self
-        return True
+    def block_filter(self, ctx):
+        self.cache[ctx] = True
+        self.last = ctx  # hit 3: plain Assign on self
+        return None
 
     def _note(self, embedding):
         # hit 4: reached transitively from map_embedding via self._note

@@ -56,6 +56,33 @@ def random_labeled_graph(
     return builder.build(name=f"rand-{seed}")
 
 
+def filtered_expander(graph: Graph, app):
+    """``(roots, expand)`` for exercising an app's block filter level by level.
+
+    Runs the app's ``init`` and ``block_filter`` hooks the way the engine
+    does; ``expand(cse, **kwargs)`` then grows ``cse`` by one level with
+    that filter through ``expand_vertex_level`` / ``expand_edge_level``,
+    whichever the app's induced mode calls for."""
+    from repro.core.api import EngineContext
+    from repro.core.explore import expand_edge_level, expand_vertex_level
+    from repro.graph.edge_index import EdgeIndex
+
+    ctx = EngineContext(graph=graph, engine=None)
+    if app.induced == "edge":
+        ctx.edge_index = EdgeIndex(graph)
+    roots = app.init(ctx)
+    block_filter = app.block_filter(ctx)
+    assert block_filter is not None
+
+    def expand(cse, **kwargs):
+        if app.induced == "edge":
+            return expand_edge_level(graph, ctx.edge_index, cse, block_filter, **kwargs)
+        return expand_vertex_level(graph, cse, block_filter, **kwargs)
+
+    expand.block_filter = block_filter
+    return roots, expand
+
+
 @pytest.fixture
 def small_random() -> Graph:
     return random_labeled_graph(12, 20, 3, seed=7)

@@ -59,7 +59,7 @@ def test_unimplemented_hooks_raise(paper_graph):
 
 def test_default_filters_accept():
     app = MiningApplication()
-    assert app.embedding_filter((1, 2), 3)
+    assert app.block_filter(None) is None
     assert app.pattern_filter(123, 1)
     assert app.prune(None, None, {}) is None
 

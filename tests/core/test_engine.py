@@ -86,6 +86,11 @@ def test_utilization_bounded(paper_graph):
     assert 0 < result.utilization <= 1.0
 
 
+def star_filter(ctx, block, rows, candidates):
+    """Keep candidates adjacent to the embedding's first vertex."""
+    return ctx.has_edges(block[rows, 0], candidates)
+
+
 def test_custom_app_hooks(paper_graph):
     """A user app exercising filter + custom reduce end to end."""
 
@@ -95,11 +100,9 @@ def test_custom_app_hooks(paper_graph):
         def iterations(self):
             return 2
 
-        def embedding_filter(self, emb, cand):
+        def block_filter(self, ctx):
             # Grow stars around the first vertex only.
-            return len(emb) == 1 or all(
-                paper_graph.has_edge(emb[0], v) for v in emb[1:] + (cand,)
-            )
+            return star_filter
 
         def map_embedding(self, ctx, emb, pmap):
             pmap["stars"] = pmap.get("stars", 0) + 1

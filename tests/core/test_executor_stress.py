@@ -9,6 +9,9 @@ maps must be byte-identical and the traces must have identical span-tree
 between executors.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -19,15 +22,18 @@ from repro import (
     Pattern,
 )
 from repro.apps import PatternMatching, VertexInducedFSM
+from repro.core.cse import CSE
 from repro.core.executor import (
     ProcessExecutor,
     SerialExecutor,
     SimulatedSchedule,
     ThreadedExecutor,
 )
+from repro.core.explore import even_parts
+from repro.core.restrictions import canonical_level_restrictions
 from repro.obs import Tracer, span_tree_shape
 
-from tests.conftest import random_labeled_graph
+from tests.conftest import filtered_expander, random_labeled_graph
 
 TRIANGLE = Pattern.from_adjacency([0, 0, 0], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
@@ -92,6 +98,57 @@ def test_executors_agree_on_results_and_span_shape(seed, app_name):
         assert shape == baseline_shape, (
             f"{app_name} span-tree shape differs under {key} (seed {seed})"
         )
+
+
+PATH4 = Pattern.from_adjacency(
+    [0, 1, 0, 1], [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+)
+
+FILTERED_APPS = {
+    "fsm": lambda: FrequentSubgraphMining(3, support=3),
+    "vfsm": lambda: VertexInducedFSM(3, support=3),
+    "clique": lambda: CliqueDiscovery(4),
+    "matching": lambda: PatternMatching(PATH4),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(FILTERED_APPS))
+def test_block_filters_agree_across_executors(app_name):
+    """Each filtered app's block filter survives a pickle round trip and
+    builds byte-identical levels under serial, threads and processes —
+    the process pool is what proves the filter rides the task pickle."""
+    graph = random_labeled_graph(40, 140, 2, seed=5)
+    app = FILTERED_APPS[app_name]()
+    roots, expand = filtered_expander(graph, app)
+    block_filter = expand.block_filter
+    assert type(pickle.loads(pickle.dumps(block_filter))) is type(block_filter)
+
+    levels = {}
+    for exec_name in ("serial", "threads", "processes"):
+        executor = EXECUTORS[exec_name]()
+        cse = CSE(roots.copy())
+        try:
+            for _ in range(app.iterations()):
+                expand(
+                    cse,
+                    parts=even_parts(cse.size(), 3),
+                    executor=executor,
+                    workers=2,
+                    restrictions=canonical_level_restrictions(app.induced, cse.depth),
+                )
+        finally:
+            executor.close()
+        levels[exec_name] = [
+            (level.vert_array().copy(), level.off_array().copy())
+            for level in cse.levels[1:]
+        ]
+    assert sum(vert.shape[0] for vert, _ in levels["serial"]) > 0
+    for exec_name in ("threads", "processes"):
+        for (vert, off), (base_vert, base_off) in zip(
+            levels[exec_name], levels["serial"]
+        ):
+            np.testing.assert_array_equal(vert, base_vert)
+            np.testing.assert_array_equal(off, base_off)
 
 
 def test_shape_contains_the_pipeline_spans():

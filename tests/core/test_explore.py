@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps.clique import AllAdjacent
 from repro.apps.reference import connected_edge_sets, connected_vertex_sets
 from repro.core import CSE
 from repro.core.explore import (
@@ -51,11 +52,7 @@ def test_user_filter_applied(paper_graph):
     cse = CSE(np.arange(6))
     expand_vertex_level(paper_graph, cse)
     # Clique filter: candidate must be adjacent to every member.
-    expand_vertex_level(
-        paper_graph,
-        cse,
-        embedding_filter=lambda emb, v: all(paper_graph.has_edge(u, v) for u in emb),
-    )
+    expand_vertex_level(paper_graph, cse, block_filter=AllAdjacent())
     triangles = [emb for _, emb in cse.iter_embeddings()]
     assert set(triangles) == {(1, 2, 5), (2, 3, 5), (3, 4, 5)}
 

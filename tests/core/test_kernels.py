@@ -8,6 +8,7 @@ the kernels' contract is *bit-identical* emission, not just equal counts.
 import numpy as np
 import pytest
 
+from repro.apps.clique import AllAdjacent
 from repro.core import kernels
 from repro.core.cse import CSE, InMemoryLevel
 from repro.core.explore import (
@@ -19,6 +20,8 @@ from repro.core.explore import (
     expand_vertex_level,
     expand_vertex_part,
 )
+from repro.core.restrictions import canonical_level_restrictions
+from repro.graph import from_edge_list
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
@@ -99,16 +102,84 @@ def test_level_expansion_kernel_vs_scalar_paths():
 
 
 def test_kernel_chunking_matches_unchunked(monkeypatch):
-    """BLOCK_ROWS-internal chunking must not change output."""
+    """PAIR_BUDGET-internal chunking must not change output."""
     graph = random_labeled_graph(25, 60, 3, seed=5)
     block = _vertex_blocks(graph, 1)[1]
     ctx = kernels.vertex_kernel_context(graph)
     whole = kernels.expand_vertex_block(ctx, block)
-    monkeypatch.setattr(kernels, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 3)
     chunked = kernels.expand_vertex_block(ctx, block)
     np.testing.assert_array_equal(whole[0], chunked[0])
     np.testing.assert_array_equal(whole[1], chunked[1])
     assert whole[2] == chunked[2]
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, restricted):
+    """A hub in every row must not blow a chunk past PAIR_BUDGET.
+
+    Star-plus-clique: every level-2 embedding ``(hub, leaf)`` gathers the
+    hub's whole neighbor list, so a row-count cap would put
+    ``leaves * leaves`` pairs in one chunk; the degree-sum cut keeps
+    every gather within the budget (no single row exceeds it here)."""
+    leaves, clique = 600, 6
+    edges = [(0, leaf) for leaf in range(1, leaves + 1)]
+    members = [0] + list(range(leaves + 1, leaves + clique))
+    edges += [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+    graph = from_edge_list(edges, name="star-plus-clique")
+    assert graph.degrees().max() * 2 < kernels.PAIR_BUDGET
+
+    gathered = []
+    ranged_gather = kernels._ranged_gather
+
+    def recording_gather(starts, ends, data, owners):
+        gathered.append(int((ends - starts).sum()))
+        return ranged_gather(starts, ends, data, owners)
+
+    monkeypatch.setattr(kernels, "_ranged_gather", recording_gather)
+    cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
+    for _ in range(2):
+        expand_vertex_level(
+            graph,
+            cse,
+            AllAdjacent(),
+            restrictions=(
+                canonical_level_restrictions("vertex", cse.depth)
+                if restricted
+                else None
+            ),
+        )
+    assert cse.size() == clique * (clique - 1) * (clique - 2) // 6  # triangles
+    assert max(gathered) <= kernels.PAIR_BUDGET
+    if not restricted:  # the masked path gathers every neighbor of every row
+        assert sum(gathered) > 20 * kernels.PAIR_BUDGET
+
+
+def test_block_filter_mask_contract_enforced_on_both_paths():
+    graph = random_labeled_graph(12, 25, 2, seed=2)
+
+    def int_mask(ctx, block, rows, candidates):
+        return np.ones(rows.shape[0], dtype=np.int8)
+
+    def short_mask(ctx, block, rows, candidates):
+        return np.ones(rows.shape[0] + 1, dtype=bool)
+
+    for bad in (int_mask, short_mask):
+        for use_kernels in (True, False):
+            cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
+            with pytest.raises(ValueError, match="bool mask"):
+                expand_vertex_level(graph, cse, bad, use_kernels=use_kernels)
+
+
+def test_has_edges_matches_graph():
+    graph = random_labeled_graph(15, 40, 2, seed=9)
+    ctx = kernels.vertex_kernel_context(graph)
+    u, v = np.meshgrid(np.arange(15, dtype=np.int64), np.arange(15, dtype=np.int64))
+    u, v = u.reshape(-1), v.reshape(-1)
+    expected = [graph.has_edge(int(a), int(b)) for a, b in zip(u, v)]
+    np.testing.assert_array_equal(ctx.has_edges(u, v), expected)
+    edgeless = kernels.vertex_kernel_context(random_labeled_graph(4, 0, 1, seed=1))
+    assert not edgeless.has_edges(u[:3] % 4, v[:3] % 4).any()
 
 
 def test_empty_and_edgeless_blocks():

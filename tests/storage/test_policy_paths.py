@@ -112,12 +112,16 @@ def test_sink_abort_cleans_partial_level(tmp_path):
     assert _spill_files(str(tmp_path)) == []
 
 
+def _boom_filter(ctx, block, rows, candidates):
+    raise RuntimeError("injected mid-level failure")
+
+
 def test_engine_failure_mid_level_cleans_spill_dir(paper_graph, tmp_path):
     """An executor raising mid-level must not leak spill temp files."""
 
     class Boom(MotifCounting):
-        def embedding_filter(self, emb, cand):
-            raise RuntimeError("injected mid-level failure")
+        def block_filter(self, ctx):
+            return _boom_filter
 
     with pytest.raises(RuntimeError, match="injected"):
         with KaleidoEngine(

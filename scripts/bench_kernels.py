@@ -5,18 +5,16 @@ Times the exploration hot path both ways on the synthetic CiteSeer/MiCo
 stand-ins:
 
 * **kernel micro-bench** — expand one full CSE level per dataset through
-  the scalar per-embedding loop (tuple decode + ``expand_vertex_part``),
-  through the vectorized *masked* block kernel (``decode_block`` +
-  ``expand_vertex_block``, post-hoc canonical mask), and through the
-  *restricted* kernel (fused ``searchsorted`` lower bounds from
-  ``canonical_level_restrictions``), plus the edge-induced analogues,
-  and report the speedups.  The outputs are asserted bit-identical
-  first — a fast wrong kernel must fail the benchmark, not win it.  The
-  restricted kernel legitimately examines fewer candidates, so only its
-  emitted ``(vert, counts)`` are compared against the scalar oracle.
-  A **filtered-clique** row does the same with an application block
+  the scalar per-embedding loop (tuple decode + ``expand_vertex_part``)
+  and through the vectorized block kernel (``decode_block`` +
+  ``expand_block``, canonical bounds fused into the gather), plus the
+  edge-induced analogue, and report the speedup.  The emitted
+  ``(vert, counts)`` are asserted bit-identical first — a fast wrong
+  kernel must fail the benchmark, not win it; the kernel legitimately
+  examines fewer candidates, and both counts are recorded.  A
+  **filtered-clique** row does the same with an application block
   filter installed (``AllAdjacent``): the scalar loop calling the filter
-  once per embedding vs the restricted kernel calling it once per chunk.
+  once per embedding vs the kernel calling it once per chunk.
 * **executor wall-clock** — one 3-motif engine run under the real
   thread-pool executor and the real spawn-based process-pool executor,
   reporting wall seconds for each.
@@ -25,8 +23,7 @@ stand-ins:
   front cache exists exactly for this — and is recorded in the output.
 
 Writes ``BENCH_kernels.json`` and exits nonzero if the vectorized kernel
-is slower than the scalar loop on the smoke workload, if the restricted
-edge kernel is slower than the masked one (the CI guards), if
+is slower than the scalar loop on the smoke workload (the CI guard), if
 kernel/scalar outputs differ, or if the hasher hit rate collapses.
 
 Usage::
@@ -56,7 +53,6 @@ from repro.core.explore import (  # noqa: E402
     expand_vertex_level,
     expand_vertex_part,
 )
-from repro.core.restrictions import canonical_level_restrictions  # noqa: E402
 from repro.graph import datasets  # noqa: E402
 from repro.graph.edge_index import EdgeIndex  # noqa: E402
 
@@ -71,61 +67,43 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+def _bench_level(name: str, ctx, cse, scalar, repeats: int, block_filter=None) -> dict:
+    """Time ``scalar()`` against the kernel on the CSE's top level and
+    check they emit the same ``(vert, counts)``."""
+    size = cse.size()
+
+    def kernel():
+        return kernels.expand_block(ctx, cse.decode_block(0, size), block_filter)
+
+    scalar_s, ref = _best_of(scalar, repeats)
+    kernel_s, (vert, counts, examined) = _best_of(kernel, repeats)
+    if not (np.array_equal(vert, ref.vert) and np.array_equal(counts, ref.counts)):
+        raise RuntimeError(f"{ctx.kind} kernel output differs from scalar on {name}")
+    return {
+        "embeddings": size,
+        "emitted": int(ref.emitted),
+        "scalar_seconds": scalar_s,
+        "kernel_seconds": kernel_s,
+        "speedup": scalar_s / kernel_s if kernel_s > 0 else float("inf"),
+        "examined_scalar": int(ref.candidates_examined),
+        "examined_kernel": int(examined),
+    }
+
+
 def bench_vertex_kernel(graph, depth: int, repeats: int) -> dict:
     """Scalar vs vectorized expansion of one vertex-induced level."""
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(depth):
         expand_vertex_level(graph, cse)
-    size = cse.size()
     adjacency = graph.adjacency_sets()  # pre-warmed for the scalar path
-    ctx = kernels.vertex_kernel_context(graph)
 
     def scalar():
         embeddings = [emb for _, emb in cse.iter_embeddings()]
-        return expand_vertex_part(graph, adjacency, embeddings, (0, size), 0)
+        return expand_vertex_part(graph, adjacency, embeddings, (0, cse.size()), 0)
 
-    restrictions = canonical_level_restrictions("vertex", cse.depth)
-
-    def vectorized():
-        block = cse.decode_block(0, size)
-        return kernels.expand_vertex_block(ctx, block)
-
-    def restricted():
-        block = cse.decode_block(0, size)
-        return kernels.expand_vertex_block(ctx, block, restrictions)
-
-    scalar_s, ref = _best_of(scalar, repeats)
-    vector_s, out = _best_of(vectorized, repeats)
-    restricted_s, rout = _best_of(restricted, repeats)
-    vert, counts, examined = out
-    if not (
-        np.array_equal(vert, ref.vert)
-        and np.array_equal(counts, ref.counts)
-        and examined == ref.candidates_examined
-    ):
-        raise RuntimeError(f"vertex kernel output differs from scalar on {graph.name}")
-    if not (
-        np.array_equal(rout[0], ref.vert) and np.array_equal(rout[1], ref.counts)
-    ):
-        raise RuntimeError(
-            f"restricted vertex kernel diverges from the oracle on {graph.name}"
-        )
-    return {
-        "embeddings": size,
-        "emitted": int(ref.emitted),
-        "scalar_seconds": scalar_s,
-        "vectorized_seconds": vector_s,
-        "restricted_seconds": restricted_s,
-        "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
-        "restricted_speedup": (
-            scalar_s / restricted_s if restricted_s > 0 else float("inf")
-        ),
-        "restricted_vs_masked": (
-            vector_s / restricted_s if restricted_s > 0 else float("inf")
-        ),
-        "examined_masked": int(examined),
-        "examined_restricted": int(rout[2]),
-    }
+    return _bench_level(
+        graph.name, kernels.vertex_kernel_context(graph), cse, scalar, repeats
+    )
 
 
 def bench_filtered_clique(graph, repeats: int) -> dict:
@@ -134,34 +112,18 @@ def bench_filtered_clique(graph, repeats: int) -> dict:
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(2):
         expand_vertex_level(graph, cse, block_filter)
-    size = cse.size()
     adjacency = graph.adjacency_sets()
-    ctx = kernels.vertex_kernel_context(graph)
-    restrictions = canonical_level_restrictions("vertex", cse.depth)
 
     def scalar():
         embeddings = [emb for _, emb in cse.iter_embeddings()]
         return expand_vertex_part(
-            graph, adjacency, embeddings, (0, size), 0, block_filter
+            graph, adjacency, embeddings, (0, cse.size()), 0, block_filter
         )
 
-    def kernel():
-        block = cse.decode_block(0, size)
-        return kernels.expand_vertex_block(ctx, block, restrictions, block_filter)
-
-    scalar_s, ref = _best_of(scalar, repeats)
-    kernel_s, out = _best_of(kernel, repeats)
-    if not (np.array_equal(out[0], ref.vert) and np.array_equal(out[1], ref.counts)):
-        raise RuntimeError(
-            f"filtered clique kernel diverges from the scalar oracle on {graph.name}"
-        )
-    return {
-        "embeddings": size,
-        "emitted": int(ref.emitted),
-        "scalar_seconds": scalar_s,
-        "kernel_seconds": kernel_s,
-        "speedup": scalar_s / kernel_s if kernel_s > 0 else float("inf"),
-    }
+    return _bench_level(
+        graph.name, kernels.vertex_kernel_context(graph), cse, scalar, repeats,
+        block_filter,
+    )
 
 
 def bench_edge_kernel(graph, repeats: int) -> dict:
@@ -169,57 +131,16 @@ def bench_edge_kernel(graph, repeats: int) -> dict:
     index = EdgeIndex(graph)
     cse = CSE(np.arange(index.num_edges, dtype=np.int32))
     expand_edge_level(graph, index, cse)
-    size = cse.size()
     eu, ev = index.endpoint_lists()
     incident = index.incident_lists()
-    ctx = kernels.edge_kernel_context(index)
 
     def scalar():
         embeddings = [emb for _, emb in cse.iter_embeddings()]
-        return expand_edge_part(eu, ev, incident, embeddings, (0, size), 0)
+        return expand_edge_part(eu, ev, incident, embeddings, (0, cse.size()), 0)
 
-    restrictions = canonical_level_restrictions("edge", cse.depth)
-
-    def vectorized():
-        block = cse.decode_block(0, size)
-        return kernels.expand_edge_block(ctx, block)
-
-    def restricted():
-        block = cse.decode_block(0, size)
-        return kernels.expand_edge_block(ctx, block, restrictions)
-
-    scalar_s, ref = _best_of(scalar, repeats)
-    vector_s, out = _best_of(vectorized, repeats)
-    restricted_s, rout = _best_of(restricted, repeats)
-    vert, counts, examined = out
-    if not (
-        np.array_equal(vert, ref.vert)
-        and np.array_equal(counts, ref.counts)
-        and examined == ref.candidates_examined
-    ):
-        raise RuntimeError(f"edge kernel output differs from scalar on {graph.name}")
-    if not (
-        np.array_equal(rout[0], ref.vert) and np.array_equal(rout[1], ref.counts)
-    ):
-        raise RuntimeError(
-            f"restricted edge kernel diverges from the oracle on {graph.name}"
-        )
-    return {
-        "embeddings": size,
-        "emitted": int(ref.emitted),
-        "scalar_seconds": scalar_s,
-        "vectorized_seconds": vector_s,
-        "restricted_seconds": restricted_s,
-        "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
-        "restricted_speedup": (
-            scalar_s / restricted_s if restricted_s > 0 else float("inf")
-        ),
-        "restricted_vs_masked": (
-            vector_s / restricted_s if restricted_s > 0 else float("inf")
-        ),
-        "examined_masked": int(examined),
-        "examined_restricted": int(rout[2]),
-    }
+    return _bench_level(
+        graph.name, kernels.edge_kernel_context(index), cse, scalar, repeats
+    )
 
 
 def bench_executors(graph, workers: int, sanitize: bool = False) -> dict:
@@ -378,12 +299,9 @@ def main(argv=None) -> int:
             print(
                 f"{name:>10} {kind:>6}: {run['embeddings']} embeddings, "
                 f"scalar {run['scalar_seconds'] * 1e3:.1f}ms vs "
-                f"masked {run['vectorized_seconds'] * 1e3:.1f}ms "
-                f"({run['speedup']:.1f}x) vs "
-                f"restricted {run['restricted_seconds'] * 1e3:.1f}ms "
-                f"({run['restricted_speedup']:.1f}x scalar, "
-                f"{run['restricted_vs_masked']:.2f}x masked, "
-                f"{run['examined_restricted']}/{run['examined_masked']} examined)"
+                f"kernel {run['kernel_seconds'] * 1e3:.1f}ms "
+                f"({run['speedup']:.1f}x, "
+                f"{run['examined_kernel']}/{run['examined_scalar']} examined)"
             )
             if run["speedup"] < 1.0:
                 failures.append(
@@ -396,11 +314,6 @@ def main(argv=None) -> int:
             f"kernel+filter {clique['kernel_seconds'] * 1e3:.1f}ms "
             f"({clique['speedup']:.1f}x)"
         )
-        if edge["restricted_vs_masked"] < 1.0:
-            failures.append(
-                f"{name} restricted edge kernel slower than masked "
-                f"({edge['restricted_vs_masked']:.2f}x)"
-            )
 
     smoke = datasets.load("citeseer", profile)
     record["sanitize"] = args.sanitize

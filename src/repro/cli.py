@@ -134,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the part-purity sanitizer: any shared-state write "
         "during per-part execution raises PartPurityError",
     )
-    mine.add_argument(
-        "--no-restrictions",
-        action="store_true",
-        help="escape hatch: disable the fused symmetry-breaking "
-        "restrictions and run the kernels' post-hoc canonical masks "
-        "instead (results are byte-identical either way)",
-    )
     mine.add_argument("--json", action="store_true", help="machine-readable output")
     mine.add_argument(
         "--trace-out",
@@ -322,7 +315,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         tracer=tracer,
         sanitize=args.sanitize,
-        use_restrictions=not args.no_restrictions,
     ) as engine:
         result = engine.run(_make_app(args), resume=args.resume)
     if args.trace_out:

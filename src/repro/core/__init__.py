@@ -48,11 +48,9 @@ from .isomorphism import (
 )
 from .pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 from .restrictions import (
-    KernelRestrictions,
     LevelConstraint,
     Restriction,
     RestrictionSet,
-    canonical_level_restrictions,
     compile_restrictions,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "RestrictionSet",
     "LevelConstraint",
     "compile_restrictions",
-    "KernelRestrictions",
-    "canonical_level_restrictions",
     "canonical_order",
     "is_canonical",
     "extends_canonically",

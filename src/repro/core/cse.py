@@ -242,36 +242,18 @@ class CSE:
         return walk(level_idx)
 
     # ------------------------------------------------------------------
-    # Block decode (vectorized-kernel fast path)
+    # Block decode (the expansion kernel's read path)
     # ------------------------------------------------------------------
-    def block_decodable(self, level_idx: int | None = None) -> bool:
-        """Whether :meth:`decode_block` may run for ``level_idx``.
-
-        Requires every level up to ``level_idx`` to either be fully in
-        memory or advertise ``supports_block_decode`` (a memmap-backed
-        :class:`repro.storage.spill.SpilledLevel` gathers through a
-        parted view over its part files without materialising the level).
-        A plain payload-served spilled level still forces the streaming
-        tuple walk.
-        """
-        if level_idx is None:
-            level_idx = self.depth - 1
-        return all(
-            isinstance(self.levels[l], InMemoryLevel)
-            or getattr(self.levels[l], "supports_block_decode", False)
-            for l in range(level_idx + 1)
-        )
-
     def decode_block(self, start: int, end: int, level_idx: int | None = None) -> np.ndarray:
         """Decode embeddings ``start..end`` of a level as one 2-D array.
 
         Returns shape ``(end - start, level_idx + 1)``: row ``i`` is the
         vertex (or edge-id) tuple of embedding ``start + i``.  The walk
         up the parent offsets is one vectorized ``searchsorted`` per
-        level instead of one Python tuple per embedding — the fast path
-        the expansion kernels and the mapper block decode use when no
-        Python filter forces tuples.  Check :meth:`block_decodable`
-        first; lower levels must be resident.
+        level instead of one Python tuple per embedding — how the
+        expansion kernel reads every part.  Resident levels gather from
+        their arrays; spilled levels through their mmap-served
+        ``vert_accessor``.
         """
         if level_idx is None:
             level_idx = self.depth - 1

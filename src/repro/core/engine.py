@@ -252,9 +252,10 @@ class KaleidoEngine:
             prefetch_depth=prefetch_depth,
             adaptive_io=adaptive_io,
         )
-        #: Whether plans fuse symmetry-breaking restrictions into the
-        #: vectorized kernels (the --no-restrictions escape hatch turns
-        #: this off; mined results are byte-identical either way).
+        #: Whether levels expand on the restriction-fused kernel (the
+        #: default) or, when False, on the scalar reference loops — the
+        #: independent second opinion; mined results are byte-identical
+        #: either way.
         self.use_restrictions = use_restrictions
         self.planner = Planner(
             graph,
@@ -264,7 +265,6 @@ class KaleidoEngine:
             use_prediction=use_prediction,
             storage_mode=storage_mode,
             max_embeddings=max_embeddings,
-            use_restrictions=use_restrictions,
         )
         self.sanitize = sanitize
         #: Active PartPuritySanitizer while a sanitized run is in flight.
@@ -432,7 +432,7 @@ class KaleidoEngine:
                                     executor=self.executor,
                                     workers=self.workers,
                                     tracer=self.tracer,
-                                    restrictions=plan.restrictions,
+                                    use_kernels=self.use_restrictions,
                                 )
                             else:
                                 assert ctx.edge_index is not None
@@ -446,7 +446,7 @@ class KaleidoEngine:
                                     executor=self.executor,
                                     workers=self.workers,
                                     tracer=self.tracer,
-                                    restrictions=plan.restrictions,
+                                    use_kernels=self.use_restrictions,
                                 )
                     except _DEGRADABLE_ERRORS as exc:
                         execute_seconds += time.perf_counter() - stage_started

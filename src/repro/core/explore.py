@@ -12,21 +12,20 @@ split from :mod:`repro.balance`), and each part becomes one executor task
 so a :class:`repro.core.executor.PartExecutor` can run parts in any order
 — serially, on a thread pool, on a process pool, or under the
 work-stealing replay — with results merged deterministically in
-part-index order.  Two per-part implementations exist:
+part-index order.  There is one production path and one oracle:
 
-* the **vectorized kernels** (:mod:`repro.core.kernels`): each part's
-  embeddings are decoded straight off the CSE ``off``/``vert`` arrays as
-  one 2-D block (:meth:`repro.core.cse.CSE.decode_block`) and expanded by
-  batched numpy CSR gathers + canonical-filter masks, with the block
-  filter applied to each chunk's survivors.  This is the production
-  path whenever every CSE level is block-decodable — resident, or
-  spilled and mmap-served — filtered application or not;
+* the **vectorized kernel** (:func:`repro.core.kernels.expand_block`):
+  each part's embeddings are decoded straight off the CSE ``off``/``vert``
+  arrays as one 2-D block (:meth:`repro.core.cse.CSE.decode_block` —
+  resident levels and mmap-served spilled levels alike) and expanded by
+  batched numpy CSR gathers with the canonical bounds fused in, the
+  block filter applied to each chunk's survivors.  Every level, every
+  application, every storage mode;
 * the **scalar per-part functions** (:func:`expand_vertex_part` /
   :func:`expand_edge_part`): the original per-embedding Python loops,
-  calling the same block filter with one-row blocks.  They remain the
-  parity oracle for the kernels (``use_kernels=False``) and the fallback
-  for a spilled level that is not mmap-served (streaming tuple decode
-  keeps the out-of-core memory bound).
+  calling the same block filter with one-row blocks.  They run only
+  when the caller asks for them (``use_kernels=False``) — the
+  independent parity oracle.
 
 Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
@@ -59,8 +58,7 @@ __all__ = [
     "PartExpansion",
     "LevelSink",
     "InMemorySink",
-    "VertexBlockTask",
-    "EdgeBlockTask",
+    "BlockTask",
     "canonical_extensions",
     "expand_vertex_part",
     "expand_edge_part",
@@ -214,7 +212,7 @@ def canonical_extensions(graph: Graph, embedding: Sequence[int]) -> list[int]:
 def _filter_row(block_filter, ctx, emb: tuple[int, ...], survivors: list[int]) -> list[int]:
     """Run the block filter over one embedding's canonical survivors.
 
-    The scalar loops' form of the call the kernels make once per chunk:
+    The scalar loops' form of the call the kernel makes once per chunk:
     a one-row block, every pair pointing at row 0."""
     if block_filter is None or not survivors:
         return survivors
@@ -257,7 +255,7 @@ def expand_vertex_part(
     Pure function of its inputs (the graph and adjacency are read-only),
     so an executor may run parts concurrently and in any order.  This is
     the scalar reference implementation — the parity oracle for
-    :func:`repro.core.kernels.expand_vertex_block`; ``block_filter``
+    :func:`repro.core.kernels.expand_block`; ``block_filter``
     is the same hook the kernel takes, called here once per embedding
     with a one-row block.
     """
@@ -298,7 +296,7 @@ def expand_edge_part(
 
     CSE levels hold edge ids; the candidate set of an embedding is every
     edge incident to one of its endpoint vertices.  Scalar reference for
-    :func:`repro.core.kernels.expand_edge_block`.  ``ctx`` is the edge
+    :func:`repro.core.kernels.expand_block`.  ``ctx`` is the edge
     kernel context handed to ``block_filter`` (required with a filter:
     the endpoint lists alone cannot rebuild it).
     """
@@ -349,10 +347,11 @@ def expand_edge_part(
 # ----------------------------------------------------------------------
 # Vectorized block tasks (one per part, shipped whole to executors)
 # ----------------------------------------------------------------------
-class _BlockTask:
+class BlockTask:
     """One part's vectorized expansion: a decoded block plus its bounds.
 
-    Instances are the executor's unit of work on the kernel path.  The
+    Instances are the executor's unit of work on the kernel path, for
+    both exploration modes (the context's kind picks the gather).  The
     kernel context (the graph's CSR arrays) rides along locally for
     in-process executors, but is *stripped on pickle*: a
     :class:`~repro.core.executor.ProcessExecutor` reads
@@ -362,15 +361,12 @@ class _BlockTask:
     pickle carries only its block.
     """
 
-    kernel: Callable = None  # type: ignore[assignment]
-
     def __init__(
         self,
         ctx,
         block: np.ndarray | None,
         bound: tuple[int, int],
         index: int,
-        restrictions=None,
         level_handle=None,
         block_filter=None,
     ) -> None:
@@ -378,13 +374,9 @@ class _BlockTask:
         self.block = block
         self.bound = bound
         self.index = index
-        #: Fused symmetry-breaking bounds (KernelRestrictions) or None
-        #: for the masked path.  Tiny and immutable, so unlike the
-        #: context it stays in the pickle.
-        self.restrictions = restrictions
-        #: The application's block filter (or None); rides the pickle
-        #: like the restrictions — graph arrays reach it through the
-        #: kernel context, so it carries only its own tables.
+        #: The application's block filter (or None); rides the pickle —
+        #: graph arrays reach it through the kernel context, so it
+        #: carries only its own tables.
         self.block_filter = block_filter
         #: Zero-copy mode: a :class:`repro.core.shm.SharedLevelsHandle`
         #: naming the CSE level arrays.  ``block`` is then ``None`` and
@@ -397,7 +389,6 @@ class _BlockTask:
             "block": self.block,
             "bound": self.bound,
             "index": self.index,
-            "restrictions": self.restrictions,
             "level_handle": self.level_handle,
             "block_filter": self.block_filter,
         }
@@ -417,9 +408,7 @@ class _BlockTask:
 
             verts, offs = shm.attach_levels(self.level_handle)
             block = decode_block_arrays(verts, offs, *self.bound)
-        vert, counts, examined = type(self).kernel(
-            ctx, block, self.restrictions, self.block_filter
-        )
+        vert, counts, examined = kernels.expand_block(ctx, block, self.block_filter)
         return PartExpansion(
             index=self.index,
             bound=self.bound,
@@ -430,20 +419,13 @@ class _BlockTask:
         )
 
 
-class VertexBlockTask(_BlockTask):
-    kernel = staticmethod(kernels.expand_vertex_block)
-
-
-class EdgeBlockTask(_BlockTask):
-    kernel = staticmethod(kernels.expand_edge_block)
-
-
 def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
-    """Tasks that stream the level once and decode tuples per part.
+    """Tasks that stream the level once and decode tuples per part
+    (the scalar oracle's path).
 
-    A spilled level never materialises: each part's embeddings are
-    decoded lazily as the executor pulls its task, so the serial executor
-    holds at most one part's tuples in memory at a time.
+    Each part's embeddings are decoded lazily as the executor pulls its
+    task, so the serial executor holds at most one part's tuples in
+    memory at a time.
     """
 
     def factory(parts: Sequence[tuple[int, int]]):
@@ -456,37 +438,26 @@ def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
     return factory
 
 
-def _block_task_factory(
-    cse: CSE,
-    ctx,
-    task_cls: type[_BlockTask],
-    restrictions=None,
-    share=None,
-    block_filter=None,
-):
-    """Tasks that decode each part as one 2-D block (kernel fast path).
+def _block_task_factory(cse: CSE, ctx, share=None, block_filter=None):
+    """Tasks that decode each part as one 2-D block (kernel path).
 
     Decoding happens as the executor pulls each task, so at most a
     bounded number of blocks (the executor's in-flight window) exist at
-    once.  ``restrictions`` (optional
-    :class:`~repro.core.restrictions.KernelRestrictions`) selects the
-    fused symmetry-breaking gather inside the kernel and ``block_filter``
-    the application's keep-mask over each chunk's survivors.  With
-    ``share`` (a :class:`repro.core.shm.LevelShare` from
-    :func:`~repro.core.shm.export_levels`) no block is decoded here at
-    all: tasks carry only their bounds and workers decode from the
+    once; ``block_filter`` is the application's keep-mask over each
+    chunk's survivors.  With ``share`` (a :class:`repro.core.shm.LevelShare`
+    from :func:`~repro.core.shm.export_levels`) no block is decoded here
+    at all: tasks carry only their bounds and workers decode from the
     shared level views.
     """
 
     def factory(parts: Sequence[tuple[int, int]]):
         for index, (start, end) in enumerate(parts):
             block = None if share is not None else cse.decode_block(start, end)
-            yield task_cls(
+            yield BlockTask(
                 ctx,
                 block,
                 (start, end),
                 index,
-                restrictions,
                 level_handle=None if share is None else share.handle,
                 block_filter=block_filter,
             )
@@ -590,43 +561,32 @@ def expand_vertex_level(
     workers: int = 1,
     tracer: "Tracer | None" = None,
     use_kernels: bool = True,
-    restrictions=None,
 ) -> ExpansionStats:
     """Expand the CSE's top level by one vertex (one exploration iteration).
 
     Parts are contiguous position ranges over the top level; each becomes
-    one executor task.  Runs the vectorized block kernel whenever every
-    level is block-decodable (``use_kernels=False`` forces the scalar
-    path — the parity oracle); otherwise falls back to the scalar
-    per-embedding loop.  ``block_filter`` (the application's
+    one executor task.  Runs the vectorized block kernel
+    (:func:`repro.core.kernels.expand_block`); ``use_kernels=False``
+    runs the scalar per-embedding loop instead — the parity oracle,
+    which emits the same level while examining more candidates.
+    ``block_filter`` (the application's
     :data:`~repro.core.api.BlockFilter`, or None) prunes canonical
-    survivors on either path.  ``restrictions`` (a
-    :class:`~repro.core.restrictions.KernelRestrictions` from the level
-    plan) fuses the symmetry-breaking bounds into the kernel gather; it
-    only affects the kernel path — the scalar fallback always runs the
-    unrestricted canonical filter, which emits the same level.  Appends
-    the new level to the CSE and returns the per-part stats.  ``tracer``
-    (optional) receives the executor's per-part worker spans.
+    survivors on either path.  Appends the new level to the CSE and
+    returns the per-part stats.  ``tracer`` (optional) receives the
+    executor's per-part worker spans.
     """
     dtype = graph.id_dtype
-    share = None
-    if use_kernels and cse.block_decodable():
+    if use_kernels:
         ctx = kernels.vertex_kernel_context(graph, out_dtype=dtype)
-        share = _maybe_share_levels(cse, executor)
-        factory = _block_task_factory(
-            cse, ctx, VertexBlockTask, restrictions, share, block_filter
+        return _run_kernel_expansion(
+            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
         )
-    else:
-        adjacency = graph.adjacency_sets()
-        make_part = partial(_vertex_part_task, graph, adjacency, block_filter, dtype)
-        factory = _scalar_task_factory(cse, make_part)
-    try:
-        return _run_expansion(
-            cse, parts, sink, executor, workers, factory, tracer, dtype
-        )
-    finally:
-        if share is not None:
-            share.close()
+    adjacency = graph.adjacency_sets()
+    make_part = partial(_vertex_part_task, graph, adjacency, block_filter, dtype)
+    return _run_expansion(
+        cse, parts, sink, executor, workers,
+        _scalar_task_factory(cse, make_part), tracer, dtype,
+    )
 
 
 def _vertex_part_task(graph, adjacency, block_filter, dtype, embeddings, bound, index):
@@ -646,36 +606,21 @@ def expand_edge_level(
     workers: int = 1,
     tracer: "Tracer | None" = None,
     use_kernels: bool = True,
-    restrictions=None,
 ) -> ExpansionStats:
     """Edge-induced analogue of :func:`expand_vertex_level`."""
     dtype = index.id_dtype
-    share = None
-    if use_kernels and cse.block_decodable():
-        ctx = kernels.edge_kernel_context(index, out_dtype=dtype)
-        share = _maybe_share_levels(cse, executor)
-        factory = _block_task_factory(
-            cse, ctx, EdgeBlockTask, restrictions, share, block_filter
+    ctx = kernels.edge_kernel_context(index, out_dtype=dtype)
+    if use_kernels:
+        return _run_kernel_expansion(
+            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
         )
-    else:
-        eu, ev = index.endpoint_lists()
-        incident = index.incident_lists()
-        ctx = (
-            kernels.edge_kernel_context(index, out_dtype=dtype)
-            if block_filter is not None
-            else None
-        )
-        make_part = partial(
-            _edge_part_task, eu, ev, incident, block_filter, dtype, ctx
-        )
-        factory = _scalar_task_factory(cse, make_part)
-    try:
-        return _run_expansion(
-            cse, parts, sink, executor, workers, factory, tracer, dtype
-        )
-    finally:
-        if share is not None:
-            share.close()
+    eu, ev = index.endpoint_lists()
+    incident = index.incident_lists()
+    make_part = partial(_edge_part_task, eu, ev, incident, block_filter, dtype, ctx)
+    return _run_expansion(
+        cse, parts, sink, executor, workers,
+        _scalar_task_factory(cse, make_part), tracer, dtype,
+    )
 
 
 def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, bound, index):
@@ -683,6 +628,22 @@ def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, boun
         eu, ev, incident, embeddings, bound, index, block_filter,
         out_dtype=dtype, ctx=ctx,
     )
+
+
+def _run_kernel_expansion(
+    cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
+) -> ExpansionStats:
+    """Kernel path of both ``expand_*_level`` functions: share the levels
+    with a zero-copy executor (if any) and run one block task per part."""
+    share = _maybe_share_levels(cse, executor)
+    try:
+        return _run_expansion(
+            cse, parts, sink, executor, workers,
+            _block_task_factory(cse, ctx, share, block_filter), tracer, dtype,
+        )
+    finally:
+        if share is not None:
+            share.close()
 
 
 def _check_parts(parts: Sequence[tuple[int, int]], total: int) -> None:

@@ -27,13 +27,7 @@ from ..graph.graph import Graph
 from .api import EngineContext, MiningApplication
 from .cse import CSE
 from .explore import InMemorySink, LevelSink, even_parts
-from .restrictions import (
-    KernelRestrictions,
-    LevelConstraint,
-    RestrictionSet,
-    canonical_level_restrictions,
-    compile_restrictions,
-)
+from .restrictions import LevelConstraint, RestrictionSet, compile_restrictions
 
 __all__ = ["LevelPlan", "AggregatePlan", "Planner"]
 
@@ -62,11 +56,6 @@ class LevelPlan:
     #: "async+prefetch", or "sync+no-prefetch" after degradation) —
     #: "memory" when no policy was consulted.
     io_mode: str = "memory"
-    #: Fused symmetry-breaking bounds for this level's kernel gather
-    #: (:func:`repro.core.restrictions.canonical_level_restrictions`), or
-    #: None when restrictions are disabled.  Ignored by the scalar
-    #: fallback, which keeps the unrestricted canonical filter.
-    restrictions: KernelRestrictions | None = None
     #: The query pattern's ordering constraints on the vertex this level
     #: binds (from the app's compiled
     #: :class:`~repro.core.restrictions.RestrictionSet`), or None when
@@ -107,7 +96,6 @@ class Planner:
         use_prediction: bool = True,
         storage_mode: str = "auto",
         max_embeddings: int | None = None,
-        use_restrictions: bool = True,
     ) -> None:
         self.graph = graph
         self.policy = policy
@@ -116,10 +104,6 @@ class Planner:
         self.use_prediction = use_prediction
         self.storage_mode = storage_mode
         self.max_embeddings = max_embeddings
-        #: Whether plans carry fused symmetry-breaking restrictions for
-        #: the kernels (the engine's --no-restrictions escape hatch
-        #: clears it; results are byte-identical either way).
-        self.use_restrictions = use_restrictions
         #: The active app's compiled pattern restrictions, set by the
         #: engine at the start of each run (None between runs or for
         #: apps without a single query pattern).
@@ -206,10 +190,6 @@ class Planner:
             part_bounds = balanced_parts(costs, num_parts)
         else:
             part_bounds = even_parts(cse.size(), num_parts)
-        restrictions = None
-        if self.use_restrictions:
-            kind = "edge" if ctx.edge_index is not None else "vertex"
-            restrictions = canonical_level_restrictions(kind, cse.depth)
         pattern_constraints = None
         rset = self.active_restriction_set
         if rset is not None and cse.depth < rset.num_vertices:
@@ -224,7 +204,6 @@ class Planner:
             spill=spill,
             sink=sink,
             io_mode=io_mode,
-            restrictions=restrictions,
             pattern_constraints=pattern_constraints,
             io_plan=io_plan,
         )

@@ -8,30 +8,26 @@ handful of ``<`` comparisons — derived from the automorphism group, and
 that those comparisons can be *fused into candidate generation* as range
 constraints instead of running as a post-hoc filter.
 
-This module provides both layers:
+:func:`compile_restrictions` turns a query
+:class:`~repro.core.pattern.Pattern` into a minimal
+:class:`RestrictionSet` via the stabilizer-chain construction: walk
+positions in ascending order, emit ``p < q`` for every other member
+``q`` of ``p``'s orbit under the *remaining* group, then shrink the
+group to the stabilizer of ``p``.  A transitive reduction keeps the set
+minimal.  The defining property (hypothesis-tested): for any injective
+assignment of data vertices to pattern positions, **exactly one** member
+of its automorphism orbit satisfies the set.  The planner attaches each
+level's slice (:meth:`RestrictionSet.constraints_at`) to its
+:class:`~repro.core.plan.LevelPlan`.
 
-* **Pattern restrictions** — :func:`compile_restrictions` turns a query
-  :class:`~repro.core.pattern.Pattern` into a minimal
-  :class:`RestrictionSet` via the stabilizer-chain construction: walk
-  positions in ascending order, emit ``p < q`` for every other member
-  ``q`` of ``p``'s orbit under the *remaining* group, then shrink the
-  group to the stabilizer of ``p``.  A transitive reduction keeps the
-  set minimal.  The defining property (hypothesis-tested): for any
-  injective assignment of data vertices to pattern positions, **exactly
-  one** member of its automorphism orbit satisfies the set.
-* **Kernel restrictions** — :func:`canonical_level_restrictions`
-  expresses the engine's generic Definition-2 canonical order (the
-  symmetry-breaking rule the *all-subgraph* enumeration uses, of which
-  the pattern sets above are the per-pattern specialisation) as
-  per-gather-column inclusive lower bounds.  The vectorized kernels
-  (:mod:`repro.core.kernels`) apply them during the CSR gather with
-  ``searchsorted`` on the packed sorted adjacency view, so filtered
-  candidates are never materialised at all.
-
-The scalar oracle (:mod:`repro.core.explore`) keeps the unrestricted
-post-hoc canonical filter and remains the parity baseline: restricted
-kernels must emit byte-identical levels (oracle-differential tested in
-``tests/core/test_restrictions.py``).
+The engine's generic Definition-2 canonical order — the symmetry-breaking
+rule the *all-subgraph* enumeration uses, of which the pattern sets here
+are the per-pattern specialisation — needs no compiled form: it is a
+pure function of the exploration mode and the embedding depth, so the
+one expansion kernel (:func:`repro.core.kernels.expand_block`) derives
+its fused gather bounds itself.  The scalar loops
+(:mod:`repro.core.explore`, ``use_kernels=False``) keep the post-hoc
+canonical filter as the independent parity oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ __all__ = [
     "RestrictionSet",
     "LevelConstraint",
     "compile_restrictions",
-    "KernelRestrictions",
-    "canonical_level_restrictions",
 ]
 
 
@@ -188,61 +182,3 @@ def _transitive_reduction(pairs: set[tuple[int, int]], k: int) -> set[tuple[int,
         if not redundant:
             kept.add((a, b))
     return kept
-
-
-# ----------------------------------------------------------------------
-# Kernel layer: fused lower bounds for the vectorized gathers
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelRestrictions:
-    """The canonical symmetry-breaking order compiled to gather bounds.
-
-    For a block of depth-``level`` embeddings, gather column ``c`` (an
-    embedding position for the vertex kernel, an endpoint occurrence for
-    the edge kernel) admits candidate ids ``>= max(block[:,
-    strict_lower_col] + 1, suffix_max[:, suffix_from[c]])``: the strict
-    min-id bound plus the suffix-order clause *assuming ``c`` is the
-    candidate's first adjacency/arrival*.  Both bounds are non-increasing
-    in ``c``, so the kernels apply them with one ``searchsorted`` into
-    the packed sorted adjacency view per gather column and verify the
-    first-adjacency assumption only on the surviving group heads (see
-    :mod:`repro.core.kernels`).
-    """
-
-    #: "vertex" or "edge" — which kernel the bounds were laid out for.
-    kind: str
-    #: Embedding depth (block column count) these bounds apply to.
-    level: int
-    #: Block column whose value is a *strict* lower bound (min-id rule).
-    strict_lower_col: int
-    #: Per gather column: the suffix-max column giving the inclusive
-    #: lower bound when this column is the candidate's first adjacency.
-    suffix_from: tuple[int, ...]
-
-    @property
-    def num_gather_cols(self) -> int:
-        return len(self.suffix_from)
-
-
-def canonical_level_restrictions(kind: str, level: int) -> KernelRestrictions:
-    """Fused-bound form of the Definition-2 canonical order at ``level``.
-
-    Vertex kernel: gather column ``j`` holds embedding position ``j``'s
-    neighbor list; if ``j`` is the candidate's first neighbor, the
-    suffix clause requires ``candidate >= max(embedding[j+1:])`` —
-    suffix-max column ``j + 1``.  Edge kernel: columns ``(2a, 2a+1)``
-    are the endpoints of embedding edge ``a``, so both map to suffix-max
-    column ``a + 1``.  Both kernels additionally require ``candidate >
-    embedding[0]`` (the min-id rule), hence ``strict_lower_col = 0``.
-    """
-    if level <= 0:
-        raise ValueError(f"level must be positive, got {level}")
-    if kind == "vertex":
-        suffix_from = tuple(range(1, level + 1))
-    elif kind == "edge":
-        suffix_from = tuple(c // 2 + 1 for c in range(2 * level))
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return KernelRestrictions(
-        kind=kind, level=level, strict_lower_col=0, suffix_from=suffix_from
-    )

@@ -428,7 +428,7 @@ def export_levels(cse) -> LevelShare | None:
             vert_spec: SharedVectorSpec | MmapVectorSpec = reserve(level.vert_array())
         else:
             parts = _spill_parts(level)
-            if parts is None or not getattr(level, "supports_block_decode", False):
+            if parts is None:
                 return None
             vert_spec = MmapVectorSpec(
                 paths=parts[0], lengths=parts[1], dtype=str(level.dtype)

@@ -63,8 +63,8 @@ class EdgeIndex:
         Incident lists are sorted per vertex and vertices are contiguous
         in the CSR, so the packed array is globally ascending — one
         ``searchsorted`` finds the first incident edge id ``>= bound``
-        within any vertex's slice, which is how the restricted edge
-        kernel fuses its symmetry-breaking lower bounds into the gather.
+        within any vertex's slice, which is how the expansion kernel
+        fuses its symmetry-breaking lower bounds into the edge gather.
         Cached so repeated kernel-context builds reuse one array (the
         process executor keys pool reuse on context-array identity).
         """

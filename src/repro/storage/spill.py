@@ -324,12 +324,11 @@ class SpilledLevel:
     iteration streams parts through a sliding window with one-part-ahead
     prefetch (Figure 7's main part / candidate part scheme).
 
-    With ``mmap=True`` (the default) the part files are served as
-    read-only memory maps: random block decode gathers through a
-    :class:`repro.core.shm.PartedVector` over the maps
-    (``supports_block_decode``), streaming iteration maps parts instead
-    of deserializing them, and worker processes attach to the very same
-    files — a spilled part IS the IPC buffer.
+    The part files are served as read-only memory maps: random block
+    decode gathers through a :class:`repro.core.shm.PartedVector` over
+    the maps, streaming iteration maps parts instead of deserializing
+    them, and worker processes attach to the very same files — a
+    spilled part IS the IPC buffer.
     """
 
     def __init__(
@@ -340,14 +339,12 @@ class SpilledLevel:
         prefetch: bool = True,
         prefetch_depth: int = 1,
         dtype: np.dtype | None = None,
-        mmap: bool = True,
     ) -> None:
         self.store = store
         self.parts = parts
         self.off = None if off is None else np.ascontiguousarray(off, dtype=np.int64)
         self.prefetch = prefetch
         self.prefetch_depth = prefetch_depth
-        self.mmap = mmap
         self._dtype = None if dtype is None else np.dtype(dtype)
         self._accessor = None
         self._length = sum(p.length for p in parts)
@@ -372,20 +369,12 @@ class SpilledLevel:
         """Id storage width of this level (recorded at spill time)."""
         return self._dtype if self._dtype is not None else DEFAULT_ID_DTYPE
 
-    @property
-    def supports_block_decode(self) -> bool:
-        """Whether block decode may gather this level without loading it."""
-        return self.mmap
-
     def vert_accessor(self):
         """Gatherable view of the whole level without materialising it.
 
         A :class:`repro.core.shm.PartedVector` over read-only memory maps
-        of the part files, cached until :meth:`drop`.  Only available in
-        mmap mode; callers fall back to :meth:`vert_array` otherwise.
+        of the part files, cached until :meth:`drop`.
         """
-        if not self.mmap:
-            return self.vert_array()
         if self._accessor is None:
             from ..core.shm import PartedVector
 
@@ -416,7 +405,7 @@ class SpilledLevel:
             self.parts,
             prefetch=self.prefetch,
             depth=self.prefetch_depth,
-            loader=self.store.open_mmap if self.mmap else None,
+            loader=self.store.open_mmap,
         )
         yield from reader
 

@@ -30,7 +30,6 @@ from repro.core.executor import (
     ThreadedExecutor,
 )
 from repro.core.explore import even_parts
-from repro.core.restrictions import canonical_level_restrictions
 from repro.obs import Tracer, span_tree_shape
 
 from tests.conftest import filtered_expander, random_labeled_graph
@@ -53,16 +52,12 @@ EXECUTORS = {
 }
 
 
-def _run(graph, make_app, make_executor, use_restrictions=True):
+def _run(graph, make_app, make_executor):
     tracer = Tracer()
     executor = make_executor()
     try:
         with KaleidoEngine(
-            graph,
-            workers=4,
-            executor=executor,
-            tracer=tracer,
-            use_restrictions=use_restrictions,
+            graph, workers=4, executor=executor, tracer=tracer
         ) as engine:
             result = engine.run(make_app())
     finally:
@@ -74,26 +69,22 @@ def _run(graph, make_app, make_executor, use_restrictions=True):
 @pytest.mark.parametrize("seed", [11, 23])
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_executors_agree_on_results_and_span_shape(seed, app_name):
-    """Every executor, with *and without* fused restrictions, produces
-    byte-identical pattern maps and identical span-tree shapes."""
+    """Every executor produces byte-identical pattern maps and identical
+    span-tree shapes."""
     graph = random_labeled_graph(30, 70, 3, seed=seed)
     results = {}
     shapes = {}
-    for exec_name, make_executor in EXECUTORS.items():
-        for restricted in (True, False):
-            key = (exec_name, restricted)
-            results[key], shapes[key] = _run(
-                graph, APPS[app_name], make_executor, use_restrictions=restricted
-            )
+    for key, make_executor in EXECUTORS.items():
+        results[key], shapes[key] = _run(graph, APPS[app_name], make_executor)
 
-    baseline = results[("serial", True)]
+    baseline = results["serial"]
     for key, result in results.items():
         assert result.pattern_map == baseline.pattern_map, (
             f"{app_name} pattern map differs under {key} (seed {seed})"
         )
         assert result.level_sizes == baseline.level_sizes
 
-    baseline_shape = shapes[("serial", True)]
+    baseline_shape = shapes["serial"]
     for key, shape in shapes.items():
         assert shape == baseline_shape, (
             f"{app_name} span-tree shape differs under {key} (seed {seed})"
@@ -134,7 +125,6 @@ def test_block_filters_agree_across_executors(app_name):
                     parts=even_parts(cse.size(), 3),
                     executor=executor,
                     workers=2,
-                    restrictions=canonical_level_restrictions(app.induced, cse.depth),
                 )
         finally:
             executor.close()

@@ -1,26 +1,27 @@
-"""Unit tests for the vectorized expansion kernels.
+"""Unit tests for the vectorized expansion kernel.
 
 Every kernel output is checked against the scalar per-part reference
 (:func:`repro.core.explore.expand_vertex_part` / ``expand_edge_part``) —
-the kernels' contract is *bit-identical* emission, not just equal counts.
+the kernel's contract is *bit-identical* emission, not just equal counts;
+its fused bounds examine at most the scalar loop's candidates.
 """
 
 import numpy as np
 import pytest
 
+from repro import FrequentSubgraphMining, KaleidoEngine, MotifCounting
 from repro.apps.clique import AllAdjacent
+from repro.core import engine as engine_module
 from repro.core import kernels
 from repro.core.cse import CSE, InMemoryLevel
 from repro.core.explore import (
-    EdgeBlockTask,
+    BlockTask,
     InMemorySink,
-    VertexBlockTask,
     expand_edge_level,
     expand_edge_part,
     expand_vertex_level,
     expand_vertex_part,
 )
-from repro.core.restrictions import canonical_level_restrictions
 from repro.graph import from_edge_list
 from repro.graph.edge_index import EdgeIndex
 
@@ -58,11 +59,11 @@ def test_vertex_kernel_matches_scalar(seed, depth):
     graph = random_labeled_graph(25, 60, 3, seed=seed)
     block = _vertex_blocks(graph, depth)[depth]
     ctx = kernels.vertex_kernel_context(graph)
-    vert, counts, examined = kernels.expand_vertex_block(ctx, block)
+    vert, counts, examined = kernels.expand_block(ctx, block)
     ref = _scalar_vertex(graph, block)
     np.testing.assert_array_equal(vert, ref.vert)
     np.testing.assert_array_equal(counts, ref.counts)
-    assert examined == ref.candidates_examined
+    assert examined <= ref.candidates_examined
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -75,11 +76,11 @@ def test_edge_kernel_matches_scalar(seed, depth):
         expand_edge_level(graph, index, cse, use_kernels=False)
     block = cse.decode_block(0, cse.size())
     ctx = kernels.edge_kernel_context(index)
-    vert, counts, examined = kernels.expand_edge_block(ctx, block)
+    vert, counts, examined = kernels.expand_block(ctx, block)
     ref = _scalar_edge(index, block)
     np.testing.assert_array_equal(vert, ref.vert)
     np.testing.assert_array_equal(counts, ref.counts)
-    assert examined == ref.candidates_examined
+    assert examined <= ref.candidates_examined
 
 
 def test_level_expansion_kernel_vs_scalar_paths():
@@ -91,7 +92,7 @@ def test_level_expansion_kernel_vs_scalar_paths():
         fast = expand_vertex_level(graph, cse_fast)
         ref = expand_vertex_level(graph, cse_ref, use_kernels=False)
         assert fast.emitted == ref.emitted
-        assert fast.candidates_examined == ref.candidates_examined
+        assert fast.candidates_examined <= ref.candidates_examined
         assert fast.part_emitted == ref.part_emitted
         np.testing.assert_array_equal(
             cse_fast.top.vert_array(), cse_ref.top.vert_array()
@@ -106,22 +107,23 @@ def test_kernel_chunking_matches_unchunked(monkeypatch):
     graph = random_labeled_graph(25, 60, 3, seed=5)
     block = _vertex_blocks(graph, 1)[1]
     ctx = kernels.vertex_kernel_context(graph)
-    whole = kernels.expand_vertex_block(ctx, block)
+    whole = kernels.expand_block(ctx, block)
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 3)
-    chunked = kernels.expand_vertex_block(ctx, block)
+    chunked = kernels.expand_block(ctx, block)
     np.testing.assert_array_equal(whole[0], chunked[0])
     np.testing.assert_array_equal(whole[1], chunked[1])
     assert whole[2] == chunked[2]
 
 
-@pytest.mark.parametrize("restricted", [False, True])
-def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, restricted):
+@pytest.mark.parametrize("filtered", [False, True])
+def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, filtered):
     """A hub in every row must not blow a chunk past PAIR_BUDGET.
 
     Star-plus-clique: every level-2 embedding ``(hub, leaf)`` gathers the
     hub's whole neighbor list, so a row-count cap would put
     ``leaves * leaves`` pairs in one chunk; the degree-sum cut keeps
-    every gather within the budget (no single row exceeds it here)."""
+    every gather within the budget (no single row exceeds it here),
+    whether or not a block filter prunes the survivors."""
     leaves, clique = 600, 6
     edges = [(0, leaf) for leaf in range(1, leaves + 1)]
     members = [0] + list(range(leaves + 1, leaves + clique))
@@ -139,20 +141,60 @@ def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, restricted):
     monkeypatch.setattr(kernels, "_ranged_gather", recording_gather)
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(2):
-        expand_vertex_level(
-            graph,
-            cse,
-            AllAdjacent(),
-            restrictions=(
-                canonical_level_restrictions("vertex", cse.depth)
-                if restricted
-                else None
-            ),
-        )
-    assert cse.size() == clique * (clique - 1) * (clique - 2) // 6  # triangles
+        expand_vertex_level(graph, cse, AllAdjacent() if filtered else None)
+    if filtered:
+        assert cse.size() == clique * (clique - 1) * (clique - 2) // 6  # triangles
+    else:  # every leaf-hub-leaf path, plus the clique's connected triples
+        assert cse.size() > leaves * (leaves - 1) // 2
+    assert sum(gathered) > 10 * kernels.PAIR_BUDGET
     assert max(gathered) <= kernels.PAIR_BUDGET
-    if not restricted:  # the masked path gathers every neighbor of every row
-        assert sum(gathered) > 20 * kernels.PAIR_BUDGET
+
+
+DISPATCH_APPS = {
+    "motif": lambda: MotifCounting(4),
+    "fsm": lambda: FrequentSubgraphMining(3, support=3),
+}
+
+
+def _examined_run(graph, make_app, **engine_kwargs):
+    """One engine run plus the candidates its level expansions examined."""
+    examined = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("expand_vertex_level", "expand_edge_level"):
+
+            def recording(*args, _original=getattr(engine_module, name), **kwargs):
+                stats = _original(*args, **kwargs)
+                examined.append(stats.candidates_examined)
+                return stats
+
+            patch.setattr(engine_module, name, recording)
+        with KaleidoEngine(graph, **engine_kwargs) as engine:
+            result = engine.run(make_app())
+    return result, sum(examined)
+
+
+@pytest.mark.parametrize("app_name", sorted(DISPATCH_APPS))
+def test_spilled_levels_ride_the_kernel(app_name, tmp_path):
+    """Spilled levels expand on the kernel (same examined count as a
+    memory run); only ``use_restrictions=False`` selects the scalar
+    oracle, which examines more candidates for the same answer."""
+    graph = random_labeled_graph(30, 80, 3, seed=11)
+    make_app = DISPATCH_APPS[app_name]
+    memory, memory_examined = _examined_run(graph, make_app, storage_mode="memory")
+    spilled, spilled_examined = _examined_run(
+        graph, make_app, storage_mode="spill-last", spill_dir=str(tmp_path)
+    )
+    assert spilled.extra["spilled_levels"] >= 2
+    assert spilled.level_sizes == memory.level_sizes
+    assert spilled_examined == memory_examined
+    assert spilled.pattern_map == memory.pattern_map
+
+    oracle, oracle_examined = _examined_run(
+        graph, make_app, storage_mode="memory", use_restrictions=False
+    )
+    assert oracle.pattern_map == memory.pattern_map
+    assert oracle.level_sizes == memory.level_sizes
+    assert oracle_examined > memory_examined
 
 
 def test_block_filter_mask_contract_enforced_on_both_paths():
@@ -185,12 +227,12 @@ def test_has_edges_matches_graph():
 def test_empty_and_edgeless_blocks():
     graph = random_labeled_graph(10, 0, 2, seed=1)
     ctx = kernels.vertex_kernel_context(graph)
-    vert, counts, examined = kernels.expand_vertex_block(
+    vert, counts, examined = kernels.expand_block(
         ctx, np.zeros((0, 2), dtype=np.int64)
     )
     assert vert.shape == (0,) and counts.shape == (0,) and examined == 0
     # Vertices with no neighbors produce no candidates at all.
-    vert, counts, examined = kernels.expand_vertex_block(
+    vert, counts, examined = kernels.expand_block(
         ctx, np.arange(10, dtype=np.int64).reshape(-1, 1)
     )
     assert vert.shape == (0,) and examined == 0
@@ -202,7 +244,7 @@ def test_block_task_runs_without_local_context_via_worker_global():
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     ctx = kernels.vertex_kernel_context(graph)
     block = cse.decode_block(0, cse.size())
-    task = VertexBlockTask(ctx, block, (0, cse.size()), 0)
+    task = BlockTask(ctx, block, (0, cse.size()), 0)
     direct = task()
 
     import pickle
@@ -250,7 +292,7 @@ def test_sink_and_kernel_respect_forced_wide_dtype():
 
     ctx = kernels.vertex_kernel_context(graph, out_dtype=wide)
     block = cse.decode_block(0, cse.size())
-    vert, _, _ = kernels.expand_vertex_block(ctx, block)
+    vert, _, _ = kernels.expand_block(ctx, block)
     assert vert.dtype == wide
 
     sink = InMemorySink(dtype=wide)
@@ -287,7 +329,6 @@ def test_decode_block_matches_embedding_at():
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     expand_vertex_level(graph, cse)
     expand_vertex_level(graph, cse)
-    assert cse.block_decodable()
     block = cse.decode_block(2, min(9, cse.size()))
     for i, pos in enumerate(range(2, min(9, cse.size()))):
         assert tuple(int(x) for x in block[i]) == cse.embedding_at(2, pos)
@@ -308,7 +349,7 @@ def test_edge_block_task_pickles_and_runs():
     index = EdgeIndex(graph)
     cse = CSE(np.arange(index.num_edges, dtype=np.int32))
     ctx = kernels.edge_kernel_context(index)
-    task = EdgeBlockTask(ctx, cse.decode_block(0, cse.size()), (0, cse.size()), 0)
+    task = BlockTask(ctx, cse.decode_block(0, cse.size()), (0, cse.size()), 0)
     result = task()
     ref = _scalar_edge(index, cse.decode_block(0, cse.size()))
     np.testing.assert_array_equal(result.vert, ref.vert)

@@ -6,10 +6,10 @@ Two layers of guarantees:
   minimal partial orders the stabilizer-chain construction promises, and
   every compiled set accepts exactly one assignment per automorphism
   orbit (exhaustively checked for the hand-built corpus);
-* the **fused kernels** driven by `canonical_level_restrictions` emit
-  levels byte-identical to the unrestricted scalar oracle, at every
-  level, on multiple seeded graphs — and whole engine runs (every
-  shipped app, restrictions on vs off) produce byte-identical pattern
+* the **restriction-fused kernel** emits levels byte-identical to the
+  unrestricted scalar oracle, at every level, on multiple seeded graphs
+  — and whole engine runs (every shipped app, kernel vs the scalar
+  loops of `use_restrictions=False`) produce byte-identical pattern
   maps.
 """
 
@@ -28,16 +28,13 @@ from repro import (
 from repro.apps import PatternMatching, TriangleCounting, VertexInducedFSM
 from repro.core import (
     CSE,
-    KernelRestrictions,
     Restriction,
     RestrictionSet,
-    canonical_level_restrictions,
     compile_restrictions,
     expand_edge_level,
     expand_vertex_level,
     position_orbits,
 )
-from repro.core import kernels
 from repro.core.isomorphism import automorphisms
 from repro.graph.edge_index import EdgeIndex
 
@@ -170,110 +167,42 @@ def test_restriction_set_validation():
         rset.accepts((1, 2))  # binding too short
 
 
-def test_canonical_level_restrictions_layout():
-    vertex = canonical_level_restrictions("vertex", 3)
-    assert vertex.suffix_from == (1, 2, 3)
-    assert vertex.strict_lower_col == 0
-    edge = canonical_level_restrictions("edge", 3)
-    assert edge.suffix_from == (1, 1, 2, 2, 3, 3)
-    assert edge.num_gather_cols == 6
-    with pytest.raises(ValueError):
-        canonical_level_restrictions("vertex", 0)
-    with pytest.raises(ValueError):
-        canonical_level_restrictions("face", 2)
-
-
 # ----------------------------------------------------------------------
-# Kernel differential: fused restrictions vs the scalar oracle, per level
+# Kernel differential: the fused kernel vs the scalar oracle, per level
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [3, 11, 23])
 def test_vertex_levels_byte_identical_to_scalar_oracle(seed):
     graph = random_labeled_graph(40, 110, 3, seed=seed)
-    restricted = CSE(np.arange(graph.num_vertices, dtype=np.int32))
+    fast = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     oracle = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(3):
-        expand_vertex_level(
-            graph,
-            restricted,
-            None,
-            restrictions=canonical_level_restrictions("vertex", restricted.depth),
-        )
+        expand_vertex_level(graph, fast, None)
         expand_vertex_level(graph, oracle, None, use_kernels=False)
-        assert restricted.size() == oracle.size()
+        assert fast.size() == oracle.size()
         assert np.array_equal(
-            restricted.decode_block(0, restricted.size()),
+            fast.decode_block(0, fast.size()),
             oracle.decode_block(0, oracle.size()),
-        ), f"vertex level {restricted.depth} diverged (seed {seed})"
+        ), f"vertex level {fast.depth} diverged (seed {seed})"
 
 
 @pytest.mark.parametrize("seed", [3, 11, 23])
 def test_edge_levels_byte_identical_to_scalar_oracle(seed):
     graph = random_labeled_graph(30, 70, 3, seed=seed)
     index = EdgeIndex(graph)
-    restricted = CSE(np.arange(index.num_edges, dtype=np.int32))
+    fast = CSE(np.arange(index.num_edges, dtype=np.int32))
     oracle = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(2):
-        expand_edge_level(
-            graph,
-            index,
-            restricted,
-            None,
-            restrictions=canonical_level_restrictions("edge", restricted.depth),
-        )
+        expand_edge_level(graph, index, fast, None)
         expand_edge_level(graph, index, oracle, None, use_kernels=False)
-        assert restricted.size() == oracle.size()
+        assert fast.size() == oracle.size()
         assert np.array_equal(
-            restricted.decode_block(0, restricted.size()),
+            fast.decode_block(0, fast.size()),
             oracle.decode_block(0, oracle.size()),
-        ), f"edge level {restricted.depth} diverged (seed {seed})"
-
-
-def test_restricted_kernel_examines_fewer_candidates():
-    graph = random_labeled_graph(40, 110, 3, seed=11)
-    cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
-    expand_vertex_level(graph, cse, None)
-    block = cse.decode_block(0, cse.size())
-    ctx = kernels.vertex_kernel_context(graph)
-    vert_m, counts_m, examined_m = kernels.expand_vertex_block(ctx, block)
-    vert_r, counts_r, examined_r = kernels.expand_vertex_block(
-        ctx, block, canonical_level_restrictions("vertex", block.shape[1])
-    )
-    assert np.array_equal(vert_m, vert_r)
-    assert np.array_equal(counts_m, counts_r)
-    assert examined_r < examined_m
-
-
-def test_kernel_rejects_mismatched_restrictions():
-    graph = random_labeled_graph(20, 40, 2, seed=5)
-    ctx = kernels.vertex_kernel_context(graph)
-    block = np.array([[0, 1], [1, 2]], dtype=np.int64)
-    with pytest.raises(ValueError, match="edge"):
-        kernels.expand_vertex_block(
-            ctx, block, canonical_level_restrictions("edge", 2)
-        )
-    with pytest.raises(ValueError, match="level"):
-        kernels.expand_vertex_block(
-            ctx, block, canonical_level_restrictions("vertex", 3)
-        )
-
-
-def test_fused_path_requires_packed_view():
-    graph = random_labeled_graph(20, 40, 2, seed=5)
-    ctx = kernels.VertexKernelContext(
-        indptr=graph.indptr,
-        indices=graph.indices,
-        num_vertices=graph.num_vertices,
-        out_dtype=graph.id_dtype,
-    )
-    block = np.array([[0, 1], [1, 2]], dtype=np.int64)
-    with pytest.raises(ValueError, match="adjacency_keys"):
-        kernels.expand_vertex_block(
-            ctx, block, canonical_level_restrictions("vertex", 2)
-        )
+        ), f"edge level {fast.depth} diverged (seed {seed})"
 
 
 # ----------------------------------------------------------------------
-# Whole-app differential: every shipped app, restrictions on vs off
+# Whole-app differential: every shipped app, kernel vs scalar oracle
 # ----------------------------------------------------------------------
 SHIPPED_APPS = {
     "tc": lambda: TriangleCounting(),
@@ -337,14 +266,6 @@ def test_level_plans_carry_restrictions_and_pattern_constraints():
         ctx = EngineContext(graph=graph, engine=engine)
         cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
         plan = engine.planner.plan_level(ctx, cse)
-        assert isinstance(plan.restrictions, KernelRestrictions)
-        assert plan.restrictions.kind == "vertex"
-        assert plan.restrictions.level == 1
         assert plan.pattern_constraints is not None
         assert plan.pattern_constraints.position == 1
         assert plan.pattern_constraints.lower_cols == (0,)
-    with KaleidoEngine(graph, use_restrictions=False) as engine:
-        ctx = EngineContext(graph=graph, engine=engine)
-        cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
-        plan = engine.planner.plan_level(ctx, cse)
-        assert plan.restrictions is None

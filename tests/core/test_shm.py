@@ -194,14 +194,23 @@ def test_export_levels_spilled_top_uses_mmap(paper_cse, tmp_path):
         store.close()
 
 
-def test_export_levels_refuses_non_mmap_spill(paper_cse, tmp_path):
-    store = PartStore(str(tmp_path))
-    top = paper_cse.pop_level()
-    spilled = spill_level(top, store, part_entries=3)
-    spilled.mmap = False  # pre-zero-copy behaviour: no block decode
-    paper_cse.append_level(spilled)
+def test_export_levels_refuses_unshareable_level(paper_cse):
+    """A level that is neither resident nor spilled in part files (any
+    other Level implementation) cannot be shared by name."""
+
+    class ForeignLevel:
+        def __init__(self, level):
+            self._level = level
+            self.num_embeddings = level.num_embeddings
+
+        def vert_array(self):
+            return self._level.vert_array()
+
+        def off_array(self):
+            return self._level.off_array()
+
+    paper_cse.append_level(ForeignLevel(paper_cse.pop_level()))
     assert shm.export_levels(paper_cse) is None
-    store.close()
 
 
 def test_attach_levels_cache_bounded(paper_cse):

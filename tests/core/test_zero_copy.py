@@ -12,7 +12,7 @@ import pytest
 from repro.apps import MotifCounting
 from repro.core.engine import KaleidoEngine
 from repro.core.executor import ProcessExecutor, _contexts_match
-from repro.core.explore import _BlockTask, expand_vertex_level
+from repro.core.explore import BlockTask, expand_vertex_level
 from repro.core.kernels import vertex_kernel_context
 from repro.core import CSE, shm
 
@@ -50,7 +50,7 @@ def test_block_task_pickle_carries_no_arrays(paper_graph):
     share = shm.export_levels(cse)
     assert share is not None
     try:
-        task = _BlockTask(ctx, None, (0, cse.size()), 0, level_handle=share.handle)
+        task = BlockTask(ctx, None, (0, cse.size()), 0, level_handle=share.handle)
         payload = pickle.dumps(task)
         assert len(payload) < 4096
         state = pickle.loads(payload)

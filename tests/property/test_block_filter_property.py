@@ -4,9 +4,8 @@ For a random small labelled graph and each shipped filtered application
 (clique, FSM, vertex FSM, pattern matching) the level built by the
 vectorized kernels with the app's block filter must have the same
 ``vert`` and ``off`` arrays as the scalar per-embedding loop calling the
-same filter with one-row blocks — with the fused restrictions on and
-off, and with the level being expanded either resident or spilled and
-served through ``mmap``.
+same filter with one-row blocks — with the level being expanded either
+resident or spilled and served through ``mmap``.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.apps import (
 )
 from repro.core.cse import CSE
 from repro.core.pattern import Pattern
-from repro.core.restrictions import canonical_level_restrictions
 from repro.storage import PartStore
 from repro.storage.hybrid import spill_level
 
@@ -52,7 +50,6 @@ def filter_cases(draw):
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
         "app": draw(st.sampled_from(sorted(APPS))),
         "k": draw(st.integers(min_value=2, max_value=4)),
-        "restricted": draw(st.booleans()),
         "spilled": draw(st.booleans()),
     }
 
@@ -70,13 +67,7 @@ def test_filtered_kernel_levels_match_scalar_oracle(case):
         for _ in range(app.iterations()):
             if case["spilled"] and fast.depth > 1:  # the root level never spills
                 fast.append_level(spill_level(fast.pop_level(), store, part_entries=5))
-                assert fast.block_decodable()
-            restrictions = (
-                canonical_level_restrictions(app.induced, fast.depth)
-                if case["restricted"]
-                else None
-            )
-            expand(fast, restrictions=restrictions)
+            expand(fast)
             expand(oracle, use_kernels=False)
             np.testing.assert_array_equal(
                 fast.top.vert_array(), oracle.top.vert_array()

@@ -1,12 +1,11 @@
-"""Property-based parity: vectorized block kernels vs the scalar oracle.
+"""Property-based parity: the vectorized block kernel vs the scalar oracle.
 
 For random seeded graphs and random exploration depths, the vectorized
-:func:`repro.core.kernels.expand_vertex_block` /
-:func:`~repro.core.kernels.expand_edge_block` must emit exactly the same
-``(vert, counts, candidates_examined)`` as the scalar per-embedding
-reference (:func:`repro.core.explore.expand_vertex_part` and the edge
-analogue) — the kernels' bit-identical contract, over arbitrary
-topologies rather than a handful of fixtures.
+:func:`repro.core.kernels.expand_block` must emit exactly the same
+``(vert, counts)`` as the scalar per-embedding reference
+(:func:`repro.core.explore.expand_vertex_part` and the edge analogue),
+examining no more candidates — the kernel's bit-identical contract, over
+arbitrary topologies rather than a handful of fixtures.
 """
 
 import numpy as np
@@ -47,7 +46,7 @@ def test_vertex_kernel_parity(case):
         if cse.size() == 0 or cse.size() > 20_000:
             return
     block = cse.decode_block(0, cse.size())
-    vert, counts, examined = kernels.expand_vertex_block(
+    vert, counts, examined = kernels.expand_block(
         kernels.vertex_kernel_context(graph), block
     )
     embeddings = [tuple(int(x) for x in row) for row in block]
@@ -56,7 +55,7 @@ def test_vertex_kernel_parity(case):
     )
     np.testing.assert_array_equal(vert, ref.vert)
     np.testing.assert_array_equal(counts, ref.counts)
-    assert examined == ref.candidates_examined
+    assert examined <= ref.candidates_examined
 
 
 @given(graph_cases())
@@ -73,7 +72,7 @@ def test_edge_kernel_parity(case):
         if cse.size() == 0 or cse.size() > 20_000:
             return
     block = cse.decode_block(0, cse.size())
-    vert, counts, examined = kernels.expand_edge_block(
+    vert, counts, examined = kernels.expand_block(
         kernels.edge_kernel_context(index), block
     )
     eu, ev = index.endpoint_lists()
@@ -83,7 +82,7 @@ def test_edge_kernel_parity(case):
     )
     np.testing.assert_array_equal(vert, ref.vert)
     np.testing.assert_array_equal(counts, ref.counts)
-    assert examined == ref.candidates_examined
+    assert examined <= ref.candidates_examined
 
 
 @given(st.integers(min_value=0, max_value=10_000))

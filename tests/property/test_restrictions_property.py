@@ -6,10 +6,8 @@ Two families of properties:
   compiled restriction set accepts *exactly one* binding per
   automorphism orbit of any injective assignment (so the number of
   accepted permutations is ``k! / |Aut|``);
-* **kernel parity** — on random graphs, the fused restricted kernels
-  build levels byte-identical to the unrestricted scalar oracle, and
-  block-for-block emit the same ``(vert, counts)`` as the masked
-  kernels while examining no more candidates.
+* **kernel parity** — on random graphs, the restriction-fused kernel
+  builds levels byte-identical to the unrestricted scalar oracle.
 """
 
 from itertools import permutations
@@ -18,15 +16,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
 from repro.core.cse import CSE
 from repro.core.explore import expand_edge_level, expand_vertex_level
 from repro.core.isomorphism import automorphisms
 from repro.core.pattern import Pattern, triangle_index
-from repro.core.restrictions import (
-    canonical_level_restrictions,
-    compile_restrictions,
-)
+from repro.core.restrictions import compile_restrictions
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
@@ -117,18 +111,12 @@ def _levels_match(left, right):
 def test_restricted_vertex_levels_match_scalar_oracle(case):
     num_vertices, num_edges, seed, depth = case
     graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
-    restricted = CSE(np.arange(graph.num_vertices, dtype=np.int32))
+    fast = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     oracle = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(depth):
-        expand_vertex_level(
-            graph,
-            restricted,
-            restrictions=canonical_level_restrictions(
-                "vertex", restricted.depth
-            ),
-        )
+        expand_vertex_level(graph, fast)
         expand_vertex_level(graph, oracle, use_kernels=False)
-        _levels_match(restricted, oracle)
+        _levels_match(fast, oracle)
         if oracle.size() == 0 or oracle.size() > 20_000:
             return
 
@@ -141,44 +129,14 @@ def test_restricted_edge_levels_match_scalar_oracle(case):
     index = EdgeIndex(graph)
     if index.num_edges == 0:
         return
-    restricted = CSE(np.arange(index.num_edges, dtype=np.int32))
+    fast = CSE(np.arange(index.num_edges, dtype=np.int32))
     oracle = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(min(depth, 2)):
-        expand_edge_level(
-            graph,
-            index,
-            restricted,
-            restrictions=canonical_level_restrictions(
-                "edge", restricted.depth
-            ),
-        )
+        expand_edge_level(graph, index, fast)
         expand_edge_level(graph, index, oracle, use_kernels=False)
-        _levels_match(restricted, oracle)
+        _levels_match(fast, oracle)
         if oracle.size() == 0 or oracle.size() > 20_000:
             return
-
-
-@given(graph_cases())
-@settings(max_examples=30, deadline=None)
-def test_restricted_blocks_match_masked_blocks(case):
-    """Block-level: fused restrictions emit the same survivors as the
-    post-hoc canonical mask while never examining more candidates."""
-    num_vertices, num_edges, seed, depth = case
-    graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
-    cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
-    for _ in range(depth):
-        expand_vertex_level(graph, cse, use_kernels=False)
-        if cse.size() == 0 or cse.size() > 20_000:
-            return
-    block = cse.decode_block(0, cse.size())
-    ctx = kernels.vertex_kernel_context(graph)
-    vert_m, counts_m, examined_m = kernels.expand_vertex_block(ctx, block)
-    vert_r, counts_r, examined_r = kernels.expand_vertex_block(
-        ctx, block, canonical_level_restrictions("vertex", block.shape[1])
-    )
-    np.testing.assert_array_equal(vert_m, vert_r)
-    np.testing.assert_array_equal(counts_m, counts_r)
-    assert examined_r <= examined_m
 
 
 @given(st.integers(min_value=3, max_value=6))

@@ -103,7 +103,6 @@ def test_spilled_level_block_decode_matches_walk(paper_graph, tmp_path):
     top = cse.pop_level()
     expected = [(pos, emb) for pos, emb in _walk(cse, top)]
     cse.append_level(spill_level(top, store, part_entries=3))
-    assert cse.block_decodable()
     block = cse.decode_block(0, cse.size())
     for pos, emb in expected:
         assert tuple(int(v) for v in block[pos]) == emb
@@ -115,19 +114,6 @@ def _walk(cse, top):
         yield from cse.iter_embeddings()
     finally:
         cse.pop_level()
-
-
-def test_spilled_level_non_mmap_falls_back(paper_graph, tmp_path):
-    cse = CSE(np.arange(paper_graph.num_vertices))
-    expand_vertex_level(paper_graph, cse)
-    store = PartStore(str(tmp_path))
-    top = cse.pop_level()
-    spilled = spill_level(top, store, part_entries=3)
-    spilled.mmap = False
-    cse.append_level(spilled)
-    assert not cse.block_decodable()
-    # vert_accessor degrades to a materialised array.
-    assert np.array_equal(spilled.vert_accessor(), spilled.vert_array())
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,15 @@ review and that nothing previously machine-checked:
 
 ========  ==============================================================
 R001      Part purity: ``MiningApplication`` subclasses must not write
-          ``self.*`` inside per-part hot methods (``map_embedding``,
-          ``block_filter``, ``start_part`` and anything they reach
-          through ``self``).  Concurrent executors run parts on pool
-          threads; shared-state mutation there is the exact bug class
-          the PR 1 review found in FSM.  Mutation belongs in the part
-          state returned by ``start_part`` and absorbed serially by
-          ``finish_part``.  (``block_filter`` hands out the filter
-          object every part calls: it builds from ``init``'s tables and
-          stashes nothing on the app.)
+          ``self.*`` inside per-part hot methods (``map_block``,
+          ``map_embedding``, ``block_filter``, ``start_part`` and
+          anything they reach through ``self``).  Concurrent executors
+          run parts on pool threads; shared-state mutation there is the
+          exact bug class the PR 1 review found in FSM.  Mutation
+          belongs in the part state returned by ``start_part`` and
+          absorbed serially by ``finish_part``.  (``block_filter`` hands
+          out the filter object every part calls: it builds from
+          ``init``'s tables and stashes nothing on the app.)
 R002      Determinism: no wall-clock / entropy sources (``time.time``,
           the global ``random`` state, ``os.urandom``, ``uuid.uuid1/4``,
           ``datetime.now``) and no syntactic set-iteration-order hazards
@@ -224,7 +224,7 @@ class PartPurityRule(Rule):
     scope = ()  # every MiningApplication subclass, wherever it lives
 
     #: Hot entry points: called per part, possibly on pool threads.
-    HOT_ENTRY = ("map_embedding", "block_filter", "start_part")
+    HOT_ENTRY = ("map_block", "map_embedding", "block_filter", "start_part")
     #: Method names that mutate their receiver in place.
     MUTATORS = frozenset(
         {

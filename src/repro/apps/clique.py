@@ -83,10 +83,12 @@ class CliqueDiscovery(MiningApplication):
     def block_filter(self, ctx: EngineContext) -> AllAdjacent:
         return AllAdjacent()
 
-    def map_embedding(
-        self, ctx: EngineContext, embedding: tuple[int, ...], pmap: PatternMap
+    def map_block(
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
-        pmap[0] = pmap.get(0, 0) + 1
+        # Every top-level embedding is a k-clique: the mapper just counts.
+        if block.shape[0]:
+            pmap[0] = pmap.get(0, 0) + block.shape[0]
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> CliqueResult:
         count = pmap.get(0, 0)

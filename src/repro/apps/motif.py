@@ -2,17 +2,31 @@
 
 Counts the frequency of every connected k-vertex motif in the (treated as
 unlabeled) input graph.  Per the paper, exploration stops at the
-``(k-1)``-embeddings; the Mapper then explores each (k-1)-embedding's
-canonical k-extensions on the fly and hashes their patterns, so the
-largest level is never materialised — which is why k-Motif stores only
-``k - 1`` CSE levels (Table 4's note).
+``(k-1)``-embeddings; the Mapper then explores each part's canonical
+k-extensions on the fly — one :func:`~repro.core.kernels.expand_block`
+call per slab of rows — and fingerprints their patterns, so the largest
+level is never materialised — which is why k-Motif stores only ``k - 1``
+CSE levels (Table 4's note).
+
+An unlabeled k-vertex structure is fully determined by its adjacency
+bitmap, so the mapper builds one bitmap code per k-embedding from batched
+adjacency probes, counts the codes with ``np.unique`` and calls the
+hasher once per *distinct* code: the paper's argument for EigenHash —
+fingerprint patterns, not embeddings — applied to a whole block.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
-from ..core.explore import canonical_extensions
+from ..core.kernels import (
+    _degree_sums,
+    _pair_budget_chunks,
+    expand_block,
+    vertex_kernel_context,
+)
 from ..core.pattern import Pattern, triangle_index
 
 __all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS"]
@@ -44,19 +58,12 @@ class MotifCounting(MiningApplication):
             raise ValueError("motif size must be at least 3")
         self.k = k
         #: The paper's engine fingerprints every embedding individually;
-        #: by default we memoise by adjacency bitmap instead (unlabeled
-        #: structures are bitmap-determined).  The Figure-12 benchmark and
-        #: the caching ablation set this flag to recover the paper's
-        #: per-embedding regime.
+        #: by default we hash each distinct adjacency bitmap once per part
+        #: instead (unlabeled structures are bitmap-determined).  The
+        #: Figure-12 benchmark and the caching ablation set this flag to
+        #: recover the paper's per-embedding regime: one ``hash_pattern``
+        #: call per k-embedding.
         self.hash_every_embedding = hash_every_embedding
-        # Unlabeled k-vertex structures are fully determined by their
-        # adjacency bitmap, so the hash of each distinct bitmap is computed
-        # once and memoised (at most 2^(k(k-1)/2) entries, 64 for k=4).
-        self._bits_hash: dict[int, int] = {}
-        self._pair_bits: list[list[int]] = [
-            [1 << triangle_index(i, j, k) if i < j else 0 for j in range(k)]
-            for i in range(k)
-        ]
 
     @property
     def name(self) -> str:
@@ -66,36 +73,45 @@ class MotifCounting(MiningApplication):
         # Explore 1-embeddings up to (k-1)-embeddings.
         return self.k - 2
 
-    def map_embedding(
-        self, ctx: EngineContext, embedding: tuple[int, ...], pmap: PatternMap
+    def map_block(
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
-        """Expand to k-embeddings on the fly and hash each one."""
+        """Expand the block to k-embeddings on the fly and count each
+        adjacency code, hashing every distinct code once."""
         k = self.k
-        adjacency = ctx.graph.adjacency_sets()
-        pair_bits = self._pair_bits
-        bits_hash = self._bits_hash
-        # Adjacency bits among the (k-1)-prefix are shared by all children.
-        prefix_bits = 0
-        for i in range(k - 1):
-            vi_adj = adjacency[embedding[i]]
-            for j in range(i + 1, k - 1):
-                if embedding[j] in vi_adj:
-                    prefix_bits |= pair_bits[i][j]
         last = k - 1
-        for cand in canonical_extensions(ctx.graph, embedding):
-            bits = prefix_bits
-            cand_adj = adjacency[cand]
-            for i in range(k - 1):
-                if embedding[i] in cand_adj:
-                    bits |= pair_bits[i][last]
+        kctx = vertex_kernel_context(ctx.graph)
+        block = block.astype(np.int64, copy=False)
+        tally: dict[int, int] = {}
+        # Slabs bounded by PAIR_BUDGET gathered pairs keep the kernel's
+        # and the codes' temporaries constant-sized per part.
+        for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
+            slab = block[start:end]
+            cands, counts, _ = expand_block(kctx, slab)
+            if cands.shape[0] == 0:
+                continue
+            # Adjacency bits among the (k-1)-prefix are shared by a row's
+            # children; the candidate's bits are probed per pair.
+            prefix = np.zeros(slab.shape[0], dtype=np.int64)
+            for i in range(last):
+                for j in range(i + 1, last):
+                    prefix[kctx.has_edges(slab[:, i], slab[:, j])] |= 1 << triangle_index(i, j, k)
+            rows = np.repeat(np.arange(slab.shape[0]), counts)
+            cands = cands.astype(np.int64)
+            codes = prefix[rows]
+            for i in range(last):
+                codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
+            for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
+                tally[code] = tally.get(code, 0) + count
+        labels = (0,) * k
+        for code, count in tally.items():
             if self.hash_every_embedding:
-                phash = ctx.hash_pattern(Pattern((0,) * k, bits))
+                for _ in range(count):
+                    phash = ctx.hash_pattern(Pattern(labels, code))
+                    pmap[phash] = pmap.get(phash, 0) + 1
             else:
-                phash = bits_hash.get(bits)
-                if phash is None:
-                    phash = ctx.hash_pattern(Pattern((0,) * k, bits))
-                    bits_hash[bits] = phash
-            pmap[phash] = pmap.get(phash, 0) + 1
+                phash = ctx.hash_pattern(Pattern(labels, code))
+                pmap[phash] = pmap.get(phash, 0) + count
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MotifResult:
         patterns = {}

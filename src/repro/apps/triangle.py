@@ -12,6 +12,7 @@ import numpy as np
 
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
+from ..core.kernels import _pair_budget_chunks, _ranged_gather, vertex_kernel_context
 from ..core.pattern import Pattern, triangle_index
 
 __all__ = ["TriangleCounting"]
@@ -41,14 +42,23 @@ class TriangleCounting(MiningApplication):
     def query_pattern(self) -> Pattern:
         return _TRIANGLE
 
-    def map_embedding(
-        self, ctx: EngineContext, embedding: tuple[int, ...], pmap: PatternMap
+    def map_block(
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
-        u, v = embedding
-        common = ctx.graph.common_neighbors(u, v)
-        count = int(np.count_nonzero(common > v))
-        if count:
-            pmap[0] = pmap.get(0, 0) + count
+        """Count each edge ``<u, v>``'s common neighbors ``w > v``: gather
+        the tail of ``N(u)`` past ``v`` and probe ``(v, w)`` adjacency."""
+        kctx = vertex_kernel_context(ctx.graph)
+        n = kctx.num_vertices
+        u = block[:, 0].astype(np.int64)
+        v = block[:, 1].astype(np.int64)
+        starts = np.searchsorted(kctx.adjacency_keys, u * n + v + 1)
+        ends = kctx.indptr[u + 1]
+        total = 0
+        for lo, hi in _pair_budget_chunks(ends - starts):
+            tail, owner = _ranged_gather(starts[lo:hi], ends[lo:hi], kctx.indices, v[lo:hi])
+            total += int(np.count_nonzero(kctx.has_edges(owner, tail.astype(np.int64))))
+        if total:
+            pmap[0] = pmap.get(0, 0) + total
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> int:
         return pmap.get(0, 0)

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..core.cse import CSE
+from ..core.cse import CSE, level_vert_source
+from ..core.kernels import _degree_sums, _in_packed, _pair_budget_chunks, _ranged_gather
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 
@@ -121,83 +122,116 @@ def merged_size(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.union1d(a, b).shape[0])
 
 
-def predict_vertex_costs(graph: Graph, cse: CSE) -> np.ndarray:
-    """Predicted candidate count per top-level embedding (vertex-induced)."""
-    total = cse.size()
-    costs = np.zeros(total, dtype=np.int64)
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted with repeats dropped (a plain sort: ``np.unique``
+    hashes, and is far slower on wide int64 keys)."""
+    keys = np.sort(keys)
+    if keys.shape[0]:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
+def _union_sizes(
+    indptr: np.ndarray,
+    data: np.ndarray,
+    modulus: int,
+    lists: np.ndarray,
+    parents: np.ndarray | None = None,
+    children: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per row ``r``: ``|S_r ∪ data[indptr[c]:indptr[c + 1]] for c in lists[r]|``.
+
+    ``lists`` is ``(rows, arity)``: the CSR rows each row unions.  With
+    ``parents`` (local parent index per row, ascending) and ``children``
+    (the row's own id), ``S_r`` is the set of children sharing row
+    ``r``'s parent — the sibling slice; without, it is empty.  Computed
+    as ``|S| + |L| − |S ∩ L|`` from one ranged gather of the lists ``L``
+    probed against packed ``parent * modulus + sibling`` keys."""
+    rows, arity = lists.shape
+    flat = lists.reshape(-1)
+    values, owner = _ranged_gather(
+        indptr[flat], indptr[flat + 1], data, np.arange(rows * arity, dtype=np.int64) // arity
+    )
+    if arity > 1:
+        # A row's lists may share ids (both endpoints' incident lists hold
+        # the edge joining them): count each id once.
+        keys = _sorted_distinct(owner * modulus + values)
+        owner = keys // modulus
+        values = keys - owner * modulus
+    sizes = np.bincount(owner, minlength=rows)
+    if parents is not None and rows:
+        siblings = _sorted_distinct(parents * modulus + children)
+        sizes += np.bincount(siblings // modulus, minlength=int(parents[-1]) + 1)[parents]
+        shared = _in_packed(siblings, modulus, parents[owner], values)
+        sizes -= np.bincount(owner[shared], minlength=rows)
+    return sizes
+
+
+def _top_vert(cse: CSE) -> np.ndarray:
+    """The top level's ids; a spilled level is read through its mmap
+    accessor, not deserialised part by part."""
+    source = level_vert_source(cse.top)
+    if isinstance(source, np.ndarray):
+        return source
+    return np.asarray(source[np.arange(cse.size(), dtype=np.int64)])
+
+
+def _chunked_union_sizes(
+    cse: CSE, indptr: np.ndarray, data: np.ndarray, modulus: int, lists_of
+) -> np.ndarray:
+    """:func:`_union_sizes` over the whole top level, with the sibling
+    slices of its parents (none at the root level).
+
+    Runs in parent-aligned chunks of at most
+    :data:`~repro.core.kernels.PAIR_BUDGET` gathered ids (a parent whose
+    children gather more runs alone), so the gather's transients stay
+    bounded however large the level.  ``lists_of(ids)`` maps embedding
+    ids to the ``(rows, arity)`` CSR rows each unions.
+    """
+    vert = _top_vert(cse).astype(np.int64)
+    costs = np.zeros(vert.shape[0], dtype=np.int64)
+    row_pairs = _degree_sums(indptr, lists_of(vert))
     if cse.depth == 1:
-        roots = cse.levels[0].vert_array()
-        degrees = graph.degrees()
-        costs[:] = degrees[roots]
+        for lo, hi in _pair_budget_chunks(row_pairs):
+            costs[lo:hi] = _union_sizes(indptr, data, modulus, lists_of(vert[lo:hi]))
         return costs
-    if cse.top.off_array() is None:
+    off = cse.top.off_array()
+    if off is None:
         raise ValueError("prediction needs the top level's off array")
-    adjacency = graph.adjacency_sets()
-    # One streaming pass: buffer each parent's children (the sibling
-    # slice), then emit a cost per child as |siblings ∪ N(child)|.  Works
-    # identically for in-memory and spilled top levels.
-    group_positions: list[int] = []
-    group_children: list[int] = []
-    current_parent = -2
-
-    def emit_group() -> None:
-        siblings = set(group_children)
-        for position, child in zip(group_positions, group_children):
-            merged = siblings | adjacency[child]
-            costs[position] = len(merged)
-
-    for pos, parent, emb in cse.iter_with_parents():
-        if parent != current_parent:
-            if group_positions:
-                emit_group()
-            group_positions, group_children = [], []
-            current_parent = parent
-        group_positions.append(pos)
-        group_children.append(emb[-1])
-    if group_positions:
-        emit_group()
+    prefix = np.zeros(vert.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_pairs, out=prefix[1:])
+    for first, stop in _pair_budget_chunks(prefix[off[1:]] - prefix[off[:-1]]):
+        lo, hi = int(off[first]), int(off[stop])
+        children = vert[lo:hi]
+        parents = np.repeat(
+            np.arange(stop - first, dtype=np.int64), np.diff(off[first : stop + 1])
+        )
+        costs[lo:hi] = _union_sizes(
+            indptr, data, modulus, lists_of(children), parents, children
+        )
     return costs
+
+
+def predict_vertex_costs(graph: Graph, cse: CSE) -> np.ndarray:
+    """Predicted candidate count per top-level embedding (vertex-induced):
+    ``|siblings ∪ N(last vertex)|``, or the degree at the root level."""
+    if cse.depth == 1:
+        return graph.degrees()[cse.levels[0].vert_array()].astype(np.int64)
+    return _chunked_union_sizes(
+        cse, graph.indptr, graph.indices, graph.num_vertices, lambda ids: ids[:, None]
+    )
 
 
 def predict_edge_costs(index: EdgeIndex, cse: CSE) -> np.ndarray:
     """Predicted candidate count per top-level embedding (edge-induced).
 
-    The last edge contributes the incident lists of its two endpoints; the
-    prefix contributes the sibling slice, as in the vertex-induced case.
+    The last edge contributes the incident lists of its two endpoints
+    (deduped); the prefix contributes the sibling slice, as in the
+    vertex-induced case.
     """
-    total = cse.size()
-    costs = np.zeros(total, dtype=np.int64)
-    eu, ev = index.endpoint_lists()
-    incident = index.incident_lists()
-    if cse.depth == 1:
-        roots = cse.levels[0].vert_array()
-        for i, eid in enumerate(roots.tolist()):
-            merged = set(incident[eu[eid]])
-            merged.update(incident[ev[eid]])
-            costs[i] = len(merged)
-        return costs
-    if cse.top.off_array() is None:
-        raise ValueError("prediction needs the top level's off array")
-    group_positions: list[int] = []
-    group_children: list[int] = []
-    current_parent = -2
+    indptr, incident = index.incident_arrays()
 
-    def emit_group() -> None:
-        siblings = set(group_children)
-        for position, child in zip(group_positions, group_children):
-            merged = siblings.copy()
-            merged.update(incident[eu[child]])
-            merged.update(incident[ev[child]])
-            costs[position] = len(merged)
+    def endpoints(ids: np.ndarray) -> np.ndarray:
+        return np.stack([index.edge_u[ids], index.edge_v[ids]], axis=1).astype(np.int64)
 
-    for pos, parent, emb in cse.iter_with_parents():
-        if parent != current_parent:
-            if group_positions:
-                emit_group()
-            group_positions, group_children = [], []
-            current_parent = parent
-        group_positions.append(pos)
-        group_children.append(emb[-1])
-    if group_positions:
-        emit_group()
-    return costs
+    return _chunked_union_sizes(cse, indptr, incident, index.num_edges, endpoints)

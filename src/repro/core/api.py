@@ -10,10 +10,13 @@ the hooks of Listing 1:
   block of ``(embedding, candidate)`` pairs at once (the canonical
   filter is always applied first, as the paper's "default embedding
   filter");
-* ``map_embedding``       — the AggregatingMapper: fold one embedding into
-  a PatternMap (a pure per-part function; side outputs go through the
-  ``start_part`` / ``finish_part`` part-state hooks so concurrent
-  executors stay deterministic);
+* ``map_block``           — the AggregatingMapper: fold one part's block
+  of embeddings — an ``(rows, k)`` id array decoded straight from the
+  CSE — into a PatternMap (a pure per-part function; side outputs go
+  through the ``start_part`` / ``finish_part`` part-state hooks so
+  concurrent executors stay deterministic).  Apps with a per-row mapper
+  define ``map_embedding`` instead; the default ``map_block`` feeds it
+  one tuple per row;
 * ``reduce``              — the AggregatingReducer: merge per-worker
   PatternMaps and apply the PatternFilter;
 * ``pattern_filter``      — optional pruning of aggregated patterns.
@@ -107,7 +110,7 @@ class MiningApplication:
     #: Run map/reduce after every exploration iteration (FSM) instead of
     #: once at the end.
     aggregate_every_iteration: bool = False
-    #: Whether ``map_embedding``'s cost scales with the embedding's
+    #: Whether the mapper's cost per row scales with the embedding's
     #: candidate count (motif counting expands candidates on the fly) —
     #: if so, the engine partitions the aggregation phase by the
     #: candidate-size prediction; otherwise per-embedding cost is roughly
@@ -160,19 +163,46 @@ class MiningApplication:
     def start_part(self, ctx: EngineContext) -> Any:
         """Create one mapper part's local state (default ``None``).
 
-        The engine may run mapper parts concurrently, so
-        ``map_embedding`` must not mutate application attributes.  Any
-        side output beyond the part's PatternMap — positional hash
-        lists, materialised embeddings, counters — belongs in the object
-        returned here; the engine passes it to every ``map_embedding``
-        call of that part and hands all part states to ``finish_part``
-        serially in part-index order, which keeps results deterministic
-        whatever order parts completed in.
+        The engine may run mapper parts concurrently, so ``map_block``
+        must not mutate application attributes.  Any side output beyond
+        the part's PatternMap — positional hash lists, materialised
+        embeddings, counters — belongs in the object returned here; the
+        engine passes it to the part's ``map_block`` call and hands all
+        part states to ``finish_part`` serially in part-index order,
+        which keeps results deterministic whatever order parts completed
+        in.
 
         Returning ``None`` (the default) keeps the three-argument
         ``map_embedding`` calling convention for apps with no side
         output."""
         return None
+
+    def map_block(
+        self,
+        ctx: EngineContext,
+        block: np.ndarray,
+        pmap: PatternMap,
+        part: Any = None,
+    ) -> None:
+        """AggregatingMapper: fold one part's embeddings into ``pmap``.
+
+        ``block`` is the part's ``(rows, k)`` id array in CSE storage
+        order (vertex ids, or edge ids under edge-induced exploration);
+        the engine calls this once per part.  Must be a pure function of
+        ``(block, pmap, part)`` — concurrent executors run parts on pool
+        threads, so shared application state may only be *read* here.
+        ``part`` is the state from ``start_part``.
+
+        The default runs ``map_embedding`` once per row, passing the row
+        as a tuple of ints (and ``part`` only when ``start_part``
+        returned one)."""
+        rows = zip(*block.T.tolist())
+        if part is None:
+            for embedding in rows:
+                self.map_embedding(ctx, embedding, pmap)
+        else:
+            for embedding in rows:
+                self.map_embedding(ctx, embedding, pmap, part)
 
     def map_embedding(
         self,
@@ -181,12 +211,10 @@ class MiningApplication:
         pmap: PatternMap,
         part: Any = None,
     ) -> None:
-        """AggregatingMapper: fold one embedding into ``pmap``.
+        """Per-row mapper convenience: fold one embedding into ``pmap``.
 
-        Must be a pure function of ``(embedding, pmap, part)`` —
-        concurrent executors run parts on pool threads, so shared
-        application state may only be *read* here.  ``part`` is the
-        state from ``start_part`` (omitted when that returned None)."""
+        Only the default :meth:`map_block` calls this; the same purity
+        contract holds."""
         raise NotImplementedError
 
     def finish_part(self, ctx: EngineContext, part: Any) -> None:

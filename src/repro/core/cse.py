@@ -27,7 +27,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-__all__ = ["Level", "InMemoryLevel", "CSE", "decode_block_arrays"]
+__all__ = ["Level", "InMemoryLevel", "CSE", "decode_block_arrays", "level_vert_source"]
 
 
 def decode_block_arrays(verts, offs, start: int, end: int) -> np.ndarray:
@@ -51,6 +51,14 @@ def decode_block_arrays(verts, offs, start: int, end: int) -> np.ndarray:
     columns.append(np.asarray(verts[0][positions]))
     columns.reverse()
     return np.stack(columns, axis=1)
+
+
+def level_vert_source(level: "Level"):
+    """A level's vertex array in gatherable form, without loading it: the
+    array itself when resident, the mmap-served ``vert_accessor`` when
+    the level is spilled."""
+    accessor = getattr(level, "vert_accessor", None)
+    return accessor() if callable(accessor) else level.vert_array()
 
 
 class Level(Protocol):
@@ -262,40 +270,13 @@ class CSE:
         total = self.levels[level_idx].num_embeddings
         if not 0 <= start <= end <= total:
             raise IndexError(f"block [{start}, {end}) outside level of {total}")
-        verts = []
-        offs = []
-        for l in range(level_idx + 1):
-            level = self.levels[l]
-            accessor = getattr(level, "vert_accessor", None)
-            verts.append(accessor() if callable(accessor) else level.vert_array())
-            offs.append(level.off_array())
-        return decode_block_arrays(verts, offs, start, end)
-
-    def iter_with_parents(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Like :meth:`iter_embeddings` on the top level but also yields the
-        parent position — the load-balance predictor needs it to find the
-        sibling slice."""
-        top = self.depth - 1
-        if top == 0:
-            for i, emb in self.iter_embeddings(0):
-                yield i, -1, emb
-            return
-        off = self.levels[top].off_array()
-        if off is None:
-            raise ValueError("top level off array unavailable")
-        counts = np.diff(off)
-        pos = 0
-        chunk_iter = self.levels[top].iter_vert_chunks()
-        chunk: list[int] = []
-        chunk_pos = 0
-        for pidx, prefix in self.iter_embeddings(top - 1):
-            for _ in range(int(counts[pidx])):
-                while chunk_pos >= len(chunk):
-                    chunk = next(chunk_iter).tolist()
-                    chunk_pos = 0
-                yield pos, pidx, prefix + (chunk[chunk_pos],)
-                chunk_pos += 1
-                pos += 1
+        levels = self.levels[: level_idx + 1]
+        return decode_block_arrays(
+            [level_vert_source(level) for level in levels],
+            [level.off_array() for level in levels],
+            start,
+            end,
+        )
 
     # ------------------------------------------------------------------
     def filter_top_level(self, keep: np.ndarray) -> None:

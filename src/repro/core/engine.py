@@ -12,9 +12,9 @@ graph.  Each exploration iteration flows through three explicit stages:
   the work-stealing replay by default (the modelled-parallel behaviour
   every benchmark is built on), or a real thread pool — and merge the
   part results deterministically.
-* **Aggregate**: run the application's Mapper over the top level in the
-  same part-based shape through the same executor, then the serial
-  Reducer.
+* **Aggregate**: decode the top level one part at a time as a
+  ``(rows, k)`` block and run the application's ``map_block`` Mapper
+  over each through the same executor, then the serial Reducer.
 
 Every live data structure is accounted in a :class:`MemoryMeter`, and the
 per-stage wall times are reported in ``MiningResult.phase_spans`` as
@@ -28,7 +28,6 @@ import pickle
 import time
 from contextlib import nullcontext
 from functools import partial
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -66,9 +65,9 @@ logger = logging.getLogger("repro.engine")
 
 
 def aggregate_part(
-    app: MiningApplication, ctx: EngineContext, embeddings: list[tuple[int, ...]]
+    app: MiningApplication, ctx: EngineContext, block: np.ndarray
 ) -> tuple[PatternMap, object]:
-    """Run the AggregatingMapper over one part's embeddings.
+    """Run the AggregatingMapper over one part's ``(rows, k)`` block.
 
     Pure per-part function (each part owns its own PatternMap and its own
     ``start_part`` state — the paper's FSM avoids a concurrent hashmap
@@ -80,12 +79,7 @@ def aggregate_part(
     """
     pmap: PatternMap = {}
     part = app.start_part(ctx)
-    if part is None:
-        for emb in embeddings:
-            app.map_embedding(ctx, emb, pmap)
-    else:
-        for emb in embeddings:
-            app.map_embedding(ctx, emb, pmap, part)
+    app.map_block(ctx, block, pmap, part)
     return pmap, part
 
 
@@ -695,12 +689,12 @@ class KaleidoEngine:
         wall_started = time.perf_counter()
         with self.tracer.span("aggregate", size=cse.size()):
             plan = self.planner.plan_aggregate(ctx, app, cse)
-            emb_iter = iter(cse.iter_embeddings())
 
             def tasks():
+                # The kernels' read path: resident levels gather from
+                # their arrays, spilled ones through their mmap accessor.
                 for start, end in plan.part_bounds:
-                    embeddings = [emb for _, emb in islice(emb_iter, end - start)]
-                    yield partial(aggregate_part, app, ctx, embeddings)
+                    yield partial(aggregate_part, app, ctx, cse.decode_block(start, end))
 
             with self._hot_phase():
                 report = self.executor.run(

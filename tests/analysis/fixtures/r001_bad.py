@@ -1,4 +1,4 @@
-"""R001 fixture: shared-state writes in per-part hot methods (6 hits)."""
+"""R001 fixture: shared-state writes in per-part hot methods (7 hits)."""
 
 
 class MiningApplication:
@@ -17,7 +17,7 @@ class LeakyApp(MiningApplication):
         self._note(embedding)
 
     def block_filter(self, ctx):
-        self.cache[ctx] = True
+        self.cache[ctx] = True  # hit 6: subscript store on a self attr
         self.last = ctx  # hit 3: plain Assign on self
         return None
 
@@ -35,3 +35,7 @@ class DeeperApp(LeakyApp):
     def start_part(self, ctx):
         self.parts_started += 1  # hit 5: start_part is hot too
         return []
+
+    def map_block(self, ctx, block, pmap, part=None):
+        self.rows_seen = len(block)  # hit 7: map_block is the engine's mapper hook
+        pmap[0] = len(block)

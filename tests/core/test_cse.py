@@ -38,19 +38,6 @@ def test_walk_lower_level(paper_cse):
     assert twos == [(1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 
 
-def test_iter_with_parents(paper_cse):
-    off = paper_cse.top.off_array()
-    for pos, parent, emb in paper_cse.iter_with_parents():
-        assert off[parent] <= pos < off[parent + 1]
-        assert paper_cse.embedding_at(1, parent) == emb[:-1]
-
-
-def test_iter_with_parents_root_level():
-    cse = CSE([4, 7, 9])
-    items = list(cse.iter_with_parents())
-    assert items == [(0, -1, (4,)), (1, -1, (7,)), (2, -1, (9,))]
-
-
 def test_embedding_at_bounds(paper_cse):
     with pytest.raises(IndexError):
         paper_cse.embedding_at(5, 0)

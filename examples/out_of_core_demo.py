@@ -1,4 +1,4 @@
-"""Out-of-core mining: hybrid storage, writing queue and sliding window.
+"""Out-of-core mining: hybrid storage, writing queue and mmap-served parts.
 
 Demonstrates the paper's Section-4 machinery end to end: the same 4-motif
 workload runs (a) fully in memory, (b) with the last CSE level forced to
@@ -45,7 +45,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         hybrid = run(
             graph,
-            "hybrid (last level spilled, async writer + prefetch window)",
+            "hybrid (last level spilled, async writer + mmap-served parts)",
             storage_mode="spill-last",
             spill_dir=tmp,
         )

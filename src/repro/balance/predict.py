@@ -11,7 +11,6 @@ degrees.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,26 +30,20 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# I/O-driven adaptive scheduling (Silvestri's I/O-complexity bounds)
+# Spill-part sizing (Silvestri's I/O-complexity bound)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class IOPlan:
-    """The adaptive scheduler's choice for one spilled level.
+    """The part-size choice for one spilled level.
 
-    ``part_entries`` is the spill-part granularity ``B`` (ids per part)
-    and ``prefetch_depth`` the number of candidate parts read ahead of
-    the main part; ``window_bytes`` is the resulting resident window.
-    ``source`` records whether measured rates drove the choice
-    (``"measured"``) or the defaults did (``"default"``).
+    ``part_entries`` is the spill-part granularity ``B`` (ids per part);
+    ``window_bytes`` is the two parts the rule sizes for — the part being
+    consumed and the one after it — ``2 · B · bytes_per_entry``.
     """
 
     part_entries: int
-    prefetch_depth: int
     bytes_per_entry: int
     window_bytes: int
-    read_bps: float | None = None
-    compute_bps: float | None = None
-    source: str = "default"
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -60,40 +53,24 @@ def plan_io(
     predicted_entries: int,
     bytes_per_entry: int,
     headroom_bytes: int | None = None,
-    read_bps: float | None = None,
-    compute_bps: float | None = None,
-    max_prefetch_depth: int = 8,
     min_part_entries: int = 1 << 12,
     max_part_entries: int = 1 << 20,
     default_part_entries: int = 1 << 16,
 ) -> IOPlan:
-    """Pick the spill-part size and prefetch depth for one level.
+    """Pick the spill-part size for one level.
 
     Silvestri's I/O-complexity analysis of subgraph enumeration bounds
     the I/O of a level scan by ``O(E_l · b / B)`` block transfers — I/O
     cost falls linearly in the block (part) size ``B``, so within the
-    memory budget ``M`` the scheduler should make parts as large as the
-    resident window allows rather than use a fixed knob.  Prefetch depth
-    follows from rate matching: with the engine computing at
-    ``compute_bps`` and the device delivering ``read_bps``, hiding the
-    read of the next part behind the compute of the current one needs
-    ``ceil(compute_bps / read_bps)`` candidate reads in flight
-    (clamped to ``[1, max_prefetch_depth]``).  The window
-    ``(1 + depth) · B · b`` is held to about a quarter of the measured
-    headroom so the level's own output and the off arrays keep their
-    share of ``M``.
+    memory budget ``M`` parts should be as large as the resident window
+    allows rather than a fixed knob.  The window of two parts
+    ``2 · B · b`` is held to about a quarter of the measured headroom so
+    the level's own output and the off arrays keep their share of ``M``;
+    without a budget the part size is ``default_part_entries``.
     """
     bytes_per_entry = max(1, int(bytes_per_entry))
-    if read_bps and compute_bps and read_bps > 0 and compute_bps > 0:
-        depth = int(math.ceil(compute_bps / read_bps))
-        depth = max(1, min(max_prefetch_depth, depth))
-        source = "measured"
-    else:
-        depth = 1
-        source = "default"
     if headroom_bytes is not None and headroom_bytes > 0:
-        window_budget = headroom_bytes // 4
-        part_entries = window_budget // ((1 + depth) * bytes_per_entry)
+        part_entries = headroom_bytes // 4 // (2 * bytes_per_entry)
     else:
         part_entries = default_part_entries
     part_entries = max(min_part_entries, min(max_part_entries, int(part_entries)))
@@ -104,12 +81,8 @@ def plan_io(
         )
     return IOPlan(
         part_entries=part_entries,
-        prefetch_depth=depth,
         bytes_per_entry=bytes_per_entry,
-        window_bytes=(1 + depth) * part_entries * bytes_per_entry,
-        read_bps=read_bps,
-        compute_bps=compute_bps,
-        source=source,
+        window_bytes=2 * part_entries * bytes_per_entry,
     )
 
 

@@ -108,27 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 disables retrying)",
     )
     mine.add_argument(
-        "--queue-maxsize",
-        type=int,
-        default=16,
-        help="bound on in-flight arrays in the background writing queue",
-    )
-    mine.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=1,
-        help="baseline candidate parts read ahead of the main part "
-        "(default 1; the adaptive scheduler may raise it per level)",
-    )
-    mine.add_argument(
-        "--io-plan",
-        default="adaptive",
-        choices=["adaptive", "fixed"],
-        help="'adaptive' (default) derives spill part size and prefetch "
-        "depth per level from the memory headroom and measured I/O vs "
-        "compute rates; 'fixed' keeps the static knobs",
-    )
-    mine.add_argument(
         "--sanitize",
         action="store_true",
         help="run under the part-purity sanitizer: any shared-state write "
@@ -307,9 +286,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         spill_dir=args.spill_dir,
         use_prediction=not args.no_prediction,
         executor=args.executor,
-        queue_maxsize=args.queue_maxsize,
-        prefetch_depth=args.prefetch_depth,
-        adaptive_io=(args.io_plan == "adaptive"),
         io_retry=RetryPolicy(attempts=args.io_retries),
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,

@@ -49,11 +49,10 @@ from .cse import CSE
 from .eigenhash import PatternHasher
 from .executor import PartExecutor, resolve_executor
 from .explore import expand_edge_level, expand_vertex_level
-from .kernels import DEFAULT_ID_DTYPE
 from .plan import Planner
 
 #: Storage failures the engine responds to by degrading the I/O mode
-#: (drop prefetch, then synchronous writes) and re-planning the level.
+#: (synchronous writes) and re-planning the level.
 _DEGRADABLE_ERRORS = (DiskFullError, BudgetExceededError, TransientStorageError)
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
@@ -119,9 +118,11 @@ class KaleidoEngine:
         default) or by plain embedding counts (the Fig.-17 baseline).
     parts_per_worker:
         Task granularity for the executor and the scheduler model.
-    synchronous_io / prefetch:
-        Writing-queue and sliding-window behaviour (async + prefetch by
-        default, like the paper; tests turn them off for determinism).
+    synchronous_io:
+        Write spilled parts inline instead of through the background
+        writing queue (async by default, like the paper; tests turn it
+        on for determinism).  Spilled levels are always read back through
+        read-only memory maps of their part files.
     executor:
         ``"serial"`` (default: serial execution replayed through the
         work-stealing model), ``"threads"`` (a real thread pool of
@@ -131,9 +132,6 @@ class KaleidoEngine:
         results are merged in part order, so every executor produces
         identical mining results.  Executors resolved from a spec string
         are closed with the engine; instances are caller-owned.
-    queue_maxsize:
-        Bound on the writing queue's in-flight arrays (producer
-        backpressure).
     io_retry:
         Retry policy for transient storage faults (capped exponential
         backoff); defaults to :class:`~repro.storage.retry.RetryPolicy`'s
@@ -151,8 +149,8 @@ class KaleidoEngine:
     tracer:
         A :class:`repro.obs.Tracer` to record the run's span tree
         (``run → level → {plan, execute, aggregate} → part``) and
-        instant events (spill, demote, prefetch hit/miss, retry,
-        degradation, checkpoint, checkpoint-restore).  Defaults to the
+        instant events (spill, demote, io-plan, retry, degradation,
+        checkpoint, checkpoint-restore).  Defaults to the
         no-op tracer, which costs a single attribute check per probe and
         never changes mined results (parity-tested).
     metrics:
@@ -186,12 +184,8 @@ class KaleidoEngine:
         use_prediction: bool = True,
         parts_per_worker: int = 4,
         synchronous_io: bool = False,
-        prefetch: bool = True,
-        prefetch_depth: int = 1,
-        adaptive_io: bool = True,
         max_embeddings: int | None = None,
         executor: "str | PartExecutor" = "serial",
-        queue_maxsize: int = 16,
         io_retry: RetryPolicy | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 1,
@@ -218,7 +212,6 @@ class KaleidoEngine:
         self.use_prediction = use_prediction
         self.parts_per_worker = parts_per_worker
         self.synchronous_io = synchronous_io
-        self.prefetch = prefetch
         #: Safety valve: abort (PlanError) if any level would exceed this
         #: many embeddings.  Exploration is exponential in depth; a guard
         #: beats an out-of-control run in production settings.
@@ -237,14 +230,10 @@ class KaleidoEngine:
             self.meter,
             store=self._store,
             synchronous_io=synchronous_io,
-            prefetch=prefetch,
             force_spill_last=(storage_mode == "spill-last"),
-            queue_maxsize=queue_maxsize,
             retry=io_retry,
             tracer=self.tracer,
             metrics=self.metrics,
-            prefetch_depth=prefetch_depth,
-            adaptive_io=adaptive_io,
         )
         #: Whether levels expand on the restriction-fused kernel (the
         #: default) or, when False, on the scalar reference loops — the
@@ -446,17 +435,7 @@ class KaleidoEngine:
                         execute_seconds += time.perf_counter() - stage_started
                         self._degrade_or_raise("execute", exc)
                         continue
-                    stage_elapsed = time.perf_counter() - stage_started
-                    execute_seconds += stage_elapsed
-                    # Feed the adaptive I/O scheduler: this level's compute
-                    # rate (emitted bytes / wall) and the store's read-rate
-                    # deltas steer the next level's part size and depth.
-                    self._policy.observe_level(
-                        stats.emitted,
-                        stats.emitted
-                        * getattr(cse.top, "dtype", DEFAULT_ID_DTYPE).itemsize,
-                        stage_elapsed,
-                    )
+                    execute_seconds += time.perf_counter() - stage_started
                     break
 
                 schedule = stats.schedule

@@ -52,17 +52,17 @@ class LevelPlan:
     #: The sink to expand into; None means plain in-memory (storage_mode
     #: "memory", where no policy is consulted at all).
     sink: LevelSink | None
-    #: The storage policy's I/O mode when this plan was made (e.g.
-    #: "async+prefetch", or "sync+no-prefetch" after degradation) —
-    #: "memory" when no policy was consulted.
+    #: The storage policy's write mode when this plan was made ("async",
+    #: or "sync" after degradation) — "memory" when no policy was
+    #: consulted.
     io_mode: str = "memory"
     #: The query pattern's ordering constraints on the vertex this level
     #: binds (from the app's compiled
     #: :class:`~repro.core.restrictions.RestrictionSet`), or None when
     #: the app mines no single pattern or the level is past the pattern.
     pattern_constraints: LevelConstraint | None = None
-    #: The adaptive I/O scheduler's choice for this level (part size,
-    #: prefetch depth) when it spills; None for in-memory levels.
+    #: The storage policy's part-size choice for this level when it
+    #: spills; None for in-memory levels.
     io_plan: IOPlan | None = None
 
     @property
@@ -179,7 +179,7 @@ class Planner:
             if spill:
                 io_plan = getattr(self.policy, "last_io_plan", None)
         # When the level spills, each expansion part becomes one on-disk
-        # part — so the scheduler's part size, not the fixed
+        # part — so the policy's part size, not the fixed
         # parts-per-worker knob, sets the cut (bounded to keep task
         # overhead sane on huge levels).
         num_parts = self.num_parts

@@ -53,9 +53,9 @@ class CorruptPartError(StorageError):
 class DiskFullError(StorageError):
     """The storage device is out of space (``ENOSPC``/``EDQUOT``).
 
-    Not retryable as-is, but the engine can degrade — drop prefetch,
-    shrink the sliding window, fall back to synchronous writes — before
-    giving up.
+    Not retryable as-is, but the engine can degrade — fall back to
+    synchronous writes, so at most one part is buffered — before giving
+    up.
     """
 
 

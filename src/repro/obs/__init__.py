@@ -5,7 +5,7 @@ benchmarks used to reinvent per figure:
 
 * :class:`Tracer` / :data:`NULL_TRACER` — nested spans
   (``run → level → {plan, execute, aggregate} → part``) and instant
-  events (spill, prefetch hit/miss, retry, degradation, checkpoint),
+  events (spill, io-plan, retry, degradation, checkpoint),
   thread-safe, with an injected clock for deterministic tests.  The
   null tracer is the default and costs one attribute check on hot paths.
 * :class:`MetricsRegistry` — named counters/gauges/histograms with an

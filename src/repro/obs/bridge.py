@@ -64,7 +64,6 @@ METRIC_REGISTRY: tuple[str, ...] = (
     "storage.demoted_levels",
     "storage.degradations",
     "storage.io_plan.part_entries",
-    "storage.io_plan.prefetch_depth",
     # checkpoint — recovery bookkeeping
     "checkpoint.written",
     "checkpoint.failures",
@@ -157,6 +156,5 @@ def absorb_engine(registry: MetricsRegistry, engine: "KaleidoEngine") -> None:
     io_plan = getattr(policy, "last_io_plan", None)
     if io_plan is not None:
         registry.gauge("storage.io_plan.part_entries").set(io_plan.part_entries)
-        registry.gauge("storage.io_plan.prefetch_depth").set(io_plan.prefetch_depth)
     registry.counter("checkpoint.written").inc(engine._checkpoints_written)
     registry.counter("checkpoint.failures").inc(engine._checkpoint_failures)

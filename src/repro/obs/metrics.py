@@ -18,8 +18,8 @@ Three instrument kinds:
 * :class:`Histogram` — count/total/min/max summary of observed values
   (part durations, write latencies); constant space, associative merge.
 
-All instruments are thread-safe (executor pool threads, the background
-writer and prefetch threads all record), and ``merge`` is associative
+All instruments are thread-safe (executor pool threads and the
+background writer both record), and ``merge`` is associative
 and commutative instrument-by-instrument — the property tests in
 ``tests/property/test_obs_property.py`` hold the registry to that.
 """

@@ -2,8 +2,8 @@
 
 The engine's pipeline produces a natural span hierarchy —
 ``run → level → {plan, execute, aggregate} → part`` — and a handful of
-point-in-time facts (a level spilled, a prefetch missed, a write was
-retried, the I/O mode degraded, a checkpoint landed or was restored).
+point-in-time facts (a level spilled, a part size was planned, a write
+was retried, the I/O mode degraded, a checkpoint landed or was restored).
 The :class:`Tracer` records both into one append-only event list that the
 exporters (:mod:`repro.obs.export`) turn into Chrome ``trace_event``
 JSON, a flat JSONL log, or a text summary.
@@ -14,8 +14,8 @@ Design constraints, in order:
   :data:`NULL_TRACER`, whose ``enabled`` attribute is ``False`` and whose
   methods are no-ops; hot paths guard with a single attribute check
   (``if tracer.enabled: ...``) and pay nothing else.
-* **Thread-safe.**  Executor pool threads, the background writer and the
-  prefetch threads all emit events; the event list is lock-guarded and
+* **Thread-safe.**  Executor pool threads and the background writer both
+  emit events; the event list is lock-guarded and
   the span stack is thread-local (spans nest *per thread*).
 * **Deterministic under test.**  The clock is injected
   (``Tracer(clock=fake)``); nothing else in an event depends on wall

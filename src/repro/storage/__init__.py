@@ -7,7 +7,6 @@ from .meter import IOEvent, IOStats, MemoryBudget, MemoryMeter
 from .queue import WritingQueue
 from .retry import RetryPolicy
 from .spill import PartHandle, PartStore, SpilledLevel
-from .window import SlidingWindowReader
 
 __all__ = [
     "MemoryMeter",
@@ -17,7 +16,6 @@ __all__ = [
     "PartStore",
     "PartHandle",
     "SpilledLevel",
-    "SlidingWindowReader",
     "WritingQueue",
     "SpillingSink",
     "StoragePolicy",

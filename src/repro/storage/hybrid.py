@@ -17,9 +17,9 @@ Glue between the explorer and the spill machinery:
 The policy is also the engine's degradation lever: when the device runs
 out of space mid-level (:class:`~repro.errors.DiskFullError`) or the
 memory budget cannot be honoured, :meth:`StoragePolicy.degrade` steps the
-I/O mode down — first dropping prefetch (shrinking the sliding window to
-a single part), then falling back to synchronous writes — and the engine
-re-plans the failed iteration under the reduced mode before giving up.
+I/O mode down to synchronous writes (no background writer, so at most one
+part is ever buffered) and the engine re-plans the failed iteration under
+the reduced mode before giving up.
 """
 
 from __future__ import annotations
@@ -46,17 +46,12 @@ class SpillingSink(LevelSink):
         self,
         store: PartStore,
         synchronous: bool = False,
-        prefetch: bool = True,
         tag: str = "vert",
-        queue_maxsize: int = 16,
         dtype: np.dtype | None = None,
-        prefetch_depth: int = 1,
     ) -> None:
         self.store = store
-        self.prefetch = prefetch
-        self.prefetch_depth = prefetch_depth
         self.dtype = None if dtype is None else np.dtype(dtype)
-        self._queue = WritingQueue(store, synchronous=synchronous, maxsize=queue_maxsize)
+        self._queue = WritingQueue(store, synchronous=synchronous)
         self._tag = tag
 
     def write_part(self, vert: np.ndarray, index: int | None = None) -> None:
@@ -64,14 +59,7 @@ class SpillingSink(LevelSink):
 
     def finish(self, off: np.ndarray) -> Level:
         handles = self._queue.close()
-        return SpilledLevel(
-            self.store,
-            handles,
-            off,
-            prefetch=self.prefetch,
-            prefetch_depth=self.prefetch_depth,
-            dtype=self.dtype,
-        )
+        return SpilledLevel(self.store, handles, off, dtype=self.dtype)
 
     def abort(self) -> None:
         """Stop the queue and delete the partial level's files."""
@@ -82,8 +70,6 @@ def spill_level(
     level: Level,
     store: PartStore,
     part_entries: int = 1 << 16,
-    prefetch: bool = True,
-    prefetch_depth: int = 1,
 ) -> SpilledLevel:
     """Write an in-memory level's vertex array to disk in fixed-size parts."""
     if isinstance(level, SpilledLevel):
@@ -95,14 +81,7 @@ def spill_level(
         if chunk.shape[0] == 0 and handles:
             break
         handles.append(store.save(chunk, tag="demoted"))
-    return SpilledLevel(
-        store,
-        handles,
-        level.off_array(),
-        prefetch=prefetch,
-        prefetch_depth=prefetch_depth,
-        dtype=vert.dtype,
-    )
+    return SpilledLevel(store, handles, level.off_array(), dtype=vert.dtype)
 
 
 class StoragePolicy:
@@ -112,8 +91,8 @@ class StoragePolicy:
     counts, 4 bytes per emitted vertex as an upper bound before filtering)
     is compared against the budget headroom; when it does not fit, the new
     level is spilled — and if that is still not enough, the current top
-    level is demoted too (deep explorations spill several levels, one
-    window per on-disk level, per the paper).
+    level is demoted too (deep explorations spill several levels, per the
+    paper).
     """
 
     def __init__(
@@ -122,42 +101,26 @@ class StoragePolicy:
         meter: MemoryMeter,
         store: PartStore | None = None,
         synchronous_io: bool = False,
-        prefetch: bool = True,
         force_spill_last: bool = False,
-        queue_maxsize: int = 16,
         retry: "RetryPolicy | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
-        prefetch_depth: int = 1,
-        adaptive_io: bool = True,
     ) -> None:
         self.budget = budget
         self.meter = meter
         self.store = store
         self.synchronous_io = synchronous_io
-        self.prefetch = prefetch
         self.force_spill_last = force_spill_last
-        self.queue_maxsize = queue_maxsize
         self.retry = retry
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        #: Baseline prefetch depth; the adaptive scheduler may raise it
-        #: per level from measured rates when ``adaptive_io`` is on.
-        self.prefetch_depth = max(1, prefetch_depth)
-        self.adaptive_io = adaptive_io
-        #: The scheduler's most recent choice (an
-        #: :class:`~repro.balance.predict.IOPlan`), recorded per plan and
-        #: surfaced in the engine result's ``extra["io_plan"]``.
+        #: The part-size choice for the last spilled level (an
+        #: :class:`~repro.balance.predict.IOPlan`), surfaced in the engine
+        #: result's ``extra["io_plan"]``.
         self.last_io_plan: IOPlan | None = None
-        # EMA'd rates (bytes/second) feeding the scheduler, plus the
-        # last-seen store read counters to diff against.
-        self._read_bps: float | None = None
-        self._compute_bps: float | None = None
-        self._seen_read_bytes = 0
-        self._seen_read_seconds = 0.0
         if store is not None:
             # The engine constructs the store before the policy; share
-            # the observability hooks so queue/window events flow.
+            # the observability hooks so queue and retry events flow.
             store.tracer = self.tracer
             store.metrics = metrics
         self.spilled_levels = 0
@@ -174,24 +137,17 @@ class StoragePolicy:
 
     @property
     def io_mode(self) -> str:
-        """Human-readable current write/read mode (recorded per plan)."""
-        write = "sync" if self.synchronous_io else "async"
-        read = "prefetch" if self.prefetch else "no-prefetch"
-        return f"{write}+{read}"
+        """Current write mode, ``"async"`` or ``"sync"`` (recorded per plan)."""
+        return "sync" if self.synchronous_io else "async"
 
     def degrade(self) -> str | None:
         """Step the I/O mode down after a disk-full or budget failure.
 
-        Returns the step applied (``"prefetch-off"`` shrinks the sliding
-        window to a single part and stops read-ahead;
-        ``"synchronous-io"`` drops the background writer so at most one
-        part is ever buffered), or ``None`` when already fully degraded —
-        the caller should give up and re-raise.
+        Returns the step applied (``"synchronous-io"`` drops the
+        background writer so at most one part is ever buffered), or
+        ``None`` when already fully degraded — the caller should give up
+        and re-raise.
         """
-        if self.prefetch:
-            self.prefetch = False
-            self.degradations.append("prefetch-off")
-            return "prefetch-off"
         if not self.synchronous_io:
             self.synchronous_io = True
             self.degradations.append("synchronous-io")
@@ -205,88 +161,20 @@ class StoragePolicy:
         predicted_bytes = predicted_entries * bytes_per_entry
         return not self.budget.fits(self.meter.current_bytes, predicted_bytes)
 
-    # ------------------------------------------------------------------
-    # Adaptive I/O scheduling (Silvestri-bound part size / prefetch depth)
-    # ------------------------------------------------------------------
-    def observe_level(
-        self, emitted_entries: int, emitted_bytes: int, seconds: float
-    ) -> None:
-        """Feed one executed level's rates into the scheduler's EMAs.
-
-        The engine calls this after every execute stage: the compute rate
-        is the level's emitted bytes over its wall seconds, and the read
-        rate is diffed from the store's cumulative I/O counters (which
-        both ``load`` and ``open_mmap`` feed).  Exponential smoothing
-        (``alpha=0.5``) keeps one noisy level from whipsawing the plan.
-        """
-        alpha = 0.5
-        if seconds > 0 and emitted_bytes > 0:
-            rate = emitted_bytes / seconds
-            self._compute_bps = (
-                rate
-                if self._compute_bps is None
-                else alpha * rate + (1 - alpha) * self._compute_bps
-            )
-        if self.store is not None:
-            read_bytes = self.store.io.bytes_read - self._seen_read_bytes
-            read_seconds = self.store.io.read_seconds - self._seen_read_seconds
-            self._seen_read_bytes = self.store.io.bytes_read
-            self._seen_read_seconds = self.store.io.read_seconds
-            if read_bytes > 0 and read_seconds > 0:
-                rate = read_bytes / read_seconds
-                self._read_bps = (
-                    rate
-                    if self._read_bps is None
-                    else alpha * rate + (1 - alpha) * self._read_bps
-                )
-
     def plan_io(self, predicted_entries: int, bytes_per_entry: int = 4) -> IOPlan:
-        """Choose part size and prefetch depth for the next spilled level.
+        """Choose the part size for the next spilled level.
 
-        With ``adaptive_io`` off the fixed knobs stand (``1 << 16``
-        entries per part, the configured ``prefetch_depth``); otherwise
-        the choice follows :func:`repro.balance.predict.plan_io` over the
-        budget headroom and the measured EMA rates.  The plan is recorded
-        on ``last_io_plan`` and traced.
+        Follows :func:`repro.balance.predict.plan_io` over the budget
+        headroom; the plan is recorded on ``last_io_plan`` and traced.
         """
-        if not self.adaptive_io:
-            plan = IOPlan(
-                part_entries=1 << 16,
-                prefetch_depth=self.prefetch_depth,
-                bytes_per_entry=max(1, int(bytes_per_entry)),
-                window_bytes=(1 + self.prefetch_depth)
-                * (1 << 16)
-                * max(1, int(bytes_per_entry)),
-                source="fixed",
-            )
-        else:
-            plan = plan_io(
-                predicted_entries,
-                bytes_per_entry,
-                headroom_bytes=self.budget.headroom(self.meter.current_bytes),
-                read_bps=self._read_bps,
-                compute_bps=self._compute_bps,
-            )
-            if plan.prefetch_depth < self.prefetch_depth:
-                plan = IOPlan(
-                    part_entries=plan.part_entries,
-                    prefetch_depth=self.prefetch_depth,
-                    bytes_per_entry=plan.bytes_per_entry,
-                    window_bytes=(1 + self.prefetch_depth)
-                    * plan.part_entries
-                    * plan.bytes_per_entry,
-                    read_bps=plan.read_bps,
-                    compute_bps=plan.compute_bps,
-                    source=plan.source,
-                )
+        plan = plan_io(
+            predicted_entries,
+            bytes_per_entry,
+            headroom_bytes=self.budget.headroom(self.meter.current_bytes),
+        )
         self.last_io_plan = plan
         if self.tracer.enabled:
-            self.tracer.instant(
-                "io-plan",
-                part_entries=plan.part_entries,
-                prefetch_depth=plan.prefetch_depth,
-                source=plan.source,
-            )
+            self.tracer.instant("io-plan", part_entries=plan.part_entries)
         return plan
 
     def make_sink(self, cse: CSE, dtype=None, io_plan: IOPlan | None = None) -> "SpillingSink":
@@ -297,11 +185,10 @@ class StoragePolicy:
         produced level's id storage width, recorded on the
         :class:`SpilledLevel` so empty levels reload at the right width.
         ``io_plan`` (from :meth:`plan_io`) sets the part granularity for
-        the demotion and the read-ahead depth of the produced level.
+        the demotion.
         """
         self.spilled_levels += 1
         store = self._ensure_store()
-        depth = io_plan.prefetch_depth if io_plan is not None else self.prefetch_depth
         if self.tracer.enabled:
             self.tracer.instant("spill", depth=cse.depth, io_mode=self.io_mode)
         if not self.budget.fits(self.meter.current_bytes, 0) and cse.depth > 1:
@@ -313,8 +200,6 @@ class StoragePolicy:
                     part_entries=(
                         io_plan.part_entries if io_plan is not None else 1 << 16
                     ),
-                    prefetch=self.prefetch,
-                    prefetch_depth=depth,
                 )
                 self.demoted_levels += 1
                 if self.tracer.enabled:
@@ -322,11 +207,8 @@ class StoragePolicy:
         return SpillingSink(
             store,
             synchronous=self.synchronous_io,
-            prefetch=self.prefetch,
             tag=f"vert{cse.depth + 1}",
-            queue_maxsize=self.queue_maxsize,
             dtype=dtype,
-            prefetch_depth=depth,
         )
 
     def sink_for_next_level(
@@ -341,8 +223,7 @@ class StoragePolicy:
         ``dtype`` is the produced level's id storage width (the planner
         derives it from the graph / edge-index size so ids past the
         ``int32`` boundary widen instead of overflowing).  When the level
-        spills, the adaptive scheduler (:meth:`plan_io`) picks its part
-        size and prefetch depth first.
+        spills, :meth:`plan_io` picks its part size first.
         """
         if not self.should_spill(predicted_entries, bytes_per_entry):
             return InMemorySink(dtype=dtype)

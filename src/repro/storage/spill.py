@@ -39,7 +39,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .meter import IOStats
 from .retry import RetryPolicy, is_disk_full_oserror, is_transient_oserror
-from .window import SlidingWindowReader
 
 __all__ = ["PartHandle", "PartStore", "SpilledLevel"]
 
@@ -87,8 +86,8 @@ class PartStore:
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        #: Observability hooks, shared with the writing queue and the
-        #: sliding-window reader layered over this store.
+        #: Observability hooks, shared with the writing queue layered
+        #: over this store.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         if directory is None:
@@ -320,15 +319,14 @@ class PartStore:
 class SpilledLevel:
     """A CSE level whose vertex array lives on disk in parts.
 
-    Satisfies the :class:`repro.core.cse.Level` protocol.  Sequential
-    iteration streams parts through a sliding window with one-part-ahead
-    prefetch (Figure 7's main part / candidate part scheme).
-
-    The part files are served as read-only memory maps: random block
-    decode gathers through a :class:`repro.core.shm.PartedVector` over
-    the maps, streaming iteration maps parts instead of deserializing
-    them, and worker processes attach to the very same files — a
-    spilled part IS the IPC buffer.
+    Satisfies the :class:`repro.core.cse.Level` protocol.  The part
+    files are served as read-only memory maps — the one read path:
+    random block decode gathers through a
+    :class:`repro.core.shm.PartedVector` over the maps, streaming
+    iteration maps one part at a time, and worker processes attach to
+    the very same files — a spilled part IS the IPC buffer.  Figure 7's
+    main part / candidate part window is left to the OS page cache and
+    its readahead rather than to prefetch threads.
     """
 
     def __init__(
@@ -336,15 +334,11 @@ class SpilledLevel:
         store: PartStore,
         parts: list[PartHandle],
         off: np.ndarray | None,
-        prefetch: bool = True,
-        prefetch_depth: int = 1,
         dtype: np.dtype | None = None,
     ) -> None:
         self.store = store
         self.parts = parts
         self.off = None if off is None else np.ascontiguousarray(off, dtype=np.int64)
-        self.prefetch = prefetch
-        self.prefetch_depth = prefetch_depth
         self._dtype = None if dtype is None else np.dtype(dtype)
         self._accessor = None
         self._length = sum(p.length for p in parts)
@@ -400,19 +394,12 @@ class SpilledLevel:
             self.store.verify(part)
 
     def iter_vert_chunks(self) -> Iterator[np.ndarray]:
-        reader = SlidingWindowReader(
-            self.store,
-            self.parts,
-            prefetch=self.prefetch,
-            depth=self.prefetch_depth,
-            loader=self.store.open_mmap,
-        )
-        yield from reader
+        for part in self.parts:
+            yield self.store.open_mmap(part)
 
     @property
     def nbytes_in_memory(self) -> int:
-        # Only the off array (plus one window part while iterating, which
-        # the engine accounts separately as its streaming buffer).
+        # Only the off array: parts are mapped, never copied in.
         return 0 if self.off is None else self.off.nbytes
 
     @property

@@ -1,6 +1,4 @@
-"""The adaptive I/O scheduler: plan_io math and StoragePolicy integration."""
-
-import numpy as np
+"""Spill-part sizing: plan_io math and StoragePolicy integration."""
 
 from repro.balance.predict import IOPlan, plan_io
 from repro.storage.hybrid import StoragePolicy
@@ -9,50 +7,16 @@ from repro.storage.spill import PartStore
 
 
 # ----------------------------------------------------------------------
-# plan_io: the pure scheduling function
+# plan_io: the pure sizing function
 # ----------------------------------------------------------------------
 def test_defaults_without_measurements():
     plan = plan_io(predicted_entries=10_000_000, bytes_per_entry=4)
-    assert plan.prefetch_depth == 1
     assert plan.part_entries == 1 << 16
-    assert plan.source == "default"
     assert plan.window_bytes == 2 * (1 << 16) * 4
 
 
-def test_depth_from_rate_ratio():
-    # Compute outruns the disk 3x: three candidate reads in flight.
-    plan = plan_io(
-        predicted_entries=10_000_000,
-        bytes_per_entry=4,
-        read_bps=100e6,
-        compute_bps=300e6,
-    )
-    assert plan.prefetch_depth == 3
-    assert plan.source == "measured"
-
-
-def test_depth_clamped_to_max():
-    plan = plan_io(
-        predicted_entries=10_000_000,
-        bytes_per_entry=4,
-        read_bps=1e6,
-        compute_bps=1e9,
-    )
-    assert plan.prefetch_depth == 8
-
-
-def test_fast_disk_keeps_depth_one():
-    plan = plan_io(
-        predicted_entries=10_000_000,
-        bytes_per_entry=4,
-        read_bps=1e9,
-        compute_bps=100e6,
-    )
-    assert plan.prefetch_depth == 1
-
-
 def test_headroom_bounds_part_size():
-    # A quarter of the headroom, split across (1 + depth) parts in flight.
+    # A quarter of the headroom, split across two parts.
     headroom = 16 << 20
     plan = plan_io(
         predicted_entries=100_000_000, bytes_per_entry=4, headroom_bytes=headroom
@@ -87,7 +51,7 @@ def test_as_dict_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# StoragePolicy: the stateful scheduler around it
+# StoragePolicy: the stateful planner around it
 # ----------------------------------------------------------------------
 def _policy(tmp_path, **kwargs):
     return StoragePolicy(
@@ -98,40 +62,14 @@ def _policy(tmp_path, **kwargs):
     )
 
 
-def test_fixed_mode_keeps_knobs(tmp_path):
-    policy = _policy(tmp_path, adaptive_io=False, prefetch_depth=3)
-    plan = policy.plan_io(10_000_000)
-    assert plan.source == "fixed"
-    assert plan.part_entries == 1 << 16
-    assert plan.prefetch_depth == 3
+def test_policy_plans_from_headroom(tmp_path):
+    policy = _policy(tmp_path, limit=16 << 20)
+    policy.meter.set("other", 8 << 20)
+    plan = policy.plan_io(100_000_000)
     assert policy.last_io_plan is plan
-
-
-def test_adaptive_mode_uses_observed_rates(tmp_path):
-    policy = _policy(tmp_path, adaptive_io=True)
-    store = policy.store
-    # Simulate a level that computed 4x faster than the disk delivered.
-    store.io.record("read", 100_000_000, 1.0)
-    policy.observe_level(emitted_entries=1000, emitted_bytes=400_000_000, seconds=1.0)
-    assert policy._read_bps is not None and policy._compute_bps is not None
-    plan = policy.plan_io(10_000_000)
-    assert plan.source == "measured"
-    assert plan.prefetch_depth == 4
-
-
-def test_observe_level_smooths(tmp_path):
-    policy = _policy(tmp_path, adaptive_io=True)
-    policy.observe_level(1000, 100.0, 1.0)
-    assert policy._compute_bps == 100.0
-    policy.observe_level(1000, 300.0, 1.0)
-    assert policy._compute_bps == 200.0  # alpha = 0.5
-
-
-def test_configured_depth_is_a_floor(tmp_path):
-    policy = _policy(tmp_path, adaptive_io=True, prefetch_depth=4)
-    plan = policy.plan_io(10_000_000)  # no measurements: plan says 1
-    assert plan.prefetch_depth == 4
-    assert plan.window_bytes == 5 * plan.part_entries * plan.bytes_per_entry
+    assert plan == plan_io(100_000_000, 4, headroom_bytes=8 << 20)
+    # Without a budget every spilled level is cut at the default size.
+    assert _policy(tmp_path).plan_io(100_000_000).part_entries == 1 << 16
 
 
 def test_engine_reports_io_plan(paper_graph, tmp_path):
@@ -148,5 +86,4 @@ def test_engine_reports_io_plan(paper_graph, tmp_path):
     plan = result.extra["io_plan"]
     assert plan is not None
     assert plan["part_entries"] >= 1 << 12
-    assert plan["prefetch_depth"] >= 1
-    assert plan["source"] in ("measured", "default", "fixed")
+    assert plan["window_bytes"] == 2 * plan["part_entries"] * plan["bytes_per_entry"]

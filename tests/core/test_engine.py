@@ -62,7 +62,6 @@ def test_spill_last_mode(paper_graph, tmp_path):
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     ) as engine:
         result = engine.run(CliqueDiscovery(3))
         assert result.value.count == 3

@@ -39,7 +39,6 @@ def test_spill_last_matches_memory(graph, app_factory, tmp_path):
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     )
     if isinstance(in_mem.value, dict):
         assert dict(in_mem.value) == dict(hybrid.value)
@@ -58,7 +57,6 @@ def test_budget_triggers_spill(graph, tmp_path):
         storage_mode="auto",
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     )
     assert dict(unlimited.value) == dict(capped.value)
     assert capped.extra["spilled_levels"] >= 1
@@ -83,26 +81,25 @@ def test_hybrid_memory_reduced(graph, tmp_path):
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     )
     assert dict(in_mem.value) == dict(hybrid.value)
 
 
-def test_async_prefetch_same_results(graph, tmp_path):
+def test_async_writer_same_results(graph, tmp_path):
     sync = _run(
         graph,
         MotifCounting(4),
         storage_mode="spill-last",
         spill_dir=str(tmp_path / "sync"),
         synchronous_io=True,
-        prefetch=False,
     )
-    fancy = _run(
+    background = _run(
         graph,
         MotifCounting(4),
         storage_mode="spill-last",
         spill_dir=str(tmp_path / "async"),
         synchronous_io=False,
-        prefetch=True,
     )
-    assert dict(sync.value) == dict(fancy.value)
+    assert dict(sync.value) == dict(background.value)
+    assert sync.level_sizes == background.level_sizes
+    assert sync.io_bytes_written == background.io_bytes_written

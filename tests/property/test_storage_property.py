@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.storage import (
     PartStore,
-    SlidingWindowReader,
     SpilledLevel,
     WritingQueue,
     load_cse,
@@ -43,14 +42,13 @@ def test_part_roundtrip_any_chunking(tmp_path_factory, chunks):
         min_size=1,
         max_size=6,
     ),
-    prefetch=st.booleans(),
 )
 @_slow
-def test_window_reader_preserves_order(tmp_path_factory, chunks, prefetch):
+def test_iter_vert_chunks_preserves_order(tmp_path_factory, chunks):
     store = PartStore(str(tmp_path_factory.mktemp("win")))
     handles = [store.save(np.asarray(c, dtype=np.int32)) for c in chunks]
-    reader = SlidingWindowReader(store, handles, prefetch=prefetch)
-    assert [c.tolist() for c in reader] == chunks
+    level = SpilledLevel(store, handles, None)
+    assert [c.tolist() for c in level.iter_vert_chunks()] == chunks
     store.close()
 
 
@@ -87,7 +85,7 @@ def test_spilled_level_off_consistency(tmp_path_factory, counts):
     # Split vert into two arbitrary parts.
     cut = total // 2
     handles = [store.save(vert[:cut]), store.save(vert[cut:])]
-    level = SpilledLevel(store, handles, off, prefetch=False)
+    level = SpilledLevel(store, handles, off)
     assert level.num_embeddings == total
     assert np.array_equal(level.vert_array(), vert)
     store.close()

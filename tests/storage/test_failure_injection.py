@@ -44,7 +44,7 @@ def test_sink_propagates_failure(tmp_path, paper_graph):
 
     store = FailingStore(str(tmp_path), allow=0)
     cse = CSE(np.arange(6))
-    sink = SpillingSink(store, synchronous=True, prefetch=False)
+    sink = SpillingSink(store, synchronous=True)
     with pytest.raises(StorageError):
         expand_vertex_level(paper_graph, cse, sink=sink)
 
@@ -63,7 +63,7 @@ def test_engine_error_leaves_no_partial_result(tmp_path, paper_graph, monkeypatc
     monkeypatch.setattr(hybrid.StoragePolicy, "sink_for_next_level",
                         lambda self, cse, predicted, bytes_per_entry=4, dtype=None:
                         broken_sink(self._ensure_store(),
-                                    synchronous=True, prefetch=False))
+                                    synchronous=True))
     engine = KaleidoEngine(
         paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     )

@@ -247,8 +247,8 @@ def test_engine_degrades_on_disk_full_and_stays_correct(tmp_path, paper_graph):
     )
     with engine:
         result = engine.run(MotifCounting(3))
-    assert result.extra["degradations"] == ["prefetch-off"]
-    assert result.extra["io_mode"] == "async+no-prefetch"
+    assert result.extra["degradations"] == ["synchronous-io"]
+    assert result.extra["io_mode"] == "sync"
     assert result.value == expected.value
     # The aborted attempt's partial parts were discarded; only the retried
     # level's files were ever live, and the run's result is untruncated.
@@ -263,7 +263,7 @@ def test_engine_exhausts_degradation_then_raises(tmp_path, paper_graph):
     )
     with engine, pytest.raises(DiskFullError):
         engine.run(MotifCounting(3))
-    assert engine._policy.degradations == ["prefetch-off", "synchronous-io"]
+    assert engine._policy.degradations == ["synchronous-io"]
 
 
 def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph):
@@ -274,7 +274,6 @@ def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph
         tmp_path,
         [FaultSpec(op="save", kind="permanent", at=2)],
         synchronous_io=True,
-        prefetch=False,
     )
     with engine, pytest.raises(StorageError):
         engine.run(MotifCounting(3))

@@ -93,6 +93,42 @@ def test_spilled_level_verify_sweeps_all_parts(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# SpilledLevel.iter_vert_chunks: parts streamed as maps, in order
+# ----------------------------------------------------------------------
+def _three_part_level(tmp_path):
+    store = PartStore(str(tmp_path))
+    handles = [store.save(np.arange(i, i + 5, dtype=np.int32)) for i in (0, 10, 20)]
+    return store, SpilledLevel(store, handles, None)
+
+
+def test_iter_vert_chunks_matches_vert_array(tmp_path):
+    _store, level = _three_part_level(tmp_path)
+    chunks = list(level.iter_vert_chunks())
+    assert len(chunks) == level.num_parts
+    assert all(isinstance(chunk, np.memmap) for chunk in chunks)
+    assert np.array_equal(np.concatenate(chunks), level.vert_array())
+
+
+def test_iter_vert_chunks_counts_reads(tmp_path):
+    store, level = _three_part_level(tmp_path)
+    before = store.io.bytes_read
+    for _ in level.iter_vert_chunks():
+        pass
+    assert store.io.bytes_read == before + level.nbytes_on_disk
+
+
+def test_iter_vert_chunks_raises_on_torn_part(tmp_path):
+    """A torn part raises at its own position in the stream: the parts
+    before it are served, nothing after it is."""
+    _store, level = _three_part_level(tmp_path)
+    _corrupt_file(level.parts[1].path, torn=True)
+    chunks = level.iter_vert_chunks()
+    assert next(chunks).tolist() == list(range(5))
+    with pytest.raises(CorruptPartError):
+        next(chunks)
+
+
+# ----------------------------------------------------------------------
 # Mmap-backed block decode
 # ----------------------------------------------------------------------
 def test_spilled_level_block_decode_matches_walk(paper_graph, tmp_path):

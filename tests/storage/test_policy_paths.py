@@ -33,7 +33,6 @@ def test_top_level_demotion_end_to_end(paper_graph, tmp_path):
         memory_limit_bytes=230,
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     ) as engine:
         result = engine.run(MotifCounting(4))
     assert result.extra["spilled_levels"] >= 1
@@ -52,7 +51,6 @@ def test_spill_last_end_to_end(paper_graph, tmp_path):
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
         synchronous_io=True,
-        prefetch=False,
     ) as engine:
         result = engine.run(MotifCounting(4))
     # 4-motif runs two expansion iterations; both levels must have spilled.
@@ -105,7 +103,7 @@ def test_writing_queue_discard_deletes_parts(tmp_path):
 
 def test_sink_abort_cleans_partial_level(tmp_path):
     store = PartStore(str(tmp_path))
-    sink = SpillingSink(store, synchronous=True, prefetch=False)
+    sink = SpillingSink(store, synchronous=True)
     sink.write_part(np.arange(5, dtype=np.int32), index=0)
     assert len(_spill_files(str(tmp_path))) == 1
     sink.abort()
@@ -129,7 +127,6 @@ def test_engine_failure_mid_level_cleans_spill_dir(paper_graph, tmp_path):
             storage_mode="spill-last",
             spill_dir=str(tmp_path),
             synchronous_io=True,
-            prefetch=False,
         ) as engine:
             engine.run(Boom(3))
     assert _spill_files(str(tmp_path)) == []

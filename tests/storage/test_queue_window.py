@@ -1,17 +1,10 @@
-"""Unit tests for the WritingQueue and SlidingWindowReader."""
+"""Unit tests for the WritingQueue."""
 
 import numpy as np
 import pytest
 
-from repro.errors import CorruptPartError, StorageError
-from repro.storage import (
-    FaultPlan,
-    FaultSpec,
-    FaultyPartStore,
-    PartStore,
-    SlidingWindowReader,
-    WritingQueue,
-)
+from repro.errors import StorageError
+from repro.storage import FaultPlan, FaultSpec, FaultyPartStore, PartStore, WritingQueue
 
 
 @pytest.mark.parametrize("synchronous", [True, False])
@@ -55,7 +48,7 @@ def test_queue_tracks_io(tmp_path):
     assert store.io.bytes_written > 400
 
 
-def test_queue_maxsize_validated_and_bounded(tmp_path):
+def test_queue_bound_validated_and_enforced(tmp_path):
     store = PartStore(str(tmp_path))
     with pytest.raises(ValueError):
         WritingQueue(store, maxsize=0)
@@ -65,22 +58,6 @@ def test_queue_maxsize_validated_and_bounded(tmp_path):
         queue.submit(np.full(3, i, dtype=np.int32))
     handles = queue.close()
     assert [store.load(h)[0] for h in handles] == list(range(6))
-
-
-def test_queue_maxsize_threaded_from_policy(tmp_path):
-    from repro.storage import MemoryBudget, MemoryMeter, StoragePolicy
-    from repro.core import CSE
-
-    policy = StoragePolicy(
-        MemoryBudget(None),
-        MemoryMeter(),
-        store=PartStore(str(tmp_path)),
-        force_spill_last=True,
-        queue_maxsize=3,
-    )
-    sink = policy.make_sink(CSE([0, 1, 2]))
-    assert sink._queue.maxsize == 3
-    sink.abort()
 
 
 def test_discard_after_writer_error_deletes_all_parts(tmp_path):
@@ -97,79 +74,3 @@ def test_discard_after_writer_error_deletes_all_parts(tmp_path):
     assert not list(tmp_path.glob("*.npy"))
     assert not list(tmp_path.glob("*.tmp"))
 
-
-def test_window_reader_orders(tmp_path):
-    store = PartStore(str(tmp_path))
-    handles = [store.save(np.full(3, i, dtype=np.int32)) for i in range(5)]
-    for prefetch in (False, True):
-        reader = SlidingWindowReader(store, handles, prefetch=prefetch)
-        seen = [chunk.tolist() for chunk in reader]
-        assert seen == [[i] * 3 for i in range(5)]
-
-
-def test_window_reader_empty(tmp_path):
-    store = PartStore(str(tmp_path))
-    assert list(SlidingWindowReader(store, [], prefetch=True)) == []
-
-
-def test_window_reader_single_part(tmp_path):
-    store = PartStore(str(tmp_path))
-    handles = [store.save(np.arange(7, dtype=np.int32))]
-    chunks = list(SlidingWindowReader(store, handles, prefetch=True))
-    assert len(chunks) == 1 and chunks[0].tolist() == list(range(7))
-
-
-def test_window_reader_propagates_errors(tmp_path):
-    import os
-
-    store = PartStore(str(tmp_path))
-    handles = [store.save(np.arange(3, dtype=np.int32)) for _ in range(3)]
-    os.remove(handles[1].path)
-    reader = SlidingWindowReader(store, handles, prefetch=True)
-    with pytest.raises(Exception):
-        list(reader)
-
-
-def test_window_reader_prefetch_error_surfaces_at_consumer(tmp_path):
-    """A load failing on the prefetch thread re-raises on the consuming
-    iterator at the failed part's position — never lost in the background."""
-    plan = FaultPlan([FaultSpec(op="load", kind="corrupt", at=2)])
-    store = FaultyPartStore(str(tmp_path), plan=plan)
-    handles = [store.save(np.full(3, i, dtype=np.int32)) for i in range(3)]
-    it = iter(SlidingWindowReader(store, handles, prefetch=True))
-    assert next(it).tolist() == [0, 0, 0]  # part 1 fine; part 2 prefetching
-    with pytest.raises(CorruptPartError):
-        next(it)
-
-
-def test_window_reader_depth(tmp_path):
-    store = PartStore(str(tmp_path))
-    handles = [store.save(np.full(3, i, dtype=np.int32)) for i in range(6)]
-    reader = SlidingWindowReader(store, handles, prefetch=True, depth=2)
-    assert reader.window_parts == 3
-    assert [c[0] for c in reader] == list(range(6))
-    assert SlidingWindowReader(store, handles, depth=0).window_parts == 1
-    assert SlidingWindowReader(store, handles, prefetch=False).window_parts == 1
-    with pytest.raises(ValueError):
-        SlidingWindowReader(store, handles, depth=-1)
-
-
-def test_window_reader_hides_io(tmp_path):
-    """Prefetch keeps total wall time under serial load+consume time."""
-    import time
-
-    store = PartStore(str(tmp_path))
-    handles = [store.save(np.arange(50_000, dtype=np.int32)) for _ in range(4)]
-
-    def consume(reader):
-        total = 0
-        for chunk in reader:
-            time.sleep(0.02)  # simulated compute per window
-            total += int(chunk[0])
-        return total
-
-    # Only assert equivalence of results; timing assertions on shared CI
-    # boxes are flaky, the I/O overlap is demonstrated in the benchmarks.
-    a = consume(SlidingWindowReader(store, handles, prefetch=False))
-    b = consume(SlidingWindowReader(store, handles, prefetch=True))
-    assert a == b

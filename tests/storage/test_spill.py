@@ -52,10 +52,10 @@ def test_load_missing_part(tmp_path):
         store.load(handle)
 
 
-def _spilled(tmp_path, chunks, off=None, prefetch=False):
+def _spilled(tmp_path, chunks, off=None):
     store = PartStore(str(tmp_path))
     handles = [store.save(np.asarray(c, dtype=np.int32)) for c in chunks]
-    return store, SpilledLevel(store, handles, off, prefetch=prefetch)
+    return store, SpilledLevel(store, handles, off)
 
 
 def test_spilled_level_basics(tmp_path):
@@ -82,16 +82,6 @@ def test_spilled_level_drop(tmp_path):
     level.drop()
     assert level.num_embeddings == 0
     assert all(not os.path.exists(p) for p in paths)
-
-
-def test_spilled_level_prefetch_equivalent(tmp_path):
-    off = np.arange(0, 13, 3, dtype=np.int64)
-    chunks = [np.arange(i, i + 3) for i in range(0, 12, 3)]
-    store1, plain = _spilled(tmp_path / "a", chunks, off, prefetch=False)
-    store2, fetched = _spilled(tmp_path / "b", chunks, off, prefetch=True)
-    a = [c.tolist() for c in plain.iter_vert_chunks()]
-    b = [c.tolist() for c in fetched.iter_vert_chunks()]
-    assert a == b
 
 
 def test_empty_spilled_level(tmp_path):

@@ -67,26 +67,21 @@ def test_mine_spill_options(tmp_path, capsys):
 
 
 def test_mine_io_plan_flags(tmp_path, capsys):
+    # Part size is planned from the memory budget; there is no I/O knob.
     parser = build_parser()
-    args = parser.parse_args(
-        ["mine", "tc", "--dataset", "citeseer",
-         "--prefetch-depth", "3", "--io-plan", "fixed"]
-    )
-    assert args.prefetch_depth == 3
-    assert args.io_plan == "fixed"
-    # Defaults: adaptive scheduling, single-part lookahead.
-    args = parser.parse_args(["mine", "tc", "--dataset", "citeseer"])
-    assert args.prefetch_depth == 1
-    assert args.io_plan == "adaptive"
+    for flag in (["--prefetch-depth", "2"], ["--io-plan", "fixed"],
+                 ["--queue-maxsize", "4"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["mine", "tc", "--dataset", "citeseer", *flag])
+    capsys.readouterr()
     # End to end: a spilled run reports the plan it chose.
     assert main(
         ["mine", "motif", "-k", "3", "--dataset", "citeseer", "--profile", "tiny",
-         "--storage", "spill-last", "--spill-dir", str(tmp_path),
-         "--prefetch-depth", "2", "--json"]
+         "--storage", "spill-last", "--spill-dir", str(tmp_path), "--json"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["io_plan"] is not None
-    assert payload["io_plan"]["prefetch_depth"] >= 2
+    assert payload["io_mode"] == "async"
+    assert payload["io_plan"]["part_entries"] >= 1 << 12
 
 
 def test_run_alias_with_trace_exports(tmp_path, capsys):

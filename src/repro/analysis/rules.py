@@ -54,9 +54,8 @@ R006      Lock discipline: classes in ``service/``, ``core/executor.py``
           in-class call site holds the lock is itself lock-context
           (the same closure machinery as R001's hot-method set).
           ``__init__`` is exempt — the object is not yet shared.
-R007      Resource lifecycle: every ``SharedMemory`` /
-          ``SharedKernelContext`` / ``open_mmap`` / ``NamedTemporaryFile``
-          acquisition bound to a local in ``core/shm.py``,
+R007      Resource lifecycle: every ``SharedMemory`` / ``open_mmap`` /
+          ``NamedTemporaryFile`` acquisition bound to a local in
           ``core/executor.py`` or ``storage/`` must reach a ``close()``
           or ``unlink()`` on **all** control-flow paths (try/finally,
           ``with``, or a registered ``weakref.finalize``), checked over
@@ -505,7 +504,7 @@ class DeterminismRule(Rule):
 class TracerGuardRule(Rule):
     id = "R003"
     title = "tracer probes in hot paths must check tracer.enabled"
-    scope = ("core/kernels.py", "core/explore.py", "core/shm.py", "storage/")
+    scope = ("core/kernels.py", "core/explore.py", "storage/")
 
     PROBES = frozenset({"begin", "end", "instant", "complete"})
 
@@ -583,7 +582,6 @@ class DtypeDisciplineRule(Rule):
         "core/plan.py",
         "core/explore.py",
         "core/restrictions.py",
-        "core/shm.py",
         "storage/spill.py",
         "storage/hybrid.py",
         "storage/checkpoint.py",
@@ -912,11 +910,11 @@ class LockDisciplineRule(Rule):
 class ResourceLifecycleRule(Rule):
     id = "R007"
     title = "acquired shm/mmap/tempfile resources must be released on all paths"
-    scope = ("core/shm.py", "core/executor.py", "storage/")
+    scope = ("core/executor.py", "storage/")
 
     #: Constructor names whose result owns an OS-level resource.
     ACQUIRE_CONSTRUCTORS = frozenset(
-        {"SharedMemory", "SharedKernelContext", "NamedTemporaryFile", "TemporaryFile"}
+        {"SharedMemory", "NamedTemporaryFile", "TemporaryFile"}
     )
     #: Method names that hand out an owned resource.
     ACQUIRE_METHODS = frozenset({"open_mmap"})

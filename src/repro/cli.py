@@ -74,9 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         choices=list(EXECUTOR_CHOICES),
-        help="part executor: 'serial' (work-stealing replay, default), "
-        "'threads' (real thread pool of --workers threads), or 'processes' "
-        "(real spawn-based process pool of --workers workers)",
+        help="part executor: 'serial' (work-stealing replay, default) or "
+        "'threads' (real thread pool of --workers threads)",
     )
     mine.add_argument("--memory-limit-mb", type=float, default=None)
     mine.add_argument("--spill-dir", default=None)

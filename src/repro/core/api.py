@@ -68,10 +68,8 @@ PatternMap = dict[int, Any]
 #: ``edge_v`` endpoints) — so a filter never has to carry graph arrays
 #: itself.  Returns a ``bool`` array, one entry per pair.
 #:
-#: A filter must be a pure function of its arguments and picklable (a
-#: module-level function or an instance of a module-level class holding
-#: only its own lookup tables): it rides each part's task pickle to the
-#: process executor, and the engine calls it from pool threads.
+#: A filter must be a pure function of its arguments (holding only its
+#: own lookup tables): the engine calls it from pool threads.
 BlockFilter = Callable[[Any, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -139,7 +137,7 @@ class MiningApplication:
         (the default) to accept every canonical extension.
 
         Called once per run, after ``init`` — build lookup tables there
-        and return the (picklable, pure) filter object here; the
+        and return the (pure) filter object here; the
         expansion kernels apply it to each chunk's canonical survivors
         on every executor."""
         return None

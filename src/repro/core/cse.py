@@ -34,11 +34,11 @@ def decode_block_arrays(verts, offs, start: int, end: int) -> np.ndarray:
     """Decode embeddings ``start..end`` from raw per-level accessors.
 
     ``verts[l]`` is anything supporting a fancy gather with an int64
-    position array (an ndarray, a shared-memory view, or a
-    :class:`repro.core.shm.PartedVector` over memmapped spill parts);
+    position array (an ndarray, or a
+    :class:`repro.storage.spill.PartedVector` over memmapped spill parts);
     ``offs[l]`` is the level's offset ndarray (``None`` at the root).
-    This is the worker-side decode used by zero-copy block tasks, and the
-    single implementation :meth:`CSE.decode_block` delegates to.
+    This is the single implementation :meth:`CSE.decode_block` delegates
+    to.
     """
     positions = np.arange(start, end, dtype=np.int64)
     columns: list[np.ndarray] = []

@@ -126,9 +126,7 @@ class KaleidoEngine:
     executor:
         ``"serial"`` (default: serial execution replayed through the
         work-stealing model), ``"threads"`` (a real thread pool of
-        ``workers`` threads), ``"processes"`` (a real spawn-based process
-        pool of ``workers`` workers for the vectorized block tasks; other
-        stages run inline), or any :class:`PartExecutor` instance.  Part
+        ``workers`` threads), or any :class:`PartExecutor` instance.  Part
         results are merged in part order, so every executor produces
         identical mining results.  Executors resolved from a spec string
         are closed with the engine; instances are caller-owned.

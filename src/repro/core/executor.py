@@ -3,7 +3,7 @@ pipeline.
 
 The planner (:mod:`repro.core.plan`) cuts a level into contiguous parts;
 an executor runs one task per part and hands the per-part results back in
-*part order*, whatever order they finished in.  Four executors ship:
+*part order*, whatever order they finished in.  Three executors ship:
 
 * :class:`SerialExecutor` — runs parts one after another on the calling
   thread and reports the real one-worker timeline.
@@ -12,15 +12,8 @@ an executor runs one task per part and hands the per-part results back in
   spill I/O release the GIL); completed parts are delivered to the caller's
   ``on_result`` callback from the coordinating thread as they finish, so
   sinks never need locks, and the reported schedule carries the measured
-  wall-clock intervals.
-* :class:`ProcessExecutor` — a spawn-based
-  :class:`concurrent.futures.ProcessPoolExecutor` for the GIL-free hot
-  path.  The graph's kernel context is shipped to each worker *once*
-  through the pool initializer; each task's pickle then carries only its
-  embedding block, and results come back as pickled
-  :class:`~repro.core.explore.PartExpansion` objects.  Tasks that carry no
-  shared context (aggregation closures, scalar-fallback parts over
-  unpicklable graph objects) run inline on the coordinating thread.
+  wall-clock intervals.  Like the paper's Kaleido, real parallelism is
+  per-thread parts over one shared graph in one process.
 * :class:`SimulatedSchedule` — wraps another executor (serial by default)
   and replays its measured part durations through the deterministic
   work-stealing model (:func:`repro.balance.simulate_work_stealing`).
@@ -34,25 +27,20 @@ it always happens in part-index order.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
 from concurrent import futures as _futures
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Iterable
 
 from ..balance.worksteal import Schedule, TaskInterval, simulate_work_stealing
 from ..obs.trace import Tracer
-from . import kernels, shm
 
 __all__ = [
     "ExecutionReport",
     "PartExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "SimulatedSchedule",
     "emit_part_spans",
     "resolve_executor",
@@ -204,8 +192,7 @@ class ThreadedExecutor(PartExecutor):
     schedule holds the measured wall-clock intervals, with each pool thread
     mapped to a stable worker slot.
 
-    The worker pool *persists across* ``run`` calls (matching
-    :class:`ProcessExecutor`'s pool-reuse semantics): it is created
+    The worker pool *persists across* ``run`` calls: it is created
     lazily on the first run and only released by :meth:`close` — per-run
     pool spin-up is pure overhead once an executor serves many runs, as
     under the service tier's shared-pool model.  With ``max_workers``
@@ -348,195 +335,8 @@ class ThreadedExecutor(PartExecutor):
         return report
 
 
-def _timed_process_task(index: int, task: Callable[[], Any]):
-    """Worker-side wrapper: run one task and report monotonic timestamps.
-
-    ``time.monotonic`` is CLOCK_MONOTONIC — system-wide, so the child's
-    timestamps are directly comparable with the coordinator's epoch (a
-    per-process clock like ``perf_counter`` would not be).
-    """
-    started = time.monotonic()
-    result = task()
-    ended = time.monotonic()
-    return index, result, started, ended, os.getpid()
-
-
-def _contexts_match(a: Any, b: Any) -> bool:
-    """Whether two kernel contexts describe the same data.
-
-    Keys on :func:`repro.core.shm.context_fingerprint` — a content hash
-    memoized per array object — rather than ndarray identity, so a warm
-    process pool survives a context rebuilt around equal arrays (two
-    ``engine.run`` calls on one engine reuse one pool).  The common case
-    (same cached graph arrays, hence memo hits) never re-reads contents.
-    """
-    if a is b:
-        return True
-    if a is None or b is None or type(a) is not type(b):
-        return False
-    return shm.context_fingerprint(a) == shm.context_fingerprint(b)
-
-
-class ProcessExecutor(PartExecutor):
-    """Real process-pool execution of block tasks (no GIL, own memory).
-
-    Workers are spawned (fork-safety: the coordinator holds live threads
-    and numpy state) and each attaches to the run's *shared context* — the
-    kernel's graph-array bundle, read off the first task's
-    ``shared_context`` attribute, exported once into a
-    :class:`repro.core.shm.SharedKernelContext` segment — by name via the
-    pool initializer (:func:`repro.core.kernels.install_worker_context`).
-    Task pickles then carry only block *bounds* (the expansion driver
-    shares the CSE level arrays the same way); results return as pickled
-    :class:`~repro.core.explore.PartExpansion` objects.
-
-    The pool persists across ``run`` calls (one spawn per engine run, not
-    per level) and is rebuilt only when the context *contents* or the
-    worker count change — :func:`_contexts_match` keys on content
-    fingerprints, so per-level context rebuilds keep the warm pool.
-    Tasks *without* a shared context — aggregation closures,
-    scalar-fallback parts closing over unpicklable graph objects — run
-    inline on the coordinating thread instead, so the executor is a
-    drop-in for every engine stage.  Call :meth:`close` (the engine does)
-    to reap the workers and unlink the shared segment — close is safe to
-    call repeatedly and runs on mid-run failures too, so crash paths
-    leak nothing.
-    """
-
-    name = "processes"
-
-    #: The expansion driver checks this to share CSE levels by name
-    #: instead of pickling decoded blocks into every task.
-    zero_copy = True
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-        self._pool: _futures.ProcessPoolExecutor | None = None
-        self._pool_ctx: Any = None
-        self._pool_size = 0
-        self._shared_ctx: "shm.SharedKernelContext | None" = None
-        #: Spawn count, observable by pool-reuse regression tests.
-        self.pools_created = 0
-
-    def _ensure_pool(self, ctx: Any, pool_size: int) -> _futures.ProcessPoolExecutor:
-        if (
-            self._pool is not None
-            and self._pool_size == pool_size
-            and _contexts_match(self._pool_ctx, ctx)
-        ):
-            return self._pool
-        self.close()
-        fingerprint = shm.context_fingerprint(ctx)
-        initarg: Any = ctx
-        try:
-            self._shared_ctx = shm.SharedKernelContext(ctx, fingerprint=fingerprint)
-            initarg = self._shared_ctx.handle
-        except OSError:  # no shared memory on this platform: ship the pickle
-            self._shared_ctx = None
-        self._pool = _futures.ProcessPoolExecutor(
-            max_workers=pool_size,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=kernels.install_worker_context,
-            initargs=(initarg,),
-        )
-        self.pools_created += 1
-        self._pool_ctx = ctx
-        self._pool_size = pool_size
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-            self._pool_ctx = None
-            self._pool_size = 0
-        if self._shared_ctx is not None:
-            # After the workers are gone: unlink exactly once (idempotent).
-            self._shared_ctx.close()
-            self._shared_ctx = None
-
-    def run(
-        self,
-        tasks: Iterable[Callable[[], Any]],
-        workers: int = 1,
-        on_result: ResultCallback | None = None,
-        tracer: "Tracer | None" = None,
-        phase: str = "execute",
-    ) -> ExecutionReport:
-        task_iter = iter(tasks)
-        try:
-            first = next(task_iter)
-        except StopIteration:
-            return ExecutionReport(schedule=Schedule(num_workers=1))
-        ctx = getattr(first, "shared_context", None)
-        if ctx is None:
-            # Not a block task (aggregation / scalar fallback): these
-            # close over unpicklable state, so run them in-process.
-            return SerialExecutor().run(
-                chain([first], task_iter),
-                workers=workers,
-                on_result=on_result,
-                tracer=tracer,
-                phase=phase,
-            )
-
-        pool_size = self.max_workers if self.max_workers is not None else max(1, workers)
-        base = tracer.now() if tracer is not None and tracer.enabled else 0.0
-        pool = self._ensure_pool(ctx, pool_size)
-        epoch = time.monotonic()
-
-        # Bounded in-flight window, as in ThreadedExecutor: blocks are
-        # decoded lazily as tasks are pulled, so keep at most ~2x the
-        # pool pickled/queued at once.
-        window = 2 * pool_size
-        indexed = enumerate(chain([first], task_iter))
-        records: dict[int, tuple[Any, float, float, int]] = {}
-
-        def fill(pending: set) -> None:
-            while len(pending) < window:
-                try:
-                    index, task = next(indexed)
-                except StopIteration:
-                    return
-                pending.add(pool.submit(_timed_process_task, index, task))
-
-        pending: set = set()
-        try:
-            fill(pending)
-            while pending:
-                done, pending = _futures.wait(
-                    pending, return_when=_futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    index, result, started, ended, pid = future.result()
-                    records[index] = (result, started - epoch, ended - epoch, pid)
-                    if on_result is not None:
-                        on_result(index, result)
-                fill(pending)
-        except BaseException:
-            # A worker crash (BrokenProcessPool) poisons the pool; drop
-            # it so a later run can rebuild cleanly.
-            self.close()
-            raise
-
-        report = ExecutionReport(schedule=Schedule(num_workers=pool_size))
-        slots: dict[int, int] = {}
-        for index in range(len(records)):
-            result, started, ended, pid = records[index]
-            slot = slots.setdefault(pid, len(slots))
-            report.results.append(result)
-            report.durations.append(ended - started)
-            report.schedule.intervals.append(
-                TaskInterval(worker=slot, start=started, end=ended, task_index=index)
-            )
-        emit_part_spans(tracer, report.schedule, phase, base)
-        return report
-
-
 #: Executor specs accepted by the engine and the CLI's ``--executor`` flag.
-EXECUTOR_CHOICES = ("serial", "threads", "processes")
+EXECUTOR_CHOICES = ("serial", "threads")
 
 
 def resolve_executor(spec: "str | PartExecutor") -> PartExecutor:
@@ -545,8 +345,7 @@ def resolve_executor(spec: "str | PartExecutor") -> PartExecutor:
     ``"serial"`` is the default: serial execution with the work-stealing
     replay (:class:`SimulatedSchedule` around :class:`SerialExecutor`).
     ``"threads"`` runs parts on a real thread pool sized to the engine's
-    worker count; ``"processes"`` on a real spawn-based process pool
-    (block tasks only — other stages run inline).
+    worker count.
     """
     if isinstance(spec, PartExecutor):
         return spec
@@ -554,8 +353,6 @@ def resolve_executor(spec: "str | PartExecutor") -> PartExecutor:
         return SimulatedSchedule(SerialExecutor())
     if spec == "threads":
         return ThreadedExecutor()
-    if spec == "processes":
-        return ProcessExecutor()
     raise ValueError(
         f"unknown executor {spec!r} (choose from {', '.join(EXECUTOR_CHOICES)})"
     )

@@ -10,9 +10,9 @@ Expansion is partitioned: the caller supplies contiguous part boundaries
 over the current top level (either an even split or the prediction-driven
 split from :mod:`repro.balance`), and each part becomes one executor task
 so a :class:`repro.core.executor.PartExecutor` can run parts in any order
-— serially, on a thread pool, on a process pool, or under the
-work-stealing replay — with results merged deterministically in
-part-index order.  There is one production path and one oracle:
+— serially, on a thread pool, or under the work-stealing replay — with
+results merged deterministically in part-index order.  There is one
+production path and one oracle:
 
 * the **vectorized kernel** (:func:`repro.core.kernels.expand_block`):
   each part's embeddings are decoded straight off the CSE ``off``/``vert``
@@ -347,68 +347,26 @@ def expand_edge_part(
 # ----------------------------------------------------------------------
 # Vectorized block tasks (one per part, shipped whole to executors)
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
 class BlockTask:
     """One part's vectorized expansion: a decoded block plus its bounds.
 
     Instances are the executor's unit of work on the kernel path, for
-    both exploration modes (the context's kind picks the gather).  The
-    kernel context (the graph's CSR arrays) rides along locally for
-    in-process executors, but is *stripped on pickle*: a
-    :class:`~repro.core.executor.ProcessExecutor` reads
-    ``shared_context`` once, installs it in every worker through the pool
-    initializer, and the unpickled task looks it up via
-    :func:`repro.core.kernels.current_worker_context` — so each task's
-    pickle carries only its block.
+    both exploration modes (the context's kind picks the gather).
+    ``block_filter`` is the application's filter (or None); graph arrays
+    reach it through the kernel context.
     """
 
-    def __init__(
-        self,
-        ctx,
-        block: np.ndarray | None,
-        bound: tuple[int, int],
-        index: int,
-        level_handle=None,
-        block_filter=None,
-    ) -> None:
-        self.shared_context = ctx
-        self.block = block
-        self.bound = bound
-        self.index = index
-        #: The application's block filter (or None); rides the pickle —
-        #: graph arrays reach it through the kernel context, so it
-        #: carries only its own tables.
-        self.block_filter = block_filter
-        #: Zero-copy mode: a :class:`repro.core.shm.SharedLevelsHandle`
-        #: naming the CSE level arrays.  ``block`` is then ``None`` and
-        #: the *worker* decodes its own bounds from the shared views, so
-        #: the pickle carries no embedding data at all.
-        self.level_handle = level_handle
-
-    def __getstate__(self) -> dict:
-        return {
-            "block": self.block,
-            "bound": self.bound,
-            "index": self.index,
-            "level_handle": self.level_handle,
-            "block_filter": self.block_filter,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.shared_context = None
+    ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext"
+    block: np.ndarray
+    bound: tuple[int, int]
+    index: int
+    block_filter: "BlockFilter | None" = None
 
     def __call__(self) -> PartExpansion:
-        ctx = self.shared_context
-        if ctx is None:
-            ctx = kernels.current_worker_context()
-        block = self.block
-        if block is None:
-            from . import shm
-            from .cse import decode_block_arrays
-
-            verts, offs = shm.attach_levels(self.level_handle)
-            block = decode_block_arrays(verts, offs, *self.bound)
-        vert, counts, examined = kernels.expand_block(ctx, block, self.block_filter)
+        vert, counts, examined = kernels.expand_block(
+            self.ctx, self.block, self.block_filter
+        )
         return PartExpansion(
             index=self.index,
             bound=self.bound,
@@ -438,48 +396,22 @@ def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
     return factory
 
 
-def _block_task_factory(cse: CSE, ctx, share=None, block_filter=None):
+def _block_task_factory(cse: CSE, ctx, block_filter=None):
     """Tasks that decode each part as one 2-D block (kernel path).
 
     Decoding happens as the executor pulls each task, so at most a
     bounded number of blocks (the executor's in-flight window) exist at
     once; ``block_filter`` is the application's keep-mask over each
-    chunk's survivors.  With ``share`` (a :class:`repro.core.shm.LevelShare`
-    from :func:`~repro.core.shm.export_levels`) no block is decoded here
-    at all: tasks carry only their bounds and workers decode from the
-    shared level views.
+    chunk's survivors.
     """
 
     def factory(parts: Sequence[tuple[int, int]]):
         for index, (start, end) in enumerate(parts):
-            block = None if share is not None else cse.decode_block(start, end)
             yield BlockTask(
-                ctx,
-                block,
-                (start, end),
-                index,
-                level_handle=None if share is None else share.handle,
-                block_filter=block_filter,
+                ctx, cse.decode_block(start, end), (start, end), index, block_filter
             )
 
     return factory
-
-
-def _maybe_share_levels(cse: CSE, executor):
-    """Export the CSE levels for a zero-copy executor, if there is one.
-
-    Returns a :class:`repro.core.shm.LevelShare` (the caller must close
-    it after the run) when the executor advertises ``zero_copy`` and
-    every level is shareable — in-memory levels go into one shared
-    segment, mmap-backed spilled levels ride as part-file names.  Any
-    other executor, or an unshareable level, returns ``None`` and the
-    driver decodes blocks coordinator-side as before.
-    """
-    if not getattr(executor, "zero_copy", False):
-        return None
-    from . import shm
-
-    return shm.export_levels(cse)
 
 
 # ----------------------------------------------------------------------
@@ -633,17 +565,12 @@ def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, boun
 def _run_kernel_expansion(
     cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
 ) -> ExpansionStats:
-    """Kernel path of both ``expand_*_level`` functions: share the levels
-    with a zero-copy executor (if any) and run one block task per part."""
-    share = _maybe_share_levels(cse, executor)
-    try:
-        return _run_expansion(
-            cse, parts, sink, executor, workers,
-            _block_task_factory(cse, ctx, share, block_filter), tracer, dtype,
-        )
-    finally:
-        if share is not None:
-            share.close()
+    """Kernel path of both ``expand_*_level`` functions: one block task
+    per part."""
+    return _run_expansion(
+        cse, parts, sink, executor, workers,
+        _block_task_factory(cse, ctx, block_filter), tracer, dtype,
+    )
 
 
 def _check_parts(parts: Sequence[tuple[int, int]], total: int) -> None:

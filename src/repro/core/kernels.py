@@ -55,12 +55,6 @@ so the kernel runs unless the caller passes ``use_kernels=False``,
 which selects the scalar loops in :mod:`repro.core.explore`: the
 independent parity oracle, calling the same block filter with one-row
 blocks.
-
-The :class:`VertexKernelContext` / :class:`EdgeKernelContext` bundles are
-plain picklable dataclasses so a :class:`repro.core.executor.ProcessExecutor`
-can ship the graph arrays to each worker once (via
-:func:`install_worker_context` in the pool initializer) instead of once
-per task.
 """
 
 from __future__ import annotations
@@ -81,8 +75,6 @@ __all__ = [
     "edge_kernel_context",
     "expand_block",
     "call_block_filter",
-    "install_worker_context",
-    "current_worker_context",
 ]
 
 #: Gathered ``(row, candidate)`` pairs per internal chunk.  Chunks are cut
@@ -127,7 +119,7 @@ DEFAULT_ID_DTYPE = id_dtype(0)
 # ----------------------------------------------------------------------
 @dataclass
 class VertexKernelContext:
-    """Vertex-mode arrays for :func:`expand_block`, picklable."""
+    """Vertex-mode arrays for :func:`expand_block`."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -165,7 +157,7 @@ class VertexKernelContext:
 
 @dataclass
 class EdgeKernelContext:
-    """Edge-mode arrays for :func:`expand_block`, picklable."""
+    """Edge-mode arrays for :func:`expand_block`."""
 
     edge_u: np.ndarray
     edge_v: np.ndarray
@@ -204,9 +196,7 @@ def vertex_kernel_context(
     """Build the vertex-mode array bundle from a graph.
 
     The packed views come from the graph's caches, so every context
-    built from the same graph shares the same array objects — which is
-    what lets :class:`~repro.core.executor.ProcessExecutor` reuse its
-    pool across levels (context matching is by array identity).
+    built from the same graph shares the same array objects.
     """
     return VertexKernelContext(
         indptr=graph.indptr,
@@ -481,43 +471,3 @@ def _expand_chunk(
         cands = cands[mask]
     counts = np.bincount(rows, minlength=rows_total)
     return cands.astype(ctx.out_dtype), counts, examined
-
-
-# ----------------------------------------------------------------------
-# Per-process shared context (ProcessExecutor worker side)
-# ----------------------------------------------------------------------
-_WORKER_CONTEXT: "VertexKernelContext | EdgeKernelContext | None" = None
-
-#: Keeps the worker's shared-memory mapping alive for as long as the
-#: installed context's array views point into it.
-_WORKER_SEGMENT = None
-
-
-def install_worker_context(ctx) -> None:
-    """Pool-initializer hook: stash the kernel context in this process.
-
-    :class:`~repro.core.executor.ProcessExecutor` passes either the
-    context itself or — on the zero-copy path — a
-    :class:`repro.core.shm.SharedContextHandle` naming a shared-memory
-    segment; in that case the worker attaches by name and rebuilds the
-    context as read-only views, so no graph arrays cross the pipe.
-    Block tasks shipped to the worker then look the context up here
-    instead of carrying the arrays in every pickle.
-    """
-    global _WORKER_CONTEXT, _WORKER_SEGMENT
-    from . import shm  # lazy: shm imports this module at its top level
-
-    if isinstance(ctx, shm.SharedContextHandle):
-        ctx, _WORKER_SEGMENT = shm.attach_context(ctx)
-    _WORKER_CONTEXT = ctx
-
-
-def current_worker_context():
-    """The context installed by :func:`install_worker_context`."""
-    if _WORKER_CONTEXT is None:
-        raise RuntimeError(
-            "no kernel context installed in this process; block tasks must "
-            "run under a ProcessExecutor pool initializer or carry a local "
-            "context"
-        )
-    return _WORKER_CONTEXT

@@ -40,7 +40,7 @@ from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .meter import IOStats
 from .retry import RetryPolicy, is_disk_full_oserror, is_transient_oserror
 
-__all__ = ["PartHandle", "PartStore", "SpilledLevel"]
+__all__ = ["PartHandle", "PartStore", "PartedVector", "SpilledLevel"]
 
 logger = logging.getLogger("repro.storage")
 
@@ -316,15 +316,69 @@ class PartStore:
         self.close()
 
 
+class PartedVector:
+    """A read-only virtual concatenation of per-part 1-D arrays.
+
+    The block decoder's only access pattern is a fancy gather with a
+    position array, so a spilled level never needs a physical
+    concatenation: ``searchsorted`` over the part starts routes each
+    position to its part (one sliced gather per contiguous run), and the
+    parts themselves are ``np.memmap`` views straight over the spill
+    files — reads hit the page cache, not a deserializer.
+    """
+
+    def __init__(self, arrays, dtype: np.dtype | None = None) -> None:
+        self._arrays = list(arrays)
+        lengths = np.array(
+            [int(a.shape[0]) for a in self._arrays], dtype=np.int64
+        )
+        self._starts = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._starts[1:])
+        self._length = int(self._starts[-1])
+        if dtype is not None:
+            self.dtype = np.dtype(dtype)
+        elif self._arrays:
+            self.dtype = np.dtype(self._arrays[0].dtype)
+        else:
+            self.dtype = DEFAULT_ID_DTYPE
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self._length,)
+
+    def __getitem__(self, positions: np.ndarray) -> np.ndarray:
+        positions = np.asarray(positions, dtype=np.int64)
+        out = np.empty(positions.shape[0], dtype=self.dtype)
+        if positions.shape[0] == 0:
+            return out
+        part_ids = np.searchsorted(self._starts, positions, side="right") - 1
+        # Split into contiguous runs of one part each; decode positions
+        # are non-decreasing, so runs ~ parts touched, but arbitrary
+        # orders stay correct (just more runs).
+        boundaries = np.flatnonzero(np.diff(part_ids)) + 1
+        run_starts = np.concatenate(
+            ([0], boundaries, [positions.shape[0]])
+        )
+        for i in range(run_starts.shape[0] - 1):
+            lo, hi = int(run_starts[i]), int(run_starts[i + 1])
+            if lo == hi:
+                continue
+            part = int(part_ids[lo])
+            local = positions[lo:hi] - self._starts[part]
+            out[lo:hi] = self._arrays[part][local]
+        return out
+
+
 class SpilledLevel:
     """A CSE level whose vertex array lives on disk in parts.
 
     Satisfies the :class:`repro.core.cse.Level` protocol.  The part
     files are served as read-only memory maps — the one read path:
-    random block decode gathers through a
-    :class:`repro.core.shm.PartedVector` over the maps, streaming
-    iteration maps one part at a time, and worker processes attach to
-    the very same files — a spilled part IS the IPC buffer.  Figure 7's
+    random block decode gathers through a :class:`PartedVector` over the
+    maps, and streaming iteration maps one part at a time.  Figure 7's
     main part / candidate part window is left to the OS page cache and
     its readahead rather than to prefetch threads.
     """
@@ -366,12 +420,10 @@ class SpilledLevel:
     def vert_accessor(self):
         """Gatherable view of the whole level without materialising it.
 
-        A :class:`repro.core.shm.PartedVector` over read-only memory maps
-        of the part files, cached until :meth:`drop`.
+        A :class:`PartedVector` over read-only memory maps of the part
+        files, cached until :meth:`drop`.
         """
         if self._accessor is None:
-            from ..core.shm import PartedVector
-
             self._accessor = PartedVector(
                 [self.store.open_mmap(p) for p in self.parts], dtype=self.dtype
             )

@@ -49,11 +49,8 @@ class PartStateCounting(MiningApplication):
         return self.count
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "threads"])
 def test_sanitizer_rejects_raced_app(paper_graph, sanitized_engine, executor):
-    # "processes" works too: the app's hot loop runs on the coordinator
-    # (workers only expand embeddings), so the class swap still polices
-    # every map_embedding write.
     engine = sanitized_engine(paper_graph, workers=4, executor=executor)
     with pytest.raises(PartPurityError, match="count"):
         engine.run(RacyCounting())
@@ -108,17 +105,6 @@ def test_shipped_apps_byte_identical_under_sanitizer(
     ).run(make_app())
     assert sanitized.pattern_map == plain.pattern_map
     assert sanitized.level_sizes == plain.level_sizes
-
-
-def test_sanitized_processes_run_matches_plain(paper_graph, sanitized_engine):
-    # The sanitizer must not perturb the zero-copy process path either.
-    with KaleidoEngine(paper_graph, workers=2, executor="processes") as plain_engine:
-        plain = plain_engine.run(TriangleCounting())
-    sanitized = sanitized_engine(
-        paper_graph, workers=2, executor="processes"
-    ).run(TriangleCounting())
-    assert sanitized.pattern_map == plain.pattern_map
-    assert sanitized.extra["sanitize"] is True
 
 
 def test_app_class_and_name_survive_the_swap(paper_graph, sanitized_engine):

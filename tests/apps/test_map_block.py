@@ -63,7 +63,7 @@ def test_motif_empty_level():
     assert dict(result.value) == {}
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "threads"])
 def test_motif_executors_agree(executor):
     graph = random_labeled_graph(13, 30, 1, seed=21)
     with KaleidoEngine(graph, workers=2, executor=executor) as engine:

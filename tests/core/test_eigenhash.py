@@ -1,5 +1,7 @@
 """Unit tests for the EigenHash fingerprint (Algorithm 1, Figure 6)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.eigenhash import (
     PatternHasher,
 )
 from repro.core.isomorphism import are_isomorphic
+from repro.core.pattern import triangle_index
 from repro.errors import EmbeddingSizeError
 
 
@@ -140,31 +143,44 @@ def test_harary_9_pair_defeats_eigenhash_exactly_at_the_bound():
         eigen_hash(a)
 
 
-def test_exhaustive_no_collision_up_to_5_vertices():
-    """Corollary 1 (k < 6, unlabeled): spectrum alone separates everything.
+def _assert_hash_iff_isomorphic(k: int, classes: int) -> None:
+    """Exhaustive over every unlabeled graph on ``k`` vertices.
 
-    Exhaustive over all graphs on 5 vertices: equal hash ⟺ isomorphic.
+    Each hash bucket holds only graphs isomorphic to its first member
+    (equal hash ⟹ isomorphic), and there are exactly ``classes`` buckets
+    — the number of isomorphism classes — so no class is split across
+    two hashes (isomorphic ⟹ equal hash).
     """
-    from itertools import combinations
-
-    patterns: list[Pattern] = []
-    cells = list(combinations(range(5), 2))
+    cells = [triangle_index(i, j, k) for i, j in combinations(range(k), 2)]
+    by_hash: dict[int, Pattern] = {}
     for mask in range(1 << len(cells)):
         bits = 0
-        for t in range(len(cells)):
+        for t, cell in enumerate(cells):
             if mask >> t & 1:
-                i, j = cells[t]
-                from repro.core.pattern import triangle_index
-
-                bits |= 1 << triangle_index(i, j, 5)
-        patterns.append(Pattern((0,) * 5, bits))
-    by_hash: dict[int, Pattern] = {}
-    for p in patterns:
+                bits |= 1 << cell
+        p = Pattern((0,) * k, bits)
         h = eigen_hash(p)
         if h in by_hash:
             assert are_isomorphic(by_hash[h], p)
         else:
             by_hash[h] = p
+    assert len(by_hash) == classes
+
+
+def test_exhaustive_no_collision_up_to_5_vertices():
+    """Corollary 1 (k < 6, unlabeled): spectrum alone separates everything.
+
+    Exhaustive over all 1,024 graphs on 5 vertices (34 classes).
+    """
+    _assert_hash_iff_isomorphic(5, classes=34)
+
+
+def test_exhaustive_no_collision_on_6_vertices():
+    """Motif counting hashes once per distinct adjacency code, so one
+    collision would merge whole pattern classes.  Exhaustive over all
+    32,768 graphs on 6 vertices (156 classes), where cospectral pairs
+    exist and the degree sequence must separate them."""
+    _assert_hash_iff_isomorphic(6, classes=156)
 
 
 # ----------------------------------------------------------------------

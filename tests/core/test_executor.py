@@ -132,6 +132,11 @@ def test_resolve_executor():
         resolve_executor("fibers")
 
 
+def test_resolve_executor_rejects_processes():
+    with pytest.raises(ValueError, match=r"'processes' \(choose from serial, threads\)"):
+        resolve_executor("processes")
+
+
 def test_threaded_rejects_bad_pool_size():
     with pytest.raises(ValueError):
         ThreadedExecutor(max_workers=0)

@@ -1,15 +1,12 @@
 """Executor-parity stress sweep with span-tree shape checks.
 
 Random seeded graphs x every mining application x every executor
-(the plain serial baseline, the work-stealing simulated schedule, the
-real thread pool, and the real spawn-based process pool): the pattern
-maps must be byte-identical and the traces must have identical span-tree
-*shapes* — same event multiset of (kind, name, parent, non-timing args)
-— even though wall times and worker attribution legitimately differ
-between executors.
+(the plain serial baseline, the work-stealing simulated schedule, and
+the real thread pool): the pattern maps must be byte-identical and the
+traces must have identical span-tree *shapes* — same event multiset of
+(kind, name, parent, non-timing args) — even though wall times and
+worker attribution legitimately differ between executors.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -23,12 +20,7 @@ from repro import (
 )
 from repro.apps import PatternMatching, VertexInducedFSM
 from repro.core.cse import CSE
-from repro.core.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    SimulatedSchedule,
-    ThreadedExecutor,
-)
+from repro.core.executor import SerialExecutor, SimulatedSchedule, ThreadedExecutor
 from repro.core.explore import even_parts
 from repro.obs import Tracer, span_tree_shape
 
@@ -48,7 +40,6 @@ EXECUTORS = {
     "serial": lambda: SerialExecutor(),
     "simulated": lambda: SimulatedSchedule(),
     "threads": lambda: ThreadedExecutor(max_workers=4),
-    "processes": lambda: ProcessExecutor(max_workers=2),
 }
 
 
@@ -105,17 +96,14 @@ FILTERED_APPS = {
 
 @pytest.mark.parametrize("app_name", sorted(FILTERED_APPS))
 def test_block_filters_agree_across_executors(app_name):
-    """Each filtered app's block filter survives a pickle round trip and
-    builds byte-identical levels under serial, threads and processes —
-    the process pool is what proves the filter rides the task pickle."""
+    """Each filtered app's block filter builds byte-identical levels
+    under serial and threads."""
     graph = random_labeled_graph(40, 140, 2, seed=5)
     app = FILTERED_APPS[app_name]()
     roots, expand = filtered_expander(graph, app)
-    block_filter = expand.block_filter
-    assert type(pickle.loads(pickle.dumps(block_filter))) is type(block_filter)
 
     levels = {}
-    for exec_name in ("serial", "threads", "processes"):
+    for exec_name in ("serial", "threads"):
         executor = EXECUTORS[exec_name]()
         cse = CSE(roots.copy())
         try:
@@ -133,12 +121,9 @@ def test_block_filters_agree_across_executors(app_name):
             for level in cse.levels[1:]
         ]
     assert sum(vert.shape[0] for vert, _ in levels["serial"]) > 0
-    for exec_name in ("threads", "processes"):
-        for (vert, off), (base_vert, base_off) in zip(
-            levels[exec_name], levels["serial"]
-        ):
-            np.testing.assert_array_equal(vert, base_vert)
-            np.testing.assert_array_equal(off, base_off)
+    for (vert, off), (base_vert, base_off) in zip(levels["threads"], levels["serial"]):
+        np.testing.assert_array_equal(vert, base_vert)
+        np.testing.assert_array_equal(off, base_off)
 
 
 def test_shape_contains_the_pipeline_spans():

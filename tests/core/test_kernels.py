@@ -239,29 +239,18 @@ def test_empty_and_edgeless_blocks():
     np.testing.assert_array_equal(counts, np.zeros(10, dtype=np.int64))
 
 
-def test_block_task_runs_without_local_context_via_worker_global():
+def test_vertex_block_task_runs():
     graph = random_labeled_graph(15, 30, 2, seed=2)
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     ctx = kernels.vertex_kernel_context(graph)
     block = cse.decode_block(0, cse.size())
-    task = BlockTask(ctx, block, (0, cse.size()), 0)
-    direct = task()
-
-    import pickle
-
-    shipped = pickle.loads(pickle.dumps(task))
-    assert shipped.shared_context is None
-    with pytest.raises(RuntimeError):
-        shipped()
-    old = kernels._WORKER_CONTEXT
-    try:
-        kernels.install_worker_context(ctx)
-        via_global = shipped()
-    finally:
-        kernels._WORKER_CONTEXT = old
-    np.testing.assert_array_equal(direct.vert, via_global.vert)
-    np.testing.assert_array_equal(direct.counts, via_global.counts)
-    assert direct.candidates_examined == via_global.candidates_examined
+    result = BlockTask(ctx, block, (0, cse.size()), 3)()
+    vert, counts, examined = kernels.expand_block(ctx, block)
+    assert result.index == 3 and result.bound == (0, cse.size())
+    np.testing.assert_array_equal(result.vert, vert)
+    np.testing.assert_array_equal(result.counts, counts)
+    assert result.emitted == vert.shape[0]
+    assert result.candidates_examined == examined
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +333,7 @@ def test_decode_block_bounds_checks():
         cse.decode_block(0, 1, level_idx=2)
 
 
-def test_edge_block_task_pickles_and_runs():
+def test_edge_block_task_runs():
     graph = random_labeled_graph(15, 32, 2, seed=6)
     index = EdgeIndex(graph)
     cse = CSE(np.arange(index.num_edges, dtype=np.int32))

@@ -20,6 +20,7 @@ from repro.storage import (
 )
 from repro.storage.faults import _corrupt_file
 from repro.storage.hybrid import spill_level
+from repro.storage.spill import PartedVector
 
 
 def _no_sleep_retry(attempts=4):
@@ -129,8 +130,54 @@ def test_iter_vert_chunks_raises_on_torn_part(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# PartedVector: one virtual array over the per-part maps
+# ----------------------------------------------------------------------
+def test_parted_vector_matches_concatenation():
+    parts = [
+        np.array([3, 1, 4], dtype=np.int32),
+        np.array([], dtype=np.int32),
+        np.array([1, 5, 9, 2, 6], dtype=np.int32),
+    ]
+    flat = np.concatenate(parts)
+    vec = PartedVector(parts)
+    assert len(vec) == flat.shape[0]
+    assert vec.shape == flat.shape
+    ordered = np.arange(flat.shape[0])
+    assert np.array_equal(vec[ordered], flat)
+    # Arbitrary (unsorted, repeated) gathers stay correct.
+    scrambled = np.array([7, 0, 3, 3, 5, 1, 6], dtype=np.int64)
+    assert np.array_equal(vec[scrambled], flat[scrambled])
+
+
+def test_parted_vector_empty():
+    vec = PartedVector([])
+    assert len(vec) == 0
+    assert vec[np.array([], dtype=np.int64)].shape == (0,)
+
+
+# ----------------------------------------------------------------------
 # Mmap-backed block decode
 # ----------------------------------------------------------------------
+def test_spill_parity_across_executors(paper_graph):
+    maps = {}
+    for spec in ("serial", "threads"):
+        with tempfile.TemporaryDirectory() as spill_dir:
+            engine = KaleidoEngine(
+                paper_graph,
+                workers=2,
+                executor=spec,
+                storage_mode="spill-last",
+                spill_dir=spill_dir,
+            )
+            try:
+                result = engine.run(MotifCounting(3))
+            finally:
+                engine.close()
+            assert result.extra["spilled_levels"] >= 1
+            maps[spec] = result.pattern_map
+    assert maps["serial"] == maps["threads"]
+
+
 def test_spilled_level_block_decode_matches_walk(paper_graph, tmp_path):
     cse = CSE(np.arange(paper_graph.num_vertices))
     expand_vertex_level(paper_graph, cse)
@@ -161,7 +208,7 @@ def test_resume_from_mmap_served_levels(paper_graph, tmp_path):
         engine = KaleidoEngine(
             paper_graph,
             workers=2,
-            executor="processes",
+            executor="threads",
             storage_mode="spill-last",
             spill_dir=spill_dir,
             checkpoint_dir=checkpoint_dir,
@@ -174,7 +221,7 @@ def test_resume_from_mmap_served_levels(paper_graph, tmp_path):
         engine = KaleidoEngine(
             paper_graph,
             workers=2,
-            executor="processes",
+            executor="threads",
             storage_mode="spill-last",
             spill_dir=spill_dir,
             checkpoint_dir=checkpoint_dir,

@@ -144,6 +144,15 @@ def test_parser_rejects_unknown_app():
         build_parser().parse_args(["mine", "pagerank"])
 
 
+def test_mine_rejects_processes_executor(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mine", "tc", "--dataset", "citeseer", "--executor", "processes"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --executor: invalid choice: 'processes'" in err
+    assert "'serial'" in err and "'threads'" in err
+
+
 def test_stats_command(capsys):
     assert main(["stats", "--dataset", "citeseer", "--profile", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -26,9 +26,8 @@ def one_neighbor_inside(ctx, block, rows, candidates) -> np.ndarray:
 
     ``block[rows[i]]`` is the embedding pair ``i`` would extend by
     ``candidates[i]``; ``ctx.has_edges`` tests a whole column of
-    ``(member, candidate)`` pairs with one batch of binary searches.  A
-    module-level function is picklable, so the filter also rides to the
-    process executor."""
+    ``(member, candidate)`` pairs with one batch of binary searches.  The
+    filter holds no state of its own, so pool threads can share it."""
     inside = np.zeros(rows.shape[0], dtype=np.int64)
     for col in range(block.shape[1]):
         inside += ctx.has_edges(block[rows, col], candidates)

@@ -196,9 +196,10 @@ def bench_spilled_executors(
 def bench_hasher(graph, sanitize: bool = False) -> dict:
     """Hit rate of the pattern-hash cache over an FSM run.
 
-    FSM hashes the pattern of every embedding it scores (motif mappers
-    cache patterns themselves and barely touch the hasher), so this is
-    the workload the raw-structure front cache exists for.
+    FSM hashes once per distinct raw structure, and every raw structure
+    of a pattern class after the first is served by the hasher's
+    normalised cache, so the hit rate measures how many automorphic raw
+    structures share each polynomial computation.
     """
     with KaleidoEngine(graph, sanitize=sanitize) as engine:
         engine.run(FrequentSubgraphMining(2, support=3))

@@ -14,22 +14,39 @@ The implementation follows the paper exactly:
 * support counting short-circuits at the threshold unless
   ``exact_mni=True`` (Kaleido "does not statistic the accurate MNI
   support").
+
+The Mapper works on whole blocks: one quick-pattern code per embedding
+(structure-order labels, adjacency bits and edge labels), one hash and one
+placement matrix per *distinct* code, and MNI domains from first
+occurrences (:func:`~repro.apps.mni.fold_mni_block`).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern
-from .mni import MNIDomains, PositionMapper, merge_domains
+from ..graph.edge_index import EdgeIndex
+from ..graph.graph import Graph
+from .mni import (
+    MNIDomains,
+    PlacementTable,
+    distinct_rows,
+    fold_mni_block,
+    frequent_mask,
+    merge_domains,
+)
 
 __all__ = [
     "FrequentSubgraphMining",
     "FSMResult",
     "FSMMapperPart",
     "edge_pattern_supports",
+    "frequent_edge_mask",
 ]
 
 
@@ -38,23 +55,69 @@ class FSMMapperPart:
 
     ``prune`` needs the per-embedding pattern hashes *in level position
     order*; recording them here (instead of on the application) keeps
-    ``map_embedding`` pure per part, and the engine's part-ordered
-    ``finish_part`` calls reassemble the positional list deterministically
-    under any executor."""
+    ``map_block`` pure per part, and the engine's part-ordered
+    ``finish_part`` calls reassemble the positional hashes
+    deterministically under any executor."""
 
     __slots__ = ("hashes", "insertions", "mapped")
 
     def __init__(self) -> None:
-        self.hashes: list[int] = []
+        self.hashes = np.zeros(0, dtype=np.uint64)
         self.insertions = 0
         self.mapped = 0
+
+
+def edge_codes(
+    index: EdgeIndex, graph: Graph, slab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:data:`~repro.apps.mni.BlockEncoder` of edge-induced embeddings.
+
+    Vertices are numbered in first-appearance order over the edges'
+    ``(u, v)`` endpoints, exactly as :meth:`Pattern.from_edge_embedding`
+    numbers them, by comparing each endpoint column with the earlier ones.
+    """
+    rows, m = slab.shape
+    kmax = m + 1
+    ends = np.empty((rows, 2 * m), dtype=np.int64)
+    ends[:, 0::2] = index.edge_u[slab]
+    ends[:, 1::2] = index.edge_v[slab]
+    pos = np.empty_like(ends)
+    verts = np.zeros((rows, kmax), dtype=np.int64)
+    nv = np.zeros(rows, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(2 * m):
+        col = ends[:, c]
+        at = nv.copy()
+        fresh = np.ones(rows, dtype=bool)
+        for prev in range(c):
+            same = col == ends[:, prev]
+            at = np.where(same, pos[:, prev], at)
+            fresh &= ~same
+        pos[:, c] = at
+        verts[row_ids[fresh], nv[fresh]] = col[fresh]
+        nv += fresh
+    lo = np.minimum(pos[:, 0::2], pos[:, 1::2])
+    hi = np.maximum(pos[:, 0::2], pos[:, 1::2])
+    # triangle_index(lo, hi, k) with each row's own vertex count k.
+    cells = lo * (nv[:, None] - 1) - lo * (lo - 1) // 2 + (hi - lo - 1)
+    bits = np.bitwise_or.reduce(np.left_shift(1, cells), axis=1)
+    labels = np.where(np.arange(kmax) < nv[:, None], graph.labels[verts], -1)
+    columns = [nv[:, None], labels, bits[:, None]]
+    if graph.has_edge_labels:
+        assert graph.edge_labels is not None
+        by_cell = np.zeros((rows, kmax * (kmax - 1) // 2), dtype=np.int64)
+        by_cell[row_ids[:, None], cells] = graph.edge_labels[slab]
+        columns.append(by_cell)
+    return verts, np.hstack(columns)
 
 
 def edge_pattern_supports(graph) -> dict[tuple[int, int, int], MNIDomains]:
     """MNI domains of every single-edge pattern.
 
     Keys are ``(label_u, label_v, edge_label)`` with the vertex labels
-    ordered; the edge label is 0 for edge-unlabeled graphs."""
+    ordered; the edge label is 0 for edge-unlabeled graphs.  The baselines
+    use this per-edge form; :func:`frequent_edge_mask` thresholds the same
+    supports with array operations."""
     supports: dict[tuple[int, int, int], MNIDomains] = {}
     eu, ev = graph.edge_arrays()
     labels = graph.labels
@@ -79,6 +142,28 @@ def edge_pattern_supports(graph) -> dict[tuple[int, int, int], MNIDomains]:
             dom.domains[0].add(v)
             dom.domains[1].add(u)
     return supports
+
+
+def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:
+    """Per-edge-id mask of the edges whose single-edge pattern
+    ``(min label, max label, edge label)`` has MNI support ``>= support``
+    — :func:`edge_pattern_supports` thresholded, with array operations."""
+    eu, ev = graph.edge_arrays()
+    lu, lv = graph.labels[eu], graph.labels[ev]
+    # ``a`` plays the lower-labelled position, ``b`` the other.
+    a = np.where(lu <= lv, eu, ev).astype(np.int64)
+    b = np.where(lu <= lv, ev, eu).astype(np.int64)
+    elabels = graph.edge_labels if graph.has_edge_labels else np.zeros_like(lu)
+    keys = np.stack([np.minimum(lu, lv), np.maximum(lu, lv), elabels], axis=1)
+    distinct, kid = distinct_rows(keys)
+    # When the labels tie, either endpoint fills either position.
+    tie = lu == lv
+    n = graph.num_vertices
+    sizes = []
+    for first, second in ((a, b), (b, a)):
+        domain = np.concatenate([kid * n + first, (kid * n + second)[tie]])
+        sizes.append(np.bincount(np.unique(domain) // n, minlength=distinct.shape[0]))
+    return (np.minimum(*sizes) >= support)[kid]
 
 
 class FSMResult(dict):
@@ -117,9 +202,8 @@ class FrequentSubgraphMining(MiningApplication):
         self.hash_every_embedding = hash_every_embedding
         #: Per-edge-id table of the frequent single-edge patterns' edges.
         self._frequent_edges = np.zeros(0, dtype=bool)
-        self._iter_hashes: list[int] = []
-        self._mapper = PositionMapper()
-        self._phash_cache: dict[tuple[tuple[int, ...], int], int] = {}
+        self._iter_hashes: list[np.ndarray] = []
+        self._table = PlacementTable()
         #: Total MNI set insertions performed (deterministic cost proxy for
         #: the Figure-11 support sweep).
         self.total_insertions = 0
@@ -137,29 +221,8 @@ class FrequentSubgraphMining(MiningApplication):
     # ------------------------------------------------------------------
     def init(self, ctx: EngineContext) -> np.ndarray:
         assert ctx.edge_index is not None
-        supports = edge_pattern_supports(ctx.graph)
-        frequent_pairs = {
-            key for key, dom in supports.items() if dom.support >= self.support
-        }
-        eu, ev = ctx.graph.edge_arrays()
-        labels = ctx.graph.labels
-        elabels = (
-            ctx.graph.edge_labels.tolist()
-            if ctx.graph.has_edge_labels
-            else [0] * eu.shape[0]
-        )
-        keep: list[int] = []
-        for eid, (u, v, elab) in enumerate(
-            zip(eu.tolist(), ev.tolist(), elabels)
-        ):
-            lu, lv = int(labels[u]), int(labels[v])
-            pair = (lu, lv, int(elab)) if lu <= lv else (lv, lu, int(elab))
-            if pair in frequent_pairs:
-                keep.append(eid)
-        roots = np.asarray(keep, dtype=np.int32)
-        self._frequent_edges = np.zeros(eu.shape[0], dtype=bool)
-        self._frequent_edges[roots] = True
-        return roots
+        self._frequent_edges = frequent_edge_mask(ctx.graph, self.support)
+        return np.flatnonzero(self._frequent_edges).astype(np.int32)
 
     def iterations(self) -> int:
         return self.num_edges - 1
@@ -173,58 +236,26 @@ class FrequentSubgraphMining(MiningApplication):
         return FSMMapperPart()
 
     def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        self._iter_hashes.extend(part.hashes)
+        self._iter_hashes.append(part.hashes)
         self.total_insertions += part.insertions
         self.total_mapped += part.mapped
 
-    def map_embedding(
-        self,
-        ctx: EngineContext,
-        embedding: tuple[int, ...],
-        pmap: PatternMap,
-        part: FSMMapperPart | None = None,
+    def map_block(
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
+        """Patternise the part's embeddings and fold their automorphic
+        placements into per-pattern MNI domains."""
         assert ctx.edge_index is not None
-        eu, ev = ctx.edge_index.endpoint_lists()
-        edges = [(eu[eid], ev[eid]) for eid in embedding]
-        pattern = Pattern.from_edge_embedding(ctx.graph, edges)
-        if self.hash_every_embedding:
-            phash = ctx.hash_pattern(pattern)
-        else:
-            # Shared memo is safe under concurrent parts: dict get/set are
-            # atomic and the value per key is deterministic, so a race
-            # costs at most a duplicate hash computation.
-            raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
-            phash = self._phash_cache.get(raw_key)
-            if phash is None:
-                phash = ctx.hash_pattern(pattern)
-                self._phash_cache[raw_key] = phash  # repro: ignore[R001] -- benign memo race (see above)
-        # Vertices in structure (first-appearance) order, then placed at
-        # canonical pattern positions (all automorphic placements) so the
-        # MNI domains are exact and position-consistent across embeddings.
-        structure_order: list[int] = []
-        seen: set[int] = set()
-        for u, v in edges:
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    structure_order.append(w)
-        dom = pmap.get(phash)
-        if dom is None:
-            dom = pmap[phash] = MNIDomains(len(structure_order))
-        inserted = 0
-        for placement in self._mapper.placements(pattern, structure_order):
-            inserted += dom.add(placement, self._threshold)
-        if part is None:  # direct three-argument call (serial/tests)
-            # The engine always passes a part; this branch only runs when
-            # tests invoke map_embedding directly, i.e. single-threaded.
-            self.total_insertions += inserted  # repro: ignore[R001]
-            self.total_mapped += 1  # repro: ignore[R001]
-            self._iter_hashes.append(phash)  # repro: ignore[R001]
-        else:
-            part.insertions += inserted
-            part.mapped += 1
-            part.hashes.append(phash)
+        part.hashes, part.insertions = fold_mni_block(
+            ctx,
+            block,
+            pmap,
+            partial(edge_codes, ctx.edge_index, ctx.graph),
+            self._table,
+            self._threshold,
+            self.hash_every_embedding,
+        )
+        part.mapped = block.shape[0]
 
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
         merged: PatternMap = {}
@@ -240,22 +271,13 @@ class FrequentSubgraphMining(MiningApplication):
     def prune(
         self, ctx: EngineContext, cse: CSE, reduced: PatternMap
     ) -> np.ndarray | None:
-        frequent = {
-            phash for phash, dom in reduced.items() if dom.support >= self.support
-        }
-        keep = np.fromiter(
-            (phash in frequent for phash in self._iter_hashes),
-            dtype=bool,
-            count=len(self._iter_hashes),
-        )
+        keep = frequent_mask(self._iter_hashes, reduced, self.support)
         self._iter_hashes = []
-        if keep.all():
-            return None
         return keep
 
     # ------------------------------------------------------------------
     def checkpoint_state(self, ctx: EngineContext) -> dict:
-        # _frequent_edges and the phash memo are rebuilt deterministically
+        # _frequent_edges and the placement table are rebuilt deterministically
         # (init reruns on resume); only the accumulated cost counters need
         # to survive a crash.
         return {

@@ -16,15 +16,49 @@ pattern is infrequent.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
-from ..core.pattern import Pattern
+from ..core.kernels import VertexKernelContext, vertex_kernel_context
+from ..core.pattern import triangle_index
+from ..graph.graph import Graph
 from .fsm import FSMMapperPart, FSMResult
-from .mni import MNIDomains, PositionMapper, merge_domains
+from .mni import PlacementTable, fold_mni_block, frequent_mask, merge_domains
 
 __all__ = ["VertexInducedFSM"]
+
+
+def vertex_codes(
+    kctx: VertexKernelContext, graph: Graph, slab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:data:`~repro.apps.mni.BlockEncoder` of vertex-induced embeddings:
+    the block columns already are the structure order, and the induced
+    edges come from batched ``has_edges`` probes."""
+    slab = slab.astype(np.int64, copy=False)
+    rows, k = slab.shape
+    bits = np.zeros(rows, dtype=np.int64)
+    by_cell = np.zeros((rows, k * (k - 1) // 2), dtype=np.int64)
+    if graph.has_edge_labels:
+        assert graph.edge_labels is not None
+        eu, ev = graph.edge_arrays()
+        edge_keys = eu.astype(np.int64) * graph.num_vertices + ev
+    for i in range(k):
+        for j in range(i + 1, k):
+            cell = triangle_index(i, j, k)
+            present = kctx.has_edges(slab[:, i], slab[:, j])
+            bits[present] |= 1 << cell
+            if graph.has_edge_labels:
+                lo = np.minimum(slab[present, i], slab[present, j])
+                hi = np.maximum(slab[present, i], slab[present, j])
+                eid = np.searchsorted(edge_keys, lo * graph.num_vertices + hi)
+                by_cell[present, cell] = graph.edge_labels[eid]
+    columns = [np.full((rows, 1), k), graph.labels[slab], bits[:, None]]
+    if graph.has_edge_labels:
+        columns.append(by_cell)
+    return slab, np.hstack(columns).astype(np.int64, copy=False)
 
 
 class VertexInducedFSM(MiningApplication):
@@ -43,8 +77,8 @@ class VertexInducedFSM(MiningApplication):
         self.num_vertices = num_vertices
         self.support = support
         self.exact_mni = exact_mni
-        self._mapper = PositionMapper()
-        self._iter_hashes: list[int] = []
+        self._table = PlacementTable()
+        self._iter_hashes: list[np.ndarray] = []
         self._frequent_vertices = np.zeros(0, dtype=bool)
 
     @property
@@ -73,28 +107,18 @@ class VertexInducedFSM(MiningApplication):
         return FSMMapperPart()
 
     def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        self._iter_hashes.extend(part.hashes)
+        self._iter_hashes.append(part.hashes)
 
-    def map_embedding(
-        self,
-        ctx: EngineContext,
-        embedding: tuple[int, ...],
-        pmap: PatternMap,
-        part: FSMMapperPart | None = None,
+    def map_block(
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
-        pattern = Pattern.from_vertex_embedding(ctx.graph, embedding)
-        phash = ctx.hash_pattern(pattern)
-        dom = pmap.get(phash)
-        if dom is None:
-            dom = pmap[phash] = MNIDomains(len(embedding))
-        for placement in self._mapper.placements(pattern, list(embedding)):
-            dom.add(placement, self._threshold)
-        if part is None:  # direct three-argument call (serial/tests)
-            # Engine calls always pass a part; this is the single-threaded
-            # direct-call path only.
-            self._iter_hashes.append(phash)  # repro: ignore[R001]
-        else:
-            part.hashes.append(phash)
+        """Patternise the part's induced subgraphs and fold their
+        automorphic placements into per-pattern MNI domains."""
+        encode = partial(vertex_codes, vertex_kernel_context(ctx.graph), ctx.graph)
+        part.hashes, part.insertions = fold_mni_block(
+            ctx, block, pmap, encode, self._table, self._threshold
+        )
+        part.mapped = block.shape[0]
 
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
         merged: PatternMap = {}
@@ -110,17 +134,8 @@ class VertexInducedFSM(MiningApplication):
     def prune(
         self, ctx: EngineContext, cse: CSE, reduced: PatternMap
     ) -> np.ndarray | None:
-        frequent = {
-            phash for phash, dom in reduced.items() if dom.support >= self.support
-        }
-        keep = np.fromiter(
-            (phash in frequent for phash in self._iter_hashes),
-            dtype=bool,
-            count=len(self._iter_hashes),
-        )
+        keep = frequent_mask(self._iter_hashes, reduced, self.support)
         self._iter_hashes = []
-        if keep.all():
-            return None
         return keep
 
     def pmap_nbytes(self, pmap: PatternMap) -> int:

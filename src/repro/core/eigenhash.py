@@ -180,7 +180,21 @@ def eigen_hash(pattern: Pattern) -> int:
                 rows[i][j] = weight
                 rows[j][i] = weight
     poly = _flv(rows, k)
-    return _stable_hash(plabels) ^ _stable_hash(pdegrees) ^ _stable_hash(poly)
+    value = _stable_hash(plabels) ^ _stable_hash(pdegrees) ^ _stable_hash(poly)
+    if elab is not None and pattern.edge_labels:
+        # An edge's weight is symmetric in its endpoint labels, so the
+        # spectrum cannot tell which end of a labelled edge carries which
+        # vertex label: the 4-paths 0-1-0-1 with edge labels (b, a, a) and
+        # (a, a, b) are cospectral.  Each vertex's label plus the multiset
+        # of its incident edge labels separates every non-isomorphic pair
+        # on up to 5 vertices with 2 vertex and 2 edge labels (the
+        # exhaustive audit in tests/core/test_eigenhash.py).
+        profile = sorted(
+            (labels[i], *sorted(elab[i][j] for j in range(k) if adj[i][j]))
+            for i in range(k)
+        )
+        value ^= _stable_hash(tuple(x for entry in profile for x in (len(entry), *entry)))
+    return value
 
 
 def _stable_hash(values: tuple[int, ...]) -> int:

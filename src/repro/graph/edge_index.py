@@ -65,8 +65,7 @@ class EdgeIndex:
         ``searchsorted`` finds the first incident edge id ``>= bound``
         within any vertex's slice, which is how the expansion kernel
         fuses its symmetry-breaking lower bounds into the edge gather.
-        Cached so repeated kernel-context builds reuse one array (the
-        process executor keys pool reuse on context-array identity).
+        Cached so repeated kernel-context builds reuse one array.
         """
         if self._incident_keys is None:
             counts = np.diff(self.indptr)

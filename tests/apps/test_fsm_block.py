@@ -1,0 +1,281 @@
+"""The FSM block mappers against the per-row mappers they replaced.
+
+The oracle is the per-row Mapper both FSM apps ran before they mapped
+whole blocks: patternise one embedding, hash it (through a raw-structure
+memo for edge-induced FSM), place its vertices with
+``PositionMapper.placements`` and call ``MNIDomains.add`` once per
+automorphic placement.  The block mappers must reproduce every per-part
+pattern map (domains, ``frozen`` flags and insertion order), the cost
+counters, the prune masks and the hasher traffic exactly.
+"""
+
+from __future__ import annotations
+
+import copy
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import FrequentSubgraphMining, KaleidoEngine
+from repro.apps import mni
+from repro.apps.fsm import edge_pattern_supports, frequent_edge_mask
+from repro.apps.fsm_vertex import VertexInducedFSM
+from repro.apps.mni import MNIDomains, PositionMapper
+from repro.core import Pattern, PatternHasher
+from tests.conftest import random_labeled_graph
+
+
+class _Recording:
+    """Records the per-part pattern maps each ``reduce`` receives (before
+    the merge mutates them) and every prune mask."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.part_maps: list[list[dict]] = []
+        self.masks: list[np.ndarray | None] = []
+
+    def reduce(self, ctx, pmaps):
+        self.part_maps.append(copy.deepcopy(pmaps))
+        return super().reduce(ctx, pmaps)
+
+    def prune(self, ctx, cse, reduced):
+        mask = super().prune(ctx, cse, reduced)
+        self.masks.append(None if mask is None else mask.copy())
+        return mask
+
+
+class _PerRowOracle:
+    """Per-row MNI fold shared by both oracles; also records, per part and
+    pattern, the rows at which its domains were first touched and frozen."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._positions = PositionMapper()
+        self.freezes: list[tuple[int, int]] = []
+
+    def _fold(self, ctx, pmap, part, rows) -> None:
+        hashes = []
+        first_row: dict[int, int] = {}
+        for row, (pattern, phash, structure_order) in enumerate(rows):
+            dom = pmap.get(phash)
+            if dom is None:
+                dom = pmap[phash] = MNIDomains(len(structure_order))
+                first_row[phash] = row
+            was_frozen = dom.frozen
+            for placement in self._positions.placements(pattern, structure_order):
+                part.insertions += dom.add(placement, self._threshold)
+            if dom.frozen and not was_frozen:
+                self.freezes.append((first_row[phash], row))
+            hashes.append(phash)
+        part.hashes = np.array(hashes, dtype=np.uint64)
+        part.mapped = len(hashes)
+
+
+class OracleFSM(_Recording, _PerRowOracle, FrequentSubgraphMining):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._memo: dict[tuple, int] = {}
+
+    def map_block(self, ctx, block, pmap, part=None):
+        eu, ev = ctx.edge_index.endpoint_lists()
+        rows = []
+        for embedding in block.tolist():
+            edges = [(eu[eid], ev[eid]) for eid in embedding]
+            pattern = Pattern.from_edge_embedding(ctx.graph, edges)
+            if self.hash_every_embedding:
+                phash = ctx.hash_pattern(pattern)
+            else:
+                raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
+                phash = self._memo.get(raw_key)
+                if phash is None:
+                    phash = self._memo[raw_key] = ctx.hash_pattern(pattern)
+            structure_order = list(dict.fromkeys(w for edge in edges for w in edge))
+            rows.append((pattern, phash, structure_order))
+        self._fold(ctx, pmap, part, rows)
+
+
+class OracleVFSM(_Recording, _PerRowOracle, VertexInducedFSM):
+    def map_block(self, ctx, block, pmap, part=None):
+        rows = []
+        for embedding in block.tolist():
+            pattern = Pattern.from_vertex_embedding(ctx.graph, embedding)
+            rows.append((pattern, ctx.hash_pattern(pattern), embedding))
+        self._fold(ctx, pmap, part, rows)
+
+
+class BlockFSM(_Recording, FrequentSubgraphMining):
+    pass
+
+
+class BlockVFSM(_Recording, VertexInducedFSM):
+    pass
+
+
+def _graph(seed: int, vertices: int, edges: int, labels: int, edge_labels: int):
+    graph = random_labeled_graph(vertices, edges, labels, seed=seed)
+    if edge_labels:
+        rng = np.random.default_rng(seed + 1)
+        graph = graph.with_edge_labels(rng.integers(edge_labels, size=graph.num_edges))
+    return graph
+
+
+def _run(graph, app, executor):
+    hasher = PatternHasher()
+    with KaleidoEngine(graph, workers=2, executor=executor, hasher=hasher) as engine:
+        result = engine.run(app)
+    return result, hasher
+
+
+def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> None:
+    got, got_hasher = block
+    want, want_hasher = oracle
+    assert got.level_sizes == want.level_sizes
+    assert dict(got.value) == dict(want.value)
+    assert len(app.part_maps) == len(ref.part_maps)
+    for mine, theirs in zip(app.part_maps, ref.part_maps):
+        assert [list(p) for p in mine] == [list(p) for p in theirs]
+        assert mine == theirs
+    assert len(app.masks) == len(ref.masks)
+    for mine, theirs in zip(app.masks, ref.masks):
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert np.array_equal(mine, theirs)
+    if not vertex_induced:
+        assert app.total_insertions == ref.total_insertions
+        assert app.total_mapped == ref.total_mapped
+    if executor == "serial":
+        # Threads may race the memo into a duplicate hash call.
+        assert got_hasher.misses == want_hasher.misses
+        assert got_hasher.nbytes == want_hasher.nbytes
+        if not vertex_induced:
+            assert (
+                got_hasher.hits + got_hasher.misses
+                == want_hasher.hits + want_hasher.misses
+            )
+
+
+def check_config(config: dict) -> list[tuple[int, int]]:
+    """Run one configuration through the block mapper and the oracle and
+    assert they agree; returns the oracle's (first row, freeze row) pairs."""
+    graph = _graph(
+        config["seed"],
+        config["vertices"],
+        config["edges"],
+        config["labels"],
+        config["edge_labels"],
+    )
+    vertex_induced = config["app"] == "vfsm"
+    if vertex_induced:
+        args = (config["size"] + 1, config["support"], config["exact_mni"])
+        block_app, oracle_app = BlockVFSM(*args), OracleVFSM(*args)
+    else:
+        args = (config["size"], config["support"], config["exact_mni"])
+        kwargs = {"hash_every_embedding": config["hash_every_embedding"]}
+        block_app, oracle_app = BlockFSM(*args, **kwargs), OracleFSM(*args, **kwargs)
+    executor = config["executor"]
+    with mock.patch.object(mni, "SLAB_ROWS", config["slab_rows"]):
+        block = _run(graph, block_app, executor)
+    oracle = _run(graph, oracle_app, executor)
+    _assert_same(block_app, block, oracle_app, oracle, executor, vertex_induced)
+    return oracle_app.freezes
+
+
+CONFIGS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 10_000),
+        "vertices": st.integers(8, 18),
+        "edges": st.integers(12, 40),
+        "labels": st.integers(1, 3),
+        "edge_labels": st.sampled_from([0, 0, 2]),
+        "app": st.sampled_from(["fsm", "vfsm"]),
+        "size": st.integers(1, 3),
+        "support": st.integers(1, 4),
+        "exact_mni": st.booleans(),
+        "hash_every_embedding": st.booleans(),
+        "executor": st.sampled_from(["serial", "threads"]),
+        "slab_rows": st.sampled_from([2, 3, 7, mni.SLAB_ROWS]),
+    }
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(CONFIGS)
+def test_block_mappers_match_per_row_oracle(config):
+    check_config(config)
+
+
+@pytest.mark.slow
+@settings(max_examples=600, deadline=None)
+@given(CONFIGS)
+def test_block_mappers_match_per_row_oracle_deep(config):
+    check_config(config)
+
+
+BASE = {
+    "seed": 11,
+    "vertices": 20,
+    "edges": 50,
+    "labels": 2,
+    "edge_labels": 0,
+    "size": 2,
+    "support": 3,
+    "exact_mni": False,
+    "hash_every_embedding": False,
+    "executor": "serial",
+    "slab_rows": mni.SLAB_ROWS,
+}
+
+
+@pytest.mark.parametrize("app", ["fsm", "vfsm"])
+@pytest.mark.parametrize("edge_labels", [0, 2])
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_slab_boundary_splits_a_part_mid_freeze(app, edge_labels, executor):
+    """With 4-row slabs, some pattern's domains start filling in one slab
+    and freeze in a later one."""
+    config = dict(BASE, app=app, edge_labels=edge_labels, executor=executor, slab_rows=4)
+    freezes = check_config(config)
+    assert any(first // 4 < frozen // 4 for first, frozen in freezes)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("edge_labels", [0, 2])
+def test_exact_and_hash_every_embedding(size, edge_labels):
+    for exact_mni in (False, True):
+        for every in (False, True):
+            check_config(
+                dict(
+                    BASE,
+                    app="fsm",
+                    size=size,
+                    edge_labels=edge_labels,
+                    exact_mni=exact_mni,
+                    hash_every_embedding=every,
+                )
+            )
+
+
+def test_hash_every_embedding_hashes_every_row():
+    graph = _graph(5, 14, 30, 2, 0)
+    app = FrequentSubgraphMining(2, 2, hash_every_embedding=True)
+    _, hasher = _run(graph, app, "serial")
+    assert hasher.hits + hasher.misses == app.total_mapped
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("edge_labels", [0, 2])
+@pytest.mark.parametrize("support", [1, 2, 3, 5])
+def test_frequent_edge_mask_matches_edge_supports(seed, edge_labels, support):
+    graph = _graph(seed, 12, 26, 3, edge_labels)
+    supports = edge_pattern_supports(graph)
+    eu, ev = graph.edge_arrays()
+    elabels = graph.edge_labels if edge_labels else np.zeros(eu.shape[0], dtype=int)
+    expected = []
+    for u, v, elab in zip(eu.tolist(), ev.tolist(), elabels.tolist()):
+        lu, lv = sorted((int(graph.labels[u]), int(graph.labels[v])))
+        expected.append(supports[(lu, lv, elab)].support >= support)
+    mask = frequent_edge_mask(graph, support)
+    assert mask.dtype == bool
+    assert mask.tolist() == expected

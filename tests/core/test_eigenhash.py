@@ -1,6 +1,6 @@
 """Unit tests for the EigenHash fingerprint (Algorithm 1, Figure 6)."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.core.eigenhash import (
     HARARY_COSPECTRAL_9,
     PatternHasher,
 )
-from repro.core.isomorphism import are_isomorphic
+from repro.core.isomorphism import are_isomorphic, canonical_key
 from repro.core.pattern import triangle_index
 from repro.errors import EmbeddingSizeError
 
@@ -181,6 +181,71 @@ def test_exhaustive_no_collision_on_6_vertices():
     32,768 graphs on 6 vertices (156 classes), where cospectral pairs
     exist and the degree sequence must separate them."""
     _assert_hash_iff_isomorphic(6, classes=156)
+
+
+def _labelled_patterns(max_k: int, vertex_labels: int, edge_labels: int = 0):
+    """Every graph on 1..``max_k`` vertices under every assignment of
+    ``vertex_labels`` vertex labels (and, if ``edge_labels``, of that many
+    edge labels to its edges)."""
+    for k in range(1, max_k + 1):
+        cells = [triangle_index(i, j, k) for i, j in combinations(range(k), 2)]
+        for mask in range(1 << len(cells)):
+            bits = sum(1 << cell for t, cell in enumerate(cells) if mask >> t & 1)
+            edge_choices = (
+                product(range(edge_labels), repeat=bits.bit_count())
+                if edge_labels
+                else [None]
+            )
+            for elabels in edge_choices:
+                for labels in product(range(vertex_labels), repeat=k):
+                    yield Pattern(labels, bits, elabels)
+
+
+def _assert_labelled_hash_iff_isomorphic(patterns) -> int:
+    """Equal hash ⟹ equal canonical key (isomorphic), and as many hashes
+    as canonical keys (isomorphic ⟹ equal hash).  Returns the number of
+    classes."""
+    key_of_hash: dict[int, object] = {}
+    classes = set()
+    for p in patterns:
+        key = canonical_key(p)
+        classes.add(key)
+        assert key_of_hash.setdefault(eigen_hash(p), key) == key, p
+    assert len(key_of_hash) == len(classes)
+    return len(classes)
+
+
+@pytest.mark.parametrize(
+    "max_k, vertex_labels, edge_labels",
+    [(5, 2, 0), (4, 3, 0), (4, 2, 2)],
+    ids=["5v-2labels", "4v-3labels", "4v-2labels-2edgelabels"],
+)
+def test_exhaustive_labelled_no_collision(max_k, vertex_labels, edge_labels):
+    """The FSM block mappers hash once per distinct labelled code and
+    merge MNI domains by hash, so a labelled collision would silently
+    merge two patterns' supports.  Exhaustive over every graph (connected
+    or not) on up to ``max_k`` vertices under every labelling."""
+    patterns = _labelled_patterns(max_k, vertex_labels, edge_labels)
+    assert _assert_labelled_hash_iff_isomorphic(patterns) > 0
+
+
+def test_edge_label_profile_separates_cospectral_paths():
+    """Two 4-paths labelled 0-1-0-1 whose distinct edge label sits at the
+    label-0 end in one and at the label-1 end in the other: their weighted
+    adjacency matrices are cospectral, so only the per-vertex incident
+    edge-label profile tells them apart."""
+    a = Pattern((0, 1, 0, 1), 0b101001, (1, 0, 0))  # edges 01, 12, 23
+    b = Pattern((0, 1, 0, 1), 0b101001, (0, 0, 1))
+    assert not are_isomorphic(a, b)
+    assert eigen_hash(a) != eigen_hash(b)
+
+
+@pytest.mark.slow
+def test_exhaustive_edge_labelled_no_collision_on_5_vertices():
+    """The edge-labelled audit one vertex further: every graph on ≤ 5
+    vertices × 2 vertex labels × 2 edge labels (1.9M patterns, ~5 min)."""
+    patterns = _labelled_patterns(5, vertex_labels=2, edge_labels=2)
+    assert _assert_labelled_hash_iff_isomorphic(patterns) > 0
 
 
 # ----------------------------------------------------------------------

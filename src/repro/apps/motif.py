@@ -12,7 +12,9 @@ An unlabeled k-vertex structure is fully determined by its adjacency
 bitmap, so the mapper builds one bitmap code per k-embedding from batched
 adjacency probes, counts the codes with ``np.unique`` and calls the
 hasher once per *distinct* code: the paper's argument for EigenHash —
-fingerprint patterns, not embeddings — applied to a whole block.
+fingerprint patterns, not embeddings — applied to a whole block.  The
+same code builder, :func:`extension_codes`, serves the sampled census of
+:mod:`repro.apps.approximate`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.kernels import (
+    VertexKernelContext,
     _degree_sums,
     _pair_budget_chunks,
     expand_block,
@@ -29,10 +32,39 @@ from ..core.kernels import (
 )
 from ..core.pattern import Pattern, triangle_index
 
-__all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS"]
+__all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS", "extension_codes"]
 
 #: Number of connected unlabeled graphs on k vertices (what k-Motif yields).
 MOTIF_COUNTS = {3: 2, 4: 6, 5: 21}
+
+
+def extension_codes(
+    kctx: VertexKernelContext, slab: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand an int64 slab of (k-1)-embeddings by one canonical vertex
+    and return ``(rows, codes)``: one entry per k-embedding, in (row,
+    candidate ascending) order — ``rows[i]`` is the slab row it extends
+    and ``codes[i]`` its unlabeled adjacency bitmap (``Pattern.bits``).
+
+    Callers cut ``slab`` with ``_pair_budget_chunks`` so the kernel's and
+    the codes' temporaries stay bounded by ``PAIR_BUDGET``.
+    """
+    last = k - 1
+    cands, counts, _ = expand_block(kctx, slab)
+    rows = np.repeat(np.arange(slab.shape[0]), counts)
+    if cands.shape[0] == 0:
+        return rows, np.zeros(0, dtype=np.int64)
+    # Adjacency bits among the (k-1)-prefix are shared by a row's
+    # children; the candidate's bits are probed per pair.
+    prefix = np.zeros(slab.shape[0], dtype=np.int64)
+    for i in range(last):
+        for j in range(i + 1, last):
+            prefix[kctx.has_edges(slab[:, i], slab[:, j])] |= 1 << triangle_index(i, j, k)
+    cands = cands.astype(np.int64)
+    codes = prefix[rows]
+    for i in range(last):
+        codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
+    return rows, codes
 
 
 class MotifResult(dict):
@@ -79,28 +111,11 @@ class MotifCounting(MiningApplication):
         """Expand the block to k-embeddings on the fly and count each
         adjacency code, hashing every distinct code once."""
         k = self.k
-        last = k - 1
         kctx = vertex_kernel_context(ctx.graph)
         block = block.astype(np.int64, copy=False)
         tally: dict[int, int] = {}
-        # Slabs bounded by PAIR_BUDGET gathered pairs keep the kernel's
-        # and the codes' temporaries constant-sized per part.
         for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
-            slab = block[start:end]
-            cands, counts, _ = expand_block(kctx, slab)
-            if cands.shape[0] == 0:
-                continue
-            # Adjacency bits among the (k-1)-prefix are shared by a row's
-            # children; the candidate's bits are probed per pair.
-            prefix = np.zeros(slab.shape[0], dtype=np.int64)
-            for i in range(last):
-                for j in range(i + 1, last):
-                    prefix[kctx.has_edges(slab[:, i], slab[:, j])] |= 1 << triangle_index(i, j, k)
-            rows = np.repeat(np.arange(slab.shape[0]), counts)
-            cands = cands.astype(np.int64)
-            codes = prefix[rows]
-            for i in range(last):
-                codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
+            _, codes = extension_codes(kctx, block[start:end], k)
             for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
                 tally[code] = tally.get(code, 0) + count
         labels = (0,) * k

@@ -30,17 +30,19 @@ import numpy as np
 __all__ = ["Level", "InMemoryLevel", "CSE", "decode_block_arrays", "level_vert_source"]
 
 
-def decode_block_arrays(verts, offs, start: int, end: int) -> np.ndarray:
-    """Decode embeddings ``start..end`` from raw per-level accessors.
+def decode_block_arrays(verts, offs, positions: np.ndarray) -> np.ndarray:
+    """Decode the embeddings at ``positions`` of the top level from raw
+    per-level accessors, one row per position (in the given order,
+    repeats included).
 
     ``verts[l]`` is anything supporting a fancy gather with an int64
     position array (an ndarray, or a
     :class:`repro.storage.spill.PartedVector` over memmapped spill parts);
     ``offs[l]`` is the level's offset ndarray (``None`` at the root).
-    This is the single implementation :meth:`CSE.decode_block` delegates
-    to.
+    This is the single implementation :meth:`CSE.decode_rows` and
+    :meth:`CSE.decode_block` delegate to.
     """
-    positions = np.arange(start, end, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
     columns: list[np.ndarray] = []
     for l in range(len(verts) - 1, 0, -1):
         columns.append(np.asarray(verts[l][positions]))
@@ -263,20 +265,38 @@ class CSE:
         their arrays; spilled levels through their mmap-served
         ``vert_accessor``.
         """
-        if level_idx is None:
-            level_idx = self.depth - 1
-        if not 0 <= level_idx < self.depth:
-            raise IndexError(f"level {level_idx} out of range 0..{self.depth - 1}")
-        total = self.levels[level_idx].num_embeddings
+        level_idx = self._level_index(level_idx)
+        total = self.size(level_idx)
         if not 0 <= start <= end <= total:
             raise IndexError(f"block [{start}, {end}) outside level of {total}")
+        return self.decode_rows(np.arange(start, end, dtype=np.int64), level_idx)
+
+    def decode_rows(self, positions, level_idx: int | None = None) -> np.ndarray:
+        """Decode the embeddings at arbitrary ``positions`` of a level.
+
+        Returns shape ``(len(positions), level_idx + 1)``: row ``i`` is
+        the tuple of embedding ``positions[i]``, in the given order and
+        with repeats kept — how a sampler gathers only its picks.
+        """
+        level_idx = self._level_index(level_idx)
+        positions = np.asarray(positions, dtype=np.int64)
+        total = self.size(level_idx)
+        if positions.size and not 0 <= positions.min() <= positions.max() < total:
+            raise IndexError(f"positions outside level of {total}")
         levels = self.levels[: level_idx + 1]
         return decode_block_arrays(
             [level_vert_source(level) for level in levels],
             [level.off_array() for level in levels],
-            start,
-            end,
+            positions,
         )
+
+    def _level_index(self, level_idx: int | None) -> int:
+        """``level_idx`` resolved (default: the top level) and checked."""
+        if level_idx is None:
+            return self.depth - 1
+        if not 0 <= level_idx < self.depth:
+            raise IndexError(f"level {level_idx} out of range 0..{self.depth - 1}")
+        return level_idx
 
     # ------------------------------------------------------------------
     def filter_top_level(self, keep: np.ndarray) -> None:

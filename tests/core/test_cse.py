@@ -33,6 +33,20 @@ def test_decode_all_against_walk(paper_cse):
         assert paper_cse.embedding_at(2, pos) == emb
 
 
+def test_decode_rows_gathers_block_rows(paper_cse):
+    """Arbitrary order and repeats, top level and a lower level."""
+    picks = np.array([7, 0, 3, 3, 5, 0])
+    full = paper_cse.decode_block(0, paper_cse.size())
+    np.testing.assert_array_equal(paper_cse.decode_rows(picks), full[picks])
+    np.testing.assert_array_equal(
+        paper_cse.decode_rows([6, 1], level_idx=1), paper_cse.decode_block(0, 7, 1)[[6, 1]]
+    )
+    assert paper_cse.decode_rows([]).shape == (0, 3)
+    for bad in ([8], [-1]):
+        with pytest.raises(IndexError):
+            paper_cse.decode_rows(bad)
+
+
 def test_walk_lower_level(paper_cse):
     twos = [emb for _, emb in paper_cse.iter_embeddings(1)]
     assert twos == [(1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]

@@ -1,5 +1,8 @@
 """Integration: the three systems agree on every application and the
-performance/memory ordering matches the paper's shape."""
+performance/memory ordering matches the paper's shape.
+
+The two ordering tests are ``slow`` (the ``-m slow`` job): they run the
+baselines' 4-motif for minutes, and one asserts on wall-clock time."""
 
 import pytest
 
@@ -60,6 +63,7 @@ def test_fsm_agreement(tiny_citeseer, tmp_path):
     assert sorted(dict(ka.value).values()) == sorted(dict(rs.value).values())
 
 
+@pytest.mark.slow
 def test_kaleido_memory_beats_baselines(tiny_mico, tmp_path):
     """Figure 10's shape: Kaleido's accounted memory below both baselines."""
     ka = KaleidoEngine(tiny_mico).run(MotifCounting(4))
@@ -70,6 +74,7 @@ def test_kaleido_memory_beats_baselines(tiny_mico, tmp_path):
     assert ka.peak_memory_bytes < rs.peak_memory_bytes
 
 
+@pytest.mark.slow
 def test_kaleido_faster_than_rstream(tiny_mico, tmp_path):
     """Table 2's strongest ordering: Kaleido beats the relational engine."""
     ka = KaleidoEngine(tiny_mico).run(MotifCounting(4))

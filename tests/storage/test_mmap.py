@@ -189,6 +189,9 @@ def test_spilled_level_block_decode_matches_walk(paper_graph, tmp_path):
     block = cse.decode_block(0, cse.size())
     for pos, emb in expected:
         assert tuple(int(v) for v in block[pos]) == emb
+    # Picks in arbitrary order, with repeats, crossing part boundaries.
+    picks = np.array([7, 0, 4, 4, 2, 7, 5])
+    np.testing.assert_array_equal(cse.decode_rows(picks), block[picks])
 
 
 def _walk(cse, top):

@@ -1,9 +1,12 @@
 """Clique discovery (Section 5.1).
 
-The EmbeddingFilter admits a candidate only when it is adjacent to *every*
-embedding vertex, so after ``k - 1`` iterations the CSE's top level holds
-exactly the k-cliques.  No Mapper work is needed — all embeddings share
-one pattern — so the aggregation just counts.
+The query pattern is the complete pattern K_k, so every level plan
+carries a :class:`~repro.core.restrictions.PatternGather`: the kernel
+admits a candidate only when it is adjacent to *every* embedding vertex
+(gathering one neighbor-list tail and probing the others), and after
+``k - 1`` iterations the CSE's top level holds exactly the k-cliques.
+No Mapper work is needed — all embeddings share one pattern — so the
+aggregation just counts.
 """
 
 from __future__ import annotations
@@ -14,25 +17,7 @@ from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern, triangle_index
 
-__all__ = ["CliqueDiscovery", "CliqueResult", "AllAdjacent"]
-
-
-class AllAdjacent:
-    """Block filter: the candidate must close a clique with every member.
-
-    The canonical filter already guaranteed adjacency to at least one
-    member and ordering; here every embedding column is tested with one
-    batch of binary searches into the packed adjacency keys, over the
-    pairs still alive."""
-
-    def __call__(self, ctx, block, rows, candidates) -> np.ndarray:
-        keep = np.ones(rows.shape[0], dtype=bool)
-        for col in range(block.shape[1]):
-            live = np.flatnonzero(keep)
-            if live.shape[0] == 0:
-                break
-            keep[live] = ctx.has_edges(block[rows[live], col], candidates[live])
-        return keep
+__all__ = ["CliqueDiscovery", "CliqueResult"]
 
 
 class CliqueResult:
@@ -73,15 +58,13 @@ class CliqueDiscovery(MiningApplication):
         return self.k - 1
 
     def query_pattern(self) -> Pattern:
-        """The unlabeled complete pattern K_k."""
+        """The unlabeled complete pattern K_k — which makes the planner
+        gather all-adjacent extensions at every level."""
         bits = 0
         for i in range(self.k):
             for j in range(i + 1, self.k):
                 bits |= 1 << triangle_index(i, j, self.k)
         return Pattern((0,) * self.k, bits)
-
-    def block_filter(self, ctx: EngineContext) -> AllAdjacent:
-        return AllAdjacent()
 
     def map_block(
         self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None

@@ -49,9 +49,11 @@ from .isomorphism import (
 from .pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 from .restrictions import (
     LevelConstraint,
+    PatternGather,
     Restriction,
     RestrictionSet,
     compile_restrictions,
+    pattern_gathers,
 )
 
 __all__ = [
@@ -72,7 +74,9 @@ __all__ = [
     "Restriction",
     "RestrictionSet",
     "LevelConstraint",
+    "PatternGather",
     "compile_restrictions",
+    "pattern_gathers",
     "canonical_order",
     "is_canonical",
     "extends_canonically",

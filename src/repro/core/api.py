@@ -148,10 +148,14 @@ class MiningApplication:
         motif counting).
 
         The planner compiles the pattern's automorphism group into a
-        symmetry-breaking :class:`~repro.core.restrictions.RestrictionSet`
-        and attaches each level's ordering constraints to its
-        :class:`~repro.core.plan.LevelPlan`; the compiled set is also
+        symmetry-breaking :class:`~repro.core.restrictions.RestrictionSet`,
         surfaced in the run result's ``extra["pattern_restrictions"]``.
+        The pattern changes how a vertex-induced app explores when it is
+        *complete* with every vertex label equal (K_k): each level then
+        gathers only the candidates adjacent to every embedding vertex
+        (:func:`~repro.core.restrictions.pattern_gathers`), so the levels
+        hold cliques and no all-adjacent block filter is needed.  Any
+        other pattern leaves exploration unchanged.
         """
         return None
 

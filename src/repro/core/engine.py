@@ -353,11 +353,11 @@ class KaleidoEngine:
             raise ValueError(f"unknown induced mode {app.induced!r}")
 
         # Compile the app's query pattern (if it has one) into its
-        # symmetry-breaking restriction set so level plans carry the
-        # per-level ordering constraints alongside the fused kernel
-        # bounds.
+        # symmetry-breaking restriction set; a complete, uniformly
+        # labelled pattern also yields the per-level gather descriptors
+        # the level plans carry to the kernel.
         pattern_restrictions = self.planner.pattern_restrictions(app)
-        self.planner.active_restriction_set = pattern_restrictions
+        self.planner.active_gathers = self.planner.pattern_gathers(app)
 
         roots = app.init(ctx)
         block_filter = app.block_filter(ctx)
@@ -414,6 +414,7 @@ class KaleidoEngine:
                                     workers=self.workers,
                                     tracer=self.tracer,
                                     use_kernels=self.use_restrictions,
+                                    pattern_gather=plan.pattern_gather,
                                 )
                             else:
                                 assert ctx.edge_index is not None

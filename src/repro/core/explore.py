@@ -20,12 +20,15 @@ production path and one oracle:
   resident levels and mmap-served spilled levels alike) and expanded by
   batched numpy CSR gathers with the canonical bounds fused in, the
   block filter applied to each chunk's survivors.  Every level, every
-  application, every storage mode;
+  application, every storage mode; a complete query pattern's level
+  (its plan's :class:`~repro.core.restrictions.PatternGather`) takes
+  the kernel's gather-and-probe branch;
 * the **scalar per-part functions** (:func:`expand_vertex_part` /
   :func:`expand_edge_part`): the original per-embedding Python loops,
-  calling the same block filter with one-row blocks.  They run only
-  when the caller asks for them (``use_kernels=False``) — the
-  independent parity oracle.
+  calling the same block filter with one-row blocks and applying a
+  pattern gather as a post-filter over their ``frozenset`` adjacency.
+  They run only when the caller asks for them (``use_kernels=False``)
+  — the independent parity oracle.
 
 Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
@@ -52,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.trace import Tracer
     from .api import BlockFilter
     from .executor import PartExecutor
+    from .restrictions import PatternGather
 
 __all__ = [
     "ExpansionStats",
@@ -249,6 +253,7 @@ def expand_vertex_part(
     index: int,
     block_filter: "BlockFilter | None" = None,
     out_dtype: np.dtype | None = None,
+    pattern_gather: "PatternGather | None" = None,
 ) -> PartExpansion:
     """Expand one contiguous part of a level by one vertex.
 
@@ -257,7 +262,9 @@ def expand_vertex_part(
     the scalar reference implementation — the parity oracle for
     :func:`repro.core.kernels.expand_block`; ``block_filter``
     is the same hook the kernel takes, called here once per embedding
-    with a one-row block.
+    with a one-row block.  ``pattern_gather`` keeps only the canonical
+    survivors adjacent to every required column and above every bound
+    column — the kernel's gather-and-probe rule, checked independently.
     """
     ctx = kernels.vertex_kernel_context(graph) if block_filter is not None else None
     buffer: list[int] = []
@@ -275,6 +282,13 @@ def expand_vertex_part(
         survivors = [
             cand for cand in candidates if _extends_inline(adjacency, emb, cand)
         ]
+        if pattern_gather is not None:
+            floor = max(emb[c] for c in pattern_gather.bound_cols)
+            survivors = [
+                cand for cand in survivors
+                if cand > floor
+                and all(cand in adjacency[emb[c]] for c in pattern_gather.required_cols)
+            ]
         survivors = _filter_row(block_filter, ctx, emb, survivors)
         buffer.extend(survivors)
         counts[i] = len(survivors)
@@ -354,7 +368,8 @@ class BlockTask:
     Instances are the executor's unit of work on the kernel path, for
     both exploration modes (the context's kind picks the gather).
     ``block_filter`` is the application's filter (or None); graph arrays
-    reach it through the kernel context.
+    reach it through the kernel context.  ``pattern_gather`` is the
+    level plan's gather descriptor (or None).
     """
 
     ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext"
@@ -362,10 +377,11 @@ class BlockTask:
     bound: tuple[int, int]
     index: int
     block_filter: "BlockFilter | None" = None
+    pattern_gather: "PatternGather | None" = None
 
     def __call__(self) -> PartExpansion:
         vert, counts, examined = kernels.expand_block(
-            self.ctx, self.block, self.block_filter
+            self.ctx, self.block, self.block_filter, self.pattern_gather
         )
         return PartExpansion(
             index=self.index,
@@ -396,19 +412,20 @@ def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
     return factory
 
 
-def _block_task_factory(cse: CSE, ctx, block_filter=None):
+def _block_task_factory(cse: CSE, ctx, block_filter=None, pattern_gather=None):
     """Tasks that decode each part as one 2-D block (kernel path).
 
     Decoding happens as the executor pulls each task, so at most a
     bounded number of blocks (the executor's in-flight window) exist at
     once; ``block_filter`` is the application's keep-mask over each
-    chunk's survivors.
+    chunk's survivors, ``pattern_gather`` the level's gather descriptor.
     """
 
     def factory(parts: Sequence[tuple[int, int]]):
         for index, (start, end) in enumerate(parts):
             yield BlockTask(
-                ctx, cse.decode_block(start, end), (start, end), index, block_filter
+                ctx, cse.decode_block(start, end), (start, end), index,
+                block_filter, pattern_gather,
             )
 
     return factory
@@ -493,6 +510,7 @@ def expand_vertex_level(
     workers: int = 1,
     tracer: "Tracer | None" = None,
     use_kernels: bool = True,
+    pattern_gather: "PatternGather | None" = None,
 ) -> ExpansionStats:
     """Expand the CSE's top level by one vertex (one exploration iteration).
 
@@ -503,27 +521,36 @@ def expand_vertex_level(
     which emits the same level while examining more candidates.
     ``block_filter`` (the application's
     :data:`~repro.core.api.BlockFilter`, or None) prunes canonical
-    survivors on either path.  Appends the new level to the CSE and
-    returns the per-part stats.  ``tracer`` (optional) receives the
-    executor's per-part worker spans.
+    survivors on either path.  ``pattern_gather`` (the level plan's
+    :class:`~repro.core.restrictions.PatternGather`, or None) restricts
+    the level to a complete query pattern's bindings: the kernel's
+    gather-and-probe branch, or the scalar loop's post-filter.  Appends
+    the new level to the CSE and returns the per-part stats.
+    ``tracer`` (optional) receives the executor's per-part worker spans.
     """
     dtype = graph.id_dtype
     if use_kernels:
         ctx = kernels.vertex_kernel_context(graph, out_dtype=dtype)
         return _run_kernel_expansion(
-            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
+            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype,
+            pattern_gather,
         )
     adjacency = graph.adjacency_sets()
-    make_part = partial(_vertex_part_task, graph, adjacency, block_filter, dtype)
+    make_part = partial(
+        _vertex_part_task, graph, adjacency, block_filter, dtype, pattern_gather
+    )
     return _run_expansion(
         cse, parts, sink, executor, workers,
         _scalar_task_factory(cse, make_part), tracer, dtype,
     )
 
 
-def _vertex_part_task(graph, adjacency, block_filter, dtype, embeddings, bound, index):
+def _vertex_part_task(
+    graph, adjacency, block_filter, dtype, pattern_gather, embeddings, bound, index
+):
     return expand_vertex_part(
-        graph, adjacency, embeddings, bound, index, block_filter, out_dtype=dtype
+        graph, adjacency, embeddings, bound, index, block_filter,
+        out_dtype=dtype, pattern_gather=pattern_gather,
     )
 
 
@@ -563,13 +590,14 @@ def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, boun
 
 
 def _run_kernel_expansion(
-    cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
+    cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype,
+    pattern_gather=None,
 ) -> ExpansionStats:
     """Kernel path of both ``expand_*_level`` functions: one block task
     per part."""
     return _run_expansion(
         cse, parts, sink, executor, workers,
-        _block_task_factory(cse, ctx, block_filter), tracer, dtype,
+        _block_task_factory(cse, ctx, block_filter, pattern_gather), tracer, dtype,
     )
 
 

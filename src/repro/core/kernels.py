@@ -43,11 +43,28 @@ packed sorted view (``Graph.adjacency_keys()`` /
   ``candidates_examined`` counts only the deduped pairs that survived
   the bounds.
 
+**Pattern gather.** A level of a complete, uniformly labelled query
+pattern (clique discovery, triangle counting, matching K_k) arrives with
+a :class:`~repro.core.restrictions.PatternGather` ``(required_cols,
+bound_cols)`` from its plan and takes one branch instead of the clauses
+above.  Each row's lower bound is ``max(block[:, bound_cols]) + 1``;
+one ``searchsorted`` per required column finds that bound in the
+column's neighbor list, and only the *shortest* surviving tail is
+gathered (``PAIR_BUDGET`` chunks cut from the exact tail lengths).  Each
+candidate is then ``_in_packed``-probed against the other required
+columns.  There is no union, no dedup and no verification pass: one
+sorted source list has no duplicates and is already ascending per row.
+For these patterns pattern-order bindings are the canonical embeddings,
+so the emitted level is byte-identical to the generic clauses followed
+by an all-adjacent filter, while ``candidates_examined`` counts only
+the one tail per row.
+
 The application's **block filter** (Listing 1's ``EmbeddingFilter``, see
 :data:`repro.core.api.BlockFilter`) runs last, over the ``(row,
-candidate)`` pairs that survived the canonical clauses, and returns one
-boolean keep-mask per chunk — so filtered applications (clique, FSM,
-pattern matching) expand on the same kernel as unfiltered ones.
+candidate)`` pairs that survived the canonical clauses (or the pattern
+probe), and returns one boolean keep-mask per chunk — so filtered
+applications (FSM, pattern matching) expand on the same kernel as
+unfiltered ones.
 
 Dispatch (:func:`repro.core.explore.expand_vertex_level`): every level
 is block-decodable — resident, or spilled and served through ``mmap`` —
@@ -60,11 +77,15 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .restrictions import PatternGather
 
 __all__ = [
     "id_dtype",
@@ -378,6 +399,7 @@ def expand_block(
     ctx: VertexKernelContext | EdgeKernelContext,
     block: np.ndarray,
     block_filter=None,
+    pattern_gather: "PatternGather | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Expand a block of same-length embeddings by one vertex or edge.
 
@@ -393,24 +415,26 @@ def expand_block(
     are edge ids, ``ctx.edge_u`` / ``ctx.edge_v`` give the endpoints).
     The fused bounds skip filtered candidates during the gather, so
     ``candidates_examined`` counts only the surviving deduped pairs —
-    at most the scalar oracle's count.
+    at most the scalar oracle's count.  ``pattern_gather`` (vertex
+    context only) selects the gather-and-probe branch of a complete
+    query pattern's level, where ``candidates_examined`` is the one
+    gathered tail per row.
     """
     block = np.ascontiguousarray(block)
     if block.ndim != 2:
         raise ValueError(f"block must be 2-D (rows, k), got shape {block.shape}")
+    if pattern_gather is not None and ctx.kind != "vertex":
+        raise ValueError("a pattern gather needs a vertex kernel context")
     rows_total, k = block.shape
     counts = np.zeros(rows_total, dtype=np.int64)
     pieces: list[np.ndarray] = []
     examined = 0
     if rows_total and k:
-        keys = ctx.gather_keys(block)
-        for start, end in _pair_budget_chunks(_degree_sums(ctx.gather_view()[0], keys)):
-            vert, chunk_counts, chunk_examined = _expand_chunk(
-                ctx,
-                block[start:end].astype(np.int64, copy=False),
-                keys[start:end].astype(np.int64, copy=False),
-                block_filter,
-            )
+        if pattern_gather is None:
+            chunks = _canonical_chunks(ctx, block, block_filter)
+        else:
+            chunks = _pattern_chunks(ctx, block, pattern_gather, block_filter)
+        for start, end, vert, chunk_counts, chunk_examined in chunks:
             counts[start:end] = chunk_counts
             pieces.append(vert)
             examined += chunk_examined
@@ -419,6 +443,61 @@ def expand_block(
     else:
         vert = np.zeros(0, dtype=ctx.out_dtype)
     return vert.astype(ctx.out_dtype, copy=False), counts, examined
+
+
+def _canonical_chunks(ctx, block: np.ndarray, block_filter):
+    """``(start, end, vert, counts, examined)`` per chunk of the generic
+    canonical expansion, chunks cut from the degree-sum prefix."""
+    keys = ctx.gather_keys(block)
+    for start, end in _pair_budget_chunks(_degree_sums(ctx.gather_view()[0], keys)):
+        yield start, end, *_expand_chunk(
+            ctx,
+            block[start:end].astype(np.int64, copy=False),
+            keys[start:end].astype(np.int64, copy=False),
+            block_filter,
+        )
+
+
+def _pattern_chunks(ctx, block: np.ndarray, gather: "PatternGather", block_filter):
+    """``(start, end, vert, counts, examined)`` per chunk of a complete
+    pattern's gather-and-probe.
+
+    Every candidate must be adjacent to all of ``gather.required_cols``
+    and exceed the row's ``bound_cols`` maximum, so each row gathers
+    only its shortest bounded required tail and probes the other
+    required columns.  The graph has no self-loops, so adjacency to a
+    column already excludes that column's vertex from the candidates.
+    """
+    indptr, data, packed, modulus = ctx.gather_view()
+    block64 = block.astype(np.int64, copy=False)
+    rows_total = block64.shape[0]
+    required = block64[:, list(gather.required_cols)]
+    lb = block64[:, list(gather.bound_cols)].max(axis=1) + 1
+    ends = indptr[required + 1]
+    starts = np.searchsorted(packed, required * modulus + lb[:, None])
+    np.minimum(starts, ends, out=starts)
+    source = np.argmin(ends - starts, axis=1)
+    row_ids = np.arange(rows_total)
+    starts = starts[row_ids, source]
+    ends = ends[row_ids, source]
+    for lo, hi in _pair_budget_chunks(ends - starts):
+        cands, rows = _ranged_gather(starts[lo:hi], ends[lo:hi], data, row_ids[: hi - lo])
+        examined = int(cands.shape[0])
+        cands = cands.astype(np.int64)
+        chunk = block64[lo:hi]
+        pair_source = source[lo + rows]
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for i, column in enumerate(gather.required_cols):
+            probe = np.flatnonzero(keep & (pair_source != i))
+            keep[probe] = _in_packed(packed, modulus, chunk[rows[probe], column], cands[probe])
+        rows = rows[keep]
+        cands = cands[keep]
+        if block_filter is not None and rows.shape[0]:
+            mask = call_block_filter(block_filter, ctx, chunk, rows, cands)
+            rows = rows[mask]
+            cands = cands[mask]
+        counts = np.bincount(rows, minlength=hi - lo)
+        yield lo, hi, cands.astype(ctx.out_dtype), counts, examined
 
 
 def _expand_chunk(

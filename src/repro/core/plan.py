@@ -27,7 +27,12 @@ from ..graph.graph import Graph
 from .api import EngineContext, MiningApplication
 from .cse import CSE
 from .explore import InMemorySink, LevelSink, even_parts
-from .restrictions import LevelConstraint, RestrictionSet, compile_restrictions
+from .restrictions import (
+    PatternGather,
+    RestrictionSet,
+    compile_restrictions,
+    pattern_gathers,
+)
 
 __all__ = ["LevelPlan", "AggregatePlan", "Planner"]
 
@@ -56,11 +61,12 @@ class LevelPlan:
     #: or "sync" after degradation) — "memory" when no policy was
     #: consulted.
     io_mode: str = "memory"
-    #: The query pattern's ordering constraints on the vertex this level
-    #: binds (from the app's compiled
-    #: :class:`~repro.core.restrictions.RestrictionSet`), or None when
-    #: the app mines no single pattern or the level is past the pattern.
-    pattern_constraints: LevelConstraint | None = None
+    #: The gather-and-probe descriptor for the vertex this level binds
+    #: (see :func:`~repro.core.restrictions.pattern_gathers`), or None
+    #: when the app's query pattern is not complete and uniformly
+    #: labelled, or the level is past the pattern: the generic canonical
+    #: expansion then runs.
+    pattern_gather: PatternGather | None = None
     #: The storage policy's part-size choice for this level when it
     #: spills; None for in-memory levels.
     io_plan: IOPlan | None = None
@@ -104,10 +110,11 @@ class Planner:
         self.use_prediction = use_prediction
         self.storage_mode = storage_mode
         self.max_embeddings = max_embeddings
-        #: The active app's compiled pattern restrictions, set by the
-        #: engine at the start of each run (None between runs or for
-        #: apps without a single query pattern).
-        self.active_restriction_set: RestrictionSet | None = None
+        #: The active app's per-position pattern gathers, set by the
+        #: engine at the start of each run from :meth:`pattern_gathers`
+        #: (empty between runs and for apps without a complete, uniformly
+        #: labelled query pattern).
+        self.active_gathers: dict[int, PatternGather] = {}
         self._pattern_cache: dict[object, RestrictionSet] = {}
 
     def pattern_restrictions(self, app: MiningApplication) -> RestrictionSet | None:
@@ -126,6 +133,15 @@ class Planner:
             cached = compile_restrictions(pattern)
             self._pattern_cache[pattern] = cached
         return cached
+
+    def pattern_gathers(self, app: MiningApplication) -> dict[int, PatternGather]:
+        """The app's per-position gather descriptors: non-empty only for a
+        vertex-induced app whose query pattern is complete with every
+        label equal (clique discovery, triangle counting, matching K_k)."""
+        rset = self.pattern_restrictions(app)
+        if rset is None or app.induced != "vertex":
+            return {}
+        return pattern_gathers(app.query_pattern(), rset)
 
     @property
     def num_parts(self) -> int:
@@ -190,11 +206,6 @@ class Planner:
             part_bounds = balanced_parts(costs, num_parts)
         else:
             part_bounds = even_parts(cse.size(), num_parts)
-        pattern_constraints = None
-        rset = self.active_restriction_set
-        if rset is not None and cse.depth < rset.num_vertices:
-            # This expansion binds pattern position `depth` (0-based).
-            pattern_constraints = rset.constraints_at(cse.depth)
         return LevelPlan(
             depth=cse.depth,
             size=cse.size(),
@@ -204,7 +215,8 @@ class Planner:
             spill=spill,
             sink=sink,
             io_mode=io_mode,
-            pattern_constraints=pattern_constraints,
+            # This expansion binds pattern position `depth` (0-based).
+            pattern_gather=self.active_gathers.get(cse.depth),
             io_plan=io_plan,
         )
 

@@ -33,7 +33,7 @@ canonical filter as the independent parity oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .isomorphism import automorphisms
 
@@ -44,7 +44,9 @@ __all__ = [
     "Restriction",
     "RestrictionSet",
     "LevelConstraint",
+    "PatternGather",
     "compile_restrictions",
+    "pattern_gathers",
 ]
 
 
@@ -126,6 +128,41 @@ class RestrictionSet:
         return tuple(
             self.constraints_at(position) for position in range(1, self.num_vertices)
         )
+
+
+class PatternGather(NamedTuple):
+    """How one level of a complete query pattern gathers its candidates.
+
+    The new vertex must be adjacent to every column in ``required_cols``
+    and exceed every column in ``bound_cols``.  The kernel
+    (:func:`repro.core.kernels.expand_block`) gathers the shortest
+    bounded tail among the required columns' neighbor lists and probes
+    the others; the scalar loops apply the same rule as a post-filter.
+    """
+
+    required_cols: tuple[int, ...]
+    bound_cols: tuple[int, ...]
+
+
+def pattern_gathers(
+    pattern: "Pattern", rset: RestrictionSet
+) -> dict[int, PatternGather]:
+    """Per-position gather descriptors (key = the position a level binds,
+    i.e. the CSE depth before the expansion), or ``{}`` unless the
+    pattern is complete and ``rset`` is the chain ``0 < 1 < ... < k-1``
+    — the one case in which the gather emits exactly the canonical
+    expansion's all-adjacent survivors."""
+    k = pattern.num_vertices
+    chain = tuple(Restriction(p, p + 1) for p in range(k - 1))
+    if pattern.num_edges != k * (k - 1) // 2 or rset.restrictions != chain:
+        return {}
+    return {
+        position: PatternGather(
+            tuple(j for j in range(position) if pattern.has_edge(j, position)),
+            rset.constraints_at(position).lower_cols,
+        )
+        for position in range(1, k)
+    }
 
 
 def compile_restrictions(pattern: "Pattern") -> RestrictionSet:

@@ -57,14 +57,17 @@ def random_labeled_graph(
 
 
 def filtered_expander(graph: Graph, app):
-    """``(roots, expand)`` for exercising an app's block filter level by level.
+    """``(roots, expand)`` for exercising an app's pruning level by level.
 
-    Runs the app's ``init`` and ``block_filter`` hooks the way the engine
-    does; ``expand(cse, **kwargs)`` then grows ``cse`` by one level with
-    that filter through ``expand_vertex_level`` / ``expand_edge_level``,
-    whichever the app's induced mode calls for."""
+    Runs the app's ``init`` and ``block_filter`` hooks and the planner's
+    pattern-gather compilation the way the engine does (the app must
+    prune through at least one of them); ``expand(cse, **kwargs)`` then
+    grows ``cse`` by one level with that filter and the level's gather
+    through ``expand_vertex_level`` / ``expand_edge_level``, whichever
+    the app's induced mode calls for."""
     from repro.core.api import EngineContext
     from repro.core.explore import expand_edge_level, expand_vertex_level
+    from repro.core.plan import Planner
     from repro.graph.edge_index import EdgeIndex
 
     ctx = EngineContext(graph=graph, engine=None)
@@ -72,15 +75,29 @@ def filtered_expander(graph: Graph, app):
         ctx.edge_index = EdgeIndex(graph)
     roots = app.init(ctx)
     block_filter = app.block_filter(ctx)
-    assert block_filter is not None
+    gathers = Planner(graph, policy=None).pattern_gathers(app)
+    assert block_filter is not None or gathers
 
     def expand(cse, **kwargs):
         if app.induced == "edge":
             return expand_edge_level(graph, ctx.edge_index, cse, block_filter, **kwargs)
-        return expand_vertex_level(graph, cse, block_filter, **kwargs)
+        return expand_vertex_level(
+            graph, cse, block_filter, pattern_gather=gathers.get(cse.depth), **kwargs
+        )
 
     expand.block_filter = block_filter
     return roots, expand
+
+
+def all_adjacent(ctx, block, rows, candidates) -> np.ndarray:
+    """Block filter keeping a candidate only when it closes a clique with
+    every embedding column — the all-adjacent rule a complete query
+    pattern's gather compiles in, kept here as its independent check."""
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for col in range(block.shape[1]):
+        live = np.flatnonzero(keep)
+        keep[live] = ctx.has_edges(block[rows[live], col], candidates[live])
+    return keep
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.apps.clique import AllAdjacent
 from repro.apps.reference import connected_edge_sets, connected_vertex_sets
 from repro.core import CSE
 from repro.core.explore import (
@@ -13,6 +12,8 @@ from repro.core.explore import (
     expand_vertex_level,
 )
 from repro.graph.edge_index import EdgeIndex
+
+from tests.conftest import all_adjacent
 
 
 def test_expand_matches_figure3(paper_graph):
@@ -52,7 +53,7 @@ def test_user_filter_applied(paper_graph):
     cse = CSE(np.arange(6))
     expand_vertex_level(paper_graph, cse)
     # Clique filter: candidate must be adjacent to every member.
-    expand_vertex_level(paper_graph, cse, block_filter=AllAdjacent())
+    expand_vertex_level(paper_graph, cse, block_filter=all_adjacent)
     triangles = [emb for _, emb in cse.iter_embeddings()]
     assert set(triangles) == {(1, 2, 5), (2, 3, 5), (3, 4, 5)}
 

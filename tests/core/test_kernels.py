@@ -9,10 +9,10 @@ its fused bounds examine at most the scalar loop's candidates.
 import numpy as np
 import pytest
 
-from repro import FrequentSubgraphMining, KaleidoEngine, MotifCounting
-from repro.apps.clique import AllAdjacent
+from repro import CliqueDiscovery, FrequentSubgraphMining, KaleidoEngine, MotifCounting
 from repro.core import engine as engine_module
 from repro.core import kernels
+from repro.core.plan import Planner
 from repro.core.cse import CSE, InMemoryLevel
 from repro.core.explore import (
     BlockTask,
@@ -122,8 +122,10 @@ def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, filtered):
     Star-plus-clique: every level-2 embedding ``(hub, leaf)`` gathers the
     hub's whole neighbor list, so a row-count cap would put
     ``leaves * leaves`` pairs in one chunk; the degree-sum cut keeps
-    every gather within the budget (no single row exceeds it here),
-    whether or not a block filter prunes the survivors."""
+    every gather within the budget (no single row exceeds it here).
+    ``filtered`` runs the triangle levels' pattern gather instead: each
+    ``(hub, leaf)`` row gathers only its shortest tail — the leaf's,
+    which is empty — so the hub's list is never gathered at level 2."""
     leaves, clique = 600, 6
     edges = [(0, leaf) for leaf in range(1, leaves + 1)]
     members = [0] + list(range(leaves + 1, leaves + clique))
@@ -139,14 +141,18 @@ def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, filtered):
         return ranged_gather(starts, ends, data, owners)
 
     monkeypatch.setattr(kernels, "_ranged_gather", recording_gather)
+    gathers = Planner(graph, policy=None).pattern_gathers(CliqueDiscovery(3))
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(2):
-        expand_vertex_level(graph, cse, AllAdjacent() if filtered else None)
+        level_start = len(gathered)
+        pattern_gather = gathers.get(cse.depth) if filtered else None
+        expand_vertex_level(graph, cse, pattern_gather=pattern_gather)
     if filtered:
         assert cse.size() == clique * (clique - 1) * (clique - 2) // 6  # triangles
+        assert sum(gathered[level_start:]) < clique**3
     else:  # every leaf-hub-leaf path, plus the clique's connected triples
         assert cse.size() > leaves * (leaves - 1) // 2
-    assert sum(gathered) > 10 * kernels.PAIR_BUDGET
+        assert sum(gathered) > 10 * kernels.PAIR_BUDGET
     assert max(gathered) <= kernels.PAIR_BUDGET
 
 

@@ -13,7 +13,7 @@ Two layers of guarantees:
   maps.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -26,16 +26,19 @@ from repro import (
     Pattern,
 )
 from repro.apps import PatternMatching, TriangleCounting, VertexInducedFSM
+from repro.apps.reference import count_cliques_naive
 from repro.core import (
     CSE,
+    PatternGather,
     Restriction,
     RestrictionSet,
     compile_restrictions,
     expand_edge_level,
     expand_vertex_level,
+    pattern_gathers,
     position_orbits,
 )
-from repro.core.isomorphism import automorphisms
+from repro.core.isomorphism import are_isomorphic, automorphisms
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
@@ -257,15 +260,86 @@ def test_engine_records_compiled_pattern_restrictions():
     assert result.extra["pattern_restrictions"] == [(0, 1), (1, 2)]
 
 
-def test_level_plans_carry_restrictions_and_pattern_constraints():
+def test_level_plans_carry_pattern_gathers():
     graph = random_labeled_graph(24, 60, 1, seed=7)
     with KaleidoEngine(graph) as engine:
-        engine.planner.active_restriction_set = compile_restrictions(CLIQUE4)
+        engine.planner.active_gathers = engine.planner.pattern_gathers(
+            PatternMatching(CLIQUE4)
+        )
         from repro.core.api import EngineContext
 
         ctx = EngineContext(graph=graph, engine=engine)
         cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
-        plan = engine.planner.plan_level(ctx, cse)
-        assert plan.pattern_constraints is not None
-        assert plan.pattern_constraints.position == 1
-        assert plan.pattern_constraints.lower_cols == (0,)
+        gathers = []
+        for _ in range(4):
+            gathers.append(engine.planner.plan_level(ctx, cse).pattern_gather)
+            expand_vertex_level(graph, cse, pattern_gather=gathers[-1])
+    assert gathers == [
+        PatternGather((0,), (0,)),
+        PatternGather((0, 1), (1,)),
+        PatternGather((0, 1, 2), (2,)),
+        None,  # past the pattern
+    ]
+
+
+# ----------------------------------------------------------------------
+# Planner gating: only complete, uniformly labelled patterns gather
+# ----------------------------------------------------------------------
+#: Complete but labelled: only positions 0 and 1 swap, so the compiled
+#: set is (0 < 1), not the chain.
+LABELLED_TRIANGLE = Pattern.from_adjacency([0, 0, 1], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def _naive_match_count(graph, pattern):
+    k = pattern.num_vertices
+    return sum(
+        are_isomorphic(Pattern.from_vertex_embedding(graph, verts), pattern)
+        for verts in combinations(range(graph.num_vertices), k)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, pattern",
+    [("labelled-triangle", LABELLED_TRIANGLE), ("diamond", DIAMOND), ("path", PATH3)],
+)
+def test_planner_gives_no_gather_to_other_patterns(name, pattern):
+    graph = random_labeled_graph(16, 40, 2, seed=5)
+    with KaleidoEngine(graph) as engine:
+        assert engine.planner.pattern_gathers(PatternMatching(pattern)) == {}
+        result = engine.run(PatternMatching(pattern))
+    with KaleidoEngine(graph, use_restrictions=False) as engine:
+        oracle = engine.run(PatternMatching(pattern))
+    assert result.value.count == _naive_match_count(graph, pattern)
+    assert result.pattern_map == oracle.pattern_map
+    assert result.level_sizes == oracle.level_sizes
+    # Without a gather the levels keep every connected subgraph.
+    assert result.level_sizes[-1] >= result.value.count
+
+
+def test_compiled_chain_without_completeness_gets_no_gather():
+    """The chain alone does not decide it: a hand-built chain set over a
+    path pattern still gets no gather, because the pattern is not
+    complete."""
+    chain = RestrictionSet(3, (Restriction(0, 1), Restriction(1, 2)))
+    assert pattern_gathers(PATH3, chain) == {}
+    assert pattern_gathers(TRIANGLE, chain) == {
+        1: PatternGather((0,), (0,)),
+        2: PatternGather((0, 1), (1,)),
+    }
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_unlabelled_clique_matching_takes_the_gather(k):
+    graph = random_labeled_graph(26, 110, 1, seed=13)
+    clique = CliqueDiscovery(k, materialize=True)
+    matching = PatternMatching(clique.query_pattern(), materialize=True)
+    with KaleidoEngine(graph) as engine:
+        assert len(engine.planner.pattern_gathers(matching)) == k - 1
+        matched = engine.run(matching)
+        cliques = engine.run(clique)
+    with KaleidoEngine(graph, use_restrictions=False) as engine:
+        oracle = engine.run(PatternMatching(clique.query_pattern()))
+    assert matched.pattern_map == {0: count_cliques_naive(graph, k)}
+    assert matched.pattern_map == oracle.pattern_map
+    assert matched.level_sizes == oracle.level_sizes == cliques.level_sizes
+    assert matched.value.matches == cliques.value.cliques

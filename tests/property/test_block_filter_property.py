@@ -1,11 +1,12 @@
 """Property: filtered kernel levels equal the scalar oracle's, byte for byte.
 
-For a random small labelled graph and each shipped filtered application
-(clique, FSM, vertex FSM, pattern matching) the level built by the
-vectorized kernels with the app's block filter must have the same
-``vert`` and ``off`` arrays as the scalar per-embedding loop calling the
-same filter with one-row blocks — with the level being expanded either
-resident or spilled and served through ``mmap``.
+For a random small labelled graph and each shipped pruning application
+(FSM, vertex FSM, pattern matching, and clique through its pattern
+gather) the level built by the vectorized kernels with the app's block
+filter and level gather must have the same ``vert`` and ``off`` arrays
+as the scalar per-embedding loop calling the same filter with one-row
+blocks and post-filtering by the same gather — with the level being
+expanded either resident or spilled and served through ``mmap``.
 """
 
 import numpy as np

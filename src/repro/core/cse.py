@@ -12,9 +12,18 @@ it level by level, generalising compressed sparse column storage.  Level
     slice ``vert[off[i]:off[i+1]]``.  The root level has no ``off``.
 
 Every position in ``vert`` identifies one embedding; the full vertex tuple
-is recovered by walking parent offsets upward (``O(k log d̄)`` random
-access via binary search, Section 3.1.1) or by the sequential walk used
-during exploration (amortised ``O(1)`` per embedding).
+is recovered by one of two walks (Section 3.1.1):
+
+random access (:func:`decode_block_arrays`, :meth:`CSE.decode_rows`)
+    Arbitrary positions walk parent offsets upward by binary search,
+    ``O(k log d̄)`` per embedding: one ``searchsorted`` and one gather per
+    row per level.  The approximate sampler's picks and
+    :meth:`CSE.embedding_at` read this way.
+sequential (:func:`decode_span_arrays`, :meth:`CSE.decode_block`)
+    A contiguous range walks down from the top level: every level's rows
+    form one contiguous slice, repeated by run length, so the cost is
+    amortised ``O(1)`` per embedding.  Every part the engine expands or
+    aggregates, and :meth:`CSE.iter_embeddings`, read this way.
 
 Levels are accessed through the small :class:`Level` interface so that the
 hybrid storage layer can substitute disk-backed spilled levels
@@ -27,20 +36,30 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-__all__ = ["Level", "InMemoryLevel", "CSE", "decode_block_arrays", "level_vert_source"]
+__all__ = [
+    "Level",
+    "InMemoryLevel",
+    "CSE",
+    "decode_block_arrays",
+    "decode_span_arrays",
+    "level_vert_source",
+]
+
+#: Rows per :meth:`CSE.decode_block` call in :meth:`CSE.iter_embeddings`:
+#: bounds the walk's memory to one chunk, resident or spilled.
+WALK_ROWS = 4096
 
 
 def decode_block_arrays(verts, offs, positions: np.ndarray) -> np.ndarray:
     """Decode the embeddings at ``positions`` of the top level from raw
     per-level accessors, one row per position (in the given order,
-    repeats included).
+    repeats included) — the random-access walk.
 
     ``verts[l]`` is anything supporting a fancy gather with an int64
     position array (an ndarray, or a
     :class:`repro.storage.spill.PartedVector` over memmapped spill parts);
     ``offs[l]`` is the level's offset ndarray (``None`` at the root).
-    This is the single implementation :meth:`CSE.decode_rows` and
-    :meth:`CSE.decode_block` delegate to.
+    :meth:`CSE.decode_rows` delegates here.
     """
     positions = np.asarray(positions, dtype=np.int64)
     columns: list[np.ndarray] = []
@@ -53,6 +72,58 @@ def decode_block_arrays(verts, offs, positions: np.ndarray) -> np.ndarray:
     columns.append(np.asarray(verts[0][positions]))
     columns.reverse()
     return np.stack(columns, axis=1)
+
+
+def decode_span_arrays(verts, offs, start: int, end: int) -> np.ndarray:
+    """Decode the contiguous top-level range ``start..end`` from raw
+    per-level accessors — the sequential walk.
+
+    Works from the top level down.  The rows a range needs at each level
+    are themselves one contiguous range ``verts[l][lo:hi]`` (a slice,
+    never a gather): its parents ``p0..p1`` come from two scalar
+    ``searchsorted`` calls.  Below the top, row ``i`` of a level's range
+    stands for ``weights[i]`` output rows, so its column is
+    ``np.repeat(verts[l][lo:hi], weights)``.  The parents' weights come
+    from their child offsets clipped to the current range (only the two
+    end parents can straddle it): the clipped child counts at the top
+    level, differences of the current weights' cumulative sum below it.
+    A parent with no children in the range (FSM's ``filter_top_level``
+    leaves childless parents in lower levels) gets weight 0 and yields
+    no row.
+
+    ``verts[l]`` must also support ``[lo:hi]`` slicing; otherwise the
+    inputs are :func:`decode_block_arrays`'s, and so is the result,
+    byte for byte and dtype for dtype, for ``np.arange(start, end)``.
+    :meth:`CSE.decode_block` delegates here.
+    """
+    depth = len(verts)
+    out = np.empty(
+        (end - start, depth), dtype=np.result_type(*[v.dtype for v in verts])
+    )
+    if end <= start:
+        return out
+    lo, hi = start, end
+    weights = None  # at the top level every row weighs 1
+    for l in range(depth - 1, -1, -1):
+        column = verts[l][lo:hi]
+        out[:, l] = column if weights is None else column.repeat(weights)
+        if l == 0:
+            break
+        off = offs[l]
+        if off is None:
+            raise ValueError(f"level {l} off array unavailable for decoding")
+        p0 = int(off.searchsorted(lo, side="right")) - 1
+        p1 = int(off.searchsorted(hi - 1, side="right")) - 1
+        bounds = off[p0 : p1 + 2] - lo
+        bounds[0], bounds[-1] = 0, hi - lo
+        if weights is not None:
+            cum = np.empty(hi - lo + 1, dtype=np.int64)
+            cum[0] = 0
+            weights.cumsum(out=cum[1:])
+            bounds = cum[bounds]
+        weights = bounds[1:] - bounds[:-1]
+        lo, hi = p0, p1 + 1
+    return out
 
 
 def level_vert_source(level: "Level"):
@@ -79,7 +150,7 @@ class Level(Protocol):
 
     def iter_vert_chunks(self) -> Iterator[np.ndarray]:
         """Vertex array in storage-order chunks without materialising the
-        whole level (the sequential-walk entry point)."""
+        whole level (how a checkpoint streams it out)."""
 
     @property
     def nbytes_in_memory(self) -> int:
@@ -192,87 +263,14 @@ class CSE:
     # Random access (Section 3.1.1 walk-up example)
     # ------------------------------------------------------------------
     def embedding_at(self, level_idx: int, pos: int) -> tuple[int, ...]:
-        """Decode the embedding at ``pos`` of ``level_idx``.
-
-        Walks parent offsets upward with binary search: ``O(k log d̄)``.
-        Requires the off arrays of the touched levels to be in memory.
-        """
-        if not 0 <= level_idx < self.depth:
-            raise IndexError(f"level {level_idx} out of range 0..{self.depth - 1}")
-        out: list[int] = []
-        idx = pos
-        for l in range(level_idx, 0, -1):
-            level = self.levels[l]
-            out.append(int(level.vert_array()[idx]))
-            off = level.off_array()
-            if off is None:
-                raise ValueError(f"level {l} off array unavailable (spilled?)")
-            # Coordinate of idx in the offset array == parent position.
-            idx = int(np.searchsorted(off, idx, side="right")) - 1
-        out.append(int(self.levels[0].vert_array()[idx]))
-        out.reverse()
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    # Sequential walk (exploration order)
-    # ------------------------------------------------------------------
-    def iter_embeddings(self, level_idx: int | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield ``(position, vertex_tuple)`` for every embedding of a
-        level, in storage order, amortised O(1) each.
-
-        The top level is consumed through ``iter_vert_chunks`` so a spilled
-        level is streamed part by part; lower levels need in-memory offs.
-        """
-        if level_idx is None:
-            level_idx = self.depth - 1
-
-        def walk(l: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-            level = self.levels[l]
-            if l == 0:
-                for i, v in enumerate(level.vert_array().tolist()):
-                    yield i, (v,)
-                return
-            off = level.off_array()
-            if off is None:
-                raise ValueError(f"level {l} off array unavailable for walking")
-            counts = np.diff(off)
-            chunk_iter = level.iter_vert_chunks()
-            chunk: list[int] = []
-            chunk_pos = 0
-            pos = 0
-            for pidx, prefix in walk(l - 1):
-                for _ in range(int(counts[pidx])):
-                    while chunk_pos >= len(chunk):
-                        chunk = next(chunk_iter).tolist()
-                        chunk_pos = 0
-                    yield pos, prefix + (chunk[chunk_pos],)
-                    chunk_pos += 1
-                    pos += 1
-
-        return walk(level_idx)
-
-    # ------------------------------------------------------------------
-    # Block decode (the expansion kernel's read path)
-    # ------------------------------------------------------------------
-    def decode_block(self, start: int, end: int, level_idx: int | None = None) -> np.ndarray:
-        """Decode embeddings ``start..end`` of a level as one 2-D array.
-
-        Returns shape ``(end - start, level_idx + 1)``: row ``i`` is the
-        vertex (or edge-id) tuple of embedding ``start + i``.  The walk
-        up the parent offsets is one vectorized ``searchsorted`` per
-        level instead of one Python tuple per embedding — how the
-        expansion kernel reads every part.  Resident levels gather from
-        their arrays; spilled levels through their mmap-served
-        ``vert_accessor``.
-        """
-        level_idx = self._level_index(level_idx)
-        total = self.size(level_idx)
-        if not 0 <= start <= end <= total:
-            raise IndexError(f"block [{start}, {end}) outside level of {total}")
-        return self.decode_rows(np.arange(start, end, dtype=np.int64), level_idx)
+        """Decode the embedding at ``pos`` of ``level_idx``: one row of
+        :meth:`decode_rows`, ``O(k log d̄)``.  A spilled level is read
+        through its memory maps, never loaded whole."""
+        return tuple(self.decode_rows([pos], level_idx)[0].tolist())
 
     def decode_rows(self, positions, level_idx: int | None = None) -> np.ndarray:
-        """Decode the embeddings at arbitrary ``positions`` of a level.
+        """Decode the embeddings at arbitrary ``positions`` of a level —
+        the random-access walk (:func:`decode_block_arrays`).
 
         Returns shape ``(len(positions), level_idx + 1)``: row ``i`` is
         the tuple of embedding ``positions[i]``, in the given order and
@@ -283,11 +281,51 @@ class CSE:
         total = self.size(level_idx)
         if positions.size and not 0 <= positions.min() <= positions.max() < total:
             raise IndexError(f"positions outside level of {total}")
+        return decode_block_arrays(*self._sources(level_idx), positions)
+
+    # ------------------------------------------------------------------
+    # Sequential walk (exploration order)
+    # ------------------------------------------------------------------
+    def decode_block(self, start: int, end: int, level_idx: int | None = None) -> np.ndarray:
+        """Decode embeddings ``start..end`` of a level as one 2-D array —
+        the sequential walk (:func:`decode_span_arrays`).
+
+        Returns shape ``(end - start, level_idx + 1)``: row ``i`` is the
+        vertex (or edge-id) tuple of embedding ``start + i``, the same
+        bytes as ``decode_rows(np.arange(start, end))``.  Each level is
+        read as one contiguous slice and repeated by run length, so the
+        cost is amortised O(1) per embedding — how the expansion kernel
+        and the aggregate stage read every part.  Resident levels slice
+        their arrays; spilled levels their mmap-served ``vert_accessor``.
+        """
+        level_idx = self._level_index(level_idx)
+        total = self.size(level_idx)
+        if not 0 <= start <= end <= total:
+            raise IndexError(f"block [{start}, {end}) outside level of {total}")
+        return decode_span_arrays(*self._sources(level_idx), start, end)
+
+    def iter_embeddings(self, level_idx: int | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield ``(position, vertex_tuple)`` for every embedding of a
+        level, in storage order: :meth:`decode_block` over chunks of
+        :data:`WALK_ROWS` rows, so a spilled level streams through its
+        memory maps with one chunk in memory at a time."""
+        level_idx = self._level_index(level_idx)
+        total = self.size(level_idx)
+
+        def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
+            for start in range(0, total, WALK_ROWS):
+                block = self.decode_block(start, min(start + WALK_ROWS, total), level_idx)
+                for pos, row in enumerate(block.tolist(), start):
+                    yield pos, tuple(row)
+
+        return walk()
+
+    def _sources(self, level_idx: int) -> tuple[list, list]:
+        """Per-level vertex sources and off arrays up to ``level_idx``."""
         levels = self.levels[: level_idx + 1]
-        return decode_block_arrays(
+        return (
             [level_vert_source(level) for level in levels],
             [level.off_array() for level in levels],
-            positions,
         )
 
     def _level_index(self, level_idx: int | None) -> int:

@@ -669,8 +669,8 @@ class KaleidoEngine:
             plan = self.planner.plan_aggregate(ctx, app, cse)
 
             def tasks():
-                # The kernels' read path: resident levels gather from
-                # their arrays, spilled ones through their mmap accessor.
+                # The kernels' read path (the sequential walk): resident
+                # levels slice their arrays, spilled ones their mmap parts.
                 for start, end in plan.part_bounds:
                     yield partial(aggregate_part, app, ctx, cse.decode_block(start, end))
 

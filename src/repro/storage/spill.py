@@ -319,12 +319,14 @@ class PartStore:
 class PartedVector:
     """A read-only virtual concatenation of per-part 1-D arrays.
 
-    The block decoder's only access pattern is a fancy gather with a
-    position array, so a spilled level never needs a physical
-    concatenation: ``searchsorted`` over the part starts routes each
-    position to its part (one sliced gather per contiguous run), and the
-    parts themselves are ``np.memmap`` views straight over the spill
-    files — reads hit the page cache, not a deserializer.
+    The decoders read it two ways, so a spilled level never needs a
+    physical concatenation: a contiguous slice ``vec[lo:hi]`` (the
+    sequential walk) is served as part slices, concatenated only where
+    the range crosses a part boundary; a fancy gather with a position
+    array (random access) is routed by ``searchsorted`` over the part
+    starts, one sliced gather per contiguous run.  The parts themselves
+    are ``np.memmap`` views straight over the spill files — reads hit
+    the page cache, not a deserializer.
     """
 
     def __init__(self, arrays, dtype: np.dtype | None = None) -> None:
@@ -349,7 +351,9 @@ class PartedVector:
     def shape(self) -> tuple[int]:
         return (self._length,)
 
-    def __getitem__(self, positions: np.ndarray) -> np.ndarray:
+    def __getitem__(self, positions: np.ndarray | slice) -> np.ndarray:
+        if isinstance(positions, slice):
+            return self._span(positions)
         positions = np.asarray(positions, dtype=np.int64)
         out = np.empty(positions.shape[0], dtype=self.dtype)
         if positions.shape[0] == 0:
@@ -370,6 +374,25 @@ class PartedVector:
             local = positions[lo:hi] - self._starts[part]
             out[lo:hi] = self._arrays[part][local]
         return out
+
+    def _span(self, span: slice) -> np.ndarray:
+        """``vec[lo:hi]``: a view of one part when the range lies inside
+        it, one concatenate of part slices when it crosses parts."""
+        lo, hi, step = span.indices(self._length)
+        if step != 1:
+            raise ValueError("PartedVector slices must be contiguous")
+        if hi <= lo:
+            return np.empty(0, dtype=self.dtype)
+        first = int(np.searchsorted(self._starts, lo, side="right")) - 1
+        last = int(np.searchsorted(self._starts, hi - 1, side="right")) - 1
+        pieces = []
+        for part in range(first, last + 1):
+            base = int(self._starts[part])
+            stop = min(hi, int(self._starts[part + 1]))
+            pieces.append(self._arrays[part][max(lo, base) - base : stop - base])
+        if len(pieces) == 1:
+            return np.asarray(pieces[0], dtype=self.dtype)
+        return np.concatenate(pieces).astype(self.dtype, copy=False)
 
 
 class SpilledLevel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CSE, InMemoryLevel
+from repro.core import cse as cse_module
 from repro.core.explore import expand_vertex_level
 
 
@@ -45,6 +46,19 @@ def test_decode_rows_gathers_block_rows(paper_cse):
     for bad in ([8], [-1]):
         with pytest.raises(IndexError):
             paper_cse.decode_rows(bad)
+
+
+def test_walk_chunks_keep_storage_order(paper_cse, monkeypatch):
+    """iter_embeddings over several WALK_ROWS chunks (and a ragged last
+    one) yields every position once, in order, as Python-int tuples."""
+    whole = list(paper_cse.iter_embeddings())
+    monkeypatch.setattr(cse_module, "WALK_ROWS", 3)
+    chunked = list(paper_cse.iter_embeddings())
+    assert chunked == whole
+    assert [pos for pos, _ in chunked] == list(range(8))
+    rows = paper_cse.decode_rows(np.arange(8)).tolist()
+    assert [list(emb) for _, emb in chunked] == rows
+    assert all(type(v) is int for _, emb in chunked for v in emb)
 
 
 def test_walk_lower_level(paper_cse):

@@ -153,6 +153,48 @@ def test_parted_vector_empty():
     vec = PartedVector([])
     assert len(vec) == 0
     assert vec[np.array([], dtype=np.int64)].shape == (0,)
+    assert vec[0:0].shape == (0,)
+
+
+def _slice_parts():
+    return [
+        np.array([3, 1, 4], dtype=np.int32),
+        np.array([], dtype=np.int32),
+        np.array([1, 5, 9, 2, 6], dtype=np.int32),
+        np.array([5, 3], dtype=np.int32),
+    ]
+
+
+def test_parted_vector_slice_within_one_part():
+    parts = _slice_parts()
+    vec = PartedVector(parts)
+    flat = np.concatenate(parts)
+    for lo, hi in ((0, 3), (1, 2), (3, 8), (4, 7), (8, 10), (9, 10)):
+        got = vec[lo:hi]
+        assert got.dtype == vec.dtype
+        assert np.array_equal(got, flat[lo:hi]), (lo, hi)
+    # Inside one part the slice is a view of that part, not a copy.
+    assert np.shares_memory(vec[4:7], parts[2])
+
+
+def test_parted_vector_slice_across_parts():
+    vec = PartedVector(_slice_parts())
+    flat = np.concatenate(_slice_parts())
+    for lo in range(flat.shape[0] + 1):
+        for hi in range(lo, flat.shape[0] + 1):
+            assert np.array_equal(vec[lo:hi], flat[lo:hi]), (lo, hi)
+    assert np.array_equal(vec[:], flat)
+
+
+def test_parted_vector_slice_empty_and_widened():
+    vec = PartedVector(_slice_parts(), dtype=np.int64)
+    for lo in (0, 3, 10):
+        empty = vec[lo:lo]
+        assert empty.shape == (0,) and empty.dtype == np.int64
+    assert vec[2:9].dtype == np.int64
+    assert vec[4:6].dtype == np.int64
+    with pytest.raises(ValueError):
+        vec[0:10:2]
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +234,39 @@ def test_spilled_level_block_decode_matches_walk(paper_graph, tmp_path):
     # Picks in arbitrary order, with repeats, crossing part boundaries.
     picks = np.array([7, 0, 4, 4, 2, 7, 5])
     np.testing.assert_array_equal(cse.decode_rows(picks), block[picks])
+
+
+def _spilled_cse(paper_graph, tmp_path):
+    """Figure-4 CSE with both non-root levels spilled in 3-entry parts."""
+    cse = CSE(np.arange(paper_graph.num_vertices))
+    expand_vertex_level(paper_graph, cse)
+    expand_vertex_level(paper_graph, cse)
+    expected = list(cse.iter_embeddings())
+    store = PartStore(str(tmp_path))
+    for l in (1, 2):
+        cse.levels[l] = spill_level(cse.levels[l], store, part_entries=3)
+    return cse, store, expected
+
+
+def _forbid_load(monkeypatch, store):
+    def load(_handle):
+        raise AssertionError("PartStore.load called: a spilled level was loaded whole")
+
+    monkeypatch.setattr(store, "load", load)
+
+
+def test_random_access_never_loads_spilled_level(paper_graph, tmp_path, monkeypatch):
+    cse, store, expected = _spilled_cse(paper_graph, tmp_path)
+    _forbid_load(monkeypatch, store)
+    for pos, emb in expected:
+        assert cse.embedding_at(2, pos) == emb
+    assert cse.embedding_at(1, 6) == (4, 5)
+
+
+def test_iter_embeddings_streams_spilled_level(paper_graph, tmp_path, monkeypatch):
+    cse, store, expected = _spilled_cse(paper_graph, tmp_path)
+    _forbid_load(monkeypatch, store)
+    assert list(cse.iter_embeddings()) == expected
 
 
 def _walk(cse, top):

@@ -1,14 +1,12 @@
 """Invariant lint suite and runtime sanitizers.
 
-Static side (``python -m repro.analysis`` / ``repro lint``): AST rules
-R001-R008 that machine-check the engine contracts established in
-PRs 1-9 — part purity, determinism, tracer guarding, id-dtype
-discipline, the storage error taxonomy, lock discipline over guarded
-fields, shm/mmap/tempfile lifecycles and the tracer/metric schema.
-Rules run against a project-wide :class:`AnalysisContext` (module
-index + per-class call graphs, built once per lint run) and the
-flow-aware rules lean on the per-function CFG approximation in
-:mod:`repro.analysis.cfg`.
+Static side (``python -m repro.analysis``): AST rules R001-R006 and
+R008 that machine-check the engine contracts — part purity,
+determinism, tracer guarding, id-dtype discipline, the storage error
+taxonomy, lock discipline over guarded fields and the tracer/metric
+schema — plus the W100 stale-suppression audit.  Rules run against a
+project-wide :class:`AnalysisContext` (module index + per-class call
+graphs, built once per lint run).
 
 Runtime side: :class:`PartPuritySanitizer`, a race detector for shared
 application state that static analysis cannot see, and

@@ -46,8 +46,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Invariant lint suite: machine-check the engine's "
-        "concurrency, determinism and resource-safety contracts "
-        "(rules R001-R008).",
+        "concurrency, determinism and telemetry contracts "
+        "(--list-rules prints the rule table).",
     )
     parser.add_argument(
         "paths",

@@ -1,13 +1,12 @@
 """Cross-file analysis context for the invariant lint suite.
 
-PR 5's rules were per-file: each got one parsed ``tree`` and could not
-see past the module boundary.  The concurrency rules (R006-R008) need
-more — lock-discipline closure over a class's self-call graph, and a
-metric-name registry that lives in ``obs/bridge.py`` while the
-emissions live in ``service/`` and ``storage/``.  The
-:class:`AnalysisContext` is built **once** over every linted file and
-handed to each rule next to the module under check, so cross-file
-lookups are an index hit, not a re-parse.
+A per-file rule gets one parsed ``tree`` and cannot see past the
+module boundary.  R006 and R008 need more — lock-discipline closure
+over a class's self-call graph, and a metric-name registry that lives
+in ``obs/bridge.py`` while the emissions live in ``service/`` and
+``storage/``.  The :class:`AnalysisContext` is built **once** over
+every linted file and handed to each rule next to the module under
+check, so cross-file lookups are an index hit, not a re-parse.
 
 Nothing here imports or executes project code; modules are represented
 purely by their AST plus the raw source lines (the latter so rules can

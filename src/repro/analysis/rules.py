@@ -1,19 +1,24 @@
-"""Project-specific static-analysis rules R001-R008.
+"""Project-specific static-analysis rules R001-R006 and R008.
 
-Each rule encodes one engine contract that earlier PRs established by
-review and that nothing previously machine-checked:
+Each rule encodes one engine contract that nothing else machine-checks,
+and each pays rent: its ``Rent:`` line names the bug it exists for, and
+``tests/analysis/test_rules.py`` re-applies that bug to the real module
+and asserts the rule fires.
 
 ========  ==============================================================
 R001      Part purity: ``MiningApplication`` subclasses must not write
           ``self.*`` inside per-part hot methods (``map_block``,
           ``map_embedding``, ``block_filter``, ``start_part`` and
           anything they reach through ``self``).  Concurrent executors
-          run parts on pool threads; shared-state mutation there is the
-          exact bug class the PR 1 review found in FSM.  Mutation
-          belongs in the part state returned by ``start_part`` and
-          absorbed serially by ``finish_part``.  (``block_filter`` hands
-          out the filter object every part calls: it builds from
-          ``init``'s tables and stashes nothing on the app.)
+          run parts on pool threads; mutation belongs in the part state
+          returned by ``start_part`` and absorbed serially by
+          ``finish_part``.  (``block_filter`` hands out the filter
+          object every part calls: it builds from ``init``'s tables and
+          stashes nothing on the app.)  Subclasses are resolved across
+          every module of the lint run, so an app whose base lives in
+          another file is checked when that file is linted with it.
+          Rent: FSM's mapper appended to ``self._iter_hashes``, so its
+          prune was silently wrong under the threaded executor.
 R002      Determinism: no wall-clock / entropy sources (``time.time``,
           the global ``random`` state, ``os.urandom``, ``uuid.uuid1/4``,
           ``datetime.now``) and no syntactic set-iteration-order hazards
@@ -25,11 +30,14 @@ R002      Determinism: no wall-clock / entropy sources (``time.time``,
           through a seeded generator.  ``time.perf_counter`` and
           ``time.monotonic`` stay legal: they measure work, they do not
           feed mined results.
+          Rent: levels emitted in set hash order break the
+          byte-identical parity of executors and of kernel vs oracle.
 R003      Tracer guard: in hot-path modules every ``tracer.begin`` /
           ``end`` / ``instant`` / ``complete`` call must be dominated by
           an ``if tracer.enabled`` check.  The NULL_TRACER no-op costs
           one attribute probe, but building the call's keyword arguments
           does not go away — an unguarded probe taxes every iteration.
+          Rent: an unguarded storage probe pays for tracing when it is off.
 R004      Dtype discipline: no hard-coded ``np.int32`` in the modules
           where the id dtype must be threaded (kernels, planner, sinks,
           spill and checkpoint storage).  A narrow literal is what
@@ -37,11 +45,13 @@ R004      Dtype discipline: no hard-coded ``np.int32`` in the modules
           stay legal because offsets/keys are always 64-bit and widening
           cannot corrupt an id.  The selection point itself
           (``id_dtype``) and ``np.iinfo`` boundary queries are exempt.
+          Rent: checkpoint restore narrowed int64 ids back to int32.
 R005      Error taxonomy: no bare ``except:`` and no swallowed
           ``except Exception/BaseException`` in ``storage/`` or
           ``service/``; catch-all handlers must re-raise (a typed class
           from ``repro.errors``), otherwise corruption, disk faults and
           tenant-facing failures turn into silently wrong results.
+          Rent: a failed atomic write that is swallowed reads as saved.
 R006      Lock discipline: classes in ``service/``, ``core/executor.py``
           and ``storage/`` that create a ``threading.Lock``/``RLock``/
           ``Condition`` declare their guarded fields — explicitly with a
@@ -54,23 +64,21 @@ R006      Lock discipline: classes in ``service/``, ``core/executor.py``
           in-class call site holds the lock is itself lock-context
           (the same closure machinery as R001's hot-method set).
           ``__init__`` is exempt — the object is not yet shared.
-R007      Resource lifecycle: every ``SharedMemory`` / ``open_mmap`` /
-          ``NamedTemporaryFile`` acquisition bound to a local in
-          ``core/executor.py`` or ``storage/`` must reach a ``close()``
-          or ``unlink()`` on **all** control-flow paths (try/finally,
-          ``with``, or a registered ``weakref.finalize``), checked over
-          a per-function CFG approximation (:mod:`repro.analysis.cfg`).
-          Ownership transfers — returning the resource, storing it on
-          ``self`` or in a container, passing it to another call — end
-          the obligation locally.
+          Rent: the service's shared result cache mutated off its lock.
 R008      Tracer/metric schema: ``tracer.begin(name)`` and
           ``tracer.end(name)`` must pair up within one function (a span
-          opened here must close here, on every path the CFG can see a
-          ``finally`` for), and every metric name emitted through
-          ``.counter/.gauge/.histogram`` in ``core/``, ``storage/``,
-          ``service/`` or the obs bridge must appear in the bridge's
-          ``METRIC_REGISTRY`` table — the registry the dashboards read,
-          so a typo'd or unregistered name is silent telemetry loss.
+          opened here must close here), and every metric name emitted
+          through ``.counter/.gauge/.histogram`` in ``core/``,
+          ``storage/``, ``service/`` or the obs bridge must appear in the
+          bridge's ``METRIC_REGISTRY`` table — the registry the
+          dashboards read.
+          Rent: a typo'd or unregistered metric name is silent telemetry
+          loss.
+W100      Stale suppression (``--report-unused-ignores``, reported by
+          :mod:`repro.analysis.linter`): every ``# repro: ignore[RULE]``
+          must still silence a live diagnostic of a rule that ran.
+          Rent: FSM's memo-race suppressions outlived the code they
+          excused and would have hidden the next real write.
 ========  ==============================================================
 
 Rules operate purely on the AST — nothing is imported or executed — and
@@ -78,17 +86,17 @@ report precise ``file:line:col`` diagnostics that the suppression
 comments of :mod:`repro.analysis.diagnostics` can silence.  Each rule
 receives the :class:`~repro.analysis.context.ModuleInfo` under check
 plus the project-wide :class:`~repro.analysis.context.AnalysisContext`,
-so cross-file lookups (R008's registry, future inter-module rules) are
-index hits rather than re-parses.
+so cross-file lookups (R001's app bases, R008's registry) are index
+hits rather than re-parses.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from typing import Iterable
 
-from .cfg import build_cfg, leaks_to_exit
 from .context import AnalysisContext, ClassInfo, ModuleInfo
 from .diagnostics import Diagnostic
 
@@ -195,14 +203,6 @@ def _ancestors(node: ast.AST, parents: dict[int, ast.AST]) -> Iterable[ast.AST]:
         current = parents.get(id(current))
 
 
-def _enclosing_stmt(node: ast.AST, parents: dict[int, ast.AST]) -> ast.stmt | None:
-    """The nearest enclosing statement (the node itself if it is one)."""
-    current: ast.AST | None = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = parents.get(id(current))
-    return current
-
-
 def _shallow_walk(func: ast.AST) -> Iterable[ast.AST]:
     """Walk a function body without descending into nested functions."""
     stack = list(ast.iter_child_nodes(func))
@@ -220,7 +220,7 @@ def _shallow_walk(func: ast.AST) -> Iterable[ast.AST]:
 class PartPurityRule(Rule):
     id = "R001"
     title = "no shared-state writes in per-part hot methods"
-    scope = ()  # every MiningApplication subclass, wherever it lives
+    scope = ()  # every MiningApplication subclass in the lint run
 
     #: Hot entry points: called per part, possibly on pool threads.
     HOT_ENTRY = ("map_block", "map_embedding", "block_filter", "start_part")
@@ -247,11 +247,22 @@ class PartPurityRule(Rule):
 
     def check(self, module, context):
         diagnostics: list[Diagnostic] = []
-        path = module.path
-        classes = [info.node for info in module.classes]
+        app_names = self._app_names(context)
+        for info in module.classes:
+            if info.node.name in app_names:
+                diagnostics.extend(self._check_class(info.node, module.path))
+        return diagnostics
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1)  # one lint run checks many modules
+    def _app_names(context) -> frozenset[str]:
+        """Names of the ``MiningApplication`` subclasses in the lint run,
+        closed over bases defined in any of its modules (an app in one
+        file may subclass an app base imported from another)."""
+        classes = [info.node for info in context.classes()]
         app_names = {"MiningApplication"}
         changed = True
-        while changed:  # transitive: subclasses of in-file app subclasses
+        while changed:
             changed = False
             for cls in classes:
                 if cls.name in app_names:
@@ -260,10 +271,7 @@ class PartPurityRule(Rule):
                 if bases & app_names:
                     app_names.add(cls.name)
                     changed = True
-        for cls in classes:
-            if cls.name in app_names and cls.name != "MiningApplication":
-                diagnostics.extend(self._check_class(cls, path))
-        return diagnostics
+        return frozenset(app_names - {"MiningApplication"})
 
     def _check_class(self, cls: ast.ClassDef, path: str) -> list[Diagnostic]:
         methods = {
@@ -905,139 +913,6 @@ class LockDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R007 — resource lifecycle
-# ----------------------------------------------------------------------
-class ResourceLifecycleRule(Rule):
-    id = "R007"
-    title = "acquired shm/mmap/tempfile resources must be released on all paths"
-    scope = ("core/executor.py", "storage/")
-
-    #: Constructor names whose result owns an OS-level resource.
-    ACQUIRE_CONSTRUCTORS = frozenset(
-        {"SharedMemory", "NamedTemporaryFile", "TemporaryFile"}
-    )
-    #: Method names that hand out an owned resource.
-    ACQUIRE_METHODS = frozenset({"open_mmap"})
-    RELEASE_METHODS = frozenset({"close", "unlink"})
-
-    def check(self, module, context):
-        diagnostics: list[Diagnostic] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                diagnostics.extend(self._check_function(node, module))
-        return diagnostics
-
-    def _is_acquisition(self, value: ast.AST) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        name = _terminal_name(value.func)
-        if name in self.ACQUIRE_CONSTRUCTORS:
-            return name
-        if isinstance(value.func, ast.Attribute) and value.func.attr in self.ACQUIRE_METHODS:
-            return value.func.attr
-        return None
-
-    def _check_function(
-        self, func: ast.FunctionDef, module: ModuleInfo
-    ) -> list[Diagnostic]:
-        acquisitions: list[tuple[ast.stmt, str, str]] = []
-        for node in _shallow_walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target, value = node.target, node.value
-            else:
-                continue
-            if not isinstance(target, ast.Name):
-                continue
-            source = self._is_acquisition(value)
-            if source is not None:
-                acquisitions.append((node, target.id, source))
-        if not acquisitions:
-            return []
-        diagnostics: list[Diagnostic] = []
-        cfg = None
-        for stmt, var, source in acquisitions:
-            escapes, releases = self._classify_uses(func, var, stmt, module)
-            if escapes:
-                continue
-            if cfg is None:
-                cfg = build_cfg(func)
-            if leaks_to_exit(cfg, stmt, releases):
-                diagnostics.append(
-                    self.diagnostic(
-                        stmt,
-                        module.path,
-                        f"'{var}' (acquired via '{source}') can reach the end "
-                        f"of '{func.name}' without close()/unlink(); release "
-                        f"it in try/finally, manage it with 'with', or "
-                        f"register a weakref.finalize",
-                    )
-                )
-        return diagnostics
-
-    def _classify_uses(
-        self, func: ast.FunctionDef, var: str, acquire: ast.stmt, module: ModuleInfo
-    ) -> tuple[bool, list[ast.stmt]]:
-        """Scan every use of ``var``: (escapes anywhere?, release stmts)."""
-        parents = module.parents
-        releases: list[ast.stmt] = []
-        for node in ast.walk(func):
-            if not (
-                isinstance(node, ast.Name)
-                and node.id == var
-                and isinstance(node.ctx, ast.Load)
-            ):
-                continue
-            verdict = self._classify_one(node, func, parents)
-            if verdict == "escape":
-                return True, []
-            if verdict == "release":
-                stmt = _enclosing_stmt(node, parents)
-                if stmt is not None:
-                    releases.append(stmt)
-        return False, releases
-
-    def _classify_one(
-        self, name: ast.Name, func: ast.FunctionDef, parents: dict[int, ast.AST]
-    ) -> str:
-        child: ast.AST = name
-        current = parents.get(id(name))
-        while current is not None:
-            if (
-                isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-                and current is not func
-            ):
-                return "escape"  # closure capture outlives this frame
-            if isinstance(current, ast.Call):
-                if child is current.func:
-                    if (
-                        isinstance(current.func, ast.Attribute)
-                        and current.func.value is name
-                        and current.func.attr in self.RELEASE_METHODS
-                    ):
-                        return "release"
-                    return "benign"  # other method call on the resource
-                callee = _terminal_name(current.func)
-                if callee == "finalize":
-                    return "release"  # weakref.finalize(obj, release, x)
-                return "escape"  # ownership handed to another call
-            if isinstance(current, (ast.Return, ast.Yield, ast.YieldFrom)):
-                return "escape"
-            if isinstance(current, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
-                return "escape"  # stored in a container
-            if isinstance(current, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                return "escape"  # aliased or stored on an object
-            if isinstance(current, ast.withitem) and child is current.context_expr:
-                return "release"  # with x: — __exit__ closes
-            if isinstance(current, ast.stmt):
-                return "benign"
-            child = current
-            current = parents.get(id(current))
-        return "benign"
-
-
-# ----------------------------------------------------------------------
 # R008 — tracer/metric schema
 # ----------------------------------------------------------------------
 class TracerMetricSchemaRule(Rule):
@@ -1213,7 +1088,6 @@ RULES: tuple[Rule, ...] = (
     DtypeDisciplineRule(),
     ErrorTaxonomyRule(),
     LockDisciplineRule(),
-    ResourceLifecycleRule(),
     TracerMetricSchemaRule(),
 )
 

@@ -44,6 +44,7 @@ from .mni import (
 
 __all__ = [
     "FrequentSubgraphMining",
+    "MNIApplication",
     "FSMResult",
     "FSMMapperPart",
     "edge_pattern_supports",
@@ -178,11 +179,73 @@ class FSMResult(dict):
         return {h: s for h, s in self.items() if s >= threshold}
 
 
-class FrequentSubgraphMining(MiningApplication):
+class MNIApplication(MiningApplication):
+    """The MNI plumbing both FSM apps share: support threshold, per-part
+    hash recording, domain merging, pruning and the frequent result.
+
+    Subclasses supply ``init``, ``iterations``, ``block_filter`` and a
+    ``map_block`` that folds each block into its :class:`FSMMapperPart`
+    through :func:`fold_mni_block` with ``self._table``."""
+
+    aggregate_every_iteration = True
+
+    def __init__(self, support: int, exact_mni: bool) -> None:
+        if support < 1:
+            raise ValueError("support must be at least 1")
+        self.support = support
+        self.exact_mni = exact_mni
+        self._table = PlacementTable()
+        self._iter_hashes: list[np.ndarray] = []
+
+    @property
+    def _threshold(self) -> int | None:
+        return None if self.exact_mni else self.support
+
+    def start_part(self, ctx: EngineContext) -> FSMMapperPart:
+        return FSMMapperPart()
+
+    def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
+        self._iter_hashes.append(part.hashes)
+
+    def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
+        merged: PatternMap = {}
+        for pmap in pmaps:
+            for phash, dom in pmap.items():
+                mine = merged.get(phash)
+                if mine is None:
+                    merged[phash] = dom
+                else:
+                    merge_domains(mine, dom, self._threshold)
+        return merged
+
+    def prune(
+        self, ctx: EngineContext, cse: CSE, reduced: PatternMap
+    ) -> np.ndarray | None:
+        keep = frequent_mask(self._iter_hashes, reduced, self.support)
+        self._iter_hashes = []
+        return keep
+
+    def pmap_nbytes(self, pmap: PatternMap) -> int:
+        return sum(120 + dom.nbytes for dom in pmap.values())
+
+    def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
+        supports = {
+            phash: dom.support
+            for phash, dom in pmap.items()
+            if dom.support >= self.support
+        }
+        patterns = {}
+        for phash in supports:
+            rep = ctx.engine.hasher.representative(phash)
+            if rep is not None:
+                patterns[phash] = rep
+        return FSMResult(supports, patterns)
+
+
+class FrequentSubgraphMining(MNIApplication):
     """Edge-induced k-FSM with MNI support."""
 
     induced = "edge"
-    aggregate_every_iteration = True
 
     def __init__(
         self,
@@ -193,18 +256,13 @@ class FrequentSubgraphMining(MiningApplication):
     ) -> None:
         if num_edges < 1:
             raise ValueError("num_edges must be at least 1")
-        if support < 1:
-            raise ValueError("support must be at least 1")
+        super().__init__(support, exact_mni)
         self.num_edges = num_edges
-        self.support = support
-        self.exact_mni = exact_mni
         #: Disable the app-level raw-structure hash memo (Figure 12 /
         #: caching ablation: the paper fingerprints every embedding).
         self.hash_every_embedding = hash_every_embedding
         #: Per-edge-id table of the frequent single-edge patterns' edges.
         self._frequent_edges = np.zeros(0, dtype=bool)
-        self._iter_hashes: list[np.ndarray] = []
-        self._table = PlacementTable()
         #: Total MNI set insertions performed (deterministic cost proxy for
         #: the Figure-11 support sweep).
         self.total_insertions = 0
@@ -214,10 +272,6 @@ class FrequentSubgraphMining(MiningApplication):
     @property
     def name(self) -> str:
         return f"{self.num_edges + 1}-FSM(s={self.support})"
-
-    @property
-    def _threshold(self) -> int | None:
-        return None if self.exact_mni else self.support
 
     # ------------------------------------------------------------------
     def init(self, ctx: EngineContext) -> np.ndarray:
@@ -233,11 +287,8 @@ class FrequentSubgraphMining(MiningApplication):
         return CandidateTable(self._frequent_edges)
 
     # ------------------------------------------------------------------
-    def start_part(self, ctx: EngineContext) -> FSMMapperPart:
-        return FSMMapperPart()
-
     def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        self._iter_hashes.append(part.hashes)
+        super().finish_part(ctx, part)
         self.total_insertions += part.insertions
         self.total_mapped += part.mapped
 
@@ -258,24 +309,6 @@ class FrequentSubgraphMining(MiningApplication):
         )
         part.mapped = block.shape[0]
 
-    def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
-        merged: PatternMap = {}
-        for pmap in pmaps:
-            for phash, dom in pmap.items():
-                mine = merged.get(phash)
-                if mine is None:
-                    merged[phash] = dom
-                else:
-                    merge_domains(mine, dom, self._threshold)
-        return merged
-
-    def prune(
-        self, ctx: EngineContext, cse: CSE, reduced: PatternMap
-    ) -> np.ndarray | None:
-        keep = frequent_mask(self._iter_hashes, reduced, self.support)
-        self._iter_hashes = []
-        return keep
-
     # ------------------------------------------------------------------
     def checkpoint_state(self, ctx: EngineContext) -> dict:
         # _frequent_edges and the placement table are rebuilt deterministically
@@ -289,20 +322,3 @@ class FrequentSubgraphMining(MiningApplication):
     def restore_state(self, ctx: EngineContext, state: dict) -> None:
         self.total_insertions = state["total_insertions"]
         self.total_mapped = state["total_mapped"]
-
-    # ------------------------------------------------------------------
-    def pmap_nbytes(self, pmap: PatternMap) -> int:
-        return sum(120 + dom.nbytes for dom in pmap.values())
-
-    def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
-        supports = {
-            phash: dom.support
-            for phash, dom in pmap.items()
-            if dom.support >= self.support
-        }
-        patterns = {}
-        for phash in supports:
-            rep = ctx.engine.hasher.representative(phash)
-            if rep is not None:
-                patterns[phash] = rep
-        return FSMResult(supports, patterns)

@@ -20,13 +20,12 @@ from functools import partial
 
 import numpy as np
 
-from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
-from ..core.cse import CSE
+from ..core.api import CandidateTable, EngineContext, PatternMap
 from ..core.kernels import VertexKernelContext, vertex_kernel_context
 from ..core.pattern import triangle_index
 from ..graph.graph import Graph
-from .fsm import FSMMapperPart, FSMResult
-from .mni import PlacementTable, fold_mni_block, frequent_mask, merge_domains
+from .fsm import MNIApplication
+from .mni import fold_mni_block
 
 __all__ = ["VertexInducedFSM"]
 
@@ -72,33 +71,23 @@ def vertex_codes(
     return slab, np.hstack(columns).astype(np.int64, copy=False)
 
 
-class VertexInducedFSM(MiningApplication):
+class VertexInducedFSM(MNIApplication):
     """Frequent induced k-vertex patterns under MNI support."""
 
     induced = "vertex"
-    aggregate_every_iteration = True
 
     def __init__(
         self, num_vertices: int, support: int, exact_mni: bool = False
     ) -> None:
         if num_vertices < 2:
             raise ValueError("num_vertices must be at least 2")
-        if support < 1:
-            raise ValueError("support must be at least 1")
+        super().__init__(support, exact_mni)
         self.num_vertices = num_vertices
-        self.support = support
-        self.exact_mni = exact_mni
-        self._table = PlacementTable()
-        self._iter_hashes: list[np.ndarray] = []
         self._frequent_vertices = np.zeros(0, dtype=bool)
 
     @property
     def name(self) -> str:
         return f"vFSM(k={self.num_vertices},s={self.support})"
-
-    @property
-    def _threshold(self) -> int | None:
-        return None if self.exact_mni else self.support
 
     def init(self, ctx: EngineContext) -> np.ndarray:
         """Seed with vertices of frequent labels (the 1-vertex patterns)."""
@@ -114,12 +103,6 @@ class VertexInducedFSM(MiningApplication):
         """Only expand by vertices of frequent labels."""
         return CandidateTable(self._frequent_vertices)
 
-    def start_part(self, ctx: EngineContext) -> FSMMapperPart:
-        return FSMMapperPart()
-
-    def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        self._iter_hashes.append(part.hashes)
-
     def map_block(
         self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
     ) -> None:
@@ -131,37 +114,3 @@ class VertexInducedFSM(MiningApplication):
             ctx, block, pmap, encode, self._table, self._threshold
         )
         part.mapped = block.shape[0]
-
-    def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
-        merged: PatternMap = {}
-        for pmap in pmaps:
-            for phash, dom in pmap.items():
-                mine = merged.get(phash)
-                if mine is None:
-                    merged[phash] = dom
-                else:
-                    merge_domains(mine, dom, self._threshold)
-        return merged
-
-    def prune(
-        self, ctx: EngineContext, cse: CSE, reduced: PatternMap
-    ) -> np.ndarray | None:
-        keep = frequent_mask(self._iter_hashes, reduced, self.support)
-        self._iter_hashes = []
-        return keep
-
-    def pmap_nbytes(self, pmap: PatternMap) -> int:
-        return sum(120 + dom.nbytes for dom in pmap.values())
-
-    def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
-        supports = {
-            phash: dom.support
-            for phash, dom in pmap.items()
-            if dom.support >= self.support
-        }
-        patterns = {}
-        for phash in supports:
-            rep = ctx.engine.hasher.representative(phash)
-            if rep is not None:
-                patterns[phash] = rep
-        return FSMResult(supports, patterns)

@@ -220,28 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="app parameter (repeatable), e.g. --param support=5",
     )
-
-    lint = sub.add_parser(
-        "lint", help="run the invariant lint suite (rules R001-R008)"
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files/directories (default: src)"
-    )
-    lint.add_argument(
-        "--select", default=None, help="comma-separated rule ids to run"
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="diagnostic output format",
-    )
-    lint.add_argument(
-        "--report-unused-ignores",
-        action="store_true",
-        help="also report suppression comments that silence nothing",
-    )
-    lint.add_argument("--list-rules", action="store_true")
     return parser
 
 
@@ -470,27 +448,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0 if response.get("status") == "ok" else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.__main__ import main as lint_main
-
-    argv = list(args.paths)
-    if args.select is not None:
-        argv += ["--select", args.select]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.report_unused_ignores:
-        argv.append("--report-unused-ignores")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command in ("mine", "run"):
         return _cmd_mine(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "datasets":
         return _cmd_datasets(args)
     if args.command == "generate":

@@ -531,26 +531,15 @@ def expand_vertex_level(
     dtype = graph.id_dtype
     if use_kernels:
         ctx = kernels.vertex_kernel_context(graph, out_dtype=dtype)
-        return _run_kernel_expansion(
-            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype,
-            pattern_gather,
+        task_factory = _block_task_factory(cse, ctx, block_filter, pattern_gather)
+    else:
+        make_part = partial(
+            expand_vertex_part, graph, graph.adjacency_sets(),
+            block_filter=block_filter, out_dtype=dtype, pattern_gather=pattern_gather,
         )
-    adjacency = graph.adjacency_sets()
-    make_part = partial(
-        _vertex_part_task, graph, adjacency, block_filter, dtype, pattern_gather
-    )
+        task_factory = _scalar_task_factory(cse, make_part)
     return _run_expansion(
-        cse, parts, sink, executor, workers,
-        _scalar_task_factory(cse, make_part), tracer, dtype,
-    )
-
-
-def _vertex_part_task(
-    graph, adjacency, block_filter, dtype, pattern_gather, embeddings, bound, index
-):
-    return expand_vertex_part(
-        graph, adjacency, embeddings, bound, index, block_filter,
-        out_dtype=dtype, pattern_gather=pattern_gather,
+        cse, parts, sink, executor, workers, task_factory, tracer, dtype
     )
 
 
@@ -570,34 +559,16 @@ def expand_edge_level(
     dtype = index.id_dtype
     ctx = kernels.edge_kernel_context(index, out_dtype=dtype)
     if use_kernels:
-        return _run_kernel_expansion(
-            cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype
+        task_factory = _block_task_factory(cse, ctx, block_filter)
+    else:
+        eu, ev = index.endpoint_lists()
+        make_part = partial(
+            expand_edge_part, eu, ev, index.incident_lists(),
+            block_filter=block_filter, out_dtype=dtype, ctx=ctx,
         )
-    eu, ev = index.endpoint_lists()
-    incident = index.incident_lists()
-    make_part = partial(_edge_part_task, eu, ev, incident, block_filter, dtype, ctx)
+        task_factory = _scalar_task_factory(cse, make_part)
     return _run_expansion(
-        cse, parts, sink, executor, workers,
-        _scalar_task_factory(cse, make_part), tracer, dtype,
-    )
-
-
-def _edge_part_task(eu, ev, incident, block_filter, dtype, ctx, embeddings, bound, index):
-    return expand_edge_part(
-        eu, ev, incident, embeddings, bound, index, block_filter,
-        out_dtype=dtype, ctx=ctx,
-    )
-
-
-def _run_kernel_expansion(
-    cse, ctx, block_filter, parts, sink, executor, workers, tracer, dtype,
-    pattern_gather=None,
-) -> ExpansionStats:
-    """Kernel path of both ``expand_*_level`` functions: one block task
-    per part."""
-    return _run_expansion(
-        cse, parts, sink, executor, workers,
-        _block_task_factory(cse, ctx, block_filter, pattern_gather), tracer, dtype,
+        cse, parts, sink, executor, workers, task_factory, tracer, dtype
     )
 
 

@@ -16,9 +16,13 @@ positions in ascending order, emit ``p < q`` for every other member
 group to the stabilizer of ``p``.  A transitive reduction keeps the set
 minimal.  The defining property (hypothesis-tested): for any injective
 assignment of data vertices to pattern positions, **exactly one** member
-of its automorphism orbit satisfies the set.  The planner attaches each
-level's slice (:meth:`RestrictionSet.constraints_at`) to its
-:class:`~repro.core.plan.LevelPlan`.
+of its automorphism orbit satisfies the set.  For a complete query
+pattern whose set is the chain ``0 < 1 < ... < k-1``,
+:func:`pattern_gathers` turns each position's slice
+(:meth:`RestrictionSet.constraints_at`) into a :class:`PatternGather`,
+which the planner attaches to that level's
+:class:`~repro.core.plan.LevelPlan`; any other pattern's levels carry
+none.
 
 The engine's generic Definition-2 canonical order — the symmetry-breaking
 rule the *all-subgraph* enumeration uses, of which the pattern sets here

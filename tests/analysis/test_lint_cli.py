@@ -1,9 +1,9 @@
-"""The lint CLIs: ``python -m repro.analysis`` and ``repro lint``."""
+"""The lint CLI: ``python -m repro.analysis``."""
 
 from pathlib import Path
 
+from repro.analysis import rule_ids
 from repro.analysis.__main__ import main as analysis_main
-from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parents[2] / "src" / "repro")
@@ -35,21 +35,8 @@ def test_module_cli_unknown_rule_exits_two(capsys):
 
 def test_module_cli_list_rules(capsys):
     assert analysis_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in ("R001", "R002", "R003", "R004", "R005"):
-        assert rule in out
-
-
-def test_repro_lint_subcommand(capsys):
-    assert repro_main(["lint", SRC]) == 0
-    bad = str(FIXTURES / "r005_bad.py")
-    assert repro_main(["lint", bad, "--select", "R005"]) == 1
-    assert "R005" in capsys.readouterr().out
-
-
-def test_repro_lint_list_rules(capsys):
-    assert repro_main(["lint", "--list-rules"]) == 0
-    assert "R003" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert tuple(line.split()[0] for line in lines) == rule_ids()
 
 
 def test_module_cli_json_format(capsys):
@@ -77,14 +64,14 @@ def test_module_cli_json_clean_tree(capsys):
 
 
 def test_module_cli_github_format(capsys):
-    bad = str(FIXTURES / "r007_bad.py")
-    assert analysis_main([bad, "--select", "R007", "--format", "github"]) == 1
+    bad = str(FIXTURES / "r005_bad.py")
+    assert analysis_main([bad, "--select", "R005", "--format", "github"]) == 1
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 3
     for line in lines:
         assert line.startswith("::error file=")
-        assert "title=R007" in line
+        assert "title=R005" in line
 
 
 def test_module_cli_reports_unused_ignores(tmp_path, capsys):
@@ -109,12 +96,3 @@ def test_module_cli_used_ignore_not_reported(tmp_path, capsys):
     assert analysis_main([str(target), "--select", "R002", "--report-unused-ignores"]) == 0
     assert "W100" not in capsys.readouterr().out
 
-
-def test_repro_lint_format_and_unused_flags(capsys):
-    import json
-
-    bad = str(FIXTURES / "r008_bad.py")
-    assert repro_main(["lint", bad, "--select", "R008", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"R008": 4}
-    assert repro_main(["lint", SRC, "--report-unused-ignores"]) == 0

@@ -1,12 +1,23 @@
-"""Each rule fires on its bad fixture and stays silent on its good one."""
+"""Each rule fires on its bad fixture, stays silent on its good one, and
+catches the real bug it exists for (its ``Rent:`` line in rules.py).
 
+The doc tables in ``docs/api.md`` and ``docs/architecture.md`` are
+pinned to the registry too, so a rule's scope cannot drift in the docs.
+"""
+
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_file, lint_source, rule_ids
+from repro.analysis import lint_file, lint_paths_report, lint_source, rule_ids
+from repro.analysis import rules as rules_module
+from repro.analysis.diagnostics import UNUSED_IGNORE_RULE
+from repro.analysis.rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: rule id -> expected violation count in its bad fixture.
 EXPECTED_BAD_HITS = {
@@ -16,7 +27,6 @@ EXPECTED_BAD_HITS = {
     "R004": 2,
     "R005": 3,
     "R006": 4,
-    "R007": 3,
     "R008": 4,
 }
 
@@ -69,7 +79,6 @@ def test_registry_lists_all_rules():
         "R004",
         "R005",
         "R006",
-        "R007",
         "R008",
     )
 
@@ -190,3 +199,147 @@ def test_r006_transitive_lock_context():
     diagnostics = lint_source(source, select=["R006"])
     assert len(diagnostics) == 1
     assert "unsafe_push" in diagnostics[0].message
+
+
+# ----------------------------------------------------------------------
+# Rent: each rule catches the bug it exists for, in the real source
+# ----------------------------------------------------------------------
+#: case id -> (module under src/repro, snippet, replacement).  Each
+#: replacement re-applies the bug named on the rule's ``Rent:`` line; the
+#: case id is the rule id, plus a suffix when a rule has several cases.
+RENT_MUTATIONS = {
+    # FSM's mapper records its per-iteration hashes on the shared app.
+    "R001": (
+        "apps/fsm.py",
+        "        part.mapped = block.shape[0]\n",
+        "        part.mapped = block.shape[0]\n"
+        "        self._iter_hashes.append(part.hashes)\n",
+    ),
+    # The same race in vFSM, whose app base is imported from apps/fsm.py.
+    "R001-vfsm": (
+        "apps/fsm_vertex.py",
+        "        part.mapped = block.shape[0]\n",
+        "        part.mapped = block.shape[0]\n"
+        "        self._iter_hashes.append(part.hashes)\n",
+    ),
+    # The scalar oracle emits candidates in set hash order.
+    "R002": (
+        "core/explore.py",
+        "            candidates = sorted(merged)\n        examined",
+        "            candidates = list(set(merged))\n        examined",
+    ),
+    # The storage retry probe loses its tracer.enabled guard.
+    "R003": (
+        "storage/spill.py",
+        "                    if self.tracer.enabled:\n"
+        "                        self.tracer.instant(",
+        "                    self.tracer.instant(",
+    ),
+    # Checkpoint restore narrows the saved ids to int32.
+    "R004": (
+        "storage/checkpoint.py",
+        "InMemoryLevel(vert, off, dtype=vert.dtype)",
+        "InMemoryLevel(vert, off, dtype=np.int32)",
+    ),
+    # The atomic checkpoint write swallows its failure.
+    "R005": (
+        "storage/checkpoint.py",
+        "            pass\n        raise\n\n\ndef _array_payload",
+        "            pass\n\n\ndef _array_payload",
+    ),
+    # The result cache's put mutates the LRU map before taking its lock.
+    "R006": (
+        "service/cache.py",
+        "        with self._lock:\n"
+        "            self._entries.pop(key, None)\n"
+        "            self._entries[key] = answer\n",
+        "        self._entries.pop(key, None)\n"
+        "        self._entries[key] = answer\n"
+        "        with self._lock:\n",
+    ),
+    # A typo'd metric name that no dashboard reads.
+    "R008": (
+        "service/cache.py",
+        '"service.cache.evictions"',
+        '"service.cache.eviction"',
+    ),
+    # An R001 suppression left behind on code that no longer needs it.
+    UNUSED_IGNORE_RULE: (
+        "apps/fsm.py",
+        "        part.mapped = block.shape[0]\n",
+        "        part.mapped = block.shape[0]  # repro: ignore[R001] -- memo race\n",
+    ),
+}
+
+
+#: case id -> the real modules a case is linted with, for rules that
+#: resolve names across files (vFSM's app base lives in apps/fsm.py).
+RENT_CONTEXT = {"R001-vfsm": ("apps/fsm.py",)}
+
+
+def _rules_fired(case, rel, text, tmp_path):
+    """Rule ids reported on ``text`` linted as ``src/repro/<rel>`` with
+    every rule in its real scope (no ``select``)."""
+    rule = case.split("-")[0]
+    context = RENT_CONTEXT.get(case, ())
+    if rule != UNUSED_IGNORE_RULE and not context:
+        return {diag.rule for diag in lint_source(text, path=f"src/repro/{rel}")}
+    package = tmp_path / "src" / "repro"
+    target = package / rel
+    target.parent.mkdir(parents=True)
+    target.write_text(text, encoding="utf-8")
+    for other in context:
+        (package / other).write_text((SRC / other).read_text(encoding="utf-8"))
+    report = lint_paths_report(
+        [package], report_unused_ignores=rule == UNUSED_IGNORE_RULE
+    )
+    return {diag.rule for diag in report.all() if diag.path == str(target)}
+
+
+@pytest.mark.parametrize("case", sorted(RENT_MUTATIONS))
+def test_rule_catches_the_bug_it_exists_for(case, tmp_path):
+    rule = case.split("-")[0]
+    rel, snippet, replacement = RENT_MUTATIONS[case]
+    source = (SRC / rel).read_text(encoding="utf-8")
+    # A refactor that moves the snippet must re-anchor the mutation,
+    # not silently stop exercising the rule.
+    assert source.count(snippet) == 1, f"re-anchor {case}'s mutation of {rel}"
+    assert rule not in _rules_fired(case, rel, source, tmp_path / "before")
+    mutated = source.replace(snippet, replacement)
+    assert rule in _rules_fired(case, rel, mutated, tmp_path / "after")
+
+
+def _docstring_rows(doc):
+    """Rule id -> its row of the rules.py docstring table."""
+    parts = re.split(r"^([RW]\d{3})  ", doc, flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_every_rule_pays_rent():
+    expected = set(rule_ids()) | {UNUSED_IGNORE_RULE}
+    assert {case.split("-")[0] for case in RENT_MUTATIONS} == expected
+    rows = _docstring_rows(rules_module.__doc__)
+    assert set(rows) == expected
+    for rule, row in rows.items():
+        assert "Rent:" in row, f"{rule} has no rent line"
+
+
+def _doc_table_scopes(doc_path):
+    """Rule id -> set of backticked paths in the rule table's scope column."""
+    scopes = {}
+    scope_col = None
+    for line in doc_path.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[0].lower() == "id" and "scope" in [c.lower() for c in cells]:
+            scope_col = [c.lower() for c in cells].index("scope")
+        elif scope_col is not None and re.fullmatch(r"[RW]\d{3}", cells[0]):
+            paths = re.findall(r"`([\w./]+(?:/|\.py))`", cells[scope_col])
+            scopes[cells[0]] = set(paths)
+    return scopes
+
+
+@pytest.mark.parametrize("doc", ["docs/api.md", "docs/architecture.md"])
+def test_doc_rule_tables_match_registry(doc):
+    expected = {rule.id: set(rule.scope) for rule in RULES}
+    expected[UNUSED_IGNORE_RULE] = set()
+    assert _doc_table_scopes(ROOT / doc) == expected

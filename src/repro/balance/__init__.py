@@ -1,7 +1,7 @@
 """Load balancing: candidate-size prediction, partitioning, scheduling."""
 
 from .partition import PartitionQuality, balanced_parts, partition_quality
-from .predict import merged_size, predict_edge_costs, predict_vertex_costs
+from .predict import predict_edge_costs, predict_vertex_costs
 from .worksteal import (
     Schedule,
     TaskInterval,
@@ -15,7 +15,6 @@ __all__ = [
     "PartitionQuality",
     "predict_vertex_costs",
     "predict_edge_costs",
-    "merged_size",
     "simulate_work_stealing",
     "Schedule",
     "TaskInterval",

@@ -23,7 +23,6 @@ from ..graph.graph import Graph
 __all__ = [
     "predict_vertex_costs",
     "predict_edge_costs",
-    "merged_size",
     "IOPlan",
     "plan_io",
 ]
@@ -84,15 +83,6 @@ def plan_io(
         bytes_per_entry=bytes_per_entry,
         window_bytes=2 * part_entries * bytes_per_entry,
     )
-
-
-def merged_size(a: np.ndarray, b: np.ndarray) -> int:
-    """Size of the union of two sorted id arrays (two-pointer merge)."""
-    if a.shape[0] == 0:
-        return int(np.unique(b).shape[0])
-    if b.shape[0] == 0:
-        return int(np.unique(a).shape[0])
-    return int(np.union1d(a, b).shape[0])
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Benchmark harness: run records, reporting, shared workloads."""
 
-from .export import read_records_csv, write_records_csv
 from .record import RunRecord, geomean, speedup
 from .report import comparison_table, format_series, format_table, geomean_block
 from .workloads import (
@@ -28,6 +27,4 @@ __all__ = [
     "run_kaleido",
     "run_arabesque",
     "run_rstream",
-    "write_records_csv",
-    "read_records_csv",
 ]

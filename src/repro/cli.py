@@ -49,6 +49,17 @@ from .graph import (
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -69,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--edges", type=int, default=2, help="FSM pattern edges")
     mine.add_argument("--support", type=int, default=5, help="FSM MNI support")
     mine.add_argument("--exact-mni", action="store_true", help="exact MNI counting")
-    mine.add_argument("--workers", type=int, default=1)
+    mine.add_argument("--workers", type=_positive_int, default=1)
     mine.add_argument(
         "--executor",
         default="serial",
@@ -90,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=1,
         help="checkpoint every N exploration iterations (default 1)",
     )
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--io-retries",
-        type=int,
+        type=_positive_int,
         default=4,
         help="total attempts for transient storage faults (default 4; "
         "1 disables retrying)",
@@ -159,19 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the mining service (line-delimited JSON over stdin or TCP)",
     )
-    serve.add_argument("--workers", type=int, default=4, help="shared pool size")
+    serve.add_argument("--workers", type=_positive_int, default=4, help="shared pool size")
     serve.add_argument(
         "--sessions-per-graph",
-        type=int,
+        type=_positive_int,
         default=4,
         help="max warm engine sessions per graph fingerprint",
     )
     serve.add_argument(
-        "--cache-entries", type=int, default=256, help="result-cache LRU capacity"
+        "--cache-entries", type=_positive_int, default=256, help="result-cache LRU capacity"
     )
     serve.add_argument(
         "--max-concurrent",
-        type=int,
+        type=_positive_int,
         default=4,
         help="default per-tenant concurrent-query quota",
     )

@@ -12,22 +12,14 @@ benchmarks used to reinvent per figure:
   associative merge; :mod:`repro.obs.bridge` folds the pre-existing
   ``IOStats`` / ``MemoryMeter`` / ``PatternHasher`` state in.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (open in
-  ``chrome://tracing`` or Perfetto), flat JSONL, and a text summary;
-  :func:`worker_busy_fractions` derives the Fig.-17 load-balance view
-  straight from the trace.
+  ``chrome://tracing`` or Perfetto) and flat JSONL.
 
 Enable on an engine with ``KaleidoEngine(graph, tracer=Tracer())`` or
 from the CLI with ``repro run <app> --trace-out t.json``.
 """
 
 from .bridge import absorb_engine, absorb_hasher, absorb_io_stats, absorb_memory_meter
-from .export import (
-    chrome_trace,
-    text_summary,
-    worker_busy_fractions,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import chrome_trace, write_chrome_trace, write_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, MetricsView
 from .trace import (
     NULL_TRACER,
@@ -57,6 +49,4 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "text_summary",
-    "worker_busy_fractions",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON, flat JSONL, text summary.
+"""Exporters: Chrome ``trace_event`` JSON and flat JSONL.
 
 The Chrome export is the Trace Event Format understood by
 ``chrome://tracing`` and https://ui.perfetto.dev — drop the file onto
@@ -6,11 +6,6 @@ either and the run renders as one timeline per track: the engine thread
 with its nested ``run → level → {plan, execute, aggregate}`` spans, one
 track per (real or modelled) worker carrying the per-part intervals,
 plus instant markers for spills, retries, degradations and checkpoints.
-
-:func:`worker_busy_fractions` derives the Figure-17 load-balance view
-straight from the exported part spans — per-worker busy time over the
-executor makespan — which is how ``scripts/bench_smoke.py`` and the
-Fig. 17/18 benchmarks read utilization without private counters.
 """
 
 from __future__ import annotations
@@ -19,16 +14,9 @@ import json
 from dataclasses import asdict
 from typing import IO, Any, Iterable
 
-from .metrics import MetricsRegistry
 from .trace import TraceEvent, Tracer
 
-__all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "text_summary",
-    "worker_busy_fractions",
-]
+__all__ = ["chrome_trace", "write_chrome_trace", "write_jsonl"]
 
 _PID = 1
 
@@ -130,90 +118,3 @@ def write_jsonl(
             dump(handle)
     else:
         dump(path_or_file)
-
-
-def worker_busy_fractions(
-    source: "Tracer | Iterable[TraceEvent]", span_name: str = "part"
-) -> dict[str, float]:
-    """Per-worker busy fraction from the part spans (the Fig.-17 view).
-
-    Busy time is the sum of a worker track's ``part`` span durations;
-    the denominator is the overall horizon spanned by *any* worker's
-    parts, so an idle-tailed worker shows the imbalance directly.
-    """
-    events = [
-        e
-        for e in _as_events(source)
-        if e.kind == "complete" and e.name == span_name and isinstance(e.track, str)
-    ]
-    if not events:
-        return {}
-    start = min(e.ts for e in events)
-    horizon = max(e.ts + (e.dur or 0.0) for e in events) - start
-    if horizon <= 0:
-        return {str(e.track): 1.0 for e in events}
-    busy: dict[str, float] = {}
-    for event in events:
-        busy[str(event.track)] = busy.get(str(event.track), 0.0) + (event.dur or 0.0)
-    return {
-        track: min(1.0, seconds / horizon) for track, seconds in sorted(busy.items())
-    }
-
-
-def text_summary(
-    source: "Tracer | Iterable[TraceEvent]",
-    metrics: MetricsRegistry | None = None,
-) -> str:
-    """Human-readable digest: span totals, instants, workers, metrics."""
-    events = _as_events(source)
-    lines: list[str] = []
-
-    # Span totals from begin/end pairing per track, plus complete spans.
-    totals: dict[str, tuple[int, float]] = {}
-    open_spans: dict[tuple[int | str, str], list[float]] = {}
-    for event in sorted(events, key=lambda e: e.ts):
-        if event.kind == "begin":
-            open_spans.setdefault((event.track, event.name), []).append(event.ts)
-        elif event.kind == "end":
-            starts = open_spans.get((event.track, event.name))
-            if starts:
-                count, seconds = totals.get(event.name, (0, 0.0))
-                totals[event.name] = (count + 1, seconds + event.ts - starts.pop())
-        elif event.kind == "complete":
-            count, seconds = totals.get(event.name, (0, 0.0))
-            totals[event.name] = (count + 1, seconds + (event.dur or 0.0))
-    if totals:
-        lines.append("spans:")
-        for name, (count, seconds) in sorted(totals.items()):
-            lines.append(f"  {name:<24} {count:>6}x  {seconds:10.6f}s total")
-
-    instants: dict[str, int] = {}
-    for event in events:
-        if event.kind == "instant":
-            instants[event.name] = instants.get(event.name, 0) + 1
-    if instants:
-        lines.append("instants:")
-        for name, count in sorted(instants.items()):
-            lines.append(f"  {name:<24} {count:>6}x")
-
-    fractions = worker_busy_fractions(events)
-    if fractions:
-        lines.append("worker busy fractions:")
-        for track, fraction in fractions.items():
-            lines.append(f"  {track:<24} {fraction:6.1%}")
-
-    if metrics is not None and len(metrics):
-        lines.append("metrics:")
-        for name, snap in metrics.snapshot().items():
-            if snap["type"] == "histogram":
-                value = (
-                    f"count={snap['count']} mean={snap['mean']:.6f} "
-                    f"min={snap['min']} max={snap['max']}"
-                )
-            elif snap["type"] == "gauge":
-                value = f"{snap['value']} (peak {snap['peak']})"
-            else:
-                value = str(snap["value"])
-            lines.append(f"  {name:<32} {value}")
-
-    return "\n".join(lines) if lines else "(no events recorded)"

@@ -24,6 +24,8 @@ the reduced mode before giving up.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..balance.predict import IOPlan, plan_io
@@ -40,7 +42,11 @@ __all__ = ["SpillingSink", "spill_level", "StoragePolicy"]
 
 
 class SpillingSink(LevelSink):
-    """Writes expansion parts to disk through the writing queue."""
+    """Writes expansion parts to disk through the writing queue.
+
+    ``on_finish`` runs once the level has landed, so a level whose first
+    attempt aborted and was re-planned is reported once, not per sink.
+    """
 
     def __init__(
         self,
@@ -48,18 +54,23 @@ class SpillingSink(LevelSink):
         synchronous: bool = False,
         tag: str = "vert",
         dtype: np.dtype | None = None,
+        on_finish: Callable[[], None] | None = None,
     ) -> None:
         self.store = store
         self.dtype = None if dtype is None else np.dtype(dtype)
         self._queue = WritingQueue(store, synchronous=synchronous)
         self._tag = tag
+        self._on_finish = on_finish
 
     def write_part(self, vert: np.ndarray, index: int | None = None) -> None:
         self._queue.submit(vert, tag=self._tag, index=index)
 
     def finish(self, off: np.ndarray) -> Level:
         handles = self._queue.close()
-        return SpilledLevel(self.store, handles, off, dtype=self.dtype)
+        level = SpilledLevel(self.store, handles, off, dtype=self.dtype)
+        if self._on_finish is not None:
+            self._on_finish()
+        return level
 
     def abort(self) -> None:
         """Stop the queue and delete the partial level's files."""
@@ -185,9 +196,9 @@ class StoragePolicy:
         produced level's id storage width, recorded on the
         :class:`SpilledLevel` so empty levels reload at the right width.
         ``io_plan`` (from :meth:`plan_io`) sets the part granularity for
-        the demotion.
+        the demotion.  ``spilled_levels`` counts the level when its
+        sink finishes, so a degraded re-plan does not count it twice.
         """
-        self.spilled_levels += 1
         store = self._ensure_store()
         if self.tracer.enabled:
             self.tracer.instant("spill", depth=cse.depth, io_mode=self.io_mode)
@@ -209,7 +220,11 @@ class StoragePolicy:
             synchronous=self.synchronous_io,
             tag=f"vert{cse.depth + 1}",
             dtype=dtype,
+            on_finish=self._count_spilled_level,
         )
+
+    def _count_spilled_level(self) -> None:
+        self.spilled_levels += 1
 
     def sink_for_next_level(
         self,

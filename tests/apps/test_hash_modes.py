@@ -3,6 +3,7 @@
 from repro import FrequentSubgraphMining, KaleidoEngine, MotifCounting
 from repro.baselines import BlissLikeHasher
 from repro.core import PatternHasher
+from repro.graph import datasets
 from tests.conftest import random_labeled_graph
 
 
@@ -58,3 +59,14 @@ def test_fsm_insertion_counters():
     exact = FrequentSubgraphMining(2, 3, exact_mni=True)
     KaleidoEngine(graph).run(exact)
     assert exact.total_insertions >= app.total_insertions
+
+
+def test_fsm_hasher_hit_rate_stays_high():
+    """FSM hashes once per distinct labelled code, and every automorphic
+    raw structure of a class after the first is a cache hit, so most
+    hasher lookups of a real-shaped run are served from the cache."""
+    with KaleidoEngine(datasets.load("citeseer", "tiny")) as engine:
+        engine.run(FrequentSubgraphMining(2, support=3))
+        hasher = engine.hasher
+    assert hasher.hits + hasher.misses > 0
+    assert hasher.hit_rate >= 0.5, (hasher.hits, hasher.misses)

@@ -5,19 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.balance import merged_size, predict_edge_costs, predict_vertex_costs
+from repro.balance import predict_edge_costs, predict_vertex_costs
 from repro.core import CSE, kernels
 from repro.core.explore import expand_edge_level, expand_vertex_level
 from repro.graph.edge_index import EdgeIndex
 from repro.storage import PartStore, SpilledLevel
 from repro.storage.hybrid import spill_level
 from tests.conftest import random_labeled_graph
-
-
-def test_merged_size():
-    assert merged_size(np.array([1, 2, 3]), np.array([3, 4])) == 4
-    assert merged_size(np.array([], dtype=int), np.array([7, 7, 8])) == 2
-    assert merged_size(np.array([5]), np.array([], dtype=int)) == 1
 
 
 def test_vertex_costs_level1_are_degrees(paper_graph):

@@ -1,10 +1,12 @@
 """Engine-level observability: parity, span taxonomy, absorbed metrics."""
 
+import json
+
 import pytest
 
 from repro import KaleidoEngine, MotifCounting, Tracer
 from repro.graph import chung_lu
-from repro.obs import NULL_TRACER, worker_busy_fractions
+from repro.obs import NULL_TRACER, chrome_trace
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +65,14 @@ def test_part_spans_carry_worker_tracks(graph):
     assert {e.parent for e in parts} <= {"execute", "aggregate"}
     assert all(str(e.track).startswith("worker-") for e in parts)
     assert all(e.dur is not None and e.dur >= 0 for e in parts)
-    fractions = worker_busy_fractions(tracer)
-    assert fractions and all(0.0 <= f <= 1.0 for f in fractions.values())
+    # Every part span lands on a named track of the Chrome export, and
+    # the export is valid JSON.
+    trace = chrome_trace(tracer)
+    json.dumps(trace)
+    events = trace["traceEvents"]
+    names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert {e["tid"] for e in events if e["ph"] == "X"} <= names.keys()
+    assert any(name.startswith("worker-") for name in names.values())
 
 
 def test_metrics_absorbed_after_run(graph):

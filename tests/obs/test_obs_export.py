@@ -1,4 +1,4 @@
-"""Unit tests for the Chrome/JSONL/text exporters and Fig-17 fractions."""
+"""Unit tests for the Chrome trace_event and JSONL exporters."""
 
 import io
 import json
@@ -6,11 +6,8 @@ import json
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     chrome_trace,
-    text_summary,
-    worker_busy_fractions,
     write_chrome_trace,
     write_jsonl,
 )
@@ -106,35 +103,3 @@ def test_write_jsonl_round_trip(tmp_path):
     assert len(by_kind["complete"]) == 2
     assert all("dur" in r for r in by_kind["complete"])
     assert all("dur" not in r for r in by_kind["begin"])
-
-
-def test_worker_busy_fractions():
-    tracer = Tracer(clock=FakeClock())
-    # worker-0 busy 2s of a 2s horizon; worker-1 busy 1s.
-    tracer.complete("part", start=0.0, end=1.0, track="worker-0")
-    tracer.complete("part", start=1.0, end=2.0, track="worker-0")
-    tracer.complete("part", start=0.5, end=1.5, track="worker-1")
-    fractions = worker_busy_fractions(tracer)
-    assert fractions == {"worker-0": pytest.approx(1.0), "worker-1": pytest.approx(0.5)}
-
-
-def test_worker_busy_fractions_ignores_engine_thread_spans():
-    tracer = Tracer(clock=FakeClock())
-    with tracer.span("run"):
-        pass
-    assert worker_busy_fractions(tracer) == {}
-
-
-def test_text_summary_sections():
-    tracer = _sample_tracer()
-    registry = MetricsRegistry()
-    registry.counter("io.retries").inc(2)
-    registry.gauge("queue.depth").set(4)
-    registry.histogram("io.write_seconds").observe(0.25)
-    summary = text_summary(tracer, registry)
-    assert "spans:" in summary
-    assert "run" in summary and "part" in summary
-    assert "instants:" in summary and "spill" in summary
-    assert "worker busy fractions:" in summary
-    assert "metrics:" in summary and "io.retries" in summary
-    assert text_summary([]) == "(no events recorded)"

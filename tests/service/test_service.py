@@ -12,6 +12,7 @@ import pytest
 from repro.apps import MotifCounting, TriangleCounting
 from repro.core.engine import KaleidoEngine
 from repro.errors import QueryRejectedError, QuotaExceededError, ServiceError
+from repro.graph import datasets
 from repro.obs import MetricsRegistry, Tracer
 from repro.service import (
     MiningService,
@@ -19,6 +20,7 @@ from repro.service import (
     QueryRequest,
     Route,
     TenantQuota,
+    build_app,
 )
 
 
@@ -57,6 +59,51 @@ def test_eight_concurrent_queries_match_solo_run(small_random):
     assert shared_pool_size == 4
     routes = {result.route for result in results}
     assert Route.RED in routes  # someone actually mined
+
+
+#: Shared queries of the warm-then-concurrent script: exact tc, motif
+#: and clique plus one approximate motif, which is cached per mode.
+SHARED_QUERIES = (
+    ("tc", {}, "exact"),
+    ("motif", {}, "exact"),
+    ("clique", {}, "exact"),
+    ("motif", {"samples": 200, "seed": 7}, "approximate"),
+)
+
+
+def test_warm_then_concurrent_tenants_under_sanitizer():
+    """One tenant warms the cache serially, then three tenants submit at
+    once: each repeats the shared queries (deterministic GREEN hits) and
+    runs one exclusive exact motif whose ``tag`` param busts the cache.
+    The sanitized service answers exactly like a solo engine."""
+
+    def request(app, params, mode, tenant):
+        return QueryRequest(
+            app=app, dataset="citeseer", profile="tiny", k=3,
+            params=dict(params), tenant=tenant, mode=mode,
+        )
+
+    tenants = ("bob", "carol", "dave")
+    measured = [request(*query, tenant) for tenant in tenants for query in SHARED_QUERIES]
+    measured += [request("motif", {"tag": t}, "exact", t) for t in tenants]
+    with MiningService(pool_workers=2, max_inflight=len(measured), sanitize=True) as svc:
+        for query in SHARED_QUERIES:
+            svc.query(request(*query, "alice"))
+        results = [future.result(timeout=120) for future in map(svc.submit, measured)]
+        hits = counter(svc, "service.cache.hits")
+        misses = counter(svc, "service.cache.misses")
+    assert (hits, misses) == (12, 7)  # 4 warm + 3 tagged misses
+    assert sum(result.route is Route.GREEN for result in results) == hits
+
+    with KaleidoEngine(datasets.load("citeseer", "tiny")) as engine:
+        solo = {
+            app: dict(engine.run(build_app(app, 3, {})).pattern_map)
+            for app, _params, mode in SHARED_QUERIES
+            if mode == "exact"
+        }
+    for req, result in zip(measured, results):
+        if req.mode == "exact":
+            assert result.pattern_map == solo[req.app], (req.tenant, req.app)
 
 
 def test_concurrent_tenants_all_accounted(service, paper_graph):

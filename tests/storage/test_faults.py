@@ -242,6 +242,10 @@ def test_engine_degrades_on_disk_full_and_stays_correct(tmp_path, paper_graph):
     from repro import KaleidoEngine, MotifCounting
 
     expected = KaleidoEngine(paper_graph).run(MotifCounting(3))
+    with KaleidoEngine(
+        paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path / "clean")
+    ) as engine:
+        clean = engine.run(MotifCounting(3))
     engine, _plan = _engine_with_faults(
         paper_graph, tmp_path, [FaultSpec(op="save", kind="full", at=1)]
     )
@@ -253,6 +257,11 @@ def test_engine_degrades_on_disk_full_and_stays_correct(tmp_path, paper_graph):
     # The aborted attempt's partial parts were discarded; only the retried
     # level's files were ever live, and the run's result is untruncated.
     assert result.pattern_map == expected.pattern_map
+    # The re-planned level is counted once, as in a clean run.
+    assert result.level_sizes == clean.level_sizes
+    assert result.extra["spilled_levels"] == clean.extra["spilled_levels"] == 1
+    snapshot = engine.metrics.snapshot()
+    assert snapshot["storage.spilled_levels"]["value"] == 1
 
 
 def test_engine_exhausts_degradation_then_raises(tmp_path, paper_graph):

@@ -72,6 +72,10 @@ def test_policy_spills_over_budget(tmp_path):
     cse = CSE(np.arange(10))
     sink = policy.sink_for_next_level(cse, predicted_entries=1000)
     assert isinstance(sink, SpillingSink)
+    # A spilled level is counted when it lands, not when its sink is built.
+    assert policy.spilled_levels == 0
+    sink.write_part(np.arange(10, dtype=np.int32), index=0)
+    sink.finish(np.arange(11))
     assert policy.spilled_levels == 1
 
 

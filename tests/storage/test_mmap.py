@@ -210,6 +210,7 @@ def test_spill_parity_across_executors(paper_graph):
                 executor=spec,
                 storage_mode="spill-last",
                 spill_dir=spill_dir,
+                sanitize=True,
             )
             try:
                 result = engine.run(MotifCounting(3))

@@ -107,6 +107,7 @@ def test_resumed_run_trace_shows_restore_and_no_replayed_levels(
     restored iteration, and its ``level`` spans must cover only the
     iterations *after* the checkpoint — an already-checkpointed level
     reappearing as a span would mean the engine silently recomputed it.
+    The resumed pattern map equals an uninterrupted run's.
     """
     from repro.obs import Tracer
 
@@ -134,6 +135,7 @@ def test_resumed_run_trace_shows_restore_and_no_replayed_levels(
     ) as engine:
         resumed = engine.run(make_app(), resume=True)
     assert resumed.extra["resumed_from_level"] == boundary
+    assert resumed.pattern_map == KaleidoEngine(paper_graph).run(make_app()).pattern_map
 
     events = tracer.events
     restores = [e for e in events if e.name == "checkpoint-restore"]

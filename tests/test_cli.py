@@ -153,6 +153,27 @@ def test_mine_rejects_processes_executor(capsys):
     assert "'serial'" in err and "'threads'" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("mine", "--workers", "0"),
+        ("mine", "--workers", "two"),
+        ("mine", "--io-retries", "0"),
+        ("mine", "--checkpoint-every", "0"),
+        ("serve", "--workers", "0"),
+        ("serve", "--sessions-per-graph", "0"),
+        ("serve", "--cache-entries", "0"),
+        ("serve", "--max-concurrent", "-1"),
+    ],
+)
+def test_non_positive_counts_exit_2(command, flag, value, capsys):
+    argv = ["mine", "tc", "--profile", "tiny"] if command == "mine" else ["serve"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
 def test_stats_command(capsys):
     assert main(["stats", "--dataset", "citeseer", "--profile", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -5,11 +5,8 @@ Not a paper figure — these quantify the contribution of each mechanism:
 1. CSE vs an explicit tuple store (space per embedding).
 2. EigenHash memoisation on/off (the production cache vs the paper's
    per-embedding hashing).
-3. Async (background) vs synchronous part writer for spilled levels.
-4. Prediction-based vs contiguous even partitioning (part-cost variance).
+3. Prediction-based vs contiguous even partitioning (part-cost variance).
 """
-
-import tempfile
 
 import numpy as np
 import pytest
@@ -78,41 +75,6 @@ def test_ablation_hash_memoisation(benchmark, emit):
         name="ablation_hash_memo",
     )
     assert uncached_s > cached_s
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_async_writer(benchmark, emit):
-    """Background writing queue vs synchronous part writes.
-
-    Spilled levels are read back through memory maps either way; only
-    the write side differs.
-    """
-
-    def measure():
-        graph = bench_graph("citeseer")
-        results = {}
-        for background in (True, False):
-            with tempfile.TemporaryDirectory(prefix="abl-") as tmp:
-                with KaleidoEngine(
-                    graph,
-                    storage_mode="spill-last",
-                    spill_dir=tmp,
-                    synchronous_io=not background,
-                ) as engine:
-                    results[background] = engine.run(MotifCounting(4))
-        assert dict(results[True].value) == dict(results[False].value)
-        return results[True].wall_seconds, results[False].wall_seconds
-
-    async_s, sync_s = run_once(benchmark, measure)
-    emit(
-        f"Ablation — write overlap (4-Motif, citeseer, spill-last, {PROFILE})\n"
-        f"  async writer:     {async_s:.3f}s\n"
-        f"  synchronous I/O:  {sync_s:.3f}s\n"
-        f"  overlap benefit:  {sync_s / async_s:.2f}x",
-        name="ablation_async_writer",
-    )
-    # Overlap should never make things meaningfully slower.
-    assert async_s < sync_s * 1.25 + 0.05
 
 
 @pytest.mark.benchmark(group="ablation")

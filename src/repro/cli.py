@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .apps import (
     CliqueDiscovery,
@@ -49,15 +50,32 @@ from .graph import (
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=`` for counts that must be at least 1."""
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for integers with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            want = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _host_port(spec: str) -> tuple[str, int]:
+    """argparse ``type=`` for ``HOST:PORT``; an empty host means 127.0.0.1."""
+    host, _, port = spec.rpartition(":")
     try:
-        value = int(text)
+        return host or "127.0.0.1", int(port)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"want HOST:PORT, got {spec!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic power-law graph")
     gen.add_argument("path", help="output edge-list path")
-    gen.add_argument("--vertices", type=int, default=1000)
+    gen.add_argument("--vertices", type=_int_at_least(2), default=1000)
     gen.add_argument("--edges", type=int, default=5000)
     gen.add_argument("--labels", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
@@ -162,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--dataset", default="citeseer")
     approx.add_argument("--profile", default="bench")
     approx.add_argument("--format", default="auto", choices=["auto", "edges", "adjacency"])
-    approx.add_argument("-k", type=int, default=3)
-    approx.add_argument("--samples", type=int, default=1000)
+    approx.add_argument("-k", type=_int_at_least(3), default=3)
+    approx.add_argument("--samples", type=_positive_int, default=1000)
     approx.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
@@ -188,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--socket",
+        type=_host_port,
         default=None,
         metavar="HOST:PORT",
         help="listen on TCP instead of stdin/stdout (port 0 picks a free port)",
@@ -214,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="send one query to a running 'repro serve --socket' service"
     )
     query.add_argument("app", choices=["tc", "motif", "clique", "fsm"])
-    query.add_argument("--socket", required=True, metavar="HOST:PORT")
+    query.add_argument("--socket", type=_host_port, required=True, metavar="HOST:PORT")
     query.add_argument("--dataset", default="citeseer")
     query.add_argument("--profile", default="bench")
     query.add_argument("-k", type=int, default=3)
@@ -302,9 +321,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "io_bytes_written": result.io_bytes_written,
             "io_retries": result.extra.get("io_retries"),
             "io_failed_deletes": result.extra.get("io_failed_deletes"),
-            "io_mode": result.extra.get("io_mode"),
             "io_plan": result.extra.get("io_plan"),
-            "degradations": result.extra.get("degradations"),
             "resumed_from_level": result.extra.get("resumed_from_level"),
             "checkpoints_written": result.extra.get("checkpoints_written"),
             "value": _value_payload(result.value),
@@ -375,11 +392,6 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_host_port(spec: str) -> tuple[str, int]:
-    host, _, port = spec.rpartition(":")
-    return host or "127.0.0.1", int(port)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry, write_chrome_trace
     from .service import MiningService, ServiceServer, serve_stream
@@ -398,7 +410,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         if args.socket is not None:
-            host, port = _parse_host_port(args.socket)
+            host, port = args.socket
             server = ServiceServer(service, host, port)
             bound_host, bound_port = server.address
             print(f"serving on {bound_host}:{bound_port}", file=sys.stderr)
@@ -453,7 +465,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         budget["samples"] = args.samples
     if budget:
         payload["budget"] = budget
-    host, port = _parse_host_port(args.socket)
+    host, port = args.socket
     response = request_over_socket(host, port, payload)
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0 if response.get("status") == "ok" else 1

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ..balance.worksteal import Schedule
-from ..errors import BudgetExceededError, DiskFullError, StorageError, TransientStorageError
+from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from ..obs.bridge import absorb_engine
@@ -50,10 +50,6 @@ from .eigenhash import PatternHasher
 from .executor import PartExecutor, resolve_executor
 from .explore import expand_edge_level, expand_vertex_level
 from .plan import Planner
-
-#: Storage failures the engine responds to by degrading the I/O mode
-#: (synchronous writes) and re-planning the level.
-_DEGRADABLE_ERRORS = (DiskFullError, BudgetExceededError, TransientStorageError)
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
 _RUN_STATE_VERSION = 1
@@ -118,11 +114,6 @@ class KaleidoEngine:
         default) or by plain embedding counts (the Fig.-17 baseline).
     parts_per_worker:
         Task granularity for the executor and the scheduler model.
-    synchronous_io:
-        Write spilled parts inline instead of through the background
-        writing queue (async by default, like the paper; tests turn it
-        on for determinism).  Spilled levels are always read back through
-        read-only memory maps of their part files.
     executor:
         ``"serial"`` (default: serial execution replayed through the
         work-stealing model), ``"threads"`` (a real thread pool of
@@ -147,8 +138,8 @@ class KaleidoEngine:
     tracer:
         A :class:`repro.obs.Tracer` to record the run's span tree
         (``run → level → {plan, execute, aggregate} → part``) and
-        instant events (spill, demote, io-plan, retry, degradation,
-        checkpoint, checkpoint-restore).  Defaults to the
+        instant events (spill, demote, io-plan, retry, checkpoint,
+        checkpoint-restore).  Defaults to the
         no-op tracer, which costs a single attribute check per probe and
         never changes mined results (parity-tested).
     metrics:
@@ -181,7 +172,6 @@ class KaleidoEngine:
         spill_dir: str | None = None,
         use_prediction: bool = True,
         parts_per_worker: int = 4,
-        synchronous_io: bool = False,
         max_embeddings: int | None = None,
         executor: "str | PartExecutor" = "serial",
         io_retry: RetryPolicy | None = None,
@@ -209,7 +199,6 @@ class KaleidoEngine:
         self.storage_mode = storage_mode
         self.use_prediction = use_prediction
         self.parts_per_worker = parts_per_worker
-        self.synchronous_io = synchronous_io
         #: Safety valve: abort (PlanError) if any level would exceed this
         #: many embeddings.  Exploration is exponential in depth; a guard
         #: beats an out-of-control run in production settings.
@@ -227,7 +216,6 @@ class KaleidoEngine:
             self.budget,
             self.meter,
             store=self._store,
-            synchronous_io=synchronous_io,
             force_spill_last=(storage_mode == "spill-last"),
             retry=io_retry,
             tracer=self.tracer,
@@ -383,59 +371,45 @@ class KaleidoEngine:
         for iteration in range(start_iteration, total_iterations):
             self.tracer.begin("level", index=iteration, size=cse.size())
             try:
-                # Stages 1+2: plan then execute, re-planning under a
-                # degraded I/O mode when the device fills up mid-level
-                # (the failed level's partial parts were already
-                # discarded by the sink).
-                while True:
-                    stage_started = time.perf_counter()
-                    try:
-                        with self.tracer.span("plan", depth=cse.depth):
-                            plan = self.planner.plan_level(ctx, cse)
-                    except _DEGRADABLE_ERRORS as exc:
-                        plan_seconds += time.perf_counter() - stage_started
-                        self._degrade_or_raise("plan", exc)
-                        continue
-                    plan_seconds += time.perf_counter() - stage_started
+                # Stages 1+2: plan, then execute.  A storage failure
+                # aborts the sink (its parts are deleted) and propagates.
+                stage_started = time.perf_counter()
+                with self.tracer.span("plan", depth=cse.depth):
+                    plan = self.planner.plan_level(ctx, cse)
+                plan_seconds += time.perf_counter() - stage_started
 
-                    stage_started = time.perf_counter()
-                    try:
-                        with self.tracer.span(
-                            "execute", parts=plan.num_parts, spill=plan.spill
-                        ), self._hot_phase():
-                            if app.induced == "vertex":
-                                stats = expand_vertex_level(
-                                    self.graph,
-                                    cse,
-                                    block_filter,
-                                    parts=plan.part_bounds,
-                                    sink=plan.sink,
-                                    executor=self.executor,
-                                    workers=self.workers,
-                                    tracer=self.tracer,
-                                    use_kernels=self.use_restrictions,
-                                    pattern_gather=plan.pattern_gather,
-                                )
-                            else:
-                                assert ctx.edge_index is not None
-                                stats = expand_edge_level(
-                                    self.graph,
-                                    ctx.edge_index,
-                                    cse,
-                                    block_filter,
-                                    parts=plan.part_bounds,
-                                    sink=plan.sink,
-                                    executor=self.executor,
-                                    workers=self.workers,
-                                    tracer=self.tracer,
-                                    use_kernels=self.use_restrictions,
-                                )
-                    except _DEGRADABLE_ERRORS as exc:
-                        execute_seconds += time.perf_counter() - stage_started
-                        self._degrade_or_raise("execute", exc)
-                        continue
-                    execute_seconds += time.perf_counter() - stage_started
-                    break
+                stage_started = time.perf_counter()
+                with self.tracer.span(
+                    "execute", parts=plan.num_parts, spill=plan.spill
+                ), self._hot_phase():
+                    if app.induced == "vertex":
+                        stats = expand_vertex_level(
+                            self.graph,
+                            cse,
+                            block_filter,
+                            parts=plan.part_bounds,
+                            sink=plan.sink,
+                            executor=self.executor,
+                            workers=self.workers,
+                            tracer=self.tracer,
+                            use_kernels=self.use_restrictions,
+                            pattern_gather=plan.pattern_gather,
+                        )
+                    else:
+                        assert ctx.edge_index is not None
+                        stats = expand_edge_level(
+                            self.graph,
+                            ctx.edge_index,
+                            cse,
+                            block_filter,
+                            parts=plan.part_bounds,
+                            sink=plan.sink,
+                            executor=self.executor,
+                            workers=self.workers,
+                            tracer=self.tracer,
+                            use_kernels=self.use_restrictions,
+                        )
+                execute_seconds += time.perf_counter() - stage_started
 
                 schedule = stats.schedule
                 assert schedule is not None
@@ -519,13 +493,11 @@ class KaleidoEngine:
                 else None,
                 "spilled_levels": self._policy.spilled_levels,
                 "demoted_levels": self._policy.demoted_levels,
-                "io_mode": self._policy.io_mode,
                 "io_plan": (
                     None
                     if self._policy.last_io_plan is None
                     else self._policy.last_io_plan.as_dict()
                 ),
-                "degradations": list(self._policy.degradations),
                 "resumed_from_level": resumed_from,
                 "checkpoints_written": self._checkpoints_written,
                 "checkpoint_failures": self._checkpoint_failures,
@@ -546,23 +518,11 @@ class KaleidoEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Robustness plumbing: degradation, checkpointing, resume
+    # Robustness plumbing: checkpointing, resume
     # ------------------------------------------------------------------
     def _io_counter(self, name: str) -> int:
         store = self._policy.store
         return 0 if store is None else getattr(store.io, name)
-
-    def _degrade_or_raise(self, stage: str, exc: StorageError) -> None:
-        """Step the storage policy down one I/O mode, or re-raise."""
-        step = self._policy.degrade()
-        if step is None:
-            raise exc
-        if self.tracer.enabled:
-            self.tracer.instant("degradation", stage=stage, step=step)
-        logger.warning(
-            "storage failure during %s (%s); degrading I/O mode: %s",
-            stage, exc, step,
-        )
 
     def _maybe_checkpoint(
         self,

@@ -111,12 +111,12 @@ class LevelSink:
     """Receives expansion output part by part and produces the new level.
 
     ``write_part`` may be called out of part order by a concurrent
-    executor; the ``index`` keyword carries the part's position so
+    executor; the required ``index`` carries the part's position so
     ``finish`` can assemble the level deterministically.
     """
 
     def write_part(
-        self, vert: np.ndarray, index: int | None = None
+        self, vert: np.ndarray, index: int
     ) -> None:  # pragma: no cover - protocol
         raise NotImplementedError
 
@@ -137,26 +137,16 @@ class InMemorySink(LevelSink):
     """
 
     def __init__(self, dtype: np.dtype | None = None) -> None:
-        self._parts: list[tuple[int, np.ndarray]] = []
-        self._seq = 0
+        self._parts: dict[int, np.ndarray] = {}
         self._dtype = (
             np.dtype(dtype) if dtype is not None else kernels.DEFAULT_ID_DTYPE
         )
 
-    def write_part(self, vert: np.ndarray, index: int | None = None) -> None:
-        # Only unindexed writes consume the sequence counter, and explicit
-        # indices push it past themselves, so mixing indexed and unindexed
-        # writes can never produce duplicate sort keys.
-        if index is None:
-            key = self._seq
-            self._seq += 1
-        else:
-            key = int(index)
-            self._seq = max(self._seq, key + 1)
-        self._parts.append((key, vert))
+    def write_part(self, vert: np.ndarray, index: int) -> None:
+        self._parts[index] = vert
 
     def finish(self, off: np.ndarray) -> Level:
-        ordered = [vert for _, vert in sorted(self._parts, key=lambda kv: kv[0])]
+        ordered = [self._parts[i] for i in sorted(self._parts)]
         if ordered:
             vert = np.concatenate(ordered)
         else:
@@ -492,9 +482,8 @@ def _run_expansion(
     try:
         cse.append_level(sink.finish(off))
     except BaseException:
-        # finish() may surface a background-writer error (or an off/vert
-        # mismatch); discard whatever parts already landed so a failed
-        # level never leaks spill files.
+        # finish() may raise on an off/vert mismatch; discard whatever
+        # parts already landed so a failed level never leaks spill files.
         sink.abort()
         raise
     return stats

@@ -57,10 +57,6 @@ class LevelPlan:
     #: The sink to expand into; None means plain in-memory (storage_mode
     #: "memory", where no policy is consulted at all).
     sink: LevelSink | None
-    #: The storage policy's write mode when this plan was made ("async",
-    #: or "sync" after degradation) — "memory" when no policy was
-    #: consulted.
-    io_mode: str = "memory"
     #: The gather-and-probe descriptor for the vertex this level binds
     #: (see :func:`~repro.core.restrictions.pattern_gathers`), or None
     #: when the app's query pattern is not complete and uniformly
@@ -175,7 +171,6 @@ class Planner:
             predicted_entries = cse.size() * max(1, int(self.graph.average_degree))
         sink: LevelSink | None = None
         spill = False
-        io_mode = "memory"
         io_plan: IOPlan | None = None
         if self.storage_mode != "memory":
             # The emitted level stores ids of the exploration's id space:
@@ -191,7 +186,6 @@ class Planner:
                 cse, predicted_entries, bytes_per_entry=dtype.itemsize, dtype=dtype
             )
             spill = not isinstance(sink, InMemorySink)
-            io_mode = self.policy.io_mode
             if spill:
                 io_plan = getattr(self.policy, "last_io_plan", None)
         # When the level spills, each expansion part becomes one on-disk
@@ -214,7 +208,6 @@ class Planner:
             predicted_entries=predicted_entries,
             spill=spill,
             sink=sink,
-            io_mode=io_mode,
             # This expansion binds pattern position `depth` (0-based).
             pattern_gather=self.active_gathers.get(cse.depth),
             io_plan=io_plan,

@@ -37,7 +37,7 @@ class TransientStorageError(StorageError):
     Raised when an operation kept failing with errors the retry policy
     classifies as transient (``EAGAIN``/``EINTR``/``EIO``/``EBUSY``) even
     after capped exponential backoff.  The operation left no partial
-    state behind — retrying later, or degrading the I/O mode, is safe.
+    state behind — retrying later is safe.
     """
 
 
@@ -53,14 +53,10 @@ class CorruptPartError(StorageError):
 class DiskFullError(StorageError):
     """The storage device is out of space (``ENOSPC``/``EDQUOT``).
 
-    Not retryable as-is, but the engine can degrade — fall back to
-    synchronous writes, so at most one part is buffered — before giving
-    up.
+    Not retried: the failed level's parts are deleted and the error
+    propagates.  Free space (or point ``spill_dir`` elsewhere) and run
+    again, or resume from the last checkpoint.
     """
-
-
-class BudgetExceededError(StorageError):
-    """A memory budget was exceeded and spilling could not reclaim space."""
 
 
 class PlanError(KaleidoError):

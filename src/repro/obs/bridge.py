@@ -48,8 +48,7 @@ METRIC_REGISTRY: tuple[str, ...] = (
     "io.retries",
     "io.read_seconds",
     "io.write_seconds",
-    # queue — background writer instrumentation (live, at the source)
-    "queue.depth",
+    # queue — spilled parts written (live, at the source)
     "queue.parts_written",
     # mem — MemoryMeter projections (total plus per-component)
     "mem.bytes",
@@ -62,7 +61,6 @@ METRIC_REGISTRY: tuple[str, ...] = (
     # storage — spill/demotion policy outcomes
     "storage.spilled_levels",
     "storage.demoted_levels",
-    "storage.degradations",
     "storage.io_plan.part_entries",
     # checkpoint — recovery bookkeeping
     "checkpoint.written",
@@ -152,7 +150,6 @@ def absorb_engine(registry: MetricsRegistry, engine: "KaleidoEngine") -> None:
     policy = engine._policy
     registry.counter("storage.spilled_levels").inc(policy.spilled_levels)
     registry.counter("storage.demoted_levels").inc(policy.demoted_levels)
-    registry.counter("storage.degradations").inc(len(policy.degradations))
     io_plan = getattr(policy, "last_io_plan", None)
     if io_plan is not None:
         registry.gauge("storage.io_plan.part_entries").set(io_plan.part_entries)

@@ -5,7 +5,7 @@ The Chrome export is the Trace Event Format understood by
 either and the run renders as one timeline per track: the engine thread
 with its nested ``run → level → {plan, execute, aggregate}`` spans, one
 track per (real or modelled) worker carrying the per-part intervals,
-plus instant markers for spills, retries, degradations and checkpoints.
+plus instant markers for spills, retries and checkpoints.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Three instrument kinds:
   (part durations, write latencies); constant space, associative merge.
 
 All instruments are thread-safe (executor pool threads and the
-background writer both record), and ``merge`` is associative
+engine thread both record), and ``merge`` is associative
 and commutative instrument-by-instrument — the property tests in
 ``tests/property/test_obs_property.py`` hold the registry to that.
 """
@@ -146,7 +146,7 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry of named instruments.
 
-    Names are dotted paths (``io.bytes_written``, ``queue.depth``,
+    Names are dotted paths (``io.bytes_written``, ``queue.parts_written``,
     ``hasher.hits`` — see docs/api.md for the full table).  Asking for an
     existing name with a different instrument kind raises, so one metric
     can never silently be two things.

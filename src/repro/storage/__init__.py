@@ -4,7 +4,6 @@ from .checkpoint import RunCheckpoint, load_cse, save_cse
 from .faults import FaultPlan, FaultSpec, FaultyPartStore
 from .hybrid import SpillingSink, StoragePolicy, spill_level
 from .meter import IOEvent, IOStats, MemoryBudget, MemoryMeter
-from .queue import WritingQueue
 from .retry import RetryPolicy
 from .spill import PartHandle, PartStore, SpilledLevel
 
@@ -16,7 +15,6 @@ __all__ = [
     "PartStore",
     "PartHandle",
     "SpilledLevel",
-    "WritingQueue",
     "SpillingSink",
     "StoragePolicy",
     "spill_level",

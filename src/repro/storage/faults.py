@@ -14,7 +14,7 @@ machinery, the injected faults exercise exactly the production paths:
 * ``permanent``  — raise ``OSError(EACCES)``; never retried, surfaces as
   :class:`~repro.errors.StorageError`.
 * ``full``       — raise ``OSError(ENOSPC)``; surfaces as
-  :class:`~repro.errors.DiskFullError`, the engine's degradation trigger.
+  :class:`~repro.errors.DiskFullError`, which aborts the level.
 * ``torn``       — let the write land, then truncate the file (simulated
   media corruption; the CRC check turns it into
   :class:`~repro.errors.CorruptPartError` at load).

@@ -3,9 +3,9 @@
 Glue between the explorer and the spill machinery:
 
 * :class:`SpillingSink` — a :class:`repro.core.explore.LevelSink` that
-  routes each exploration part through the writing queue (carrying the
-  part index, so out-of-order submission from a concurrent executor still
-  assembles a deterministic level) and finishes into a
+  saves each exploration part to disk as it arrives, keyed by its part
+  index (so out-of-order delivery from a concurrent executor still
+  assembles a deterministic level), and finishes into a
   :class:`SpilledLevel`.
 * :func:`spill_level` — demote an existing in-memory level to disk.
 * :class:`StoragePolicy` — decides, before each expansion, whether the new
@@ -14,12 +14,9 @@ Glue between the explorer and the spill machinery:
   the sink construction (:meth:`make_sink`) are separate so the planner
   can record the choice in its :class:`~repro.core.plan.LevelPlan`.
 
-The policy is also the engine's degradation lever: when the device runs
-out of space mid-level (:class:`~repro.errors.DiskFullError`) or the
-memory budget cannot be honoured, :meth:`StoragePolicy.degrade` steps the
-I/O mode down to synchronous writes (no background writer, so at most one
-part is ever buffered) and the engine re-plans the failed iteration under
-the reduced mode before giving up.
+A storage failure mid-level aborts the sink (its parts are deleted) and
+propagates out of the run; checkpoints and ``run(resume=True)`` are the
+recovery path.
 """
 
 from __future__ import annotations
@@ -31,50 +28,69 @@ import numpy as np
 from ..balance.predict import IOPlan, plan_io
 from ..core.cse import CSE, InMemoryLevel, Level
 from ..core.explore import InMemorySink, LevelSink
+from ..errors import TransientStorageError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .meter import MemoryBudget, MemoryMeter
-from .queue import WritingQueue
 from .retry import RetryPolicy
-from .spill import PartStore, SpilledLevel
+from .spill import PartHandle, PartStore, SpilledLevel
 
 __all__ = ["SpillingSink", "spill_level", "StoragePolicy"]
 
+#: Sink-level re-attempts on top of the store's per-syscall retries, so
+#: a burst of transient faults longer than the store's budget still
+#: lands the part instead of aborting the level.
+_WRITE_RETRY = RetryPolicy(attempts=2)
+
 
 class SpillingSink(LevelSink):
-    """Writes expansion parts to disk through the writing queue.
+    """Saves each expansion part to disk when it is written.
 
-    ``on_finish`` runs once the level has landed, so a level whose first
-    attempt aborted and was re-planned is reported once, not per sink.
+    Parts go through :meth:`PartStore.save` on the calling thread (the
+    executor's coordinating thread); a save the store gave up on with a
+    :class:`~repro.errors.TransientStorageError` is re-attempted once
+    more under :data:`_WRITE_RETRY`.  ``on_finish`` runs once the level
+    has landed, so an aborted level is never counted.
     """
 
     def __init__(
         self,
         store: PartStore,
-        synchronous: bool = False,
         tag: str = "vert",
         dtype: np.dtype | None = None,
         on_finish: Callable[[], None] | None = None,
     ) -> None:
         self.store = store
         self.dtype = None if dtype is None else np.dtype(dtype)
-        self._queue = WritingQueue(store, synchronous=synchronous)
         self._tag = tag
         self._on_finish = on_finish
+        self._handles: dict[int, PartHandle] = {}
 
-    def write_part(self, vert: np.ndarray, index: int | None = None) -> None:
-        self._queue.submit(vert, tag=self._tag, index=index)
+    def write_part(self, vert: np.ndarray, index: int) -> None:
+        for attempt in range(_WRITE_RETRY.attempts):
+            try:
+                handle = self.store.save(vert, tag=self._tag)
+                break
+            except TransientStorageError:
+                if attempt + 1 >= _WRITE_RETRY.attempts:
+                    raise
+                _WRITE_RETRY.backoff(attempt)
+        self._handles[index] = handle
+        if self.store.metrics is not None:
+            self.store.metrics.counter("queue.parts_written").inc()
 
     def finish(self, off: np.ndarray) -> Level:
-        handles = self._queue.close()
+        handles = [self._handles[i] for i in sorted(self._handles)]
         level = SpilledLevel(self.store, handles, off, dtype=self.dtype)
         if self._on_finish is not None:
             self._on_finish()
         return level
 
     def abort(self) -> None:
-        """Stop the queue and delete the partial level's files."""
-        self._queue.discard()
+        """Delete every part written so far."""
+        for handle in self._handles.values():
+            self.store.delete(handle)
+        self._handles.clear()
 
 
 def spill_level(
@@ -111,7 +127,6 @@ class StoragePolicy:
         budget: MemoryBudget,
         meter: MemoryMeter,
         store: PartStore | None = None,
-        synchronous_io: bool = False,
         force_spill_last: bool = False,
         retry: "RetryPolicy | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
@@ -120,7 +135,6 @@ class StoragePolicy:
         self.budget = budget
         self.meter = meter
         self.store = store
-        self.synchronous_io = synchronous_io
         self.force_spill_last = force_spill_last
         self.retry = retry
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -131,13 +145,11 @@ class StoragePolicy:
         self.last_io_plan: IOPlan | None = None
         if store is not None:
             # The engine constructs the store before the policy; share
-            # the observability hooks so queue and retry events flow.
+            # the observability hooks so write and retry events flow.
             store.tracer = self.tracer
             store.metrics = metrics
         self.spilled_levels = 0
         self.demoted_levels = 0
-        #: Degradation steps applied so far, in order.
-        self.degradations: list[str] = []
 
     def _ensure_store(self) -> PartStore:
         if self.store is None:
@@ -145,25 +157,6 @@ class StoragePolicy:
                 retry=self.retry, tracer=self.tracer, metrics=self.metrics
             )
         return self.store
-
-    @property
-    def io_mode(self) -> str:
-        """Current write mode, ``"async"`` or ``"sync"`` (recorded per plan)."""
-        return "sync" if self.synchronous_io else "async"
-
-    def degrade(self) -> str | None:
-        """Step the I/O mode down after a disk-full or budget failure.
-
-        Returns the step applied (``"synchronous-io"`` drops the
-        background writer so at most one part is ever buffered), or
-        ``None`` when already fully degraded — the caller should give up
-        and re-raise.
-        """
-        if not self.synchronous_io:
-            self.synchronous_io = True
-            self.degradations.append("synchronous-io")
-            return "synchronous-io"
-        return None
 
     def should_spill(self, predicted_entries: int, bytes_per_entry: int = 4) -> bool:
         """Whether the next level must go to disk."""
@@ -197,11 +190,11 @@ class StoragePolicy:
         :class:`SpilledLevel` so empty levels reload at the right width.
         ``io_plan`` (from :meth:`plan_io`) sets the part granularity for
         the demotion.  ``spilled_levels`` counts the level when its
-        sink finishes, so a degraded re-plan does not count it twice.
+        sink finishes, so an aborted level is not counted.
         """
         store = self._ensure_store()
         if self.tracer.enabled:
-            self.tracer.instant("spill", depth=cse.depth, io_mode=self.io_mode)
+            self.tracer.instant("spill", depth=cse.depth)
         if not self.budget.fits(self.meter.current_bytes, 0) and cse.depth > 1:
             top = cse.levels[-1]
             if isinstance(top, InMemoryLevel):
@@ -217,7 +210,6 @@ class StoragePolicy:
                     self.tracer.instant("demote", depth=cse.depth)
         return SpillingSink(
             store,
-            synchronous=self.synchronous_io,
             tag=f"vert{cse.depth + 1}",
             dtype=dtype,
             on_finish=self._count_spilled_level,

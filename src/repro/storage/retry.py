@@ -22,7 +22,7 @@ _TRANSIENT_ERRNOS = frozenset(
     {errno.EAGAIN, errno.EINTR, errno.EIO, errno.EBUSY, errno.ETIMEDOUT}
 )
 
-#: errno values meaning the device is out of space (degrade, don't retry).
+#: errno values meaning the device is out of space (fail fast, don't retry).
 _DISK_FULL_ERRNOS = frozenset({errno.ENOSPC, errno.EDQUOT})
 
 

@@ -86,7 +86,7 @@ class PartStore:
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        #: Observability hooks, shared with the writing queue layered
+        #: Observability hooks, shared with the spilling sinks layered
         #: over this store.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics

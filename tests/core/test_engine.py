@@ -61,7 +61,6 @@ def test_spill_last_mode(paper_graph, tmp_path):
         paper_graph,
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     ) as engine:
         result = engine.run(CliqueDiscovery(3))
         assert result.value.count == 3

@@ -119,14 +119,13 @@ def test_expand_after_filter(paper_graph):
     assert set(threes) == {(1, 2, 3), (1, 2, 5), (1, 5, 3), (1, 5, 4)}
 
 
-def test_inmemory_sink_mixed_index_keys():
-    """Mixing indexed and unindexed writes never duplicates sort keys: an
-    unindexed write after an explicit index sorts after it."""
+def test_inmemory_sink_orders_by_index():
+    """Parts written out of order assemble in part-index order."""
     from repro.core.explore import InMemorySink
 
     sink = InMemorySink()
     sink.write_part(np.array([1, 1], dtype=np.int32), index=1)
+    sink.write_part(np.array([2, 2], dtype=np.int32), index=2)
     sink.write_part(np.array([0, 0], dtype=np.int32), index=0)
-    sink.write_part(np.array([2, 2], dtype=np.int32))  # unindexed -> key 2
     level = sink.finish(np.array([0, 2, 4, 6], dtype=np.int64))
     assert level.vert_array().tolist() == [0, 0, 1, 1, 2, 2]

@@ -64,7 +64,6 @@ def test_plan_spill_decision(paper_graph, tmp_path):
 
     policy = StoragePolicy(
         MemoryBudget(1), MemoryMeter(), store=PartStore(str(tmp_path)),
-        synchronous_io=True,
     )
     planner = _planner(paper_graph, policy=policy)
     plan = planner.plan_level(_ctx(paper_graph), CSE(np.arange(6)))

@@ -38,7 +38,6 @@ def test_spill_last_matches_memory(graph, app_factory, tmp_path):
         app_factory(),
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     )
     if isinstance(in_mem.value, dict):
         assert dict(in_mem.value) == dict(hybrid.value)
@@ -56,7 +55,6 @@ def test_budget_triggers_spill(graph, tmp_path):
         memory_limit_bytes=int(unlimited.peak_memory_bytes * 0.5),
         storage_mode="auto",
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     )
     assert dict(unlimited.value) == dict(capped.value)
     assert capped.extra["spilled_levels"] >= 1
@@ -80,26 +78,6 @@ def test_hybrid_memory_reduced(graph, tmp_path):
         FrequentSubgraphMining(3, 3),
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     )
     assert dict(in_mem.value) == dict(hybrid.value)
 
-
-def test_async_writer_same_results(graph, tmp_path):
-    sync = _run(
-        graph,
-        MotifCounting(4),
-        storage_mode="spill-last",
-        spill_dir=str(tmp_path / "sync"),
-        synchronous_io=True,
-    )
-    background = _run(
-        graph,
-        MotifCounting(4),
-        storage_mode="spill-last",
-        spill_dir=str(tmp_path / "async"),
-        synchronous_io=False,
-    )
-    assert dict(sync.value) == dict(background.value)
-    assert sync.level_sizes == background.level_sizes
-    assert sync.io_bytes_written == background.io_bytes_written

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.storage import (
     PartStore,
     SpilledLevel,
-    WritingQueue,
+    SpillingSink,
     load_cse,
     save_cse,
 )
@@ -58,16 +58,19 @@ def test_iter_vert_chunks_preserves_order(tmp_path_factory, chunks):
         min_size=0,
         max_size=10,
     ),
-    synchronous=st.booleans(),
+    data=st.data(),
 )
 @_slow
-def test_writing_queue_order(tmp_path_factory, arrays, synchronous):
+def test_writing_queue_order(tmp_path_factory, arrays, data):
+    """Parts written to the sink in any order finish in index order."""
     store = PartStore(str(tmp_path_factory.mktemp("q")))
-    with WritingQueue(store, synchronous=synchronous) as queue:
-        for arr in arrays:
-            queue.submit(np.asarray(arr, dtype=np.int32))
-        handles = queue.flush()
-    assert [store.load(h).tolist() for h in handles] == arrays
+    sink = SpillingSink(store)
+    order = data.draw(st.permutations(range(len(arrays))))
+    for index in order:
+        sink.write_part(np.asarray(arrays[index], dtype=np.int32), index=index)
+    off = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
+    level = sink.finish(off)
+    assert [store.load(h).tolist() for h in level.parts] == arrays
     store.close()
 
 

@@ -44,7 +44,7 @@ def test_resume_exploration(tmp_path, paper_graph):
 def test_checkpoint_spilled_level(tmp_path, paper_graph):
     store = PartStore(str(tmp_path / "spill"))
     cse = CSE(np.arange(paper_graph.num_vertices))
-    sink = SpillingSink(store, synchronous=True)
+    sink = SpillingSink(store)
     expand_vertex_level(paper_graph, cse, parts=[(0, 3), (3, 6)], sink=sink)
     save_cse(cse, tmp_path / "ckpt")
     loaded = load_cse(tmp_path / "ckpt")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import PartStore, SpillingSink, WritingQueue
+from repro.storage import PartStore, SpillingSink
 
 
 class FailingStore(PartStore):
@@ -22,20 +22,12 @@ class FailingStore(PartStore):
         return super().save(array, tag=tag)
 
 
-def test_queue_surfaces_async_error(tmp_path):
-    store = FailingStore(str(tmp_path), allow=1)
-    queue = WritingQueue(store, synchronous=False)
-    queue.submit(np.arange(3, dtype=np.int32))
-    queue.submit(np.arange(3, dtype=np.int32))  # will fail in background
-    with pytest.raises(StorageError, match="background writer failed"):
-        queue.close()
-
-
 def test_queue_synchronous_error_immediate(tmp_path):
+    """A failed save raises from write_part itself, not later."""
     store = FailingStore(str(tmp_path), allow=0)
-    queue = WritingQueue(store, synchronous=True)
+    sink = SpillingSink(store)
     with pytest.raises(StorageError, match="injected"):
-        queue.submit(np.arange(3, dtype=np.int32))
+        sink.write_part(np.arange(3, dtype=np.int32), index=0)
 
 
 def test_sink_propagates_failure(tmp_path, paper_graph):
@@ -44,7 +36,7 @@ def test_sink_propagates_failure(tmp_path, paper_graph):
 
     store = FailingStore(str(tmp_path), allow=0)
     cse = CSE(np.arange(6))
-    sink = SpillingSink(store, synchronous=True)
+    sink = SpillingSink(store)
     with pytest.raises(StorageError):
         expand_vertex_level(paper_graph, cse, sink=sink)
 
@@ -62,8 +54,7 @@ def test_engine_error_leaves_no_partial_result(tmp_path, paper_graph, monkeypatc
 
     monkeypatch.setattr(hybrid.StoragePolicy, "sink_for_next_level",
                         lambda self, cse, predicted, bytes_per_entry=4, dtype=None:
-                        broken_sink(self._ensure_store(),
-                                    synchronous=True))
+                        broken_sink(self._ensure_store()))
     engine = KaleidoEngine(
         paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     )
@@ -73,12 +64,12 @@ def test_engine_error_leaves_no_partial_result(tmp_path, paper_graph, monkeypatc
 
 
 def test_queue_error_then_recovers(tmp_path):
-    """After an error is raised and consumed, the queue can keep going."""
+    """After a failed write is raised, the sink keeps accepting parts."""
     store = FailingStore(str(tmp_path), allow=1)
-    queue = WritingQueue(store, synchronous=True)
-    queue.submit(np.arange(2, dtype=np.int32))
+    sink = SpillingSink(store)
+    sink.write_part(np.arange(2, dtype=np.int32), index=0)
     with pytest.raises(StorageError):
-        queue.submit(np.arange(2, dtype=np.int32))
+        sink.write_part(np.arange(2, dtype=np.int32), index=1)
     store.allow = 10**9
-    queue.submit(np.arange(2, dtype=np.int32))
-    assert len(queue.close()) == 2
+    sink.write_part(np.arange(2, dtype=np.int32), index=1)
+    assert sink.finish(np.array([0, 2, 4], dtype=np.int64)).num_parts == 2

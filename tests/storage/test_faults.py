@@ -19,7 +19,7 @@ from repro.storage import (
     FaultSpec,
     FaultyPartStore,
     RetryPolicy,
-    WritingQueue,
+    SpillingSink,
 )
 
 
@@ -200,33 +200,24 @@ def test_delete_missing_file_counts_ok(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Through the writing queue: taxonomy survives the writer thread
+# Through the spilling sink
 # ----------------------------------------------------------------------
-def test_queue_preserves_error_taxonomy_across_thread(tmp_path):
-    store, _plan, _ = _store(tmp_path, [FaultSpec(op="save", kind="full", at=1)])
-    queue = WritingQueue(store, synchronous=False)
-    queue.submit(np.arange(4, dtype=np.int32))
-    with pytest.raises(DiskFullError, match="background writer failed"):
-        queue.close()
-
-
 def test_queue_writer_retries_exhausted_transients(tmp_path):
-    # The store itself gives up (attempts=1) but the queue's own retry
-    # layer re-submits the save, so the burst still drains through.
+    # The store itself gives up (attempts=1) but the sink's own retry
+    # layer re-attempts the save, so the burst still drains through.
     store, plan, _ = _store(
         tmp_path, [FaultSpec(op="save", kind="transient", at=1)], attempts=1
     )
-    retry, _ = _no_sleep_policy(attempts=2)
-    queue = WritingQueue(store, synchronous=True, retry=retry)
-    queue.submit(np.arange(4, dtype=np.int32))
-    handles = queue.close()
-    assert len(handles) == 1
-    assert store.load(handles[0]).tolist() == list(range(4))
+    sink = SpillingSink(store)
+    sink.write_part(np.arange(4, dtype=np.int32), index=0)
+    level = sink.finish(np.array([0, 4], dtype=np.int64))
+    assert level.num_parts == 1
+    assert level.vert_array().tolist() == list(range(4))
     assert plan.calls("save") == 2
 
 
 # ----------------------------------------------------------------------
-# Through the engine: degradation and clean aborts
+# Through the engine: the failure contract
 # ----------------------------------------------------------------------
 def _engine_with_faults(graph, tmp_path, specs, **engine_kwargs):
     from repro import KaleidoEngine
@@ -238,41 +229,31 @@ def _engine_with_faults(graph, tmp_path, specs, **engine_kwargs):
     return engine, plan
 
 
-def test_engine_degrades_on_disk_full_and_stays_correct(tmp_path, paper_graph):
+def test_engine_disk_full_aborts_run_then_next_run_is_correct(tmp_path, paper_graph):
+    """A full device fails the run cleanly; the same engine then recovers.
+
+    The failed level's parts are deleted and DiskFullError propagates —
+    nothing is retried or degraded.  Once space is back (the fault was
+    one-shot), the next run on the same engine matches the in-memory
+    answer, and the aborted level was never counted as spilled.
+    """
     from repro import KaleidoEngine, MotifCounting
 
     expected = KaleidoEngine(paper_graph).run(MotifCounting(3))
-    with KaleidoEngine(
-        paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path / "clean")
-    ) as engine:
-        clean = engine.run(MotifCounting(3))
-    engine, _plan = _engine_with_faults(
+    engine, plan = _engine_with_faults(
         paper_graph, tmp_path, [FaultSpec(op="save", kind="full", at=1)]
     )
     with engine:
+        with pytest.raises(DiskFullError):
+            engine.run(MotifCounting(3))
+        assert not list(tmp_path.glob("*.npy"))
+        assert not list(tmp_path.glob("*.tmp"))
         result = engine.run(MotifCounting(3))
-    assert result.extra["degradations"] == ["synchronous-io"]
-    assert result.extra["io_mode"] == "sync"
-    assert result.value == expected.value
-    # The aborted attempt's partial parts were discarded; only the retried
-    # level's files were ever live, and the run's result is untruncated.
+    assert [kind for _op, kind, _count in plan.fired] == ["full"]
     assert result.pattern_map == expected.pattern_map
-    # The re-planned level is counted once, as in a clean run.
-    assert result.level_sizes == clean.level_sizes
-    assert result.extra["spilled_levels"] == clean.extra["spilled_levels"] == 1
-    snapshot = engine.metrics.snapshot()
-    assert snapshot["storage.spilled_levels"]["value"] == 1
-
-
-def test_engine_exhausts_degradation_then_raises(tmp_path, paper_graph):
-    from repro import MotifCounting
-
-    engine, _plan = _engine_with_faults(
-        paper_graph, tmp_path, [FaultSpec(op="save", kind="full", probability=1.0)]
-    )
-    with engine, pytest.raises(DiskFullError):
-        engine.run(MotifCounting(3))
-    assert engine._policy.degradations == ["synchronous-io"]
+    assert result.level_sizes == expected.level_sizes
+    assert result.extra["spilled_levels"] == 1
+    assert engine.metrics.snapshot()["storage.spilled_levels"]["value"] == 1
 
 
 def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph):
@@ -282,11 +263,10 @@ def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph
         paper_graph,
         tmp_path,
         [FaultSpec(op="save", kind="permanent", at=2)],
-        synchronous_io=True,
     )
     with engine, pytest.raises(StorageError):
         engine.run(MotifCounting(3))
     assert plan.calls("save") >= 2
-    # discard() deleted the parts written before the permanent fault.
+    # abort() deleted the parts written before the permanent fault.
     assert not list(tmp_path.glob("*.npy"))
     assert not list(tmp_path.glob("*.tmp"))

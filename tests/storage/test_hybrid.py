@@ -18,7 +18,7 @@ from repro.storage import (
 def test_spilling_sink_roundtrip(tmp_path, paper_graph):
     store = PartStore(str(tmp_path))
     cse = CSE(np.arange(6))
-    sink = SpillingSink(store, synchronous=True)
+    sink = SpillingSink(store)
     expand_vertex_level(paper_graph, cse, parts=[(0, 3), (3, 6)], sink=sink)
     top = cse.top
     assert isinstance(top, SpilledLevel)
@@ -32,7 +32,7 @@ def test_spilled_then_expand_again(tmp_path, paper_graph):
     """Exploration can read a spilled level to build the next one."""
     store = PartStore(str(tmp_path))
     cse = CSE(np.arange(6))
-    sink = SpillingSink(store, synchronous=True)
+    sink = SpillingSink(store)
     expand_vertex_level(paper_graph, cse, parts=[(0, 2), (2, 6)], sink=sink)
     expand_vertex_level(paper_graph, cse)  # reads the spilled level 2
     threes = {e for _, e in cse.iter_embeddings()}
@@ -67,7 +67,6 @@ def test_policy_spills_over_budget(tmp_path):
     meter.set("other", 900)
     policy = StoragePolicy(
         MemoryBudget(1000), meter, store=PartStore(str(tmp_path)),
-        synchronous_io=True,
     )
     cse = CSE(np.arange(10))
     sink = policy.sink_for_next_level(cse, predicted_entries=1000)
@@ -82,7 +81,7 @@ def test_policy_spills_over_budget(tmp_path):
 def test_policy_force_spill_last(tmp_path):
     policy = StoragePolicy(
         MemoryBudget(None), MemoryMeter(), store=PartStore(str(tmp_path)),
-        synchronous_io=True, force_spill_last=True,
+        force_spill_last=True,
     )
     cse = CSE(np.arange(4))
     sink = policy.sink_for_next_level(cse, predicted_entries=1)
@@ -93,7 +92,6 @@ def test_policy_demotes_top_when_pressed(tmp_path, paper_graph):
     meter = MemoryMeter()
     policy = StoragePolicy(
         MemoryBudget(1), meter, store=PartStore(str(tmp_path)),
-        synchronous_io=True,
     )
     cse = CSE(np.arange(6))
     expand_vertex_level(paper_graph, cse)
@@ -105,7 +103,6 @@ def test_policy_demotes_top_when_pressed(tmp_path, paper_graph):
 def test_policy_creates_store_lazily():
     policy = StoragePolicy(
         MemoryBudget(None), MemoryMeter(), force_spill_last=True,
-        synchronous_io=True,
     )
     assert policy.store is None
     cse = CSE(np.arange(2))

@@ -1,13 +1,14 @@
-"""StoragePolicy pressure paths, queue idempotence, and abort cleanup."""
+"""StoragePolicy pressure paths, part ordering, and abort cleanup."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro import KaleidoEngine, MotifCounting
-from repro.errors import StorageError
-from repro.storage import PartStore, SpillingSink, WritingQueue
+from repro.graph import datasets
+from repro.storage import PartStore, SpillingSink
 
 
 def _spill_files(directory):
@@ -32,7 +33,6 @@ def test_top_level_demotion_end_to_end(paper_graph, tmp_path):
         paper_graph,
         memory_limit_bytes=230,
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     ) as engine:
         result = engine.run(MotifCounting(4))
     assert result.extra["spilled_levels"] >= 1
@@ -50,7 +50,6 @@ def test_spill_last_end_to_end(paper_graph, tmp_path):
         paper_graph,
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
-        synchronous_io=True,
     ) as engine:
         result = engine.run(MotifCounting(4))
     # 4-motif runs two expansion iterations; both levels must have spilled.
@@ -61,49 +60,80 @@ def test_spill_last_end_to_end(paper_graph, tmp_path):
     assert result.level_sizes == baseline.level_sizes
 
 
-def test_writing_queue_close_idempotent(tmp_path):
-    for synchronous in (True, False):
-        store = PartStore(str(tmp_path))
-        queue = WritingQueue(store, synchronous=synchronous)
-        queue.submit(np.arange(3, dtype=np.int32))
-        first = queue.close()
-        second = queue.close()
-        assert [h.path for h in first] == [h.path for h in second]
+def _spill_last(graph, spill_dir, app, **kwargs):
+    with KaleidoEngine(
+        graph, storage_mode="spill-last", spill_dir=str(spill_dir), **kwargs
+    ) as engine:
+        return engine.run(app), engine.metrics.snapshot()
 
 
-def test_writing_queue_rejects_submit_after_close(tmp_path):
-    store = PartStore(str(tmp_path))
-    queue = WritingQueue(store, synchronous=True)
-    queue.close()
-    with pytest.raises(StorageError, match="closed"):
-        queue.submit(np.arange(2, dtype=np.int32))
+def test_parts_written_counts_spilled_part_files(tmp_path):
+    """Every spilled part is one save, counted once in queue.parts_written
+    (the perf ledger's storage.parts_written reads this counter)."""
+    graph = datasets.load("citeseer", "tiny")
+    result, snapshot = _spill_last(graph, tmp_path, MotifCounting(4))
+    assert result.extra["spilled_levels"] == 2
+    files = _spill_files(str(tmp_path))
+    assert len(files) > 2
+    assert snapshot["queue.parts_written"]["value"] == len(files)
+
+
+def test_threads_spill_last_matches_serial(tmp_path):
+    graph = datasets.load("citeseer", "tiny")
+    serial, _ = _spill_last(graph, tmp_path / "serial", MotifCounting(4), workers=2)
+    threads, _ = _spill_last(
+        graph, tmp_path / "threads", MotifCounting(4), executor="threads", workers=2
+    )
+    assert serial.pattern_map == threads.pattern_map
+    assert serial.level_sizes == threads.level_sizes
+    assert serial.io_bytes_written == threads.io_bytes_written
+    assert threads.extra["spilled_levels"] == 2
+
+
+def test_serial_spill_last_starts_no_thread(tmp_path, monkeypatch):
+    """Spilled parts are saved inline: a serial run writes every part on
+    the calling thread and never adds one."""
+    graph = datasets.load("citeseer", "tiny")
+    before = threading.active_count()
+    seen = []
+    save = PartStore.save
+
+    def recording_save(self, array, tag="part"):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return save(self, array, tag=tag)
+
+    monkeypatch.setattr(PartStore, "save", recording_save)
+    result, _ = _spill_last(graph, tmp_path, MotifCounting(4))
+    assert result.io_bytes_written > 0
+    assert seen
+    assert {thread for thread, _ in seen} == {threading.current_thread()}
+    assert {count for _, count in seen} == {before}
+    assert threading.active_count() == before
 
 
 def test_writing_queue_orders_by_index(tmp_path):
-    """Out-of-order submissions reassemble by their part index."""
+    """Out-of-order writes reassemble by their part index."""
     store = PartStore(str(tmp_path))
-    queue = WritingQueue(store, synchronous=True)
+    sink = SpillingSink(store)
     for index in (2, 0, 1):
-        queue.submit(np.full(3, index, dtype=np.int32), index=index)
-    handles = queue.close()
-    assert [store.load(h).tolist() for h in handles] == [
-        [0] * 3, [1] * 3, [2] * 3
-    ]
+        sink.write_part(np.full(3, index, dtype=np.int32), index=index)
+    level = sink.finish(np.array([0, 3, 6, 9], dtype=np.int64))
+    assert level.vert_array().tolist() == [0] * 3 + [1] * 3 + [2] * 3
 
 
 def test_writing_queue_discard_deletes_parts(tmp_path):
     store = PartStore(str(tmp_path))
-    queue = WritingQueue(store, synchronous=True)
-    queue.submit(np.arange(4, dtype=np.int32))
-    queue.submit(np.arange(4, dtype=np.int32))
+    sink = SpillingSink(store)
+    sink.write_part(np.arange(4, dtype=np.int32), index=0)
+    sink.write_part(np.arange(4, dtype=np.int32), index=1)
     assert len(_spill_files(str(tmp_path))) == 2
-    queue.discard()
+    sink.abort()
     assert _spill_files(str(tmp_path)) == []
 
 
 def test_sink_abort_cleans_partial_level(tmp_path):
     store = PartStore(str(tmp_path))
-    sink = SpillingSink(store, synchronous=True)
+    sink = SpillingSink(store)
     sink.write_part(np.arange(5, dtype=np.int32), index=0)
     assert len(_spill_files(str(tmp_path))) == 1
     sink.abort()
@@ -126,7 +156,6 @@ def test_engine_failure_mid_level_cleans_spill_dir(paper_graph, tmp_path):
             paper_graph,
             storage_mode="spill-last",
             spill_dir=str(tmp_path),
-            synchronous_io=True,
         ) as engine:
             engine.run(Boom(3))
     assert _spill_files(str(tmp_path)) == []

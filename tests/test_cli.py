@@ -80,7 +80,7 @@ def test_mine_io_plan_flags(tmp_path, capsys):
          "--storage", "spill-last", "--spill-dir", str(tmp_path), "--json"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["io_mode"] == "async"
+    assert "io_mode" not in payload and "degradations" not in payload
     assert payload["io_plan"]["part_entries"] >= 1 << 12
 
 
@@ -172,6 +172,27 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
         main(argv + [flag, value])
     assert excinfo.value.code == 2
     assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approx", "--profile", "tiny", "--samples", "0"],
+         "argument --samples: must be a positive integer"),
+        (["approx", "--profile", "tiny", "-k", "2"],
+         "argument -k: must be an integer >= 3"),
+        (["generate", "out.txt", "--vertices", "0"],
+         "argument --vertices: must be an integer >= 2"),
+        (["query", "tc", "--socket", "localhost"],
+         "argument --socket: want HOST:PORT, got 'localhost'"),
+    ],
+    ids=["approx-samples", "approx-k", "generate-vertices", "socket-no-port"],
+)
+def test_invalid_inputs_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_stats_command(capsys):

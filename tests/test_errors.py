@@ -11,12 +11,17 @@ def test_hierarchy():
         errors.GraphConstructionError,
         errors.EmbeddingSizeError,
         errors.StorageError,
-        errors.BudgetExceededError,
+        errors.DiskFullError,
         errors.PlanError,
         errors.UnknownDatasetError,
     ):
         assert issubclass(exc_type, errors.KaleidoError)
-    assert issubclass(errors.BudgetExceededError, errors.StorageError)
+    for exc_type in (
+        errors.TransientStorageError,
+        errors.CorruptPartError,
+        errors.DiskFullError,
+    ):
+        assert issubclass(exc_type, errors.StorageError)
 
 
 def test_library_raises_kaleido_errors_only():

@@ -30,8 +30,8 @@ R002      Determinism: no wall-clock / entropy sources (``time.time``,
           through a seeded generator.  ``time.perf_counter`` and
           ``time.monotonic`` stay legal: they measure work, they do not
           feed mined results.
-          Rent: levels emitted in set hash order break the
-          byte-identical parity of executors and of kernel vs oracle.
+          Rent: a set turned into a list (the restriction compiler's
+          automorphism orbit) hands hash order to whatever consumes it.
 R003      Tracer guard: in hot-path modules every ``tracer.begin`` /
           ``end`` / ``instant`` / ``complete`` call must be dominated by
           an ``if tracer.enabled`` check.  The NULL_TRACER no-op costs

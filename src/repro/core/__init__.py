@@ -11,9 +11,7 @@ from .api import (
 from .canonical import (
     canonical_edge_order,
     canonical_order,
-    edge_extends_canonically,
     edge_is_canonical,
-    extends_canonically,
     is_canonical,
 )
 from .cse import CSE, InMemoryLevel, Level
@@ -35,9 +33,7 @@ from .explore import (
     canonical_extensions,
     even_parts,
     expand_edge_level,
-    expand_edge_part,
     expand_vertex_level,
-    expand_vertex_part,
 )
 from .plan import AggregatePlan, LevelPlan, Planner
 from .isomorphism import (
@@ -79,14 +75,10 @@ __all__ = [
     "pattern_gathers",
     "canonical_order",
     "is_canonical",
-    "extends_canonically",
     "canonical_edge_order",
     "edge_is_canonical",
-    "edge_extends_canonically",
     "expand_vertex_level",
     "expand_edge_level",
-    "expand_vertex_part",
-    "expand_edge_part",
     "canonical_extensions",
     "even_parts",
     "ExpansionStats",

@@ -8,12 +8,11 @@ canonical order is itself canonical — so generating only canonical
 embeddings yields every connected subgraph exactly once (completeness and
 uniqueness, Section 3.1).
 
-Two implementations are provided:
-
-* the O(k) *incremental* check used by the explorer when appending one
-  candidate vertex to an already-canonical embedding;
-* a brute-force reconstruction used by tests and by engines (Arabesque's
-  ODAG) that must re-check full embeddings.
+This module holds the brute-force reconstruction, used by engines that
+must re-check full embeddings (Arabesque's ODAG) and by tests.  The
+incremental form of the rule — appending one candidate to an
+already-canonical embedding — is fused into the expansion kernel's
+gather bounds (:func:`repro.core.kernels.expand_block`).
 
 The edge-induced analogue uses edge ids with the same greedy rule, where an
 edge is visitable when it shares a vertex with the visited subgraph.
@@ -26,10 +25,8 @@ from typing import Sequence
 from ..graph.graph import Graph
 
 __all__ = [
-    "extends_canonically",
     "is_canonical",
     "canonical_order",
-    "edge_extends_canonically",
     "edge_is_canonical",
     "canonical_edge_order",
 ]
@@ -38,31 +35,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Vertex-induced
 # ----------------------------------------------------------------------
-def extends_canonically(graph: Graph, embedding: Sequence[int], candidate: int) -> bool:
-    """Whether appending ``candidate`` to the canonical ``embedding``
-    yields a canonical embedding (the incremental Definition-2 check).
-
-    Conditions: the candidate is new, larger than the first vertex
-    (property i), adjacent to some member (property ii), and larger than
-    every member positioned after its first neighbor (property iii —
-    otherwise the greedy order would have visited it earlier).
-    """
-    if candidate <= embedding[0]:
-        return False
-    first_neighbor = -1
-    for idx, vertex in enumerate(embedding):
-        if vertex == candidate:
-            return False
-        if first_neighbor < 0 and graph.has_edge(vertex, candidate):
-            first_neighbor = idx
-    if first_neighbor < 0:
-        return False
-    for idx in range(first_neighbor + 1, len(embedding)):
-        if embedding[idx] > candidate:
-            return False
-    return True
-
-
 def canonical_order(graph: Graph, vertices: Sequence[int]) -> tuple[int, ...]:
     """The unique canonical visiting order of a connected vertex set.
 
@@ -103,38 +75,6 @@ def is_canonical(graph: Graph, embedding: Sequence[int]) -> bool:
 # ----------------------------------------------------------------------
 def _edge_touches(edge: tuple[int, int], vertices: set[int]) -> bool:
     return edge[0] in vertices or edge[1] in vertices
-
-
-def edge_extends_canonically(
-    edges: Sequence[tuple[int, int]],
-    edge_ids: Sequence[int],
-    candidate_edge: tuple[int, int],
-    candidate_id: int,
-) -> bool:
-    """Incremental canonicality for edge-induced embeddings.
-
-    ``edges``/``edge_ids`` describe the current canonical embedding in
-    order; the candidate must be new, have a larger id than the first edge,
-    touch the subgraph, and have a larger id than every edge after the
-    point at which it first became reachable.
-    """
-    if candidate_id <= edge_ids[0]:
-        return False
-    vertices: set[int] = set()
-    first_reachable = -1
-    for idx, (edge, eid) in enumerate(zip(edges, edge_ids)):
-        if eid == candidate_id:
-            return False
-        vertices.add(edge[0])
-        vertices.add(edge[1])
-        if first_reachable < 0 and _edge_touches(candidate_edge, vertices):
-            first_reachable = idx
-    if first_reachable < 0:
-        return False
-    for idx in range(first_reachable + 1, len(edge_ids)):
-        if edge_ids[idx] > candidate_id:
-            return False
-    return True
 
 
 def canonical_edge_order(

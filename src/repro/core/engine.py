@@ -181,7 +181,6 @@ class KaleidoEngine:
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
         sanitize: bool = False,
-        use_restrictions: bool = True,
     ) -> None:
         if storage_mode not in ("auto", "memory", "spill-last"):
             raise ValueError(f"unknown storage_mode {storage_mode!r}")
@@ -221,11 +220,6 @@ class KaleidoEngine:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        #: Whether levels expand on the restriction-fused kernel (the
-        #: default) or, when False, on the scalar reference loops — the
-        #: independent second opinion; mined results are byte-identical
-        #: either way.
-        self.use_restrictions = use_restrictions
         self.planner = Planner(
             graph,
             self._policy,
@@ -392,7 +386,6 @@ class KaleidoEngine:
                             executor=self.executor,
                             workers=self.workers,
                             tracer=self.tracer,
-                            use_kernels=self.use_restrictions,
                             pattern_gather=plan.pattern_gather,
                         )
                     else:
@@ -407,7 +400,6 @@ class KaleidoEngine:
                             executor=self.executor,
                             workers=self.workers,
                             tracer=self.tracer,
-                            use_kernels=self.use_restrictions,
                         )
                 execute_seconds += time.perf_counter() - stage_started
 
@@ -504,7 +496,6 @@ class KaleidoEngine:
                 "io_retries": self._io_counter("retries"),
                 "io_failed_deletes": self._io_counter("failed_deletes"),
                 "sanitize": self.sanitize,
-                "restrictions": self.use_restrictions,
                 "pattern_restrictions": (
                     None
                     if pattern_restrictions is None

@@ -11,24 +11,18 @@ over the current top level (either an even split or the prediction-driven
 split from :mod:`repro.balance`), and each part becomes one executor task
 so a :class:`repro.core.executor.PartExecutor` can run parts in any order
 — serially, on a thread pool, or under the work-stealing replay — with
-results merged deterministically in part-index order.  There is one
-production path and one oracle:
-
-* the **vectorized kernel** (:func:`repro.core.kernels.expand_block`):
-  each part's embeddings are decoded straight off the CSE ``off``/``vert``
-  arrays as one 2-D block (:meth:`repro.core.cse.CSE.decode_block` —
-  resident levels and mmap-served spilled levels alike) and expanded by
-  batched numpy CSR gathers with the canonical bounds fused in, the
-  block filter applied to each chunk's survivors.  Every level, every
-  application, every storage mode; a complete query pattern's level
-  (its plan's :class:`~repro.core.restrictions.PatternGather`) takes
-  the kernel's gather-and-probe branch;
-* the **scalar per-part functions** (:func:`expand_vertex_part` /
-  :func:`expand_edge_part`): the original per-embedding Python loops,
-  calling the same block filter with one-row blocks and applying a
-  pattern gather as a post-filter over their ``frozenset`` adjacency.
-  They run only when the caller asks for them (``use_kernels=False``)
-  — the independent parity oracle.
+results merged deterministically in part-index order.  Every part runs
+the one **vectorized kernel** (:func:`repro.core.kernels.expand_block`):
+its embeddings are decoded straight off the CSE ``off``/``vert`` arrays
+as one 2-D block (:meth:`repro.core.cse.CSE.decode_block` — resident
+levels and mmap-served spilled levels alike) and expanded by batched
+numpy CSR gathers with the canonical bounds fused in, the block filter
+applied to each chunk's survivors.  Every level, every application,
+every storage mode; a complete query pattern's level (its plan's
+:class:`~repro.core.restrictions.PatternGather`) takes the kernel's
+gather-and-probe branch.  Each part is a :class:`BlockTask`, so a test
+executor can swap in an independent implementation per part without
+an engine knob.
 
 Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
@@ -39,9 +33,7 @@ part index) so a concurrent executor can overlap part I/O with compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -64,8 +56,6 @@ __all__ = [
     "InMemorySink",
     "BlockTask",
     "canonical_extensions",
-    "expand_vertex_part",
-    "expand_edge_part",
     "expand_vertex_level",
     "expand_edge_level",
     "even_parts",
@@ -165,187 +155,12 @@ def even_parts(total: int, num_parts: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(num_parts)]
 
 
-def _extends_inline(
-    adjacency: list[frozenset[int]], embedding: tuple[int, ...], candidate: int
-) -> bool:
-    """Hot-path copy of :func:`repro.core.canonical.extends_canonically`
-    working on pre-fetched adjacency sets (kept in sync by tests)."""
-    if candidate <= embedding[0]:
-        return False
-    first_neighbor = -1
-    for idx, vertex in enumerate(embedding):
-        if vertex == candidate:
-            return False
-        if first_neighbor < 0 and candidate in adjacency[vertex]:
-            first_neighbor = idx
-    if first_neighbor < 0:
-        return False
-    for idx in range(first_neighbor + 1, len(embedding)):
-        if embedding[idx] > candidate:
-            return False
-    return True
-
-
 def canonical_extensions(graph: Graph, embedding: Sequence[int]) -> list[int]:
-    """All vertices that extend ``embedding`` canonically (Definition 2)."""
-    adjacency = graph.adjacency_sets()
-    emb = tuple(int(v) for v in embedding)
-    if len(emb) == 1:
-        candidates = graph.neighbors(emb[0]).tolist()
-    else:
-        merged: set[int] = set()
-        for v in emb:
-            merged.update(adjacency[v])
-        candidates = sorted(merged)
-    return [cand for cand in candidates if _extends_inline(adjacency, emb, cand)]
-
-
-# ----------------------------------------------------------------------
-# Per-part pure functions
-# ----------------------------------------------------------------------
-def _filter_row(block_filter, ctx, emb: tuple[int, ...], survivors: list[int]) -> list[int]:
-    """Run the block filter over one embedding's canonical survivors.
-
-    The scalar loops' form of the call the kernel makes once per chunk:
-    a one-row block, every pair pointing at row 0."""
-    if block_filter is None or not survivors:
-        return survivors
-    cands = np.asarray(survivors, dtype=np.int64)
-    keep = kernels.call_block_filter(
-        block_filter,
-        ctx,
-        np.asarray([emb], dtype=np.int64),
-        np.zeros(cands.shape[0], dtype=np.int64),
-        cands,
-    )
-    return cands[keep].tolist()
-
-
-def _part_expansion(index, bound, buffer, counts, examined, out_dtype) -> PartExpansion:
-    return PartExpansion(
-        index=index,
-        bound=bound,
-        vert=np.asarray(
-            buffer,
-            dtype=out_dtype if out_dtype is not None else kernels.DEFAULT_ID_DTYPE,
-        ),
-        counts=counts,
-        emitted=len(buffer),
-        candidates_examined=examined,
-    )
-
-
-def expand_vertex_part(
-    graph: Graph,
-    adjacency: list[frozenset[int]],
-    embeddings: Sequence[tuple[int, ...]],
-    bound: tuple[int, int],
-    index: int,
-    block_filter: "BlockFilter | None" = None,
-    out_dtype: np.dtype | None = None,
-    pattern_gather: "PatternGather | None" = None,
-) -> PartExpansion:
-    """Expand one contiguous part of a level by one vertex.
-
-    Pure function of its inputs (the graph and adjacency are read-only),
-    so an executor may run parts concurrently and in any order.  This is
-    the scalar reference implementation — the parity oracle for
-    :func:`repro.core.kernels.expand_block`; ``block_filter``
-    is the same hook the kernel takes, called here once per embedding
-    with a one-row block.  ``pattern_gather`` keeps only the canonical
-    survivors adjacent to every required column and above every bound
-    column — the kernel's gather-and-probe rule, checked independently.
-    """
-    ctx = kernels.vertex_kernel_context(graph) if block_filter is not None else None
-    buffer: list[int] = []
-    counts = np.zeros(len(embeddings), dtype=np.int64)
-    examined = 0
-    for i, emb in enumerate(embeddings):
-        if len(emb) == 1:
-            candidates = graph.neighbors(emb[0]).tolist()
-        else:
-            merged: set[int] = set()
-            for v in emb:
-                merged.update(adjacency[v])
-            candidates = sorted(merged)
-        examined += len(candidates)
-        survivors = [
-            cand for cand in candidates if _extends_inline(adjacency, emb, cand)
-        ]
-        if pattern_gather is not None:
-            floor = max(emb[c] for c in pattern_gather.bound_cols)
-            survivors = [
-                cand for cand in survivors
-                if cand > floor
-                and all(cand in adjacency[emb[c]] for c in pattern_gather.required_cols)
-            ]
-        survivors = _filter_row(block_filter, ctx, emb, survivors)
-        buffer.extend(survivors)
-        counts[i] = len(survivors)
-    return _part_expansion(index, bound, buffer, counts, examined, out_dtype)
-
-
-def expand_edge_part(
-    eu: Sequence[int],
-    ev: Sequence[int],
-    incident: Sequence[Sequence[int]],
-    embeddings: Sequence[tuple[int, ...]],
-    bound: tuple[int, int],
-    index: int,
-    block_filter: "BlockFilter | None" = None,
-    out_dtype: np.dtype | None = None,
-    ctx: "kernels.EdgeKernelContext | None" = None,
-) -> PartExpansion:
-    """Edge-induced analogue of :func:`expand_vertex_part`.
-
-    CSE levels hold edge ids; the candidate set of an embedding is every
-    edge incident to one of its endpoint vertices.  Scalar reference for
-    :func:`repro.core.kernels.expand_block`.  ``ctx`` is the edge
-    kernel context handed to ``block_filter`` (required with a filter:
-    the endpoint lists alone cannot rebuild it).
-    """
-    if block_filter is not None and ctx is None:
-        raise ValueError("expand_edge_part needs ctx= to run a block filter")
-    buffer: list[int] = []
-    counts = np.zeros(len(embeddings), dtype=np.int64)
-    examined = 0
-    for i, emb in enumerate(embeddings):
-        # Arrival index: first embedding position at which each vertex
-        # appears — gives the O(1) "first reachable" step of the
-        # edge-canonicality rule.
-        arrival: dict[int, int] = {}
-        for idx, eid in enumerate(emb):
-            for w in (eu[eid], ev[eid]):
-                if w not in arrival:
-                    arrival[w] = idx
-        candidates: set[int] = set()
-        for w in arrival:
-            candidates.update(incident[w])
-        emb_set = set(emb)
-        first_id = emb[0]
-        k = len(emb)
-        survivors: list[int] = []
-        examined += len(candidates)
-        for cand in sorted(candidates):
-            if cand <= first_id or cand in emb_set:
-                continue
-            first = arrival.get(eu[cand], k)
-            other = arrival.get(ev[cand], k)
-            if other < first:
-                first = other
-            if first >= k:
-                continue
-            ok = True
-            for idx in range(first + 1, k):
-                if emb[idx] > cand:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(cand)
-        survivors = _filter_row(block_filter, ctx, emb, survivors)
-        buffer.extend(survivors)
-        counts[i] = len(survivors)
-    return _part_expansion(index, bound, buffer, counts, examined, out_dtype)
+    """All vertices that extend ``embedding`` canonically (Definition 2),
+    ascending: the kernel run on a one-row block."""
+    block = np.asarray([embedding], dtype=np.int64)
+    vert, _, _ = kernels.expand_block(kernels.vertex_kernel_context(graph), block)
+    return vert.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +170,10 @@ def expand_edge_part(
 class BlockTask:
     """One part's vectorized expansion: a decoded block plus its bounds.
 
-    Instances are the executor's unit of work on the kernel path, for
-    both exploration modes (the context's kind picks the gather).
+    Instances are the executor's unit of work for both exploration
+    modes (the context's kind picks the gather); an executor may run a
+    different implementation over the same fields, as the tests'
+    oracle executor does.
     ``block_filter`` is the application's filter (or None); graph arrays
     reach it through the kernel context.  ``pattern_gather`` is the
     level plan's gather descriptor (or None).
@@ -383,42 +200,25 @@ class BlockTask:
         )
 
 
-def _scalar_task_factory(cse: CSE, make_part: Callable[..., PartExpansion]):
-    """Tasks that stream the level once and decode tuples per part
-    (the scalar oracle's path).
-
-    Each part's embeddings are decoded lazily as the executor pulls its
-    task, so the serial executor holds at most one part's tuples in
-    memory at a time.
-    """
-
-    def factory(parts: Sequence[tuple[int, int]]):
-        emb_iter = iter(cse.iter_embeddings())
-        for index, bound in enumerate(parts):
-            start, end = bound
-            embeddings = [emb for _, emb in islice(emb_iter, end - start)]
-            yield partial(make_part, embeddings, bound, index)
-
-    return factory
-
-
-def _block_task_factory(cse: CSE, ctx, block_filter=None, pattern_gather=None):
-    """Tasks that decode each part as one 2-D block (kernel path).
+def _block_tasks(
+    cse: CSE,
+    parts: Sequence[tuple[int, int]],
+    ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext",
+    block_filter: "BlockFilter | None",
+    pattern_gather: "PatternGather | None",
+) -> Iterator[BlockTask]:
+    """One :class:`BlockTask` per part, each decoded as a 2-D block.
 
     Decoding happens as the executor pulls each task, so at most a
     bounded number of blocks (the executor's in-flight window) exist at
     once; ``block_filter`` is the application's keep-mask over each
     chunk's survivors, ``pattern_gather`` the level's gather descriptor.
     """
-
-    def factory(parts: Sequence[tuple[int, int]]):
-        for index, (start, end) in enumerate(parts):
-            yield BlockTask(
-                ctx, cse.decode_block(start, end), (start, end), index,
-                block_filter, pattern_gather,
-            )
-
-    return factory
+    for index, (start, end) in enumerate(parts):
+        yield BlockTask(
+            ctx, cse.decode_block(start, end), (start, end), index,
+            block_filter, pattern_gather,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -426,21 +226,21 @@ def _block_task_factory(cse: CSE, ctx, block_filter=None, pattern_gather=None):
 # ----------------------------------------------------------------------
 def _run_expansion(
     cse: CSE,
+    ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext",
+    block_filter: "BlockFilter | None",
+    pattern_gather: "PatternGather | None",
     parts: Sequence[tuple[int, int]] | None,
     sink: LevelSink | None,
     executor: "PartExecutor | None",
     workers: int,
-    task_factory: Callable[[Sequence[tuple[int, int]]], Iterable[Callable[[], PartExpansion]]],
-    tracer: "Tracer | None" = None,
-    dtype: np.dtype | None = None,
+    tracer: "Tracer | None",
 ) -> ExpansionStats:
     """Common expansion driver shared by the vertex and edge paths.
 
-    ``task_factory`` turns the part bounds into executor tasks — either
-    the streaming scalar decode or the vectorized block decode.
-    Completed parts go to the sink as they finish (possibly out of
-    order); counts and stats are assembled in part-index order, so the
-    produced level is identical for every executor.
+    Each part becomes one :class:`BlockTask`.  Completed parts go to the
+    sink as they finish (possibly out of order); counts and stats are
+    assembled in part-index order, so the produced level is identical
+    for every executor.
     """
     from .executor import SerialExecutor
 
@@ -449,7 +249,7 @@ def _run_expansion(
         parts = [(0, total)]
     _check_parts(parts, total)
     if sink is None:
-        sink = InMemorySink(dtype=dtype)
+        sink = InMemorySink(dtype=ctx.out_dtype)
     if executor is None:
         executor = SerialExecutor()
 
@@ -462,8 +262,8 @@ def _run_expansion(
 
     try:
         report = executor.run(
-            task_factory(parts), workers=workers, on_result=on_result,
-            tracer=tracer, phase="execute",
+            _block_tasks(cse, parts, ctx, block_filter, pattern_gather),
+            workers=workers, on_result=on_result, tracer=tracer, phase="execute",
         )
     except BaseException:
         sink.abort()
@@ -498,37 +298,24 @@ def expand_vertex_level(
     executor: "PartExecutor | None" = None,
     workers: int = 1,
     tracer: "Tracer | None" = None,
-    use_kernels: bool = True,
     pattern_gather: "PatternGather | None" = None,
 ) -> ExpansionStats:
     """Expand the CSE's top level by one vertex (one exploration iteration).
 
     Parts are contiguous position ranges over the top level; each becomes
-    one executor task.  Runs the vectorized block kernel
-    (:func:`repro.core.kernels.expand_block`); ``use_kernels=False``
-    runs the scalar per-embedding loop instead — the parity oracle,
-    which emits the same level while examining more candidates.
-    ``block_filter`` (the application's
-    :data:`~repro.core.api.BlockFilter`, or None) prunes canonical
-    survivors on either path.  ``pattern_gather`` (the level plan's
+    one executor task running the vectorized block kernel
+    (:func:`repro.core.kernels.expand_block`).  ``block_filter`` (the
+    application's :data:`~repro.core.api.BlockFilter`, or None) prunes
+    canonical survivors.  ``pattern_gather`` (the level plan's
     :class:`~repro.core.restrictions.PatternGather`, or None) restricts
-    the level to a complete query pattern's bindings: the kernel's
-    gather-and-probe branch, or the scalar loop's post-filter.  Appends
-    the new level to the CSE and returns the per-part stats.
-    ``tracer`` (optional) receives the executor's per-part worker spans.
+    the level to a complete query pattern's bindings through the
+    kernel's gather-and-probe branch.  Appends the new level to the CSE
+    and returns the per-part stats.  ``tracer`` (optional) receives the
+    executor's per-part worker spans.
     """
-    dtype = graph.id_dtype
-    if use_kernels:
-        ctx = kernels.vertex_kernel_context(graph, out_dtype=dtype)
-        task_factory = _block_task_factory(cse, ctx, block_filter, pattern_gather)
-    else:
-        make_part = partial(
-            expand_vertex_part, graph, graph.adjacency_sets(),
-            block_filter=block_filter, out_dtype=dtype, pattern_gather=pattern_gather,
-        )
-        task_factory = _scalar_task_factory(cse, make_part)
+    ctx = kernels.vertex_kernel_context(graph)
     return _run_expansion(
-        cse, parts, sink, executor, workers, task_factory, tracer, dtype
+        cse, ctx, block_filter, pattern_gather, parts, sink, executor, workers, tracer
     )
 
 
@@ -542,22 +329,11 @@ def expand_edge_level(
     executor: "PartExecutor | None" = None,
     workers: int = 1,
     tracer: "Tracer | None" = None,
-    use_kernels: bool = True,
 ) -> ExpansionStats:
     """Edge-induced analogue of :func:`expand_vertex_level`."""
-    dtype = index.id_dtype
-    ctx = kernels.edge_kernel_context(index, out_dtype=dtype)
-    if use_kernels:
-        task_factory = _block_task_factory(cse, ctx, block_filter)
-    else:
-        eu, ev = index.endpoint_lists()
-        make_part = partial(
-            expand_edge_part, eu, ev, index.incident_lists(),
-            block_filter=block_filter, out_dtype=dtype, ctx=ctx,
-        )
-        task_factory = _scalar_task_factory(cse, make_part)
+    ctx = kernels.edge_kernel_context(index)
     return _run_expansion(
-        cse, parts, sink, executor, workers, task_factory, tracer, dtype
+        cse, ctx, block_filter, None, parts, sink, executor, workers, tracer
     )
 
 

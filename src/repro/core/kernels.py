@@ -1,10 +1,9 @@
 """Vectorized expansion kernel over the graph's CSR arrays.
 
 The exploration hot loop — expand every embedding of the CSE's top level
-by one vertex/edge under the Definition-2 canonical filter — used to run
-as per-embedding Python loops over ``frozenset`` adjacency
-(:func:`repro.core.explore.expand_vertex_part` and friends).  This module
-reimplements that loop as *block* operations: a part's embeddings arrive
+by one vertex/edge under the Definition-2 canonical filter — runs here
+as *block* operations rather than per-embedding Python loops over
+``frozenset`` adjacency: a part's embeddings arrive
 as one 2-D ``(rows, k)`` integer array (decoded straight from the CSE
 ``off``/``vert`` arrays by :meth:`repro.core.cse.CSE.decode_block`), all
 candidates are generated with CSR gathers (``np.repeat`` +
@@ -68,10 +67,9 @@ unfiltered ones.
 
 Dispatch (:func:`repro.core.explore.expand_vertex_level`): every level
 is block-decodable — resident, or spilled and served through ``mmap`` —
-so the kernel runs unless the caller passes ``use_kernels=False``,
-which selects the scalar loops in :mod:`repro.core.explore`: the
-independent parity oracle, calling the same block filter with one-row
-blocks.
+so the kernel runs on every level.  Its parity oracle, the
+per-embedding scalar loops calling the same block filter with one-row
+blocks, lives with the tests and swaps in through the executor seam.
 """
 
 from __future__ import annotations
@@ -354,9 +352,8 @@ def _dedup_heads(
 def call_block_filter(
     block_filter, ctx, block64: np.ndarray, rows: np.ndarray, cands: np.ndarray
 ) -> np.ndarray:
-    """The one place the application's block filter is invoked — by the
-    kernel per chunk and by the scalar loops per embedding — so both
-    hold it to the same contract: one ``bool`` per pair."""
+    """The one place the application's block filter is invoked (once per
+    kernel chunk), holding it to its contract: one ``bool`` per pair."""
     mask = np.asarray(block_filter(ctx, block64, rows, cands))
     if mask.dtype != np.bool_ or mask.shape != rows.shape:
         raise ValueError(
@@ -408,8 +405,7 @@ def expand_block(
     ``(vert, counts, candidates_examined)``; ``vert`` holds the emitted
     last ids in embedding order (candidates ascending within each row)
     and ``counts[r]`` how many row ``r`` emitted — both byte-identical
-    to :func:`repro.core.explore.expand_vertex_part` /
-    :func:`~repro.core.explore.expand_edge_part` given the same
+    to the per-embedding scalar Definition-2 loops given the same
     ``block_filter`` (a :data:`repro.core.api.BlockFilter`, applied to
     the canonical survivors of each chunk; an edge filter's candidates
     are edge ids, ``ctx.edge_u`` / ``ctx.edge_v`` give the endpoints).

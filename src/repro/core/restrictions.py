@@ -29,9 +29,7 @@ rule the *all-subgraph* enumeration uses, of which the pattern sets here
 are the per-pattern specialisation — needs no compiled form: it is a
 pure function of the exploration mode and the embedding depth, so the
 one expansion kernel (:func:`repro.core.kernels.expand_block`) derives
-its fused gather bounds itself.  The scalar loops
-(:mod:`repro.core.explore`, ``use_kernels=False``) keep the post-hoc
-canonical filter as the independent parity oracle.
+its fused gather bounds itself.
 """
 
 from __future__ import annotations
@@ -141,7 +139,7 @@ class PatternGather(NamedTuple):
     and exceed every column in ``bound_cols``.  The kernel
     (:func:`repro.core.kernels.expand_block`) gathers the shortest
     bounded tail among the required columns' neighbor lists and probes
-    the others; the scalar loops apply the same rule as a post-filter.
+    the others.
     """
 
     required_cols: tuple[int, ...]

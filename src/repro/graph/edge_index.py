@@ -23,9 +23,6 @@ class EdgeIndex:
         eu, ev = graph.edge_arrays()
         self.edge_u = eu
         self.edge_v = ev
-        self._u_list: list[int] | None = None
-        self._v_list: list[int] | None = None
-        self._incident_lists: list[list[int]] | None = None
         self._incident_keys: np.ndarray | None = None
         m = eu.shape[0]
         n = graph.num_vertices
@@ -82,25 +79,6 @@ class EdgeIndex:
     def incident_edges(self, vertex: int) -> np.ndarray:
         """Sorted edge ids incident to ``vertex`` (a view)."""
         return self.incident[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    def endpoint_lists(self) -> tuple[list[int], list[int]]:
-        """Edge endpoints as plain Python lists (hot-path id decoding)."""
-        if self._u_list is None:
-            self._u_list = self.edge_u.tolist()
-            self._v_list = self.edge_v.tolist()
-        assert self._v_list is not None
-        return self._u_list, self._v_list
-
-    def incident_lists(self) -> list[list[int]]:
-        """Per-vertex incident edge ids as Python lists (hot path)."""
-        if self._incident_lists is None:
-            indptr = self.indptr
-            incident = self.incident.tolist()
-            self._incident_lists = [
-                incident[indptr[v] : indptr[v + 1]]
-                for v in range(self.graph.num_vertices)
-            ]
-        return self._incident_lists
 
     def edge_id(self, u: int, v: int) -> int:
         """Edge id of ``(u, v)``; raises ``KeyError`` if absent."""

@@ -63,6 +63,21 @@ class Route(str, Enum):
     RED = "RED"
 
 
+def _is_count(value: Any) -> bool:
+    """An ``int`` >= 1; ``bool`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def check_embedding_cap(value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is a valid ``max_embeddings``:
+    ``None`` (no cap) or an ``int`` >= 1.  Wire payloads reach the
+    budget and quota types unchecked, so both validate here."""
+    if value is not None and not _is_count(value):
+        raise ValueError(
+            f"max_embeddings must be null or an integer >= 1, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class QueryBudget:
     """Per-query cost bound and degradation policy.
@@ -74,12 +89,19 @@ class QueryBudget:
     starts.  The cap is also threaded into the engine's own
     ``max_embeddings`` guard on RED runs, so an estimate that was too
     optimistic still cannot run away.  ``samples`` sizes the degraded
-    approximate run.
+    approximate run.  Both arrive from the wire unchecked, so
+    construction raises ``ValueError`` unless ``max_embeddings`` is
+    ``None`` or an ``int`` >= 1 and ``samples`` an ``int`` >= 1.
     """
 
     max_embeddings: int | None = None
     allow_degraded: bool = True
     samples: int = 400
+
+    def __post_init__(self) -> None:
+        check_embedding_cap(self.max_embeddings)
+        if not _is_count(self.samples):
+            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..errors import QuotaExceededError
 from ..obs.metrics import MetricsRegistry, MetricsView
+from .request import check_embedding_cap
 
 __all__ = ["TenantQuota", "TenantRegistry"]
 
@@ -30,7 +31,8 @@ class TenantQuota:
 
     ``max_concurrent`` bounds in-flight queries (admission control);
     ``max_embeddings`` is an optional hard ceiling on any single query's
-    exploration size — a per-tenant clamp on the per-query budget.
+    exploration size — a per-tenant clamp on the per-query budget —
+    validated like :class:`~repro.service.request.QueryBudget`'s.
     """
 
     max_concurrent: int = 4
@@ -39,6 +41,7 @@ class TenantQuota:
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be positive")
+        check_embedding_cap(self.max_embeddings)
 
 
 class TenantRegistry:

@@ -222,11 +222,11 @@ RENT_MUTATIONS = {
         "        part.mapped = block.shape[0]\n"
         "        self._iter_hashes.append(part.hashes)\n",
     ),
-    # The scalar oracle emits candidates in set hash order.
+    # The restriction compiler walks an automorphism orbit in set hash order.
     "R002": (
-        "core/explore.py",
-        "            candidates = sorted(merged)\n        examined",
-        "            candidates = list(set(merged))\n        examined",
+        "core/restrictions.py",
+        "        orbit = sorted({perm[p] for perm in group})\n",
+        "        orbit = list({perm[p] for perm in group})\n",
     ),
     # The storage retry probe loses its tracer.enabled guard.
     "R003": (

@@ -80,7 +80,7 @@ class OracleFSM(_Recording, _PerRowOracle, FrequentSubgraphMining):
         self._memo: dict[tuple, int] = {}
 
     def map_block(self, ctx, block, pmap, part=None):
-        eu, ev = ctx.edge_index.endpoint_lists()
+        eu, ev = ctx.edge_index.edge_u.tolist(), ctx.edge_index.edge_v.tolist()
         rows = []
         for embedding in block.tolist():
             edges = [(eu[eid], ev[eid]) for eid in embedding]

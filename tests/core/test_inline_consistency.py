@@ -3,28 +3,10 @@
 import numpy as np
 
 from repro.core import CSE, eigen_hash, faddeev_leverrier, weighted_adjacency
-from repro.core.canonical import extends_canonically
-from repro.core.explore import _extends_inline, expand_edge_level
+from repro.core.explore import expand_edge_level
 from repro.core.pattern import Pattern
 from repro.graph.edge_index import EdgeIndex
 from tests.conftest import random_labeled_graph
-
-
-def test_inline_extends_matches_reference():
-    for seed in range(4):
-        graph = random_labeled_graph(14, 30, 2, seed=seed)
-        adjacency = graph.adjacency_sets()
-        frontier = [(v,) for v in range(graph.num_vertices)]
-        for _ in range(3):
-            nxt = []
-            for emb in frontier[:60]:
-                for cand in range(graph.num_vertices):
-                    assert _extends_inline(adjacency, emb, cand) == (
-                        extends_canonically(graph, emb, cand)
-                    ), (emb, cand)
-                    if _extends_inline(adjacency, emb, cand):
-                        nxt.append(emb + (cand,))
-            frontier = nxt
 
 
 def test_inline_edge_expand_matches_full_recheck():

@@ -1,7 +1,7 @@
 """Unit tests for the vectorized expansion kernel.
 
-Every kernel output is checked against the scalar per-part reference
-(:func:`repro.core.explore.expand_vertex_part` / ``expand_edge_part``) —
+Every kernel output is checked against the scalar per-embedding reference
+(:func:`tests.oracles.expand_block`) —
 the kernel's contract is *bit-identical* emission, not just equal counts;
 its fused bounds examine at most the scalar loop's candidates.
 """
@@ -18,14 +18,14 @@ from repro.core.explore import (
     BlockTask,
     InMemorySink,
     expand_edge_level,
-    expand_edge_part,
     expand_vertex_level,
-    expand_vertex_part,
 )
 from repro.graph import from_edge_list
 from repro.graph.edge_index import EdgeIndex
 
+from tests import oracles
 from tests.conftest import random_labeled_graph
+from tests.oracles import OracleExecutor
 
 
 def _vertex_blocks(graph, depth):
@@ -34,23 +34,17 @@ def _vertex_blocks(graph, depth):
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     blocks = [cse.decode_block(0, cse.size())]
     for _ in range(depth):
-        expand_vertex_level(graph, cse, use_kernels=False)
+        expand_vertex_level(graph, cse, executor=OracleExecutor())
         blocks.append(cse.decode_block(0, cse.size()))
     return blocks
 
 
 def _scalar_vertex(graph, block):
-    embeddings = [tuple(int(x) for x in row) for row in block]
-    return expand_vertex_part(
-        graph, graph.adjacency_sets(), embeddings, (0, len(embeddings)), 0
-    )
+    return oracles.expand_block(kernels.vertex_kernel_context(graph), block)
 
 
 def _scalar_edge(index, block):
-    eu, ev = index.endpoint_lists()
-    incident = index.incident_lists()
-    embeddings = [tuple(int(x) for x in row) for row in block]
-    return expand_edge_part(eu, ev, incident, embeddings, (0, len(embeddings)), 0)
+    return oracles.expand_block(kernels.edge_kernel_context(index), block)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 42])
@@ -60,10 +54,10 @@ def test_vertex_kernel_matches_scalar(seed, depth):
     block = _vertex_blocks(graph, depth)[depth]
     ctx = kernels.vertex_kernel_context(graph)
     vert, counts, examined = kernels.expand_block(ctx, block)
-    ref = _scalar_vertex(graph, block)
-    np.testing.assert_array_equal(vert, ref.vert)
-    np.testing.assert_array_equal(counts, ref.counts)
-    assert examined <= ref.candidates_examined
+    ref_vert, ref_counts, ref_examined = _scalar_vertex(graph, block)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert examined <= ref_examined
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -73,14 +67,14 @@ def test_edge_kernel_matches_scalar(seed, depth):
     index = EdgeIndex(graph)
     cse = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(depth):
-        expand_edge_level(graph, index, cse, use_kernels=False)
+        expand_edge_level(graph, index, cse, executor=OracleExecutor())
     block = cse.decode_block(0, cse.size())
     ctx = kernels.edge_kernel_context(index)
     vert, counts, examined = kernels.expand_block(ctx, block)
-    ref = _scalar_edge(index, block)
-    np.testing.assert_array_equal(vert, ref.vert)
-    np.testing.assert_array_equal(counts, ref.counts)
-    assert examined <= ref.candidates_examined
+    ref_vert, ref_counts, ref_examined = _scalar_edge(index, block)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert examined <= ref_examined
 
 
 def test_level_expansion_kernel_vs_scalar_paths():
@@ -90,7 +84,7 @@ def test_level_expansion_kernel_vs_scalar_paths():
     cse_ref = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(2):
         fast = expand_vertex_level(graph, cse_fast)
-        ref = expand_vertex_level(graph, cse_ref, use_kernels=False)
+        ref = expand_vertex_level(graph, cse_ref, executor=OracleExecutor())
         assert fast.emitted == ref.emitted
         assert fast.candidates_examined <= ref.candidates_examined
         assert fast.part_emitted == ref.part_emitted
@@ -182,8 +176,9 @@ def _examined_run(graph, make_app, **engine_kwargs):
 @pytest.mark.parametrize("app_name", sorted(DISPATCH_APPS))
 def test_spilled_levels_ride_the_kernel(app_name, tmp_path):
     """Spilled levels expand on the kernel (same examined count as a
-    memory run); only ``use_restrictions=False`` selects the scalar
-    oracle, which examines more candidates for the same answer."""
+    memory run); the scalar oracle, swapped in through
+    ``executor=OracleExecutor()``, examines more candidates for the same
+    answer."""
     graph = random_labeled_graph(30, 80, 3, seed=11)
     make_app = DISPATCH_APPS[app_name]
     memory, memory_examined = _examined_run(graph, make_app, storage_mode="memory")
@@ -196,7 +191,7 @@ def test_spilled_levels_ride_the_kernel(app_name, tmp_path):
     assert spilled.pattern_map == memory.pattern_map
 
     oracle, oracle_examined = _examined_run(
-        graph, make_app, storage_mode="memory", use_restrictions=False
+        graph, make_app, storage_mode="memory", executor=OracleExecutor()
     )
     assert oracle.pattern_map == memory.pattern_map
     assert oracle.level_sizes == memory.level_sizes
@@ -213,10 +208,10 @@ def test_block_filter_mask_contract_enforced_on_both_paths():
         return np.ones(rows.shape[0] + 1, dtype=bool)
 
     for bad in (int_mask, short_mask):
-        for use_kernels in (True, False):
+        for executor in (None, OracleExecutor()):
             cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
             with pytest.raises(ValueError, match="bool mask"):
-                expand_vertex_level(graph, cse, bad, use_kernels=use_kernels)
+                expand_vertex_level(graph, cse, bad, executor=executor)
 
 
 def test_has_edges_matches_graph():
@@ -346,6 +341,6 @@ def test_edge_block_task_runs():
     ctx = kernels.edge_kernel_context(index)
     task = BlockTask(ctx, cse.decode_block(0, cse.size()), (0, cse.size()), 0)
     result = task()
-    ref = _scalar_edge(index, cse.decode_block(0, cse.size()))
-    np.testing.assert_array_equal(result.vert, ref.vert)
-    np.testing.assert_array_equal(result.counts, ref.counts)
+    ref_vert, ref_counts, _ = _scalar_edge(index, cse.decode_block(0, cse.size()))
+    np.testing.assert_array_equal(result.vert, ref_vert)
+    np.testing.assert_array_equal(result.counts, ref_counts)

@@ -9,8 +9,8 @@ Two layers of guarantees:
 * the **restriction-fused kernel** emits levels byte-identical to the
   unrestricted scalar oracle, at every level, on multiple seeded graphs
   — and whole engine runs (every shipped app, kernel vs the scalar
-  loops of `use_restrictions=False`) produce byte-identical pattern
-  maps.
+  loops swapped in by `tests.oracles.OracleExecutor`) produce
+  byte-identical pattern maps.
 """
 
 from itertools import combinations, permutations
@@ -42,6 +42,7 @@ from repro.core.isomorphism import are_isomorphic, automorphisms
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
+from tests.oracles import OracleExecutor
 
 # ----------------------------------------------------------------------
 # Hand-built symmetric pattern corpus
@@ -180,7 +181,7 @@ def test_vertex_levels_byte_identical_to_scalar_oracle(seed):
     oracle = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(3):
         expand_vertex_level(graph, fast, None)
-        expand_vertex_level(graph, oracle, None, use_kernels=False)
+        expand_vertex_level(graph, oracle, None, executor=OracleExecutor())
         assert fast.size() == oracle.size()
         assert np.array_equal(
             fast.decode_block(0, fast.size()),
@@ -196,7 +197,7 @@ def test_edge_levels_byte_identical_to_scalar_oracle(seed):
     oracle = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(2):
         expand_edge_level(graph, index, fast, None)
-        expand_edge_level(graph, index, oracle, None, use_kernels=False)
+        expand_edge_level(graph, index, oracle, None, executor=OracleExecutor())
         assert fast.size() == oracle.size()
         assert np.array_equal(
             fast.decode_block(0, fast.size()),
@@ -217,8 +218,11 @@ SHIPPED_APPS = {
 }
 
 
-def _engine_run(graph, make_app, use_restrictions):
-    with KaleidoEngine(graph, use_restrictions=use_restrictions) as engine:
+def _engine_run(graph, make_app, kernel):
+    """One engine run on the kernel, or (``kernel=False``) on the scalar
+    oracle loops."""
+    executor = "serial" if kernel else OracleExecutor()
+    with KaleidoEngine(graph, executor=executor) as engine:
         return engine.run(make_app())
 
 
@@ -231,8 +235,8 @@ def test_shipped_apps_pattern_maps_identical_with_and_without(app_name, seed):
     assert restricted.pattern_map == oracle.pattern_map
     assert restricted.level_sizes == oracle.level_sizes
     assert restricted.value == oracle.value
-    assert restricted.extra["restrictions"] is True
-    assert oracle.extra["restrictions"] is False
+    assert restricted.extra["executor"] == "simulated"
+    assert oracle.extra["executor"] == "oracle"
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -307,7 +311,7 @@ def test_planner_gives_no_gather_to_other_patterns(name, pattern):
     with KaleidoEngine(graph) as engine:
         assert engine.planner.pattern_gathers(PatternMatching(pattern)) == {}
         result = engine.run(PatternMatching(pattern))
-    with KaleidoEngine(graph, use_restrictions=False) as engine:
+    with KaleidoEngine(graph, executor=OracleExecutor()) as engine:
         oracle = engine.run(PatternMatching(pattern))
     assert result.value.count == _naive_match_count(graph, pattern)
     assert result.pattern_map == oracle.pattern_map
@@ -337,7 +341,7 @@ def test_unlabelled_clique_matching_takes_the_gather(k):
         assert len(engine.planner.pattern_gathers(matching)) == k - 1
         matched = engine.run(matching)
         cliques = engine.run(clique)
-    with KaleidoEngine(graph, use_restrictions=False) as engine:
+    with KaleidoEngine(graph, executor=OracleExecutor()) as engine:
         oracle = engine.run(PatternMatching(clique.query_pattern()))
     assert matched.pattern_map == {0: count_cliques_naive(graph, k)}
     assert matched.pattern_map == oracle.pattern_map

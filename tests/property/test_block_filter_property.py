@@ -25,6 +25,7 @@ from repro.storage import PartStore
 from repro.storage.hybrid import spill_level
 
 from tests.conftest import filtered_expander, random_labeled_graph
+from tests.oracles import OracleExecutor
 
 
 def _path_pattern(k, seed):
@@ -69,7 +70,7 @@ def test_filtered_kernel_levels_match_scalar_oracle(case):
             if case["spilled"] and fast.depth > 1:  # the root level never spills
                 fast.append_level(spill_level(fast.pop_level(), store, part_entries=5))
             expand(fast)
-            expand(oracle, use_kernels=False)
+            expand(oracle, executor=OracleExecutor())
             np.testing.assert_array_equal(
                 fast.top.vert_array(), oracle.top.vert_array()
             )

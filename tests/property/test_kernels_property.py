@@ -3,7 +3,7 @@
 For random seeded graphs and random exploration depths, the vectorized
 :func:`repro.core.kernels.expand_block` must emit exactly the same
 ``(vert, counts)`` as the scalar per-embedding reference
-(:func:`repro.core.explore.expand_vertex_part` and the edge analogue),
+(:func:`tests.oracles.expand_block`),
 examining no more candidates — the kernel's bit-identical contract, over
 arbitrary topologies rather than a handful of fixtures.
 """
@@ -14,15 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.cse import CSE
-from repro.core.explore import (
-    expand_edge_level,
-    expand_edge_part,
-    expand_vertex_level,
-    expand_vertex_part,
-)
+from repro.core.explore import expand_edge_level, expand_vertex_level
 from repro.graph.edge_index import EdgeIndex
 
+from tests import oracles
 from tests.conftest import random_labeled_graph
+from tests.oracles import OracleExecutor
 
 
 @st.composite
@@ -42,20 +39,16 @@ def test_vertex_kernel_parity(case):
     graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
     cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(depth):
-        expand_vertex_level(graph, cse, use_kernels=False)
+        expand_vertex_level(graph, cse, executor=OracleExecutor())
         if cse.size() == 0 or cse.size() > 20_000:
             return
     block = cse.decode_block(0, cse.size())
-    vert, counts, examined = kernels.expand_block(
-        kernels.vertex_kernel_context(graph), block
-    )
-    embeddings = [tuple(int(x) for x in row) for row in block]
-    ref = expand_vertex_part(
-        graph, graph.adjacency_sets(), embeddings, (0, len(embeddings)), 0
-    )
-    np.testing.assert_array_equal(vert, ref.vert)
-    np.testing.assert_array_equal(counts, ref.counts)
-    assert examined <= ref.candidates_examined
+    ctx = kernels.vertex_kernel_context(graph)
+    vert, counts, examined = kernels.expand_block(ctx, block)
+    ref_vert, ref_counts, ref_examined = oracles.expand_block(ctx, block)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert examined <= ref_examined
 
 
 @given(graph_cases())
@@ -68,21 +61,16 @@ def test_edge_kernel_parity(case):
         return
     cse = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(min(depth, 1)):
-        expand_edge_level(graph, index, cse, use_kernels=False)
+        expand_edge_level(graph, index, cse, executor=OracleExecutor())
         if cse.size() == 0 or cse.size() > 20_000:
             return
     block = cse.decode_block(0, cse.size())
-    vert, counts, examined = kernels.expand_block(
-        kernels.edge_kernel_context(index), block
-    )
-    eu, ev = index.endpoint_lists()
-    embeddings = [tuple(int(x) for x in row) for row in block]
-    ref = expand_edge_part(
-        eu, ev, index.incident_lists(), embeddings, (0, len(embeddings)), 0
-    )
-    np.testing.assert_array_equal(vert, ref.vert)
-    np.testing.assert_array_equal(counts, ref.counts)
-    assert examined <= ref.candidates_examined
+    ctx = kernels.edge_kernel_context(index)
+    vert, counts, examined = kernels.expand_block(ctx, block)
+    ref_vert, ref_counts, ref_examined = oracles.expand_block(ctx, block)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert examined <= ref_examined
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -94,7 +82,7 @@ def test_level_paths_build_identical_levels(seed):
     cse_ref = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(2):
         expand_vertex_level(graph, cse_fast)
-        expand_vertex_level(graph, cse_ref, use_kernels=False)
+        expand_vertex_level(graph, cse_ref, executor=OracleExecutor())
         np.testing.assert_array_equal(
             cse_fast.top.vert_array(), cse_ref.top.vert_array()
         )

@@ -5,7 +5,7 @@ and the kernel then gathers one shortest bounded tail per row and probes
 the other columns instead of running the generic canonical expansion.
 For random graphs (optionally with a hub adjacent to every vertex) ×
 k 2–6 × serial / threads × resident / spilled levels × kernel / scalar
-loops, with ``PAIR_BUDGET`` shrunk so chunk cuts land mid-level, every
+loops (:class:`tests.oracles.OracleExecutor`), with ``PAIR_BUDGET`` shrunk so chunk cuts land mid-level, every
 level's ``vert`` and ``off`` must equal the generic canonical kernel
 followed by a test-side all-adjacent filter, and the top level must hold
 exactly ``count_cliques_naive`` embeddings; the kernel must examine
@@ -22,7 +22,7 @@ from repro import CliqueDiscovery, KaleidoEngine
 from repro.apps.reference import count_cliques_naive
 from repro.core import kernels
 from repro.core.cse import CSE
-from repro.core.executor import SerialExecutor, ThreadedExecutor
+from repro.core.executor import SerialExecutor, ThreadedExecutor, resolve_executor
 from repro.core.explore import even_parts, expand_vertex_level
 from repro.core.plan import Planner
 from repro.graph import from_edge_list
@@ -30,6 +30,7 @@ from repro.storage import PartStore
 from repro.storage.hybrid import spill_level
 
 from tests.conftest import all_adjacent, random_labeled_graph
+from tests.oracles import OracleExecutor
 
 
 def _graph(num_vertices, num_edges, seed, hub):
@@ -68,7 +69,7 @@ def gather_cases(draw):
         "k": draw(st.integers(min_value=2, max_value=6)),
         "executor": draw(st.sampled_from(["serial", "threads"])),
         "spilled": draw(st.booleans()),
-        "use_kernels": draw(st.booleans()),
+        "kernel": draw(st.booleans()),
         "pair_budget": draw(st.sampled_from([1, 4, 32])),
     }
 
@@ -80,7 +81,8 @@ def test_gather_levels_equal_canonical_plus_all_adjacent(case):
     k = case["k"]
     gathers = Planner(graph, policy=None).pattern_gathers(CliqueDiscovery(k))
     assert sorted(gathers) == list(range(1, k))
-    executor = SerialExecutor() if case["executor"] == "serial" else ThreadedExecutor(2)
+    inner = SerialExecutor() if case["executor"] == "serial" else ThreadedExecutor(2)
+    executor = inner if case["kernel"] else OracleExecutor(inner)
     roots = np.arange(graph.num_vertices, dtype=np.int32)
     gathered, reference = CSE(roots.copy()), CSE(roots.copy())
     try:
@@ -99,10 +101,9 @@ def test_gather_levels_equal_canonical_plus_all_adjacent(case):
                     parts=even_parts(gathered.size(), 3),
                     executor=executor,
                     workers=2,
-                    use_kernels=case["use_kernels"],
                     pattern_gather=gather,
                 )
-                if case["use_kernels"]:
+                if case["kernel"]:
                     assert stats.candidates_examined == _shortest_tails(graph, rows, gather)
                 expand_vertex_level(graph, reference, all_adjacent)
                 np.testing.assert_array_equal(
@@ -135,21 +136,29 @@ def test_gather_examines_only_the_shortest_tail():
 
 
 @pytest.mark.parametrize("executor", ["serial", "threads"])
-@pytest.mark.parametrize("use_restrictions", [True, False])
+@pytest.mark.parametrize("kernel", [True, False])
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_engine_runs_under_spill_every_level_budget(k, use_restrictions, executor, tmp_path):
+def test_engine_runs_under_spill_every_level_budget(k, kernel, executor, tmp_path):
+    """Clique runs under a budget that spills every level, on the kernel
+    or (``kernel=False``) on the scalar oracle loops; k = 5 and the hub
+    graph lie outside the engine fuzzer's draws."""
     graph = _graph(30, 150, seed=k, hub=True)
     with KaleidoEngine(graph, storage_mode="memory") as engine:
         memory = engine.run(CliqueDiscovery(k))
-    with KaleidoEngine(
-        graph,
-        memory_limit_bytes=1,
-        spill_dir=str(tmp_path),
-        executor=executor,
-        workers=2,
-        use_restrictions=use_restrictions,
-    ) as engine:
-        spilled = engine.run(CliqueDiscovery(k))
+    runner = resolve_executor(executor)
+    if not kernel:
+        runner = OracleExecutor(runner)
+    try:
+        with KaleidoEngine(
+            graph,
+            memory_limit_bytes=1,
+            spill_dir=str(tmp_path),
+            executor=runner,
+            workers=2,
+        ) as engine:
+            spilled = engine.run(CliqueDiscovery(k))
+    finally:
+        runner.close()
     assert spilled.extra["spilled_levels"] == k - 1
     assert spilled.level_sizes == memory.level_sizes
     assert spilled.value.count == memory.value.count == count_cliques_naive(graph, k)

@@ -24,6 +24,7 @@ from repro.core.restrictions import compile_restrictions
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
+from tests.oracles import OracleExecutor
 
 
 def _connected(num_vertices, adjacency):
@@ -115,7 +116,7 @@ def test_restricted_vertex_levels_match_scalar_oracle(case):
     oracle = CSE(np.arange(graph.num_vertices, dtype=np.int32))
     for _ in range(depth):
         expand_vertex_level(graph, fast)
-        expand_vertex_level(graph, oracle, use_kernels=False)
+        expand_vertex_level(graph, oracle, executor=OracleExecutor())
         _levels_match(fast, oracle)
         if oracle.size() == 0 or oracle.size() > 20_000:
             return
@@ -133,7 +134,7 @@ def test_restricted_edge_levels_match_scalar_oracle(case):
     oracle = CSE(np.arange(index.num_edges, dtype=np.int32))
     for _ in range(min(depth, 2)):
         expand_edge_level(graph, index, fast)
-        expand_edge_level(graph, index, oracle, use_kernels=False)
+        expand_edge_level(graph, index, oracle, executor=OracleExecutor())
         _levels_match(fast, oracle)
         if oracle.size() == 0 or oracle.size() > 20_000:
             return

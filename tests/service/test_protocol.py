@@ -106,6 +106,32 @@ def test_quota_op_and_rejection_shape(service):
     assert response["error"] == "QuotaExceededError"
 
 
+@pytest.mark.parametrize("cap", ["x", -1, 0, True, 2.5])
+def test_malformed_quota_is_rejected_and_tenant_keeps_working(service, cap):
+    query = {"app": "tc", "dataset": "citeseer", "profile": "tiny", "tenant": "a"}
+    _, responses = run_lines(
+        service,
+        [{"op": "quota", "tenant": "a", "max_embeddings": cap}, query],
+    )
+    assert responses[0]["status"] == "error"
+    assert responses[0]["error"] == "ValueError"
+    assert responses[1]["status"] == "ok"
+    assert responses[1]["route"] == "RED"  # not degraded by a bogus ceiling
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [{"max_embeddings": -1}, {"max_embeddings": "x"}, {"samples": 0}],
+)
+def test_malformed_query_budget_is_a_value_error(service, budget):
+    response = handle_payload(
+        service,
+        {"app": "tc", "dataset": "citeseer", "profile": "tiny", "budget": budget},
+    )
+    assert response["status"] == "error"
+    assert response["error"] == "ValueError"
+
+
 def test_invalidate_op(service):
     payload = {"app": "tc", "dataset": "citeseer", "profile": "tiny"}
     handle_payload(service, payload)

@@ -31,18 +31,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Spill-part sizing (Silvestri's I/O-complexity bound)
 # ----------------------------------------------------------------------
+#: Bounds on the spill-part size, and the size without a budget.
+_MIN_PART_ENTRIES = 1 << 12
+_MAX_PART_ENTRIES = 1 << 20
+_DEFAULT_PART_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class IOPlan:
-    """The part-size choice for one spilled level.
-
-    ``part_entries`` is the spill-part granularity ``B`` (ids per part);
-    ``window_bytes`` is the two parts the rule sizes for — the part being
-    consumed and the one after it — ``2 · B · bytes_per_entry``.
-    """
+    """The part-size choice for one spilled level: ``part_entries`` is
+    the spill-part granularity ``B`` (ids per part)."""
 
     part_entries: int
-    bytes_per_entry: int
-    window_bytes: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -52,37 +52,31 @@ def plan_io(
     predicted_entries: int,
     bytes_per_entry: int,
     headroom_bytes: int | None = None,
-    min_part_entries: int = 1 << 12,
-    max_part_entries: int = 1 << 20,
-    default_part_entries: int = 1 << 16,
 ) -> IOPlan:
     """Pick the spill-part size for one level.
 
     Silvestri's I/O-complexity analysis of subgraph enumeration bounds
     the I/O of a level scan by ``O(E_l · b / B)`` block transfers — I/O
     cost falls linearly in the block (part) size ``B``, so within the
-    memory budget ``M`` parts should be as large as the resident window
-    allows rather than a fixed knob.  The window of two parts
-    ``2 · B · b`` is held to about a quarter of the measured headroom so
-    the level's own output and the off arrays keep their share of ``M``;
-    without a budget the part size is ``default_part_entries``.
+    memory budget ``M`` parts should be as large as the budget allows
+    rather than a fixed knob.  Two parts ``2 · B · b`` are held to about
+    a quarter of the measured headroom so the level's own output and the
+    off arrays keep their share of ``M``; without a budget the part size
+    is ``_DEFAULT_PART_ENTRIES``.  The size is clamped to
+    ``[_MIN_PART_ENTRIES, _MAX_PART_ENTRIES]`` and to the level itself.
     """
     bytes_per_entry = max(1, int(bytes_per_entry))
     if headroom_bytes is not None and headroom_bytes > 0:
         part_entries = headroom_bytes // 4 // (2 * bytes_per_entry)
     else:
-        part_entries = default_part_entries
-    part_entries = max(min_part_entries, min(max_part_entries, int(part_entries)))
+        part_entries = _DEFAULT_PART_ENTRIES
+    part_entries = max(_MIN_PART_ENTRIES, min(_MAX_PART_ENTRIES, int(part_entries)))
     # No point cutting parts larger than the level itself.
     if predicted_entries > 0:
         part_entries = min(
-            part_entries, max(min_part_entries, int(predicted_entries))
+            part_entries, max(_MIN_PART_ENTRIES, int(predicted_entries))
         )
-    return IOPlan(
-        part_entries=part_entries,
-        bytes_per_entry=bytes_per_entry,
-        window_bytes=2 * part_entries * bytes_per_entry,
-    )
+    return IOPlan(part_entries=part_entries)
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:

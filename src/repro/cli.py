@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -69,6 +70,16 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)
 
 
+def _megabytes(text: str) -> float:
+    """argparse ``type=`` for a memory budget in MB of at least one byte."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and int(value * 1e6) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite size of at least one byte, got {text!r}"
+        )
+    return value
+
+
 def _host_port(spec: str) -> tuple[str, int]:
     """argparse ``type=`` for ``HOST:PORT``; an empty host means 127.0.0.1."""
     host, _, port = spec.rpartition(":")
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="part executor: 'serial' (work-stealing replay, default) or "
         "'threads' (real thread pool of --workers threads)",
     )
-    mine.add_argument("--memory-limit-mb", type=float, default=None)
+    mine.add_argument("--memory-limit-mb", type=_megabytes, default=None)
     mine.add_argument("--spill-dir", default=None)
     mine.add_argument(
         "--storage", default="auto", choices=["auto", "memory", "spill-last"]
@@ -275,7 +286,7 @@ def _make_app(args: argparse.Namespace):
     )
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _cmd_mine(args: argparse.Namespace, app) -> int:
     graph = _load_graph(args)
     limit = (
         None if args.memory_limit_mb is None else int(args.memory_limit_mb * 1e6)
@@ -299,7 +310,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         tracer=tracer,
         sanitize=args.sanitize,
     ) as engine:
-        result = engine.run(_make_app(args), resume=args.resume)
+        result = engine.run(app, resume=args.resume)
     if args.trace_out:
         write_chrome_trace(args.trace_out, engine.tracer)
     if args.trace_jsonl:
@@ -472,9 +483,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command in ("mine", "run"):
-        return _cmd_mine(args)
+        try:  # the app validates its own parameters (-k, --edges, --support)
+            app = _make_app(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _cmd_mine(args, app)
     if args.command == "datasets":
         return _cmd_datasets(args)
     if args.command == "generate":

@@ -16,9 +16,9 @@ graph.  Each exploration iteration flows through three explicit stages:
   ``(rows, k)`` block and run the application's ``map_block`` Mapper
   over each through the same executor, then the serial Reducer.
 
-Every live data structure is accounted in a :class:`MemoryMeter`, and the
-per-stage wall times are reported in ``MiningResult.phase_spans`` as
-``plan_seconds`` / ``execute_seconds`` / ``aggregate_seconds``.
+Every live data structure is accounted in the run's :class:`MemoryMeter`,
+and the per-stage wall times are reported in ``MiningResult.phase_spans``
+as ``plan_seconds`` / ``execute_seconds`` / ``aggregate_seconds``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from __future__ import annotations
 import logging
 import pickle
 import time
+from collections import Counter
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable
+from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -36,12 +37,12 @@ from ..balance.worksteal import Schedule
 from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
-from ..obs.bridge import absorb_engine
+from ..obs.bridge import absorb_io_stats, absorb_memory_meter
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..storage.checkpoint import RunCheckpoint
 from ..storage.hybrid import StoragePolicy
-from ..storage.meter import MemoryBudget, MemoryMeter
+from ..storage.meter import IOStats, MemoryBudget, MemoryMeter
 from ..storage.retry import RetryPolicy
 from ..storage.spill import PartStore
 from .api import EngineContext, MiningApplication, MiningResult, PatternMap
@@ -53,6 +54,9 @@ from .plan import Planner
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
 _RUN_STATE_VERSION = 1
+
+#: The lookup counters a hasher may keep (bliss-like baselines keep none).
+_HASHER_COUNTERS = ("hits", "misses", "evictions")
 
 __all__ = ["KaleidoEngine", "aggregate_part"]
 
@@ -82,16 +86,20 @@ class KaleidoEngine:
     """Configurable two-phase graph mining engine.
 
     An engine is a reusable *session* over one graph: construct it once
-    and call :meth:`run` many times.  Everything expensive survives
-    between runs — the executor's worker pool, the pattern-hash caches,
-    the graph's derived structures (adjacency views, and the edge index
-    built lazily on the first edge-induced run) — so a long-running
-    caller (the service tier) pays the setup cost once per session, not
-    once per query.  Runs on one engine must be serialized by the
-    caller; for concurrent queries, give each its own engine and share
-    the executor instance and the hasher across them (both are
-    thread-safe), which is exactly what
-    :class:`repro.service.MiningService` does.
+    and call :meth:`run` many times.  Session state survives between
+    runs — the graph, the configuration, the executor's worker pool, the
+    hasher and its caches, the lazily built edge index, the spill store,
+    the checkpoint directory, the tracer, the metrics registry and
+    ``runs_completed`` — so a long-running caller (the service tier) pays
+    the setup cost once per session, not once per query.  Run state —
+    the memory meter, storage policy and planner, the store's
+    ``IOStats``, the sanitizers, the checkpoint counts and the spilled
+    parts — is built by each :meth:`run` and gone when it returns, so a
+    run meters, spills and reports exactly as on a fresh engine.  Runs
+    on one engine must be serialized by the caller; for concurrent
+    queries, give each its own engine and share the executor instance
+    and the hasher across them (both are thread-safe), which is exactly
+    what :class:`repro.service.MiningService` does.
 
     Parameters
     ----------
@@ -104,7 +112,8 @@ class KaleidoEngine:
         Isomorphism fingerprinter; defaults to the paper's EigenHash.
         Pass ``repro.baselines.BlissLikeHasher()`` for the Fig.-12 study.
     memory_limit_bytes:
-        Budget for intermediate data; exceeding it spills CSE levels.
+        Each run's budget for intermediate data; exceeding it spills CSE
+        levels.
     storage_mode:
         ``"auto"`` (spill when over budget), ``"memory"`` (never spill;
         budget ignored), or ``"spill-last"`` (always spill newly explored
@@ -143,10 +152,11 @@ class KaleidoEngine:
         no-op tracer, which costs a single attribute check per probe and
         never changes mined results (parity-tested).
     metrics:
-        A :class:`repro.obs.MetricsRegistry` to collect the run's
-        counters/gauges/histograms (``io.*``, ``mem.*``, ``queue.*``,
-        ``hasher.*``, ``storage.*``, ``checkpoint.*``).  A fresh
-        registry is created when not given; read it back from
+        A :class:`repro.obs.MetricsRegistry` that each run folds its own
+        counters/gauges/histograms into when it finishes (``io.*``,
+        ``mem.*``, ``queue.*``, ``hasher.*``, ``storage.*``,
+        ``checkpoint.*``); counters sum over the session's runs.  A
+        fresh registry is created when not given; read it back from
         ``engine.metrics``.
     sanitize:
         Run the application under the runtime sanitizers.  The
@@ -172,7 +182,6 @@ class KaleidoEngine:
         spill_dir: str | None = None,
         use_prediction: bool = True,
         parts_per_worker: int = 4,
-        max_embeddings: int | None = None,
         executor: "str | PartExecutor" = "serial",
         io_retry: RetryPolicy | None = None,
         checkpoint_dir: str | None = None,
@@ -193,56 +202,32 @@ class KaleidoEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.hasher = hasher if hasher is not None else PatternHasher()
-        self.meter = MemoryMeter()
         self.budget = MemoryBudget(memory_limit_bytes)
         self.storage_mode = storage_mode
         self.use_prediction = use_prediction
         self.parts_per_worker = parts_per_worker
-        #: Safety valve: abort (PlanError) if any level would exceed this
-        #: many embeddings.  Exploration is exponential in depth; a guard
-        #: beats an out-of-control run in production settings.
-        self.max_embeddings = max_embeddings
+        self.io_retry = io_retry
         self.executor = resolve_executor(executor)
         # Executors resolved from a spec string are engine-owned: close()
         # reaps their pools.  Caller-supplied instances stay caller-owned.
         self._owns_executor = not isinstance(executor, PartExecutor)
+        # The session's spill store (its orphan sweep runs once, here);
+        # without a spill_dir each spilling run gets a temp-dir store.
         self._store: PartStore | None = (
             PartStore(spill_dir, retry=io_retry, tracer=self.tracer, metrics=self.metrics)
             if spill_dir is not None
             else None
         )
-        self._policy = StoragePolicy(
-            self.budget,
-            self.meter,
-            store=self._store,
-            force_spill_last=(storage_mode == "spill-last"),
-            retry=io_retry,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        self.planner = Planner(
-            graph,
-            self._policy,
-            workers=workers,
-            parts_per_worker=parts_per_worker,
-            use_prediction=use_prediction,
-            storage_mode=storage_mode,
-            max_embeddings=max_embeddings,
-        )
         self.sanitize = sanitize
-        #: Active PartPuritySanitizer while a sanitized run is in flight.
-        self._sanitizer = None
-        #: Active LockOrderSanitizer while a sanitized run is in flight.
-        self._lock_sanitizer = None
         #: Lazily built EdgeIndex, shared across this session's runs.
         self._edge_index: EdgeIndex | None = None
         #: How many runs this session has completed.
         self.runs_completed = 0
+        #: The last run's spill IOStats (None if it had no store to spill to).
+        self.io_stats: IOStats | None = None
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
         self._checkpoints: RunCheckpoint | None = None
-        self._checkpoints_written = 0
-        self._checkpoint_failures = 0
         if checkpoint_dir is not None:
             self._checkpoints = RunCheckpoint(checkpoint_dir)
             self._checkpoints.collect_garbage()
@@ -252,14 +237,17 @@ class KaleidoEngine:
         self,
         app: MiningApplication,
         resume: bool = False,
-        max_embeddings: "int | None" = -1,
+        max_embeddings: int | None = None,
     ) -> MiningResult:
-        """Run one application start to finish and report costs.
+        """Run one application start to finish and report its costs.
 
-        An engine may run many applications back to back; session state
-        (worker pools, hash caches, the edge index) is reused, and
-        per-run measurements accumulate into ``self.metrics`` (counters
-        sum across runs — the useful reading for repeated-run callers).
+        An engine may run many applications back to back.  Session state
+        (worker pools, hash caches, the edge index, the spill store) is
+        reused; the run builds its own memory meter, storage policy and
+        planner, so its spill decisions, its result and the numbers it
+        folds into ``self.metrics`` cover this run only.  Its spill parts
+        are deleted before it returns, whether it succeeds or raises;
+        ``self.io_stats`` then holds its I/O.
 
         With ``resume=True`` (requires ``checkpoint_dir``), the run
         restarts from the deepest valid mid-run checkpoint instead of
@@ -267,15 +255,15 @@ class KaleidoEngine:
         starts over.  The resumed run produces the same final pattern
         map as an uninterrupted one.
 
-        ``max_embeddings`` overrides the engine-wide exploration guard
-        for this run only (``None`` lifts it) — the service tier threads
-        each query's budget through here.  The default sentinel ``-1``
-        keeps the engine's configured guard.
+        ``max_embeddings`` is the run's safety valve: the run aborts with
+        :class:`~repro.errors.PlanError` if any level is predicted above
+        that many embeddings (None: no guard).  Exploration is
+        exponential in depth; the service tier threads each query's
+        budget through here.
 
         The run is recorded on ``self.tracer`` as one ``run`` span with
-        nested ``level → {plan, execute, aggregate} → part`` children,
-        and the run's measurements are folded into ``self.metrics``
-        when it finishes.  Tracing never changes mined results.
+        nested ``level → {plan, execute, aggregate} → part`` children.
+        Tracing never changes mined results.
         """
         if self.sanitize:
             from ..analysis.sanitizer import LockOrderSanitizer, PartPuritySanitizer
@@ -286,60 +274,106 @@ class KaleidoEngine:
             # pool bookkeeping and the hasher's cache statistics.
             lock_sanitizer.instrument(self.executor)
             lock_sanitizer.instrument(self.hasher)
+            hot_phase = sanitizer.hot_phase
         else:
             sanitizer = None
             lock_sanitizer = None
-        self._sanitizer = sanitizer
-        self._lock_sanitizer = lock_sanitizer
-        guard_before = self.planner.max_embeddings
-        if max_embeddings != -1:
-            self.planner.max_embeddings = max_embeddings
+            hot_phase = nullcontext
+        policy = StoragePolicy(
+            self.budget,
+            MemoryMeter(),
+            store=self._store,
+            storage_mode=self.storage_mode,
+            retry=self.io_retry,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
+        if self._store is not None:
+            self._store.io = IOStats()
+        planner = Planner(
+            self.graph,
+            policy,
+            workers=self.workers,
+            parts_per_worker=self.parts_per_worker,
+            use_prediction=self.use_prediction,
+            max_embeddings=max_embeddings,
+            gathers=Planner.pattern_gathers(app),
+        )
+        hasher_before = [getattr(self.hasher, name, 0) for name in _HASHER_COUNTERS]
         try:
             with lock_sanitizer if lock_sanitizer is not None else nullcontext():
                 with sanitizer if sanitizer is not None else nullcontext():
                     with self.tracer.span("run", app=app.name, graph=self.graph.name):
-                        result = self._run(app, resume)
+                        result = self._run(app, resume, planner, hot_phase)
         finally:
-            self._sanitizer = None
-            self._lock_sanitizer = None
-            self.planner.max_embeddings = guard_before
+            # Delete the run's spill parts (and a temp spill directory).
+            policy.close()
+            self.io_stats = None if policy.store is None else policy.store.io
         self.runs_completed += 1
-        absorb_engine(self.metrics, self)
+        self._fold_metrics(policy, result, hasher_before)
         return result
 
-    def _hot_phase(self):
-        """Sanitizer window around executor part runs (no-op otherwise)."""
-        if self._sanitizer is None:
-            return nullcontext()
-        return self._sanitizer.hot_phase()
+    def _fold_metrics(
+        self, policy: StoragePolicy, result: MiningResult, hasher_before: list[int]
+    ) -> None:
+        """Fold one finished run's own numbers into ``self.metrics``.
 
-    def _run(self, app: MiningApplication, resume: bool) -> MiningResult:
+        Counters then sum over the session's runs with each run counted
+        once.  The ``hasher.*`` counters take the hasher's change across
+        the run; a hasher shared with other engines (the service's
+        sessions share one) also counts their lookups, so under
+        concurrent sessions a run's delta can include theirs.
+        """
+        registry = self.metrics
+        absorb_memory_meter(registry, policy.meter)
+        if self.io_stats is not None:
+            absorb_io_stats(registry, self.io_stats)
+        registry.counter("storage.spilled_levels").inc(policy.spilled_levels)
+        registry.counter("storage.demoted_levels").inc(policy.demoted_levels)
+        if policy.last_io_plan is not None:
+            registry.gauge("storage.io_plan.part_entries").set(
+                policy.last_io_plan.part_entries
+            )
+        registry.counter("checkpoint.written").inc(result.extra["checkpoints_written"])
+        registry.counter("checkpoint.failures").inc(result.extra["checkpoint_failures"])
+        for name, before in zip(_HASHER_COUNTERS, hasher_before):
+            registry.counter(f"hasher.{name}").inc(getattr(self.hasher, name, 0) - before)
+        if hasattr(self.hasher, "__len__"):
+            registry.gauge("hasher.cache_entries").set(len(self.hasher))
+
+    def _run(
+        self,
+        app: MiningApplication,
+        resume: bool,
+        planner: Planner,
+        hot_phase: Callable[[], ContextManager],
+    ) -> MiningResult:
         started = time.perf_counter()
+        policy = planner.policy
+        meter = policy.meter
         schedules: list[Schedule] = []
         schedule_phases: list[str] = []
         phase_spans: dict[str, float] = {}
         plan_seconds = 0.0
         execute_seconds = 0.0
         aggregate_seconds = 0.0
+        checkpoints: Counter[str] = Counter()
 
         ctx = EngineContext(graph=self.graph, engine=self)
-        self.meter.set("graph", self.graph.nbytes)
+        meter.set("graph", self.graph.nbytes)
         if app.induced == "edge":
             # Session reuse: the edge index is a pure function of the
             # graph, so build it once and share it across runs.
             if self._edge_index is None:
                 self._edge_index = EdgeIndex(self.graph)
             ctx.edge_index = self._edge_index
-            self.meter.set("edge_index", ctx.edge_index.nbytes)
+            meter.set("edge_index", ctx.edge_index.nbytes)
         elif app.induced != "vertex":
             raise ValueError(f"unknown induced mode {app.induced!r}")
 
-        # Compile the app's query pattern (if it has one) into its
-        # symmetry-breaking restriction set; a complete, uniformly
-        # labelled pattern also yields the per-level gather descriptors
-        # the level plans carry to the kernel.
-        pattern_restrictions = self.planner.pattern_restrictions(app)
-        self.planner.active_gathers = self.planner.pattern_gathers(app)
+        # The app's query-pattern restriction set (if it has one); the
+        # planner already carries the per-level gathers derived from it.
+        pattern_restrictions = Planner.pattern_restrictions(app)
 
         roots = app.init(ctx)
         block_filter = app.block_filter(ctx)
@@ -352,7 +386,7 @@ class KaleidoEngine:
             restored = self._restore(ctx, app, roots)
             if restored is not None:
                 cse, reduced, aggregated, start_iteration, resumed_from = restored
-        self.meter.set("cse", cse.nbytes_in_memory)
+        meter.set("cse", cse.nbytes_in_memory)
         level_sizes = [cse.size(idx) for idx in range(cse.depth)]
 
         # ---------------- Phase 1: embedding exploration ----------------
@@ -369,13 +403,13 @@ class KaleidoEngine:
                 # aborts the sink (its parts are deleted) and propagates.
                 stage_started = time.perf_counter()
                 with self.tracer.span("plan", depth=cse.depth):
-                    plan = self.planner.plan_level(ctx, cse)
+                    plan = planner.plan_level(ctx, cse)
                 plan_seconds += time.perf_counter() - stage_started
 
                 stage_started = time.perf_counter()
                 with self.tracer.span(
                     "execute", parts=plan.num_parts, spill=plan.spill
-                ), self._hot_phase():
+                ), hot_phase():
                     if app.induced == "vertex":
                         stats = expand_vertex_level(
                             self.graph,
@@ -409,17 +443,17 @@ class KaleidoEngine:
                 schedule_phases.append("explore")
                 explore_span += schedule.span_seconds
                 level_sizes.append(cse.size())
-                self.meter.set("cse", cse.nbytes_in_memory)
+                meter.set("cse", cse.nbytes_in_memory)
                 logger.debug(
                     "%s: level %d -> %d embeddings (%d candidates examined, "
                     "%.3fs span, %.2f MB accounted)",
                     app.name, cse.depth, cse.size(), stats.candidates_examined,
-                    schedule.span_seconds, self.meter.current_bytes / 1e6,
+                    schedule.span_seconds, meter.current_bytes / 1e6,
                 )
 
                 if app.aggregate_every_iteration:
                     reduced, agg_span, agg_wall = self._aggregate(
-                        ctx, app, cse, schedules, schedule_phases
+                        ctx, app, cse, planner, hot_phase, schedules, schedule_phases
                     )
                     aggregated = True
                     explore_span += agg_span
@@ -428,8 +462,12 @@ class KaleidoEngine:
                     if mask is not None:
                         cse.filter_top_level(mask)
                         level_sizes[-1] = cse.size()
-                        self.meter.set("cse", cse.nbytes_in_memory)
-                self._maybe_checkpoint(ctx, app, cse, iteration, reduced, aggregated)
+                        meter.set("cse", cse.nbytes_in_memory)
+                outcome = self._maybe_checkpoint(
+                    ctx, app, cse, iteration, reduced, aggregated
+                )
+                if outcome is not None:
+                    checkpoints[outcome] += 1
             finally:
                 self.tracer.end("level")
             if app.aggregate_every_iteration and cse.size() == 0:
@@ -439,7 +477,7 @@ class KaleidoEngine:
         # ---------------- Phase 2: pattern aggregation ------------------
         if not app.aggregate_every_iteration or not aggregated:
             reduced, agg_span, agg_wall = self._aggregate(
-                ctx, app, cse, schedules, schedule_phases
+                ctx, app, cse, planner, hot_phase, schedules, schedule_phases
             )
             phase_spans["aggregate"] = agg_span
             aggregate_seconds += agg_wall
@@ -454,21 +492,21 @@ class KaleidoEngine:
         logger.info(
             "%s over %s: %.3fs wall, %d patterns, peak %.2f MB",
             app.name, self.graph.name, wall, len(reduced),
-            self.meter.peak_bytes / 1e6,
+            meter.peak_bytes / 1e6,
         )
-        io_read, io_written = self._io_totals()
-        result = MiningResult(
+        io = IOStats() if policy.store is None else policy.store.io
+        return MiningResult(
             app_name=app.name,
             value=value,
             pattern_map=reduced,
             wall_seconds=wall,
             simulated_seconds=simulated_seconds,
-            peak_memory_bytes=self.meter.peak_bytes,
+            peak_memory_bytes=meter.peak_bytes,
             level_sizes=level_sizes,
             phase_spans=phase_spans,
-            io_bytes_read=io_read,
-            io_bytes_written=io_written,
-            memory_snapshot=self.meter.snapshot(),
+            io_bytes_read=io.bytes_read,
+            io_bytes_written=io.bytes_written,
+            memory_snapshot=meter.snapshot(),
             schedules=schedules,
             utilization=(
                 sum(s.busy_seconds for s in schedules)
@@ -483,18 +521,18 @@ class KaleidoEngine:
                 "hasher_cache_entries": len(self.hasher)
                 if hasattr(self.hasher, "__len__")
                 else None,
-                "spilled_levels": self._policy.spilled_levels,
-                "demoted_levels": self._policy.demoted_levels,
+                "spilled_levels": policy.spilled_levels,
+                "demoted_levels": policy.demoted_levels,
                 "io_plan": (
                     None
-                    if self._policy.last_io_plan is None
-                    else self._policy.last_io_plan.as_dict()
+                    if policy.last_io_plan is None
+                    else policy.last_io_plan.as_dict()
                 ),
                 "resumed_from_level": resumed_from,
-                "checkpoints_written": self._checkpoints_written,
-                "checkpoint_failures": self._checkpoint_failures,
-                "io_retries": self._io_counter("retries"),
-                "io_failed_deletes": self._io_counter("failed_deletes"),
+                "checkpoints_written": checkpoints["written"],
+                "checkpoint_failures": checkpoints["failed"],
+                "io_retries": io.retries,
+                "io_failed_deletes": io.failed_deletes,
                 "sanitize": self.sanitize,
                 "pattern_restrictions": (
                     None
@@ -506,15 +544,10 @@ class KaleidoEngine:
                 ),
             },
         )
-        return result
 
     # ------------------------------------------------------------------
     # Robustness plumbing: checkpointing, resume
     # ------------------------------------------------------------------
-    def _io_counter(self, name: str) -> int:
-        store = self._policy.store
-        return 0 if store is None else getattr(store.io, name)
-
     def _maybe_checkpoint(
         self,
         ctx: EngineContext,
@@ -523,15 +556,17 @@ class KaleidoEngine:
         iteration: int,
         reduced: PatternMap,
         aggregated: bool,
-    ) -> None:
+    ) -> str | None:
         """Write the per-level checkpoint for one completed iteration.
 
-        Checkpoints are an availability feature, not a correctness one: a
-        failed write is logged and counted, and the run carries on (the
-        previous checkpoint, if any, stays valid — saves are atomic).
+        Returns ``"written"``, ``"failed"``, or None when no checkpoint
+        was due.  Checkpoints are an availability feature, not a
+        correctness one: a failed write is logged and counted, and the
+        run carries on (the previous checkpoint, if any, stays valid —
+        saves are atomic).
         """
         if self._checkpoints is None or (iteration + 1) % self.checkpoint_every:
-            return
+            return None
         state = {
             "version": _RUN_STATE_VERSION,
             "app": app.name,
@@ -543,20 +578,19 @@ class KaleidoEngine:
         try:
             path = self._checkpoints.save(iteration, cse, pickle.dumps(state))
         except StorageError as exc:
-            self._checkpoint_failures += 1
             if self.tracer.enabled:
                 self.tracer.instant("checkpoint-failure", iteration=iteration)
             logger.warning(
                 "checkpoint after iteration %d failed (run continues): %s",
                 iteration, exc,
             )
-            return
-        self._checkpoints_written += 1
+            return "failed"
         if self.tracer.enabled:
             self.tracer.instant("checkpoint", iteration=iteration)
         logger.debug("checkpointed iteration %d at %s", iteration, path)
         if self.on_checkpoint is not None:
             self.on_checkpoint(iteration, path)
+        return "written"
 
     def _restore(
         self, ctx: EngineContext, app: MiningApplication, roots: np.ndarray
@@ -604,6 +638,8 @@ class KaleidoEngine:
         ctx: EngineContext,
         app: MiningApplication,
         cse: CSE,
+        planner: Planner,
+        hot_phase: Callable[[], ContextManager],
         schedules: list[Schedule],
         schedule_phases: list[str],
     ) -> tuple[PatternMap, float, float]:
@@ -616,8 +652,9 @@ class KaleidoEngine:
         (Fig. 14).
         """
         wall_started = time.perf_counter()
+        meter = planner.policy.meter
         with self.tracer.span("aggregate", size=cse.size()):
-            plan = self.planner.plan_aggregate(ctx, app, cse)
+            plan = planner.plan_aggregate(ctx, app, cse)
 
             def tasks():
                 # The kernels' read path (the sequential walk): resident
@@ -625,7 +662,7 @@ class KaleidoEngine:
                 for start, end in plan.part_bounds:
                     yield partial(aggregate_part, app, ctx, cse.decode_block(start, end))
 
-            with self._hot_phase():
+            with hot_phase():
                 report = self.executor.run(
                     tasks(), workers=self.workers, tracer=self.tracer, phase="aggregate"
                 )
@@ -636,9 +673,9 @@ class KaleidoEngine:
                 if part_state is not None:
                     app.finish_part(ctx, part_state)
 
-            self.meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
+            meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
             if hasattr(self.hasher, "nbytes"):
-                self.meter.set("hasher_cache", self.hasher.nbytes)
+                meter.set("hasher_cache", self.hasher.nbytes)
             schedule = report.schedule
             schedules.append(schedule)
             schedule_phases.append("aggregate")
@@ -646,26 +683,13 @@ class KaleidoEngine:
             reduce_started = time.perf_counter()
             reduced = app.reduce(ctx, pmaps)
             reduce_seconds = time.perf_counter() - reduce_started
-            self.meter.set("pattern_maps", app.pmap_nbytes(reduced))
+            meter.set("pattern_maps", app.pmap_nbytes(reduced))
         wall = time.perf_counter() - wall_started
         return reduced, schedule.span_seconds + reduce_seconds, wall
 
-    def _io_totals(self) -> tuple[int, int]:
-        store = self._policy.store
-        if store is None:
-            return 0, 0
-        return store.io.bytes_read, store.io.bytes_written
-
-    @property
-    def io_stats(self):
-        """The spill store's IOStats (None when nothing ever spilled)."""
-        store = self._policy.store
-        return None if store is None else store.io
-
     def close(self) -> None:
-        """Delete spill files and reap engine-owned worker pools (safe to
-        call twice)."""
-        self._policy.close()
+        """Reap engine-owned worker pools (safe to call twice); each run
+        already deleted its own spill parts."""
         if self._owns_executor:
             self.executor.close()
 

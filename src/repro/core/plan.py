@@ -3,10 +3,11 @@
 Before each expansion the planner produces a :class:`LevelPlan`: the
 predicted per-embedding candidate costs (Figure 8), the balanced part
 bounds derived from them, the predicted size of the next level, the
-guard check against ``max_embeddings``, and the storage decision (memory
-vs spilling sink, via :class:`repro.storage.StoragePolicy`).  Before each
-aggregation it produces the analogous :class:`AggregatePlan` for the
-mapper parts.
+guard check against ``max_embeddings``, and the sink the run's
+:class:`repro.storage.StoragePolicy` hands back (memory or spilling).
+Before each aggregation it produces the analogous :class:`AggregatePlan`
+for the mapper parts.  The engine builds one planner per run, with that
+run's guard and pattern gathers.
 
 This logic used to be inlined in ``KaleidoEngine.run()``; pulling it out
 gives every executor the same deterministic work decomposition and makes
@@ -54,9 +55,8 @@ class LevelPlan:
     predicted_entries: int
     #: Whether the new level goes to disk.
     spill: bool
-    #: The sink to expand into; None means plain in-memory (storage_mode
-    #: "memory", where no policy is consulted at all).
-    sink: LevelSink | None
+    #: The sink to expand into, as chosen by the storage policy.
+    sink: LevelSink
     #: The gather-and-probe descriptor for the vertex this level binds
     #: (see :func:`~repro.core.restrictions.pattern_gathers`), or None
     #: when the app's query pattern is not complete and uniformly
@@ -86,7 +86,13 @@ class AggregatePlan:
 
 
 class Planner:
-    """Produces per-level and per-aggregation plans for the engine."""
+    """Produces one run's per-level and per-aggregation plans.
+
+    ``max_embeddings`` is the run's exploration guard (None: no guard);
+    ``gathers`` are the run's per-position pattern gathers (from
+    :meth:`pattern_gathers`; empty for apps without a complete,
+    uniformly labelled query pattern).
+    """
 
     def __init__(
         self,
@@ -96,45 +102,31 @@ class Planner:
         workers: int = 1,
         parts_per_worker: int = 4,
         use_prediction: bool = True,
-        storage_mode: str = "auto",
         max_embeddings: int | None = None,
+        gathers: dict[int, PatternGather] | None = None,
     ) -> None:
         self.graph = graph
         self.policy = policy
         self.workers = workers
         self.parts_per_worker = parts_per_worker
         self.use_prediction = use_prediction
-        self.storage_mode = storage_mode
         self.max_embeddings = max_embeddings
-        #: The active app's per-position pattern gathers, set by the
-        #: engine at the start of each run from :meth:`pattern_gathers`
-        #: (empty between runs and for apps without a complete, uniformly
-        #: labelled query pattern).
-        self.active_gathers: dict[int, PatternGather] = {}
-        self._pattern_cache: dict[object, RestrictionSet] = {}
+        self.gathers = gathers or {}
 
-    def pattern_restrictions(self, app: MiningApplication) -> RestrictionSet | None:
-        """Compile (and memoise) the app's query-pattern restriction set.
-
-        Apps expose their pattern through
-        :meth:`~repro.core.api.MiningApplication.query_pattern`; apps
-        that mine all patterns at once (FSM, motif counting) return
-        None and get no pattern-level restrictions.
-        """
+    @staticmethod
+    def pattern_restrictions(app: MiningApplication) -> RestrictionSet | None:
+        """The app's query-pattern restriction set, or None for apps that
+        mine all patterns at once (FSM, motif counting); compiled once
+        per pattern by :func:`~repro.core.restrictions.compile_restrictions`."""
         pattern = app.query_pattern()
-        if pattern is None:
-            return None
-        cached = self._pattern_cache.get(pattern)
-        if cached is None:
-            cached = compile_restrictions(pattern)
-            self._pattern_cache[pattern] = cached
-        return cached
+        return None if pattern is None else compile_restrictions(pattern)
 
-    def pattern_gathers(self, app: MiningApplication) -> dict[int, PatternGather]:
+    @staticmethod
+    def pattern_gathers(app: MiningApplication) -> dict[int, PatternGather]:
         """The app's per-position gather descriptors: non-empty only for a
         vertex-induced app whose query pattern is complete with every
         label equal (clique discovery, triangle counting, matching K_k)."""
-        rset = self.pattern_restrictions(app)
+        rset = Planner.pattern_restrictions(app)
         if rset is None or app.induced != "vertex":
             return {}
         return pattern_gathers(app.query_pattern(), rset)
@@ -169,25 +161,16 @@ class Planner:
             predicted_entries = int(costs.sum())
         else:
             predicted_entries = cse.size() * max(1, int(self.graph.average_degree))
-        sink: LevelSink | None = None
-        spill = False
-        io_plan: IOPlan | None = None
-        if self.storage_mode != "memory":
-            # The emitted level stores ids of the exploration's id space:
-            # edge ids for edge-induced apps, vertex ids otherwise.  Its
-            # dtype drives both the sink's storage width and the
-            # bytes-per-entry the spill decision sizes with.
-            dtype = (
-                ctx.edge_index.id_dtype
-                if ctx.edge_index is not None
-                else self.graph.id_dtype
-            )
-            sink = self.policy.sink_for_next_level(
-                cse, predicted_entries, bytes_per_entry=dtype.itemsize, dtype=dtype
-            )
-            spill = not isinstance(sink, InMemorySink)
-            if spill:
-                io_plan = getattr(self.policy, "last_io_plan", None)
+        # The emitted level stores ids of the exploration's id space:
+        # edge ids for edge-induced apps, vertex ids otherwise.  Its
+        # dtype drives both the sink's storage width and the
+        # bytes-per-entry the spill decision sizes with.
+        dtype = (ctx.edge_index or self.graph).id_dtype
+        sink = self.policy.sink_for_next_level(
+            cse, predicted_entries, bytes_per_entry=dtype.itemsize, dtype=dtype
+        )
+        spill = not isinstance(sink, InMemorySink)
+        io_plan: IOPlan | None = self.policy.last_io_plan if spill else None
         # When the level spills, each expansion part becomes one on-disk
         # part — so the policy's part size, not the fixed
         # parts-per-worker knob, sets the cut (bounded to keep task
@@ -209,7 +192,7 @@ class Planner:
             spill=spill,
             sink=sink,
             # This expansion binds pattern position `depth` (0-based).
-            pattern_gather=self.active_gathers.get(cse.depth),
+            pattern_gather=self.gathers.get(cse.depth),
             io_plan=io_plan,
         )
 

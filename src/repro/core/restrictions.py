@@ -34,6 +34,7 @@ its fused gather bounds itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -167,6 +168,7 @@ def pattern_gathers(
     }
 
 
+@functools.lru_cache
 def compile_restrictions(pattern: "Pattern") -> RestrictionSet:
     """GraphZero's symmetry-breaking construction for a query pattern.
 
@@ -183,6 +185,9 @@ def compile_restrictions(pattern: "Pattern") -> RestrictionSet:
     orbit member with the smallest data id for position ``p``, which
     pins down the coset of the stabilizer the surviving assignment lives
     in; induction over the chain leaves a single assignment.
+
+    Cached per pattern (the result is a frozen :class:`RestrictionSet`),
+    so repeat runs of one query compile it once.
     """
     k = pattern.num_vertices
     group = automorphisms(pattern)

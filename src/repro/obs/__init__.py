@@ -9,8 +9,8 @@ benchmarks used to reinvent per figure:
   thread-safe, with an injected clock for deterministic tests.  The
   null tracer is the default and costs one attribute check on hot paths.
 * :class:`MetricsRegistry` — named counters/gauges/histograms with an
-  associative merge; :mod:`repro.obs.bridge` folds the pre-existing
-  ``IOStats`` / ``MemoryMeter`` / ``PatternHasher`` state in.
+  associative merge; :mod:`repro.obs.bridge` folds each engine run's
+  ``IOStats`` and ``MemoryMeter`` in.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` or Perfetto) and flat JSONL.
 
@@ -18,7 +18,7 @@ Enable on an engine with ``KaleidoEngine(graph, tracer=Tracer())`` or
 from the CLI with ``repro run <app> --trace-out t.json``.
 """
 
-from .bridge import absorb_engine, absorb_hasher, absorb_io_stats, absorb_memory_meter
+from .bridge import absorb_io_stats, absorb_memory_meter
 from .export import chrome_trace, write_chrome_trace, write_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, MetricsView
 from .trace import (
@@ -42,10 +42,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsView",
-    "absorb_engine",
     "absorb_io_stats",
     "absorb_memory_meter",
-    "absorb_hasher",
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

@@ -1,14 +1,14 @@
 """Fold the pre-existing ad-hoc instrumentation into a MetricsRegistry.
 
-The storage and core layers grew their own measurement structures before
-the observability layer existed — :class:`~repro.storage.meter.IOStats`,
-:class:`~repro.storage.meter.MemoryMeter`, the
-:class:`~repro.core.eigenhash.PatternHasher` hit/miss pair.  Rather than
-rewrite them (every benchmark reads them directly), these helpers
-project their state into the registry's namespace, so exporters and the
-CLI see one interface.  The engine calls :func:`absorb_engine` once per
-run, after the run finishes; live quantities (queue depth) are
-instrumented at the source instead.
+The storage layer grew its own measurement structures before the
+observability layer existed — :class:`~repro.storage.meter.IOStats` and
+:class:`~repro.storage.meter.MemoryMeter`.  Rather than rewrite them
+(every benchmark reads them directly), these helpers project their
+state into the registry's namespace, so exporters and the CLI see one
+interface.  After each run the engine folds that run's own meter and
+IOStats in through them (plus its storage, checkpoint and hasher
+counts); live quantities (parts written) are instrumented at the source
+instead.  Nothing here reads an engine.
 
 Metric names produced here are part of the public surface — the table
 in docs/api.md lists them all.
@@ -21,15 +21,12 @@ from typing import TYPE_CHECKING
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..core.engine import KaleidoEngine
     from ..storage.meter import IOStats, MemoryMeter
 
 __all__ = [
     "METRIC_REGISTRY",
     "absorb_io_stats",
     "absorb_memory_meter",
-    "absorb_hasher",
-    "absorb_engine",
 ]
 
 #: Every metric name the project may emit, as dotted patterns (``*``
@@ -117,41 +114,3 @@ def absorb_memory_meter(
     total.set(meter.current_bytes)
     for name, nbytes in meter.snapshot().items():
         registry.gauge(f"{prefix}.{name}.bytes").set(nbytes)
-
-
-def absorb_hasher(
-    registry: MetricsRegistry, hasher: object, prefix: str = "hasher"
-) -> None:
-    """Project a PatternHasher's cache statistics into ``hasher.*``."""
-    hits = getattr(hasher, "hits", None)
-    misses = getattr(hasher, "misses", None)
-    if hits is None or misses is None:  # bliss-like baselines keep no stats
-        return
-    registry.counter(f"{prefix}.hits").inc(int(hits))
-    registry.counter(f"{prefix}.misses").inc(int(misses))
-    evictions = getattr(hasher, "evictions", None)
-    if evictions is not None:
-        registry.counter(f"{prefix}.evictions").inc(int(evictions))
-    if hasattr(hasher, "__len__"):
-        registry.gauge(f"{prefix}.cache_entries").set(len(hasher))  # type: ignore[arg-type]
-
-
-def absorb_engine(registry: MetricsRegistry, engine: "KaleidoEngine") -> None:
-    """Fold one engine's per-run measurement state into the registry.
-
-    Idempotence is *not* promised: counters accumulate, so calling this
-    after every run on a shared registry sums across runs (which is the
-    useful reading for repeated-run benchmarks).
-    """
-    absorb_memory_meter(registry, engine.meter)
-    absorb_hasher(registry, engine.hasher)
-    if engine.io_stats is not None:
-        absorb_io_stats(registry, engine.io_stats)
-    policy = engine._policy
-    registry.counter("storage.spilled_levels").inc(policy.spilled_levels)
-    registry.counter("storage.demoted_levels").inc(policy.demoted_levels)
-    io_plan = getattr(policy, "last_io_plan", None)
-    if io_plan is not None:
-        registry.gauge("storage.io_plan.part_entries").set(io_plan.part_entries)
-    registry.counter("checkpoint.written").inc(engine._checkpoints_written)
-    registry.counter("checkpoint.failures").inc(engine._checkpoint_failures)

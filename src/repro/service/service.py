@@ -353,12 +353,11 @@ class MiningService:
         track: str,
     ) -> QueryResult:
         app = build_app(request.app, request.k, request.params)
-        cap = -1 if effective_budget is None else effective_budget
         with self.sessions.session(graph) as session:
             with self.tracer.track_span(
                 "engine-run", track, app=request.app, runs=session.runs_completed
             ):
-                mined = session.engine.run(app, max_embeddings=cap)
+                mined = session.engine.run(app, max_embeddings=effective_budget)
         return QueryResult(
             request_id=request_id,
             tenant=request.tenant,

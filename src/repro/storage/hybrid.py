@@ -9,10 +9,11 @@ Glue between the explorer and the spill machinery:
   :class:`SpilledLevel`.
 * :func:`spill_level` — demote an existing in-memory level to disk.
 * :class:`StoragePolicy` — decides, before each expansion, whether the new
-  level goes to memory or disk, given the memory budget and a size
-  prediction for the next level.  The decision (:meth:`should_spill`) and
-  the sink construction (:meth:`make_sink`) are separate so the planner
-  can record the choice in its :class:`~repro.core.plan.LevelPlan`.
+  level goes to memory or disk, given the storage mode, the memory budget
+  and a size prediction for the next level; the planner only records the
+  sink it hands back in its :class:`~repro.core.plan.LevelPlan`.  One
+  policy serves one engine run and drops that run's spill parts when it
+  closes.
 
 A storage failure mid-level aborts the sink (its parts are deleted) and
 propagates out of the run; checkpoints and ``run(resume=True)`` are the
@@ -49,8 +50,8 @@ class SpillingSink(LevelSink):
     Parts go through :meth:`PartStore.save` on the calling thread (the
     executor's coordinating thread); a save the store gave up on with a
     :class:`~repro.errors.TransientStorageError` is re-attempted once
-    more under :data:`_WRITE_RETRY`.  ``on_finish`` runs once the level
-    has landed, so an aborted level is never counted.
+    more under :data:`_WRITE_RETRY`.  ``on_finish`` receives the level
+    once it has landed, so an aborted level is never counted.
     """
 
     def __init__(
@@ -58,7 +59,7 @@ class SpillingSink(LevelSink):
         store: PartStore,
         tag: str = "vert",
         dtype: np.dtype | None = None,
-        on_finish: Callable[[], None] | None = None,
+        on_finish: Callable[[SpilledLevel], None] | None = None,
     ) -> None:
         self.store = store
         self.dtype = None if dtype is None else np.dtype(dtype)
@@ -83,7 +84,7 @@ class SpillingSink(LevelSink):
         handles = [self._handles[i] for i in sorted(self._handles)]
         level = SpilledLevel(self.store, handles, off, dtype=self.dtype)
         if self._on_finish is not None:
-            self._on_finish()
+            self._on_finish(level)
         return level
 
     def abort(self) -> None:
@@ -112,14 +113,19 @@ def spill_level(
 
 
 class StoragePolicy:
-    """Chooses memory vs disk for each new CSE level.
+    """Chooses memory vs disk for each new CSE level of one run.
 
-    The prediction of the next level's size (sum of predicted candidate
-    counts, 4 bytes per emitted vertex as an upper bound before filtering)
-    is compared against the budget headroom; when it does not fit, the new
-    level is spilled — and if that is still not enough, the current top
-    level is demoted too (deep explorations spill several levels, per the
-    paper).
+    ``storage_mode`` is ``"memory"`` (never spill; the budget is
+    ignored), ``"spill-last"`` (always spill the new level — the Table-4
+    hybrid configuration) or ``"auto"``: the prediction of the next
+    level's size (sum of predicted candidate counts times the id width,
+    an upper bound before filtering) is compared against the budget
+    headroom; when it does not fit, the new level is spilled — and if
+    that is still not enough, the current top level is demoted too (deep
+    explorations spill several levels, per the paper).
+
+    :meth:`close` drops every level the policy spilled or demoted, so a
+    finished run leaves no parts behind.
     """
 
     def __init__(
@@ -127,7 +133,7 @@ class StoragePolicy:
         budget: MemoryBudget,
         meter: MemoryMeter,
         store: PartStore | None = None,
-        force_spill_last: bool = False,
+        storage_mode: str = "auto",
         retry: "RetryPolicy | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
@@ -135,7 +141,7 @@ class StoragePolicy:
         self.budget = budget
         self.meter = meter
         self.store = store
-        self.force_spill_last = force_spill_last
+        self.storage_mode = storage_mode
         self.retry = retry
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -143,13 +149,10 @@ class StoragePolicy:
         #: :class:`~repro.balance.predict.IOPlan`), surfaced in the engine
         #: result's ``extra["io_plan"]``.
         self.last_io_plan: IOPlan | None = None
-        if store is not None:
-            # The engine constructs the store before the policy; share
-            # the observability hooks so write and retry events flow.
-            store.tracer = self.tracer
-            store.metrics = metrics
         self.spilled_levels = 0
         self.demoted_levels = 0
+        #: Every level this policy put on disk (spilled or demoted).
+        self._levels: list[SpilledLevel] = []
 
     def _ensure_store(self) -> PartStore:
         if self.store is None:
@@ -157,13 +160,6 @@ class StoragePolicy:
                 retry=self.retry, tracer=self.tracer, metrics=self.metrics
             )
         return self.store
-
-    def should_spill(self, predicted_entries: int, bytes_per_entry: int = 4) -> bool:
-        """Whether the next level must go to disk."""
-        if self.force_spill_last:
-            return True
-        predicted_bytes = predicted_entries * bytes_per_entry
-        return not self.budget.fits(self.meter.current_bytes, predicted_bytes)
 
     def plan_io(self, predicted_entries: int, bytes_per_entry: int = 4) -> IOPlan:
         """Choose the part size for the next spilled level.
@@ -181,43 +177,6 @@ class StoragePolicy:
             self.tracer.instant("io-plan", part_entries=plan.part_entries)
         return plan
 
-    def make_sink(self, cse: CSE, dtype=None, io_plan: IOPlan | None = None) -> "SpillingSink":
-        """Build the spilling sink, demoting the top level when pressed.
-
-        If even the offsets of existing levels blow the budget, the
-        current top level is demoted to disk as well.  ``dtype`` is the
-        produced level's id storage width, recorded on the
-        :class:`SpilledLevel` so empty levels reload at the right width.
-        ``io_plan`` (from :meth:`plan_io`) sets the part granularity for
-        the demotion.  ``spilled_levels`` counts the level when its
-        sink finishes, so an aborted level is not counted.
-        """
-        store = self._ensure_store()
-        if self.tracer.enabled:
-            self.tracer.instant("spill", depth=cse.depth)
-        if not self.budget.fits(self.meter.current_bytes, 0) and cse.depth > 1:
-            top = cse.levels[-1]
-            if isinstance(top, InMemoryLevel):
-                cse.levels[-1] = spill_level(
-                    top,
-                    store,
-                    part_entries=(
-                        io_plan.part_entries if io_plan is not None else 1 << 16
-                    ),
-                )
-                self.demoted_levels += 1
-                if self.tracer.enabled:
-                    self.tracer.instant("demote", depth=cse.depth)
-        return SpillingSink(
-            store,
-            tag=f"vert{cse.depth + 1}",
-            dtype=dtype,
-            on_finish=self._count_spilled_level,
-        )
-
-    def _count_spilled_level(self) -> None:
-        self.spilled_levels += 1
-
     def sink_for_next_level(
         self,
         cse: CSE,
@@ -225,18 +184,57 @@ class StoragePolicy:
         bytes_per_entry: int = 4,
         dtype=None,
     ) -> LevelSink:
-        """Sink for the upcoming expansion, spilling when needed.
+        """Sink for the upcoming expansion: in memory, or spilling.
 
-        ``dtype`` is the produced level's id storage width (the planner
-        derives it from the graph / edge-index size so ids past the
-        ``int32`` boundary widen instead of overflowing).  When the level
-        spills, :meth:`plan_io` picks its part size first.
+        A spilling level gets its part size from :meth:`plan_io`; if even
+        the existing levels blow the budget, the current top level is
+        demoted to disk too, in parts of that size.  ``dtype`` is the
+        produced level's id storage width (the planner derives it from
+        the graph / edge-index size so ids past the ``int32`` boundary
+        widen instead of overflowing), recorded on the
+        :class:`SpilledLevel` so empty levels reload at the right width.
+        ``spilled_levels`` counts the level when its sink finishes, so an
+        aborted level is not counted.
         """
-        if not self.should_spill(predicted_entries, bytes_per_entry):
+        if self.storage_mode == "memory" or (
+            self.storage_mode == "auto"
+            and self.budget.fits(
+                self.meter.current_bytes, predicted_entries * bytes_per_entry
+            )
+        ):
             return InMemorySink(dtype=dtype)
         io_plan = self.plan_io(predicted_entries, bytes_per_entry)
-        return self.make_sink(cse, dtype=dtype, io_plan=io_plan)
+        store = self._ensure_store()
+        if self.tracer.enabled:
+            self.tracer.instant("spill", depth=cse.depth)
+        top = cse.levels[-1]
+        if (
+            not self.budget.fits(self.meter.current_bytes, 0)
+            and cse.depth > 1
+            and isinstance(top, InMemoryLevel)
+        ):
+            cse.levels[-1] = spill_level(top, store, part_entries=io_plan.part_entries)
+            self._levels.append(cse.levels[-1])
+            self.demoted_levels += 1
+            if self.tracer.enabled:
+                self.tracer.instant("demote", depth=cse.depth)
+        return SpillingSink(
+            store,
+            tag=f"vert{cse.depth + 1}",
+            dtype=dtype,
+            on_finish=self._count_spilled_level,
+        )
+
+    def _count_spilled_level(self, level: SpilledLevel) -> None:
+        self._levels.append(level)
+        self.spilled_levels += 1
 
     def close(self) -> None:
+        """Drop every level this policy spilled or demoted (a level
+        dropped already is a no-op), then remove the spill directory if
+        the store created one."""
+        for level in self._levels:
+            level.drop()
+        self._levels.clear()
         if self.store is not None:
             self.store.close()

@@ -2,8 +2,9 @@
 
 Python's RSS is dominated by the interpreter, so the reproduction accounts
 memory at the data-structure level instead (see DESIGN.md substitutions):
-every engine registers the live size of each structure it owns under a
-name, and the meter tracks the current and peak sum.  The
+every engine run builds its own :class:`MemoryMeter`, registers the live
+size of each structure it owns under a name, and the meter tracks the
+current and peak sum over that run.  The
 :class:`MemoryBudget` reproduces the paper's cgroup experiments (Figures
 15/16): when a projected allocation exceeds the limit, the engine must
 spill to disk.
@@ -18,7 +19,11 @@ __all__ = ["MemoryMeter", "MemoryBudget", "IOStats", "IOEvent"]
 
 
 class MemoryMeter:
-    """Tracks named byte counts; exposes the current and peak totals."""
+    """Tracks named byte counts; exposes the current and peak totals.
+
+    One meter per engine run: a run's peak and spill decisions never see
+    an earlier run's structures.
+    """
 
     def __init__(self) -> None:
         self._sizes: dict[str, int] = {}
@@ -94,7 +99,11 @@ class IOEvent:
 
 @dataclass
 class IOStats:
-    """Aggregated disk traffic with an event log for rate plots (Fig. 15)."""
+    """Aggregated disk traffic with an event log for rate plots (Fig. 15).
+
+    The engine puts a fresh one on its spill store at the start of every
+    run, so each run's numbers cover that run only.
+    """
 
     bytes_read: int = 0
     bytes_written: int = 0
@@ -131,27 +140,6 @@ class IOStats:
     def record_retry(self) -> None:
         """Count one transient-fault retry."""
         self.retries += 1
-
-    def merge(self, other: "IOStats") -> None:
-        """Fold another stats object into this one (queues keep their own).
-
-        Event timestamps are relative to each object's epoch, so the
-        other's events are rebased onto this epoch — without that shift,
-        a stats object created later (smaller elapsed clock) would drag
-        its events toward t=0 and corrupt the merged rate series.
-        """
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.read_seconds += other.read_seconds
-        self.write_seconds += other.write_seconds
-        self.deletes += other.deletes
-        self.failed_deletes += other.failed_deletes
-        self.retries += other.retries
-        shift = other.epoch - self.epoch
-        self.events.extend(
-            IOEvent(e.at_seconds + shift, e.kind, e.nbytes, e.seconds)
-            for e in other.events
-        )
 
     def rate_series(self, kind: str, bins: int = 20) -> list[tuple[float, float]]:
         """(time, MB/s) series over equal time bins, for Figure-15 plots."""

@@ -12,7 +12,6 @@ from repro.storage.spill import PartStore
 def test_defaults_without_measurements():
     plan = plan_io(predicted_entries=10_000_000, bytes_per_entry=4)
     assert plan.part_entries == 1 << 16
-    assert plan.window_bytes == 2 * (1 << 16) * 4
 
 
 def test_headroom_bounds_part_size():
@@ -22,7 +21,8 @@ def test_headroom_bounds_part_size():
         predicted_entries=100_000_000, bytes_per_entry=4, headroom_bytes=headroom
     )
     assert plan.part_entries == (headroom // 4) // (2 * 4)
-    assert plan.window_bytes <= headroom // 4
+    # Two parts of 4-byte ids fit in a quarter of the headroom.
+    assert 2 * plan.part_entries * 4 <= headroom // 4
 
 
 def test_part_size_clamps():
@@ -85,5 +85,5 @@ def test_engine_reports_io_plan(paper_graph, tmp_path):
         engine.close()
     plan = result.extra["io_plan"]
     assert plan is not None
+    assert plan == {"part_entries": plan["part_entries"]}
     assert plan["part_entries"] >= 1 << 12
-    assert plan["window_bytes"] == 2 * plan["part_entries"] * plan["bytes_per_entry"]

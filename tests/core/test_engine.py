@@ -116,7 +116,7 @@ def test_max_embeddings_guard(paper_graph):
     from repro.errors import PlanError
 
     with pytest.raises(PlanError, match="max_embeddings"):
-        KaleidoEngine(paper_graph, max_embeddings=2).run(MotifCounting(3))
+        KaleidoEngine(paper_graph).run(MotifCounting(3), max_embeddings=2)
     # A generous guard never triggers.
-    result = KaleidoEngine(paper_graph, max_embeddings=10**9).run(MotifCounting(3))
+    result = KaleidoEngine(paper_graph).run(MotifCounting(3), max_embeddings=10**9)
     assert result.value.total == 8

@@ -47,10 +47,15 @@ def test_plan_without_prediction_splits_evenly(paper_graph):
 
 
 def test_plan_memory_mode_skips_policy(paper_graph):
-    planner = _planner(paper_graph, storage_mode="memory")
-    plan = planner.plan_level(_ctx(paper_graph), CSE(np.arange(6)))
-    assert plan.sink is None
+    # Memory mode never consults the budget: even a one-byte budget keeps
+    # the level in memory.
+    policy = StoragePolicy(MemoryBudget(1), MemoryMeter(), storage_mode="memory")
+    plan = _planner(paper_graph, policy=policy).plan_level(
+        _ctx(paper_graph), CSE(np.arange(6))
+    )
+    assert isinstance(plan.sink, InMemorySink)
     assert not plan.spill
+    assert plan.io_plan is None
 
 
 def test_plan_guard_raises(paper_graph):

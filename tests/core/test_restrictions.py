@@ -30,6 +30,7 @@ from repro.apps.reference import count_cliques_naive
 from repro.core import (
     CSE,
     PatternGather,
+    Planner,
     Restriction,
     RestrictionSet,
     compile_restrictions,
@@ -266,17 +267,20 @@ def test_engine_records_compiled_pattern_restrictions():
 
 def test_level_plans_carry_pattern_gathers():
     graph = random_labeled_graph(24, 60, 1, seed=7)
-    with KaleidoEngine(graph) as engine:
-        engine.planner.active_gathers = engine.planner.pattern_gathers(
-            PatternMatching(CLIQUE4)
-        )
-        from repro.core.api import EngineContext
+    from repro.core.api import EngineContext
+    from repro.storage import MemoryBudget, MemoryMeter, StoragePolicy
 
+    planner = Planner(
+        graph,
+        StoragePolicy(MemoryBudget(None), MemoryMeter()),
+        gathers=Planner.pattern_gathers(PatternMatching(CLIQUE4)),
+    )
+    with KaleidoEngine(graph) as engine:
         ctx = EngineContext(graph=graph, engine=engine)
         cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
         gathers = []
         for _ in range(4):
-            gathers.append(engine.planner.plan_level(ctx, cse).pattern_gather)
+            gathers.append(planner.plan_level(ctx, cse).pattern_gather)
             expand_vertex_level(graph, cse, pattern_gather=gathers[-1])
     assert gathers == [
         PatternGather((0,), (0,)),
@@ -308,8 +312,8 @@ def _naive_match_count(graph, pattern):
 )
 def test_planner_gives_no_gather_to_other_patterns(name, pattern):
     graph = random_labeled_graph(16, 40, 2, seed=5)
+    assert Planner.pattern_gathers(PatternMatching(pattern)) == {}
     with KaleidoEngine(graph) as engine:
-        assert engine.planner.pattern_gathers(PatternMatching(pattern)) == {}
         result = engine.run(PatternMatching(pattern))
     with KaleidoEngine(graph, executor=OracleExecutor()) as engine:
         oracle = engine.run(PatternMatching(pattern))
@@ -337,8 +341,8 @@ def test_unlabelled_clique_matching_takes_the_gather(k):
     graph = random_labeled_graph(26, 110, 1, seed=13)
     clique = CliqueDiscovery(k, materialize=True)
     matching = PatternMatching(clique.query_pattern(), materialize=True)
+    assert len(Planner.pattern_gathers(matching)) == k - 1
     with KaleidoEngine(graph) as engine:
-        assert len(engine.planner.pattern_gathers(matching)) == k - 1
         matched = engine.run(matching)
         cliques = engine.run(clique)
     with KaleidoEngine(graph, executor=OracleExecutor()) as engine:

@@ -7,7 +7,9 @@ level) and an executor (serial or threads).  The engine's run must then
 equal the same configuration run on the scalar oracle loops
 (:class:`tests.oracles.OracleExecutor`) in pattern map and level sizes,
 and must equal :mod:`repro.apps.reference` wherever that module has a
-brute-force answer.
+brute-force answer.  Half the draws also pick an independently drawn
+warm-up app: run first on the same engine, it must not change the
+target run's answer, level sizes, spills or bytes written.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py``: ``tier1`` by default, ``deep`` with
@@ -60,6 +62,18 @@ def connected_patterns(draw, k):
 
 
 @st.composite
+def app_specs(draw):
+    app = draw(st.sampled_from(APPS))
+    k = draw(st.integers(min_value=3, max_value=4))
+    return {
+        "app": app,
+        "k": k,
+        "exact_mni": draw(st.booleans()),
+        "pattern": draw(connected_patterns(k)) if app == "matching" else None,
+    }
+
+
+@st.composite
 def configurations(draw):
     n = draw(st.integers(min_value=3, max_value=9))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -67,16 +81,12 @@ def configurations(draw):
         st.lists(st.sampled_from(possible), min_size=2, max_size=18, unique=True)
     )
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    app = draw(st.sampled_from(APPS))
-    k = draw(st.integers(min_value=3, max_value=4))
     return {
         "graph": from_edge_list(edges, labels=labels, name="fuzz"),
-        "app": app,
-        "k": k,
-        "exact_mni": draw(st.booleans()),
-        "pattern": draw(connected_patterns(k)) if app == "matching" else None,
+        **draw(app_specs()),
         "storage": draw(st.sampled_from(STORAGE)),
         "executor": draw(st.sampled_from(["serial", "threads"])),
+        "warmup": draw(app_specs()) if draw(st.booleans()) else None,
     }
 
 
@@ -95,13 +105,15 @@ def _make_app(case):
     return PatternMatching(case["pattern"])
 
 
-def _run(case, executor, spill_dir):
+def _run(case, executor, spill_dir, warmup=None):
     storage = {
         "memory": {"storage_mode": "memory"},
         "spill-last": {"storage_mode": "spill-last", "spill_dir": spill_dir},
         "spill-every-level": {"memory_limit_bytes": 1, "spill_dir": spill_dir},
     }[case["storage"]]
     with KaleidoEngine(case["graph"], executor=executor, workers=2, **storage) as engine:
+        if warmup is not None:
+            engine.run(_make_app(warmup))
         return engine.run(_make_app(case))
 
 
@@ -126,6 +138,13 @@ def test_engine_matches_oracle_and_reference(case):
         with tempfile.TemporaryDirectory() as spill_dir:
             result = _run(case, case["executor"], spill_dir)
             oracle = _run(case, oracle_executor, spill_dir)
+            if case["warmup"] is not None:
+                reused = _run(case, case["executor"], spill_dir, case["warmup"])
+                assert reused.pattern_map == result.pattern_map
+                assert reused.level_sizes == result.level_sizes
+                for key in ("spilled_levels", "demoted_levels"):
+                    assert reused.extra[key] == result.extra[key]
+                assert reused.io_bytes_written == result.io_bytes_written
     finally:
         oracle_executor.close()
     assert result.pattern_map == oracle.pattern_map

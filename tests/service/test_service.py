@@ -313,6 +313,29 @@ def test_warm_session_is_reused_across_runs(service, paper_graph):
     assert counter(service, "service.sessions.reused") == 1
 
 
+def test_warm_session_answers_release_spill_parts_and_report_own_peak(tmp_path):
+    """One warm spill-last session serves FSM, then 3-motif: neither
+    answer leaves spill parts behind, and the motif answer reports its
+    own peak, not the FSM run's."""
+    graph = datasets.load("citeseer", "tiny")
+    svc = MiningService(
+        pool_workers=1,
+        engine_kwargs={"storage_mode": "spill-last", "spill_dir": str(tmp_path)},
+    )
+    try:
+        fsm = svc.query(
+            QueryRequest(app="fsm", graph=graph, params={"edges": 3, "support": 2})
+        )
+        assert list(tmp_path.glob("*.npy")) == []
+        motif = svc.query(QueryRequest(app="motif", k=3, graph=graph))
+        assert list(tmp_path.glob("*.npy")) == []
+    finally:
+        svc.close()
+    assert fsm.route is Route.RED and motif.route is Route.RED
+    assert motif.extra["session_runs"] == 2
+    assert motif.extra["peak_memory_bytes"] < fsm.extra["peak_memory_bytes"]
+
+
 # ----------------------------------------------------------------------
 # Observability and lifecycle
 # ----------------------------------------------------------------------

@@ -225,7 +225,7 @@ def _engine_with_faults(graph, tmp_path, specs, **engine_kwargs):
     retry, _ = _no_sleep_policy()
     engine = KaleidoEngine(graph, storage_mode="spill-last", **engine_kwargs)
     plan = FaultPlan(specs, sleep=lambda _t: None)
-    engine._policy.store = FaultyPartStore(str(tmp_path), plan=plan, retry=retry)
+    engine._store = FaultyPartStore(str(tmp_path), plan=plan, retry=retry)
     return engine, plan
 
 

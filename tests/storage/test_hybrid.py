@@ -81,7 +81,7 @@ def test_policy_spills_over_budget(tmp_path):
 def test_policy_force_spill_last(tmp_path):
     policy = StoragePolicy(
         MemoryBudget(None), MemoryMeter(), store=PartStore(str(tmp_path)),
-        force_spill_last=True,
+        storage_mode="spill-last",
     )
     cse = CSE(np.arange(4))
     sink = policy.sink_for_next_level(cse, predicted_entries=1)
@@ -102,7 +102,7 @@ def test_policy_demotes_top_when_pressed(tmp_path, paper_graph):
 
 def test_policy_creates_store_lazily():
     policy = StoragePolicy(
-        MemoryBudget(None), MemoryMeter(), force_spill_last=True,
+        MemoryBudget(None), MemoryMeter(), storage_mode="spill-last",
     )
     assert policy.store is None
     cse = CSE(np.arange(2))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.storage import IOStats, MemoryBudget, MemoryMeter
-from repro.storage.meter import IOEvent
 
 
 def test_meter_set_and_peak():
@@ -76,50 +75,5 @@ def test_iostats_bad_kind():
         IOStats().record("copy", 1, 0.0)
 
 
-def test_iostats_merge():
-    a, b = IOStats(), IOStats()
-    a.record("write", 10, 0.0)
-    b.record("write", 20, 0.0)
-    b.record("read", 5, 0.0)
-    a.merge(b)
-    assert a.bytes_written == 30
-    assert a.bytes_read == 5
-    assert len(a.events) == 3
-
-
 def test_rate_series_empty():
     assert IOStats().rate_series("read") == []
-
-
-def test_iostats_merge_rebases_event_timestamps():
-    # Regression: merged events used to keep timestamps relative to the
-    # *other* object's epoch, so a queue's stats created 10s into the run
-    # would land near t=0 in the merged rate series.
-    a = IOStats(epoch=100.0)
-    b = IOStats(epoch=110.0)
-    a.events.append(IOEvent(1.0, "write", 10, 0.0))
-    b.events.append(IOEvent(2.0, "write", 20, 0.0))  # absolute t=112
-    a.merge(b)
-    assert [e.at_seconds for e in a.events] == pytest.approx([1.0, 12.0])
-
-
-def test_iostats_merge_is_associative_on_timestamps():
-    # (a ⊕ b) ⊕ c and a ⊕ (b ⊕ c) must place every event at the same
-    # time relative to the final epoch.
-    def sample(epoch, ts):
-        io = IOStats(epoch=epoch)
-        io.events.append(IOEvent(ts, "read", 1, 0.0))
-        return io
-
-    left_a, left_b, left_c = sample(0.0, 1.0), sample(5.0, 1.0), sample(9.0, 1.0)
-    left_a.merge(left_b)
-    left_a.merge(left_c)
-
-    right_a, right_b, right_c = sample(0.0, 1.0), sample(5.0, 1.0), sample(9.0, 1.0)
-    right_b.merge(right_c)
-    right_a.merge(right_b)
-
-    left = sorted(e.at_seconds for e in left_a.events)
-    right = sorted(e.at_seconds for e in right_a.events)
-    assert left == pytest.approx([1.0, 6.0, 10.0])
-    assert right == pytest.approx([1.0, 6.0, 10.0])

@@ -69,13 +69,19 @@ def _spill_last(graph, spill_dir, app, **kwargs):
 
 def test_parts_written_counts_spilled_part_files(tmp_path):
     """Every spilled part is one save, counted once in queue.parts_written
-    (the perf ledger's storage.parts_written reads this counter)."""
+    (the perf ledger's storage.parts_written reads this counter), and
+    deleted once when the run ends."""
     graph = datasets.load("citeseer", "tiny")
-    result, snapshot = _spill_last(graph, tmp_path, MotifCounting(4))
+    with KaleidoEngine(
+        graph, storage_mode="spill-last", spill_dir=str(tmp_path)
+    ) as engine:
+        result = engine.run(MotifCounting(4))
     assert result.extra["spilled_levels"] == 2
-    files = _spill_files(str(tmp_path))
-    assert len(files) > 2
-    assert snapshot["queue.parts_written"]["value"] == len(files)
+    saves = [event for event in engine.io_stats.events if event.kind == "write"]
+    assert len(saves) > 2
+    assert engine.metrics.snapshot()["queue.parts_written"]["value"] == len(saves)
+    assert engine.io_stats.deletes == len(saves)
+    assert _spill_files(str(tmp_path)) == []
 
 
 def test_threads_spill_last_matches_serial(tmp_path):

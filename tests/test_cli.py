@@ -185,8 +185,28 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
          "argument --vertices: must be an integer >= 2"),
         (["query", "tc", "--socket", "localhost"],
          "argument --socket: want HOST:PORT, got 'localhost'"),
+        *(
+            (["mine", "tc", "--profile", "tiny", "--memory-limit-mb", size],
+             "argument --memory-limit-mb: must be a finite size of at least one byte")
+            for size in ("0", "-5", "nan", "inf", "0.0000001")
+        ),
+        (["mine", "motif", "--profile", "tiny", "-k", "1"],
+         "motif size must be at least 3"),
+        (["mine", "motif", "--profile", "tiny", "-k", "2"],
+         "motif size must be at least 3"),
+        (["mine", "clique", "--profile", "tiny", "-k", "1"],
+         "clique size must be at least 2"),
+        (["mine", "fsm", "--profile", "tiny", "--edges", "0"],
+         "num_edges must be at least 1"),
+        (["mine", "fsm", "--profile", "tiny", "--support", "0"],
+         "support must be at least 1"),
     ],
-    ids=["approx-samples", "approx-k", "generate-vertices", "socket-no-port"],
+    ids=[
+        "approx-samples", "approx-k", "generate-vertices", "socket-no-port",
+        "memory-limit-zero", "memory-limit-negative", "memory-limit-nan",
+        "memory-limit-inf", "memory-limit-below-one-byte",
+        "motif-k1", "motif-k2", "clique-k1", "fsm-edges0", "fsm-support0",
+    ],
 )
 def test_invalid_inputs_exit_2(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:

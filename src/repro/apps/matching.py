@@ -94,7 +94,9 @@ class PatternMatching(MiningApplication):
 
     @property
     def name(self) -> str:
-        return f"Match(k={self.pattern.num_vertices})"
+        p = self.pattern
+        edges = "" if p.edge_labels is None else f", edge_labels={list(p.edge_labels)}"
+        return f"Match(k={p.num_vertices}, labels={list(p.labels)}, bits={p.bits:#x}{edges})"
 
     def iterations(self) -> int:
         return self.pattern.num_vertices - 1

@@ -35,10 +35,12 @@ from .apps import (
 )
 from .core.engine import KaleidoEngine
 from .core.executor import EXECUTOR_CHOICES
+from .errors import GraphConstructionError
 from .obs import Tracer, write_chrome_trace, write_jsonl
 from .storage.retry import RetryPolicy
 from .graph import (
     PAPER_STATS,
+    Graph,
     chung_lu,
     dataset_names,
     load,
@@ -176,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic power-law graph")
     gen.add_argument("path", help="output edge-list path")
     gen.add_argument("--vertices", type=_int_at_least(2), default=1000)
-    gen.add_argument("--edges", type=int, default=5000)
-    gen.add_argument("--labels", type=int, default=1)
+    gen.add_argument("--edges", type=_int_at_least(0), default=5000)
+    gen.add_argument("--labels", type=_positive_int, default=1)
     gen.add_argument("--seed", type=int, default=0)
 
     stats = sub.add_parser("stats", help="print statistics of a graph")
@@ -367,10 +369,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = chung_lu(
-        args.vertices, args.edges, seed=args.seed, num_labels=args.labels
-    )
+def _cmd_generate(args: argparse.Namespace, graph: Graph) -> int:
     save_edge_list(graph, args.path)
     print(f"wrote {graph} to {args.path}")
     return 0
@@ -494,7 +493,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "datasets":
         return _cmd_datasets(args)
     if args.command == "generate":
-        return _cmd_generate(args)
+        try:  # the generator checks the sizes against each other
+            graph = chung_lu(args.vertices, args.edges, seed=args.seed, num_labels=args.labels)
+        except GraphConstructionError as exc:
+            parser.error(str(exc))
+        return _cmd_generate(args, graph)
     if args.command == "stats":
         return _cmd_stats(args)
     if args.command == "approx":

@@ -278,6 +278,12 @@ class MiningApplication:
 
     @property
     def name(self) -> str:
+        """The application's name in results and traces.
+
+        ``run(resume=True)`` matches checkpoints by this name, so it must
+        tell apart every parameter that changes the answer (``4-Motif``,
+        not ``Motif``); otherwise a run resumes another's checkpoint.
+        """
         return type(self).__name__
 
 

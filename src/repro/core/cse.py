@@ -150,7 +150,7 @@ class Level(Protocol):
 
     def iter_vert_chunks(self) -> Iterator[np.ndarray]:
         """Vertex array in storage-order chunks without materialising the
-        whole level (how a checkpoint streams it out)."""
+        whole level."""
 
     @property
     def nbytes_in_memory(self) -> int:

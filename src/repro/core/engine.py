@@ -53,7 +53,7 @@ from .explore import expand_edge_level, expand_vertex_level
 from .plan import Planner
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
-_RUN_STATE_VERSION = 1
+_RUN_STATE_VERSION = 2
 
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")
@@ -137,9 +137,12 @@ class KaleidoEngine:
     checkpoint_dir / checkpoint_every:
         When ``checkpoint_dir`` is set, the engine writes an atomic,
         checksummed per-level checkpoint after every
-        ``checkpoint_every``-th exploration iteration; crash debris in
-        the directory is garbage-collected at construction, and
-        ``run(app, resume=True)`` restarts from the deepest valid level.
+        ``checkpoint_every``-th exploration iteration — new resident
+        levels are written, spilled parts and the levels the run's
+        previous checkpoint holds are hard-linked; crash debris in the
+        directory is garbage-collected at construction, and
+        ``run(app, resume=True)`` restarts from the deepest valid level,
+        with the levels that were on disk reopened from the spill store.
     on_checkpoint:
         Optional ``(iteration, path)`` callback fired after each
         checkpoint lands (operational hook; crash-recovery tests use it
@@ -225,12 +228,11 @@ class KaleidoEngine:
         self.runs_completed = 0
         #: The last run's spill IOStats (None if it had no store to spill to).
         self.io_stats: IOStats | None = None
+        self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
-        self._checkpoints: RunCheckpoint | None = None
         if checkpoint_dir is not None:
-            self._checkpoints = RunCheckpoint(checkpoint_dir)
-            self._checkpoints.collect_garbage()
+            RunCheckpoint(checkpoint_dir).collect_garbage()
 
     # ------------------------------------------------------------------
     def run(
@@ -336,6 +338,9 @@ class KaleidoEngine:
             )
         registry.counter("checkpoint.written").inc(result.extra["checkpoints_written"])
         registry.counter("checkpoint.failures").inc(result.extra["checkpoint_failures"])
+        registry.counter("checkpoint.bytes_written").inc(
+            result.extra["checkpoint_bytes_written"]
+        )
         for name, before in zip(_HASHER_COUNTERS, hasher_before):
             registry.counter(f"hasher.{name}").inc(getattr(self.hasher, name, 0) - before)
         if hasattr(self.hasher, "__len__"):
@@ -357,7 +362,14 @@ class KaleidoEngine:
         plan_seconds = 0.0
         execute_seconds = 0.0
         aggregate_seconds = 0.0
-        checkpoints: Counter[str] = Counter()
+        checkpoint_outcomes: Counter[str] = Counter()
+        # The run's checkpoints; ``previous`` is the one it last wrote or
+        # resumed from, never one an earlier run left behind.
+        checkpoints = (
+            None
+            if self.checkpoint_dir is None
+            else RunCheckpoint(self.checkpoint_dir, retry=self.io_retry)
+        )
 
         ctx = EngineContext(graph=self.graph, engine=self)
         meter.set("graph", self.graph.nbytes)
@@ -383,7 +395,7 @@ class KaleidoEngine:
         start_iteration = 0
         resumed_from: int | None = None
         if resume:
-            restored = self._restore(ctx, app, roots)
+            restored = self._restore(ctx, app, roots, checkpoints, policy)
             if restored is not None:
                 cse, reduced, aggregated, start_iteration, resumed_from = restored
         meter.set("cse", cse.nbytes_in_memory)
@@ -464,10 +476,10 @@ class KaleidoEngine:
                         level_sizes[-1] = cse.size()
                         meter.set("cse", cse.nbytes_in_memory)
                 outcome = self._maybe_checkpoint(
-                    ctx, app, cse, iteration, reduced, aggregated
+                    ctx, app, cse, iteration, reduced, aggregated, checkpoints, policy
                 )
                 if outcome is not None:
-                    checkpoints[outcome] += 1
+                    checkpoint_outcomes[outcome] += 1
             finally:
                 self.tracer.end("level")
             if app.aggregate_every_iteration and cse.size() == 0:
@@ -529,8 +541,11 @@ class KaleidoEngine:
                     else policy.last_io_plan.as_dict()
                 ),
                 "resumed_from_level": resumed_from,
-                "checkpoints_written": checkpoints["written"],
-                "checkpoint_failures": checkpoints["failed"],
+                "checkpoints_written": checkpoint_outcomes["written"],
+                "checkpoint_failures": checkpoint_outcomes["failed"],
+                "checkpoint_bytes_written": (
+                    0 if checkpoints is None else checkpoints.bytes_written
+                ),
                 "io_retries": io.retries,
                 "io_failed_deletes": io.failed_deletes,
                 "sanitize": self.sanitize,
@@ -556,16 +571,19 @@ class KaleidoEngine:
         iteration: int,
         reduced: PatternMap,
         aggregated: bool,
+        checkpoints: RunCheckpoint | None,
+        policy: StoragePolicy,
     ) -> str | None:
         """Write the per-level checkpoint for one completed iteration.
 
         Returns ``"written"``, ``"failed"``, or None when no checkpoint
         was due.  Checkpoints are an availability feature, not a
-        correctness one: a failed write is logged and counted, and the
-        run carries on (the previous checkpoint, if any, stays valid —
-        saves are atomic).
+        correctness one: a failed write — a storage error past the
+        store's retries, or a raw ``OSError`` from the manifest rename —
+        is logged and counted, and the run carries on (the previous
+        checkpoint, if any, stays valid — saves are atomic).
         """
-        if self._checkpoints is None or (iteration + 1) % self.checkpoint_every:
+        if checkpoints is None or (iteration + 1) % self.checkpoint_every:
             return None
         state = {
             "version": _RUN_STATE_VERSION,
@@ -574,10 +592,12 @@ class KaleidoEngine:
             "aggregated": aggregated,
             "reduced": reduced,
             "app_state": app.checkpoint_state(ctx),
+            "spilled_levels": policy.spilled_levels,
+            "demoted_levels": policy.demoted_levels,
         }
         try:
-            path = self._checkpoints.save(iteration, cse, pickle.dumps(state))
-        except StorageError as exc:
+            path = checkpoints.save(iteration, cse, pickle.dumps(state))
+        except (StorageError, OSError) as exc:
             if self.tracer.enabled:
                 self.tracer.instant("checkpoint-failure", iteration=iteration)
             logger.warning(
@@ -593,12 +613,18 @@ class KaleidoEngine:
         return "written"
 
     def _restore(
-        self, ctx: EngineContext, app: MiningApplication, roots: np.ndarray
+        self,
+        ctx: EngineContext,
+        app: MiningApplication,
+        roots: np.ndarray,
+        checkpoints: RunCheckpoint | None,
+        policy: StoragePolicy,
     ) -> tuple[CSE, PatternMap, bool, int, int] | None:
-        """Load the deepest valid checkpoint; None means start fresh."""
-        if self._checkpoints is None:
+        """Load the deepest valid checkpoint through ``policy`` (levels that
+        were on disk come back on disk); None means start fresh."""
+        if checkpoints is None:
             raise ValueError("resume=True requires a checkpoint_dir")
-        restored = self._checkpoints.latest()
+        restored = policy.restore(checkpoints)
         if restored is None:
             logger.info("no valid checkpoint found; starting from scratch")
             return None
@@ -622,6 +648,9 @@ class KaleidoEngine:
             )
         if state.get("app_state") is not None:
             app.restore_state(ctx, state["app_state"])
+        policy.spilled_levels = state["spilled_levels"]
+        policy.demoted_levels = state["demoted_levels"]
+        checkpoints.previous = checkpoints.level_path(iteration)
         if self.tracer.enabled:
             self.tracer.instant(
                 "checkpoint-restore", iteration=iteration, depth=cse.depth

@@ -89,6 +89,12 @@ def chung_lu(
     """
     if num_vertices < 2:
         raise GraphConstructionError("need at least two vertices")
+    max_edges = num_vertices * (num_vertices - 1) // 2
+    if not 0 <= num_edges <= max_edges:
+        raise GraphConstructionError(
+            f"num_edges must be between 0 and {max_edges} for {num_vertices} "
+            f"vertices, got {num_edges}"
+        )
     rng = _rng(seed)
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     weights = ranks ** (-1.0 / (exponent - 1.0))

@@ -62,6 +62,7 @@ METRIC_REGISTRY: tuple[str, ...] = (
     # checkpoint — recovery bookkeeping
     "checkpoint.written",
     "checkpoint.failures",
+    "checkpoint.bytes_written",
     # service — query-tier totals
     "service.requests",
     "service.completed",

@@ -1,360 +1,200 @@
-"""Checkpointing a CSE to disk and resuming from it.
-
-Deep explorations are expensive; the level-by-level CSE layout makes the
-whole intermediate state trivially serialisable — one ``.npy`` pair per
-level plus a JSON manifest.  A later process can reload the CSE and keep
-exploring (or aggregate) without redoing earlier iterations; spilled
-levels are materialised through their chunk iterator, so checkpointing
-works in hybrid mode too.
-
-Checkpoints are *crash-safe*: every array is written atomically under a
-fresh nonce-suffixed name, the manifest — which carries a format version
-and a CRC32 per referenced file — is renamed into place last, and only
-then are files the new manifest no longer references removed.  A crash
-at any point leaves either the old complete checkpoint or the new one,
-never a half-overwritten hybrid.  ``load_cse`` verifies every checksum
-and cross-checks each level's ``off`` array against its ``vert`` array
-(``off[0] == 0``, non-decreasing, ``off[-1] == len(vert)``) so a corrupt
-checkpoint fails at load time instead of deep inside exploration.
-
-:class:`RunCheckpoint` builds on this to give the engine mid-run crash
-recovery: one ``level-NNN/`` checkpoint directory per completed
-iteration, each a full CSE checkpoint plus an opaque run-state blob, with
-startup garbage collection of temp files and invalid directories and
-``latest()`` returning the deepest valid level to resume from.
-"""
+"""Checkpoints: a JSON manifest, renamed in last, over the :class:`PartStore`
+parts of a CSE.  Spilled parts and the levels the same run's previous
+checkpoint holds are hard-linked in (``PartStore.link``), never rewritten."""
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import logging
 import os
 import re
 import shutil
-import uuid
-import zlib
 
 import numpy as np
 
 from ..core.cse import CSE, InMemoryLevel
-from ..errors import CorruptPartError, StorageError
+from ..errors import StorageError
+from .retry import RetryPolicy
+from .spill import PartHandle, PartStore, SpilledLevel
 
 __all__ = ["save_cse", "load_cse", "RunCheckpoint"]
 
 logger = logging.getLogger("repro.storage")
 
 _MANIFEST = "cse_manifest.json"
-_FORMAT_VERSION = 2
-_TMP_SUFFIX = ".tmp"
+_FORMAT_VERSION = 3
 _LEVEL_DIR_RE = re.compile(r"^level-(\d{3,})$")
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
-    """Write ``payload`` at ``path`` via temp file → fsync → rename."""
-    tmp_path = f"{path}-{uuid.uuid4().hex[:8]}{_TMP_SUFFIX}"
-    try:
-        with open(tmp_path, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
+def _record(handle: PartHandle) -> list:
+    return [os.path.basename(handle.path), handle.length, handle.nbytes, handle.checksum]
 
 
-def _array_payload(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
+def _handle(directory: str, record: list) -> PartHandle:
+    name, length, nbytes, checksum = record
+    return PartHandle(os.path.join(directory, name), int(length), int(nbytes), checksum)
 
 
-def _read_checked(directory: str, name: str, crc: int | None) -> bytes:
-    path = os.path.join(directory, name)
-    try:
-        with open(path, "rb") as handle:
-            payload = handle.read()
-    except OSError as exc:
-        raise StorageError(f"missing checkpoint file {path}: {exc}") from exc
-    if crc is not None and zlib.crc32(payload) != crc:
-        raise CorruptPartError(f"checksum mismatch for checkpoint file {path}")
-    return payload
+def _sweep(directory: str, manifest: dict | None, suffixes=(".npy", ".tmp")) -> int:
+    """Remove the files ending in one of ``suffixes`` that ``manifest`` lacks."""
+    records = [] if manifest is None else [manifest["state"]] + [
+        r for entry in manifest["levels"] for r in entry["parts"] + [entry["off"]]]
+    keep = {record[0] for record in records if record is not None}
+    doomed = [n for n in os.listdir(directory) if n.endswith(suffixes) and n not in keep]
+    for name in doomed:
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(directory, name))
+    return len(doomed)
 
 
-def _load_array(directory: str, name: str, crc: int | None) -> np.ndarray:
-    payload = _read_checked(directory, name, crc)
-    try:
-        return np.load(io.BytesIO(payload), allow_pickle=False)
-    except (ValueError, EOFError, OSError) as exc:
-        raise CorruptPartError(
-            f"undecodable checkpoint file {os.path.join(directory, name)}: {exc}"
-        ) from exc
-
-
-def save_cse(
-    cse: CSE,
-    directory: str | os.PathLike[str],
-    extra_files: dict[str, bytes] | None = None,
-    extra_meta: dict | None = None,
-) -> None:
-    """Write every level of ``cse`` into ``directory``, crash-safely.
-
-    Array files land under fresh nonce-suffixed names, the manifest is
-    renamed into place last, and files a previous checkpoint left behind
-    are removed only after the new manifest is durable — so an existing
-    checkpoint in ``directory`` stays loadable if this save dies at any
-    point.  ``extra_files`` are opaque payloads stored alongside the
-    levels (checksummed in the manifest); ``extra_meta`` is merged into
-    the manifest object.
-    """
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    nonce = uuid.uuid4().hex[:8]
-    referenced: set[str] = set()
-    levels_meta = []
+def save_cse(cse: CSE, directory: str | os.PathLike[str], state: bytes | None = None,
+             previous: str | None = None, retry: RetryPolicy | None = None) -> int:
+    """Checkpoint ``cse`` into ``directory``, linking the levels ``previous``
+    (an earlier checkpoint of this exploration) holds; returns bytes written."""
+    store = PartStore(os.fspath(directory), retry=retry)
+    held = [] if previous is None else read_manifest(previous)["levels"]
+    levels = []
     for idx, level in enumerate(cse.levels):
-        chunks = list(level.iter_vert_chunks())
-        if chunks:
-            vert = np.concatenate(chunks)
+        on_disk = isinstance(level, SpilledLevel)
+        if idx < len(held) and held[idx]["count"] == level.num_embeddings:
+            parts = [store.link(_handle(previous, r)) for r in held[idx]["parts"]]
+            off = held[idx]["off"] and store.link(_handle(previous, held[idx]["off"]))
         else:
-            # Preserve the level's id width so a resumed run keeps the
-            # planner's dtype decision even through an empty level.
-            vert = np.zeros(0, dtype=getattr(level, "dtype", np.int64))
-        vert_name = f"level{idx}_vert-{nonce}.npy"
-        payload = _array_payload(vert)
-        _atomic_write(os.path.join(directory, vert_name), payload)
-        referenced.add(vert_name)
-        entry = {
-            "vert": vert_name,
-            "count": int(vert.shape[0]),
-            "crc_vert": zlib.crc32(payload),
-        }
-        off = level.off_array()
-        if off is not None:
-            off_name = f"level{idx}_off-{nonce}.npy"
-            payload = _array_payload(off)
-            _atomic_write(os.path.join(directory, off_name), payload)
-            referenced.add(off_name)
-            entry["off"] = off_name
-            entry["crc_off"] = zlib.crc32(payload)
-        levels_meta.append(entry)
-    files_meta: dict[str, dict] = {}
-    for name, payload in (extra_files or {}).items():
-        stored = f"{os.path.splitext(name)[0]}-{nonce}{os.path.splitext(name)[1]}"
-        _atomic_write(os.path.join(directory, stored), payload)
-        referenced.add(stored)
-        files_meta[name] = {"file": stored, "crc32": zlib.crc32(payload)}
-    manifest = {"version": _FORMAT_VERSION, "levels": levels_meta, "files": files_meta}
-    if extra_meta:
-        manifest.update(extra_meta)
-    _atomic_write(
-        os.path.join(directory, _MANIFEST),
-        json.dumps(manifest, indent=2).encode("utf-8"),
-    )
-    # The new manifest is durable; now drop files it no longer references.
-    for name in os.listdir(directory):
-        if name == _MANIFEST or name in referenced:
-            continue
-        if name.endswith(".npy") or name.endswith(_TMP_SUFFIX) or name.endswith(".pkl"):
-            try:
-                os.remove(os.path.join(directory, name))
-            except OSError:
-                pass
+            parts = [store.link(part) for part in level.parts] if on_disk else [
+                store.save(level.vert_array(), tag=f"level{idx}")]
+            off_array = level.off_array()
+            off = None if off_array is None else store.save(off_array, tag=f"off{idx}")
+        levels.append({"count": level.num_embeddings, "dtype": np.dtype(level.dtype).name,
+                       "spilled": on_disk,
+                       "parts": [_record(part) for part in parts], "off": off and _record(off)})
+    blob = None if state is None else store.save(np.frombuffer(state, np.uint8), tag="state")
+    manifest = {"version": _FORMAT_VERSION, "levels": levels, "state": blob and _record(blob)}
+    payload = json.dumps(manifest).encode("utf-8")
+    store._write_payload(os.path.join(store.directory, _MANIFEST), payload)
+    _sweep(store.directory, manifest)
+    return store.io.bytes_written + len(payload)
 
 
 def read_manifest(directory: str | os.PathLike[str]) -> dict:
     """Read and version-check a checkpoint manifest."""
-    directory = os.fspath(directory)
-    manifest_path = os.path.join(directory, _MANIFEST)
+    path = os.path.join(os.fspath(directory), _MANIFEST)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise StorageError(f"cannot read CSE manifest at {manifest_path}: {exc}") from exc
-    if manifest.get("version") not in (1, _FORMAT_VERSION):
-        raise StorageError(
-            f"unsupported CSE checkpoint version {manifest.get('version')!r}"
-        )
+        raise StorageError(f"cannot read CSE manifest at {path}: {exc}") from exc
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != _FORMAT_VERSION:
+        raise StorageError(f"unsupported CSE checkpoint version {version!r}")
     return manifest
 
 
-def read_extra_file(directory: str | os.PathLike[str], manifest: dict, name: str) -> bytes:
-    """Read one ``extra_files`` payload recorded in ``manifest``."""
-    entry = manifest.get("files", {}).get(name)
-    if entry is None:
-        raise StorageError(f"checkpoint has no stored file {name!r}")
-    return _read_checked(os.fspath(directory), entry["file"], entry.get("crc32"))
+def _validate_level(idx: int, length: int, off: np.ndarray | None, count: int) -> None:
+    """Cross-check a level's off array and manifest count against its parts."""
+    where = f"checkpoint level {idx}"
+    if off is not None:
+        if off.ndim != 1 or off.shape[0] < 1:
+            raise StorageError(f"{where} has a malformed off array")
+        if int(off[0]) != 0:
+            raise StorageError(f"{where} off array starts at {int(off[0])}, not 0")
+        if np.any(np.diff(off) < 0):
+            raise StorageError(f"{where} off array is not non-decreasing")
+        if int(off[-1]) != length:
+            raise StorageError(f"{where} off spans {int(off[-1])} entries but vert holds {length}")
+    if int(count) != length:
+        raise StorageError(f"{where} manifest says {count} entries but vert holds {length}")
 
 
-def _validate_level(
-    idx: int, vert: np.ndarray, off: np.ndarray, entry: dict
-) -> None:
-    """Cross-check a level's off array against its vert array."""
-    if off.ndim != 1 or off.shape[0] < 1:
-        raise StorageError(f"checkpoint level {idx} has a malformed off array")
-    if int(off[0]) != 0:
-        raise StorageError(
-            f"checkpoint level {idx} off array starts at {int(off[0])}, not 0"
-        )
-    if np.any(np.diff(off) < 0):
-        raise StorageError(f"checkpoint level {idx} off array is not non-decreasing")
-    if int(off[-1]) != vert.shape[0]:
-        raise StorageError(
-            f"checkpoint level {idx} off spans {int(off[-1])} entries but "
-            f"vert holds {vert.shape[0]}"
-        )
-    count = entry.get("count")
-    if count is not None and int(count) != vert.shape[0]:
-        raise StorageError(
-            f"checkpoint level {idx} manifest says {count} entries but "
-            f"vert holds {vert.shape[0]}"
-        )
-
-
-def load_cse(directory: str | os.PathLike[str]) -> CSE:
-    """Reload a checkpointed CSE (all levels in memory), fully validated."""
+def load_cse(directory: str | os.PathLike[str], store: PartStore | None = None) -> CSE:
+    """Reload a checkpointed CSE, fully validated: into memory, or with
+    ``store``, each level that was on disk linked into it and verified."""
     directory = os.fspath(directory)
     manifest = read_manifest(directory)
-    levels_meta = manifest.get("levels", [])
-    if not levels_meta:
-        raise StorageError("checkpoint contains no levels")
-    root_entry = levels_meta[0]
-    root_vert = _load_array(directory, root_entry["vert"], root_entry.get("crc_vert"))
-    count = root_entry.get("count")
-    if count is not None and int(count) != root_vert.shape[0]:
-        raise StorageError(
-            f"checkpoint root level manifest says {count} entries but "
-            f"vert holds {root_vert.shape[0]}"
-        )
-    cse = CSE(root_vert)
-    for idx, entry in enumerate(levels_meta[1:], start=1):
-        try:
-            vert_name, off_name = entry["vert"], entry["off"]
-        except KeyError as exc:
-            raise StorageError(f"corrupt checkpoint entry {entry!r}: {exc}") from exc
-        vert = _load_array(directory, vert_name, entry.get("crc_vert"))
-        off = _load_array(directory, off_name, entry.get("crc_off"))
-        _validate_level(idx, vert, off, entry)
-        try:
-            # dtype=vert.dtype: keep the saved id width — the default
-            # would narrow an int64 checkpoint back to int32 on resume.
-            cse.append_level(InMemoryLevel(vert, off, dtype=vert.dtype))
-        except ValueError as exc:
-            raise StorageError(
-                f"checkpoint level {idx} is inconsistent with its parent: {exc}"
-            ) from exc
-    return cse
+    source = PartStore(directory)
+    linked: list[PartHandle] = []
+    try:
+        if not manifest["levels"]:
+            raise StorageError("checkpoint contains no levels")
+        for idx, entry in enumerate(manifest["levels"]):
+            parts = [_handle(directory, record) for record in entry["parts"]]
+            off = entry["off"] and source.load(_handle(directory, entry["off"]))
+            _validate_level(idx, sum(part.length for part in parts), off, entry["count"])
+            level = SpilledLevel(source, parts, off, dtype=np.dtype(entry["dtype"]))
+            if store is not None and entry["spilled"]:
+                start = len(linked)
+                for part in parts:
+                    linked.append(store.link(part))
+                level = SpilledLevel(store, linked[start:], off, dtype=level.dtype)
+                level.verify()
+            else:
+                vert = level.vert_array()
+                # dtype=vert.dtype: keep the saved id width — the default
+                # would narrow an int64 checkpoint back to int32 on resume.
+                level = InMemoryLevel(vert, off, dtype=vert.dtype)
+            if idx == 0:
+                cse = CSE(level.vert_array())
+            else:
+                cse.append_level(level)  # ValueError: inconsistent with its parent
+        return cse
+    except BaseException as exc:
+        for handle in linked:
+            store.delete(handle)
+        if isinstance(exc, (KeyError, TypeError, ValueError)):
+            raise StorageError(f"corrupt checkpoint in {directory}: {exc!r}") from exc
+        raise
 
 
 class RunCheckpoint:
-    """Per-iteration engine checkpoints under one directory.
+    """One run's checkpoints, ``<dir>/level-NNN/`` per completed iteration;
+    ``previous`` is the one this run last wrote or resumed from."""
 
-    Layout: ``<dir>/level-000/``, ``<dir>/level-001/``, ... — one full
-    CSE checkpoint (manifest-last, checksummed) per completed iteration,
-    each carrying an opaque run-state blob under ``run_state.pkl``.
-    """
-
-    STATE_FILE = "run_state.pkl"
-
-    def __init__(self, directory: str | os.PathLike[str]) -> None:
+    def __init__(self, directory: str | os.PathLike[str], retry: RetryPolicy | None = None):
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
+        self.retry = retry
+        self.previous: str | None = None
+        self.bytes_written = 0
 
-    # ------------------------------------------------------------------
     def _level_dirs(self) -> list[tuple[int, str]]:
         """(iteration, path) pairs of level directories, deepest first."""
-        found: list[tuple[int, str]] = []
-        for name in os.listdir(self.directory):
-            match = _LEVEL_DIR_RE.match(name)
-            path = os.path.join(self.directory, name)
-            if match and os.path.isdir(path):
-                found.append((int(match.group(1)), path))
-        found.sort(reverse=True)
-        return found
+        matches = filter(None, map(_LEVEL_DIR_RE.match, os.listdir(self.directory)))
+        found = [(int(m.group(1)), os.path.join(self.directory, m.group(0))) for m in matches]
+        return sorted(((i, path) for i, path in found if os.path.isdir(path)), reverse=True)
 
     def level_path(self, iteration: int) -> str:
         return os.path.join(self.directory, f"level-{iteration:03d}")
 
-    # ------------------------------------------------------------------
     def save(self, iteration: int, cse: CSE, state: bytes) -> str:
-        """Checkpoint one completed iteration; returns the level directory."""
+        """Checkpoint one iteration, then drop deeper (an earlier run's) ones."""
         path = self.level_path(iteration)
-        save_cse(
-            cse,
-            path,
-            extra_files={self.STATE_FILE: state},
-            extra_meta={"iteration": iteration},
-        )
+        self.bytes_written += save_cse(cse, path, state, self.previous, self.retry)
+        self.previous = path
+        for deeper, stale in self._level_dirs():
+            if deeper > iteration:
+                shutil.rmtree(stale, ignore_errors=True)
         return path
 
-    def latest(self) -> tuple[int, CSE, bytes] | None:
-        """Deepest fully-valid checkpoint as ``(iteration, cse, state)``.
-
-        Invalid deeper checkpoints (torn by a crash mid-save, corrupted
-        on disk) are skipped with a warning; validation covers the
-        manifest, every checksum, and the off/vert cross-checks.
-        """
+    def latest(self, store: PartStore | None = None) -> tuple[int, CSE, bytes] | None:
+        """Deepest valid checkpoint as ``(iteration, cse, state)``, or None."""
         for iteration, path in self._level_dirs():
             try:
-                manifest = read_manifest(path)
-                cse = load_cse(path)
-                state = read_extra_file(path, manifest, self.STATE_FILE)
-            except StorageError as exc:
-                logger.warning(
-                    "skipping invalid checkpoint %s during resume: %s", path, exc
-                )
-                continue
-            return iteration, cse, state
+                record = read_manifest(path)["state"]  # None fails in _handle
+                state = PartStore(path).load(_handle(path, record)).tobytes()
+                return iteration, load_cse(path, store), state
+            except (StorageError, KeyError, TypeError, ValueError) as exc:
+                logger.warning("skipping invalid checkpoint %s during resume: %s", path, exc)
         return None
 
     def collect_garbage(self) -> int:
-        """Remove crash debris: temp files, files a manifest no longer
-        references, and level directories with no readable manifest.
-        Returns the number of filesystem entries removed."""
-        removed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:  # pragma: no cover - directory vanished
-            return 0
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if name.endswith(_TMP_SUFFIX) and os.path.isfile(path):
-                try:
-                    os.remove(path)
-                    removed += 1
-                except OSError:
-                    pass
+        """Remove temp files, unreferenced parts and invalid level dirs."""
+        removed = _sweep(self.directory, None, suffixes=(".tmp",))
         for _, path in self._level_dirs():
             try:
-                manifest = read_manifest(path)
-            except StorageError:
+                removed += _sweep(path, read_manifest(path))
+            except (StorageError, KeyError, TypeError, IndexError):
                 shutil.rmtree(path, ignore_errors=True)
                 removed += 1
-                continue
-            referenced = {entry["vert"] for entry in manifest.get("levels", [])}
-            referenced.update(
-                entry["off"] for entry in manifest.get("levels", []) if "off" in entry
-            )
-            referenced.update(
-                meta["file"] for meta in manifest.get("files", {}).values()
-            )
-            for name in os.listdir(path):
-                if name == _MANIFEST or name in referenced:
-                    continue
-                try:
-                    os.remove(os.path.join(path, name))
-                    removed += 1
-                except OSError:
-                    pass
         if removed:
-            logger.warning(
-                "garbage-collected %d orphaned checkpoint entr%s under %s",
-                removed,
-                "y" if removed == 1 else "ies",
-                self.directory,
-            )
+            logger.warning("removed %d crash leftovers under %s", removed, self.directory)
         return removed

@@ -32,6 +32,7 @@ from ..core.explore import InMemorySink, LevelSink
 from ..errors import TransientStorageError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
+from .checkpoint import RunCheckpoint
 from .meter import MemoryBudget, MemoryMeter
 from .retry import RetryPolicy
 from .spill import PartHandle, PartStore, SpilledLevel
@@ -224,6 +225,18 @@ class StoragePolicy:
             dtype=dtype,
             on_finish=self._count_spilled_level,
         )
+
+    def restore(self, checkpoints: RunCheckpoint) -> tuple[int, CSE, bytes] | None:
+        """``checkpoints.latest()``, with each level that was on disk reopened
+        in this policy's store and owned like a level it spilled (so
+        :meth:`close` drops the links, never the checkpoint's files); in
+        ``"memory"`` mode every level loads into memory."""
+        store = None if self.storage_mode == "memory" else self._ensure_store()
+        restored = checkpoints.latest(store)
+        if restored is not None:
+            levels = restored[1].levels
+            self._levels.extend(level for level in levels if isinstance(level, SpilledLevel))
+        return restored
 
     def _count_spilled_level(self, level: SpilledLevel) -> None:
         self._levels.append(level)

@@ -16,6 +16,14 @@ raw byte-level operations are isolated in ``_write_payload`` /
 ``_read_payload`` / ``_remove_file`` hooks so the fault-injection layer
 (:mod:`repro.storage.faults`) can subclass the store and misbehave
 underneath the retry and integrity machinery.
+
+A part is immutable once it is renamed into place: nothing ever writes to
+a part file again, so :meth:`PartStore.link` may share its inode between
+the spill directory and any number of checkpoints instead of copying it.
+The price is that one flipped byte in a shared inode damages every
+checkpoint linking it; the CRC still catches it at restore, where
+``RunCheckpoint.latest`` falls back to an older checkpoint or the run
+starts fresh.
 """
 
 from __future__ import annotations
@@ -272,8 +280,8 @@ class PartStore:
         """Re-read one part and check its CRC; raises on any damage.
 
         The explicit integrity pass that complements :meth:`open_mmap`:
-        checkpoint restore and recovery sweeps call this before trusting
-        mmap-served parts.
+        checkpoint restore calls it (through :meth:`SpilledLevel.verify`)
+        on every part it links back in before serving it by mmap.
         """
         payload = self._with_retries(
             lambda: self._read_payload(handle.path),
@@ -290,6 +298,21 @@ class PartStore:
                 f"spill part {handle.path} is {len(payload)} bytes, "
                 f"expected {handle.nbytes}"
             )
+
+    def link(self, handle: PartHandle) -> PartHandle:
+        """Make another store's part a part of this one: a hard link to the
+        same inode, else (across filesystems, or without link support) a
+        copy through :meth:`save` — one part in RAM — that keeps the
+        original CRC, so :meth:`verify` checks the copy against the source.
+        """
+        path = os.path.join(self.directory, os.path.basename(handle.path))
+        try:  # the link may be here already, left by a killed run
+            if not (os.path.exists(path) and os.path.samefile(handle.path, path)):
+                os.link(handle.path, path)
+            return PartHandle(path, handle.length, handle.nbytes, handle.checksum)
+        except OSError:
+            copy = self.save(self.open_mmap(handle), tag="copy")
+            return PartHandle(copy.path, copy.length, copy.nbytes, handle.checksum)
 
     def delete(self, handle: PartHandle) -> None:
         """Remove one part file (best effort, but counted and logged)."""
@@ -462,8 +485,8 @@ class SpilledLevel:
         """CRC-check every part (raises :class:`CorruptPartError`).
 
         The explicit integrity pass for mmap-served levels: the zero-copy
-        read path skips per-read CRC, so recovery and checkpoint restore
-        sweep the parts through here before trusting them.
+        read path skips per-read CRC, so ``load_cse`` runs this on every
+        level it restores on disk before the run reads it.
         """
         for part in self.parts:
             self.store.verify(part)

@@ -241,11 +241,11 @@ RENT_MUTATIONS = {
         "InMemoryLevel(vert, off, dtype=vert.dtype)",
         "InMemoryLevel(vert, off, dtype=np.int32)",
     ),
-    # The atomic checkpoint write swallows its failure.
+    # The atomic part write (spill parts and checkpoints) swallows its failure.
     "R005": (
-        "storage/checkpoint.py",
-        "            pass\n        raise\n\n\ndef _array_payload",
-        "            pass\n\n\ndef _array_payload",
+        "storage/spill.py",
+        "                pass\n            raise\n        _fsync_dir(",
+        "                pass\n        _fsync_dir(",
     ),
     # The result cache's put mutates the LRU map before taking its lock.
     "R006": (

@@ -9,7 +9,12 @@ equal the same configuration run on the scalar oracle loops
 and must equal :mod:`repro.apps.reference` wherever that module has a
 brute-force answer.  Half the draws also pick an independently drawn
 warm-up app: run first on the same engine, it must not change the
-target run's answer, level sizes, spills or bytes written.
+target run's answer, level sizes, spills or bytes written.  About a third
+pick a kill iteration: a checkpointed run dies right after that
+iteration's checkpoint lands, and a fresh engine and app resume it with
+the same storage mode and executor.  The resumed run must equal the
+straight one in pattern map, level sizes and spill counts, leave no part
+in the spill directory, and leave its checkpoints loadable.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py``: ``tier1`` by default, ``deep`` with
@@ -17,6 +22,7 @@ The example budget comes from the hypothesis profile in
 """
 
 import tempfile
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +44,7 @@ from repro.apps.reference import (
 )
 from repro.core.executor import resolve_executor
 from repro.graph import from_edge_list
+from repro.storage import RunCheckpoint
 
 from tests.oracles import OracleExecutor
 
@@ -87,6 +94,7 @@ def configurations(draw):
         "storage": draw(st.sampled_from(STORAGE)),
         "executor": draw(st.sampled_from(["serial", "threads"])),
         "warmup": draw(app_specs()) if draw(st.booleans()) else None,
+        "kill": draw(st.integers(0, 2)) if draw(st.integers(0, 2)) == 0 else None,
     }
 
 
@@ -105,16 +113,46 @@ def _make_app(case):
     return PatternMatching(case["pattern"])
 
 
-def _run(case, executor, spill_dir, warmup=None):
+class _Kill(BaseException):
+    """Not an Exception: nothing in the engine may swallow the kill."""
+
+
+def _engine(case, executor, spill_dir, **kwargs):
     storage = {
         "memory": {"storage_mode": "memory"},
         "spill-last": {"storage_mode": "spill-last", "spill_dir": spill_dir},
         "spill-every-level": {"memory_limit_bytes": 1, "spill_dir": spill_dir},
     }[case["storage"]]
-    with KaleidoEngine(case["graph"], executor=executor, workers=2, **storage) as engine:
+    return KaleidoEngine(case["graph"], executor=executor, workers=2, **storage, **kwargs)
+
+
+def _run(case, executor, spill_dir, warmup=None):
+    with _engine(case, executor, spill_dir) as engine:
         if warmup is not None:
             engine.run(_make_app(warmup))
         return engine.run(_make_app(case))
+
+
+def _kill_and_resume(case, spill_dir):
+    """Die after checkpoint ``case["kill"]`` (if the run gets that far),
+    then resume on a fresh engine with a fresh app."""
+
+    def kill(iteration, path):
+        if iteration == case["kill"]:
+            raise _Kill
+
+    with tempfile.TemporaryDirectory() as ckpt:
+        try:
+            with _engine(case, case["executor"], spill_dir, checkpoint_dir=ckpt,
+                         on_checkpoint=kill) as engine:
+                engine.run(_make_app(case))
+        except _Kill:
+            pass
+        with _engine(case, case["executor"], spill_dir, checkpoint_dir=ckpt) as engine:
+            resumed = engine.run(_make_app(case), resume=True)
+        assert not list(Path(spill_dir).glob("*.npy"))
+        assert RunCheckpoint(ckpt).latest() is not None
+    return resumed
 
 
 def _check_reference(case, result):
@@ -145,6 +183,12 @@ def test_engine_matches_oracle_and_reference(case):
                 for key in ("spilled_levels", "demoted_levels"):
                     assert reused.extra[key] == result.extra[key]
                 assert reused.io_bytes_written == result.io_bytes_written
+            if case["kill"] is not None:
+                resumed = _kill_and_resume(case, spill_dir)
+                assert resumed.pattern_map == result.pattern_map
+                assert resumed.level_sizes == result.level_sizes
+                for key in ("spilled_levels", "demoted_levels"):
+                    assert resumed.extra[key] == result.extra[key]
     finally:
         oracle_executor.close()
     assert result.pattern_map == oracle.pattern_map

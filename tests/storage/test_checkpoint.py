@@ -19,6 +19,16 @@ def _explored(graph, depth=2):
     return cse
 
 
+def _manifest(directory):
+    return json.loads((directory / "cse_manifest.json").read_text())
+
+
+def _vert_file(directory, idx):
+    """The one vertex part of resident level ``idx``, named by the manifest."""
+    (record,) = _manifest(directory)["levels"][idx]["parts"]
+    return directory / record[0]
+
+
 def test_roundtrip(tmp_path, paper_graph):
     cse = _explored(paper_graph)
     save_cse(cse, tmp_path)
@@ -74,8 +84,7 @@ def test_bad_version(tmp_path):
 def test_missing_level_file(tmp_path, paper_graph):
     cse = _explored(paper_graph)
     save_cse(cse, tmp_path)
-    (vert_file,) = tmp_path.glob("level1_vert-*.npy")
-    os.remove(vert_file)
+    os.remove(_vert_file(tmp_path, 1))
     with pytest.raises(StorageError):
         load_cse(tmp_path)
 
@@ -90,9 +99,9 @@ def test_overwrite_removes_stale_files(tmp_path, paper_graph):
     """The second save's GC leaves only files the new manifest references."""
     save_cse(_explored(paper_graph, 2), tmp_path)
     save_cse(_explored(paper_graph, 1), tmp_path)
-    manifest = json.loads((tmp_path / "cse_manifest.json").read_text())
-    referenced = {e["vert"] for e in manifest["levels"]}
-    referenced |= {e["off"] for e in manifest["levels"] if "off" in e}
+    manifest = _manifest(tmp_path)
+    referenced = {r[0] for e in manifest["levels"] for r in e["parts"]}
+    referenced |= {e["off"][0] for e in manifest["levels"] if e["off"] is not None}
     on_disk = {p.name for p in tmp_path.glob("*.npy")}
     assert on_disk == referenced
 
@@ -101,7 +110,7 @@ def test_flipped_byte_fails_crc(tmp_path, paper_graph):
     from repro.errors import CorruptPartError
 
     save_cse(_explored(paper_graph), tmp_path)
-    (vert_file,) = tmp_path.glob("level1_vert-*.npy")
+    vert_file = _vert_file(tmp_path, 1)
     data = bytearray(vert_file.read_bytes())
     data[-1] ^= 0xFF
     vert_file.write_bytes(bytes(data))
@@ -114,14 +123,14 @@ def _rewrite_off(tmp_path, mutate):
     import io
     import zlib
 
-    manifest = json.loads((tmp_path / "cse_manifest.json").read_text())
-    entry = manifest["levels"][1]
-    off = np.load(tmp_path / entry["off"])
+    manifest = _manifest(tmp_path)
+    record = manifest["levels"][1]["off"]
+    off = np.load(tmp_path / record[0])
     buffer = io.BytesIO()
     np.save(buffer, mutate(off), allow_pickle=False)
     payload = buffer.getvalue()
-    (tmp_path / entry["off"]).write_bytes(payload)
-    entry["crc_off"] = zlib.crc32(payload)
+    (tmp_path / record[0]).write_bytes(payload)
+    record[2], record[3] = len(payload), zlib.crc32(payload)
     (tmp_path / "cse_manifest.json").write_text(json.dumps(manifest))
 
 

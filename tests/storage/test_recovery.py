@@ -246,7 +246,7 @@ def test_latest_skips_checkpoint_with_corrupt_state_blob(tmp_path):
     manifest_path = os.path.join(ck.level_path(1), "cse_manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    state_file = manifest["files"][RunCheckpoint.STATE_FILE]["file"]
+    state_file = manifest["state"][0]
     with open(os.path.join(ck.level_path(1), state_file), "wb") as fh:
         fh.write(b"garbage that fails the crc")
     iteration, _cse, state = ck.latest()
@@ -275,19 +275,19 @@ def test_collect_garbage_removes_crash_debris(tmp_path):
 
 
 def test_crash_mid_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch):
-    from repro.storage import checkpoint as ckpt_mod
+    from repro.storage import PartStore
 
     directory = tmp_path / "ckpt"
     save_cse(CSE([1, 2, 3]), directory)
 
-    real_atomic_write = ckpt_mod._atomic_write
+    real_write_payload = PartStore._write_payload
 
-    def dies_on_manifest(path, payload):
+    def dies_on_manifest(self, path, payload):
         if path.endswith("cse_manifest.json"):
             raise OSError("simulated crash before the manifest rename")
-        real_atomic_write(path, payload)
+        real_write_payload(self, path, payload)
 
-    monkeypatch.setattr(ckpt_mod, "_atomic_write", dies_on_manifest)
+    monkeypatch.setattr(PartStore, "_write_payload", dies_on_manifest)
     cse = CSE([9, 9, 9])
     cse.append_level(
         InMemoryLevel(

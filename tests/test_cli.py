@@ -66,6 +66,18 @@ def test_mine_spill_options(tmp_path, capsys):
     assert payload["io_bytes_written"] > 0
 
 
+def test_mine_resume_round_trip(tmp_path, capsys):
+    argv = ["mine", "motif", "-k", "4", "--profile", "tiny", "--storage", "spill-last",
+            "--spill-dir", str(tmp_path / "spill"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"), "--json"]
+    assert main(argv) == 0
+    straight = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--resume"]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    assert resumed["value"] == straight["value"]
+    assert resumed["resumed_from_level"] == straight["checkpoints_written"] - 1 == 1
+
+
 def test_mine_io_plan_flags(tmp_path, capsys):
     # Part size is planned from the memory budget; there is no I/O knob.
     parser = build_parser()
@@ -183,6 +195,14 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
          "argument -k: must be an integer >= 3"),
         (["generate", "out.txt", "--vertices", "0"],
          "argument --vertices: must be an integer >= 2"),
+        (["generate", "out.txt", "--edges", "-5"],
+         "argument --edges: must be an integer >= 0"),
+        (["generate", "out.txt", "--vertices", "5", "--edges", "11"],
+         "num_edges must be between 0 and 10 for 5 vertices, got 11"),
+        (["generate", "out.txt", "--labels", "0"],
+         "argument --labels: must be a positive integer"),
+        (["generate", "out.txt", "--vertices", "10", "--edges", "10000000"],
+         "num_edges must be between 0 and 45 for 10 vertices, got 10000000"),
         (["query", "tc", "--socket", "localhost"],
          "argument --socket: want HOST:PORT, got 'localhost'"),
         *(
@@ -202,7 +222,9 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
          "support must be at least 1"),
     ],
     ids=[
-        "approx-samples", "approx-k", "generate-vertices", "socket-no-port",
+        "approx-samples", "approx-k", "generate-vertices", "generate-edges-negative",
+        "generate-edges-too-many", "generate-labels0", "generate-edges-huge",
+        "socket-no-port",
         "memory-limit-zero", "memory-limit-negative", "memory-limit-nan",
         "memory-limit-inf", "memory-limit-below-one-byte",
         "motif-k1", "motif-k2", "clique-k1", "fsm-edges0", "fsm-support0",

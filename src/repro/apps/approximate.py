@@ -25,7 +25,7 @@ from ..core.explore import expand_vertex_level
 from ..core.kernels import _degree_sums, _pair_budget_chunks, vertex_kernel_context
 from ..core.pattern import Pattern
 from ..graph.graph import Graph
-from .motif import extension_codes
+from .motif import check_motif_size, extension_codes
 
 __all__ = ["ApproximateMotifCounting", "MotifEstimate", "approximate_motifs"]
 
@@ -58,8 +58,7 @@ class ApproximateMotifCounting:
     :class:`MiningApplication`: it bypasses the exhaustive aggregation."""
 
     def __init__(self, k: int, samples: int, seed: int = 0) -> None:
-        if k < 3:
-            raise ValueError("motif size must be at least 3")
+        check_motif_size(k)
         if samples < 1:
             raise ValueError("need at least one sample")
         self.k = k

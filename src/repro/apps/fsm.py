@@ -31,6 +31,7 @@ import numpy as np
 from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern
+from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from .mni import (
@@ -228,6 +229,19 @@ class MNIApplication(MiningApplication):
     def pmap_nbytes(self, pmap: PatternMap) -> int:
         return sum(120 + dom.nbytes for dom in pmap.values())
 
+    def checkpoint_state(self, ctx: EngineContext) -> dict:
+        # exact_mni changes the supports but not the name, so the resume
+        # checks it here.
+        return {"exact_mni": self.exact_mni}
+
+    def restore_state(self, ctx: EngineContext, state: dict) -> None:
+        saved = state.get("exact_mni")
+        if saved != self.exact_mni:
+            raise StorageError(
+                f"checkpoint belongs to {self.name!r} with exact_mni={saved!r}, "
+                f"not exact_mni={self.exact_mni!r}"
+            )
+
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
         supports = {
             phash: dom.support
@@ -315,10 +329,12 @@ class FrequentSubgraphMining(MNIApplication):
         # (init reruns on resume); only the accumulated cost counters need
         # to survive a crash.
         return {
+            **super().checkpoint_state(ctx),
             "total_insertions": self.total_insertions,
             "total_mapped": self.total_mapped,
         }
 
     def restore_state(self, ctx: EngineContext, state: dict) -> None:
+        super().restore_state(ctx, state)
         self.total_insertions = state["total_insertions"]
         self.total_mapped = state["total_mapped"]

@@ -3,21 +3,27 @@
 Counts the frequency of every connected k-vertex motif in the (treated as
 unlabeled) input graph.  Per the paper, exploration stops at the
 ``(k-1)``-embeddings; the Mapper then explores each part's canonical
-k-extensions on the fly — one :func:`~repro.core.kernels.expand_block`
-call per slab of rows — and fingerprints their patterns, so the largest
-level is never materialised — which is why k-Motif stores only ``k - 1``
-CSE levels (Table 4's note).
+k-extensions on the fly — one run of the expansion kernel's chunk
+(:mod:`repro.core.kernels`) per ``PAIR_BUDGET`` slab of rows — and
+fingerprints their patterns, so the largest level is never materialised
+— which is why k-Motif stores only ``k - 1`` CSE levels (Table 4's
+note).
 
 An unlabeled k-vertex structure is fully determined by its adjacency
-bitmap, so the mapper builds one bitmap code per k-embedding from batched
-adjacency probes, counts the codes with ``np.unique`` and calls the
-hasher once per *distinct* code: the paper's argument for EigenHash —
-fingerprint patterns, not embeddings — applied to a whole block.  The
+bitmap, so the mapper builds one bitmap code per k-embedding, counts the
+codes with ``np.unique`` and calls the hasher once per *distinct* code:
+the paper's argument for EigenHash — fingerprint patterns, not
+embeddings — applied to a whole block.  The code is the slab row's
+prefix bits, probed once per row ((k-1 choose 2) ``has_edges`` calls per
+slab), OR'd with the new vertex's bits, which the kernel returns as each
+candidate's adjacency mask over the embedding — no per-pair probe.  The
 same code builder, :func:`extension_codes`, serves the sampled census of
 :mod:`repro.apps.approximate`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,16 +32,42 @@ from ..core.cse import CSE
 from ..core.kernels import (
     VertexKernelContext,
     _degree_sums,
+    _expand_chunk,
     _pair_budget_chunks,
-    expand_block,
     vertex_kernel_context,
 )
-from ..core.pattern import Pattern, triangle_index
+from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 
 __all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS", "extension_codes"]
 
 #: Number of connected unlabeled graphs on k vertices (what k-Motif yields).
 MOTIF_COUNTS = {3: 2, 4: 6, 5: 21}
+
+
+def check_motif_size(k: int) -> None:
+    """Reject a motif size EigenHash cannot fingerprint before any level
+    is explored."""
+    if k < 3:
+        raise ValueError("motif size must be at least 3")
+    if k > MAX_EIGENHASH_VERTICES:
+        raise ValueError(
+            f"motif size must be at most MAX_EIGENHASH_VERTICES "
+            f"({MAX_EIGENHASH_VERTICES}), got {k}"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _spread(k: int) -> np.ndarray:
+    """``out[mask]``: the code bits of a k-embedding whose last vertex is
+    adjacent to the prefix columns set in ``mask`` — each column ``i``
+    maps to its ``(i, k - 1)`` triangle cell.  2^(k-1) entries."""
+    last = k - 1
+    masks = np.arange(1 << last, dtype=np.int64)
+    out = np.zeros(1 << last, dtype=np.int64)
+    for i in range(last):
+        out[(masks >> i) & 1 == 1] |= 1 << triangle_index(i, last, k)
+    out.flags.writeable = False
+    return out
 
 
 def extension_codes(
@@ -47,24 +79,20 @@ def extension_codes(
     and ``codes[i]`` its unlabeled adjacency bitmap (``Pattern.bits``).
 
     Callers cut ``slab`` with ``_pair_budget_chunks`` so the kernel's and
-    the codes' temporaries stay bounded by ``PAIR_BUDGET``.
+    the codes' temporaries stay bounded by ``PAIR_BUDGET``; the slab is
+    one kernel chunk.
     """
     last = k - 1
-    cands, counts, _ = expand_block(kctx, slab)
-    rows = np.repeat(np.arange(slab.shape[0]), counts)
-    if cands.shape[0] == 0:
+    _, rows, _, adjacent = _expand_chunk(kctx, slab, slab, None)
+    if rows.shape[0] == 0:
         return rows, np.zeros(0, dtype=np.int64)
     # Adjacency bits among the (k-1)-prefix are shared by a row's
-    # children; the candidate's bits are probed per pair.
+    # children and probed per row; the candidate's come from the kernel.
     prefix = np.zeros(slab.shape[0], dtype=np.int64)
     for i in range(last):
         for j in range(i + 1, last):
             prefix[kctx.has_edges(slab[:, i], slab[:, j])] |= 1 << triangle_index(i, j, k)
-    cands = cands.astype(np.int64)
-    codes = prefix[rows]
-    for i in range(last):
-        codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
-    return rows, codes
+    return rows, prefix[rows] | _spread(k)[adjacent]
 
 
 class MotifResult(dict):
@@ -86,8 +114,7 @@ class MotifCounting(MiningApplication):
     mapper_cost_tracks_candidates = True
 
     def __init__(self, k: int, hash_every_embedding: bool = False) -> None:
-        if k < 3:
-            raise ValueError("motif size must be at least 3")
+        check_motif_size(k)
         self.k = k
         #: The paper's engine fingerprints every embedding individually;
         #: by default we hash each distinct adjacency bitmap once per part

@@ -28,6 +28,7 @@ import sys
 from typing import Callable
 
 from .apps import (
+    ApproximateMotifCounting,
     CliqueDiscovery,
     FrequentSubgraphMining,
     MotifCounting,
@@ -385,13 +386,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_approx(args: argparse.Namespace) -> int:
-    from .apps import approximate_motifs
-
+def _cmd_approx(args: argparse.Namespace, census: ApproximateMotifCounting) -> int:
     graph = _load_graph(args)
-    estimates = approximate_motifs(
-        graph, args.k, samples=args.samples, seed=args.seed
-    )
+    estimates = census.run(graph)
     print(f"{graph}")
     print(f"approximate {args.k}-motif census ({args.samples} samples):")
     for phash, est in sorted(estimates.items(), key=lambda kv: -kv[1].estimate):
@@ -501,7 +498,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "stats":
         return _cmd_stats(args)
     if args.command == "approx":
-        return _cmd_approx(args)
+        try:  # the census validates its own parameters (-k)
+            census = ApproximateMotifCounting(args.k, args.samples, seed=args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _cmd_approx(args, census)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "query":

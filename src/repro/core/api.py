@@ -280,9 +280,12 @@ class MiningApplication:
     def name(self) -> str:
         """The application's name in results and traces.
 
-        ``run(resume=True)`` matches checkpoints by this name, so it must
-        tell apart every parameter that changes the answer (``4-Motif``,
-        not ``Motif``); otherwise a run resumes another's checkpoint.
+        ``run(resume=True)`` matches checkpoints by this name, so every
+        parameter that changes the answer must either be in it
+        (``4-Motif``, not ``Motif``) or be carried in
+        :meth:`checkpoint_state` and checked by :meth:`restore_state`
+        (FSM's ``exact_mni``); otherwise a run resumes another's
+        checkpoint.
         """
         return type(self).__name__
 

@@ -40,7 +40,22 @@ packed sorted view (``Graph.adjacency_keys()`` /
   heads.  Emitted levels are therefore *bit-identical* to the scalar
   oracle (oracle-differential and property-tested), while
   ``candidates_examined`` counts only the deduped pairs that survived
-  the bounds.
+  the bounds;
+* **adjacency mask** — the same sorted runs give each emitted
+  candidate a bitmask of the gather columns whose lists hold it (the
+  OR of ``1 << column`` over its group of the sort), and the chunk
+  kernel returns it beside the pairs, cut by the same member,
+  verification and filter masks.  In vertex mode that is the
+  candidate's adjacency to the embedding's vertices, so the motif mapper
+  reads its extension bits instead of probing every pair again.  The
+  mask is exact although the gathers were bounded.  Take a surviving
+  head whose first surviving column is ``f``: every column before ``f``
+  was probed by the verification and found not to hold it, and for
+  ``c >= f`` the bound ``lb_c = max(v0 + 1, max(block[c+1:]))`` does
+  not increase with ``c``, so a candidate ``>= lb_f`` is in column
+  ``c``'s bounded slice exactly when it is in that column's whole list.
+  Edge mode bounds per arrival (``c // 2``) and verifies per arrival,
+  and the same argument holds column by column.
 
 **Pattern gather.** A level of a complete, uniformly labelled query
 pattern (clique discovery, triangle counting, matching K_k) arrives with
@@ -319,7 +334,7 @@ def _mask_members(
 
 def _dedup_heads(
     values: np.ndarray, owner: np.ndarray, width: int, modulus: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort-dedup the gathered ``(row, candidate)`` pairs of one chunk.
 
     ``owner`` is the flat ``row * width + column`` position each value
@@ -327,13 +342,17 @@ def _dedup_heads(
     keys does three jobs at once: it (a) dedups the per-row candidate
     set, (b) orders candidates ascending within each row — the scalar
     loop's ``sorted(set)`` emission order — and (c) leaves each group's
-    *head* carrying the smallest source column.  Returns the heads as
-    ``(pair_ids, rows, cands, first_column)`` with ``pair_ids = row *
-    modulus + candidate`` ascending.
+    *head* carrying the smallest source column; OR-ing each group's
+    source columns gives its column bitmask.  Returns the heads as
+    ``(pair_ids, rows, cands, first_column, columns)`` with ``pair_ids =
+    row * modulus + candidate`` ascending and bit ``c`` of ``columns``
+    set when column ``c`` gathered the candidate (columns past 63 are
+    dropped from it; no reader of the mask has a block that wide).
     """
-    row = owner // width
-    # (row * modulus + value) * width + column, with column = owner - row * width.
-    keys = row * ((modulus - 1) * width)
+    # (row * modulus + value) * width + column, with row = owner // width
+    # and column = owner - row * width; in place, one pair-sized array.
+    keys = owner // width
+    keys *= (modulus - 1) * width
     keys += owner
     keys += np.multiply(values, width, dtype=np.int64)
     keys.sort()
@@ -342,11 +361,21 @@ def _dedup_heads(
     head[0] = True
     np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
     first_keys = keys[head]
-    pair_ids = pair_ids[head]
-    rows = pair_ids // modulus
-    cands = pair_ids - rows * modulus
-    first_keys -= pair_ids * width
-    return pair_ids, rows, cands, first_keys
+    heads = pair_ids[head]
+    first_keys -= heads * width
+    columns = np.left_shift(1, first_keys)
+    # The few non-head members (a candidate more than one column
+    # gathered) OR their column into their group's mask: the j-th of
+    # them (from 0), at position p, follows p - j heads, so it belongs
+    # to head p - j - 1.
+    extra = np.flatnonzero(~head)
+    if extra.shape[0]:
+        bits = np.left_shift(1, keys[extra] - pair_ids[extra] * width)
+        extra -= np.arange(1, extra.shape[0] + 1)
+        np.bitwise_or.at(columns, extra, bits)
+    rows = heads // modulus
+    cands = heads - rows * modulus
+    return heads, rows, cands, first_keys, columns
 
 
 def call_block_filter(
@@ -446,12 +475,13 @@ def _canonical_chunks(ctx, block: np.ndarray, block_filter):
     canonical expansion, chunks cut from the degree-sum prefix."""
     keys = ctx.gather_keys(block)
     for start, end in _pair_budget_chunks(_degree_sums(ctx.gather_view()[0], keys)):
-        yield start, end, *_expand_chunk(
+        vert, rows, examined, _ = _expand_chunk(
             ctx,
             block[start:end].astype(np.int64, copy=False),
             keys[start:end].astype(np.int64, copy=False),
             block_filter,
         )
+        yield start, end, vert, np.bincount(rows, minlength=end - start), examined
 
 
 def _pattern_chunks(ctx, block: np.ndarray, gather: "PatternGather", block_filter):
@@ -498,9 +528,16 @@ def _pattern_chunks(ctx, block: np.ndarray, gather: "PatternGather", block_filte
 
 def _expand_chunk(
     ctx, block64: np.ndarray, keys64: np.ndarray, block_filter
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """One chunk of :func:`expand_block`; ``keys64`` is the chunk's
-    ``(rows, k * arity)`` gather-key matrix."""
+    ``(rows, k * arity)`` gather-key matrix.
+
+    Returns ``(vert, rows, candidates_examined, adjacent)``: ``rows[i]``
+    is the chunk row ``vert[i]`` extends (ascending) and bit ``c`` of
+    ``adjacent[i]`` whether gather column ``c``'s list holds ``vert[i]``
+    — the candidate's adjacency to the embedding, read off the dedup
+    runs (see the module docstring for why it is exact).
+    """
     rows_total = block64.shape[0]
     width = keys64.shape[1]
     arity = ctx.arity
@@ -520,9 +557,10 @@ def _expand_chunk(
     positions = np.arange(rows_total * width, dtype=np.int64)
     gathered, owner = _ranged_gather(starts, slice_ends, data, positions)
     if gathered.shape[0] == 0:
-        return np.zeros(0, dtype=ctx.out_dtype), np.zeros(rows_total, dtype=np.int64), 0
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=ctx.out_dtype), empty, 0, empty
     # Each head carries the earliest *surviving* source column.
-    pair_ids, rows, cands, first = _dedup_heads(gathered, owner, width, modulus)
+    pair_ids, rows, cands, first, adjacent = _dedup_heads(gathered, owner, width, modulus)
     first //= arity
     examined = int(rows.shape[0])
 
@@ -540,9 +578,10 @@ def _expand_chunk(
 
     rows = rows[keep]
     cands = cands[keep]
+    adjacent = adjacent[keep]
     if block_filter is not None and rows.shape[0]:
         mask = call_block_filter(block_filter, ctx, block64, rows, cands)
         rows = rows[mask]
         cands = cands[mask]
-    counts = np.bincount(rows, minlength=rows_total)
-    return cands.astype(ctx.out_dtype), counts, examined
+        adjacent = adjacent[mask]
+    return cands.astype(ctx.out_dtype), rows, examined, adjacent

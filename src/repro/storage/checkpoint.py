@@ -166,9 +166,22 @@ class RunCheckpoint:
         return os.path.join(self.directory, f"level-{iteration:03d}")
 
     def save(self, iteration: int, cse: CSE, state: bytes) -> str:
-        """Checkpoint one iteration, then drop deeper (an earlier run's) ones."""
+        """Checkpoint one iteration, then drop deeper (an earlier run's) ones.
+
+        A failed save removes what it wrote before re-raising: the whole
+        directory if it held no checkpoint before, else every file the
+        checkpoint already there does not reference."""
         path = self.level_path(iteration)
-        self.bytes_written += save_cse(cse, path, state, self.previous, self.retry)
+        existed = os.path.exists(os.path.join(path, _MANIFEST))
+        try:
+            self.bytes_written += save_cse(cse, path, state, self.previous, self.retry)
+        except BaseException:
+            if not existed:
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                with contextlib.suppress(StorageError, OSError):
+                    _sweep(path, read_manifest(path))
+            raise
         self.previous = path
         for deeper, stale in self._level_dirs():
             if deeper > iteration:

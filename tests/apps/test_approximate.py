@@ -11,7 +11,7 @@ from repro.core import kernels
 from repro.core.cse import CSE
 from repro.core.eigenhash import PatternHasher
 from repro.core.explore import canonical_extensions, expand_vertex_level
-from repro.core.pattern import Pattern
+from repro.core.pattern import MAX_EIGENHASH_VERTICES, Pattern
 from repro.graph import GraphBuilder, from_edge_list
 from tests.conftest import random_labeled_graph
 
@@ -202,3 +202,11 @@ def test_validates_arguments():
         ApproximateMotifCounting(2, 10)
     with pytest.raises(ValueError):
         ApproximateMotifCounting(3, 0)
+
+
+def test_rejects_sizes_eigenhash_cannot_fingerprint(paper_graph):
+    """k above EigenHash's bound fails before any level is explored."""
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        ApproximateMotifCounting(MAX_EIGENHASH_VERTICES + 1, 10)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        approximate_motifs(paper_graph, MAX_EIGENHASH_VERTICES + 1, samples=10)

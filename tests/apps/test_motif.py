@@ -1,11 +1,17 @@
 """Unit tests for motif counting."""
 
+import numpy as np
 import pytest
 
 from repro import KaleidoEngine, MotifCounting
-from repro.apps.motif import MOTIF_COUNTS
+from repro.apps.motif import MOTIF_COUNTS, extension_codes
 from repro.apps.reference import count_motifs_naive
+from repro.core.cse import CSE
+from repro.core.explore import expand_vertex_level
+from repro.core.kernels import _degree_sums, _pair_budget_chunks, vertex_kernel_context
+from repro.core.pattern import MAX_EIGENHASH_VERTICES
 from repro.graph import from_edge_list
+from tests import oracles
 from tests.conftest import random_labeled_graph
 
 
@@ -58,6 +64,34 @@ def test_representatives_attached(paper_graph):
 def test_validates_k():
     with pytest.raises(ValueError):
         MotifCounting(2)
+
+
+def test_rejects_sizes_eigenhash_cannot_fingerprint():
+    """Above EigenHash's bound the constructor fails, before any level is
+    explored."""
+    MotifCounting(MAX_EIGENHASH_VERTICES)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        MotifCounting(MAX_EIGENHASH_VERTICES + 1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_extension_codes_match_per_pair_oracle(k):
+    """Codes built from the kernel's adjacency masks equal the per-pair
+    ``has_edges`` probes over the scalar expansion, row for row."""
+    graph = random_labeled_graph(22, 48, 1, seed=k)
+    cse = CSE(np.arange(graph.num_vertices, dtype=np.int32))
+    for _ in range(k - 2):
+        expand_vertex_level(graph, cse)
+    block = cse.decode_block(0, cse.size()).astype(np.int64)
+    kctx = vertex_kernel_context(graph)
+    emitted = 0
+    for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
+        rows, codes = extension_codes(kctx, block[start:end], k)
+        ref_rows, ref_codes = oracles.extension_codes(kctx, block[start:end], k)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(codes, ref_codes)
+        emitted += rows.shape[0]
+    assert emitted > 0
 
 
 def test_levels_stop_at_k_minus_1(paper_graph):

@@ -14,7 +14,9 @@ independent second opinion:
   that runs every expansion part through :func:`expand_block` instead of
   the kernel, so ``KaleidoEngine(graph, executor=OracleExecutor())`` or
   ``expand_vertex_level(..., executor=OracleExecutor())`` is a whole
-  second run with no engine knob.
+  second run with no engine knob;
+* :func:`extension_codes` — the motif mapper's codes probed pair by
+  pair, against the adjacency masks the kernel returns.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.executor import ExecutionReport, PartExecutor, SerialExecutor
 from repro.core.explore import BlockTask, PartExpansion
+from repro.core.pattern import triangle_index
 
 __all__ = [
     "extends_canonically",
@@ -34,6 +37,7 @@ __all__ = [
     "expand_edge_part",
     "expand_block",
     "OracleExecutor",
+    "extension_codes",
 ]
 
 
@@ -260,3 +264,19 @@ class OracleExecutor(PartExecutor):
 
     def close(self) -> None:
         self.inner.close()
+
+
+def extension_codes(kctx: kernels.VertexKernelContext, slab: np.ndarray, k: int):
+    """Per-pair reference for :func:`repro.apps.motif.extension_codes`:
+    the scalar expansion of ``slab``, then one ``has_edges`` probe per
+    (k-embedding, prefix column) pair — same ``(rows, codes)`` result."""
+    last = k - 1
+    cands, counts, _ = expand_block(kctx, slab)
+    rows = np.repeat(np.arange(slab.shape[0]), counts)
+    cands = cands.astype(np.int64)
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in range(last):
+        for j in range(i + 1, last):
+            codes[kctx.has_edges(slab[rows, i], slab[rows, j])] |= 1 << triangle_index(i, j, k)
+        codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
+    return rows, codes

@@ -91,3 +91,80 @@ def test_level_paths_build_identical_levels(seed):
         )
         if cse_fast.size() == 0:
             return
+
+
+@st.composite
+def mask_cases(draw):
+    num_vertices = draw(st.integers(min_value=3, max_value=16))
+    max_edges = num_vertices * (num_vertices - 1) // 2
+    num_edges = draw(st.integers(min_value=1, max_value=min(max_edges, 40)))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    width = draw(st.integers(min_value=1, max_value=7))
+    filtered = draw(st.booleans())
+    return num_vertices, num_edges, seed, width, filtered
+
+
+def _grow_canonical_block(ctx, roots, width, rng, cap=64):
+    """Canonical ``(rows, width)`` block: extend ``roots`` with the
+    kernel's own emissions, keeping a random ``cap`` rows per step."""
+    block = roots.astype(np.int64)[:, None]
+    for _ in range(width - 1):
+        vert, counts, _ = kernels.expand_block(ctx, block)
+        block = np.hstack([np.repeat(block, counts, axis=0), vert.astype(np.int64)[:, None]])
+        if block.shape[0] > cap:
+            block = block[np.sort(rng.choice(block.shape[0], cap, replace=False))]
+    return block
+
+
+def _random_filter(rng, size):
+    keep = rng.random(size) < 0.6
+    return lambda ctx, block, rows, cands: keep[cands]
+
+
+@given(mask_cases())
+@settings(max_examples=40, deadline=None)
+def test_vertex_adjacency_mask_is_exact(case):
+    """Bit c of each emitted pair's mask is ``has_edges(block[row, c],
+    cand)``, with and without a block filter."""
+    num_vertices, num_edges, seed, width, filtered = case
+    graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
+    rng = np.random.default_rng(seed)
+    ctx = kernels.vertex_kernel_context(graph)
+    block = _grow_canonical_block(ctx, np.arange(num_vertices), width, rng)
+    block_filter = _random_filter(rng, num_vertices) if filtered else None
+    if block.shape[0] == 0:
+        return
+    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, block, block_filter)
+    ref_vert, ref_counts, _ = kernels.expand_block(ctx, block, block_filter)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(np.bincount(rows, minlength=block.shape[0]), ref_counts)
+    cands = vert.astype(np.int64)
+    for c in range(width):
+        bit = (adjacent >> c) & 1 == 1
+        np.testing.assert_array_equal(bit, ctx.has_edges(block[rows, c], cands))
+    assert not np.any(adjacent >> width)
+
+
+@given(mask_cases())
+@settings(max_examples=20, deadline=None)
+def test_edge_adjacency_mask_is_exact(case):
+    """Edge mode: bit c says the candidate edge touches endpoint column c
+    (``(u0, v0, u1, v1, ...)``)."""
+    num_vertices, num_edges, seed, width, filtered = case
+    width = min(width, 4)
+    graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
+    index = EdgeIndex(graph)
+    rng = np.random.default_rng(seed)
+    ctx = kernels.edge_kernel_context(index)
+    block = _grow_canonical_block(ctx, np.arange(index.num_edges), width, rng)
+    block_filter = _random_filter(rng, index.num_edges) if filtered else None
+    if block.shape[0] == 0:
+        return
+    keys = ctx.gather_keys(block).astype(np.int64)
+    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, keys, block_filter)
+    np.testing.assert_array_equal(vert, kernels.expand_block(ctx, block, block_filter)[0])
+    for c in range(keys.shape[1]):
+        bit = (adjacent >> c) & 1 == 1
+        ends = keys[rows, c]
+        touches = (ctx.edge_u[vert] == ends) | (ctx.edge_v[vert] == ends)
+        np.testing.assert_array_equal(bit, touches)

@@ -4,7 +4,7 @@ Spilled parts and the levels an earlier checkpoint of the same run holds
 are hard-linked, never rewritten; a save holds no more than the arrays it
 writes; a resumed spill-last run reopens its on-disk levels on disk and
 reports the straight run's spills and memory; checkpoint write failures
-are counted, not fatal.
+are counted, not fatal, and leave no partial level directory behind.
 """
 
 import errno
@@ -16,9 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro import CliqueDiscovery, KaleidoEngine, MotifCounting, Pattern
-from repro.apps import PatternMatching
-from repro.errors import StorageError
+from repro import (
+    CliqueDiscovery,
+    FrequentSubgraphMining,
+    KaleidoEngine,
+    MotifCounting,
+    Pattern,
+)
+from repro.apps import PatternMatching, VertexInducedFSM
+from repro.errors import DiskFullError, StorageError
 from repro.graph import chung_lu
 from repro.storage import PartStore, RetryPolicy, RunCheckpoint, load_cse
 
@@ -285,3 +291,78 @@ def test_link_reuses_a_link_already_in_place(tmp_path):
     assert first == again and os.path.samefile(first.path, part.path)
     assert target.io.bytes_written == 0
 
+
+@pytest.mark.parametrize(
+    "make_app",
+    [
+        lambda exact: FrequentSubgraphMining(3, 3, exact_mni=exact),
+        lambda exact: VertexInducedFSM(3, 3, exact_mni=exact),
+    ],
+    ids=["fsm", "vfsm"],
+)
+def test_exact_mni_resume_rejects_an_approximate_checkpoint(tmp_path, make_app):
+    """``exact_mni`` changes the supports but not the name, so the resume
+    checks it: an exact run must not continue from capped supports."""
+    graph = chung_lu(120, 420, 3, num_labels=3)
+    ckpt = str(tmp_path / "ckpt")
+    with pytest.raises(_Kill):
+        with KaleidoEngine(
+            graph, checkpoint_dir=ckpt, checkpoint_every=1, on_checkpoint=_kill_at(1)
+        ) as engine:
+            engine.run(make_app(False))
+    with KaleidoEngine(graph, checkpoint_dir=ckpt, checkpoint_every=1) as engine:
+        with pytest.raises(StorageError, match="belongs to .* exact_mni=False, not exact_mni=True"):
+            engine.run(make_app(True), resume=True)
+        # The same setting resumes.
+        resumed = engine.run(make_app(False), resume=True)
+    assert resumed.extra["resumed_from_level"] == 1
+    assert resumed.pattern_map == KaleidoEngine(graph).run(make_app(False)).pattern_map
+
+
+def _fail_part_saves(monkeypatch, nth):
+    """``PartStore.save`` raises ``DiskFullError`` on its ``nth`` call."""
+    real_save = PartStore.save
+    calls = []
+
+    def save(self, array, tag="part"):
+        calls.append(tag)
+        if len(calls) == nth:
+            raise DiskFullError("injected: no space left on device")
+        return real_save(self, array, tag)
+
+    monkeypatch.setattr(PartStore, "save", save)
+    return calls
+
+
+def test_failed_save_removes_its_partial_level_directory(tmp_path, monkeypatch):
+    """Level 0's save writes the root, level 1's vert and off and the state
+    blob (four saves); level 1's fails on its off part, after the links
+    and the vert part landed, and must leave no ``level-001/`` behind."""
+    graph = chung_lu(300, 1400, 3)
+    ckpt = tmp_path / "ckpt"
+    calls = _fail_part_saves(monkeypatch, nth=6)
+    with KaleidoEngine(
+        graph, storage_mode="memory", checkpoint_dir=str(ckpt), checkpoint_every=1
+    ) as engine:
+        result = engine.run(MotifCounting(4))
+    assert calls[:6] == ["level0", "level1", "off1", "state", "level2", "off2"]
+    assert result.extra["checkpoint_failures"] == 1
+    assert result.extra["checkpoints_written"] == 1
+    assert sorted(os.listdir(ckpt)) == ["level-000"]
+    assert RunCheckpoint(ckpt).latest()[0] == 0
+
+
+def test_failed_resave_sweeps_back_to_the_manifest_in_place(tmp_path, monkeypatch):
+    """A failed save over an existing checkpoint (a second run's level 0,
+    failing on its level-1 part) keeps that checkpoint and removes only
+    the files it does not reference."""
+    graph = chung_lu(300, 1400, 3)
+    ckpt = tmp_path / "ckpt"
+    with KaleidoEngine(graph, checkpoint_dir=str(ckpt)) as engine:
+        engine.run(MotifCounting(4))
+    before = sorted(os.listdir(ckpt / "level-000"))
+    _fail_part_saves(monkeypatch, nth=2)
+    with KaleidoEngine(graph, checkpoint_dir=str(ckpt)) as engine:
+        assert engine.run(MotifCounting(4)).extra["checkpoint_failures"] == 1
+    assert sorted(os.listdir(ckpt / "level-000")) == before
+    assert load_cse(ckpt / "level-000").depth == 2

@@ -16,10 +16,10 @@ The implementation follows the paper exactly:
   support").
 
 The Mapper works on whole blocks: one quick-pattern code per embedding
-(structure-order labels, adjacency bits and edge labels), one hash per
-*distinct* code, the placements of a slab's distinct codes from one batched
-canonicaliser, and MNI domains from first occurrences
-(:func:`~repro.apps.mni.fold_mni_block`).
+(structure-order labels, adjacency bits and edge labels), the placements
+and canonical codes of a slab's distinct codes from one batched
+canonicaliser, one hash per *isomorphism class* (canonical code), and MNI
+domains from first occurrences (:func:`~repro.apps.mni.fold_mni_block`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
-from ..core.pattern import Pattern
+from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern
 from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
@@ -270,10 +270,16 @@ class FrequentSubgraphMining(MNIApplication):
     ) -> None:
         if num_edges < 1:
             raise ValueError("num_edges must be at least 1")
+        if num_edges + 1 > MAX_EIGENHASH_VERTICES:
+            raise ValueError(
+                f"num_edges must be at most MAX_EIGENHASH_VERTICES - 1 "
+                f"({MAX_EIGENHASH_VERTICES - 1}), got {num_edges}"
+            )
         super().__init__(support, exact_mni)
         self.num_edges = num_edges
-        #: Disable the app-level raw-structure hash memo (Figure 12 /
-        #: caching ablation: the paper fingerprints every embedding).
+        #: Bypass the app-level per-class hash memo and call the hasher
+        #: once per embedding (Figure 12 / caching ablation: the paper
+        #: fingerprints every embedding).
         self.hash_every_embedding = hash_every_embedding
         #: Per-edge-id table of the frequent single-edge patterns' edges.
         self._frequent_edges = np.zeros(0, dtype=bool)

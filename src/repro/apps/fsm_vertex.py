@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.api import CandidateTable, EngineContext, PatternMap
 from ..core.kernels import VertexKernelContext, vertex_kernel_context
-from ..core.pattern import triangle_index
+from ..core.pattern import MAX_EIGENHASH_VERTICES, triangle_index
 from ..graph.graph import Graph
 from .fsm import MNIApplication
 from .mni import fold_mni_block
@@ -81,6 +81,11 @@ class VertexInducedFSM(MNIApplication):
     ) -> None:
         if num_vertices < 2:
             raise ValueError("num_vertices must be at least 2")
+        if num_vertices > MAX_EIGENHASH_VERTICES:
+            raise ValueError(
+                f"num_vertices must be at most MAX_EIGENHASH_VERTICES "
+                f"({MAX_EIGENHASH_VERTICES}), got {num_vertices}"
+            )
         super().__init__(support, exact_mni)
         self.num_vertices = num_vertices
         self._frequent_vertices = np.zeros(0, dtype=bool)

@@ -5,9 +5,8 @@ the number of distinct graph vertices observed at that position across all
 of the pattern's embeddings.  It is anti-monotonic, which is what lets FSM
 prune by support level by level.
 
-Positions are the *normalised* pattern positions (after the Algorithm-1
-``(label, degree)`` sort), so automorphic raw structures contribute to the
-same domains.
+Positions are the *canonical* pattern positions, so automorphic raw
+structures contribute to the same domains.
 
 The paper's Kaleido does not compute exact supports: once a pattern's
 domains all reach the threshold it is marked frequent and its counting
@@ -22,8 +21,24 @@ domains — including where short-circuit counting would have frozen them —
 from those first occurrences.  Placements come from one batched
 canonicaliser per slab (:func:`canonical_placements`), which finds every
 distinct code's canonical witness and automorphic placements with array
-operations over a fixed permutation table; hashes are memoised per raw
-structure (:class:`PlacementTable`).
+operations over a fixed permutation table, and also returns each code's
+canonical code.
+
+The canonical code is the mappers' pattern identity: hashes are memoised
+per canonical code (:class:`PlacementTable`), and a miss hashes the
+canonical pattern, so each isomorphism class costs one hash call however
+many raw structures it arrives as.  This is exact:
+
+* two codes have equal canonical codes exactly when their patterns are
+  isomorphic (labels and edge labels included), because the canonical
+  code is :func:`~repro.core.isomorphism.canonical_form`'s key;
+* EigenHash is an isomorphism invariant;
+* so a class's hash equals every member's hash, and the pattern-map keys
+  are the ones per-structure hashing gives, bit for bit.
+
+Hashing the canonical pattern also makes the hasher's representative of
+each hash (and with it ``FSMResult.patterns``) the canonical pattern,
+whichever raw structure or executor thread reached the memo first.
 """
 
 from __future__ import annotations
@@ -34,13 +49,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..core.isomorphism import automorphisms, canonical_form, pattern_from_key
 from ..core.pattern import Pattern
 
 __all__ = [
     "MNIDomains",
     "merge_domains",
-    "PositionMapper",
     "PlacementTable",
     "canonical_placements",
     "distinct_rows",
@@ -123,63 +136,26 @@ class MNIDomains:
         return f"MNIDomains(support={self.support}, frozen={self.frozen})"
 
 
-class PositionMapper:
-    """Maps embedding vertices onto *canonical* pattern positions.
-
-    MNI domains must use one consistent position space per pattern class.
-    Raw structures of the same class can differ (first-appearance order
-    varies across embeddings), so we canonicalise each raw structure once
-    (cached) and keep the witnessing permutation; every embedding's
-    vertices are then placed at canonical positions, and each automorphism
-    of the canonical form contributes an additional valid placement (GraMi
-    semantics — without this, supports of symmetric patterns are wrong).
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[
-            tuple[tuple[int, ...], int],
-            tuple[tuple[int, ...], list[tuple[int, ...]]],
-        ] = {}
-
-    def placements(
-        self, pattern: Pattern, structure_vertices: list[int]
-    ) -> list[tuple[int, ...]]:
-        """All canonical-position vertex assignments of one embedding."""
-        key = (pattern.labels, pattern.bits, pattern.edge_labels)
-        entry = self._cache.get(key)
-        if entry is None:
-            canon_key, perm = canonical_form(pattern)
-            auts = automorphisms(pattern_from_key(canon_key))
-            entry = self._cache[key] = (perm, auts)
-        perm, auts = entry
-        base = tuple(structure_vertices[p] for p in perm)
-        return [tuple(base[a] for a in aut) for aut in auts]
-
-    @property
-    def nbytes(self) -> int:
-        return 220 * len(self._cache)
-
-
 class PlacementTable:
-    """The block mappers' raw-structure hash memo.
+    """The block mappers' hash memo, one entry per isomorphism class.
 
-    Keyed by raw structure ``(labels, bits, edge_labels)``, it holds the
-    pattern hash, so each raw structure is hashed once however many slabs
-    and parts it appears in (placements need no memo: one
-    :func:`canonical_placements` pass per slab computes them).  Concurrent
-    parts may share a table: dict get/set are atomic and every value is
+    Keyed by a class's canonical :data:`BlockEncoder` code row (as
+    :func:`canonical_placements` returns it), it holds the pattern hash, so
+    each class is hashed once — through its canonical pattern — however
+    many raw structures, slabs and parts it appears in.  Concurrent parts
+    may share a table: dict get/set are atomic and every value is
     deterministic per key, so a race costs at most a duplicate hash call.
     """
 
     def __init__(self) -> None:
         self._hashes: dict[tuple, int] = {}
 
-    def phash(self, ctx, pattern: Pattern) -> int:
-        """The pattern's hash, computed once per raw structure."""
-        key = (pattern.labels, pattern.bits, pattern.edge_labels)
+    def phash(self, ctx, code: list[int], kmax: int) -> int:
+        """The hash of the class whose canonical code row is ``code``."""
+        key = tuple(code)
         value = self._hashes.get(key)
         if value is None:
-            value = self._hashes[key] = ctx.hash_pattern(pattern)
+            value = self._hashes[key] = ctx.hash_pattern(_pattern_of(code, kmax))
         return value
 
 
@@ -214,11 +190,12 @@ def _perm_table(k: int) -> _PermTable:
 
 def _canonicalise(
     codes: np.ndarray, k: int, kmax: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Placement rows of ``k``-vertex code rows: ``(owner, slot, q)``, one
     entry per (code, automorphism), with ``q`` the structure positions
     placed at canonical positions ``0..k-1`` and ``slot`` the
-    automorphism's rank in :func:`automorphisms` order."""
+    automorphism's rank in :func:`~repro.core.isomorphism.automorphisms`
+    order; then each code's canonical code row."""
     table = _perm_table(k)
     cells = table.cell_src.shape[1]
     shifts = np.arange(cells, dtype=np.int64)
@@ -239,7 +216,15 @@ def _canonicalise(
     order = np.lexsort([*elabels.T[::-1], pbits, owner])
     ranked = owner[order]
     least = order[np.searchsorted(ranked, ranked)]
-    witness = table.perms[p[order[np.searchsorted(ranked, np.arange(codes.shape[0]))]]]
+    first = order[np.searchsorted(ranked, np.arange(codes.shape[0]))]
+    witness = table.perms[p[first]]
+    # Every candidate permutes the labels alike (they ascend by (label,
+    # degree)), so canonical_form's key is the code permuted by b: the
+    # least bits, then the least edge labels.
+    canon = codes.copy()
+    canon[:, 1 : 1 + k] = np.take_along_axis(codes[:, 1 : 1 + k], witness, axis=1)
+    canon[:, 1 + kmax] = pbits[first]
+    canon[:, 2 + kmax : 2 + kmax + elabels.shape[1]] = elabels[first]
     # The minima are exactly q = b∘a over the automorphisms a of the
     # canonical form; automorphisms() yields them in lex order of a.
     keep = order[
@@ -249,36 +234,44 @@ def _canonicalise(
     a = np.take_along_axis(np.argsort(witness, axis=1)[owner], q, axis=1)
     order = np.lexsort((a @ table.radix, owner))
     owner, q = owner[order], q[order]
-    return owner, np.arange(owner.shape[0]) - np.searchsorted(owner, owner), q
+    return owner, np.arange(owner.shape[0]) - np.searchsorted(owner, owner), q, canon
 
 
-def canonical_placements(codes: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, valid)`` of distinct :data:`BlockEncoder` code rows.
+def canonical_placements(
+    codes: np.ndarray, kmax: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(index, valid, canon)`` of distinct :data:`BlockEncoder` code rows.
 
     ``index[d, a, t]`` is the structure position of code ``d`` whose
     vertex lands on canonical position ``t`` under the ``a``-th
     automorphism of its canonical form — ``perm[aut[t]]`` with ``(perm,
-    aut)`` from :func:`canonical_form` and :func:`automorphisms`, the
-    placements :meth:`PositionMapper.placements` makes — padded with
-    zeros to ``(codes, width, kmax)``; ``valid`` masks the padding.  One
-    array pass per vertex count over the fixed ``k!`` permutation table,
-    in chunks of at most :data:`CANON_CELLS` ``codes × k! × k²`` cells.
+    aut)`` from :func:`~repro.core.isomorphism.canonical_form` and
+    :func:`~repro.core.isomorphism.automorphisms` — padded with zeros to
+    ``(codes, width, kmax)``; ``valid`` masks the padding.  ``canon[d]`` is
+    code ``d``'s canonical code row, in the :data:`BlockEncoder` layout:
+    the code of ``pattern_from_key(canonical_form(pattern)[0])``, so two
+    rows are equal exactly when their patterns are isomorphic.  One array
+    pass per vertex count over the fixed ``k!`` permutation table, in
+    chunks of at most :data:`CANON_CELLS` ``codes × k! × k²`` cells.
     """
     ks = codes[:, 0]
+    canon = np.empty_like(codes)
     found = []
     for k in np.unique(ks).tolist():
         ds = np.flatnonzero(ks == k)
         chunk = max(1, CANON_CELLS // (_perm_table(k).perms.shape[0] * k * k))
         for lo in range(0, ds.shape[0], chunk):
-            owner, slot, q = _canonicalise(codes[ds[lo : lo + chunk]], k, kmax)
-            found.append((ds[lo + owner], slot, q))
+            at = ds[lo : lo + chunk]
+            owner, slot, q, rows = _canonicalise(codes[at], k, kmax)
+            canon[at] = rows
+            found.append((at[owner], slot, q))
     width = max(int(slot.max()) for _, slot, _ in found) + 1
     index = np.zeros((codes.shape[0], width, kmax), dtype=np.intp)
     valid = np.zeros((codes.shape[0], width, kmax), dtype=bool)
     for owner, slot, q in found:
         index[owner, slot, : q.shape[1]] = q
         valid[owner, slot, : q.shape[1]] = True
-    return index, valid
+    return index, valid, canon
 
 
 def _pattern_of(code: list[int], kmax: int) -> Pattern:
@@ -321,16 +314,17 @@ def fold_mni_block(
 
     Equal, domains and ``frozen`` flags alike, to calling
     :meth:`MNIDomains.add` for every automorphic placement of every row in
-    order.  Each distinct code is decoded and hashed (through ``table``,
-    or once per row under ``hash_every_embedding``); one
-    :func:`canonical_placements` call per slab places them all.  Every
-    placed vertex becomes a packed key ``(group·kmax + position)·n +
-    vertex``, where a group is a pattern hash numbered in first-appearance
-    order (so ``pmap`` keeps its insertion order); a stable sort of the
-    keys in (row, placement) order yields each vertex's first step.  A
-    domain that reaches ``threshold`` at every position freezes at the
-    largest per-position ``threshold``-th first step, and holds exactly
-    the vertices first seen by then.
+    order.  One :func:`canonical_placements` call per slab places its
+    distinct codes and groups them into isomorphism classes by canonical
+    code; each class is hashed once through ``table`` (or once per row
+    under ``hash_every_embedding``).  Every placed vertex becomes a packed
+    key ``(group·kmax + position)·n + vertex``, where a group is a pattern
+    hash numbered in first-appearance order (so ``pmap`` keeps its
+    insertion order); a stable sort of the keys in (row, placement) order
+    yields each vertex's first step.  A domain that reaches ``threshold``
+    at every position freezes at the largest per-position
+    ``threshold``-th first step, and holds exactly the vertices first seen
+    by then.
 
     Returns each row's pattern hash (``uint64``) and the number of set
     insertions the per-row fold would have made.
@@ -348,28 +342,30 @@ def fold_mni_block(
         verts, codes = encode(block[start : start + SLAB_ROWS])
         rows, kmax = verts.shape
         first_rows, inverse = distinct_rows(codes)
-        counts = np.bincount(inverse, minlength=first_rows.shape[0]).tolist()
-        code_hash = np.empty(first_rows.shape[0], dtype=np.uint64)
-        code_group = np.empty(first_rows.shape[0], dtype=np.int64)
-        distinct = codes[first_rows]
-        for d, code in enumerate(distinct.tolist()):
-            pattern = _pattern_of(code, kmax)
+        index, valid, canon = canonical_placements(codes[first_rows], kmax)
+        class_rows, cls_of = distinct_rows(canon)
+        row_cls = cls_of[inverse]
+        cls_hash = np.empty(class_rows.shape[0], dtype=np.uint64)
+        cls_group = np.empty(class_rows.shape[0], dtype=np.int64)
+        if hash_every_embedding:
+            counts = np.bincount(row_cls, minlength=class_rows.shape[0]).tolist()
+        for c, code in enumerate(canon[class_rows].tolist()):
             if hash_every_embedding:
-                for _ in range(counts[d]):
+                pattern = _pattern_of(code, kmax)
+                for _ in range(counts[c]):
                     phash = ctx.hash_pattern(pattern)
             else:
-                phash = table.phash(ctx, pattern)
+                phash = table.phash(ctx, code, kmax)
             group = groups.setdefault(phash, len(groups))
             if group == len(group_sizes):
-                group_sizes.append(pattern.num_vertices)
-            code_hash[d] = phash
-            code_group[d] = group
-        row_hashes[start : start + rows] = code_hash[inverse]
+                group_sizes.append(code[0])
+            cls_hash[c] = phash
+            cls_group[c] = group
+        row_hashes[start : start + rows] = cls_hash[row_cls]
         # One gather places the whole slab; padded cells are masked out.
-        index, valid = canonical_placements(distinct, kmax)
         width = index.shape[1]
         keys = verts[np.arange(rows)[:, None, None], index[inverse]]
-        keys += (code_group[inverse][:, None, None] * kmax + np.arange(kmax)) * n
+        keys += (cls_group[row_cls][:, None, None] * kmax + np.arange(kmax)) * n
         steps = step_base + np.arange(rows * width, dtype=np.int64).reshape(rows, width, 1)
         mask = valid[inverse]
         keys, first = np.unique(keys[mask], return_index=True)

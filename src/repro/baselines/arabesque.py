@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from ..apps.fsm import FSMResult, edge_pattern_supports
-from ..apps.mni import MNIDomains, PositionMapper
+from ..apps.mni import MNIDomains
 from ..core.api import MiningResult
 from ..core.canonical import edge_is_canonical, is_canonical
 from ..core.pattern import Pattern
@@ -37,6 +37,7 @@ from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from ..storage.meter import MemoryMeter
 from .blisslike import BlissLikeHasher
+from .positions import PositionMapper
 
 __all__ = ["ArabesqueLikeEngine"]
 

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from ..apps.fsm import FSMResult, edge_pattern_supports
-from ..apps.mni import MNIDomains, PositionMapper
+from ..apps.mni import MNIDomains
 from ..core.api import MiningResult
 from ..core.pattern import Pattern
 from ..graph.edge_index import EdgeIndex
@@ -33,6 +33,7 @@ from ..graph.graph import Graph
 from ..storage.meter import MemoryMeter
 from ..storage.spill import PartStore
 from .blisslike import BlissLikeHasher
+from .positions import PositionMapper
 
 __all__ = ["RStreamLikeEngine"]
 

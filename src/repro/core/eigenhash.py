@@ -217,6 +217,10 @@ class PatternHasher:
     Embedding streams contain the same raw pattern structure over and
     over; the cache keys on the *normalised* structure so all automorphic
     raw structures that sort identically share one polynomial computation.
+    The FSM block mappers already memoise per isomorphism class and pass
+    the canonical pattern, which is its own normalisation: each class
+    reaches the hasher once, as one miss, and its representative is the
+    canonical pattern.
 
     Also keeps the representative :class:`Pattern` per hash so results can
     be reported as structures, not bare integers.

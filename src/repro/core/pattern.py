@@ -240,12 +240,15 @@ class Pattern:
         Returns the permuted pattern and the permutation used, where
         ``perm[t]`` is the original position now at position ``t`` — the
         FSM MNI counter needs the permutation to map embedding vertices to
-        normalised pattern positions.
+        normalised pattern positions.  An already sorted pattern (every
+        canonical one is) comes back as itself.
         """
         degrees = self.degree_sequence()
         perm = tuple(
             sorted(range(self.num_vertices), key=lambda i: (self.labels[i], degrees[i]))
         )
+        if perm == tuple(range(self.num_vertices)):
+            return self, perm
         return self.permute(perm), perm
 
     @property

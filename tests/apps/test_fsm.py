@@ -5,6 +5,9 @@ import pytest
 from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps.fsm import edge_pattern_supports
 from repro.apps.reference import fsm_naive
+from repro.core.isomorphism import canonical_form, pattern_from_key
+from repro.core.pattern import MAX_EIGENHASH_VERTICES
+from repro.graph.generators import chung_lu
 from tests.conftest import random_labeled_graph
 
 
@@ -90,6 +93,29 @@ def test_validates_arguments():
         FrequentSubgraphMining(0, 5)
     with pytest.raises(ValueError):
         FrequentSubgraphMining(2, 0)
+
+
+def test_rejects_patterns_eigenhash_cannot_fingerprint():
+    """num_edges edges span up to num_edges + 1 vertices: refused in the
+    constructor, before any level is explored."""
+    FrequentSubgraphMining(MAX_EIGENHASH_VERTICES - 1, 1)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        FrequentSubgraphMining(MAX_EIGENHASH_VERTICES, 1)
+
+
+def test_representatives_are_canonical_under_any_executor():
+    """Each reported pattern is its class's canonical form, whichever raw
+    structure reached the hash memo first, so serial and threaded runs
+    report the same structures."""
+    graph = chung_lu(100, 300, 5, num_labels=3)
+    reported = []
+    for executor in ("serial", "threads"):
+        with KaleidoEngine(graph, executor=executor, workers=2) as engine:
+            patterns = engine.run(FrequentSubgraphMining(3, 2)).value.patterns
+        for pattern in patterns.values():
+            assert pattern == pattern_from_key(canonical_form(pattern)[0])
+        reported.append(patterns)
+    assert reported[0] == reported[1]
 
 
 def test_anti_monotone_pruning_consistency():

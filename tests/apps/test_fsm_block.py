@@ -6,7 +6,9 @@ memo for edge-induced FSM), place its vertices with
 ``PositionMapper.placements`` and call ``MNIDomains.add`` once per
 automorphic placement.  The block mappers must reproduce every per-part
 pattern map (domains, ``frozen`` flags and insertion order), the cost
-counters, the prune masks and the hasher traffic exactly.
+counters and the prune masks exactly, with one hasher call per pattern
+class (per row under ``hash_every_embedding``) and no more hasher misses
+or cache bytes than the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps import mni
 from repro.apps.fsm import edge_pattern_supports, frequent_edge_mask
 from repro.apps.fsm_vertex import VertexInducedFSM
-from repro.apps.mni import MNIDomains, PositionMapper
+from repro.apps.mni import MNIDomains
+from repro.baselines.positions import PositionMapper
 from repro.core import Pattern, PatternHasher
 from tests.conftest import random_labeled_graph
 
@@ -147,14 +150,17 @@ def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> Non
         assert app.total_insertions == ref.total_insertions
         assert app.total_mapped == ref.total_mapped
     if executor == "serial":
-        # Threads may race the memo into a duplicate hash call.
-        assert got_hasher.misses == want_hasher.misses
-        assert got_hasher.nbytes == want_hasher.nbytes
-        if not vertex_induced:
-            assert (
-                got_hasher.hits + got_hasher.misses
-                == want_hasher.hits + want_hasher.misses
-            )
+        # Threads may race the memo into a duplicate hash call.  The block
+        # mappers hash one canonical pattern per class; the oracle hashes
+        # raw structures, whose normalisations need not be canonical.
+        calls = got_hasher.hits + got_hasher.misses
+        if getattr(app, "hash_every_embedding", False):
+            assert calls == want_hasher.hits + want_hasher.misses
+        else:
+            classes = {h for level in ref.part_maps for pmap in level for h in pmap}
+            assert calls == len(classes)
+        assert got_hasher.misses <= want_hasher.misses
+        assert got_hasher.nbytes <= want_hasher.nbytes
 
 
 def check_config(config: dict) -> list[tuple[int, int]]:

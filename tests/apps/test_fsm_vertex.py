@@ -7,6 +7,7 @@ from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.apps.reference import connected_vertex_sets
 from repro.core import Pattern, canonical_key
 from repro.core.isomorphism import pattern_from_key
+from repro.core.pattern import MAX_EIGENHASH_VERTICES
 from repro.graph import from_edge_list
 from tests.conftest import random_labeled_graph
 
@@ -72,6 +73,13 @@ def test_validates():
         VertexInducedFSM(1, 2)
     with pytest.raises(ValueError):
         VertexInducedFSM(3, 0)
+
+
+def test_rejects_patterns_eigenhash_cannot_fingerprint():
+    """Refused in the constructor, before any level is explored."""
+    VertexInducedFSM(MAX_EIGENHASH_VERTICES, 1)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        VertexInducedFSM(MAX_EIGENHASH_VERTICES + 1, 1)
 
 
 def test_automorphism_placements_used(paper_graph):

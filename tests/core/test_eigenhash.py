@@ -221,7 +221,7 @@ def _assert_labelled_hash_iff_isomorphic(patterns) -> int:
     ids=["5v-2labels", "4v-3labels", "4v-2labels-2edgelabels"],
 )
 def test_exhaustive_labelled_no_collision(max_k, vertex_labels, edge_labels):
-    """The FSM block mappers hash once per distinct labelled code and
+    """The FSM block mappers hash once per isomorphism class and
     merge MNI domains by hash, so a labelled collision would silently
     merge two patterns' supports.  Exhaustive over every graph (connected
     or not) on up to ``max_k`` vertices under every labelling."""

@@ -5,7 +5,8 @@ placement rows the per-structure path gives: canonical position ``t`` of
 the ``a``-th automorphism (in :func:`automorphisms` order) holds structure
 position ``perm[aut[t]]``, with ``perm`` the witness of
 :func:`canonical_form`.  Slot 0 is the identity automorphism, so its row
-is the witness itself.
+is the witness itself.  Each row's canonical code must be the code of
+``pattern_from_key(canonical_form(pattern)[0])``.
 """
 
 from __future__ import annotations
@@ -76,20 +77,29 @@ def _code(pattern: Pattern, kmax: int, edge_labelled: bool) -> list[int]:
     return row
 
 
-def _expected(pattern: Pattern) -> tuple[tuple[int, ...], list[list[int]]]:
+def _expected(pattern: Pattern) -> tuple[Pattern, tuple[int, ...], list[list[int]]]:
     key, perm = canonical_form(pattern)
-    auts = automorphisms(pattern_from_key(key))
-    return perm, [[perm[a[t]] for t in range(len(a))] for a in auts]
+    canonical = pattern_from_key(key)
+    auts = automorphisms(canonical)
+    return canonical, perm, [[perm[a[t]] for t in range(len(a))] for a in auts]
+
+
+def _key(pattern: Pattern) -> tuple:
+    return (pattern.labels, pattern.bits, pattern.edge_labels or ())
 
 
 def check_slab(patterns: list[Pattern], kmax: int, edge_labelled: bool) -> None:
     codes = np.array([_code(p, kmax, edge_labelled) for p in patterns], dtype=np.int64)
-    index, valid = canonical_placements(codes, kmax)
+    index, valid, canon = canonical_placements(codes, kmax)
     assert index.dtype == np.intp and valid.dtype == bool
+    assert canon.dtype == codes.dtype and canon.shape == codes.shape
     expected = [_expected(p) for p in patterns]
-    width = max(len(rows) for _, rows in expected)
+    width = max(len(rows) for _, _, rows in expected)
     assert index.shape == valid.shape == (len(patterns), width, kmax)
-    for d, (pattern, (perm, rows)) in enumerate(zip(patterns, expected)):
+    for d, (pattern, (canonical, perm, rows)) in enumerate(zip(patterns, expected)):
+        # The canonical row is the canonical pattern's code, padding included.
+        assert canon[d].tolist() == _code(canonical, kmax, edge_labelled)
+        assert _key(mni._pattern_of(canon[d].tolist(), kmax)) == _key(canonical)
         k = pattern.num_vertices
         assert tuple(index[d, 0, :k].tolist()) == perm
         assert index[d, : len(rows), :k].tolist() == rows
@@ -119,7 +129,7 @@ def test_eight_vertex_star_has_every_leaf_permutation():
             bits |= 1 << triangle_index(min(hub, leaf), max(hub, leaf), k)
     star = Pattern((1,) * k, bits)
     check_slab([star], k, edge_labelled=False)
-    index, _ = canonical_placements(np.array([_code(star, k, False)]), k)
+    index, _, _ = canonical_placements(np.array([_code(star, k, False)]), k)
     assert index.shape == (1, 5040, k)
 
 
@@ -156,12 +166,13 @@ def test_one_code_chunks_are_byte_identical(edge_labelled):
             for p in patterns
         ]
     codes = np.array([_code(p, kmax, edge_labelled) for p in patterns * 3])
-    index, valid = canonical_placements(codes, kmax)
+    index, valid, canon = canonical_placements(codes, kmax)
     with mock.patch.object(mni, "CANON_CELLS", 1):
-        chunked_index, chunked_valid = canonical_placements(codes, kmax)
+        chunked_index, chunked_valid, chunked_canon = canonical_placements(codes, kmax)
     assert chunked_index.dtype == index.dtype and chunked_index.shape == index.shape
     assert chunked_index.tobytes() == index.tobytes()
     assert chunked_valid.tobytes() == valid.tobytes()
+    assert chunked_canon.dtype == canon.dtype and chunked_canon.tobytes() == canon.tobytes()
 
 
 @pytest.mark.slow

@@ -224,6 +224,8 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
          "motif size must be at most MAX_EIGENHASH_VERTICES (8), got 9"),
         (["approx", "--profile", "tiny", "-k", "9"],
          "motif size must be at most MAX_EIGENHASH_VERTICES (8), got 9"),
+        (["mine", "fsm", "--profile", "tiny", "--edges", "8"],
+         "num_edges must be at most MAX_EIGENHASH_VERTICES - 1 (7), got 8"),
     ],
     ids=[
         "approx-samples", "approx-k", "generate-vertices", "generate-edges-negative",
@@ -232,7 +234,7 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
         "memory-limit-zero", "memory-limit-negative", "memory-limit-nan",
         "memory-limit-inf", "memory-limit-below-one-byte",
         "motif-k1", "motif-k2", "clique-k1", "fsm-edges0", "fsm-support0",
-        "motif-k9", "approx-k9",
+        "motif-k9", "approx-k9", "fsm-edges8",
     ],
 )
 def test_invalid_inputs_exit_2(argv, message, capsys):

@@ -22,7 +22,7 @@ import numpy as np
 from ..core.cse import CSE
 from ..core.eigenhash import PatternHasher
 from ..core.explore import expand_vertex_level
-from ..core.kernels import _degree_sums, _pair_budget_chunks, vertex_kernel_context
+from ..core.kernels import _canonical_slabs, vertex_kernel_context
 from ..core.pattern import Pattern
 from ..graph.graph import Graph
 from .motif import check_motif_size, extension_codes
@@ -81,8 +81,8 @@ class ApproximateMotifCounting:
         hasher = PatternHasher()
         code_class, class_of = {}, {}  # code / pattern hash -> class, first-appearance order
         totals, squares = Counter(), Counter()
-        for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
-            rows, codes = extension_codes(kctx, block[start:end], k)
+        for start, end, bounds in _canonical_slabs(kctx, block, block):
+            rows, codes = extension_codes(kctx, block[start:end], k, bounds)
             if codes.shape[0] == 0:
                 continue
             distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)

@@ -31,9 +31,8 @@ from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.kernels import (
     VertexKernelContext,
-    _degree_sums,
+    _canonical_slabs,
     _expand_chunk,
-    _pair_budget_chunks,
     vertex_kernel_context,
 )
 from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
@@ -71,19 +70,22 @@ def _spread(k: int) -> np.ndarray:
 
 
 def extension_codes(
-    kctx: VertexKernelContext, slab: np.ndarray, k: int
+    kctx: VertexKernelContext,
+    slab: np.ndarray,
+    k: int,
+    bounds: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand an int64 slab of (k-1)-embeddings by one canonical vertex
     and return ``(rows, codes)``: one entry per k-embedding, in (row,
     candidate ascending) order — ``rows[i]`` is the slab row it extends
     and ``codes[i]`` its unlabeled adjacency bitmap (``Pattern.bits``).
 
-    Callers cut ``slab`` with ``_pair_budget_chunks`` so the kernel's and
-    the codes' temporaries stay bounded by ``PAIR_BUDGET``; the slab is
-    one kernel chunk.
+    Callers cut ``slab`` with ``_canonical_slabs``, which also gives its
+    gather ``bounds``, so the kernel's and the codes' temporaries stay
+    bounded by ``PAIR_BUDGET``; the slab is one kernel chunk.
     """
     last = k - 1
-    _, rows, _, adjacent = _expand_chunk(kctx, slab, slab, None)
+    _, rows, _, adjacent = _expand_chunk(kctx, slab, slab, None, bounds)
     if rows.shape[0] == 0:
         return rows, np.zeros(0, dtype=np.int64)
     # Adjacency bits among the (k-1)-prefix are shared by a row's
@@ -141,8 +143,8 @@ class MotifCounting(MiningApplication):
         kctx = vertex_kernel_context(ctx.graph)
         block = block.astype(np.int64, copy=False)
         tally: dict[int, int] = {}
-        for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
-            _, codes = extension_codes(kctx, block[start:end], k)
+        for start, end, bounds in _canonical_slabs(kctx, block, block):
+            _, codes = extension_codes(kctx, block[start:end], k, bounds)
             for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
                 tally[code] = tally.get(code, 0) + count
         labels = (0,) * k

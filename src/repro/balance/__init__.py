@@ -1,7 +1,7 @@
 """Load balancing: candidate-size prediction, partitioning, scheduling."""
 
 from .partition import PartitionQuality, balanced_parts, partition_quality
-from .predict import predict_edge_costs, predict_vertex_costs
+from .predict import predict_costs
 from .worksteal import (
     Schedule,
     TaskInterval,
@@ -13,8 +13,7 @@ __all__ = [
     "balanced_parts",
     "partition_quality",
     "PartitionQuality",
-    "predict_vertex_costs",
-    "predict_edge_costs",
+    "predict_costs",
     "simulate_work_stealing",
     "Schedule",
     "TaskInterval",

@@ -121,6 +121,8 @@ class KaleidoEngine:
     use_prediction:
         Partition exploration work by predicted candidate sizes (paper
         default) or by plain embedding counts (the Fig.-17 baseline).
+        The ``max_embeddings`` guard and the next level's size estimate
+        read the predicted sizes either way.
     parts_per_worker:
         Task granularity for the executor and the scheduler model.
     executor:

@@ -23,9 +23,9 @@ packed sorted view (``Graph.adjacency_keys()`` /
 * **min-id and suffix order, fused into the gather** — gather column
   ``c`` only admits candidates ``>= max(block[:, 0] + 1, suffix_max[:,
   c // arity + 1])``, i.e. the clauses assuming ``c`` is the candidate's
-  first adjacency.  One ``searchsorted`` into the packed view per chunk
-  moves each list's start past the ruled-out candidates, so they are
-  never materialised;
+  first adjacency.  One ``searchsorted`` into the packed view per
+  column (:func:`gather_bounds`) moves each list's start past the
+  ruled-out candidates, so they are never materialised;
 * **dedup + first adjacency** — one sort of packed ``(row, candidate,
   source column)`` keys dedups the pairs, reproduces the scalar loops'
   ``sorted(candidate set)`` emission order, and leaves each head
@@ -73,6 +73,16 @@ so the emitted level is byte-identical to the generic clauses followed
 by an all-adjacent filter, while ``candidates_examined`` counts only
 the one tail per row.
 
+**The length oracle.** :func:`gather_bounds` is the one source of
+per-row lengths: the bounded slice of every gather column (under a
+pattern gather, of every required column), so a row's length is exactly
+the pairs the kernel gathers for it and an upper bound on its emitted
+children.  The kernel gathers those slices and cuts its ``PAIR_BUDGET``
+chunks from their lengths, the motif mappers cut their slabs from them,
+and the planner reads them as its candidate-size prediction
+(:func:`repro.balance.predict.predict_costs`): the guard, the next
+level's predicted size and the balanced part cuts.
+
 The application's **block filter** (Listing 1's ``EmbeddingFilter``, see
 :data:`repro.core.api.BlockFilter`) runs last, over the ``(row,
 candidate)`` pairs that survived the canonical clauses (or the pattern
@@ -108,21 +118,25 @@ __all__ = [
     "vertex_kernel_context",
     "edge_kernel_context",
     "expand_block",
+    "gather_bounds",
     "call_block_filter",
 ]
 
 #: Gathered ``(row, candidate)`` pairs per internal chunk.  Chunks are cut
-#: from the per-row degree-sum prefix, so the transient pair arrays (about
-#: eight ``int64`` temporaries per pair) stay bounded however large a part
-#: the planner cut and however skewed the degrees — a row cap would not
-#: bound them: one hub in every row gathers its whole neighbor list per
-#: row.  A single row whose own degree sum exceeds the budget still runs,
-#: alone.  Measured on the perf ledger's graphs: on ``clique4-filter``
-#: (peak RSS 48.2 MB on the scalar loop) 16 Ki pairs costs +2.9% RSS,
-#: 32 Ki +4.0%, 64 Ki +8.3%, and 16 Ki is also the fastest there; on
-#: ``explore4-spill`` 16 Ki runs the three levels in the same 0.10-0.11 s
-#: as the former 16 Ki-*row* chunks did (at under half their peak RSS),
-#: 64 Ki about 15% faster — 3% of that op.  The RSS bound decides.
+#: from the exact per-row gather lengths (:func:`gather_bounds`), so the
+#: transient pair arrays (about eight ``int64`` temporaries per pair) stay
+#: bounded however large a part the planner cut and however skewed the
+#: degrees — a row cap would not bound them: one hub in every row gathers
+#: its whole neighbor list per row.  A single row whose own length
+#: exceeds the budget still runs, alone.  Measured with ``perf/run.py
+#: --seed 7 --seconds 3`` on a 2-core x86 box, at 8 / 16 / 32 / 64 Ki
+#: pairs: ``motif4-mem`` peaks at 48.3 / 48.9 / 50.6 / 53.1 MB RSS in
+#: 0.035 / 0.039 / 0.042 / 0.046 s, ``motif4-threads`` at 51.1 / 52.4 /
+#: 53.2 / 57.6 MB in 0.055 / 0.043 / 0.042 / 0.039 s; ``clique4-filter``
+#: stays at 48.3 MB, and ``explore4-spill`` within noise at 0.34-0.41 s
+#: while its RSS falls from 84.7 to 76.2 MB.  16 Ki keeps the threaded
+#: motif op's speed for about 1 MB more RSS than 8 Ki; 64 Ki would cost
+#: both motif ops another 4-5 MB.
 PAIR_BUDGET = 16_384
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -392,20 +406,11 @@ def call_block_filter(
     return mask
 
 
-def _degree_sums(indptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per-row sum of CSR slice lengths over the gather-key columns: how
-    many pairs each row gathers at most."""
-    pairs = np.zeros(keys.shape[0], dtype=np.int64)
-    for column in keys.T:
-        pairs += indptr[column + 1]
-        pairs -= indptr[column]
-    return pairs
-
-
 def _pair_budget_chunks(row_pairs: np.ndarray):
     """Cut ``range(rows)`` into contiguous chunks of at most
-    :data:`PAIR_BUDGET` gathered pairs (``row_pairs[r]`` bounds row
-    ``r``'s); a row over the budget on its own gets a chunk to itself."""
+    :data:`PAIR_BUDGET` gathered pairs (``row_pairs[r]`` is row ``r``'s
+    gather length); a row over the budget on its own gets a chunk to
+    itself."""
     prefix = np.cumsum(row_pairs)
     rows_total = prefix.shape[0]
     start = 0
@@ -416,6 +421,62 @@ def _pair_budget_chunks(row_pairs: np.ndarray):
         yield start, end
         done = int(prefix[end - 1])
         start = end
+
+
+# ----------------------------------------------------------------------
+# The length oracle
+# ----------------------------------------------------------------------
+def gather_bounds(
+    ctx: VertexKernelContext | EdgeKernelContext,
+    block64: np.ndarray,
+    keys64: np.ndarray,
+    gather: "PatternGather | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bounded slice ``[starts, ends)`` of every gather column: the
+    positions of the gathered CSR's data array the kernel reads.
+
+    Without ``gather`` (the canonical expansion) both arrays are
+    ``(rows, k * arity)``, one column per column of the gather-key
+    matrix ``keys64``, and column ``c``'s slice starts at its first
+    neighbor ``>= lb_c`` (the min-id and suffix-order bounds), so
+    ``(ends - starts).sum(axis=1)`` is exactly how many pairs each row
+    gathers.  With a pattern ``gather`` they are ``(rows,
+    len(required_cols))``: the required columns' tails past the row's
+    bound, of which the row gathers the shortest.  The module
+    docstring's "length oracle" lists the readers.
+
+    The binary searches run one column at a time: a CSE level's columns
+    are nearly ascending in storage order, and ``searchsorted`` is much
+    cheaper on nearly sorted needles than on the row-major interleaving
+    of all columns.
+    """
+    indptr, _, packed, modulus = ctx.gather_view()
+    if gather is None:
+        columns = keys64
+        # lower[:, j + 1] = max(block[:, 0] + 1, max(block[:, j + 1:])),
+        # the bound of a column of arrival j.
+        lower = _suffix_max(block64)
+        np.maximum(lower, block64[:, :1] + 1, out=lower)
+        arrivals = (np.arange(columns.shape[1]) // ctx.arity + 1).tolist()
+    else:
+        columns = keys64[:, list(gather.required_cols)]
+        lower = block64[:, list(gather.bound_cols)].max(axis=1, keepdims=True) + 1
+        arrivals = [0] * columns.shape[1]
+    ends = indptr[columns + 1].astype(np.int64, copy=False)
+    starts = np.empty_like(ends)
+    for c, j in enumerate(arrivals):
+        starts[:, c] = np.searchsorted(packed, columns[:, c] * modulus + lower[:, j])
+    np.minimum(starts, ends, out=starts)
+    return starts, ends
+
+
+def _canonical_slabs(ctx, block64: np.ndarray, keys64: np.ndarray):
+    """``(lo, hi, bounds)`` per :data:`PAIR_BUDGET` chunk of the canonical
+    gather, cut from the exact per-row lengths; ``bounds`` is the
+    :func:`gather_bounds` pair of rows ``lo..hi``."""
+    starts, ends = gather_bounds(ctx, block64, keys64)
+    for lo, hi in _pair_budget_chunks((ends - starts).sum(axis=1)):
+        yield lo, hi, (starts[lo:hi], ends[lo:hi])
 
 
 # ----------------------------------------------------------------------
@@ -472,14 +533,12 @@ def expand_block(
 
 def _canonical_chunks(ctx, block: np.ndarray, block_filter):
     """``(start, end, vert, counts, examined)`` per chunk of the generic
-    canonical expansion, chunks cut from the degree-sum prefix."""
-    keys = ctx.gather_keys(block)
-    for start, end in _pair_budget_chunks(_degree_sums(ctx.gather_view()[0], keys)):
+    canonical expansion."""
+    block64 = block.astype(np.int64, copy=False)
+    keys64 = ctx.gather_keys(block64).astype(np.int64, copy=False)
+    for start, end, bounds in _canonical_slabs(ctx, block64, keys64):
         vert, rows, examined, _ = _expand_chunk(
-            ctx,
-            block[start:end].astype(np.int64, copy=False),
-            keys[start:end].astype(np.int64, copy=False),
-            block_filter,
+            ctx, block64[start:end], keys64[start:end], block_filter, bounds
         )
         yield start, end, vert, np.bincount(rows, minlength=end - start), examined
 
@@ -494,16 +553,11 @@ def _pattern_chunks(ctx, block: np.ndarray, gather: "PatternGather", block_filte
     required columns.  The graph has no self-loops, so adjacency to a
     column already excludes that column's vertex from the candidates.
     """
-    indptr, data, packed, modulus = ctx.gather_view()
+    _, data, packed, modulus = ctx.gather_view()
     block64 = block.astype(np.int64, copy=False)
-    rows_total = block64.shape[0]
-    required = block64[:, list(gather.required_cols)]
-    lb = block64[:, list(gather.bound_cols)].max(axis=1) + 1
-    ends = indptr[required + 1]
-    starts = np.searchsorted(packed, required * modulus + lb[:, None])
-    np.minimum(starts, ends, out=starts)
+    starts, ends = gather_bounds(ctx, block64, block64, gather)
     source = np.argmin(ends - starts, axis=1)
-    row_ids = np.arange(rows_total)
+    row_ids = np.arange(block64.shape[0])
     starts = starts[row_ids, source]
     ends = ends[row_ids, source]
     for lo, hi in _pair_budget_chunks(ends - starts):
@@ -527,10 +581,15 @@ def _pattern_chunks(ctx, block: np.ndarray, gather: "PatternGather", block_filte
 
 
 def _expand_chunk(
-    ctx, block64: np.ndarray, keys64: np.ndarray, block_filter
+    ctx,
+    block64: np.ndarray,
+    keys64: np.ndarray,
+    block_filter,
+    bounds: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """One chunk of :func:`expand_block`; ``keys64`` is the chunk's
-    ``(rows, k * arity)`` gather-key matrix.
+    ``(rows, k * arity)`` gather-key matrix and ``bounds`` its
+    :func:`gather_bounds`.
 
     Returns ``(vert, rows, candidates_examined, adjacent)``: ``rows[i]``
     is the chunk row ``vert[i]`` extends (ascending) and bit ``c`` of
@@ -541,21 +600,15 @@ def _expand_chunk(
     rows_total = block64.shape[0]
     width = keys64.shape[1]
     arity = ctx.arity
-    indptr, data, packed, modulus = ctx.gather_view()
+    _, data, packed, modulus = ctx.gather_view()
 
-    # Per-gather-column inclusive lower bounds: the min-id and
-    # suffix-order clauses assuming column c is the candidate's first
-    # adjacency (arrival c // arity).  One searchsorted into the packed
-    # view moves each CSR slice start past the ruled-out candidates.
-    sfx = _suffix_max(block64)
-    lb = np.maximum(block64[:, :1] + 1, sfx[:, np.arange(width) // arity + 1])
-    flat_keys = keys64.reshape(-1)
-    slice_ends = indptr[flat_keys + 1]
-    starts = np.searchsorted(packed, flat_keys * modulus + lb.reshape(-1))
-    np.minimum(starts, slice_ends, out=starts)
-
+    # Each column's slice already starts past the candidates its min-id
+    # and suffix-order clauses rule out.
+    starts, ends = bounds
     positions = np.arange(rows_total * width, dtype=np.int64)
-    gathered, owner = _ranged_gather(starts, slice_ends, data, positions)
+    gathered, owner = _ranged_gather(
+        starts.reshape(-1), ends.reshape(-1), data, positions
+    )
     if gathered.shape[0] == 0:
         empty = np.zeros(0, dtype=np.int64)
         return np.zeros(0, dtype=ctx.out_dtype), empty, 0, empty

@@ -1,10 +1,11 @@
 """Level planning — stage 1 of the plan → execute → aggregate pipeline.
 
 Before each expansion the planner produces a :class:`LevelPlan`: the
-predicted per-embedding candidate costs (Figure 8), the balanced part
-bounds derived from them, the predicted size of the next level, the
-guard check against ``max_embeddings``, and the sink the run's
-:class:`repro.storage.StoragePolicy` hands back (memory or spilling).
+per-embedding candidate costs (Figure 8, read from the kernel's gather
+lengths), the balanced part bounds derived from them, the predicted size
+of the next level, the guard check against ``max_embeddings``, and the
+sink the run's :class:`repro.storage.StoragePolicy` hands back (memory
+or spilling).
 Before each aggregation it produces the analogous :class:`AggregatePlan`
 for the mapper parts.  The engine builds one planner per run, with that
 run's guard and pattern gathers.
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..balance.partition import balanced_parts
-from ..balance.predict import IOPlan, predict_edge_costs, predict_vertex_costs
+from ..balance.predict import IOPlan, predict_costs
 from ..errors import PlanError
 from ..graph.graph import Graph
 from .api import EngineContext, MiningApplication
 from .cse import CSE
 from .explore import InMemorySink, LevelSink, even_parts
+from .kernels import edge_kernel_context, vertex_kernel_context
 from .restrictions import (
     PatternGather,
     RestrictionSet,
@@ -46,12 +48,15 @@ class LevelPlan:
     depth: int
     #: Embedding count of the level being extended.
     size: int
-    #: Predicted per-embedding candidate counts, or None when prediction
-    #: is off (the Fig.-17 baseline splits evenly instead).
-    costs: np.ndarray | None
+    #: Per-embedding candidate costs: the pairs the kernel gathers for
+    #: each row, an upper bound on its children.  They always feed the
+    #: guard and ``predicted_entries``; the part cut follows them only
+    #: with prediction on (the Fig.-17 baseline splits evenly).
+    costs: np.ndarray
     #: Contiguous part bounds over the level, one task per part.
     part_bounds: list[tuple[int, int]]
-    #: Predicted entry count of the next level (sink sizing).
+    #: Predicted entry count of the next level, ``costs.sum()`` (sink
+    #: and spill-part sizing).
     predicted_entries: int
     #: Whether the new level goes to disk.
     spill: bool
@@ -137,30 +142,29 @@ class Planner:
         return max(1, self.workers * self.parts_per_worker)
 
     # ------------------------------------------------------------------
-    def predict_costs(self, ctx: EngineContext, cse: CSE) -> np.ndarray | None:
-        """Figure-8 candidate-size prediction over the top level."""
-        if not self.use_prediction:
-            return None
+    def predict_costs(
+        self, ctx: EngineContext, cse: CSE, gather: PatternGather | None = None
+    ) -> np.ndarray:
+        """Figure-8 candidate-size prediction over the top level: each
+        row's kernel gather length under ``gather`` (None: the canonical
+        expansion), see :func:`~repro.balance.predict.predict_costs`."""
         if ctx.edge_index is not None:
-            return predict_edge_costs(ctx.edge_index, cse)
-        return predict_vertex_costs(self.graph, cse)
+            kctx = edge_kernel_context(ctx.edge_index)
+        else:
+            kctx = vertex_kernel_context(self.graph)
+        return predict_costs(kctx, cse, gather)
 
     def plan_level(self, ctx: EngineContext, cse: CSE) -> LevelPlan:
         """Plan the next expansion; raises :class:`PlanError` on the guard."""
-        costs = self.predict_costs(ctx, cse)
-        if (
-            self.max_embeddings is not None
-            and costs is not None
-            and int(costs.sum()) > self.max_embeddings
-        ):
+        # This expansion binds pattern position `depth` (0-based).
+        gather = self.gathers.get(cse.depth)
+        costs = self.predict_costs(ctx, cse, gather)
+        predicted_entries = int(costs.sum())
+        if self.max_embeddings is not None and predicted_entries > self.max_embeddings:
             raise PlanError(
-                f"next level predicted at {int(costs.sum()):,} embeddings, "
+                f"next level predicted at {predicted_entries:,} embeddings, "
                 f"above the max_embeddings guard of {self.max_embeddings:,}"
             )
-        if costs is not None:
-            predicted_entries = int(costs.sum())
-        else:
-            predicted_entries = cse.size() * max(1, int(self.graph.average_degree))
         # The emitted level stores ids of the exploration's id space:
         # edge ids for edge-induced apps, vertex ids otherwise.  Its
         # dtype drives both the sink's storage width and the
@@ -179,7 +183,7 @@ class Planner:
         if io_plan is not None and predicted_entries > 0:
             target = math.ceil(predicted_entries / io_plan.part_entries)
             num_parts = max(num_parts, min(target, 64 * max(1, self.workers)))
-        if costs is not None:
+        if self.use_prediction:
             part_bounds = balanced_parts(costs, num_parts)
         else:
             part_bounds = even_parts(cse.size(), num_parts)
@@ -191,8 +195,7 @@ class Planner:
             predicted_entries=predicted_entries,
             spill=spill,
             sink=sink,
-            # This expansion binds pattern position `depth` (0-based).
-            pattern_gather=self.gathers.get(cse.depth),
+            pattern_gather=gather,
             io_plan=io_plan,
         )
 
@@ -201,15 +204,15 @@ class Planner:
     ) -> AggregatePlan:
         """Plan the mapper parts over the top level.
 
-        Parts follow the candidate-size prediction only when the app's
-        Mapper cost tracks candidate counts (motif counting expands every
-        embedding on the fly — the Figure-17 balance effect); otherwise
-        per-embedding cost is uniform and an even count split is the
-        better balance.
+        Parts follow the candidate-size prediction (the canonical gather
+        lengths) only when the app's Mapper cost tracks candidate counts
+        (motif counting expands every embedding on the fly — the
+        Figure-17 balance effect); otherwise per-embedding cost is
+        uniform and an even count split is the better balance.
         """
         costs = (
             self.predict_costs(ctx, cse)
-            if app.mapper_cost_tracks_candidates
+            if self.use_prediction and app.mapper_cost_tracks_candidates
             else None
         )
         if costs is not None:

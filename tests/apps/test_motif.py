@@ -8,7 +8,7 @@ from repro.apps.motif import MOTIF_COUNTS, extension_codes
 from repro.apps.reference import count_motifs_naive
 from repro.core.cse import CSE
 from repro.core.explore import expand_vertex_level
-from repro.core.kernels import _degree_sums, _pair_budget_chunks, vertex_kernel_context
+from repro.core.kernels import _canonical_slabs, vertex_kernel_context
 from repro.core.pattern import MAX_EIGENHASH_VERTICES
 from repro.graph import from_edge_list
 from tests import oracles
@@ -85,8 +85,8 @@ def test_extension_codes_match_per_pair_oracle(k):
     block = cse.decode_block(0, cse.size()).astype(np.int64)
     kctx = vertex_kernel_context(graph)
     emitted = 0
-    for start, end in _pair_budget_chunks(_degree_sums(kctx.indptr, block)):
-        rows, codes = extension_codes(kctx, block[start:end], k)
+    for start, end, bounds in _canonical_slabs(kctx, block, block):
+        rows, codes = extension_codes(kctx, block[start:end], k, bounds)
         ref_rows, ref_codes = oracles.extension_codes(kctx, block[start:end], k)
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(codes, ref_codes)

@@ -120,3 +120,17 @@ def test_max_embeddings_guard(paper_graph):
     # A generous guard never triggers.
     result = KaleidoEngine(paper_graph).run(MotifCounting(3), max_embeddings=10**9)
     assert result.value.total == 8
+
+
+@pytest.mark.parametrize("use_prediction", [True, False])
+def test_max_embeddings_guard_does_not_need_prediction(use_prediction):
+    """``use_prediction`` only picks balanced or even cuts: the guard
+    reads the kernel's gather lengths either way.  Unguarded, this run
+    builds levels [200, 900, 17865]."""
+    from repro.errors import PlanError
+    from repro.graph.generators import chung_lu
+
+    engine = KaleidoEngine(chung_lu(200, 900, 3), use_prediction=use_prediction)
+    with pytest.raises(PlanError, match="max_embeddings"):
+        engine.run(MotifCounting(4), max_embeddings=1000)
+    assert engine.run(MotifCounting(4)).level_sizes == [200, 900, 17865]

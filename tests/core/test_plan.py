@@ -41,9 +41,11 @@ def test_plan_without_prediction_splits_evenly(paper_graph):
     planner = _planner(paper_graph, use_prediction=False, parts_per_worker=2)
     cse = CSE(np.arange(6))
     plan = planner.plan_level(_ctx(paper_graph), cse)
-    assert plan.costs is None
     assert plan.part_bounds == [(0, 3), (3, 6)]
-    assert plan.predicted_entries == 6 * max(1, int(paper_graph.average_degree))
+    # The costs still size the next level: each vertex's higher
+    # neighbors, so the 7 edges exactly.
+    assert plan.costs.tolist() == [0, 2, 2, 2, 1, 0]
+    assert plan.predicted_entries == paper_graph.num_edges == 7
 
 
 def test_plan_memory_mode_skips_policy(paper_graph):

@@ -134,7 +134,8 @@ def test_vertex_adjacency_mask_is_exact(case):
     block_filter = _random_filter(rng, num_vertices) if filtered else None
     if block.shape[0] == 0:
         return
-    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, block, block_filter)
+    bounds = kernels.gather_bounds(ctx, block, block)
+    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, block, block_filter, bounds)
     ref_vert, ref_counts, _ = kernels.expand_block(ctx, block, block_filter)
     np.testing.assert_array_equal(vert, ref_vert)
     np.testing.assert_array_equal(np.bincount(rows, minlength=block.shape[0]), ref_counts)
@@ -161,7 +162,8 @@ def test_edge_adjacency_mask_is_exact(case):
     if block.shape[0] == 0:
         return
     keys = ctx.gather_keys(block).astype(np.int64)
-    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, keys, block_filter)
+    bounds = kernels.gather_bounds(ctx, block, keys)
+    vert, rows, _, adjacent = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
     np.testing.assert_array_equal(vert, kernels.expand_block(ctx, block, block_filter)[0])
     for c in range(keys.shape[1]):
         bit = (adjacent >> c) & 1 == 1

@@ -148,10 +148,6 @@ class Level(Protocol):
     def vert_array(self) -> np.ndarray:
         """The whole vertex array in memory (loads spilled parts)."""
 
-    def iter_vert_chunks(self) -> Iterator[np.ndarray]:
-        """Vertex array in storage-order chunks without materialising the
-        whole level."""
-
     @property
     def nbytes_in_memory(self) -> int:
         """Bytes currently resident in memory for this level."""
@@ -203,9 +199,6 @@ class InMemoryLevel:
 
     def vert_array(self) -> np.ndarray:
         return self.vert
-
-    def iter_vert_chunks(self) -> Iterator[np.ndarray]:
-        yield self.vert
 
     @property
     def nbytes_in_memory(self) -> int:

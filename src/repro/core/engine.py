@@ -50,7 +50,7 @@ from .cse import CSE
 from .eigenhash import PatternHasher
 from .executor import PartExecutor, resolve_executor
 from .explore import expand_edge_level, expand_vertex_level
-from .plan import Planner
+from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
 _RUN_STATE_VERSION = 2
@@ -260,15 +260,18 @@ class KaleidoEngine:
         map as an uninterrupted one.
 
         ``max_embeddings`` is the run's safety valve: the run aborts with
-        :class:`~repro.errors.PlanError` if any level is predicted above
-        that many embeddings (None: no guard).  Exploration is
-        exponential in depth; the service tier threads each query's
-        budget through here.
+        :class:`~repro.errors.PlanError` before building any level the
+        planner predicts above that many embeddings (None: no guard).
+        Anything but ``None`` or an ``int`` >= 1 raises ``ValueError``
+        before level 0 is built.  Exploration is exponential in depth;
+        the service tier runs each query under its budget here and
+        degrades or refuses it on the ``PlanError``.
 
         The run is recorded on ``self.tracer`` as one ``run`` span with
         nested ``level → {plan, execute, aggregate} → part`` children.
         Tracing never changes mined results.
         """
+        check_embedding_cap(max_embeddings)
         if self.sanitize:
             from ..analysis.sanitizer import LockOrderSanitizer, PartPuritySanitizer
 

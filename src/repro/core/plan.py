@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -37,7 +38,20 @@ from .restrictions import (
     pattern_gathers,
 )
 
-__all__ = ["LevelPlan", "AggregatePlan", "Planner"]
+__all__ = ["LevelPlan", "AggregatePlan", "Planner", "check_embedding_cap"]
+
+
+def check_embedding_cap(value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is a valid ``max_embeddings``:
+    ``None`` (no cap) or an ``int`` >= 1 (``bool`` is not a count).
+    :meth:`~repro.core.engine.KaleidoEngine.run` and the service's
+    budget and quota types all check here, before any level is built."""
+    if value is not None and (
+        not isinstance(value, int) or isinstance(value, bool) or value < 1
+    ):
+        raise ValueError(
+            f"max_embeddings must be null or an integer >= 1, got {value!r}"
+        )
 
 
 @dataclass

@@ -105,10 +105,13 @@ class QuotaExceededError(ServiceError):
 
 
 class QueryRejectedError(ServiceError):
-    """A query's cost estimate exceeded its budget and could not degrade.
+    """A query hit its budget and could not degrade.
 
-    The router only degrades to the approximate path when the budget
-    allows it *and* the application has an approximate mode; otherwise
-    the query is refused up front rather than started and aborted
-    mid-run by the ``max_embeddings`` guard.
+    The query ran under its budget as the engine's ``max_embeddings``
+    guard, and the planner predicted a level above it; the engine's
+    :class:`PlanError` is chained as ``__cause__``.  The service only
+    degrades to the approximate path when the budget allows it *and*
+    the application has an approximate mode; otherwise it refuses the
+    query with this error.  The levels below the guarded one were built
+    and discarded; nothing was cached.
     """

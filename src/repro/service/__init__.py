@@ -4,10 +4,11 @@ A long-running :class:`MiningService` multiplexes concurrent
 :class:`QueryRequest`s over one shared executor pool and one shared
 pattern-hash cache, with per-tenant admission control
 (:class:`TenantQuota`), a content-keyed :class:`ResultCache` and
-GREEN / YELLOW / RED complexity routing: cache hits are served
-instantly, interactive queries ride the sampling estimator, and only
-genuinely heavy queries get a full out-of-core engine run on a warm
-session.  :mod:`repro.service.protocol` speaks line-delimited JSON for
+GREEN / YELLOW / RED routing: cache hits are served instantly,
+approximate-mode queries ride the sampling estimator, and every other
+query gets a full out-of-core engine run on a warm session under its
+budget as the engine's ``max_embeddings`` guard — degrading to sampling,
+or refused, when the planner predicts a level above it.  :mod:`repro.service.protocol` speaks line-delimited JSON for
 the ``repro serve`` / ``repro query`` CLI front end.
 """
 
@@ -22,7 +23,6 @@ from .request import (
     Route,
     build_app,
 )
-from .router import ComplexityRouter, RouteDecision, estimate_embeddings
 from .service import MiningService
 from .sessions import EngineSession, SessionPool
 from .tenants import TenantQuota, TenantRegistry
@@ -32,7 +32,6 @@ __all__ = [
     "APPROXIMABLE_APPS",
     "CacheKey",
     "CachedAnswer",
-    "ComplexityRouter",
     "EngineSession",
     "MiningService",
     "QueryBudget",
@@ -40,13 +39,11 @@ __all__ = [
     "QueryResult",
     "ResultCache",
     "Route",
-    "RouteDecision",
     "ServiceServer",
     "SessionPool",
     "TenantQuota",
     "TenantRegistry",
     "build_app",
-    "estimate_embeddings",
     "handle_payload",
     "parse_request",
     "serve_stream",

@@ -25,6 +25,7 @@ from ..apps import (
     TriangleCounting,
 )
 from ..core.api import MiningApplication, PatternMap
+from ..core.plan import check_embedding_cap
 from ..graph.graph import Graph
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
 #: Application names the query tier accepts (the CLI's vocabulary).
 APP_NAMES = ("tc", "motif", "clique", "fsm")
 
-#: Applications with a cheap approximate mode the router may degrade to.
+#: Applications with a cheap approximate mode a query may degrade to.
 APPROXIMABLE_APPS = frozenset({"motif"})
 
 
@@ -68,28 +69,18 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def check_embedding_cap(value: Any) -> None:
-    """Raise ``ValueError`` unless ``value`` is a valid ``max_embeddings``:
-    ``None`` (no cap) or an ``int`` >= 1.  Wire payloads reach the
-    budget and quota types unchecked, so both validate here."""
-    if value is not None and not _is_count(value):
-        raise ValueError(
-            f"max_embeddings must be null or an integer >= 1, got {value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class QueryBudget:
     """Per-query cost bound and degradation policy.
 
-    ``max_embeddings`` caps the exploration size: when the router's
-    cost estimate exceeds it, the query degrades to the approximate
-    path (if ``allow_degraded`` and the app supports it) or is rejected
-    with :class:`~repro.errors.QueryRejectedError` before any work
-    starts.  The cap is also threaded into the engine's own
-    ``max_embeddings`` guard on RED runs, so an estimate that was too
-    optimistic still cannot run away.  ``samples`` sizes the degraded
-    approximate run.  Both arrive from the wire unchecked, so
+    ``max_embeddings`` is the engine's guard: the query runs RED, and no
+    level the run explores may be *predicted* above the cap (checked by
+    the planner before that level is built).  When the guard trips, the
+    query degrades to the approximate path (if ``allow_degraded`` and
+    the app supports it) or is rejected with
+    :class:`~repro.errors.QueryRejectedError`; either way it has paid
+    for the levels below the guarded one.  ``samples`` sizes the
+    degraded approximate run.  Both arrive from the wire unchecked, so
     construction raises ``ValueError`` unless ``max_embeddings`` is
     ``None`` or an ``int`` >= 1 and ``samples`` an ``int`` >= 1.
     """
@@ -115,7 +106,7 @@ class QueryBudget:
         return cls(
             max_embeddings=payload.get("max_embeddings"),
             allow_degraded=bool(payload.get("allow_degraded", True)),
-            samples=int(payload.get("samples", 400)),
+            samples=payload.get("samples", 400),
         )
 
 
@@ -128,6 +119,9 @@ class QueryRequest:
     callers).  ``params`` carries app-specific knobs — FSM's ``edges``
     and ``support``, the approximate mode's ``samples``/``seed`` — and
     participates in the cache key, canonicalised by :meth:`cache_params`.
+    Construction raises ``ValueError`` unless a given ``samples`` is an
+    ``int`` >= 1 and a given ``seed`` an ``int`` >= 0 (``bool`` is
+    neither).
     """
 
     app: str
@@ -149,6 +143,13 @@ class QueryRequest:
             raise ValueError(f"app {self.app!r} has no approximate mode")
         if self.graph is None and self.dataset is None:
             raise ValueError("a query needs either a dataset name or a graph")
+        if "samples" in self.params and not _is_count(self.params["samples"]):
+            raise ValueError(
+                f"samples must be an integer >= 1, got {self.params['samples']!r}"
+            )
+        seed = self.params.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     def cache_params(self) -> tuple:
         """Canonical, hashable form of everything that shapes the result.
@@ -179,7 +180,10 @@ class QueryResult:
     wall_seconds: float
     #: For YELLOW answers: the 95% CI half-widths per pattern hash.
     error_bars: dict[int, float] | None = None
-    #: Extra engine facts for RED runs (executor, levels, peak bytes).
+    #: Why the query took its route (``reason``), plus per-route facts:
+    #: ``origin_route`` (GREEN), ``samples`` and ``degraded`` (YELLOW;
+    #: a degraded ``reason`` is the planner's guard message), and the
+    #: engine's wall seconds, peak bytes and session runs (RED).
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:

@@ -12,7 +12,14 @@
 * the :class:`~repro.service.tenants.TenantRegistry` doing admission.
 
 A query's life: admit (quota) → resolve graph → probe cache → route
-(GREEN / YELLOW / RED) → execute → cache → answer.  Each request gets
+→ execute → cache → answer.  A cache hit is GREEN, an approximate-mode
+query YELLOW, and every other query runs RED under its effective budget
+as the engine's ``max_embeddings`` guard.  When the planner predicts a
+level above that guard, the run stops with
+:class:`~repro.errors.PlanError` before building the level, and the
+query degrades to YELLOW (an approximable app that allows it) or is
+refused with :class:`~repro.errors.QueryRejectedError`.  The service
+keeps no cost model of its own.  Each request gets
 its own span track (``request-<id>``) in the service tracer, so
 concurrent requests render as parallel tracks in the Chrome trace, and
 per-tenant counters live under ``tenant.<name>.*`` in the shared
@@ -35,14 +42,13 @@ from ..apps.approximate import approximate_motifs
 from ..core.engine import KaleidoEngine
 from ..core.eigenhash import PatternHasher
 from ..core.executor import ThreadedExecutor
-from ..errors import ServiceError
+from ..errors import PlanError, QueryRejectedError, ServiceError
 from ..graph import datasets
 from ..graph.graph import Graph
 from ..obs.metrics import MetricsRegistry, MetricsView
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .cache import CachedAnswer, CacheKey, ResultCache
-from .request import QueryRequest, QueryResult, Route, build_app
-from .router import ComplexityRouter, RouteDecision
+from .request import APPROXIMABLE_APPS, QueryRequest, QueryResult, Route, build_app
 from .sessions import SessionPool
 from .tenants import TenantQuota, TenantRegistry
 
@@ -109,7 +115,6 @@ class MiningService:
         self.hasher = PatternHasher()
         self.cache = ResultCache(cache_entries, metrics=self.metrics)
         self.tenants = TenantRegistry(default_quota, metrics=self.metrics)
-        self.router = ComplexityRouter(self.metrics)
         self.sessions = SessionPool(
             self._build_engine, max_sessions_per_graph, metrics=self.metrics
         )
@@ -140,6 +145,14 @@ class MiningService:
         self._completed = self.metrics.counter("service.completed")
         self._failed = self.metrics.counter("service.failed")
         self._latency = self.metrics.histogram("service.latency_seconds")
+        #: The route that served each answer; a RED attempt that hit the
+        #: guard counts only as yellow + degraded, or as rejected.
+        self._routes = {
+            route: self.metrics.counter(f"service.route.{route.value.lower()}")
+            for route in Route
+        }
+        self._degraded = self.metrics.counter("service.route.degraded")
+        self._rejected = self.metrics.counter("service.route.rejected")
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -212,9 +225,10 @@ class MiningService:
         """Serve one query synchronously.
 
         Raises :class:`~repro.errors.QuotaExceededError` at admission,
-        :class:`~repro.errors.QueryRejectedError` from the router, and
-        whatever the engine raises on RED runs.  Always releases the
-        tenant slot, and always accounts the outcome.
+        :class:`~repro.errors.QueryRejectedError` when the engine's guard
+        stops a query that cannot degrade, and whatever else the engine
+        raises on RED runs.  Always releases the tenant slot, and always
+        accounts the outcome.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -247,6 +261,7 @@ class MiningService:
         elapsed = time.perf_counter() - start
         result.wall_seconds = elapsed
         self._completed.inc()
+        self._routes[result.route].inc()
         self._latency.observe(elapsed)
         tenant_view.counter("completed").inc()
         tenant_view.counter(f"route.{result.route.value.lower()}").inc()
@@ -268,13 +283,7 @@ class MiningService:
             request.cache_params(),
         )
         cached = self.cache.get(key)
-        budget = request.budget
-        effective = self.tenants.clamp_budget(
-            request.tenant, budget.max_embeddings if budget is not None else None
-        )
-        decision = self.router.classify(request, graph, cached is not None, effective)
-        if decision.route is Route.GREEN:
-            assert cached is not None
+        if cached is not None:
             return QueryResult(
                 request_id=request_id,
                 tenant=request.tenant,
@@ -285,21 +294,42 @@ class MiningService:
                 pattern_map=dict(cached.pattern_map),
                 wall_seconds=0.0,
                 error_bars=dict(cached.error_bars) if cached.error_bars else None,
-                extra={"origin_route": cached.route, "reason": decision.reason},
+                extra={"origin_route": cached.route, "reason": "result-cache hit"},
             )
-        if decision.route is Route.YELLOW:
-            result = self._serve_yellow(request, request_id, graph, decision, track)
+        if request.mode == "approximate":
+            result = self._serve_yellow(
+                request, request_id, graph, track, "approximate mode requested"
+            )
         else:
-            result = self._serve_red(
-                request, request_id, graph, decision, effective, track
+            budget = request.budget
+            effective = self.tenants.clamp_budget(
+                request.tenant, budget.max_embeddings if budget is not None else None
             )
-        if decision.degraded:
-            # A budget-degraded answer is approximate but keyed by the
-            # exact-mode request it degraded from; caching it would serve
-            # sampling estimates as GREEN hits to later exact queries —
-            # including tenants with a larger or no budget ceiling.
-            # Degraded runs are cheap by construction: just re-sample.
-            return result
+            try:
+                result = self._serve_red(request, request_id, graph, effective, track)
+            except PlanError as exc:
+                allow = budget.allow_degraded if budget is not None else True
+                if not (allow and request.app in APPROXIMABLE_APPS):
+                    self._rejected.inc()
+                    raise QueryRejectedError(
+                        f"{exc}; the query cannot degrade "
+                        f"(app {request.app!r}, allow_degraded={allow})"
+                    ) from exc
+                # A degraded answer is approximate but keyed by the
+                # exact-mode request it degraded from; caching it would
+                # serve sampling estimates as GREEN hits to later exact
+                # queries — including tenants with a larger or no budget
+                # ceiling.  A repeat runs to the guard and re-samples.
+                result = self._serve_yellow(
+                    request,
+                    request_id,
+                    graph,
+                    track,
+                    f"{exc}; degraded to sampling",
+                    degraded=True,
+                )
+                self._degraded.inc()
+                return result
         self.cache.put(
             key,
             CachedAnswer(
@@ -316,13 +346,14 @@ class MiningService:
         request: QueryRequest,
         request_id: int,
         graph: Graph,
-        decision: RouteDecision,
         track: str,
+        reason: str,
+        degraded: bool = False,
     ) -> QueryResult:
-        samples = int(request.params.get("samples", 0)) or (
+        samples = request.params.get("samples") or (
             request.budget.samples if request.budget is not None else 400
         )
-        seed = int(request.params.get("seed", 0))
+        seed = request.params.get("seed", 0)
         with self.tracer.track_span("approximate", track, samples=samples):
             estimates = approximate_motifs(graph, request.k, samples, seed=seed)
         pattern_map = {h: est.estimate for h, est in estimates.items()}
@@ -336,11 +367,7 @@ class MiningService:
             pattern_map=pattern_map,
             wall_seconds=0.0,
             error_bars={h: est.half_width for h, est in estimates.items()},
-            extra={
-                "reason": decision.reason,
-                "samples": samples,
-                "degraded": decision.degraded,
-            },
+            extra={"reason": reason, "samples": samples, "degraded": degraded},
         )
 
     def _serve_red(
@@ -348,7 +375,6 @@ class MiningService:
         request: QueryRequest,
         request_id: int,
         graph: Graph,
-        decision: RouteDecision,
         effective_budget: int | None,
         track: str,
     ) -> QueryResult:
@@ -368,8 +394,7 @@ class MiningService:
             pattern_map=dict(mined.pattern_map),
             wall_seconds=0.0,
             extra={
-                "reason": decision.reason,
-                "estimated_embeddings": decision.estimated_embeddings,
+                "reason": "full out-of-core run",
                 "engine_wall_seconds": mined.wall_seconds,
                 "peak_memory_bytes": mined.peak_memory_bytes,
                 "session_runs": session.runs_completed,

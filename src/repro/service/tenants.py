@@ -18,9 +18,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from ..core.plan import check_embedding_cap
 from ..errors import QuotaExceededError
 from ..obs.metrics import MetricsRegistry, MetricsView
-from .request import check_embedding_cap
 
 __all__ = ["TenantQuota", "TenantRegistry"]
 
@@ -30,9 +30,10 @@ class TenantQuota:
     """Admission limits for one tenant.
 
     ``max_concurrent`` bounds in-flight queries (admission control);
-    ``max_embeddings`` is an optional hard ceiling on any single query's
-    exploration size — a per-tenant clamp on the per-query budget —
-    validated like :class:`~repro.service.request.QueryBudget`'s.
+    ``max_embeddings`` is an optional per-tenant ceiling on the
+    per-query budget: the smaller of the two becomes the engine's
+    guard, with :class:`~repro.service.request.QueryBudget`'s meaning
+    (no explored level may be predicted above it) and validation.
     """
 
     max_concurrent: int = 4

@@ -37,7 +37,6 @@ import time
 import uuid
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -423,8 +422,8 @@ class SpilledLevel:
 
     Satisfies the :class:`repro.core.cse.Level` protocol.  The part
     files are served as read-only memory maps — the one read path:
-    random block decode gathers through a :class:`PartedVector` over the
-    maps, and streaming iteration maps one part at a time.  Figure 7's
+    block decode gathers through a :class:`PartedVector` over the maps,
+    and a spilled level streams by decoding consecutive blocks.  Figure 7's
     main part / candidate part window is left to the OS page cache and
     its readahead rather than to prefetch threads.
     """
@@ -490,10 +489,6 @@ class SpilledLevel:
         """
         for part in self.parts:
             self.store.verify(part)
-
-    def iter_vert_chunks(self) -> Iterator[np.ndarray]:
-        for part in self.parts:
-            yield self.store.open_mmap(part)
 
     @property
     def nbytes_in_memory(self) -> int:

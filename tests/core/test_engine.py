@@ -122,6 +122,16 @@ def test_max_embeddings_guard(paper_graph):
     assert result.value.total == 8
 
 
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True, "100"])
+def test_malformed_max_embeddings_is_refused_before_level_zero(paper_graph, cap):
+    class NoRoots(MotifCounting):
+        def init(self, ctx):
+            raise AssertionError("level 0 was built")
+
+    with pytest.raises(ValueError, match="max_embeddings must be null or an integer"):
+        KaleidoEngine(paper_graph).run(NoRoots(3), max_embeddings=cap)
+
+
 @pytest.mark.parametrize("use_prediction", [True, False])
 def test_max_embeddings_guard_does_not_need_prediction(use_prediction):
     """``use_prediction`` only picks balanced or even cuts: the guard

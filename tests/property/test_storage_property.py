@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import CSE
 from repro.storage import (
     PartStore,
     SpilledLevel,
@@ -44,11 +45,17 @@ def test_part_roundtrip_any_chunking(tmp_path_factory, chunks):
     ),
 )
 @_slow
-def test_iter_vert_chunks_preserves_order(tmp_path_factory, chunks):
+def test_decode_block_preserves_part_order(tmp_path_factory, chunks):
+    """One root per part: decoding the spilled level gives every part's
+    entries in order, each under its own root."""
     store = PartStore(str(tmp_path_factory.mktemp("win")))
     handles = [store.save(np.asarray(c, dtype=np.int32)) for c in chunks]
-    level = SpilledLevel(store, handles, None)
-    assert [c.tolist() for c in level.iter_vert_chunks()] == chunks
+    off = np.cumsum([0] + [len(c) for c in chunks])
+    cse = CSE(np.arange(len(chunks), dtype=np.int32))
+    cse.append_level(SpilledLevel(store, handles, off))
+    block = cse.decode_block(0, cse.size())
+    assert block[:, 1].tolist() == [x for c in chunks for x in c]
+    assert block[:, 0].tolist() == [i for i, c in enumerate(chunks) for _ in c]
     store.close()
 
 

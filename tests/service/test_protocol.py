@@ -121,12 +121,36 @@ def test_malformed_quota_is_rejected_and_tenant_keeps_working(service, cap):
 
 @pytest.mark.parametrize(
     "budget",
-    [{"max_embeddings": -1}, {"max_embeddings": "x"}, {"samples": 0}],
+    [
+        {"max_embeddings": -1},
+        {"max_embeddings": "x"},
+        {"samples": 0},
+        {"samples": 2.7},
+        {"samples": True},
+    ],
 )
 def test_malformed_query_budget_is_a_value_error(service, budget):
     response = handle_payload(
         service,
         {"app": "tc", "dataset": "citeseer", "profile": "tiny", "budget": budget},
+    )
+    assert response["status"] == "error"
+    assert response["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "params", [{"samples": True}, {"samples": 2.7}, {"seed": -1}, {"seed": False}]
+)
+def test_malformed_sampling_params_are_a_value_error(service, params):
+    response = handle_payload(
+        service,
+        {
+            "app": "motif",
+            "dataset": "citeseer",
+            "profile": "tiny",
+            "mode": "approximate",
+            "params": params,
+        },
     )
     assert response["status"] == "error"
     assert response["error"] == "ValueError"

@@ -32,6 +32,30 @@ def test_request_needs_a_graph_or_dataset():
         QueryRequest(app="tc")
 
 
+@pytest.mark.parametrize(
+    "params, match",
+    [
+        ({"samples": True}, "samples"),
+        ({"samples": 2.7}, "samples"),
+        ({"samples": 0}, "samples"),
+        ({"samples": "40"}, "samples"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "3"}, "seed"),
+    ],
+)
+def test_request_validates_sampling_params(params, match):
+    with pytest.raises(ValueError, match=match):
+        QueryRequest(app="motif", dataset="x", mode="approximate", params=params)
+
+
+def test_request_accepts_sampling_params():
+    QueryRequest(
+        app="motif", dataset="x", mode="approximate", params={"samples": 1, "seed": 0}
+    )
+
+
 def test_cache_params_canonical_and_mode_aware():
     a = QueryRequest(app="fsm", dataset="x", params={"support": 5, "edges": 2})
     b = QueryRequest(app="fsm", dataset="x", params={"edges": 2, "support": 5})

@@ -94,39 +94,43 @@ def test_spilled_level_verify_sweeps_all_parts(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SpilledLevel.iter_vert_chunks: parts streamed as maps, in order
+# A spilled level read by CSE.decode_block: parts served as maps, in order
 # ----------------------------------------------------------------------
-def _three_part_level(tmp_path):
+def _three_part_cse(tmp_path):
+    """Three roots, each with a five-entry child part on disk."""
     store = PartStore(str(tmp_path))
     handles = [store.save(np.arange(i, i + 5, dtype=np.int32)) for i in (0, 10, 20)]
-    return store, SpilledLevel(store, handles, None)
+    cse = CSE(np.arange(3, dtype=np.int32))
+    cse.append_level(SpilledLevel(store, handles, np.array([0, 5, 10, 15])))
+    return store, cse
 
 
-def test_iter_vert_chunks_matches_vert_array(tmp_path):
-    _store, level = _three_part_level(tmp_path)
-    chunks = list(level.iter_vert_chunks())
-    assert len(chunks) == level.num_parts
-    assert all(isinstance(chunk, np.memmap) for chunk in chunks)
-    assert np.array_equal(np.concatenate(chunks), level.vert_array())
+def test_decode_block_reads_spilled_parts_in_order(tmp_path):
+    _store, cse = _three_part_cse(tmp_path)
+    block = cse.decode_block(0, cse.size())
+    assert block[:, 0].tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    assert block[:, 1].tolist() == [*range(5), *range(10, 15), *range(20, 25)]
+    assert np.array_equal(block[:, 1], cse.top.vert_array())
 
 
-def test_iter_vert_chunks_counts_reads(tmp_path):
-    store, level = _three_part_level(tmp_path)
+def test_decode_block_counts_each_part_read_once(tmp_path):
+    store, cse = _three_part_cse(tmp_path)
     before = store.io.bytes_read
-    for _ in level.iter_vert_chunks():
-        pass
-    assert store.io.bytes_read == before + level.nbytes_on_disk
+    for start in range(0, cse.size(), 4):
+        cse.decode_block(start, min(start + 4, cse.size()))
+    assert store.io.bytes_read == before + cse.top.nbytes_on_disk
 
 
-def test_iter_vert_chunks_raises_on_torn_part(tmp_path):
-    """A torn part raises at its own position in the stream: the parts
-    before it are served, nothing after it is."""
-    _store, level = _three_part_level(tmp_path)
-    _corrupt_file(level.parts[1].path, torn=True)
-    chunks = level.iter_vert_chunks()
-    assert next(chunks).tolist() == list(range(5))
+def test_decode_block_raises_on_torn_part(tmp_path):
+    """The level's parts are mapped together on first read, so a torn
+    part fails every block, not only its own; the CRC-checked
+    ``vert_array`` refuses it too."""
+    _store, cse = _three_part_cse(tmp_path)
+    _corrupt_file(cse.top.parts[1].path, torn=True)
     with pytest.raises(CorruptPartError):
-        next(chunks)
+        cse.decode_block(0, 5)
+    with pytest.raises(CorruptPartError):
+        cse.top.vert_array()
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,6 @@ def test_spilled_level_basics(tmp_path):
     assert level.num_embeddings == 5
     assert level.num_parts == 2
     assert level.vert_array().tolist() == [1, 2, 3, 4, 5]
-    chunks = [c.tolist() for c in level.iter_vert_chunks()]
-    assert chunks == [[1, 2], [3, 4, 5]]
     assert level.nbytes_in_memory == off.nbytes
     assert level.nbytes_on_disk > 0
     assert level.nbytes_total > level.nbytes_in_memory
@@ -89,4 +87,3 @@ def test_empty_spilled_level(tmp_path):
     level = SpilledLevel(store, [], np.array([0], dtype=np.int64))
     assert level.num_embeddings == 0
     assert level.vert_array().shape == (0,)
-    assert list(level.iter_vert_chunks()) == []

@@ -11,12 +11,19 @@ Paper shape: EigenHash wins more on motif counting (5.8x) than on FSM
 (2.1x), and the checker's own memory is smaller on FSM (3.1x).
 """
 
+import time
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro import FrequentSubgraphMining, KaleidoEngine, MotifCounting
+from repro.apps.mni import canonical_placements
 from repro.baselines import BlissLikeHasher
 from repro.bench import format_table, geomean
-from repro.core import PatternHasher
+from repro.core import PatternHasher, eigenhash
+from repro.core.eigenhash import eigen_hash, eigen_hash_codes
+from repro.core.pattern import Pattern, triangle_index
 from repro.graph import datasets
 
 from conftest import run_once
@@ -128,3 +135,85 @@ def test_fig12_iso_compare(benchmark, emit):
     assert geomean(motif_speedups) > geomean(fsm_speedups)
     assert geomean(fsm_speedups) > 0.85
     assert geomean(fsm_memory_factors) > 1.0
+
+
+#: Batch sizes of the per-k cost table's batched pass.
+HASH_BATCHES = (1, 32, 4096)
+
+#: Distinct codes timed through ``canonical_placements`` per k: its
+#: ``k!`` permutation table makes one 8-vertex code cost milliseconds.
+CANON_CODES = {3: 512, 4: 512, 5: 512, 6: 128, 7: 16, 8: 4}
+
+
+def _connected_corpus(k: int, count: int, rng) -> list[Pattern]:
+    """Connected patterns on ``k`` vertices with 4 vertex labels: a random
+    spanning tree plus each other cell with probability 0.3."""
+    corpus = []
+    for _ in range(count):
+        bits = 0
+        for j in range(1, k):
+            bits |= 1 << triangle_index(int(rng.integers(0, j)), j, k)
+        for cell in range(k * (k - 1) // 2):
+            if rng.random() < 0.3:
+                bits |= 1 << cell
+        corpus.append(Pattern(tuple(int(x) for x in rng.integers(0, 4, size=k)), bits))
+    return corpus
+
+
+def _us_per_item(action, items: int) -> float:
+    started = time.perf_counter()
+    action()
+    return (time.perf_counter() - started) * 1e6 / items
+
+
+@pytest.mark.benchmark(group="fig12")
+def test_fig12_hash_cost_per_k(benchmark, emit):
+    """Microseconds per code, per vertex count: scalar ``eigen_hash``, the
+    batched ``eigen_hash_codes`` at three batch sizes, and the block
+    mappers' ``canonical_placements`` per distinct code — the costs that
+    decide which pattern key the mappers should use."""
+    rows = []
+
+    def run_cases():
+        rng = np.random.default_rng(12)
+        for k in range(3, 9):
+            corpus = _connected_corpus(k, max(HASH_BATCHES), rng)
+            codes = np.array([p.to_code(k) for p in corpus], dtype=np.int64)
+            want = []
+            scalar = _us_per_item(lambda: want.extend(eigen_hash(p) for p in corpus[:512]), 512)
+            assert eigen_hash_codes(codes[:512], k).tolist() == want
+            batched = []
+            for size in HASH_BATCHES:
+                calls = max(1, 512 // size)
+                batched.append(
+                    _us_per_item(
+                        lambda: [eigen_hash_codes(codes[i * size : (i + 1) * size], k) for i in range(calls)],
+                        calls * size,
+                    )
+                )
+            with mock.patch.object(eigenhash, "eigen_hash", wraps=eigen_hash) as fallback:
+                eigen_hash_codes(codes, k)
+            distinct = np.unique(codes, axis=0)[: CANON_CODES[k]]
+            canon = _us_per_item(lambda: canonical_placements(distinct, k), distinct.shape[0])
+            rows.append(
+                [
+                    str(k),
+                    f"{scalar:.1f}",
+                    *(f"{us:.1f}" for us in batched),
+                    f"{fallback.call_count / codes.shape[0]:.0%}",
+                    f"{canon:.1f}",
+                ]
+            )
+            assert batched[-1] < scalar or fallback.call_count
+        return rows
+
+    run_once(benchmark, run_cases)
+    table = format_table(
+        [
+            "k", "eigen_hash", *(f"batched@{size}" for size in HASH_BATCHES),
+            "scalar fallback", "canonical_placements",
+        ],
+        rows,
+        title="Figure 12 (per k) — µs per code, connected patterns, 4 vertex labels",
+    )
+    emit(table, name="fig12_hash_per_k")

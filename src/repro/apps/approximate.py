@@ -5,10 +5,10 @@ embedding space.  Here: explore exhaustively to the (k-1)-embeddings, draw
 ``samples`` parents uniformly with replacement, decode only those rows
 (:meth:`CSE.decode_rows`) and expand them on the motif mapper's block path
 (:func:`~repro.apps.motif.extension_codes`, in ``PAIR_BUDGET`` slabs),
-hashing each distinct adjacency code once.  A per-slab ``bincount`` over
-(sample, class) gives the per-sample counts; each class is scaled by
-``num_parents / samples`` (Horvitz–Thompson: unbiased, variance shrinking
-as 1/samples) and reported with a 95% CI.
+hashing each slab's new distinct adjacency codes in one batch.  A
+per-slab ``bincount`` over (sample, class) gives the per-sample counts;
+each class is scaled by ``num_parents / samples`` (Horvitz–Thompson:
+unbiased, variance shrinking as 1/samples) and reported with a 95% CI.
 """
 
 from __future__ import annotations
@@ -86,10 +86,9 @@ class ApproximateMotifCounting:
             if codes.shape[0] == 0:
                 continue
             distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            for code in distinct[np.argsort(first)].tolist():
-                if code not in code_class:
-                    phash = hasher.hash_pattern(Pattern((0,) * k, code))
-                    code_class[code] = class_of.setdefault(phash, len(class_of))
+            new = [c for c in distinct[np.argsort(first)].tolist() if c not in code_class]
+            for code, phash in zip(new, hasher.hash_patterns([Pattern((0,) * k, c) for c in new])):
+                code_class[code] = class_of.setdefault(phash, len(class_of))
             C = len(class_of)
             cls = np.array([code_class[c] for c in distinct.tolist()], dtype=np.int64)[inverse]
             # Per-sample counts; duplicate picks are separate rows, so separate samples.

@@ -27,7 +27,9 @@ canonical code.
 The canonical code is the mappers' pattern identity: hashes are memoised
 per canonical code (:class:`PlacementTable`), and a miss hashes the
 canonical pattern, so each isomorphism class costs one hash call however
-many raw structures it arrives as.  This is exact:
+many raw structures it arrives as.  A part's unseen classes reach the
+hasher as one :meth:`~repro.core.eigenhash.PatternHasher.hash_patterns`
+batch.  This is exact:
 
 * two codes have equal canonical codes exactly when their patterns are
   isomorphic (labels and edge labels included), because the canonical
@@ -78,7 +80,8 @@ _NEVER = np.iinfo(np.int64).max
 #: ids (``(rows, kmax)``, padded past the row's vertex count) and one code
 #: row ``[k, labels (kmax, padded with -1), bits, edge labels by cell]`` —
 #: the edge-label columns, one per upper-triangle cell of a ``kmax``-vertex
-#: pattern (0 where no edge), only on edge-labelled graphs.
+#: pattern (0 where no edge), only on edge-labelled graphs.  The layout is
+#: :meth:`Pattern.from_code` / :meth:`Pattern.to_code`'s.
 BlockEncoder = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -139,24 +142,29 @@ class MNIDomains:
 class PlacementTable:
     """The block mappers' hash memo, one entry per isomorphism class.
 
-    Keyed by a class's canonical :data:`BlockEncoder` code row (as
-    :func:`canonical_placements` returns it), it holds the pattern hash, so
-    each class is hashed once — through its canonical pattern — however
-    many raw structures, slabs and parts it appears in.  Concurrent parts
-    may share a table: dict get/set are atomic and every value is
-    deterministic per key, so a race costs at most a duplicate hash call.
+    Keyed by a class's canonical :data:`BlockEncoder` code row (as a
+    tuple; :func:`canonical_placements` returns it), it holds the pattern
+    hash, so each class is hashed once — through its canonical pattern —
+    however many raw structures, slabs and parts it appears in.  A part
+    asks for all its classes at once, and the ones the table has not seen
+    go to the hasher as one batch.  Concurrent parts may share a table:
+    dict get/set are atomic and every value is deterministic per key, so
+    a race costs at most a duplicate hash call.
     """
 
     def __init__(self) -> None:
         self._hashes: dict[tuple, int] = {}
 
-    def phash(self, ctx, code: list[int], kmax: int) -> int:
-        """The hash of the class whose canonical code row is ``code``."""
-        key = tuple(code)
-        value = self._hashes.get(key)
-        if value is None:
-            value = self._hashes[key] = ctx.hash_pattern(_pattern_of(code, kmax))
-        return value
+    def hashes(self, ctx, codes: list[tuple], kmax: int) -> list[int]:
+        """The hashes of the classes whose canonical code rows are
+        ``codes``; the unseen ones go to one ``ctx.hash_patterns`` call."""
+        out = [self._hashes.get(code) for code in codes]
+        new = [c for c, value in enumerate(out) if value is None]
+        if new:
+            values = ctx.hash_patterns([Pattern.from_code(codes[c], kmax) for c in new])
+            for c, value in zip(new, values):
+                out[c] = self._hashes[codes[c]] = value
+        return out
 
 
 class _PermTable(NamedTuple):
@@ -274,16 +282,6 @@ def canonical_placements(
     return index, valid, canon
 
 
-def _pattern_of(code: list[int], kmax: int) -> Pattern:
-    """Decode one :data:`BlockEncoder` code row."""
-    k, bits = code[0], code[1 + kmax]
-    labels = tuple(code[1 : 1 + k])
-    cells = code[2 + kmax :]
-    if not cells:
-        return Pattern(labels, bits)
-    return Pattern(labels, bits, tuple(c for t, c in enumerate(cells) if bits >> t & 1))
-
-
 def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first_rows, inverse)``: the first row of each distinct code, in
     first-appearance order, and each row's index into it."""
@@ -316,13 +314,16 @@ def fold_mni_block(
     :meth:`MNIDomains.add` for every automorphic placement of every row in
     order.  One :func:`canonical_placements` call per slab places its
     distinct codes and groups them into isomorphism classes by canonical
-    code; each class is hashed once through ``table`` (or once per row
-    under ``hash_every_embedding``).  Every placed vertex becomes a packed
-    key ``(group·kmax + position)·n + vertex``, where a group is a pattern
-    hash numbered in first-appearance order (so ``pmap`` keeps its
-    insertion order); a stable sort of the keys in (row, placement) order
-    yields each vertex's first step.  A domain that reaches ``threshold``
-    at every position freezes at the largest per-position
+    code; classes are numbered part-wide in first-sighting order.  Every
+    placed vertex becomes a packed key ``(class·kmax + position)·n +
+    vertex``, and a stable sort of each slab's keys in (row, placement)
+    order yields each vertex's first step.  After the slabs, the part's
+    classes are hashed at once through ``table`` (or once per row under
+    ``hash_every_embedding``), and a group — a pattern hash numbered in
+    first-appearance order over the classes, so ``pmap`` keeps its
+    insertion order — replaces the class in each key; that renumbering is
+    the identity unless two classes share a hash.  A domain that reaches
+    ``threshold`` at every position freezes at the largest per-position
     ``threshold``-th first step, and holds exactly the vertices first seen
     by then.
 
@@ -330,10 +331,10 @@ def fold_mni_block(
     insertions the per-row fold would have made.
     """
     rows_total = block.shape[0]
-    row_hashes = np.empty(rows_total, dtype=np.uint64)
     n = ctx.graph.num_vertices
-    groups: dict[int, int] = {}
-    group_sizes: list[int] = []
+    classes: dict[tuple, int] = {}
+    row_cls = np.empty(rows_total, dtype=np.intp)
+    row_hashes = np.empty(rows_total, dtype=np.uint64)
     head_keys: list[np.ndarray] = []
     head_steps: list[np.ndarray] = []
     step_base = 0
@@ -344,40 +345,53 @@ def fold_mni_block(
         first_rows, inverse = distinct_rows(codes)
         index, valid, canon = canonical_placements(codes[first_rows], kmax)
         class_rows, cls_of = distinct_rows(canon)
-        row_cls = cls_of[inverse]
-        cls_hash = np.empty(class_rows.shape[0], dtype=np.uint64)
-        cls_group = np.empty(class_rows.shape[0], dtype=np.int64)
-        if hash_every_embedding:
-            counts = np.bincount(row_cls, minlength=class_rows.shape[0]).tolist()
-        for c, code in enumerate(canon[class_rows].tolist()):
-            if hash_every_embedding:
-                pattern = _pattern_of(code, kmax)
-                for _ in range(counts[c]):
-                    phash = ctx.hash_pattern(pattern)
-            else:
-                phash = table.phash(ctx, code, kmax)
-            group = groups.setdefault(phash, len(groups))
-            if group == len(group_sizes):
-                group_sizes.append(code[0])
-            cls_hash[c] = phash
-            cls_group[c] = group
-        row_hashes[start : start + rows] = cls_hash[row_cls]
+        slab_cls = np.array(
+            [classes.setdefault(tuple(code), len(classes)) for code in canon[class_rows].tolist()],
+            dtype=np.intp,
+        )
+        cls = row_cls[start : start + rows] = slab_cls[cls_of[inverse]]
         # One gather places the whole slab; padded cells are masked out.
         width = index.shape[1]
         keys = verts[np.arange(rows)[:, None, None], index[inverse]]
-        keys += (cls_group[row_cls][:, None, None] * kmax + np.arange(kmax)) * n
+        keys += (cls[:, None, None] * kmax + np.arange(kmax)) * n
         steps = step_base + np.arange(rows * width, dtype=np.int64).reshape(rows, width, 1)
         mask = valid[inverse]
         keys, first = np.unique(keys[mask], return_index=True)
         head_keys.append(keys)
         head_steps.append(np.broadcast_to(steps, mask.shape)[mask][first])
         step_base += rows * width
+    codes = list(classes)
+    if hash_every_embedding:
+        cls_hash = []
+        for code, count in zip(codes, np.bincount(row_cls, minlength=len(codes)).tolist()):
+            pattern = Pattern.from_code(code, kmax)
+            for _ in range(count):
+                phash = ctx.hash_pattern(pattern)
+            cls_hash.append(phash)
+    else:
+        cls_hash = table.hashes(ctx, codes, kmax)
+    group_k: dict[int, int] = {}  # group hash -> vertex count, in group order
+    for code, phash in zip(codes, cls_hash):
+        group_k.setdefault(phash, code[0])
+    group_of = {phash: group for group, phash in enumerate(group_k)}
+    cls_group = np.array([group_of[phash] for phash in cls_hash], dtype=np.int64)
+    np.take(np.array(cls_hash, dtype=np.uint64), row_cls, out=row_hashes)
+    del row_cls  # not held through the part-wide unique below
     if not head_keys:
         return row_hashes, 0
-    keys, first = np.unique(np.concatenate(head_keys), return_index=True)
+    keys = np.concatenate(head_keys)
+    if len(group_k) < len(codes):
+        # Classes that share a hash share domains: renumber their keys by
+        # group, and order by step so each key keeps its earliest one.
+        steps = np.concatenate(head_steps)
+        cell = keys // n
+        keys = (cls_group[cell // kmax] * kmax + cell % kmax) * n + keys % n
+        order = np.argsort(steps, kind="stable")
+        keys, head_steps = keys[order], [steps[order]]
+    keys, first = np.unique(keys, return_index=True)
     steps = np.concatenate(head_steps)[first]
     cell = keys // n  # group * kmax + position
-    frozen = np.zeros(len(groups), dtype=bool)
+    frozen = np.zeros(len(group_k), dtype=bool)
     if threshold is not None:
         # The threshold-th smallest first step of each (group, position).
         order = np.lexsort((steps, cell))
@@ -387,13 +401,13 @@ def fold_mni_block(
         kth = np.full(starts.shape[0], _NEVER, dtype=np.int64)
         reached = sizes >= threshold
         kth[reached] = steps[order[starts[reached] + threshold - 1]]
-        freeze = np.full(len(groups), -1, dtype=np.int64)
+        freeze = np.full(len(group_k), -1, dtype=np.int64)
         np.maximum.at(freeze, ordered[starts] // kmax, kth)
         frozen = freeze < _NEVER
         keep = steps <= freeze[cell // kmax]
         keys, cell = keys[keep], cell[keep]
     doms = []
-    for phash, size, is_frozen in zip(groups, group_sizes, frozen.tolist()):
+    for (phash, size), is_frozen in zip(group_k.items(), frozen.tolist()):
         dom = pmap[phash] = MNIDomains(size)
         dom.frozen = is_frozen
         doms.append(dom)

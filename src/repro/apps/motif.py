@@ -11,9 +11,10 @@ note).
 
 An unlabeled k-vertex structure is fully determined by its adjacency
 bitmap, so the mapper builds one bitmap code per k-embedding, counts the
-codes with ``np.unique`` and calls the hasher once per *distinct* code:
-the paper's argument for EigenHash — fingerprint patterns, not
-embeddings — applied to a whole block.  The code is the slab row's
+codes with ``np.unique`` and hashes each part's *distinct* codes in one
+:meth:`~repro.core.eigenhash.PatternHasher.hash_patterns` batch: the
+paper's argument for EigenHash — fingerprint patterns, not embeddings —
+applied to a whole block.  The code is the slab row's
 prefix bits, probed once per row ((k-1 choose 2) ``has_edges`` calls per
 slab), OR'd with the new vertex's bits, which the kernel returns as each
 candidate's adjacency mask over the embedding — no per-pair probe.  The
@@ -148,14 +149,15 @@ class MotifCounting(MiningApplication):
             for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
                 tally[code] = tally.get(code, 0) + count
         labels = (0,) * k
-        for code, count in tally.items():
-            if self.hash_every_embedding:
+        if self.hash_every_embedding:
+            for code, count in tally.items():
                 for _ in range(count):
                     phash = ctx.hash_pattern(Pattern(labels, code))
                     pmap[phash] = pmap.get(phash, 0) + 1
-            else:
-                phash = ctx.hash_pattern(Pattern(labels, code))
-                pmap[phash] = pmap.get(phash, 0) + count
+            return
+        hashes = ctx.hash_patterns([Pattern(labels, code) for code in tally])
+        for phash, count in zip(hashes, tally.values()):
+            pmap[phash] = pmap.get(phash, 0) + count
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MotifResult:
         patterns = {}

@@ -16,6 +16,8 @@ per call.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..core.eigenhash import _stable_hash
 from ..core.pattern import Pattern
 
@@ -140,6 +142,11 @@ class BlissLikeHasher:
             value, Pattern(form[0], form[1], form[2] or None)
         )
         return value
+
+    def hash_patterns(self, patterns: Sequence[Pattern]) -> list[int]:
+        """One :meth:`hash_pattern` call per pattern: the search tree has
+        no batched form."""
+        return [self.hash_pattern(pattern) for pattern in patterns]
 
     def representative(self, hash_value: int) -> Pattern | None:
         return self._representatives.get(hash_value)

@@ -99,6 +99,11 @@ class EngineContext:
         """Fingerprint a pattern with the engine's isomorphism checker."""
         return self.engine.hasher.hash_pattern(pattern)
 
+    def hash_patterns(self, patterns) -> list[int]:
+        """Fingerprint many patterns at once: exactly ``[hash_pattern(p)
+        for p in patterns]``, with the hasher free to batch the work."""
+        return self.engine.hasher.hash_patterns(patterns)
+
 
 class MiningApplication:
     """Base class for Kaleido mining applications (Listing 1)."""

@@ -11,6 +11,12 @@ Algorithm 1 of the paper:
    point eigensolves);
 4. hash ``(labels, degrees, polynomial)`` together with XOR.
 
+:func:`eigen_hash` runs the algorithm on one :class:`Pattern` over plain
+Python ints; :func:`eigen_hash_codes` runs it over a stack of code rows
+(:meth:`Pattern.to_code`) as array passes per vertex count, bit for bit
+the same.  :meth:`PatternHasher.hash_patterns` reaches the batched pass
+behind the hasher's caches.
+
 Correctness (Theorem 2 / Corollary 1): for embeddings with fewer than nine
 vertices, equal degrees plus equal spectrum implies isomorphism (Harary et
 al.), so the fingerprint is collision-free in the mining regime the paper
@@ -20,16 +26,19 @@ targets (k < 9).
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from ..errors import EmbeddingSizeError
 from .pattern import MAX_EIGENHASH_VERTICES, Pattern
 
 __all__ = [
     "faddeev_leverrier",
     "weighted_adjacency",
     "eigen_hash",
+    "eigen_hash_codes",
     "PatternHasher",
     "HARARY_COSPECTRAL_6",
     "HARARY_COSPECTRAL_9",
@@ -42,10 +51,11 @@ def faddeev_leverrier(matrix: Sequence[Sequence[int]] | np.ndarray) -> tuple[int
     Returns ``(p_1, ..., p_n)`` such that
     ``det(λI − M) = λ^n + p_1 λ^(n−1) + ... + p_n``.
 
-    Implements lines 19-26 of Algorithm 1 with plain Python integers —
-    exact (the divisions by ``k`` are exact for integer matrices) and,
-    for the tiny matrices mining produces (k <= 8), much faster than any
-    array library round trip.
+    Implements lines 19-26 of Algorithm 1 with plain Python integers,
+    exact at any magnitude (the divisions by ``k`` are exact for integer
+    matrices).  One small matrix at a time this beats an array round
+    trip; :func:`eigen_hash_codes` runs the same recurrence over a whole
+    stack of matrices in int64.
     """
     mat = [[int(x) for x in row] for row in matrix]
     n = len(mat)
@@ -124,8 +134,9 @@ def eigen_hash(pattern: Pattern) -> int:
     runs (independent of ``PYTHONHASHSEED``).
 
     The whole pipeline — decode, (label, degree) sort, weighted matrix,
-    characteristic polynomial, hash — is inlined over plain ints: this is
-    the per-embedding hot path of the paper's pattern aggregation phase.
+    characteristic polynomial, hash — is inlined over plain ints, the
+    cheapest form for one pattern.  Many patterns at once go through
+    :func:`eigen_hash_codes`, which returns the same values.
     """
     k = pattern.num_vertices
     if k > MAX_EIGENHASH_VERTICES:
@@ -211,16 +222,220 @@ def _stable_hash(values: tuple[int, ...]) -> int:
     return acc
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = np.uint64(0x100000001B3)
+
+#: ``|value|`` at which :func:`_stable_hash`'s byte string grows by one
+#: byte: it is ``bit_length // 8 + 2`` bytes long, 2 to 10 for int64.
+_BYTE_STEPS = np.array([1 << (8 * m - 1) for m in range(1, 9)], dtype=np.uint64)
+
+#: Exclusive bound on every Faddeev–LeVerrier intermediate of the int64
+#: pass (see :func:`eigen_hash_codes`).
+FLV_INT64_BOUND = 1 << 62
+
+
+def _fnv_rows(values: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_stable_hash` of every row of an int64 matrix, as ``uint64``;
+    with ``valid``, of each row's valid entries only.
+
+    FNV-1a is sequential in the bytes, so the loop runs over columns and
+    byte positions, each step one array operation across all rows.  A
+    value's bytes are its little-endian two's complement: the int64's
+    eight bytes, then sign bytes.
+    """
+    rows, width = values.shape
+    acc = np.full(rows, _FNV_OFFSET, dtype=np.uint64)
+    if rows == 0 or width == 0:
+        return acc
+    values = np.ascontiguousarray(values, dtype="<i8")
+    # abs(int64 min) wraps to itself, which reads as 2^63 unsigned.
+    magnitude = np.abs(values).view(np.uint64)
+    nbytes = 2 + np.searchsorted(_BYTE_STEPS, magnitude, side="right")
+    if valid is not None:
+        nbytes[~valid] = 0
+    raw = values.view(np.uint8).reshape(rows, width, 8)
+    for col in range(width):
+        n = nbytes[:, col]
+        for b in range(int(n.max())):
+            byte = raw[:, col, b] if b < 8 else np.where(values[:, col] < 0, 0xFF, 0)
+            mixed = (acc ^ byte.astype(np.uint64)) * _FNV_PRIME
+            acc = mixed if b < 2 and valid is None else np.where(n > b, mixed, acc)
+        mixed = (acc ^ np.uint64(0xFF)) * _FNV_PRIME
+        acc = mixed if valid is None else np.where(n > 0, mixed, acc)
+    return acc
+
+
+def _flv_stack(mats: np.ndarray) -> np.ndarray:
+    """:func:`_flv` over a ``(D, k, k)`` int64 stack: ``(D, k)`` coefficients.
+
+    Exact as long as no intermediate leaves int64 — the caller's guard."""
+    rows, k, _ = mats.shape
+    diag = np.arange(k)
+    coeffs = np.empty((rows, k), dtype=np.int64)
+    work = mats.copy()
+    for m in range(1, k + 1):
+        if m > 1:
+            work[:, diag, diag] += coeffs[:, m - 2, None]
+            work = np.matmul(mats, work)
+        coeffs[:, m - 1] = -(work[:, diag, diag].sum(axis=1) // m)
+    return coeffs
+
+
+def _edge_label_profiles(labels: np.ndarray, adj: np.ndarray, elab: np.ndarray) -> np.ndarray:
+    """:func:`eigen_hash`'s edge-label profile term, one per row.
+
+    Each vertex's entry is ``(label, *sorted incident edge labels)``; the
+    entries are sorted as tuples (a proper prefix first) and hashed
+    flattened as ``(len(entry), *entry)``.
+    """
+    rows, k = labels.shape
+    degrees = adj.sum(axis=2)
+    incident = np.sort(np.where(adj, elab, np.iinfo(np.int64).max), axis=2)[:, :, : k - 1]
+    real = np.arange(k - 1) < degrees[:, :, None]
+    flat, flags = incident.reshape(rows * k, k - 1), real.reshape(rows * k, k - 1)
+    # Tuple order: per column, a missing entry (flag 0) sorts before any
+    # label, and equal flags compare by value.
+    keys = [key for c in range(k - 2, -1, -1) for key in (flat[:, c], flags[:, c])]
+    order = np.lexsort([*keys, labels.reshape(-1), np.repeat(np.arange(rows), k)])
+    count = degrees.reshape(-1)[order]
+    values = np.concatenate(
+        [(1 + count)[:, None], labels.reshape(-1)[order, None], flat[order]], axis=1
+    )
+    valid = np.concatenate([np.ones((rows * k, 2), dtype=bool), flags[order]], axis=1)
+    return _fnv_rows(values.reshape(rows, -1), valid.reshape(rows, -1))
+
+
+def eigen_hash_codes(codes: np.ndarray, kmax: int) -> np.ndarray:
+    """:func:`eigen_hash` of every code row, as ``uint64``, bit for bit.
+
+    ``codes`` is a ``(D, 2 + kmax [+ kmax(kmax-1)/2])`` int64 stack of
+    :meth:`Pattern.to_code` rows ``[k, labels (-1 padded), bits, edge
+    labels by cell]``; the edge-label columns mark every row as
+    edge-labelled.  Rows may mix vertex counts.  Algorithm 1 runs as array
+    passes per ``k``: a stable (label, degree) argsort, one gather for the
+    label-weighted adjacency, Faddeev–LeVerrier as ``k`` batched int64
+    ``matmul``\\ s with exact trace division, and FNV-1a over the same
+    byte strings :func:`_stable_hash` reads (plus the edge-label profile
+    term on edge-labelled rows).
+
+    **Overflow guard.**  Let ``R`` be the largest absolute row sum of a
+    row's weighted matrix ``M``, so every eigenvalue has ``|λ| <= R``.
+    The coefficients are elementary symmetric functions of the
+    eigenvalues, so ``|c_j| <= C(k, j) R^j``.  The recurrence's
+    ``B_m = M_{m-1} + c_{m-1} I`` equals ``Σ_{j<m} c_j M^(m-1-j)``, whose
+    row sums are at most ``Σ_j C(k, j) R^(m-1) <= 2^k R^(m-1)``; so every
+    entry of ``M_m = M B_m`` — and every partial sum of that product — is
+    at most ``2^k R^m``, each addend of ``B_m``'s diagonal update at most
+    ``2^k R^(m-1)``, and every trace at most ``k 2^k R^m``.  All
+    intermediates are therefore at most ``k 2^(k+1) R^k`` (taking
+    ``R >= 1``; ``R = 0`` makes them all zero).  Rows whose bound, computed
+    in float64 with a relative margin, is not below
+    :data:`FLV_INT64_BOUND` = 2^62 are hashed by the scalar
+    :func:`eigen_hash`, whose :func:`_flv` runs on Python ints.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape[0], dtype=np.uint64)
+    if codes.shape[0] == 0:
+        return out
+    ks = codes[:, 0]
+    top = int(ks.max())
+    if top > MAX_EIGENHASH_VERTICES:
+        raise EmbeddingSizeError(
+            f"EigenHash is only collision-free below 9 vertices; pattern has {top}"
+        )
+    for k in np.unique(ks).tolist():
+        at = np.flatnonzero(ks == k)
+        out[at] = _hash_codes_k(codes[at], k, kmax)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cells(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each upper-triangle cell of a ``k``-vertex
+    pattern, in bitmap order (read-only: every caller shares them)."""
+    iu, ju = np.triu_indices(k, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _hash_codes_k(codes: np.ndarray, k: int, kmax: int) -> np.ndarray:
+    """:func:`eigen_hash_codes` over rows that all have ``k`` vertices."""
+    rows = codes.shape[0]
+    if k == 0:
+        # Three empty tuples, XOR'd: one of them is left.
+        return np.full(rows, _stable_hash(()), dtype=np.uint64)
+    iu, ju = _cells(k)
+    labels = codes[:, 1 : 1 + k]
+    present = (codes[:, 1 + kmax, None] >> np.arange(iu.shape[0])) & 1 == 1
+    adj = np.zeros((rows, k, k), dtype=bool)
+    adj[:, iu, ju] = adj[:, ju, iu] = present
+    degrees = adj.sum(axis=2)
+    # Lines 29-33: stable sort of the positions by (label, degree).
+    at = np.arange(rows)[:, None]
+    perm = np.argsort(degrees, axis=1, kind="stable")
+    perm = perm[at, np.argsort(labels[at, perm], axis=1, kind="stable")]
+    # Lines 12-18: each cell's weight, in int64 (wrapping where the guard
+    # rejects the row) and in float64 for the guard.
+    lo = np.minimum(labels[:, iu], labels[:, ju])
+    hi = np.maximum(labels[:, iu], labels[:, ju])
+    top = labels.max(axis=1, keepdims=True)
+    weight = (lo + 1) * (top + 2) + (hi + 1)
+    weight_f = (lo + 1.0) * (top + 2.0) + (hi + 1.0)
+    labelled = codes.shape[1] > 2 + kmax
+    if labelled:
+        elab = np.where(present, codes[:, 2 + kmax : 2 + kmax + iu.shape[0]], 0)
+        low = np.iinfo(np.int64).min
+        emax = np.where(present, elab, low).max(axis=1, keepdims=True, initial=low)
+        ebase = np.where(present.any(axis=1, keepdims=True), emax + 2, 2)
+        weight = weight * ebase + (elab + 1)
+        weight_f = weight_f * ebase + (elab + 1.0)
+    weight = np.where(present, weight, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats_f = np.zeros((rows, k, k))
+        mats_f[:, iu, ju] = mats_f[:, ju, iu] = np.where(present, np.abs(weight_f), 0.0)
+        reach = mats_f.sum(axis=2).max(axis=1)
+        fast = k * 2.0 ** (k + 1) * reach**k * (1 + 1e-9) < FLV_INT64_BOUND
+    out = np.empty(rows, dtype=np.uint64)
+    for d in np.flatnonzero(~fast).tolist():
+        out[d] = eigen_hash(Pattern.from_code(codes[d], kmax))
+    if not fast.any():
+        return out
+    if not fast.all():
+        labels, adj, degrees, perm, weight, present = (
+            a[fast] for a in (labels, adj, degrees, perm, weight, present)
+        )
+        if labelled:
+            elab = elab[fast]
+        at = np.arange(perm.shape[0])[:, None]
+    mats = np.zeros((perm.shape[0], k, k), dtype=np.int64)
+    mats[:, iu, ju] = mats[:, ju, iu] = weight
+    poly = _flv_stack(mats[at[:, :, None], perm[:, :, None], perm[:, None, :]])
+    parts = _fnv_rows(np.concatenate([labels[at, perm], degrees[at, perm], poly]))
+    value = parts.reshape(3, -1)
+    value = value[0] ^ value[1] ^ value[2]
+    if labelled:
+        edged = np.flatnonzero(present.any(axis=1))
+        if edged.shape[0]:
+            full = np.zeros((edged.shape[0], k, k), dtype=np.int64)
+            full[:, iu, ju] = full[:, ju, iu] = elab[edged]
+            value[edged] ^= _edge_label_profiles(labels[edged], adj[edged], full)
+    out[fast] = value
+    return out
+
+
 class PatternHasher:
     """Caching wrapper around :func:`eigen_hash`.
 
     Embedding streams contain the same raw pattern structure over and
     over; the cache keys on the *normalised* structure so all automorphic
     raw structures that sort identically share one polynomial computation.
-    The FSM block mappers already memoise per isomorphism class and pass
-    the canonical pattern, which is its own normalisation: each class
-    reaches the hasher once, as one miss, and its representative is the
-    canonical pattern.
+    The block mappers already deduplicate: FSM memoises per isomorphism
+    class and passes the canonical pattern (its own normalisation, so each
+    class is one miss and its representative is the canonical pattern),
+    motif passes each distinct adjacency code.  They pass a whole part's
+    patterns to :meth:`hash_patterns`, which computes the misses in one
+    :func:`eigen_hash_codes` pass and then accounts every pattern through
+    :meth:`hash_pattern` exactly as one call each would.
 
     Also keeps the representative :class:`Pattern` per hash so results can
     be reported as structures, not bare integers.
@@ -267,6 +482,10 @@ class PatternHasher:
         # counters and the LRU reordering need the lock — bare += loses
         # updates across threads, and eviction must not race a touch.
         self._stats_lock = threading.Lock()
+        # Per thread: raw key -> (normalised pattern, hash or None) that a
+        # running hash_patterns batch computed ahead of its hash_pattern
+        # calls.
+        self._batch = threading.local()
 
     def _touch(self, cache: dict, key) -> None:
         """Move ``key`` to the recently-used end (dicts preserve order)."""
@@ -283,15 +502,17 @@ class PatternHasher:
             self.evictions += 1
 
     def hash_pattern(self, pattern: Pattern) -> int:
+        raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
         if self.cache:
-            raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
             cached = self._raw_cache.get(raw_key)
             if cached is not None:
                 with self._stats_lock:
                     self.hits += 1
                     self._touch(self._raw_cache, raw_key)
                 return cached
-        normalized, _ = pattern.sorted_by_label_degree()
+        ahead = getattr(self._batch, "ahead", None)
+        found = ahead.get(raw_key) if ahead else None
+        normalized, value = found if found else (pattern.sorted_by_label_degree()[0], None)
         key = (normalized.labels, normalized.bits, normalized.edge_labels)
         if self.cache:
             cached = self._cache.get(key)
@@ -301,7 +522,8 @@ class PatternHasher:
                     self._touch(self._cache, key)
                     self._insert(self._raw_cache, raw_key, cached)
                 return cached
-        value = eigen_hash(pattern)
+        if value is None:
+            value = eigen_hash(pattern)
         with self._stats_lock:
             self.misses += 1
             self._insert(self._cache, key, value)
@@ -312,6 +534,45 @@ class PatternHasher:
             else:
                 self._insert(self._representatives, value, normalized)
         return value
+
+    #: Below this many new normalised structures a batch hashes them one
+    #: by one: a batched pass costs ~0.3 ms however few rows it has, and
+    #: :func:`eigen_hash` ~50 µs per pattern (EXPERIMENTS.md, Fig. 12).
+    BATCH_MIN = 8
+
+    def hash_patterns(self, patterns: Sequence[Pattern]) -> list[int]:
+        """Exactly ``[self.hash_pattern(p) for p in patterns]`` — the same
+        values, hits, misses, cache entries, LRU evictions and
+        representatives — with the misses' EigenHash computed up front.
+
+        Each distinct raw structure the raw-structure cache lacks is
+        normalised once, and the distinct normalised structures the
+        normalised cache lacks are hashed in one :func:`eigen_hash_codes`
+        pass (EigenHash is an isomorphism invariant, so a structure's hash
+        is its normalisation's).  Each pattern then goes through
+        :meth:`hash_pattern` (subclasses that wrap it see every call),
+        which takes the normalisation and, on a miss, the hash from that
+        pass instead of computing them again.
+        """
+        normal: dict[tuple, tuple[Pattern, tuple]] = {}
+        new: dict[tuple, Pattern] = {}
+        for pattern in patterns:
+            raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
+            if raw_key in normal or (self.cache and raw_key in self._raw_cache):
+                continue
+            normalized, _ = pattern.sorted_by_label_degree()
+            key = (normalized.labels, normalized.bits, normalized.edge_labels)
+            normal[raw_key] = normalized, key
+            if not (self.cache and key in self._cache):
+                new.setdefault(key, normalized)
+        values = _hash_structures(new) if len(new) >= self.BATCH_MIN else {}
+        self._batch.ahead = {
+            raw_key: (normalized, values.get(key)) for raw_key, (normalized, key) in normal.items()
+        }
+        try:
+            return [self.hash_pattern(pattern) for pattern in patterns]
+        finally:
+            self._batch.ahead = None
 
     @property
     def hit_rate(self) -> float:
@@ -342,6 +603,28 @@ class PatternHasher:
 
     def __len__(self) -> int:
         return len(self._cache)
+
+
+def _hash_structures(todo: dict[tuple, Pattern]) -> dict[tuple, int]:
+    """``{key: eigen_hash(pattern)}`` through :func:`eigen_hash_codes`,
+    one pass per edge-labelled / unlabelled group.  Patterns the batched
+    pass cannot take — too many vertices (so :func:`eigen_hash` raises
+    in order) or labels outside int64 — are left out."""
+    groups: dict[bool, list[tuple]] = {}
+    for key, pattern in todo.items():
+        if pattern.num_vertices <= MAX_EIGENHASH_VERTICES:
+            groups.setdefault(pattern.edge_labels is not None, []).append(key)
+    out: dict[tuple, int] = {}
+    for labelled, keys in groups.items():
+        patterns = [todo[key] for key in keys]
+        # An edge-labelled row needs cell columns: at least one cell.
+        kmax = max(max(p.num_vertices for p in patterns), 2 if labelled else 0)
+        try:
+            codes = np.array([p.to_code(kmax) for p in patterns], dtype=np.int64)
+        except OverflowError:
+            continue
+        out.update(zip(keys, eigen_hash_codes(codes, kmax).tolist()))
+    return out
 
 
 def _pair_graph(edges: list[tuple[int, int]], n: int) -> Pattern:

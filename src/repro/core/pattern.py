@@ -143,6 +143,46 @@ class Pattern:
                     bits |= 1 << triangle_index(i, j, k)
         return cls(tuple(int(x) for x in labels), bits)
 
+    @classmethod
+    def from_code(cls, code: Sequence[int] | np.ndarray, kmax: int) -> "Pattern":
+        """Decode one code row ``[k, labels (kmax, padded with -1), bits,
+        edge labels by cell]``: the layout of the FSM block encoders and
+        of :func:`~repro.core.eigenhash.eigen_hash_codes`.
+
+        The edge-label columns, present only for an edge-labelled pattern,
+        hold one label per upper-triangle cell of a ``kmax``-vertex
+        pattern, indexed by the pattern's own cell numbering (0 where no
+        edge); a row without them decodes to ``edge_labels=None``.
+        """
+        if isinstance(code, np.ndarray):
+            code = code.tolist()
+        k, bits = code[0], code[1 + kmax]
+        labels = tuple(code[1 : 1 + k])
+        cells = code[2 + kmax :]
+        if not cells:
+            return cls(labels, bits)
+        return cls(labels, bits, tuple(c for t, c in enumerate(cells) if bits >> t & 1))
+
+    def to_code(self, kmax: int) -> list[int]:
+        """This pattern's code row for patterns of at most ``kmax``
+        vertices (the inverse of :meth:`from_code`).  An edge-labelled
+        pattern needs ``kmax >= 2``: below that the row has no cell
+        columns to mark it edge-labelled."""
+        k = self.num_vertices
+        if k > kmax:
+            raise ValueError(f"pattern has {k} vertices, more than kmax={kmax}")
+        code = [k, *self.labels, *(-1,) * (kmax - k), self.bits]
+        if self.edge_labels is None:
+            return code
+        if kmax < 2:
+            raise ValueError(f"an edge-labelled code row needs kmax >= 2, got {kmax}")
+        cells = [0] * (kmax * (kmax - 1) // 2)
+        labels = iter(self.edge_labels)
+        for t in range(self.bits.bit_length()):
+            if self.bits >> t & 1:
+                cells[t] = next(labels)
+        return code + cells
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for the EigenHash fingerprint (Algorithm 1, Figure 6)."""
 
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from repro.core.eigenhash import (
     HARARY_COSPECTRAL_6,
     HARARY_COSPECTRAL_9,
     PatternHasher,
+    eigen_hash_codes,
 )
 from repro.core.isomorphism import are_isomorphic, canonical_key
-from repro.core.pattern import triangle_index
 from repro.errors import EmbeddingSizeError
 
 
@@ -143,23 +143,32 @@ def test_harary_9_pair_defeats_eigenhash_exactly_at_the_bound():
         eigen_hash(a)
 
 
-def _assert_hash_iff_isomorphic(k: int, classes: int) -> None:
+def _unlabelled_codes(k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Code rows of the unlabelled graphs on ``k`` vertices whose
+    adjacency bitmaps are ``lo..hi-1`` (every graph by default)."""
+    hi = 1 << (k * (k - 1) // 2) if hi is None else hi
+    codes = np.zeros((hi - lo, 2 + k), dtype=np.int64)
+    codes[:, 0] = k
+    codes[:, 1 + k] = np.arange(lo, hi)
+    return codes
+
+
+def _assert_hash_iff_isomorphic(k: int, classes: int, check_scalar: bool = False) -> None:
     """Exhaustive over every unlabeled graph on ``k`` vertices.
 
     Each hash bucket holds only graphs isomorphic to its first member
     (equal hash ⟹ isomorphic), and there are exactly ``classes`` buckets
     — the number of isomorphism classes — so no class is split across
-    two hashes (isomorphic ⟹ equal hash).
+    two hashes (isomorphic ⟹ equal hash).  The hashes come from one
+    batched pass; ``check_scalar`` also compares each with ``eigen_hash``.
     """
-    cells = [triangle_index(i, j, k) for i, j in combinations(range(k), 2)]
+    codes = _unlabelled_codes(k)
+    patterns = [Pattern.from_code(code, k) for code in codes.tolist()]
+    hashes = eigen_hash_codes(codes, k).tolist()
+    if check_scalar:
+        assert hashes == [eigen_hash(p) for p in patterns]
     by_hash: dict[int, Pattern] = {}
-    for mask in range(1 << len(cells)):
-        bits = 0
-        for t, cell in enumerate(cells):
-            if mask >> t & 1:
-                bits |= 1 << cell
-        p = Pattern((0,) * k, bits)
-        h = eigen_hash(p)
+    for p, h in zip(patterns, hashes):
         if h in by_hash:
             assert are_isomorphic(by_hash[h], p)
         else:
@@ -172,7 +181,7 @@ def test_exhaustive_no_collision_up_to_5_vertices():
 
     Exhaustive over all 1,024 graphs on 5 vertices (34 classes).
     """
-    _assert_hash_iff_isomorphic(5, classes=34)
+    _assert_hash_iff_isomorphic(5, classes=34, check_scalar=True)
 
 
 def test_exhaustive_no_collision_on_6_vertices():
@@ -183,34 +192,74 @@ def test_exhaustive_no_collision_on_6_vertices():
     _assert_hash_iff_isomorphic(6, classes=156)
 
 
-def _labelled_patterns(max_k: int, vertex_labels: int, edge_labels: int = 0):
-    """Every graph on 1..``max_k`` vertices under every assignment of
-    ``vertex_labels`` vertex labels (and, if ``edge_labels``, of that many
-    edge labels to its edges)."""
+@pytest.mark.slow
+def test_exhaustive_no_collision_on_7_vertices():
+    """All 2,097,152 graphs on 7 vertices hash to exactly 1,044 values,
+    the number of unlabelled graphs on 7 vertices (OEIS A000088).
+    EigenHash is an isomorphism invariant, so the classes cannot produce
+    more values; exactly as many means no two classes collide."""
+    k, chunk = 7, 1 << 15
+    seen: set[int] = set()
+    for lo in range(0, 1 << 21, chunk):
+        codes = _unlabelled_codes(k, lo, lo + chunk)
+        seen.update(np.unique(eigen_hash_codes(codes, k)).tolist())
+    assert len(seen) == 1044
+
+
+#: Rows per batched pass of the labelled audits: bounds their temporaries.
+_CHUNK = 1 << 14
+
+
+def _labelled_codes(max_k: int, vertex_labels: int, edge_labels: int = 0):
+    """Code rows (``kmax = max_k``) of every graph on 1..``max_k`` vertices
+    under every assignment of ``vertex_labels`` vertex labels (and, if
+    ``edge_labels``, of that many edge labels to its edges), yielded in
+    chunks of about :data:`_CHUNK` rows."""
+    width = 2 + max_k + (max_k * (max_k - 1) // 2 if edge_labels else 0)
+    blocks: list[np.ndarray] = []
+    rows = 0
     for k in range(1, max_k + 1):
-        cells = [triangle_index(i, j, k) for i, j in combinations(range(k), 2)]
-        for mask in range(1 << len(cells)):
-            bits = sum(1 << cell for t, cell in enumerate(cells) if mask >> t & 1)
-            edge_choices = (
-                product(range(edge_labels), repeat=bits.bit_count())
-                if edge_labels
-                else [None]
-            )
-            for elabels in edge_choices:
-                for labels in product(range(vertex_labels), repeat=k):
-                    yield Pattern(labels, bits, elabels)
+        labels = np.array(list(product(range(vertex_labels), repeat=k)), dtype=np.int64)
+        for mask in range(1 << (k * (k - 1) // 2)):
+            present = [t for t in range(k * (k - 1) // 2) if mask >> t & 1]
+            choices = list(product(range(edge_labels), repeat=len(present))) if edge_labels else [()]
+            block = np.zeros((len(choices) * labels.shape[0], width), dtype=np.int64)
+            block[:, 0] = k
+            block[:, 1 + k : 1 + max_k] = -1
+            block[:, 1 : 1 + k] = np.tile(labels, (len(choices), 1))
+            block[:, 1 + max_k] = mask
+            if edge_labels:
+                elabels = np.array(choices, dtype=np.int64).reshape(len(choices), len(present))
+                block[:, 2 + max_k + np.array(present, dtype=np.intp)] = np.repeat(
+                    elabels, labels.shape[0], axis=0
+                )
+            blocks.append(block)
+            rows += block.shape[0]
+            if rows >= _CHUNK:
+                yield np.concatenate(blocks)
+                blocks, rows = [], 0
+    if blocks:
+        yield np.concatenate(blocks)
 
 
-def _assert_labelled_hash_iff_isomorphic(patterns) -> int:
+def _assert_labelled_hash_iff_isomorphic(
+    chunks, kmax: int, check_scalar: bool = False
+) -> int:
     """Equal hash ⟹ equal canonical key (isomorphic), and as many hashes
-    as canonical keys (isomorphic ⟹ equal hash).  Returns the number of
-    classes."""
+    as canonical keys (isomorphic ⟹ equal hash).  Hashes come from one
+    batched pass per chunk; ``check_scalar`` also compares each with
+    ``eigen_hash``.  Returns the number of classes."""
     key_of_hash: dict[int, object] = {}
     classes = set()
-    for p in patterns:
-        key = canonical_key(p)
-        classes.add(key)
-        assert key_of_hash.setdefault(eigen_hash(p), key) == key, p
+    for codes in chunks:
+        hashes = eigen_hash_codes(codes, kmax).tolist()
+        for code, h in zip(codes.tolist(), hashes):
+            p = Pattern.from_code(code, kmax)
+            if check_scalar:
+                assert h == eigen_hash(p), p
+            key = canonical_key(p)
+            classes.add(key)
+            assert key_of_hash.setdefault(h, key) == key, p
     assert len(key_of_hash) == len(classes)
     return len(classes)
 
@@ -225,8 +274,9 @@ def test_exhaustive_labelled_no_collision(max_k, vertex_labels, edge_labels):
     merge MNI domains by hash, so a labelled collision would silently
     merge two patterns' supports.  Exhaustive over every graph (connected
     or not) on up to ``max_k`` vertices under every labelling."""
-    patterns = _labelled_patterns(max_k, vertex_labels, edge_labels)
-    assert _assert_labelled_hash_iff_isomorphic(patterns) > 0
+    chunks = _labelled_codes(max_k, vertex_labels, edge_labels)
+    check_scalar = (max_k, vertex_labels) == (4, 3)
+    assert _assert_labelled_hash_iff_isomorphic(chunks, max_k, check_scalar) > 0
 
 
 def test_edge_label_profile_separates_cospectral_paths():
@@ -244,8 +294,8 @@ def test_edge_label_profile_separates_cospectral_paths():
 def test_exhaustive_edge_labelled_no_collision_on_5_vertices():
     """The edge-labelled audit one vertex further: every graph on ≤ 5
     vertices × 2 vertex labels × 2 edge labels (1.9M patterns, ~5 min)."""
-    patterns = _labelled_patterns(5, vertex_labels=2, edge_labels=2)
-    assert _assert_labelled_hash_iff_isomorphic(patterns) > 0
+    chunks = _labelled_codes(5, vertex_labels=2, edge_labels=2)
+    assert _assert_labelled_hash_iff_isomorphic(chunks, 5) > 0
 
 
 # ----------------------------------------------------------------------

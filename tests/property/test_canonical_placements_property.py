@@ -99,7 +99,7 @@ def check_slab(patterns: list[Pattern], kmax: int, edge_labelled: bool) -> None:
     for d, (pattern, (canonical, perm, rows)) in enumerate(zip(patterns, expected)):
         # The canonical row is the canonical pattern's code, padding included.
         assert canon[d].tolist() == _code(canonical, kmax, edge_labelled)
-        assert _key(mni._pattern_of(canon[d].tolist(), kmax)) == _key(canonical)
+        assert _key(Pattern.from_code(canon[d], kmax)) == _key(canonical)
         k = pattern.num_vertices
         assert tuple(index[d, 0, :k].tolist()) == perm
         assert index[d, : len(rows), :k].tolist() == rows

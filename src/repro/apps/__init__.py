@@ -4,15 +4,14 @@ from .approximate import ApproximateMotifCounting, MotifEstimate, approximate_mo
 from .matching import MatchResult, PatternMatching
 from .clique import CliqueDiscovery, CliqueResult
 from .fsm_vertex import VertexInducedFSM
-from .fsm import FrequentSubgraphMining, FSMResult, edge_pattern_supports
-from .mni import MNIDomains, merge_domains
+from .fsm import FrequentSubgraphMining, FSMResult
+from .mni import MNIDomains, MNIState
 from .motif import MOTIF_COUNTS, MotifCounting, MotifResult
 from .triangle import TriangleCounting
 
 __all__ = [
     "FrequentSubgraphMining",
     "FSMResult",
-    "edge_pattern_supports",
     "MotifCounting",
     "MotifResult",
     "MOTIF_COUNTS",
@@ -20,7 +19,7 @@ __all__ = [
     "CliqueResult",
     "TriangleCounting",
     "MNIDomains",
-    "merge_domains",
+    "MNIState",
     "ApproximateMotifCounting",
     "MotifEstimate",
     "approximate_motifs",

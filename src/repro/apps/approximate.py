@@ -25,6 +25,7 @@ from ..core.explore import expand_vertex_level
 from ..core.kernels import _canonical_slabs, vertex_kernel_context
 from ..core.pattern import Pattern
 from ..graph.graph import Graph
+from .mni import first_occurrences
 from .motif import check_motif_size, extension_codes
 
 __all__ = ["ApproximateMotifCounting", "MotifEstimate", "approximate_motifs"]
@@ -85,7 +86,8 @@ class ApproximateMotifCounting:
             rows, codes = extension_codes(kctx, block[start:end], k, bounds)
             if codes.shape[0] == 0:
                 continue
-            distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            distinct, first = first_occurrences(codes)
+            inverse = np.searchsorted(distinct, codes)
             new = [c for c in distinct[np.argsort(first)].tolist() if c not in code_class]
             for code, phash in zip(new, hasher.hash_patterns([Pattern((0,) * k, c) for c in new])):
                 code_class[code] = class_of.setdefault(phash, len(class_of))

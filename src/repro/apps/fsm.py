@@ -19,7 +19,11 @@ The Mapper works on whole blocks: one quick-pattern code per embedding
 (structure-order labels, adjacency bits and edge labels), the placements
 and canonical codes of a slab's distinct codes from one batched
 canonicaliser, one hash per *isomorphism class* (canonical code), and MNI
-domains from first occurrences (:func:`~repro.apps.mni.fold_mni_block`).
+domains as one sorted int64 key array per part
+(:func:`~repro.apps.mni.fold_mni_block`).  The Reducer merges the parts'
+arrays in one pass (:func:`~repro.apps.mni.reduce_domains`), and prune
+and the result read its per-pattern supports; no Python set holds a
+vertex.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from .mni import (
-    MNIDomains,
     PlacementTable,
     distinct_rows,
+    first_occurrences,
     fold_mni_block,
     frequent_mask,
-    merge_domains,
+    mni_state,
+    reduce_domains,
 )
 
 __all__ = [
@@ -48,7 +53,6 @@ __all__ = [
     "MNIApplication",
     "FSMResult",
     "FSMMapperPart",
-    "edge_pattern_supports",
     "frequent_edge_mask",
 ]
 
@@ -114,43 +118,12 @@ def edge_codes(
     return verts, np.hstack(columns)
 
 
-def edge_pattern_supports(graph) -> dict[tuple[int, int, int], MNIDomains]:
-    """MNI domains of every single-edge pattern.
-
-    Keys are ``(label_u, label_v, edge_label)`` with the vertex labels
-    ordered; the edge label is 0 for edge-unlabeled graphs.  The baselines
-    use this per-edge form; :func:`frequent_edge_mask` thresholds the same
-    supports with array operations."""
-    supports: dict[tuple[int, int, int], MNIDomains] = {}
-    eu, ev = graph.edge_arrays()
-    labels = graph.labels
-    elabels = (
-        graph.edge_labels.tolist()
-        if graph.has_edge_labels
-        else [0] * eu.shape[0]
-    )
-    for u, v, elab in zip(eu.tolist(), ev.tolist(), elabels):
-        lu, lv = int(labels[u]), int(labels[v])
-        if lu > lv:
-            lu, lv = lv, lu
-            u, v = v, u
-        key = (lu, lv, int(elab))
-        dom = supports.get(key)
-        if dom is None:
-            dom = supports[key] = MNIDomains(2)
-        dom.domains[0].add(u)
-        dom.domains[1].add(v)
-        if lu == lv:
-            # Either endpoint can play either role when labels tie.
-            dom.domains[0].add(v)
-            dom.domains[1].add(u)
-    return supports
-
-
 def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:
     """Per-edge-id mask of the edges whose single-edge pattern
     ``(min label, max label, edge label)`` has MNI support ``>= support``
-    — :func:`edge_pattern_supports` thresholded, with array operations."""
+    — the baselines' set-based
+    :func:`~repro.baselines.mni_sets.edge_pattern_supports` thresholded,
+    with array operations."""
     eu, ev = graph.edge_arrays()
     lu, lv = graph.labels[eu], graph.labels[ev]
     # ``a`` plays the lower-labelled position, ``b`` the other.
@@ -165,7 +138,8 @@ def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:
     sizes = []
     for first, second in ((a, b), (b, a)):
         domain = np.concatenate([kid * n + first, (kid * n + second)[tie]])
-        sizes.append(np.bincount(np.unique(domain) // n, minlength=distinct.shape[0]))
+        members = first_occurrences(domain)[0]
+        sizes.append(np.bincount(members // n, minlength=distinct.shape[0]))
     return (np.minimum(*sizes) >= support)[kid]
 
 
@@ -182,7 +156,8 @@ class FSMResult(dict):
 
 class MNIApplication(MiningApplication):
     """The MNI plumbing both FSM apps share: support threshold, per-part
-    hash recording, domain merging, pruning and the frequent result.
+    hash recording, the one-pass array reduce of the parts' MNI states,
+    pruning and the frequent result.
 
     Subclasses supply ``init``, ``iterations``, ``block_filter`` and a
     ``map_block`` that folds each block into its :class:`FSMMapperPart`
@@ -209,15 +184,7 @@ class MNIApplication(MiningApplication):
         self._iter_hashes.append(part.hashes)
 
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
-        merged: PatternMap = {}
-        for pmap in pmaps:
-            for phash, dom in pmap.items():
-                mine = merged.get(phash)
-                if mine is None:
-                    merged[phash] = dom
-                else:
-                    merge_domains(mine, dom, self._threshold)
-        return merged
+        return reduce_domains(pmaps, self._threshold)
 
     def prune(
         self, ctx: EngineContext, cse: CSE, reduced: PatternMap
@@ -227,7 +194,9 @@ class MNIApplication(MiningApplication):
         return keep
 
     def pmap_nbytes(self, pmap: PatternMap) -> int:
-        return sum(120 + dom.nbytes for dom in pmap.values())
+        # The state's arrays plus each pattern's map slot and view.
+        state = mni_state(pmap)
+        return 0 if state is None else state.nbytes + 120 * len(pmap)
 
     def checkpoint_state(self, ctx: EngineContext) -> dict:
         # exact_mni changes the supports but not the name, so the resume
@@ -243,11 +212,13 @@ class MNIApplication(MiningApplication):
             )
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
-        supports = {
-            phash: dom.support
-            for phash, dom in pmap.items()
-            if dom.support >= self.support
-        }
+        supports: dict[int, int] = {}
+        state = mni_state(pmap)
+        if state is not None:
+            frequent = state.support >= self.support
+            supports = dict(
+                zip(state.hashes[frequent].tolist(), state.support[frequent].tolist())
+            )
         patterns = {}
         for phash in supports:
             rep = ctx.engine.hasher.representative(phash)

@@ -5,7 +5,12 @@ supports both modes (Section 1.1: "The exploration of subgraphs can be
 executed as vertex-induced and edge-induced").  This variant mines
 frequent *induced* k-vertex patterns: each embedding is a connected
 vertex set carrying all of its induced edges, and support is the same
-MNI measure over canonical pattern positions.
+MNI measure over canonical pattern positions.  Only the encoder differs
+from edge-induced FSM: :func:`vertex_codes` feeds the same
+:func:`~repro.apps.mni.fold_mni_block`, so each part's domains are one
+sorted int64 key array (:class:`~repro.apps.mni.MNIState`), merged,
+pruned and reported by :class:`~repro.apps.fsm.MNIApplication`'s array
+reduce.
 
 Note the semantic difference from edge-induced FSM: a triangle embedding
 never contributes to the 2-edge path pattern here, because its induced

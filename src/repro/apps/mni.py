@@ -10,19 +10,28 @@ structures contribute to the same domains.
 
 The paper's Kaleido does not compute exact supports: once a pattern's
 domains all reach the threshold it is marked frequent and its counting
-short-circuits (Section 6.2's discussion of Figure 11).
-:class:`MNIDomains` implements both the short-circuit mode and the exact
-mode used for verification.
+short-circuits (Section 6.2's discussion of Figure 11).  Both the
+short-circuit mode and the exact mode used for verification live here.
 
-The FSM block mappers never call :meth:`MNIDomains.add`: a domain is a
-set union over placements, so :func:`fold_mni_block` computes each
-vertex's *first* (row, placement) step with one sort and derives the
-domains — including where short-circuit counting would have frozen them —
-from those first occurrences.  Placements come from one batched
-canonicaliser per slab (:func:`canonical_placements`), which finds every
-distinct code's canonical witness and automorphic placements with array
-operations over a fixed permutation table, and also returns each code's
-canonical code.
+MNI state is sorted int64 arrays, never Python sets.  A part's state
+(:class:`MNIState`) is the sorted key array its fold builds, one key
+``(group·kmax + position)·n + vertex`` per domain member, plus per-group
+hashes, vertex counts, ``frozen`` flags and supports; the pattern map's
+values are read-only :class:`MNIDomains` views of it.  A domain is a set
+union over placements, so :func:`fold_mni_block` computes each vertex's
+*first* (row, placement) step and derives the domains — including where
+short-circuit counting would have frozen them — from those first
+occurrences; :func:`reduce_domains` merges the parts the same way, with
+the part index as the step.  Every dedup, first occurrence and per-cell
+order is one ``np.sort`` of packed int64 keys (:func:`first_occurrences`,
+:func:`distinct_rows`), not ``np.unique``'s stable argsort or a
+``lexsort``.  The set-based reference (``MNIDomains.add`` per placement
+and its pairwise merge) lives in :mod:`repro.baselines.mni_sets`.
+
+Placements come from one batched canonicaliser per slab
+(:func:`canonical_placements`), which finds every distinct code's
+canonical witness and automorphic placements with array operations over a
+fixed permutation table, and also returns each code's canonical code.
 
 The canonical code is the mappers' pattern identity: hashes are memoised
 per canonical code (:class:`PlacementTable`), and a miss hashes the
@@ -54,12 +63,15 @@ import numpy as np
 from ..core.pattern import Pattern
 
 __all__ = [
+    "MNIState",
     "MNIDomains",
-    "merge_domains",
     "PlacementTable",
     "canonical_placements",
+    "first_occurrences",
     "distinct_rows",
     "fold_mni_block",
+    "reduce_domains",
+    "mni_state",
     "frequent_mask",
     "SLAB_ROWS",
     "CANON_CELLS",
@@ -76,6 +88,10 @@ CANON_CELLS = 1 << 22
 
 _NEVER = np.iinfo(np.int64).max
 
+#: Exclusive bound on a packed sort key: the packed paths run only when
+#: every key they build is below it.
+_PACK_BOUND = 1 << 63
+
 #: ``(verts, codes) = encode(slab)``: per row, the structure-order vertex
 #: ids (``(rows, kmax)``, padded past the row's vertex count) and one code
 #: row ``[k, labels (kmax, padded with -1), bits, edge labels by cell]`` —
@@ -85,58 +101,138 @@ _NEVER = np.iinfo(np.int64).max
 BlockEncoder = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique, first)`` of a 1-D int64 array, equal to
+    ``np.unique(keys, return_index=True)``.
+
+    With ``m`` keys, all ``>= 0`` and ``(max + 1)·m < 2^63``, one in-place
+    ``np.sort`` of ``key·m + index`` orders the keys and, within equal
+    keys, their indices, so each run's head is the key's first index.
+    Other keys take ``np.unique``'s stable argsort.
+    """
+    m = keys.shape[0]
+    if m == 0:
+        return keys[:0].astype(np.int64), np.zeros(0, dtype=np.intp)
+    if int(keys.min()) < 0 or (int(keys.max()) + 1) * m >= _PACK_BOUND:
+        unique, first = np.unique(keys, return_index=True)
+        return unique, first.astype(np.intp, copy=False)
+    packed = np.multiply(keys, m, dtype=np.int64)
+    packed += np.arange(m, dtype=np.int64)
+    packed.sort()
+    unique, first = np.divmod(packed, m)
+    head = np.empty(m, dtype=bool)
+    head[0] = True
+    np.not_equal(unique[1:], unique[:-1], out=head[1:])
+    return unique[head], first[head].astype(np.intp, copy=False)
+
+
+class MNIState:
+    """The MNI domains of one pattern map, as sorted int64 arrays.
+
+    Group ``g`` is the ``g``-th pattern of the map (its insertion order).
+    ``keys`` holds one ascending key ``(g·kmax + position)·n + vertex``
+    per domain member, so each (group, position) cell is one contiguous
+    run; ``support[g]`` is the smallest of group ``g``'s ``sizes[g]`` cell
+    sizes and ``frozen[g]`` whether short-circuit counting stopped it.
+    """
+
+    __slots__ = ("hashes", "sizes", "keys", "frozen", "support", "kmax", "n")
+
+    def __init__(
+        self,
+        hashes: np.ndarray,
+        sizes: np.ndarray,
+        keys: np.ndarray,
+        frozen: np.ndarray,
+        kmax: int,
+        n: int,
+    ) -> None:
+        #: ``uint64`` pattern hash per group.
+        self.hashes = hashes
+        #: Vertex count per group.
+        self.sizes = sizes
+        self.keys = keys
+        self.frozen = frozen
+        self.kmax = kmax
+        self.n = n
+        groups = hashes.shape[0]
+        counts = np.bincount(keys // n, minlength=groups * kmax).reshape(groups, kmax)
+        counts[np.arange(kmax) >= sizes[:, None]] = _NEVER
+        self.support = counts.min(axis=1)
+
+    @property
+    def nbytes(self) -> int:
+        """The state's array bytes."""
+        return sum(
+            getattr(self, name).nbytes for name in ("hashes", "sizes", "keys", "frozen", "support")
+        )
+
+    def group_keys(self, group: int) -> np.ndarray:
+        """Group ``group``'s keys (a view of its contiguous run)."""
+        span = self.kmax * self.n
+        lo, hi = np.searchsorted(self.keys, [group * span, (group + 1) * span]).tolist()
+        return self.keys[lo:hi]
+
+    def domains(self, group: int) -> list[set[int]]:
+        """Group ``group``'s per-position vertex sets, materialised."""
+        keys = self.group_keys(group) - group * self.kmax * self.n
+        position, vertex = np.divmod(keys, self.n)
+        return [set(vertex[position == p].tolist()) for p in range(int(self.sizes[group]))]
+
+    def publish(self, pmap: dict) -> None:
+        """Fill ``pmap`` with one :class:`MNIDomains` view per group, in
+        group order."""
+        views = [MNIDomains(self, group) for group in range(self.hashes.shape[0])]
+        pmap.update(zip(self.hashes.tolist(), views))
+
+
 class MNIDomains:
-    """Per-position distinct-vertex domains of one pattern."""
+    """Read-only view of one pattern's domains in an :class:`MNIState`."""
 
-    __slots__ = ("domains", "frozen")
+    __slots__ = ("state", "group")
 
-    def __init__(self, k: int) -> None:
-        self.domains: list[set[int]] = [set() for _ in range(k)]
-        #: True once the short-circuit threshold was reached.
-        self.frozen = False
-
-    def add(self, vertices_by_position: tuple[int, ...], threshold: int | None) -> int:
-        """Record one embedding's vertices (already in normalised order).
-
-        With a ``threshold``, counting freezes as soon as every domain
-        holds at least ``threshold`` vertices (the paper's short-circuit).
-        Returns the number of set insertions performed — the Figure-11
-        benchmark uses the total as a deterministic cost proxy.
-        """
-        if self.frozen:
-            return 0
-        inserted = 0
-        for domain, vertex in zip(self.domains, vertices_by_position):
-            before = len(domain)
-            domain.add(vertex)
-            inserted += len(domain) - before
-        if threshold is not None and all(
-            len(domain) >= threshold for domain in self.domains
-        ):
-            self.frozen = True
-        return inserted
+    def __init__(self, state: MNIState, group: int) -> None:
+        self.state = state
+        self.group = group
 
     @property
     def support(self) -> int:
         """Current (possibly short-circuited lower-bound) support."""
-        if not self.domains:
-            return 0
-        return min(len(domain) for domain in self.domains)
+        return int(self.state.support[self.group])
+
+    @property
+    def frozen(self) -> bool:
+        """True once the short-circuit threshold was reached."""
+        return bool(self.state.frozen[self.group])
+
+    @property
+    def domains(self) -> list[set[int]]:
+        """Per-position vertex sets (built on each access)."""
+        return self.state.domains(self.group)
 
     @property
     def nbytes(self) -> int:
-        """Accounted size: set overhead + 28 bytes per stored int."""
-        return sum(64 + 28 * len(domain) for domain in self.domains)
+        """This pattern's share of the state: its keys and its per-group
+        entries (hash, size, support and flag: 25 bytes)."""
+        return self.state.group_keys(self.group).nbytes + 25
 
     def __eq__(self, other: object) -> bool:
-        """Value equality over the recorded domains (the executor parity
-        tests compare whole pattern maps)."""
-        if not isinstance(other, MNIDomains):
+        """Value equality over the domains and the ``frozen`` flag, with any
+        object that has both (the set-based baseline class included)."""
+        domains = getattr(other, "domains", None)
+        if domains is None:
             return NotImplemented
-        return self.domains == other.domains and self.frozen == other.frozen
+        return self.domains == domains and self.frozen == getattr(other, "frozen", None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MNIDomains(support={self.support}, frozen={self.frozen})"
+
+
+def mni_state(pmap: dict) -> MNIState | None:
+    """The state behind a pattern map's views (``None`` when empty)."""
+    for dom in pmap.values():
+        return dom.state
+    return None
 
 
 class PlacementTable:
@@ -284,19 +380,93 @@ def canonical_placements(
 
 def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first_rows, inverse)``: the first row of each distinct code, in
-    first-appearance order, and each row's index into it."""
-    order = np.lexsort(codes.T)
-    ordered = codes[order]
-    new = np.ones(order.shape[0], dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    # lexsort is stable, so each run starts at its code's first row.
-    firsts = order[new]
+    first-appearance order, and each row's index into it.
+
+    Each row packs into one int64, a mixed radix over its columns'
+    observed ranges, and :func:`first_occurrences` dedups the packed keys;
+    only when the radix product times the row count reaches 2^63 do the
+    rows take a ``lexsort``.
+    """
+    rows = codes.shape[0]
+    if rows == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # Reductions along a contiguous transposed copy, not down the columns.
+    columns = np.ascontiguousarray(codes.T, dtype=np.int64)
+    lows = columns.min(axis=1).tolist()
+    spans = [high - low + 1 for low, high in zip(lows, columns.max(axis=1).tolist())]
+    radix = 1
+    for span in spans:
+        radix *= span
+    if radix * rows < _PACK_BOUND:
+        packed = np.zeros(rows, dtype=np.int64)
+        for column, low, span in zip(columns, lows, spans):
+            if span > 1:
+                packed *= span
+                packed += column - low
+        unique, firsts = first_occurrences(packed)
+        inverse = np.searchsorted(unique, packed)
+    else:
+        order = np.lexsort(columns)
+        ordered = codes[order]
+        new = np.ones(rows, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+        # lexsort is stable, so each run starts at its code's first row.
+        firsts = order[new]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
     rank = np.argsort(firsts)
     remap = np.empty_like(rank)
     remap[rank] = np.arange(rank.shape[0])
-    inverse = np.empty_like(order)
-    inverse[order] = remap[np.cumsum(new) - 1]
-    return firsts[rank], inverse
+    return firsts[rank], remap[inverse]
+
+
+def _steps_by_cell(cell: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``steps`` sorted ascending within each run of the ascending ``cell``
+    array: one ``np.sort`` of ``cell·S + step`` (``S`` one past the largest
+    step) while that stays below 2^63, a ``lexsort`` beyond."""
+    span = int(steps.max()) + 1
+    if (int(cell[-1]) + 1) * span >= _PACK_BOUND:
+        return steps[np.lexsort((steps, cell))]
+    offset = cell * span
+    packed = offset + steps
+    packed.sort()
+    packed -= offset
+    return packed
+
+
+def _settle(
+    hashes: np.ndarray,
+    sizes: np.ndarray,
+    keys: np.ndarray,
+    steps: np.ndarray,
+    n: int,
+    kmax: int,
+    threshold: int | None,
+) -> MNIState:
+    """The :class:`MNIState` of distinct ascending ``keys`` first seen at
+    ``steps``.
+
+    With a ``threshold``, a group freezes at the first step by which every
+    one of its positions holds ``threshold`` vertices — the largest
+    per-position ``threshold``-th first step — and then holds exactly the
+    vertices first seen by that step.
+    """
+    cell = keys // n
+    stop = np.full(hashes.shape[0], _NEVER, dtype=np.int64)
+    if threshold is not None and keys.shape[0]:
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        counts = np.diff(np.r_[starts, cell.shape[0]])
+        kth = np.full(starts.shape[0], _NEVER, dtype=np.int64)
+        reached = counts >= threshold
+        kth[reached] = _steps_by_cell(cell, steps)[starts[reached] + threshold - 1]
+        run_group = cell[starts] // kmax
+        heads = np.flatnonzero(np.r_[True, run_group[1:] != run_group[:-1]])
+        at = run_group[heads]
+        stop[at] = np.maximum.reduceat(kth, heads)
+    frozen = stop < _NEVER
+    if frozen.any():
+        keys = keys[steps <= stop[cell // kmax]]
+    return MNIState(hashes, sizes, keys, frozen, kmax, n)
 
 
 def fold_mni_block(
@@ -308,27 +478,29 @@ def fold_mni_block(
     threshold: int | None,
     hash_every_embedding: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Fold one part's embeddings into fresh MNI domains in ``pmap``.
+    """Fold one part's embeddings into a fresh :class:`MNIState` and
+    publish its views in ``pmap``.
 
-    Equal, domains and ``frozen`` flags alike, to calling
-    :meth:`MNIDomains.add` for every automorphic placement of every row in
+    Equal, domains and ``frozen`` flags alike, to calling the set-based
+    ``MNIDomains.add`` for every automorphic placement of every row in
     order.  One :func:`canonical_placements` call per slab places its
     distinct codes and groups them into isomorphism classes by canonical
     code; classes are numbered part-wide in first-sighting order.  Every
     placed vertex becomes a packed key ``(class·kmax + position)·n +
-    vertex``, and a stable sort of each slab's keys in (row, placement)
-    order yields each vertex's first step.  After the slabs, the part's
-    classes are hashed at once through ``table`` (or once per row under
-    ``hash_every_embedding``), and a group — a pattern hash numbered in
-    first-appearance order over the classes, so ``pmap`` keeps its
-    insertion order — replaces the class in each key; that renumbering is
-    the identity unless two classes share a hash.  A domain that reaches
-    ``threshold`` at every position freezes at the largest per-position
-    ``threshold``-th first step, and holds exactly the vertices first seen
-    by then.
+    vertex``, and :func:`first_occurrences` over each slab's keys in (row,
+    placement) order yields each distinct key's first step (the per-slab
+    dedup shrinks a slab's placed keys to its heads before they are held
+    for the part).  After the slabs, the part's classes are hashed at once
+    through ``table`` (or once per row under ``hash_every_embedding``),
+    and a group — a pattern hash numbered in first-appearance order over
+    the classes, so ``pmap`` keeps its insertion order — replaces the
+    class in each key; that renumbering is the identity unless two classes
+    share a hash.  One more :func:`first_occurrences` over the part's
+    heads gives the state's keys, which :func:`_settle` trims at each
+    group's short-circuit freeze step.
 
     Returns each row's pattern hash (``uint64``) and the number of set
-    insertions the per-row fold would have made.
+    insertions the per-row fold would have made (the state's key count).
     """
     rows_total = block.shape[0]
     n = ctx.graph.num_vertices
@@ -354,11 +526,12 @@ def fold_mni_block(
         width = index.shape[1]
         keys = verts[np.arange(rows)[:, None, None], index[inverse]]
         keys += (cls[:, None, None] * kmax + np.arange(kmax)) * n
-        steps = step_base + np.arange(rows * width, dtype=np.int64).reshape(rows, width, 1)
-        mask = valid[inverse]
-        keys, first = np.unique(keys[mask], return_index=True)
+        # Flat position (row·width + placement)·kmax + position of each
+        # placed vertex; its step is the (row, placement) part.
+        placed = np.flatnonzero(valid[inverse])
+        keys, first = first_occurrences(keys.reshape(-1)[placed])
         head_keys.append(keys)
-        head_steps.append(np.broadcast_to(steps, mask.shape)[mask][first])
+        head_steps.append(step_base + placed[first] // kmax)
         step_base += rows * width
     codes = list(classes)
     if hash_every_embedding:
@@ -376,47 +549,84 @@ def fold_mni_block(
     group_of = {phash: group for group, phash in enumerate(group_k)}
     cls_group = np.array([group_of[phash] for phash in cls_hash], dtype=np.int64)
     np.take(np.array(cls_hash, dtype=np.uint64), row_cls, out=row_hashes)
-    del row_cls  # not held through the part-wide unique below
+    del row_cls  # not held through the part-wide dedup below
     if not head_keys:
         return row_hashes, 0
     keys = np.concatenate(head_keys)
+    steps = np.concatenate(head_steps)
     if len(group_k) < len(codes):
         # Classes that share a hash share domains: renumber their keys by
         # group, and order by step so each key keeps its earliest one.
-        steps = np.concatenate(head_steps)
         cell = keys // n
         keys = (cls_group[cell // kmax] * kmax + cell % kmax) * n + keys % n
         order = np.argsort(steps, kind="stable")
-        keys, head_steps = keys[order], [steps[order]]
-    keys, first = np.unique(keys, return_index=True)
-    steps = np.concatenate(head_steps)[first]
-    cell = keys // n  # group * kmax + position
-    frozen = np.zeros(len(group_k), dtype=bool)
-    if threshold is not None:
-        # The threshold-th smallest first step of each (group, position).
-        order = np.lexsort((steps, cell))
-        ordered = cell[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        sizes = np.diff(np.r_[starts, ordered.shape[0]])
-        kth = np.full(starts.shape[0], _NEVER, dtype=np.int64)
-        reached = sizes >= threshold
-        kth[reached] = steps[order[starts[reached] + threshold - 1]]
-        freeze = np.full(len(group_k), -1, dtype=np.int64)
-        np.maximum.at(freeze, ordered[starts] // kmax, kth)
-        frozen = freeze < _NEVER
-        keep = steps <= freeze[cell // kmax]
-        keys, cell = keys[keep], cell[keep]
-    doms = []
-    for (phash, size), is_frozen in zip(group_k.items(), frozen.tolist()):
-        dom = pmap[phash] = MNIDomains(size)
-        dom.frozen = is_frozen
-        doms.append(dom)
-    vertices = (keys - cell * n).tolist()
-    bounds = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1], True]).tolist()
-    for lo, hi, c in zip(bounds, bounds[1:], cell[bounds[:-1]].tolist()):
-        group, position = divmod(c, kmax)
-        doms[group].domains[position] = set(vertices[lo:hi])
-    return row_hashes, len(vertices)
+        keys, steps = keys[order], steps[order]
+    # Slabs come in step order, so each key's first index is its first step.
+    keys, first = first_occurrences(keys)
+    state = _settle(
+        np.array(list(group_k), dtype=np.uint64),
+        np.array(list(group_k.values()), dtype=np.int64),
+        keys,
+        steps[first],
+        n,
+        kmax,
+        threshold,
+    )
+    state.publish(pmap)
+    return row_hashes, int(state.keys.shape[0])
+
+
+def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
+    """Merge the parts' pattern maps into one, in one array pass.
+
+    Equal — domains, ``frozen`` flags and insertion order — to folding
+    the parts in order with the set-based pairwise merge (a group's first
+    part's domains, then each later part's unioned in until the group
+    freezes).  Groups are numbered in first-appearance order over the
+    parts, in part order (:func:`distinct_rows` over the parts' hashes);
+    each part's keys are renumbered to them and concatenated with the part index as the step, and
+    :func:`first_occurrences` gives each key's first part.  A group stops
+    taking keys after the first part by which the union reaches
+    ``threshold`` at every position (:func:`_settle`).  The set merge also
+    freezes a group at the first part whose own domains were frozen, but
+    such a part already holds ``threshold`` vertices at every position,
+    so the union has reached it by then: the parts' ``frozen`` flags add
+    nothing.  In exact mode (``threshold=None``) nothing freezes and the
+    result is the plain union.
+    """
+    parts = [(p, state) for p, state in enumerate(map(mni_state, pmaps)) if state is not None]
+    if not parts:
+        return {}
+    if len(parts) == 1:
+        return dict(pmaps[parts[0][0]])
+    # One level's parts: every state has the level's kmax and the graph's n.
+    kmax, n = parts[0][1].kmax, parts[0][1].n
+    hashes = np.concatenate([state.hashes for _, state in parts])
+    heads, number = distinct_rows(hashes.view(np.int64)[:, None])
+    keys, steps = [], []
+    offset = 0
+    for p, state in parts:
+        group = number[offset : offset + state.hashes.shape[0]]
+        offset += state.hashes.shape[0]
+        # Move each key by its group's shift: (g - own)·kmax·n.
+        shift = (group - np.arange(group.shape[0])) * (kmax * n)
+        keys.append(state.keys + shift[state.keys // (kmax * n)])
+        steps.append(np.full(state.keys.shape[0], p, dtype=np.int64))
+    # Parts are concatenated in order, so each key's first index is in
+    # its first part.
+    keys, first = first_occurrences(np.concatenate(keys))
+    merged = _settle(
+        hashes[heads],
+        np.concatenate([state.sizes for _, state in parts])[heads],
+        keys,
+        np.concatenate(steps)[first],
+        n,
+        kmax,
+        threshold,
+    )
+    reduced: dict = {}
+    merged.publish(reduced)
+    return reduced
 
 
 def frequent_mask(
@@ -424,10 +634,11 @@ def frequent_mask(
 ) -> np.ndarray | None:
     """Keep-mask of the rows whose pattern hash is frequent in ``reduced``
     (``None`` when every row is kept) — the FSM apps' ``prune``."""
-    frequent = np.array(
-        sorted(phash for phash, dom in reduced.items() if dom.support >= support),
-        dtype=np.uint64,
-    )
+    state = mni_state(reduced)
+    if state is None:
+        frequent = np.zeros(0, dtype=np.uint64)
+    else:
+        frequent = np.sort(state.hashes[state.support >= support])
     row_hashes = np.concatenate(hashes) if hashes else np.zeros(0, dtype=np.uint64)
     if frequent.shape[0] == 0:
         keep = np.zeros(row_hashes.shape[0], dtype=bool)
@@ -438,19 +649,3 @@ def frequent_mask(
     if keep.all():
         return None
     return keep
-
-
-def merge_domains(
-    into: MNIDomains, other: MNIDomains, threshold: int | None
-) -> MNIDomains:
-    """Union per-position domains (the Reducer side of MNI counting)."""
-    if into.frozen:
-        return into
-    for mine, theirs in zip(into.domains, other.domains):
-        mine.update(theirs)
-    if other.frozen or (
-        threshold is not None
-        and all(len(domain) >= threshold for domain in into.domains)
-    ):
-        into.frozen = True
-    return into

@@ -28,8 +28,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ..apps.fsm import FSMResult, edge_pattern_supports
-from ..apps.mni import MNIDomains
+from ..apps.fsm import FSMResult
+from .mni_sets import SetMNIDomains, edge_pattern_supports
 from ..core.api import MiningResult
 from ..core.canonical import edge_is_canonical, is_canonical
 from ..core.pattern import Pattern
@@ -180,7 +180,7 @@ class ArabesqueLikeEngine:
                 store.append(((eid,), ((u, v),)))
                 frequent_edges.add((u, v))
         mapper = PositionMapper()
-        reduced: dict[int, MNIDomains] = {}
+        reduced: dict[int, SetMNIDomains] = {}
         for _ in range(num_edges - 1):
             nxt: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
             for ids, edges in store:
@@ -218,7 +218,7 @@ class ArabesqueLikeEngine:
                             structure_order.append(w)
                 dom = reduced.get(phash)
                 if dom is None:
-                    dom = reduced[phash] = MNIDomains(len(structure_order))
+                    dom = reduced[phash] = SetMNIDomains(len(structure_order))
                 for placement in mapper.placements(pattern, structure_order):
                     dom.add(placement, None)
                 keep.append(phash)

@@ -24,8 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ..apps.fsm import FSMResult, edge_pattern_supports
-from ..apps.mni import MNIDomains
+from ..apps.fsm import FSMResult
+from .mni_sets import SetMNIDomains, edge_pattern_supports
 from ..core.api import MiningResult
 from ..core.pattern import Pattern
 from ..graph.edge_index import EdgeIndex
@@ -314,7 +314,7 @@ class RStreamLikeEngine:
                 frequent_edge_ids.add(eid)
                 relation.append((eid,))
         mapper = PositionMapper()
-        reduced: dict[int, MNIDomains] = {}
+        reduced: dict[int, SetMNIDomains] = {}
         for _ in range(num_edges - 1):
             handles = self._stream_out(relation, "fsm")
             relation = self._stream_in(handles)
@@ -338,7 +338,7 @@ class RStreamLikeEngine:
                             structure_order.append(w)
                 dom = reduced.get(phash)
                 if dom is None:
-                    dom = reduced[phash] = MNIDomains(len(structure_order))
+                    dom = reduced[phash] = SetMNIDomains(len(structure_order))
                 for placement in mapper.placements(pattern, structure_order):
                     dom.add(placement, None)
                 hashes.append(phash)

@@ -265,20 +265,40 @@ def _fnv_rows(values: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray
     return acc
 
 
-def _flv_stack(mats: np.ndarray) -> np.ndarray:
-    """:func:`_flv` over a ``(D, k, k)`` int64 stack: ``(D, k)`` coefficients.
+def _flv_stack(mats: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_flv` over a ``(D, k, k)`` int64 stack: ``(D, k)`` coefficients
+    and the mask of the rows they are exact for.
 
-    Exact as long as no intermediate leaves int64 — the caller's guard."""
+    ``reach[d]`` is row ``d``'s largest absolute row sum ``R``, in float64
+    from the true weights.  **Overflow guard**, checked per row before
+    each ``matmul``: the recurrence is ``M_1 = M``, ``c_m = -tr(M_m)/m``,
+    ``B_m = M_{m-1} + c_{m-1} I`` and ``M_m = M B_m``.  Every entry of
+    ``M B_m``, and every partial sum of it, is at most ``Σ_t |M_it|
+    max|B_m| <= R max|B_m|``, and ``tr(M_m)`` adds ``k`` of them.  So
+    ``k R max|B_m| < 2^62`` keeps the product, its trace and ``|c_m|``
+    below 2^62, and the next diagonal update below ``2^62/k + 2^62 <
+    2^63``: ``B_{m+1}`` is exact in int64 and the next check reads its
+    true maximum.  ``B_2 = M`` (``c_1 = 0`` on the zero diagonal), whose
+    entries are at most ``R``; its check uses ``R`` itself, so ``k R² <
+    2^62`` also certifies that the int64 weights did not wrap.  The checks
+    run in float64 with a ``1 + 1e-9`` margin for rounding; a row that
+    fails one is not exact, and the caller hashes it through the scalar
+    :func:`eigen_hash`.
+    """
     rows, k, _ = mats.shape
     diag = np.arange(k)
     coeffs = np.empty((rows, k), dtype=np.int64)
+    exact = np.ones(rows, dtype=bool)
     work = mats.copy()
     for m in range(1, k + 1):
         if m > 1:
             work[:, diag, diag] += coeffs[:, m - 2, None]
+            top = reach if m == 2 else np.abs(work).max(axis=(1, 2)).astype(np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                exact &= k * reach * top * (1 + 1e-9) < FLV_INT64_BOUND
             work = np.matmul(mats, work)
         coeffs[:, m - 1] = -(work[:, diag, diag].sum(axis=1) // m)
-    return coeffs
+    return coeffs, exact
 
 
 def _edge_label_profiles(labels: np.ndarray, adj: np.ndarray, elab: np.ndarray) -> np.ndarray:
@@ -319,19 +339,14 @@ def eigen_hash_codes(codes: np.ndarray, kmax: int) -> np.ndarray:
     term on edge-labelled rows).
 
     **Overflow guard.**  Let ``R`` be the largest absolute row sum of a
-    row's weighted matrix ``M``, so every eigenvalue has ``|λ| <= R``.
-    The coefficients are elementary symmetric functions of the
-    eigenvalues, so ``|c_j| <= C(k, j) R^j``.  The recurrence's
-    ``B_m = M_{m-1} + c_{m-1} I`` equals ``Σ_{j<m} c_j M^(m-1-j)``, whose
-    row sums are at most ``Σ_j C(k, j) R^(m-1) <= 2^k R^(m-1)``; so every
-    entry of ``M_m = M B_m`` — and every partial sum of that product — is
-    at most ``2^k R^m``, each addend of ``B_m``'s diagonal update at most
-    ``2^k R^(m-1)``, and every trace at most ``k 2^k R^m``.  All
-    intermediates are therefore at most ``k 2^(k+1) R^k`` (taking
-    ``R >= 1``; ``R = 0`` makes them all zero).  Rows whose bound, computed
-    in float64 with a relative margin, is not below
-    :data:`FLV_INT64_BOUND` = 2^62 are hashed by the scalar
-    :func:`eigen_hash`, whose :func:`_flv` runs on Python ints.
+    row's weighted matrix ``M``.  Before each ``matmul``, a row whose
+    ``k·R·max|B|`` (``B`` the matrix about to be multiplied) is not below
+    :data:`FLV_INT64_BOUND` = 2^62 leaves the int64 pass (see
+    :func:`_flv_stack` for why that bounds every intermediate); those rows
+    are hashed by the scalar :func:`eigen_hash`, whose :func:`_flv` runs
+    on Python ints.  The check reads each row's actual intermediates, so
+    it keeps far more rows in the batch than an a-priori bound in ``R``
+    alone would.
     """
     codes = np.asarray(codes, dtype=np.int64)
     out = np.empty(codes.shape[0], dtype=np.uint64)
@@ -375,7 +390,7 @@ def _hash_codes_k(codes: np.ndarray, k: int, kmax: int) -> np.ndarray:
     perm = np.argsort(degrees, axis=1, kind="stable")
     perm = perm[at, np.argsort(labels[at, perm], axis=1, kind="stable")]
     # Lines 12-18: each cell's weight, in int64 (wrapping where the guard
-    # rejects the row) and in float64 for the guard.
+    # rejects the row) and in float64 for the guard's R.
     lo = np.minimum(labels[:, iu], labels[:, ju])
     hi = np.maximum(labels[:, iu], labels[:, ju])
     top = labels.max(axis=1, keepdims=True)
@@ -394,22 +409,9 @@ def _hash_codes_k(codes: np.ndarray, k: int, kmax: int) -> np.ndarray:
         mats_f = np.zeros((rows, k, k))
         mats_f[:, iu, ju] = mats_f[:, ju, iu] = np.where(present, np.abs(weight_f), 0.0)
         reach = mats_f.sum(axis=2).max(axis=1)
-        fast = k * 2.0 ** (k + 1) * reach**k * (1 + 1e-9) < FLV_INT64_BOUND
-    out = np.empty(rows, dtype=np.uint64)
-    for d in np.flatnonzero(~fast).tolist():
-        out[d] = eigen_hash(Pattern.from_code(codes[d], kmax))
-    if not fast.any():
-        return out
-    if not fast.all():
-        labels, adj, degrees, perm, weight, present = (
-            a[fast] for a in (labels, adj, degrees, perm, weight, present)
-        )
-        if labelled:
-            elab = elab[fast]
-        at = np.arange(perm.shape[0])[:, None]
-    mats = np.zeros((perm.shape[0], k, k), dtype=np.int64)
+    mats = np.zeros((rows, k, k), dtype=np.int64)
     mats[:, iu, ju] = mats[:, ju, iu] = weight
-    poly = _flv_stack(mats[at[:, :, None], perm[:, :, None], perm[:, None, :]])
+    poly, exact = _flv_stack(mats[at[:, :, None], perm[:, :, None], perm[:, None, :]], reach)
     parts = _fnv_rows(np.concatenate([labels[at, perm], degrees[at, perm], poly]))
     value = parts.reshape(3, -1)
     value = value[0] ^ value[1] ^ value[2]
@@ -419,8 +421,9 @@ def _hash_codes_k(codes: np.ndarray, k: int, kmax: int) -> np.ndarray:
             full = np.zeros((edged.shape[0], k, k), dtype=np.int64)
             full[:, iu, ju] = full[:, ju, iu] = elab[edged]
             value[edged] ^= _edge_label_profiles(labels[edged], adj[edged], full)
-    out[fast] = value
-    return out
+    for d in np.flatnonzero(~exact).tolist():
+        value[d] = eigen_hash(Pattern.from_code(codes[d], kmax))
+    return value
 
 
 class PatternHasher:

@@ -53,7 +53,8 @@ from .explore import expand_edge_level, expand_vertex_level
 from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
-_RUN_STATE_VERSION = 2
+#: 3: the FSM apps' reduced map holds array-backed MNI views, not sets.
+_RUN_STATE_VERSION = 3
 
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")

@@ -1,9 +1,11 @@
 """Unit tests for frequent subgraph mining."""
 
+import numpy as np
 import pytest
 
 from repro import FrequentSubgraphMining, KaleidoEngine
-from repro.apps.fsm import edge_pattern_supports
+from repro.apps.mni import mni_state
+from repro.baselines.mni_sets import edge_pattern_supports
 from repro.apps.reference import fsm_naive
 from repro.core.isomorphism import canonical_form, pattern_from_key
 from repro.core.pattern import MAX_EIGENHASH_VERTICES
@@ -129,3 +131,22 @@ def test_anti_monotone_pruning_consistency():
 
 def test_name():
     assert FrequentSubgraphMining(2, 300).name == "3-FSM(s=300)"
+
+
+def test_pattern_map_is_a_view_of_one_array_state():
+    """Every value of an FSM pattern map views one ``MNIState``; the
+    accounted size is its array bytes plus a slot per pattern, and the
+    views' own ``nbytes`` add up to the state's."""
+    g = random_labeled_graph(20, 50, 2, seed=3)
+    app = FrequentSubgraphMining(2, 2)
+    result = KaleidoEngine(g).run(app)
+    state = mni_state(result.pattern_map)
+    assert all(dom.state is state for dom in result.pattern_map.values())
+    assert [dom.group for dom in result.pattern_map.values()] == list(range(len(state.hashes)))
+    assert list(result.pattern_map) == state.hashes.tolist()
+    assert app.pmap_nbytes(result.pattern_map) == state.nbytes + 120 * len(result.pattern_map)
+    assert sum(dom.nbytes for dom in result.pattern_map.values()) == state.nbytes
+    assert state.keys.dtype == np.int64 and np.all(np.diff(state.keys) > 0)
+    for dom in result.pattern_map.values():
+        assert dom.support == min(len(domain) for domain in dom.domains)
+    assert app.pmap_nbytes({}) == 0

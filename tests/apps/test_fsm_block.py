@@ -3,12 +3,15 @@
 The oracle is the per-row Mapper both FSM apps ran before they mapped
 whole blocks: patternise one embedding, hash it (through a raw-structure
 memo for edge-induced FSM), place its vertices with
-``PositionMapper.placements`` and call ``MNIDomains.add`` once per
-automorphic placement.  The block mappers must reproduce every per-part
-pattern map (domains, ``frozen`` flags and insertion order), the cost
-counters and the prune masks exactly, with one hasher call per pattern
-class (per row under ``hash_every_embedding``) and no more hasher misses
-or cache bytes than the oracle.
+``PositionMapper.placements`` and call ``SetMNIDomains.add`` once per
+automorphic placement; its Reducer folds the parts' set domains in order
+with ``merge_set_domains``, and its prune and result read the merged
+sets.  The block mappers and the array reduce must reproduce every
+per-part and every reduced pattern map (domains, ``frozen`` flags and
+insertion order), the cost counters, the prune masks and the result
+exactly, with one hasher call per pattern class (per row under
+``hash_every_embedding``) and no more hasher misses or cache bytes than
+the oracle.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from hypothesis import strategies as st
 
 from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps import mni
-from repro.apps.fsm import edge_pattern_supports, frequent_edge_mask
+from repro.apps.fsm import FSMResult, frequent_edge_mask
 from repro.apps.fsm_vertex import VertexInducedFSM
-from repro.apps.mni import MNIDomains
+from repro.baselines.mni_sets import SetMNIDomains, edge_pattern_supports, merge_set_domains
 from repro.baselines.positions import PositionMapper
 from repro.core import Pattern, PatternHasher
 from tests.conftest import random_labeled_graph
@@ -33,16 +36,19 @@ from tests.conftest import random_labeled_graph
 
 class _Recording:
     """Records the per-part pattern maps each ``reduce`` receives (before
-    the merge mutates them) and every prune mask."""
+    the set merge mutates them), the map it returns and every prune mask."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.part_maps: list[list[dict]] = []
+        self.reduced_maps: list[dict] = []
         self.masks: list[np.ndarray | None] = []
 
     def reduce(self, ctx, pmaps):
         self.part_maps.append(copy.deepcopy(pmaps))
-        return super().reduce(ctx, pmaps)
+        reduced = super().reduce(ctx, pmaps)
+        self.reduced_maps.append(copy.deepcopy(reduced))
+        return reduced
 
     def prune(self, ctx, cse, reduced):
         mask = super().prune(ctx, cse, reduced)
@@ -51,8 +57,10 @@ class _Recording:
 
 
 class _PerRowOracle:
-    """Per-row MNI fold shared by both oracles; also records, per part and
-    pattern, the rows at which its domains were first touched and frozen."""
+    """Per-row MNI fold shared by both oracles, over set domains, with the
+    set-based reduce, prune, accounting and result; also records, per part
+    and pattern, the rows at which its domains were first touched and
+    frozen."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -65,7 +73,7 @@ class _PerRowOracle:
         for row, (pattern, phash, structure_order) in enumerate(rows):
             dom = pmap.get(phash)
             if dom is None:
-                dom = pmap[phash] = MNIDomains(len(structure_order))
+                dom = pmap[phash] = SetMNIDomains(len(structure_order))
                 first_row[phash] = row
             was_frozen = dom.frozen
             for placement in self._positions.placements(pattern, structure_order):
@@ -75,6 +83,31 @@ class _PerRowOracle:
             hashes.append(phash)
         part.hashes = np.array(hashes, dtype=np.uint64)
         part.mapped = len(hashes)
+
+    def reduce(self, ctx, pmaps):
+        merged: dict = {}
+        for pmap in pmaps:
+            for phash, dom in pmap.items():
+                mine = merged.get(phash)
+                if mine is None:
+                    merged[phash] = dom
+                else:
+                    merge_set_domains(mine, dom, self._threshold)
+        return merged
+
+    def prune(self, ctx, cse, reduced):
+        frequent = [phash for phash, dom in reduced.items() if dom.support >= self.support]
+        rows = np.concatenate(self._iter_hashes) if self._iter_hashes else np.zeros(0, np.uint64)
+        self._iter_hashes = []
+        keep = np.isin(rows, np.array(frequent, dtype=np.uint64))
+        return None if keep.all() else keep
+
+    def pmap_nbytes(self, pmap):
+        return sum(120 + dom.nbytes for dom in pmap.values())
+
+    def finalize(self, ctx, cse, pmap):
+        supports = {h: dom.support for h, dom in pmap.items() if dom.support >= self.support}
+        return FSMResult(supports, {})
 
 
 class OracleFSM(_Recording, _PerRowOracle, FrequentSubgraphMining):
@@ -141,6 +174,11 @@ def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> Non
     for mine, theirs in zip(app.part_maps, ref.part_maps):
         assert [list(p) for p in mine] == [list(p) for p in theirs]
         assert mine == theirs
+    assert len(app.reduced_maps) == len(ref.reduced_maps)
+    for mine, theirs in zip(app.reduced_maps, ref.reduced_maps):
+        assert list(mine) == list(theirs)
+        assert mine == theirs
+        assert [dom.support for dom in mine.values()] == [dom.support for dom in theirs.values()]
     assert len(app.masks) == len(ref.masks)
     for mine, theirs in zip(app.masks, ref.masks):
         assert (mine is None) == (theirs is None)

@@ -1,10 +1,11 @@
-"""Unit tests for MNI support counting."""
+"""Unit tests for MNI support counting: the baselines' set-based domains,
+the per-row reference the array state in ``repro.apps.mni`` must equal."""
 
-from repro.apps.mni import MNIDomains, merge_domains
+from repro.baselines.mni_sets import SetMNIDomains, merge_set_domains
 
 
 def test_support_is_min_domain():
-    dom = MNIDomains(2)
+    dom = SetMNIDomains(2)
     dom.add((1, 2), None)
     dom.add((1, 3), None)
     dom.add((4, 3), None)
@@ -14,12 +15,12 @@ def test_support_is_min_domain():
 
 
 def test_empty_domains():
-    assert MNIDomains(0).support == 0
-    assert MNIDomains(3).support == 0
+    assert SetMNIDomains(0).support == 0
+    assert SetMNIDomains(3).support == 0
 
 
 def test_short_circuit_freezes():
-    dom = MNIDomains(2)
+    dom = SetMNIDomains(2)
     dom.add((1, 10), threshold=2)
     assert not dom.frozen
     dom.add((2, 11), threshold=2)
@@ -30,7 +31,7 @@ def test_short_circuit_freezes():
 
 
 def test_exact_mode_never_freezes():
-    dom = MNIDomains(1)
+    dom = SetMNIDomains(1)
     for i in range(10):
         dom.add((i,), None)
     assert not dom.frozen
@@ -38,36 +39,36 @@ def test_exact_mode_never_freezes():
 
 
 def test_merge_unions():
-    a, b = MNIDomains(2), MNIDomains(2)
+    a, b = SetMNIDomains(2), SetMNIDomains(2)
     a.add((1, 2), None)
     b.add((3, 4), None)
-    merge_domains(a, b, None)
+    merge_set_domains(a, b, None)
     assert a.domains[0] == {1, 3}
     assert a.support == 2
 
 
 def test_merge_respects_threshold():
-    a, b = MNIDomains(1), MNIDomains(1)
+    a, b = SetMNIDomains(1), SetMNIDomains(1)
     a.add((1,), 2)
     b.add((2,), 2)
-    merge_domains(a, b, 2)
+    merge_set_domains(a, b, 2)
     assert a.frozen
-    c = MNIDomains(1)
+    c = SetMNIDomains(1)
     c.add((9,), 2)
-    merge_domains(a, c, 2)
+    merge_set_domains(a, c, 2)
     assert 9 not in a.domains[0]
 
 
 def test_merge_frozen_other_freezes():
-    a, b = MNIDomains(1), MNIDomains(1)
+    a, b = SetMNIDomains(1), SetMNIDomains(1)
     b.add((1,), 1)
     assert b.frozen
-    merge_domains(a, b, 1)
+    merge_set_domains(a, b, 1)
     assert a.frozen
 
 
 def test_nbytes_grows():
-    dom = MNIDomains(2)
+    dom = SetMNIDomains(2)
     before = dom.nbytes
     dom.add((1, 2), None)
     assert dom.nbytes > before

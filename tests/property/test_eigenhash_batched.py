@@ -98,13 +98,14 @@ def _edge(label: int) -> Pattern:
 
 
 def _largest_fast_label() -> int:
-    """The largest label of a one-edge pattern whose bound ``2·2³·w²``
-    (``w = (l+1)(l+3)``, the edge's weight) stays below the guard."""
+    """The largest label of a one-edge pattern whose only guard check,
+    ``k·R·max|M| = 2·w²`` (``w = (l+1)(l+3)``, the edge's weight, which is
+    both ``R`` and ``max|M|``), stays below the bound."""
     lo, hi = 0, 1 << 20
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         weight = (mid + 1) * (mid + 3)
-        if 2 * 2**3 * weight**2 * (1 + 1e-9) < FLV_INT64_BOUND:
+        if 2 * weight**2 * (1 + 1e-9) < FLV_INT64_BOUND:
             lo = mid
         else:
             hi = mid
@@ -121,6 +122,24 @@ def test_overflow_guard_sides(monkeypatch, offset, falls_back):
     pattern = _edge(_largest_fast_label() + offset)
     codes = np.array([pattern.to_code(2), _edge(3).to_code(2)])
     assert eigen_hash_codes(codes, 2).tolist() == [scalar(pattern), scalar(_edge(3))]
+    assert calls == ([pattern] if falls_back else [])
+
+
+@pytest.mark.parametrize("label, falls_back", [(3, False), (10, True)])
+def test_guard_checks_every_step(monkeypatch, label, falls_back):
+    """K8 with one vertex label ``l`` (every weight ``w = (l+1)(l+3)``, so
+    ``R = 7w``).  Both rows pass the first check, ``k·R² < 2^62``, and both
+    fail the a-priori bound ``k·2^(k+1)·R^k``; at ``l = 3`` every later
+    check passes and the row stays in the int64 pass, at ``l = 10`` a later
+    one fails and the row falls back."""
+    reach = 7 * (label + 1) * (label + 3)
+    assert 8 * reach * reach < FLV_INT64_BOUND
+    assert 8 * 2**9 * reach**8 >= FLV_INT64_BOUND
+    calls = []
+    scalar = eigenhash.eigen_hash
+    monkeypatch.setattr(eigenhash, "eigen_hash", lambda p: calls.append(p) or scalar(p))
+    pattern = Pattern((label,) * 8, (1 << 28) - 1)
+    assert eigen_hash_codes(np.array([pattern.to_code(8)]), 8).tolist() == [scalar(pattern)]
     assert calls == ([pattern] if falls_back else [])
 
 

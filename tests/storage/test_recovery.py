@@ -18,9 +18,12 @@ from repro import (
     KaleidoEngine,
     MotifCounting,
 )
+from repro.apps.fsm import MNIApplication
+from repro.baselines.mni_sets import SetMNIDomains
 from repro.errors import StorageError
 from repro.storage import RunCheckpoint, save_cse
 from repro.core import CSE
+from repro.core import engine as engine_module
 from repro.core.cse import InMemoryLevel
 
 
@@ -179,6 +182,40 @@ def test_resume_rejects_other_apps_checkpoint(tmp_path, paper_graph):
     with KaleidoEngine(paper_graph, checkpoint_dir=ckpt) as engine:
         with pytest.raises(StorageError, match="belongs to"):
             engine.run(CliqueDiscovery(3), resume=True)
+
+
+def test_resume_refuses_version_2_fsm_checkpoint(tmp_path, labeled_square, monkeypatch):
+    """A run-state blob from before the array MNI state (version 2, whose
+    reduced map held set-based domains) is refused with a StorageError
+    before anything reaches the array reduce."""
+    ckpt = str(tmp_path / "ckpt")
+    monkeypatch.setattr(engine_module, "_RUN_STATE_VERSION", 2)
+    old_reduce = MNIApplication.reduce
+
+    def set_reduce(self, ctx, pmaps):
+        # What a version-2 run pickled: one set-based domain per pattern.
+        reduced = {}
+        for phash, dom in old_reduce(self, ctx, pmaps).items():
+            copy = reduced[phash] = SetMNIDomains(len(dom.domains))
+            copy.domains, copy.frozen = dom.domains, dom.frozen
+        return reduced
+
+    monkeypatch.setattr(MNIApplication, "reduce", set_reduce)
+    monkeypatch.setattr(MNIApplication, "prune", lambda self, ctx, cse, reduced: None)
+    monkeypatch.setattr(MNIApplication, "finalize", lambda self, ctx, cse, pmap: pmap)
+    monkeypatch.setattr(MNIApplication, "pmap_nbytes", lambda self, pmap: 0)
+    with KaleidoEngine(labeled_square, checkpoint_dir=ckpt) as engine:
+        engine.run(FrequentSubgraphMining(num_edges=3, support=1))
+    monkeypatch.undo()
+
+    calls = []
+    monkeypatch.setattr(
+        MNIApplication, "reduce", lambda self, ctx, pmaps: calls.append(pmaps) or {}
+    )
+    with KaleidoEngine(labeled_square, checkpoint_dir=ckpt) as engine:
+        with pytest.raises(StorageError, match="unsupported run-state version 2"):
+            engine.run(FrequentSubgraphMining(num_edges=3, support=1), resume=True)
+    assert calls == []
 
 
 def test_resume_rejects_mismatched_roots(tmp_path, paper_graph, labeled_square):

@@ -603,23 +603,23 @@ def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
     kmax, n = parts[0][1].kmax, parts[0][1].n
     hashes = np.concatenate([state.hashes for _, state in parts])
     heads, number = distinct_rows(hashes.view(np.int64)[:, None])
-    keys, steps = [], []
+    shifted, part_of = [], []
     offset = 0
     for p, state in parts:
         group = number[offset : offset + state.hashes.shape[0]]
         offset += state.hashes.shape[0]
         # Move each key by its group's shift: (g - own)·kmax·n.
         shift = (group - np.arange(group.shape[0])) * (kmax * n)
-        keys.append(state.keys + shift[state.keys // (kmax * n)])
-        steps.append(np.full(state.keys.shape[0], p, dtype=np.int64))
+        shifted.append(state.keys + shift[state.keys // (kmax * n)])
+        part_of.append(np.full(state.keys.shape[0], p, dtype=np.int64))
     # Parts are concatenated in order, so each key's first index is in
     # its first part.
-    keys, first = first_occurrences(np.concatenate(keys))
+    keys, first = first_occurrences(np.concatenate(shifted))
     merged = _settle(
         hashes[heads],
         np.concatenate([state.sizes for _, state in parts])[heads],
         keys,
-        np.concatenate(steps)[first],
+        np.concatenate(part_of)[first],
         n,
         kmax,
         threshold,

@@ -57,7 +57,7 @@ def test_ablation_cse_vs_tuple_store(benchmark, emit):
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_hash_memoisation(benchmark, emit):
-    """The normalised-structure cache vs the paper's per-embedding regime."""
+    """The structure-keyed hash memo vs the paper's per-embedding regime."""
 
     def measure():
         graph = bench_graph("mico")

@@ -5,7 +5,8 @@ embedding space.  Here: explore exhaustively to the (k-1)-embeddings, draw
 ``samples`` parents uniformly with replacement, decode only those rows
 (:meth:`CSE.decode_rows`) and expand them on the motif mapper's block path
 (:func:`~repro.apps.motif.extension_codes`, in ``PAIR_BUDGET`` slabs),
-hashing each slab's new distinct adjacency codes in one batch.  A
+hashing each slab's distinct adjacency codes in one
+:meth:`~repro.core.eigenhash.PatternHasher.hash_codes` call.  A
 per-slab ``bincount`` over (sample, class) gives the per-sample counts;
 each class is scaled by ``num_parents / samples`` (Horvitz–Thompson:
 unbiased, variance shrinking as 1/samples) and reported with a 95% CI.
@@ -23,10 +24,9 @@ from ..core.cse import CSE
 from ..core.eigenhash import PatternHasher
 from ..core.explore import expand_vertex_level
 from ..core.kernels import _canonical_slabs, vertex_kernel_context
-from ..core.pattern import Pattern
 from ..graph.graph import Graph
 from .mni import first_occurrences
-from .motif import check_motif_size, extension_codes
+from .motif import check_motif_size, extension_codes, unlabelled_codes
 
 __all__ = ["ApproximateMotifCounting", "MotifEstimate", "approximate_motifs"]
 
@@ -80,19 +80,19 @@ class ApproximateMotifCounting:
         block = cse.decode_rows(picks).astype(np.int64)
         kctx = vertex_kernel_context(graph)
         hasher = PatternHasher()
-        code_class, class_of = {}, {}  # code / pattern hash -> class, first-appearance order
+        class_of: dict[int, int] = {}  # pattern hash -> class, first-appearance order
         totals, squares = Counter(), Counter()
         for start, end, bounds in _canonical_slabs(kctx, block, block):
             rows, codes = extension_codes(kctx, block[start:end], k, bounds)
             if codes.shape[0] == 0:
                 continue
             distinct, first = first_occurrences(codes)
-            inverse = np.searchsorted(distinct, codes)
-            new = [c for c in distinct[np.argsort(first)].tolist() if c not in code_class]
-            for code, phash in zip(new, hasher.hash_patterns([Pattern((0,) * k, c) for c in new])):
-                code_class[code] = class_of.setdefault(phash, len(class_of))
+            seen = np.argsort(first)  # the distinct codes in first-appearance order
+            hashes = hasher.hash_codes(unlabelled_codes(distinct[seen], k), k)
+            cls = np.empty(distinct.shape[0], dtype=np.int64)
+            cls[seen] = [class_of.setdefault(phash, len(class_of)) for phash in hashes.tolist()]
             C = len(class_of)
-            cls = np.array([code_class[c] for c in distinct.tolist()], dtype=np.int64)[inverse]
+            cls = cls[np.searchsorted(distinct, codes)]
             # Per-sample counts; duplicate picks are separate rows, so separate samples.
             per = np.bincount(rows * C + cls, minlength=(end - start) * C).reshape(end - start, C)
             totals.update(dict(enumerate(per.sum(0).tolist())))

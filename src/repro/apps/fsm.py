@@ -18,8 +18,9 @@ The implementation follows the paper exactly:
 The Mapper works on whole blocks: one quick-pattern code per embedding
 (structure-order labels, adjacency bits and edge labels), the placements
 and canonical codes of a slab's distinct codes from one batched
-canonicaliser, one hash per *isomorphism class* (canonical code), and MNI
-domains as one sorted int64 key array per part
+canonicaliser, one hasher lookup per *isomorphism class* per part (its
+canonical code row, through ``ctx.hash_codes``), and MNI domains as one
+sorted int64 key array per part
 (:func:`~repro.apps.mni.fold_mni_block`).  The Reducer merges the parts'
 arrays in one pass (:func:`~repro.apps.mni.reduce_domains`), and prune
 and the result read its per-pattern supports; no Python set holds a
@@ -39,7 +40,6 @@ from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from .mni import (
-    PlacementTable,
     distinct_rows,
     first_occurrences,
     fold_mni_block,
@@ -161,7 +161,7 @@ class MNIApplication(MiningApplication):
 
     Subclasses supply ``init``, ``iterations``, ``block_filter`` and a
     ``map_block`` that folds each block into its :class:`FSMMapperPart`
-    through :func:`fold_mni_block` with ``self._table``."""
+    through :func:`fold_mni_block`."""
 
     aggregate_every_iteration = True
 
@@ -170,7 +170,6 @@ class MNIApplication(MiningApplication):
             raise ValueError("support must be at least 1")
         self.support = support
         self.exact_mni = exact_mni
-        self._table = PlacementTable()
         self._iter_hashes: list[np.ndarray] = []
 
     @property
@@ -248,9 +247,9 @@ class FrequentSubgraphMining(MNIApplication):
             )
         super().__init__(support, exact_mni)
         self.num_edges = num_edges
-        #: Bypass the app-level per-class hash memo and call the hasher
-        #: once per embedding (Figure 12 / caching ablation: the paper
-        #: fingerprints every embedding).
+        #: Hash once per embedding instead of once per class per part
+        #: (Figure 12 / caching ablation: the paper fingerprints every
+        #: embedding).
         self.hash_every_embedding = hash_every_embedding
         #: Per-edge-id table of the frequent single-edge patterns' edges.
         self._frequent_edges = np.zeros(0, dtype=bool)
@@ -294,7 +293,6 @@ class FrequentSubgraphMining(MNIApplication):
             block,
             pmap,
             partial(edge_codes, ctx.edge_index, ctx.graph),
-            self._table,
             self._threshold,
             self.hash_every_embedding,
         )
@@ -302,9 +300,9 @@ class FrequentSubgraphMining(MNIApplication):
 
     # ------------------------------------------------------------------
     def checkpoint_state(self, ctx: EngineContext) -> dict:
-        # _frequent_edges and the placement table are rebuilt deterministically
-        # (init reruns on resume); only the accumulated cost counters need
-        # to survive a crash.
+        # _frequent_edges is rebuilt deterministically (init reruns on
+        # resume); only the accumulated cost counters need to survive a
+        # crash.
         return {
             **super().checkpoint_state(ctx),
             "total_insertions": self.total_insertions,

@@ -121,6 +121,6 @@ class VertexInducedFSM(MNIApplication):
         graph = ctx.graph
         encode = partial(vertex_codes, vertex_kernel_context(graph), graph, edge_keys(graph))
         part.hashes, part.insertions = fold_mni_block(
-            ctx, block, pmap, encode, self._table, self._threshold
+            ctx, block, pmap, encode, self._threshold
         )
         part.mapped = block.shape[0]

@@ -33,12 +33,12 @@ Placements come from one batched canonicaliser per slab
 canonical witness and automorphic placements with array operations over a
 fixed permutation table, and also returns each code's canonical code.
 
-The canonical code is the mappers' pattern identity: hashes are memoised
-per canonical code (:class:`PlacementTable`), and a miss hashes the
-canonical pattern, so each isomorphism class costs one hash call however
-many raw structures it arrives as.  A part's unseen classes reach the
-hasher as one :meth:`~repro.core.eigenhash.PatternHasher.hash_patterns`
-batch.  This is exact:
+The canonical code is the mappers' pattern identity: a part hands the
+hasher its classes' canonical code rows in one
+:meth:`~repro.core.eigenhash.PatternHasher.hash_codes` call, so each
+isomorphism class costs one memo lookup per part however many raw
+structures it arrives as, and one EigenHash the first time it is seen.
+This is exact:
 
 * two codes have equal canonical codes exactly when their patterns are
   isomorphic (labels and edge labels included), because the canonical
@@ -47,9 +47,9 @@ batch.  This is exact:
 * so a class's hash equals every member's hash, and the pattern-map keys
   are the ones per-structure hashing gives, bit for bit.
 
-Hashing the canonical pattern also makes the hasher's representative of
-each hash (and with it ``FSMResult.patterns``) the canonical pattern,
-whichever raw structure or executor thread reached the memo first.
+Canonical rows are already (label, degree)-sorted, so the hasher's
+representative of each hash (and with it ``FSMResult.patterns``) is the
+canonical pattern, whichever executor thread reached the memo first.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from ..core.pattern import Pattern
 __all__ = [
     "MNIState",
     "MNIDomains",
-    "PlacementTable",
     "canonical_placements",
     "first_occurrences",
     "distinct_rows",
@@ -233,34 +232,6 @@ def mni_state(pmap: dict) -> MNIState | None:
     for dom in pmap.values():
         return dom.state
     return None
-
-
-class PlacementTable:
-    """The block mappers' hash memo, one entry per isomorphism class.
-
-    Keyed by a class's canonical :data:`BlockEncoder` code row (as a
-    tuple; :func:`canonical_placements` returns it), it holds the pattern
-    hash, so each class is hashed once — through its canonical pattern —
-    however many raw structures, slabs and parts it appears in.  A part
-    asks for all its classes at once, and the ones the table has not seen
-    go to the hasher as one batch.  Concurrent parts may share a table:
-    dict get/set are atomic and every value is deterministic per key, so
-    a race costs at most a duplicate hash call.
-    """
-
-    def __init__(self) -> None:
-        self._hashes: dict[tuple, int] = {}
-
-    def hashes(self, ctx, codes: list[tuple], kmax: int) -> list[int]:
-        """The hashes of the classes whose canonical code rows are
-        ``codes``; the unseen ones go to one ``ctx.hash_patterns`` call."""
-        out = [self._hashes.get(code) for code in codes]
-        new = [c for c, value in enumerate(out) if value is None]
-        if new:
-            values = ctx.hash_patterns([Pattern.from_code(codes[c], kmax) for c in new])
-            for c, value in zip(new, values):
-                out[c] = self._hashes[codes[c]] = value
-        return out
 
 
 class _PermTable(NamedTuple):
@@ -474,7 +445,6 @@ def fold_mni_block(
     block: np.ndarray,
     pmap: dict,
     encode: BlockEncoder,
-    table: PlacementTable,
     threshold: int | None,
     hash_every_embedding: bool = False,
 ) -> tuple[np.ndarray, int]:
@@ -490,12 +460,12 @@ def fold_mni_block(
     vertex``, and :func:`first_occurrences` over each slab's keys in (row,
     placement) order yields each distinct key's first step (the per-slab
     dedup shrinks a slab's placed keys to its heads before they are held
-    for the part).  After the slabs, the part's classes are hashed at once
-    through ``table`` (or once per row under ``hash_every_embedding``),
-    and a group — a pattern hash numbered in first-appearance order over
-    the classes, so ``pmap`` keeps its insertion order — replaces the
-    class in each key; that renumbering is the identity unless two classes
-    share a hash.  One more :func:`first_occurrences` over the part's
+    for the part).  After the slabs, the part's classes' canonical rows
+    are hashed in one ``ctx.hash_codes`` call (or once per row under
+    ``hash_every_embedding``), and a group — a pattern hash numbered in
+    first-appearance order over the classes, so ``pmap`` keeps its
+    insertion order — replaces the class in each key; that renumbering is
+    the identity unless two classes share a hash.  One more :func:`first_occurrences` over the part's
     heads gives the state's keys, which :func:`_settle` trims at each
     group's short-circuit freeze step.
 
@@ -541,8 +511,10 @@ def fold_mni_block(
             for _ in range(count):
                 phash = ctx.hash_pattern(pattern)
             cls_hash.append(phash)
+    elif codes:
+        cls_hash = ctx.hash_codes(np.array(codes, dtype=np.int64), kmax).tolist()
     else:
-        cls_hash = table.hashes(ctx, codes, kmax)
+        cls_hash = []
     group_k: dict[int, int] = {}  # group hash -> vertex count, in group order
     for code, phash in zip(codes, cls_hash):
         group_k.setdefault(phash, code[0])

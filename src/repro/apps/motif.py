@@ -11,10 +11,11 @@ note).
 
 An unlabeled k-vertex structure is fully determined by its adjacency
 bitmap, so the mapper builds one bitmap code per k-embedding, counts the
-codes with ``np.unique`` and hashes each part's *distinct* codes in one
-:meth:`~repro.core.eigenhash.PatternHasher.hash_patterns` batch: the
-paper's argument for EigenHash — fingerprint patterns, not embeddings —
-applied to a whole block.  The code is the slab row's
+codes with ``np.unique`` and hands each part's *distinct* codes to the
+hasher as code rows ``[k, 0…, bits]`` in one
+:meth:`~repro.core.eigenhash.PatternHasher.hash_codes` call: the paper's
+argument for EigenHash — fingerprint patterns, not embeddings — applied
+to a whole block.  The code is the slab row's
 prefix bits, probed once per row ((k-1 choose 2) ``has_edges`` calls per
 slab), OR'd with the new vertex's bits, which the kernel returns as each
 candidate's adjacency mask over the embedding — no per-pair probe.  The
@@ -38,7 +39,7 @@ from ..core.kernels import (
 )
 from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 
-__all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS", "extension_codes"]
+__all__ = ["MotifCounting", "MotifResult", "MOTIF_COUNTS", "extension_codes", "unlabelled_codes"]
 
 #: Number of connected unlabeled graphs on k vertices (what k-Motif yields).
 MOTIF_COUNTS = {3: 2, 4: 6, 5: 21}
@@ -98,6 +99,16 @@ def extension_codes(
     return rows, prefix[rows] | _spread(k)[adjacent]
 
 
+def unlabelled_codes(bits: np.ndarray, k: int) -> np.ndarray:
+    """Code rows ``[k, 0 (k times), bits]`` of unlabelled k-vertex
+    structures: :meth:`Pattern.to_code`'s layout at ``kmax = k``, which
+    :meth:`~repro.core.eigenhash.PatternHasher.hash_codes` takes."""
+    codes = np.zeros((bits.shape[0], k + 2), dtype=np.int64)
+    codes[:, 0] = k
+    codes[:, k + 1] = bits
+    return codes
+
+
 class MotifResult(dict):
     """Pattern hash → occurrence count, plus representative structures."""
 
@@ -148,15 +159,15 @@ class MotifCounting(MiningApplication):
             _, codes = extension_codes(kctx, block[start:end], k, bounds)
             for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
                 tally[code] = tally.get(code, 0) + count
-        labels = (0,) * k
         if self.hash_every_embedding:
+            labels = (0,) * k
             for code, count in tally.items():
                 for _ in range(count):
                     phash = ctx.hash_pattern(Pattern(labels, code))
                     pmap[phash] = pmap.get(phash, 0) + 1
             return
-        hashes = ctx.hash_patterns([Pattern(labels, code) for code in tally])
-        for phash, count in zip(hashes, tally.values()):
+        hashes = ctx.hash_codes(unlabelled_codes(np.array(list(tally), dtype=np.int64), k), k)
+        for phash, count in zip(hashes.tolist(), tally.values()):
             pmap[phash] = pmap.get(phash, 0) + count
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MotifResult:

@@ -16,7 +16,7 @@ per call.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
 from ..core.eigenhash import _stable_hash
 from ..core.pattern import Pattern
@@ -143,10 +143,12 @@ class BlissLikeHasher:
         )
         return value
 
-    def hash_patterns(self, patterns: Sequence[Pattern]) -> list[int]:
-        """One :meth:`hash_pattern` call per pattern: the search tree has
+    def hash_codes(self, codes: np.ndarray, kmax: int) -> np.ndarray:
+        """One :meth:`hash_pattern` call per code row: the search tree has
         no batched form."""
-        return [self.hash_pattern(pattern) for pattern in patterns]
+        rows = np.asarray(codes, dtype=np.int64).tolist()
+        values = [self.hash_pattern(Pattern.from_code(row, kmax)) for row in rows]
+        return np.array(values, dtype=np.uint64)
 
     def representative(self, hash_value: int) -> Pattern | None:
         return self._representatives.get(hash_value)

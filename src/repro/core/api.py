@@ -99,10 +99,11 @@ class EngineContext:
         """Fingerprint a pattern with the engine's isomorphism checker."""
         return self.engine.hasher.hash_pattern(pattern)
 
-    def hash_patterns(self, patterns) -> list[int]:
-        """Fingerprint many patterns at once: exactly ``[hash_pattern(p)
-        for p in patterns]``, with the hasher free to batch the work."""
-        return self.engine.hasher.hash_patterns(patterns)
+    def hash_codes(self, codes, kmax: int):
+        """Fingerprint a stack of code rows at once (``uint64``): exactly
+        ``[hash_pattern(Pattern.from_code(row, kmax)) for row in codes]``,
+        with the hasher free to batch the work."""
+        return self.engine.hasher.hash_codes(codes, kmax)
 
 
 class MiningApplication:

@@ -14,8 +14,10 @@ Algorithm 1 of the paper:
 :func:`eigen_hash` runs the algorithm on one :class:`Pattern` over plain
 Python ints; :func:`eigen_hash_codes` runs it over a stack of code rows
 (:meth:`Pattern.to_code`) as array passes per vertex count, bit for bit
-the same.  :meth:`PatternHasher.hash_patterns` reaches the batched pass
-behind the hasher's caches.
+the same.  :class:`PatternHasher` puts one structure-keyed memo in front
+of both: :meth:`~PatternHasher.hash_pattern` takes one pattern, and
+:meth:`~PatternHasher.hash_codes` takes the code rows the block mappers
+already hold and hashes the memo's misses in one batched pass.
 
 Correctness (Theorem 2 / Corollary 1): for embeddings with fewer than nine
 vertices, equal degrees plus equal spectrum implies isomorphism (Harary et
@@ -427,29 +429,30 @@ def _hash_codes_k(codes: np.ndarray, k: int, kmax: int) -> np.ndarray:
 
 
 class PatternHasher:
-    """Caching wrapper around :func:`eigen_hash`.
+    """Memoising front of :func:`eigen_hash` and :func:`eigen_hash_codes`.
 
-    Embedding streams contain the same raw pattern structure over and
-    over; the cache keys on the *normalised* structure so all automorphic
-    raw structures that sort identically share one polynomial computation.
-    The block mappers already deduplicate: FSM memoises per isomorphism
-    class and passes the canonical pattern (its own normalisation, so each
-    class is one miss and its representative is the canonical pattern),
-    motif passes each distinct adjacency code.  They pass a whole part's
-    patterns to :meth:`hash_patterns`, which computes the misses in one
-    :func:`eigen_hash_codes` pass and then accounts every pattern through
-    :meth:`hash_pattern` exactly as one call each would.
+    One memo maps a structure's raw key ``(labels, bits, edge_labels)``
+    to its hash; :meth:`hash_pattern` (one pattern) and :meth:`hash_codes`
+    (a stack of code rows, each keyed as :meth:`Pattern.from_code` would
+    build it, whatever the ``kmax`` padding) share it, so a structure
+    hashed through one is a hit through the other.  The block mappers
+    pass each part's distinct structures to :meth:`hash_codes`: FSM one
+    canonical row per isomorphism class, motif counting one row per
+    adjacency code.
 
-    Also keeps the representative :class:`Pattern` per hash so results can
-    be reported as structures, not bare integers.
+    Also keeps a representative per hash — the (label, degree)-normalised
+    pattern of the first structure that missed with it — so results can
+    be reported as structures, not bare integers.  It is stored as that
+    structure's key and normalised the first time :meth:`representative`
+    asks for it.
 
-    All three maps — both hash caches and the representative store —
-    are bounded: at most ``max_entries`` entries live in each, with
-    least-recently-used eviction once the cap is reached (``evictions``
-    counts them, summed across the maps).  One engine run never
-    approaches the default cap — distinct pattern structures are few —
-    but the hasher is shared across runs by the long-running service
-    tier, where an unbounded memo is a slow leak.
+    The memo and the representatives are bounded: at most
+    ``max_entries`` entries live in each, with least-recently-used
+    eviction once the cap is reached (``evictions`` counts them, summed
+    across the two).  One engine run never approaches the default cap —
+    distinct pattern structures are few — but the hasher is shared across
+    runs by the long-running service tier, where an unbounded memo is a
+    slow leak.
     """
 
     #: Default cache cap: far above any single run's distinct-structure
@@ -457,45 +460,36 @@ class PatternHasher:
     #: stays bounded (~tens of MB at the accounted ~120 B/entry).
     DEFAULT_MAX_ENTRIES = 1 << 18
 
+    #: Below this many misses :meth:`hash_codes` hashes them one by one:
+    #: a batched pass costs 110–151 µs even for one row (k 3–5), and
+    #: :func:`eigen_hash` 15–38 µs per pattern, so they break even at about
+    #: 6–8 rows (EXPERIMENTS.md, Fig. 12).
+    BATCH_MIN = 8
+
     def __init__(self, cache: bool = True, max_entries: int | None = None) -> None:
-        #: ``cache=False`` recomputes the polynomial on every call — the
-        #: paper's per-embedding checking regime, used by the Figure-12
-        #: benchmark and the caching ablation.
+        #: ``cache=False`` keeps no memo and recomputes the polynomial on
+        #: every call — the paper's per-embedding checking regime, used by
+        #: the Figure-12 benchmark and the caching ablation.
         self.cache = cache
         if max_entries is None:
             max_entries = self.DEFAULT_MAX_ENTRIES
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._cache: dict[tuple, int] = {}
-        # Raw-structure front cache: embedding streams repeat the same raw
-        # (labels, bits) structure over and over, and those tuples already
-        # exist on the Pattern — so a hit costs one dict probe and skips
-        # the O(k^2) (label, degree) sort + permute entirely.  Misses fall
-        # through to the normalised cache, which still unifies automorphic
-        # raw structures into one polynomial computation.
-        self._raw_cache: dict[tuple, int] = {}
-        self._representatives: dict[int, Pattern] = {}
+        self._memo: dict[tuple, int] = {}
+        #: hash -> raw key of the first structure that missed with it,
+        #: replaced by its normalised pattern once asked for.
+        self._representatives: dict[int, tuple | Pattern] = {}
         self.hits = 0
         self.misses = 0
-        #: Entries dropped by the LRU cap, across all three maps.
+        #: Entries dropped by the LRU cap, across the memo and the
+        #: representatives.
         self.evictions = 0
-        # Concurrent executors call hash_pattern from pool threads; the
-        # dict operations are atomic (and deterministic per key), but the
-        # counters and the LRU reordering need the lock — bare += loses
-        # updates across threads, and eviction must not race a touch.
+        # Concurrent executors hash from pool threads; the dict reads are
+        # atomic (and deterministic per key), but the counters and the LRU
+        # reordering need the lock — bare += loses updates across threads,
+        # and eviction must not race a touch.
         self._stats_lock = threading.Lock()
-        # Per thread: raw key -> (normalised pattern, hash or None) that a
-        # running hash_patterns batch computed ahead of its hash_pattern
-        # calls.
-        self._batch = threading.local()
-
-    def _touch(self, cache: dict, key) -> None:
-        """Move ``key`` to the recently-used end (dicts preserve order)."""
-        try:
-            cache[key] = cache.pop(key)
-        except KeyError:  # evicted between the probe and the touch
-            pass
 
     def _insert(self, cache: dict, key, value) -> None:
         """Insert at the recently-used end, evicting the LRU overflow."""
@@ -504,82 +498,72 @@ class PatternHasher:
             cache.pop(next(iter(cache)))
             self.evictions += 1
 
+    def _account(self, key: tuple, value: int) -> None:
+        """One lookup's bookkeeping, under ``_stats_lock``: a hit moves the
+        memo entry to the recently-used end (dicts keep insertion order);
+        a miss inserts it and records (or moves) the hash's
+        representative."""
+        if self.cache and key in self._memo:
+            self.hits += 1
+            self._memo[key] = self._memo.pop(key)
+            return
+        self.misses += 1
+        if self.cache:
+            self._insert(self._memo, key, value)
+        if value in self._representatives:
+            self._representatives[value] = self._representatives.pop(value)
+        else:
+            self._insert(self._representatives, value, key)
+
     def hash_pattern(self, pattern: Pattern) -> int:
-        raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
-        if self.cache:
-            cached = self._raw_cache.get(raw_key)
-            if cached is not None:
-                with self._stats_lock:
-                    self.hits += 1
-                    self._touch(self._raw_cache, raw_key)
-                return cached
-        ahead = getattr(self._batch, "ahead", None)
-        found = ahead.get(raw_key) if ahead else None
-        normalized, value = found if found else (pattern.sorted_by_label_degree()[0], None)
-        key = (normalized.labels, normalized.bits, normalized.edge_labels)
-        if self.cache:
-            cached = self._cache.get(key)
-            if cached is not None:
-                with self._stats_lock:
-                    self.hits += 1
-                    self._touch(self._cache, key)
-                    self._insert(self._raw_cache, raw_key, cached)
-                return cached
+        key = (pattern.labels, pattern.bits, pattern.edge_labels)
+        value = self._memo.get(key) if self.cache else None
         if value is None:
             value = eigen_hash(pattern)
         with self._stats_lock:
-            self.misses += 1
-            self._insert(self._cache, key, value)
-            if self.cache:
-                self._insert(self._raw_cache, raw_key, value)
-            if value in self._representatives:
-                self._touch(self._representatives, value)
-            else:
-                self._insert(self._representatives, value, normalized)
+            self._account(key, value)
         return value
 
-    #: Below this many new normalised structures a batch hashes them one
-    #: by one: a batched pass costs ~0.3 ms however few rows it has, and
-    #: :func:`eigen_hash` ~50 µs per pattern (EXPERIMENTS.md, Fig. 12).
-    BATCH_MIN = 8
+    def hash_codes(self, codes: np.ndarray, kmax: int) -> np.ndarray:
+        """The hash of every code row, as ``uint64``: exactly
+        ``[hash_pattern(Pattern.from_code(row, kmax)) for row in codes]``
+        — the same values, hits, misses, memo order, evictions and
+        representatives — without a pattern per row.
 
-    def hash_patterns(self, patterns: Sequence[Pattern]) -> list[int]:
-        """Exactly ``[self.hash_pattern(p) for p in patterns]`` — the same
-        values, hits, misses, cache entries, LRU evictions and
-        representatives — with the misses' EigenHash computed up front.
-
-        Each distinct raw structure the raw-structure cache lacks is
-        normalised once, and the distinct normalised structures the
-        normalised cache lacks are hashed in one :func:`eigen_hash_codes`
-        pass (EigenHash is an isomorphism invariant, so a structure's hash
-        is its normalisation's).  Each pattern then goes through
-        :meth:`hash_pattern` (subclasses that wrap it see every call),
-        which takes the normalisation and, on a miss, the hash from that
-        pass instead of computing them again.
+        ``codes`` holds :data:`~repro.apps.mni.BlockEncoder` rows ``[k,
+        labels (-1 padded), bits, edge labels by cell]``; the mappers pass
+        distinct ones.  The rows the memo lacks are hashed in one
+        :func:`eigen_hash_codes` pass, or through :func:`eigen_hash` when
+        there are fewer than :attr:`BATCH_MIN`; then every row is
+        accounted, in order, under one lock acquisition.  A row of more
+        than :data:`MAX_EIGENHASH_VERTICES` vertices raises where the loop
+        would, after the rows before it are accounted.
         """
-        normal: dict[tuple, tuple[Pattern, tuple]] = {}
-        new: dict[tuple, Pattern] = {}
-        for pattern in patterns:
-            raw_key = (pattern.labels, pattern.bits, pattern.edge_labels)
-            if raw_key in normal or (self.cache and raw_key in self._raw_cache):
-                continue
-            normalized, _ = pattern.sorted_by_label_degree()
-            key = (normalized.labels, normalized.bits, normalized.edge_labels)
-            normal[raw_key] = normalized, key
-            if not (self.cache and key in self._cache):
-                new.setdefault(key, normalized)
-        values = _hash_structures(new) if len(new) >= self.BATCH_MIN else {}
-        self._batch.ahead = {
-            raw_key: (normalized, values.get(key)) for raw_key, (normalized, key) in normal.items()
-        }
-        try:
-            return [self.hash_pattern(pattern) for pattern in patterns]
-        finally:
-            self._batch.ahead = None
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.shape[0] == 0:
+            return np.zeros(0, dtype=np.uint64)
+        oversized = np.flatnonzero(codes[:, 0] > MAX_EIGENHASH_VERTICES)
+        if oversized.shape[0]:
+            self.hash_codes(codes[: oversized[0]], kmax)
+            Pattern.from_code(codes[oversized[0]], kmax).check_eigenhash_size()
+        keys = [Pattern.code_fields(row, kmax) for row in codes.tolist()]
+        memo = self._memo if self.cache else {}
+        values = [memo.get(key) for key in keys]
+        todo = [d for d, value in enumerate(values) if value is None]
+        if len(todo) >= self.BATCH_MIN:
+            for d, value in zip(todo, eigen_hash_codes(codes[todo], kmax).tolist()):
+                values[d] = value
+        else:
+            for d in todo:
+                values[d] = eigen_hash(Pattern(*keys[d]))
+        with self._stats_lock:
+            for key, value in zip(keys, values):
+                self._account(key, value)
+        return np.array(values, dtype=np.uint64)
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of ``hash_pattern`` calls served from a cache."""
+        """Fraction of lookups served from the memo."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -590,44 +574,23 @@ class PatternHasher:
         by the LRU cap; callers already treat unseen hashes that way.
         """
         with self._stats_lock:
-            rep = self._representatives.get(hash_value)
-            if rep is not None:
-                self._touch(self._representatives, hash_value)
+            rep = self._representatives.pop(hash_value, None)
+            if rep is None:
+                return None
+            if not isinstance(rep, Pattern):
+                rep = Pattern(*rep).sorted_by_label_degree()[0]
+            # Back at the recently-used end, normalised for the next ask.
+            self._representatives[hash_value] = rep
             return rep
 
     @property
     def nbytes(self) -> int:
-        """Rough accounted footprint of the cache (for the MemoryMeter)."""
+        """Rough accounted footprint of the memo (for the MemoryMeter)."""
         per_entry = 120  # dict slot + key tuple + int, measured empirically
-        return (
-            (len(self._cache) + len(self._raw_cache)) * per_entry
-            + len(self._representatives) * 96
-        )
+        return len(self._memo) * per_entry + len(self._representatives) * 96
 
     def __len__(self) -> int:
-        return len(self._cache)
-
-
-def _hash_structures(todo: dict[tuple, Pattern]) -> dict[tuple, int]:
-    """``{key: eigen_hash(pattern)}`` through :func:`eigen_hash_codes`,
-    one pass per edge-labelled / unlabelled group.  Patterns the batched
-    pass cannot take — too many vertices (so :func:`eigen_hash` raises
-    in order) or labels outside int64 — are left out."""
-    groups: dict[bool, list[tuple]] = {}
-    for key, pattern in todo.items():
-        if pattern.num_vertices <= MAX_EIGENHASH_VERTICES:
-            groups.setdefault(pattern.edge_labels is not None, []).append(key)
-    out: dict[tuple, int] = {}
-    for labelled, keys in groups.items():
-        patterns = [todo[key] for key in keys]
-        # An edge-labelled row needs cell columns: at least one cell.
-        kmax = max(max(p.num_vertices for p in patterns), 2 if labelled else 0)
-        try:
-            codes = np.array([p.to_code(kmax) for p in patterns], dtype=np.int64)
-        except OverflowError:
-            continue
-        out.update(zip(keys, eigen_hash_codes(codes, kmax).tolist()))
-    return out
+        return len(self._memo)
 
 
 def _pair_graph(edges: list[tuple[int, int]], n: int) -> Pattern:

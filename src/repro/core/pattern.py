@@ -154,14 +154,22 @@ class Pattern:
         pattern, indexed by the pattern's own cell numbering (0 where no
         edge); a row without them decodes to ``edge_labels=None``.
         """
+        return cls(*cls.code_fields(code, kmax))
+
+    @staticmethod
+    def code_fields(
+        code: Sequence[int] | np.ndarray, kmax: int
+    ) -> tuple[tuple[int, ...], int, tuple[int, ...] | None]:
+        """``(labels, bits, edge_labels)`` of one code row: the fields
+        :meth:`from_code` builds, without building the pattern."""
         if isinstance(code, np.ndarray):
             code = code.tolist()
         k, bits = code[0], code[1 + kmax]
         labels = tuple(code[1 : 1 + k])
         cells = code[2 + kmax :]
         if not cells:
-            return cls(labels, bits)
-        return cls(labels, bits, tuple(c for t, c in enumerate(cells) if bits >> t & 1))
+            return labels, bits, None
+        return labels, bits, tuple(c for t, c in enumerate(cells) if bits >> t & 1)
 
     def to_code(self, kmax: int) -> list[int]:
         """This pattern's code row for patterns of at most ``kmax``

@@ -196,7 +196,10 @@ class QueryResult:
             "route": self.route.value,
             "cache": "hit" if self.cache_hit else "miss",
             "wall_seconds": self.wall_seconds,
-            "patterns": {str(k): v for k, v in sorted(self.pattern_map.items())},
+            # FSM maps hold MNI views: the wire carries each one's support.
+            "patterns": {
+                str(k): getattr(v, "support", v) for k, v in sorted(self.pattern_map.items())
+            },
         }
         if self.error_bars is not None:
             payload["error_bars"] = {

@@ -1,15 +1,15 @@
 """The FSM block mappers against the per-row mappers they replaced.
 
 The oracle is the per-row Mapper both FSM apps ran before they mapped
-whole blocks: patternise one embedding, hash it (through a raw-structure
-memo for edge-induced FSM), place its vertices with
+whole blocks: patternise one embedding, hash it (through its own
+raw-structure memo for edge-induced FSM), place its vertices with
 ``PositionMapper.placements`` and call ``SetMNIDomains.add`` once per
 automorphic placement; its Reducer folds the parts' set domains in order
 with ``merge_set_domains``, and its prune and result read the merged
 sets.  The block mappers and the array reduce must reproduce every
 per-part and every reduced pattern map (domains, ``frozen`` flags and
 insertion order), the cost counters, the prune masks and the result
-exactly, with one hasher call per pattern class (per row under
+exactly, with one hasher miss per pattern class (one call per row under
 ``hash_every_embedding``) and no more hasher misses or cache bytes than
 the oracle.
 """
@@ -188,15 +188,16 @@ def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> Non
         assert app.total_insertions == ref.total_insertions
         assert app.total_mapped == ref.total_mapped
     if executor == "serial":
-        # Threads may race the memo into a duplicate hash call.  The block
-        # mappers hash one canonical pattern per class; the oracle hashes
-        # raw structures, whose normalisations need not be canonical.
-        calls = got_hasher.hits + got_hasher.misses
+        # Threads may race the oracle's memo into a duplicate hash call.
+        # The block mappers hand the hasher one canonical row per class per
+        # part, so each class misses once and its later parts hit; the
+        # oracle hashes raw structures, which need not be canonical.
         if getattr(app, "hash_every_embedding", False):
+            calls = got_hasher.hits + got_hasher.misses
             assert calls == want_hasher.hits + want_hasher.misses
         else:
             classes = {h for level in ref.part_maps for pmap in level for h in pmap}
-            assert calls == len(classes)
+            assert got_hasher.misses == len(classes) == len(got_hasher)
         assert got_hasher.misses <= want_hasher.misses
         assert got_hasher.nbytes <= want_hasher.nbytes
 

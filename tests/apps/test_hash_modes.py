@@ -62,12 +62,11 @@ def test_fsm_insertion_counters():
 
 
 def test_fsm_hashes_once_per_class():
-    """FSM memoises hashes per canonical code and hashes the canonical
-    pattern, so a cold run calls the hasher once per pattern class: every
-    call is a miss and no class is hashed twice."""
+    """FSM hands the hasher each part's canonical class rows, so a cold
+    run misses once per pattern class — one memo entry and one
+    representative each — and no class is hashed twice."""
     with KaleidoEngine(datasets.load("citeseer", "tiny")) as engine:
         engine.run(FrequentSubgraphMining(2, support=3))
         hasher = engine.hasher
     assert hasher.misses > 0
-    assert hasher.hits == 0
-    assert hasher.misses == len(hasher)
+    assert hasher.misses == len(hasher) == len(hasher._representatives)

@@ -80,6 +80,10 @@ class _CountingHasher(PatternHasher):
         self.bitmaps.append(pattern.bits)
         return super().hash_pattern(pattern)
 
+    def hash_codes(self, codes, kmax):
+        self.bitmaps.extend(codes[:, 1 + kmax].tolist())
+        return super().hash_codes(codes, kmax)
+
 
 @pytest.mark.parametrize("every", [False, True])
 def test_motif_hash_calls(every):

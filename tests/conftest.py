@@ -17,7 +17,10 @@ from repro.graph import Graph, GraphBuilder, from_edge_list
 # "deep" (``pytest --hypothesis-profile=deep``) is the long fuzz run.
 settings.register_profile("tier1", max_examples=100, deadline=None)
 settings.register_profile("deep", max_examples=2000, deadline=None)
-settings.load_profile("tier1")
+# A test module importing ``tests.conftest`` runs this file a second time,
+# after the command line's profile was loaded: keep a chosen profile.
+if settings.get_current_profile_name() == "default":
+    settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 ``eigen_hash_codes`` runs Algorithm 1 over stacks of code rows; every
 value must be ``eigen_hash`` of the row's pattern, across vertex counts,
 vertex and edge labels, and both sides of its int64 overflow guard.
-``PatternHasher.hash_patterns`` must be exactly a loop of ``hash_pattern``
-calls on a twin hasher: values, counters, caches in LRU order, evictions,
-representatives and accounted bytes.  These tests take the hypothesis
+``PatternHasher.hash_codes`` must be exactly a loop of ``hash_pattern``
+calls over ``Pattern.from_code`` of each row on a twin hasher: values,
+counters, the memo in LRU order, evictions, representatives and accounted
+bytes (and ``BlissLikeHasher.hash_codes`` its own loop).  These tests take the hypothesis
 profile's example budget, so the ``deep`` profile runs them longer.
 """
 
@@ -163,34 +164,28 @@ def test_empty_and_oversized_batches():
 
 
 # ----------------------------------------------------------------------
-# PatternHasher.hash_patterns == a loop of hash_pattern
+# PatternHasher.hash_codes == a loop of hash_pattern over Pattern.from_code
 # ----------------------------------------------------------------------
-class _Spy(PatternHasher):
-    """Records every ``hash_pattern`` call; batches from the first miss."""
-
-    BATCH_MIN = 1
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.seen: list[Pattern] = []
-
-    def hash_pattern(self, pattern: Pattern) -> int:
-        self.seen.append(pattern)
-        return super().hash_pattern(pattern)
-
-
 @st.composite
-def pattern_streams(draw):
-    """Batches over a small pool of patterns and their automorphic
-    relabellings, so batches repeat structures within and across calls.
-    Four labels keep every 5-vertex pattern under the overflow guard."""
-    pool = draw(st.lists(patterns(max_k=5, top=3), min_size=1, max_size=6))
+def row_streams(draw):
+    """Calls of distinct code rows over a small pool of patterns and their
+    automorphic relabellings, so rows repeat across calls.  Each stream is
+    all edge-labelled or all not (a stack of code rows is one or the
+    other); calls run from empty through both sides of ``BATCH_MIN``, and
+    huge labels send some rows to the overflow fallback."""
+    labelled = draw(st.booleans())
+    huge = draw(st.booleans())
+    kmax = draw(st.integers(2 if labelled else 1, 5))
+    pool = draw(st.lists(patterns(kmax, labelled, huge, top=3), min_size=1, max_size=6))
     variants = []
     for pattern in pool:
         perms = list(permutations(range(pattern.num_vertices)))[:6]
-        variants.extend(pattern.permute(perm) for perm in perms)
-    picks = st.lists(st.sampled_from(variants), max_size=30)
-    return draw(st.lists(picks, min_size=1, max_size=3))
+        variants.extend(pattern.permute(perm).to_code(kmax) for perm in perms)
+    variants = list(dict.fromkeys(map(tuple, variants)))
+    calls = st.lists(st.sampled_from(variants), max_size=2 * PatternHasher.BATCH_MIN, unique=True)
+    batches = draw(st.lists(calls, min_size=1, max_size=3))
+    width = len(variants[0])
+    return [np.array(rows, dtype=np.int64).reshape(len(rows), width) for rows in batches], kmax
 
 
 def _state(hasher: PatternHasher) -> tuple:
@@ -200,44 +195,54 @@ def _state(hasher: PatternHasher) -> tuple:
         hasher.evictions,
         len(hasher),
         hasher.nbytes,
-        list(hasher._cache.items()),
-        list(hasher._raw_cache.items()),
+        list(hasher._memo.items()),
         list(hasher._representatives.items()),
     )
 
 
-@given(
-    pattern_streams(),
-    st.booleans(),
-    st.sampled_from([1, 2, 3, 5, None]),
-)
-def test_hash_patterns_is_the_loop(batches, cache, max_entries):
+def _loop(hasher, codes: np.ndarray, kmax: int) -> list[int]:
+    return [hasher.hash_pattern(Pattern.from_code(row, kmax)) for row in codes]
+
+
+@given(row_streams(), st.booleans(), st.sampled_from([1, 2, 3, 5, None]))
+def test_hash_codes_is_the_loop(stream, cache, max_entries):
+    batches, kmax = stream
     loop = PatternHasher(cache=cache, max_entries=max_entries)
-    spy = _Spy(cache=cache, max_entries=max_entries)
+    batch = PatternHasher(cache=cache, max_entries=max_entries)
     values = set()
-    for batch in batches:
-        want = [loop.hash_pattern(p) for p in batch]
-        assert spy.hash_patterns(batch) == want
-        assert _state(spy) == _state(loop)
+    for codes in batches:
+        want = _loop(loop, codes, kmax)
+        got = batch.hash_codes(codes, kmax)
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
+        assert _state(batch) == _state(loop)
         values.update(want)
-    assert spy.seen == [p for batch in batches for p in batch]
     for value in values:
-        assert spy.representative(value) == loop.representative(value)
+        assert batch.representative(value) == loop.representative(value)
 
 
-@given(pattern_streams())
-def test_hash_patterns_computes_misses_in_the_batch(batches):
-    """With room for every entry and every pattern under the overflow
-    guard, no ``eigen_hash`` call is left: every miss takes its value from
-    the batched pass."""
+@given(row_streams())
+def test_hash_codes_computes_misses_in_the_batch(stream):
+    """Calls of at least ``BATCH_MIN`` misses take every value from the
+    batched pass, so ``eigen_hash`` runs only on the smaller calls' misses,
+    in row order, and on the overflow fallback's rows."""
+    batches, kmax = stream
     calls = []
     scalar = eigenhash.eigen_hash
+    hasher = PatternHasher()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigenhash, "eigen_hash", lambda p: calls.append(p) or scalar(p))
-        spy = _Spy()
-        for batch in batches:
-            spy.hash_patterns(batch)
-    assert calls == []
+        for codes in batches:
+            rows = codes.tolist()
+            fresh = [row for row in rows if Pattern.code_fields(row, kmax) not in hasher._memo]
+            calls.clear()
+            hasher.hash_codes(codes, kmax)
+            if len(fresh) >= PatternHasher.BATCH_MIN:
+                # Only huge-label rows may leave the int64 pass.
+                assert all(max(p.labels) > 3 for p in calls)
+                assert all(p.to_code(kmax) in fresh for p in calls)
+            else:
+                assert calls == [Pattern.from_code(row, kmax) for row in fresh]
 
 
 def test_default_batch_threshold_keeps_small_batches_scalar(monkeypatch):
@@ -246,68 +251,83 @@ def test_default_batch_threshold_keeps_small_batches_scalar(monkeypatch):
     monkeypatch.setattr(eigenhash, "eigen_hash", lambda p: calls.append(p) or scalar(p))
     hasher = PatternHasher()
     chains = [Pattern((label, 0, 0), 0b011) for label in range(PatternHasher.BATCH_MIN)]
-    hasher.hash_patterns(chains[:-1])
+    hasher.hash_codes(np.array([p.to_code(3) for p in chains[:-1]]), 3)
     assert len(calls) == PatternHasher.BATCH_MIN - 1
     calls.clear()
     more = [Pattern((0, label, 1), 0b111) for label in range(PatternHasher.BATCH_MIN)]
-    assert hasher.hash_patterns(more) == [scalar(p) for p in more]
+    got = hasher.hash_codes(np.array([p.to_code(3) for p in more]), 3)
+    assert got.tolist() == [scalar(p) for p in more]
     assert calls == []  # the batched pass answered every miss
 
 
-def test_hash_patterns_raises_where_the_loop_raises():
-    loop, batch = PatternHasher(), _Spy()
-    patterns = [Pattern((0, 0), 1), Pattern((0,) * 9, 0), Pattern((1, 1), 1)]
+def test_hash_codes_raises_where_the_loop_raises():
+    loop, batch = PatternHasher(), PatternHasher()
+    rows = [Pattern((0, 0), 1), Pattern((0,) * 9, 0), Pattern((1, 1), 1)]
+    codes = np.array([p.to_code(9) for p in rows])
     with pytest.raises(EmbeddingSizeError):
-        [loop.hash_pattern(p) for p in patterns]
+        _loop(loop, codes, 9)
     with pytest.raises(EmbeddingSizeError):
-        batch.hash_patterns(patterns)
+        batch.hash_codes(codes, 9)
     assert _state(batch) == _state(loop)
-    assert batch.seen == patterns[:2]
-    # The batch's precomputed values do not leak into later calls.
-    assert batch._batch.ahead is None
+    assert batch.misses == 1
 
 
 def test_labels_beyond_int64_hash_one_by_one():
-    """A batch whose structures cannot be int64 code rows is hashed by
-    the scalar path, with the loop's values and accounting."""
-    patterns = [Pattern((1 << 70, i), 1) for i in range(3)] + [Pattern((0, i), 1) for i in range(3)]
-    loop, batch = PatternHasher(), _Spy()
-    assert batch.hash_patterns(patterns) == [loop.hash_pattern(p) for p in patterns]
-    assert _state(batch) == _state(loop)
+    """Structures whose labels cannot be int64 code rows go through
+    ``hash_pattern``; they share the memo with code rows, which hit
+    whichever path hashed them first."""
+    big = [Pattern((1 << 70, i), 1) for i in range(3)]
+    small = [Pattern((0, i), 1) for i in range(3)]
+    hasher = PatternHasher()
+    assert [hasher.hash_pattern(p) for p in big + small] == [eigen_hash(p) for p in big + small]
+    codes = np.array([p.to_code(2) for p in small])
+    assert hasher.hash_codes(codes, 2).tolist() == [eigen_hash(p) for p in small]
+    assert (hasher.hits, hasher.misses, len(hasher)) == (3, 6, 6)
 
 
 def test_mixed_edge_labelled_and_unlabelled_batch():
-    """One batch may mix edge-labelled and unlabelled structures; they hash
-    in separate passes, with the unlabelled ones as ``edge_labels=None``."""
-    mixed = [Pattern((0, 1), 1), Pattern((0, 1), 1, (0,)), Pattern((2,), 0, ())]
-    mixed = mixed * 3 + [Pattern((i, i), 1, (i,)) for i in range(8)]
-    spy = _Spy()
-    assert spy.hash_patterns(mixed) == [eigen_hash(p) for p in mixed]
+    """Edge-labelled and unlabelled rows of the same labels and bits are
+    different structures: their memo keys differ (``edge_labels=None``
+    against a tuple), whichever path and padding hashed them."""
+    plain = [Pattern((0, i, i), 0b011) for i in range(9)]
+    labelled = [Pattern(p.labels, p.bits, (0, 0)) for p in plain] + [Pattern((2,), 0, ())]
+    hasher = PatternHasher()
+    got = hasher.hash_codes(np.array([p.to_code(3) for p in plain]), 3).tolist()
+    got += hasher.hash_codes(np.array([p.to_code(4) for p in labelled]), 4).tolist()
+    assert got == [eigen_hash(p) for p in plain + labelled]
+    assert hasher.misses == len(hasher) == len(plain) + len(labelled)
+    assert [hasher.hash_pattern(p) for p in plain + labelled] == got
+    assert hasher.hits == len(plain) + len(labelled)
 
 
-@given(pattern_streams())
-def test_blisslike_hash_patterns_is_its_loop(batches):
+@given(row_streams())
+def test_blisslike_hash_codes_is_its_loop(stream):
+    batches, kmax = stream
     loop, batched = BlissLikeHasher(), BlissLikeHasher()
-    for batch in batches:
-        assert batched.hash_patterns(batch) == [loop.hash_pattern(p) for p in batch]
+    for codes in batches:
+        got = batched.hash_codes(codes, kmax)
+        assert got.dtype == np.uint64
+        assert got.tolist() == _loop(loop, codes, kmax)
         assert (batched.hits, batched.misses, len(batched)) == (loop.hits, loop.misses, len(loop))
     for value in loop._representatives:
         assert batched.representative(value) == loop.representative(value)
 
 
 def test_concurrent_batches_share_one_hasher():
-    """Threads (more than cores) batch overlapping patterns through one
-    hasher: every value is ``eigen_hash``'s and no count is lost."""
+    """Threads (more than cores) hash overlapping code rows through one
+    hasher: every value is ``eigen_hash``'s, no count is lost, and every
+    structure misses once."""
     pool = [Pattern((a, b, c), bits) for a in range(3) for b in range(3) for c in range(2) for bits in (3, 5, 7)]
+    codes = np.array([p.to_code(3) for p in pool])
     want = [eigen_hash(p) for p in pool]
-    hasher = _Spy()
+    hasher = PatternHasher()
     errors: list[BaseException] = []
 
     def work(shift: int) -> None:
         try:
             for turn in range(20):
-                batch = pool[shift + turn :] + pool[: shift + turn]
-                assert hasher.hash_patterns(batch) == want[shift + turn :] + want[: shift + turn]
+                at = np.roll(np.arange(len(pool)), -(shift + turn))
+                assert hasher.hash_codes(codes[at], 3).tolist() == [want[i] for i in at]
         except BaseException as error:  # reported below, from the main thread
             errors.append(error)
 
@@ -324,4 +344,4 @@ def test_concurrent_batches_share_one_hasher():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert hasher.hits + hasher.misses == 6 * 20 * len(pool)
-    assert len(hasher.seen) == 6 * 20 * len(pool)
+    assert hasher.misses == len(hasher) == len(pool)

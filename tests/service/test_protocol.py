@@ -191,3 +191,29 @@ def test_tcp_server_round_trip(service):
     finally:
         server.stop()
         thread.join(timeout=10)
+
+
+def test_fsm_answer_and_a_later_line_cross_the_wire(service):
+    """An FSM answer's pattern map holds MNI views; the wire carries each
+    one's support, and the stream goes on to serve the next line."""
+    served, responses = run_lines(
+        service,
+        [
+            {
+                "op": "query",
+                "app": "fsm",
+                "dataset": "citeseer",
+                "profile": "tiny",
+                "k": 3,
+                "params": {"support": 5},
+            },
+            {"op": "stats"},
+        ],
+    )
+    assert served == 2
+    answer, stats = responses
+    assert answer["status"] == "ok" and stats["status"] == "ok"
+    patterns = answer["patterns"]
+    assert patterns
+    assert all(isinstance(key, str) and int(key) >= 0 for key in patterns)
+    assert all(type(support) is int for support in patterns.values())

@@ -442,9 +442,7 @@ class PatternHasher:
 
     Also keeps a representative per hash — the (label, degree)-normalised
     pattern of the first structure that missed with it — so results can
-    be reported as structures, not bare integers.  It is stored as that
-    structure's key and normalised the first time :meth:`representative`
-    asks for it.
+    be reported as structures, not bare integers.
 
     The memo and the representatives are bounded: at most
     ``max_entries`` entries live in each, with least-recently-used
@@ -477,9 +475,9 @@ class PatternHasher:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._memo: dict[tuple, int] = {}
-        #: hash -> raw key of the first structure that missed with it,
-        #: replaced by its normalised pattern once asked for.
-        self._representatives: dict[int, tuple | Pattern] = {}
+        #: hash -> normalised pattern of the first structure that missed
+        #: with it.
+        self._representatives: dict[int, Pattern] = {}
         self.hits = 0
         self.misses = 0
         #: Entries dropped by the LRU cap, across the memo and the
@@ -513,7 +511,8 @@ class PatternHasher:
         if value in self._representatives:
             self._representatives[value] = self._representatives.pop(value)
         else:
-            self._insert(self._representatives, value, key)
+            normalised = Pattern(*key).sorted_by_label_degree()[0]
+            self._insert(self._representatives, value, normalised)
 
     def hash_pattern(self, pattern: Pattern) -> int:
         key = (pattern.labels, pattern.bits, pattern.edge_labels)
@@ -575,12 +574,9 @@ class PatternHasher:
         """
         with self._stats_lock:
             rep = self._representatives.pop(hash_value, None)
-            if rep is None:
-                return None
-            if not isinstance(rep, Pattern):
-                rep = Pattern(*rep).sorted_by_label_degree()[0]
-            # Back at the recently-used end, normalised for the next ask.
-            self._representatives[hash_value] = rep
+            if rep is not None:
+                # Back at the recently-used end.
+                self._representatives[hash_value] = rep
             return rep
 
     @property

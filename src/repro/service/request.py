@@ -21,6 +21,7 @@ from typing import Any, Mapping
 from ..apps import (
     CliqueDiscovery,
     FrequentSubgraphMining,
+    FSMResult,
     MotifCounting,
     TriangleCounting,
 )
@@ -188,6 +189,9 @@ class QueryResult:
 
     def to_json(self) -> dict[str, Any]:
         """JSON-friendly projection for the wire protocol."""
+        # An FSM map holds MNI views of every pattern met (short-circuited
+        # supports are lower bounds); its answer is the frequent supports.
+        patterns = self.value if isinstance(self.value, FSMResult) else self.pattern_map
         payload: dict[str, Any] = {
             "id": self.request_id,
             "status": "ok",
@@ -196,10 +200,7 @@ class QueryResult:
             "route": self.route.value,
             "cache": "hit" if self.cache_hit else "miss",
             "wall_seconds": self.wall_seconds,
-            # FSM maps hold MNI views: the wire carries each one's support.
-            "patterns": {
-                str(k): getattr(v, "support", v) for k, v in sorted(self.pattern_map.items())
-            },
+            "patterns": {str(k): v for k, v in sorted(patterns.items())},
         }
         if self.error_bars is not None:
             payload["error_bars"] = {

@@ -168,8 +168,10 @@ def test_empty_and_oversized_batches():
 # ----------------------------------------------------------------------
 @st.composite
 def row_streams(draw):
-    """Calls of distinct code rows over a small pool of patterns and their
-    automorphic relabellings, so rows repeat across calls.  Each stream is
+    """Calls of code rows over a small pool of patterns and their
+    automorphic relabellings, so rows repeat within and across calls (a
+    repeat is a hit, or a miss again after an eviction or under
+    ``cache=False``).  Each stream is
     all edge-labelled or all not (a stack of code rows is one or the
     other); calls run from empty through both sides of ``BATCH_MIN``, and
     huge labels send some rows to the overflow fallback."""
@@ -182,7 +184,7 @@ def row_streams(draw):
         perms = list(permutations(range(pattern.num_vertices)))[:6]
         variants.extend(pattern.permute(perm).to_code(kmax) for perm in perms)
     variants = list(dict.fromkeys(map(tuple, variants)))
-    calls = st.lists(st.sampled_from(variants), max_size=2 * PatternHasher.BATCH_MIN, unique=True)
+    calls = st.lists(st.sampled_from(variants), max_size=2 * PatternHasher.BATCH_MIN)
     batches = draw(st.lists(calls, min_size=1, max_size=3))
     width = len(variants[0])
     return [np.array(rows, dtype=np.int64).reshape(len(rows), width) for rows in batches], kmax
@@ -219,6 +221,21 @@ def test_hash_codes_is_the_loop(stream, cache, max_entries):
         values.update(want)
     for value in values:
         assert batch.representative(value) == loop.representative(value)
+
+
+@pytest.mark.parametrize("cache, max_entries", [(True, 1), (True, 2), (False, None)])
+@pytest.mark.parametrize("size", [PatternHasher.BATCH_MIN - 3, 8 * PatternHasher.BATCH_MIN])
+def test_repeats_within_one_call_are_the_loop(cache, max_entries, size):
+    """A row repeated in one call counts as the loop counts it: a hit, or
+    a miss again once the LRU cap evicted it or with no memo at all —
+    with the call's misses hashed one by one or in one batched pass."""
+    a, b, c = Pattern((0, 1), 1), Pattern((1, 1, 2), 0b011), Pattern((0, 0, 0), 0b111)
+    rows = ([a, a, b, a, c, b, c, c, a] * size)[:size]
+    codes = np.array([p.to_code(3) for p in rows])
+    loop = PatternHasher(cache=cache, max_entries=max_entries)
+    batch = PatternHasher(cache=cache, max_entries=max_entries)
+    assert batch.hash_codes(codes, 3).tolist() == _loop(loop, codes, 3)
+    assert _state(batch) == _state(loop)
 
 
 @given(row_streams())

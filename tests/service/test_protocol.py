@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+from repro.apps import FrequentSubgraphMining
+from repro.core.engine import KaleidoEngine
+from repro.graph import datasets
 from repro.service import MiningService, QueryRequest
 from repro.service.protocol import (
     ServiceServer,
@@ -194,8 +197,9 @@ def test_tcp_server_round_trip(service):
 
 
 def test_fsm_answer_and_a_later_line_cross_the_wire(service):
-    """An FSM answer's pattern map holds MNI views; the wire carries each
-    one's support, and the stream goes on to serve the next line."""
+    """An FSM answer's pattern map holds MNI views; the wire carries the
+    frequent patterns' supports, and the stream goes on to serve the next
+    line."""
     served, responses = run_lines(
         service,
         [
@@ -216,4 +220,8 @@ def test_fsm_answer_and_a_later_line_cross_the_wire(service):
     patterns = answer["patterns"]
     assert patterns
     assert all(isinstance(key, str) and int(key) >= 0 for key in patterns)
-    assert all(type(support) is int for support in patterns.values())
+    assert all(type(support) is int and support >= 5 for support in patterns.values())
+    solo = KaleidoEngine(datasets.load("citeseer", profile="tiny")).run(
+        FrequentSubgraphMining(num_edges=2, support=5)  # "edges" defaults to 2
+    )
+    assert patterns == {str(h): s for h, s in solo.value.items()}

@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the mining service (line-delimited JSON over stdin or TCP)",
     )
-    serve.add_argument("--workers", type=_positive_int, default=4, help="shared pool size")
+    serve.add_argument("--workers", type=_positive_int, default=4, help="workers per engine")
     serve.add_argument(
         "--sessions-per-graph",
         type=_positive_int,

@@ -441,8 +441,9 @@ class PatternHasher:
     adjacency code.
 
     Also keeps a representative per hash — the (label, degree)-normalised
-    pattern of the first structure that missed with it — so results can
-    be reported as structures, not bare integers.
+    pattern of the least structure, in ``(labels, bits, edge_labels)``
+    order, that missed with it, whatever order they missed in — so results
+    can be reported as structures, not bare integers.
 
     The memo and the representatives are bounded: at most
     ``max_entries`` entries live in each, with least-recently-used
@@ -475,9 +476,10 @@ class PatternHasher:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._memo: dict[tuple, int] = {}
-        #: hash -> normalised pattern of the first structure that missed
-        #: with it.
-        self._representatives: dict[int, Pattern] = {}
+        #: hash -> the least structure key that missed with it; normalised
+        #: only when :meth:`representative` asks, so a miss costs a tuple
+        #: comparison (the memo-less regime misses on every call).
+        self._representatives: dict[int, tuple] = {}
         self.hits = 0
         self.misses = 0
         #: Entries dropped by the LRU cap, across the memo and the
@@ -500,7 +502,7 @@ class PatternHasher:
         """One lookup's bookkeeping, under ``_stats_lock``: a hit moves the
         memo entry to the recently-used end (dicts keep insertion order);
         a miss inserts it and records (or moves) the hash's
-        representative."""
+        representative key, keeping the least."""
         if self.cache and key in self._memo:
             self.hits += 1
             self._memo[key] = self._memo.pop(key)
@@ -508,11 +510,12 @@ class PatternHasher:
         self.misses += 1
         if self.cache:
             self._insert(self._memo, key, value)
-        if value in self._representatives:
-            self._representatives[value] = self._representatives.pop(value)
+        held = self._representatives.pop(value, None)
+        if held is None:
+            self._insert(self._representatives, value, key)
         else:
-            normalised = Pattern(*key).sorted_by_label_degree()[0]
-            self._insert(self._representatives, value, normalised)
+            least = _structure_order(key) < _structure_order(held)
+            self._representatives[value] = key if least else held
 
     def hash_pattern(self, pattern: Pattern) -> int:
         key = (pattern.labels, pattern.bits, pattern.edge_labels)
@@ -573,11 +576,12 @@ class PatternHasher:
         by the LRU cap; callers already treat unseen hashes that way.
         """
         with self._stats_lock:
-            rep = self._representatives.pop(hash_value, None)
-            if rep is not None:
-                # Back at the recently-used end.
-                self._representatives[hash_value] = rep
-            return rep
+            key = self._representatives.pop(hash_value, None)
+            if key is None:
+                return None
+            # Back at the recently-used end.
+            self._representatives[hash_value] = key
+        return Pattern(*key).sorted_by_label_degree()[0]
 
     @property
     def nbytes(self) -> int:
@@ -587,6 +591,12 @@ class PatternHasher:
 
     def __len__(self) -> int:
         return len(self._memo)
+
+
+def _structure_order(key: tuple) -> tuple:
+    """A structure key ``(labels, bits, edge_labels)`` as a sort key that
+    also orders ``None`` edge labels."""
+    return key[0], key[1], key[2] or ()
 
 
 def _pair_graph(edges: list[tuple[int, int]], n: int) -> Pattern:

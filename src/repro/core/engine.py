@@ -98,9 +98,9 @@ class KaleidoEngine:
     parts — is built by each :meth:`run` and gone when it returns, so a
     run meters, spills and reports exactly as on a fresh engine.  Runs
     on one engine must be serialized by the caller; for concurrent
-    queries, give each its own engine and share the executor instance
-    and the hasher across them (both are thread-safe), which is exactly
-    what :class:`repro.service.MiningService` does.
+    queries, give each its own engine and share the (thread-safe) hasher
+    across them, as :class:`repro.service.MiningService` does; its
+    engines run their parts on the thread that serves the query.
 
     Parameters
     ----------

@@ -194,14 +194,13 @@ class ThreadedExecutor(PartExecutor):
 
     The worker pool *persists across* ``run`` calls: it is created
     lazily on the first run and only released by :meth:`close` — per-run
-    pool spin-up is pure overhead once an executor serves many runs, as
-    under the service tier's shared-pool model.  With ``max_workers``
-    set the pool size is pinned (the shared-pool configuration: several
-    engines may run concurrently over the one pool, and ``submit`` is
-    thread-safe); without it the pool is sized to each run's ``workers``
-    and transparently rebuilt when an *idle* executor is asked for a
-    different size.  A failing run cancels only its own queued parts —
-    the pool survives for concurrent and future runs.
+    pool spin-up is pure overhead once an executor serves many runs of a
+    reused engine.  With ``max_workers`` set the pool size is pinned
+    (several engines may then run concurrently over the one pool, and
+    ``submit`` is thread-safe); without it the pool is sized to each
+    run's ``workers`` and transparently rebuilt when an *idle* executor
+    is asked for a different size.  A failing run cancels only its own
+    queued parts — the pool survives for concurrent and future runs.
     """
 
     name = "threads"

@@ -224,8 +224,8 @@ class Tracer:
 
         Unlike :meth:`span`, the recorded span lives on an explicit
         track rather than the calling thread's stack, so work that hops
-        threads — a service request moving from admission to an engine
-        session to the executor pool — still reads as one timeline row.
+        threads — a service request moving from a dispatcher thread to
+        a threaded executor's pool — still reads as one timeline row.
         Call ``annotate(**args)`` on the returned object to attach facts
         discovered mid-flight (the chosen route, the cache outcome).
         """

@@ -1,7 +1,7 @@
 """Mining-as-a-service: the multi-tenant query tier.
 
 A long-running :class:`MiningService` multiplexes concurrent
-:class:`QueryRequest`s over one shared executor pool and one shared
+:class:`QueryRequest`s, each on its own thread, over one shared
 pattern-hash cache, with per-tenant admission control
 (:class:`TenantQuota`), a content-keyed :class:`ResultCache` and
 GREEN / YELLOW / RED routing: cache hits are served instantly,

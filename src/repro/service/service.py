@@ -2,8 +2,6 @@
 
 :class:`MiningService` is the query tier's heart.  One instance owns
 
-* one shared :class:`~repro.core.executor.ThreadedExecutor` whose worker
-  pool every engine session multiplexes over,
 * one shared (bounded) :class:`~repro.core.eigenhash.PatternHasher`, so
   pattern fingerprints computed for any tenant warm the cache for all,
 * the :class:`~repro.service.sessions.SessionPool` of warm engines,
@@ -27,7 +25,10 @@ metrics registry.
 
 Concurrency: :meth:`query` is safe to call from many threads at once
 (that is the point); :meth:`submit` is a convenience that dispatches to
-an internal request pool and returns a future.
+an internal request pool and returns a future.  A RED query's engine
+runs its parts serially on the thread that serves the query (the
+caller's, or a :meth:`submit` dispatcher thread): a part pool under the
+request threads only added hand-offs and GIL contention.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Any
 from ..apps.approximate import approximate_motifs
 from ..core.engine import KaleidoEngine
 from ..core.eigenhash import PatternHasher
-from ..core.executor import ThreadedExecutor
 from ..errors import PlanError, QueryRejectedError, ServiceError
 from ..graph import datasets
 from ..graph.graph import Graph
@@ -61,8 +61,8 @@ class MiningService:
     Parameters
     ----------
     pool_workers:
-        Size of the shared thread pool every engine session runs on (and
-        each engine's modelled worker count).
+        Each session engine's ``workers``: its parts per level and its
+        modelled schedule (the parts run on the query's own thread).
     max_sessions_per_graph:
         How many engine sessions may exist per graph fingerprint — the
         per-graph concurrency ceiling for RED runs.
@@ -83,13 +83,12 @@ class MiningService:
         counters never double-count across tenants.
     sanitize:
         Run under the runtime sanitizers: the service's lock-bearing
-        components (session pool, result cache, tenant registry, shared
-        executor, hasher) are wrapped by a
-        :class:`repro.analysis.LockOrderSanitizer` that raises
-        :class:`~repro.errors.LockOrderError` on lock-order inversions,
-        and every session's engine runs with ``sanitize=True`` (the
-        part-purity race detector).  Results are unchanged for
-        well-behaved code.
+        components (session pool, result cache, tenant registry, hasher)
+        are wrapped by a :class:`repro.analysis.LockOrderSanitizer` that
+        raises :class:`~repro.errors.LockOrderError` on lock-order
+        inversions, and every session's engine runs with
+        ``sanitize=True`` (the part-purity race detector).  Results are
+        unchanged for well-behaved code.
     """
 
     def __init__(
@@ -111,7 +110,6 @@ class MiningService:
         self.pool_workers = pool_workers
         self.sanitize = sanitize
         self._engine_kwargs = dict(engine_kwargs or {})
-        self.executor = ThreadedExecutor(max_workers=pool_workers)
         self.hasher = PatternHasher()
         self.cache = ResultCache(cache_entries, metrics=self.metrics)
         self.tenants = TenantRegistry(default_quota, metrics=self.metrics)
@@ -128,14 +126,7 @@ class MiningService:
             from ..analysis.sanitizer import LockOrderSanitizer
 
             self.lock_sanitizer = LockOrderSanitizer()
-            for holder in (
-                self,
-                self.executor,
-                self.hasher,
-                self.cache,
-                self.tenants,
-                self.sessions,
-            ):
+            for holder in (self, self.hasher, self.cache, self.tenants, self.sessions):
                 self.lock_sanitizer.instrument(holder)
         self._ids = itertools.count(1)
         self._dispatch = ThreadPoolExecutor(
@@ -161,7 +152,6 @@ class MiningService:
     def _build_engine(self, graph: Graph) -> KaleidoEngine:
         kwargs: dict[str, Any] = {
             "workers": self.pool_workers,
-            "executor": self.executor,  # caller-owned: engine won't close it
             "hasher": self.hasher,
             "metrics": MetricsRegistry(),
             "sanitize": self.sanitize,
@@ -416,13 +406,12 @@ class MiningService:
         }
 
     def close(self) -> None:
-        """Tear down the dispatcher, sessions and the shared pool."""
+        """Tear down the dispatcher and the sessions."""
         if self._closed:
             return
         self._closed = True
         self._dispatch.shutdown(wait=True)
         self.sessions.close()
-        self.executor.close()
         if self.lock_sanitizer is not None:
             self.lock_sanitizer.restore()
             self.lock_sanitizer = None

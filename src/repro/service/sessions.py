@@ -1,19 +1,18 @@
 """Engine sessions and the per-graph session pool.
 
 A *session* is one :class:`~repro.core.engine.KaleidoEngine` kept warm
-between queries: its executor's worker pool, its pattern-hash caches and
-the graph's derived structures (adjacency views, the lazily built edge
-index) all survive from run to run.  Runs on one engine must be
-serialized, so each session carries a lock and the pool hands a session
-to exactly one query at a time.
+between queries: its pattern-hash caches and the graph's derived
+structures (adjacency views, the lazily built edge index) all survive
+from run to run.  Runs on one engine must be serialized, so each session
+carries a lock and the pool hands a session to exactly one query at a
+time.
 
 The pool is keyed by graph *fingerprint* (content identity, not object
 identity): queries over the same data share warm sessions even when the
 graph was reloaded.  Up to ``max_sessions_per_graph`` sessions exist per
 graph so concurrent queries mine in parallel; past the cap, acquirers
 block on a condition variable until a session frees.  All sessions share
-one caller-supplied executor and one hasher (both thread-safe), which is
-how N concurrent queries multiplex over a single worker pool.
+one thread-safe hasher, and each runs its parts on its query's thread.
 
 Two invariants the pool enforces itself:
 

@@ -1,10 +1,10 @@
 """Per-tenant quotas, admission control and scoped accounting.
 
-Admission is the cheapest place to protect the shared executor pool: a
+Admission is the cheapest place to protect the service's threads: a
 tenant with ``max_concurrent`` queries already in flight is refused with
 :class:`~repro.errors.QuotaExceededError` *before* any graph is loaded
 or any engine session acquired, so one chatty tenant cannot starve the
-others of pool capacity.  Quotas may also pin a per-tenant embedding
+others of sessions and CPU.  Quotas may also pin a per-tenant embedding
 ceiling, clamping whatever budget the query itself carries.
 
 Each tenant's counters live under the ``tenant.<name>.*`` namespace of

@@ -1,6 +1,6 @@
 """Unit tests for the EigenHash fingerprint (Algorithm 1, Figure 6)."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -318,6 +318,46 @@ def test_hasher_representative():
     rep = hasher.representative(h)
     assert rep is not None and are_isomorphic(rep, tri)
     assert hasher.representative(12345) is None
+
+
+def _two_normal_forms(pattern):
+    """Two isomorphic copies of ``pattern`` whose (label, degree)
+    normalisations differ, the lesser structure first."""
+    forms = {}
+    for perm in permutations(range(pattern.num_vertices)):
+        copy = pattern.permute(perm)
+        forms.setdefault(copy.sorted_by_label_degree()[0], copy)
+    assert len(forms) >= 2, "every copy normalises alike"
+    copies = sorted(forms.values(), key=lambda p: (p.labels, p.bits, p.edge_labels or ()))
+    return copies[0], copies[1]
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        # unlabelled path on four vertices
+        Pattern.from_adjacency([0] * 4, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]),
+        # edge-labelled star with one vertex label
+        Pattern((1, 0, 0, 0), 0b000111, (2, 3, 2)),
+    ],
+    ids=["path4", "edge-labelled-star4"],
+)
+@pytest.mark.parametrize("through", ["hash_pattern", "hash_codes"])
+def test_representative_does_not_depend_on_miss_order(pattern, through):
+    """Concurrent parts race to miss first; the representative is the
+    least structure's normal form whichever one wins."""
+    first, second = _two_normal_forms(pattern)
+    reps = []
+    for order in ((first, second), (second, first)):
+        hasher = PatternHasher()
+        if through == "hash_pattern":
+            values = {hasher.hash_pattern(p) for p in order}
+        else:
+            codes = np.array([p.to_code(4) for p in order], dtype=np.int64)
+            values = set(hasher.hash_codes(codes, 4).tolist())
+        assert len(values) == 1 and hasher.misses == 2
+        reps.append(hasher.representative(values.pop()))
+    assert reps[0] == reps[1] == first.sorted_by_label_degree()[0]
 
 
 def test_hasher_nbytes_grows():

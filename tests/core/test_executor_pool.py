@@ -1,4 +1,4 @@
-"""ThreadedExecutor's persistent worker pool (the service-tier contract)."""
+"""ThreadedExecutor's persistent worker pool, pinned or sized per run."""
 
 import threading
 

@@ -40,6 +40,7 @@ def counter(svc, name):
 # ----------------------------------------------------------------------
 def test_eight_concurrent_queries_match_solo_run(small_random):
     solo = KaleidoEngine(small_random).run(MotifCounting(3))
+    earlier_threads = set(threading.enumerate())
     svc = MiningService(pool_workers=4, max_sessions_per_graph=4)
     try:
         futures = [
@@ -49,14 +50,19 @@ def test_eight_concurrent_queries_match_solo_run(small_random):
             for i in range(8)
         ]
         results = [future.result(timeout=120) for future in futures]
-        # all engine sessions multiplexed one shared pool of 4 workers
-        shared_pool_size = svc.executor.pool_size
+        # each query ran its parts on its own dispatcher thread: the
+        # open service started no part pool
+        part_threads = [
+            t.name
+            for t in set(threading.enumerate()) - earlier_threads
+            if t.name.startswith("kaleido-part")
+        ]
     finally:
         svc.close()
     assert len(results) == 8
     for result in results:
         assert result.pattern_map == dict(solo.pattern_map)
-    assert shared_pool_size == 4
+    assert part_threads == []
     routes = {result.route for result in results}
     assert Route.RED in routes  # someone actually mined
 

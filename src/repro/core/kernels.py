@@ -26,21 +26,35 @@ packed sorted view (``Graph.adjacency_keys()`` /
   first adjacency.  One ``searchsorted`` into the packed view per
   column (:func:`gather_bounds`) moves each list's start past the
   ruled-out candidates, so they are never materialised;
-* **dedup + first adjacency** — one sort of packed ``(row, candidate,
-  source column)`` keys dedups the pairs, reproduces the scalar loops'
-  ``sorted(candidate set)`` emission order, and leaves each head
-  carrying its smallest *surviving* source column.  No ``np.unique``
-  (whose hash-based implementation in recent numpy is an order of
-  magnitude slower than a plain sort at these sizes);
-* **membership** — the candidate is not already in the embedding;
+* **dedup + first adjacency** — one sort of packed ``key = row << (vb
+  + cb) | candidate << cb | column`` keys, with ``vb =
+  bit_length(modulus - 1)`` and ``cb = bit_length(width - 1)``, dedups
+  the pairs, reproduces the scalar loops' ``sorted(candidate set)``
+  emission order, and leaves each head carrying its smallest
+  *surviving* source column.  Every field is a shift and a mask away
+  (pair ``key >> cb``, row ``pair >> vb``, candidate ``pair & (2^vb -
+  1)``, column ``key & (2^cb - 1)``); no pair pays a division.  The key
+  dtype is ``id_dtype(rows << (vb + cb))``: ``int32`` whenever the
+  chunk's keys fit (numpy sorts it about twice as fast as ``int64``),
+  ``int64`` past that, and ``OverflowError`` rather than a silent wrap
+  past ``int64``.  No ``np.unique`` (whose hash-based implementation in
+  recent numpy is an order of magnitude slower than a plain sort at
+  these sizes);
+* **membership** — the candidate is not already in the embedding (the
+  embedding's ids packed as ``row << vb | id``, searched into the
+  heads);
 * **first-adjacency verification** — the bounds are non-increasing in
   ``c``, so a head whose true first adjacency ``f`` was pruned is
   exactly a suffix-order violation at ``f``; one packed-key
   ``searchsorted`` membership test per earlier column rejects those
-  heads.  Emitted levels are therefore *bit-identical* to the scalar
-  oracle (oracle-differential and property-tested), while
-  ``candidates_examined`` counts only the deduped pairs that survived
-  the bounds;
+  heads.  Only heads below the column's bound are probed: had a column
+  of arrival ``j`` held a head ``x >= lower[j + 1]`` (its bound), its
+  bounded slice would have gathered ``x`` and made ``x``'s first
+  surviving arrival at most ``j``, so a head of a later first arrival
+  at or above the bound cannot hit.  Emitted levels are therefore
+  *bit-identical* to the scalar oracle (oracle-differential and
+  property-tested), while ``candidates_examined`` counts only the
+  deduped pairs that survived the bounds;
 * **adjacency mask** — the same sorted runs give each emitted
   candidate a bitmask of the gather columns whose lists hold it (the
   OR of ``1 << column`` over its group of the sort), and the chunk
@@ -49,11 +63,12 @@ packed sorted view (``Graph.adjacency_keys()`` /
   candidate's adjacency to the embedding's vertices, so the motif mapper
   reads its extension bits instead of probing every pair again.  The
   mask is exact although the gathers were bounded.  Take a surviving
-  head whose first surviving column is ``f``: every column before ``f``
-  was probed by the verification and found not to hold it, and for
-  ``c >= f`` the bound ``lb_c = max(v0 + 1, max(block[c+1:]))`` does
-  not increase with ``c``, so a candidate ``>= lb_f`` is in column
-  ``c``'s bounded slice exactly when it is in that column's whole list.
+  head whose first surviving column is ``f``: the verification found
+  that no column before ``f`` holds it (by a probe, or by the bound
+  that makes a probe needless), and for ``c >= f`` the bound ``lb_c =
+  max(v0 + 1, max(block[c+1:]))`` does not increase with ``c``, so a
+  candidate ``>= lb_f`` is in column ``c``'s bounded slice exactly when
+  it is in that column's whole list.
   Edge mode bounds per arrival (``c // 2``) and verifies per arrival,
   and the same argument holds column by column.
 
@@ -124,19 +139,22 @@ __all__ = [
 
 #: Gathered ``(row, candidate)`` pairs per internal chunk.  Chunks are cut
 #: from the exact per-row gather lengths (:func:`gather_bounds`), so the
-#: transient pair arrays (about eight ``int64`` temporaries per pair) stay
+#: transient pair arrays (about eight temporaries per pair, ``int32``
+#: where the chunk's dedup keys fit) stay
 #: bounded however large a part the planner cut and however skewed the
 #: degrees — a row cap would not bound them: one hub in every row gathers
 #: its whole neighbor list per row.  A single row whose own length
 #: exceeds the budget still runs, alone.  Measured with ``perf/run.py
-#: --seed 7 --seconds 3`` on a 2-core x86 box, at 8 / 16 / 32 / 64 Ki
-#: pairs: ``motif4-mem`` peaks at 48.3 / 48.9 / 50.6 / 53.1 MB RSS in
-#: 0.035 / 0.039 / 0.042 / 0.046 s, ``motif4-threads`` at 51.1 / 52.4 /
-#: 53.2 / 57.6 MB in 0.055 / 0.043 / 0.042 / 0.039 s; ``clique4-filter``
-#: stays at 48.3 MB, and ``explore4-spill`` within noise at 0.34-0.41 s
-#: while its RSS falls from 84.7 to 76.2 MB.  16 Ki keeps the threaded
-#: motif op's speed for about 1 MB more RSS than 8 Ki; 64 Ki would cost
-#: both motif ops another 4-5 MB.
+#: --seed 7 --seconds 3`` on a 2-core x86 box (two runs each), at 8 / 16
+#: / 32 Ki pairs: ``motif4-mem`` runs in 34-39 / 33 / 34 ms at 48.9-49.5
+#: / 48.9-49.1 / 49.8-50.0 MB RSS, ``motif4-threads`` in 43-44 / 36-38 /
+#: 30-32 ms at 51.2-51.4 / 52.1-52.2 / 51.7-51.8 MB, and
+#: ``explore4-spill`` in 0.29-0.36 / 0.31-0.35 / 0.31 s at 73.5 / 72.2 /
+#: 70.7 MB; ``fsm3-mem`` (49-52 ms, 53.5-53.8 MB), ``clique4-filter``
+#: (8.3-8.8 ms, 48.3 MB) and ``service-mix`` (50-53 ms, 53.1-53.7 MB) do
+#: not move.  16 Ki is the serial motif op's best in time and RSS; 32 Ki
+#: buys the threaded op fewer chunks to hand round under the GIL for
+#: ~0.8 MB more serial RSS.
 PAIR_BUDGET = 16_384
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -147,8 +165,11 @@ def id_dtype(count: int, boundary: int = _INT32_MAX) -> np.dtype:
 
     ``boundary`` is the largest id count that still fits the narrow
     dtype; tests lower it to exercise the widening path without building
-    a 2^31-entry graph.
+    a 2^31-entry graph.  Ids past ``int64`` raise ``OverflowError``
+    rather than wrap.
     """
+    if count > 1 << 63:
+        raise OverflowError(f"ids in range({count}) do not fit int64")
     return np.dtype(np.int32) if count <= boundary else np.dtype(np.int64)
 
 
@@ -156,9 +177,8 @@ def id_dtype(count: int, boundary: int = _INT32_MAX) -> np.dtype:
 #: sink or level needs a dtype before any ids have been produced.  Using
 #: this instead of a hard-coded ``np.int32`` keeps the selection logic in
 #: exactly one place (and keeps rule R004 quiet).  The kernel emits in
-#: ``out_dtype`` and does its packed-key arithmetic in ``int64``
-#: regardless, so its ``searchsorted`` bounds widen exactly like the
-#: gather keys do.
+#: ``out_dtype``, does its CSR-key arithmetic (bounds and probes) in
+#: ``int64``, and picks its dedup keys' dtype with :func:`id_dtype` too.
 DEFAULT_ID_DTYPE = id_dtype(0)
 
 
@@ -328,68 +348,80 @@ def _suffix_max(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _canonical_lower(block64: np.ndarray) -> np.ndarray:
+    """``lower[:, j + 1] = max(block[:, 0] + 1, max(block[:, j + 1:]))``,
+    the gather bound of a column of arrival ``j``."""
+    lower = _suffix_max(block64)
+    np.maximum(lower, block64[:, :1] + 1, out=lower)
+    return lower
+
+
 def _mask_members(
-    keep: np.ndarray, pair_ids: np.ndarray, block: np.ndarray, modulus: int
+    keep: np.ndarray, pair_ids: np.ndarray, block: np.ndarray, vb: int
 ) -> None:
     """Clear ``keep`` where the candidate is already in its embedding.
 
-    ``pair_ids`` is the *sorted* packed ``row * modulus + candidate``
-    array; the embedding ids re-packed the same way are a much smaller
-    set, so searching them into the candidates is ``rows * k`` binary
-    searches instead of a ``(pairs, k)`` comparison matrix.
+    ``pair_ids`` is the *sorted* packed ``row << vb | candidate`` array;
+    the embedding ids re-packed the same way, in its dtype, are a much
+    smaller set, so searching them into the candidates is ``rows * k``
+    binary searches instead of a ``(pairs, k)`` comparison matrix.
     """
-    rows_total, k = block.shape
-    emb_keys = np.arange(rows_total, dtype=np.int64)[:, None] * modulus + block
-    pos = np.searchsorted(pair_ids, emb_keys.reshape(-1))
+    emb_keys = block.astype(pair_ids.dtype)
+    emb_keys |= np.arange(block.shape[0], dtype=pair_ids.dtype)[:, None] << vb
+    emb_keys = emb_keys.reshape(-1)
+    pos = np.searchsorted(pair_ids, emb_keys)
     np.minimum(pos, pair_ids.shape[0] - 1, out=pos)
-    hits = pos[pair_ids[pos] == emb_keys.reshape(-1)]
+    hits = pos[pair_ids[pos] == emb_keys]
     keep[hits] = False
 
 
 def _dedup_heads(
-    values: np.ndarray, owner: np.ndarray, width: int, modulus: int
+    values: np.ndarray, owner: np.ndarray, rows_total: int, width: int, vb: int, cb: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort-dedup the gathered ``(row, candidate)`` pairs of one chunk.
 
     ``owner`` is the flat ``row * width + column`` position each value
-    was gathered for.  One sort of packed ``(row, candidate, column)``
-    keys does three jobs at once: it (a) dedups the per-row candidate
-    set, (b) orders candidates ascending within each row — the scalar
-    loop's ``sorted(set)`` emission order — and (c) leaves each group's
-    *head* carrying the smallest source column; OR-ing each group's
-    source columns gives its column bitmask.  Returns the heads as
-    ``(pair_ids, rows, cands, first_column, columns)`` with ``pair_ids =
-    row * modulus + candidate`` ascending and bit ``c`` of ``columns``
-    set when column ``c`` gathered the candidate (columns past 63 are
-    dropped from it; no reader of the mask has a block that wide).
+    was gathered for, in the key dtype.  One sort of packed ``row << (vb
+    + cb) | candidate << cb | column`` keys does three jobs at once: it
+    (a) dedups the per-row candidate set, (b) orders candidates
+    ascending within each row — the scalar loop's ``sorted(set)``
+    emission order — and (c) leaves each group's *head* carrying the
+    smallest source column; OR-ing each group's source columns gives
+    its column bitmask.  Returns the heads as ``(pair_ids, rows, cands,
+    first_column, columns)`` with ``pair_ids = row << vb | candidate``
+    ascending and bit ``c`` of the ``int64`` ``columns`` set when column
+    ``c`` gathered the candidate (columns past 63 are dropped from it;
+    no reader of the mask has a block that wide).
     """
-    # (row * modulus + value) * width + column, with row = owner // width
-    # and column = owner - row * width; in place, one pair-sized array.
-    keys = owner // width
-    keys *= (modulus - 1) * width
-    keys += owner
-    keys += np.multiply(values, width, dtype=np.int64)
+    # A (rows x width) table maps each owner to its key's row and column
+    # fields, so no pair pays a division.
+    bases = np.arange(rows_total, dtype=owner.dtype)[:, None] << (vb + cb)
+    bases = (bases | np.arange(width, dtype=owner.dtype)).reshape(-1)
+    keys = np.left_shift(values, cb, dtype=owner.dtype)
+    keys |= bases[owner]
     keys.sort()
-    pair_ids = keys // width
+    cmask = (1 << cb) - 1
+    pair_ids = keys >> cb
     head = np.empty(keys.shape, dtype=bool)
     head[0] = True
     np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
-    first_keys = keys[head]
-    heads = pair_ids[head]
-    first_keys -= heads * width
-    columns = np.left_shift(1, first_keys)
-    # The few non-head members (a candidate more than one column
-    # gathered) OR their column into their group's mask: the j-th of
-    # them (from 0), at position p, follows p - j heads, so it belongs
-    # to head p - j - 1.
     extra = np.flatnonzero(~head)
     if extra.shape[0]:
-        bits = np.left_shift(1, keys[extra] - pair_ids[extra] * width)
+        first = keys[head]
+        heads = first >> cb
+        # The few non-head members (a candidate more than one column
+        # gathered) OR their column into their group's mask: the j-th of
+        # them (from 0), at position p, follows p - j heads, so it
+        # belongs to head p - j - 1.
+        bits = np.left_shift(np.int64(1), keys[extra] & cmask)
         extra -= np.arange(1, extra.shape[0] + 1)
+    else:  # no candidate was gathered twice: skip the compresses
+        heads, first = pair_ids, keys
+    first &= cmask
+    columns = np.left_shift(np.int64(1), first)
+    if extra.shape[0]:
         np.bitwise_or.at(columns, extra, bits)
-    rows = heads // modulus
-    cands = heads - rows * modulus
-    return heads, rows, cands, first_keys, columns
+    return heads, heads >> vb, heads & ((1 << vb) - 1), first, columns
 
 
 def call_block_filter(
@@ -453,10 +485,7 @@ def gather_bounds(
     indptr, _, packed, modulus = ctx.gather_view()
     if gather is None:
         columns = keys64
-        # lower[:, j + 1] = max(block[:, 0] + 1, max(block[:, j + 1:])),
-        # the bound of a column of arrival j.
-        lower = _suffix_max(block64)
-        np.maximum(lower, block64[:, :1] + 1, out=lower)
+        lower = _canonical_lower(block64)
         arrivals = (np.arange(columns.shape[1]) // ctx.arity + 1).tolist()
     else:
         columns = keys64[:, list(gather.required_cols)]
@@ -595,17 +624,25 @@ def _expand_chunk(
     is the chunk row ``vert[i]`` extends (ascending) and bit ``c`` of
     ``adjacent[i]`` whether gather column ``c``'s list holds ``vert[i]``
     — the candidate's adjacency to the embedding, read off the dedup
-    runs (see the module docstring for why it is exact).
+    runs (see the module docstring for why it is exact).  ``rows`` keeps
+    the dedup keys' dtype (``int64`` only under a block filter, whose
+    contract needs it), so widen it before arithmetic that can pass
+    ``int32``.
     """
     rows_total = block64.shape[0]
     width = keys64.shape[1]
     arity = ctx.arity
     _, data, packed, modulus = ctx.gather_view()
+    # Dedup keys pack (row, candidate, column) into power-of-two fields,
+    # in the narrowest dtype that holds them (id_dtype raises past int64).
+    vb = int(modulus - 1).bit_length()
+    cb = (width - 1).bit_length()
+    key_dtype = id_dtype(rows_total << (vb + cb))
 
     # Each column's slice already starts past the candidates its min-id
     # and suffix-order clauses rule out.
     starts, ends = bounds
-    positions = np.arange(rows_total * width, dtype=np.int64)
+    positions = np.arange(rows_total * width, dtype=key_dtype)
     gathered, owner = _ranged_gather(
         starts.reshape(-1), ends.reshape(-1), data, positions
     )
@@ -613,26 +650,35 @@ def _expand_chunk(
         empty = np.zeros(0, dtype=np.int64)
         return np.zeros(0, dtype=ctx.out_dtype), empty, 0, empty
     # Each head carries the earliest *surviving* source column.
-    pair_ids, rows, cands, first, adjacent = _dedup_heads(gathered, owner, width, modulus)
+    pair_ids, rows, cands, first, adjacent = _dedup_heads(
+        gathered, owner, rows_total, width, vb, cb
+    )
     first //= arity
     examined = int(rows.shape[0])
 
     keep = np.ones(examined, dtype=bool)
-    _mask_members(keep, pair_ids, block64, modulus)
+    _mask_members(keep, pair_ids, block64, vb)
     # First-adjacency verification: reject heads that are also in the
-    # (pruned) list of a column of an earlier arrival — binary searches
-    # over the heads, not the raw gather.
-    for column in range(width - arity):
-        sel = np.nonzero(keep & (first > column // arity))[0]
+    # (pruned) list of a column of an earlier arrival j — binary searches
+    # over the heads, not the raw gather.  A head at or above arrival j's
+    # bound would have been gathered from j had j's lists held it, so
+    # only heads below the bound are probed.
+    lower = _canonical_lower(block64)
+    for j in range(width // arity - 1):
+        sel = np.flatnonzero(keep & (first > j))
+        sel = sel[cands[sel] < lower[rows[sel], j + 1]]
         if sel.shape[0] == 0:
             continue
-        hit = _in_packed(packed, modulus, keys64[rows[sel], column], cands[sel])
-        keep[sel[hit]] = False
+        for column in range(j * arity, (j + 1) * arity):
+            hit = _in_packed(packed, modulus, keys64[rows[sel], column], cands[sel])
+            keep[sel[hit]] = False
 
     rows = rows[keep]
     cands = cands[keep]
     adjacent = adjacent[keep]
     if block_filter is not None and rows.shape[0]:
+        rows = rows.astype(np.int64, copy=False)
+        cands = cands.astype(np.int64, copy=False)
         mask = call_block_filter(block_filter, ctx, block64, rows, cands)
         rows = rows[mask]
         cands = cands[mask]

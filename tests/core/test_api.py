@@ -1,8 +1,11 @@
 """Unit tests for the MiningApplication API surface."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from repro.core.api import EngineContext, MiningApplication, MiningResult
+from repro.core.api import ADAPTOR_ROWS, EngineContext, MiningApplication, MiningResult
 from repro.core.engine import KaleidoEngine
 
 
@@ -103,3 +106,45 @@ def test_context_hash_pattern(paper_graph):
     ctx = EngineContext(graph=paper_graph, engine=engine)
     p = Pattern((0, 0), 1)
     assert ctx.hash_pattern(p) == eigen_hash(p)
+
+
+class _RowRecorder(MiningApplication):
+    def __init__(self):
+        self.calls = []
+
+    def map_embedding(self, ctx, emb, pmap, *part):
+        self.calls.append((emb, part))
+
+
+@pytest.mark.parametrize("part", [None, "state"])
+def test_default_map_block_feeds_rows_in_order(paper_graph, part):
+    """The per-row adaptor walks the part in slabs: every row arrives as a
+    tuple of ints, in block order across slab boundaries, with ``part``
+    passed only when there is one."""
+    block = np.random.default_rng(0).integers(0, 10**6, size=(2 * ADAPTOR_ROWS + 3, 3))
+    app = _RowRecorder()
+    app.map_block(EngineContext(graph=paper_graph, engine=None), block, {}, part)
+    assert [emb for emb, _ in app.calls] == [tuple(row) for row in block.tolist()]
+    assert all(type(v) is int for v in app.calls[-1][0])
+    assert {rest for _, rest in app.calls} == ({()} if part is None else {(part,)})
+
+
+def test_default_map_block_memory_is_bounded_by_the_slab(paper_graph):
+    """A 200K-row part is never held as Python ints at once: the whole
+    part would be ~16 MB of them, one slab of 2-id rows ~0.35 MB."""
+
+    class Count(MiningApplication):
+        def map_embedding(self, ctx, emb, pmap):
+            pmap[0] += 1
+
+    block = np.random.default_rng(1).integers(1000, 10**6, size=(200_000, 2))
+    pmap = {0: 0}
+    ctx = EngineContext(graph=paper_graph, engine=None)
+    tracemalloc.start()
+    try:
+        Count().map_block(ctx, block, pmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pmap[0] == 200_000
+    assert peak < 4_000_000, peak

@@ -265,6 +265,21 @@ def test_id_dtype_boundary():
     # without a 2^31-vertex graph.
     assert kernels.id_dtype(100, boundary=50) == np.dtype(np.int64)
     assert kernels.id_dtype(50, boundary=50) == np.dtype(np.int32)
+    assert kernels.id_dtype(1 << 63) == np.dtype(np.int64)
+    with pytest.raises(OverflowError):
+        kernels.id_dtype((1 << 63) + 1)
+
+
+def test_dedup_keys_past_int64_raise():
+    """A chunk whose packed ``(row, candidate, column)`` keys would pass
+    int64 raises instead of wrapping: 4 rows << (62 + 2) bits is 2^66."""
+    graph = random_labeled_graph(8, 12, 1, seed=0)
+    ctx = kernels.vertex_kernel_context(graph)
+    ctx.num_vertices = 1 << 62
+    block = np.array([[0, 1, 2]] * 4, dtype=np.int64)
+    bounds = kernels.gather_bounds(kernels.vertex_kernel_context(graph), block, block)
+    with pytest.raises(OverflowError):
+        kernels._expand_chunk(ctx, block, block, None, bounds)
 
 
 def test_graph_and_index_id_dtype():

@@ -8,8 +8,10 @@ examining no more candidates — the kernel's bit-identical contract, over
 arbitrary topologies rather than a handful of fixtures.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
@@ -170,3 +172,99 @@ def test_edge_adjacency_mask_is_exact(case):
         ends = keys[rows, c]
         touches = (ctx.edge_u[vert] == ends) | (ctx.edge_v[vert] == ends)
         np.testing.assert_array_equal(bit, touches)
+
+
+def _mode_block(case, mode):
+    """``(ctx, ids, block, rng)`` for a :func:`mask_cases` draw: the
+    kernel context of ``mode``, its id count and a canonical block (edge
+    blocks hold at most 4 edges); ``None`` when the block is empty."""
+    num_vertices, num_edges, seed, width, _ = case
+    graph = random_labeled_graph(num_vertices, num_edges, 3, seed=seed)
+    if mode == "vertex":
+        ctx, ids = kernels.vertex_kernel_context(graph), graph.num_vertices
+    else:
+        index = EdgeIndex(graph)
+        ctx, ids, width = kernels.edge_kernel_context(index), index.num_edges, min(width, 4)
+    rng = np.random.default_rng(seed)
+    block = _grow_canonical_block(ctx, np.arange(ids), width, rng) if ids else np.zeros((0, 1))
+    return (ctx, ids, block, rng) if block.shape[0] else None
+
+
+@given(mask_cases(), st.sampled_from(["vertex", "edge"]))
+@example((12, 40, 7, 6, True), "vertex")  # 6 columns: a 3-bit column field
+@example((12, 40, 7, 3, False), "edge")  # 6 endpoint columns
+@settings(max_examples=30, deadline=None)
+def test_narrow_and_wide_dedup_keys_agree(case, mode):
+    """The chunk packs its dedup keys in the narrowest dtype ``id_dtype``
+    picks; forcing the int64 path (``boundary=0``) must return identical
+    ``(vert, rows, examined, adjacent)``."""
+    drawn = _mode_block(case, mode)
+    if drawn is None:
+        return
+    ctx, ids, block, rng = drawn
+    block_filter = _random_filter(rng, ids) if case[-1] else None
+    keys = ctx.gather_keys(block).astype(np.int64)
+    bounds = kernels.gather_bounds(ctx, block, keys)
+    narrow = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
+    real_id_dtype = kernels.id_dtype
+    with mock.patch.object(kernels, "id_dtype", lambda count: real_id_dtype(count, boundary=0)):
+        wide = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
+    for got, want in zip(narrow, wide):
+        np.testing.assert_array_equal(got, want)
+    if block_filter is None and wide[1].shape[0]:
+        assert narrow[1].dtype == kernels.DEFAULT_ID_DTYPE != wide[1].dtype
+
+
+def _possible_probes(ctx, block, keys):
+    """Scalar count of the first-adjacency probes that could hit: for each
+    deduped, non-member head ``x`` of first surviving arrival ``f``, one
+    probe per column of each earlier arrival ``j`` (up to the first that
+    holds ``x``) whose bound ``x`` is below — at or above it, ``j``'s
+    bounded slice would have gathered ``x``."""
+    indptr, data, _, _ = ctx.gather_view()
+    arity = ctx.arity
+    total = 0
+    for row, row_keys in zip(block.tolist(), keys.tolist()):
+        lists = [set(data[indptr[key] : indptr[key + 1]].tolist()) for key in row_keys]
+
+        def bound(j):
+            return max([row[0] + 1] + row[j + 1 :])
+
+        first = {}
+        for c, held in enumerate(lists):
+            for x in held:
+                if x >= bound(c // arity):
+                    first.setdefault(x, c // arity)
+        for x, f in first.items():
+            if x in row:
+                continue
+            for j in range(f):
+                if x < bound(j):
+                    total += arity
+                    if any(x in lists[c] for c in range(j * arity, (j + 1) * arity)):
+                        break
+    return total
+
+
+@given(mask_cases(), st.sampled_from(["vertex", "edge"]))
+@settings(max_examples=30, deadline=None)
+def test_first_adjacency_probes_only_where_a_hit_is_possible(case, mode):
+    """The verification probes an earlier column only for heads below its
+    bound: never more probes than the scalar count of those that could
+    hit (the output parity above shows none that could is skipped)."""
+    drawn = _mode_block(case, mode)
+    if drawn is None:
+        return
+    ctx, _, block, _ = drawn
+    keys = ctx.gather_keys(block).astype(np.int64)
+    bounds = kernels.gather_bounds(ctx, block, keys)
+    probed = []
+    real_in_packed = kernels._in_packed
+
+    def counting(packed, modulus, keys, values):
+        probed.append(values.shape[0])
+        return real_in_packed(packed, modulus, keys, values)
+
+    with mock.patch.object(kernels, "_in_packed", counting):
+        kernels._expand_chunk(ctx, block, keys, None, bounds)
+    assert sum(probed) <= _possible_probes(ctx, block, keys)

@@ -94,8 +94,7 @@ class ApproximateMotifCounting:
             C = len(class_of)
             cls = cls[np.searchsorted(distinct, codes)]
             # Per-sample counts; duplicate picks are separate rows, so separate samples.
-            per = np.bincount(rows.astype(np.int64) * C + cls, minlength=(end - start) * C)
-            per = per.reshape(end - start, C)
+            per = np.bincount(rows * C + cls, minlength=(end - start) * C).reshape(end - start, C)
             totals.update(dict(enumerate(per.sum(0).tolist())))
             squares.update(dict(enumerate((per * per).sum(0).tolist())))
         out: dict[int, MotifEstimate] = {}

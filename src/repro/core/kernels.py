@@ -51,10 +51,12 @@ packed sorted view (``Graph.adjacency_keys()`` /
   of arrival ``j`` held a head ``x >= lower[j + 1]`` (its bound), its
   bounded slice would have gathered ``x`` and made ``x``'s first
   surviving arrival at most ``j``, so a head of a later first arrival
-  at or above the bound cannot hit.  Emitted levels are therefore
-  *bit-identical* to the scalar oracle (oracle-differential and
-  property-tested), while ``candidates_examined`` counts only the
-  deduped pairs that survived the bounds;
+  at or above the bound cannot hit.  In edge mode a head that an
+  arrival's first column rejects is not probed in its second.  Emitted
+  levels are therefore *bit-identical* to the scalar oracle
+  (oracle-differential and property-tested), while
+  ``candidates_examined`` counts only the deduped pairs that survived
+  the bounds;
 * **adjacency mask** — the same sorted runs give each emitted
   candidate a bitmask of the gather columns whose lists hold it (the
   OR of ``1 << column`` over its group of the sort), and the chunk
@@ -405,21 +407,18 @@ def _dedup_heads(
     head = np.empty(keys.shape, dtype=bool)
     head[0] = True
     np.not_equal(pair_ids[1:], pair_ids[:-1], out=head[1:])
+    first = keys[head]
+    heads = first >> cb
+    first &= cmask
+    columns = np.left_shift(1, first, dtype=np.int64)
+    # The few non-head members (a candidate more than one column
+    # gathered) OR their column into their group's mask: the j-th of
+    # them (from 0), at position p, follows p - j heads, so it belongs
+    # to head p - j - 1.
     extra = np.flatnonzero(~head)
     if extra.shape[0]:
-        first = keys[head]
-        heads = first >> cb
-        # The few non-head members (a candidate more than one column
-        # gathered) OR their column into their group's mask: the j-th of
-        # them (from 0), at position p, follows p - j heads, so it
-        # belongs to head p - j - 1.
-        bits = np.left_shift(np.int64(1), keys[extra] & cmask)
+        bits = np.left_shift(1, keys[extra] & cmask, dtype=np.int64)
         extra -= np.arange(1, extra.shape[0] + 1)
-    else:  # no candidate was gathered twice: skip the compresses
-        heads, first = pair_ids, keys
-    first &= cmask
-    columns = np.left_shift(np.int64(1), first)
-    if extra.shape[0]:
         np.bitwise_or.at(columns, extra, bits)
     return heads, heads >> vb, heads & ((1 << vb) - 1), first, columns
 
@@ -624,10 +623,7 @@ def _expand_chunk(
     is the chunk row ``vert[i]`` extends (ascending) and bit ``c`` of
     ``adjacent[i]`` whether gather column ``c``'s list holds ``vert[i]``
     — the candidate's adjacency to the embedding, read off the dedup
-    runs (see the module docstring for why it is exact).  ``rows`` keeps
-    the dedup keys' dtype (``int64`` only under a block filter, whose
-    contract needs it), so widen it before arithmetic that can pass
-    ``int32``.
+    runs (see the module docstring for why it is exact).
     """
     rows_total = block64.shape[0]
     width = keys64.shape[1]
@@ -672,12 +668,12 @@ def _expand_chunk(
         for column in range(j * arity, (j + 1) * arity):
             hit = _in_packed(packed, modulus, keys64[rows[sel], column], cands[sel])
             keep[sel[hit]] = False
+            sel = sel[~hit]
 
-    rows = rows[keep]
+    rows = rows[keep].astype(np.int64, copy=False)
     cands = cands[keep]
     adjacent = adjacent[keep]
     if block_filter is not None and rows.shape[0]:
-        rows = rows.astype(np.int64, copy=False)
         cands = cands.astype(np.int64, copy=False)
         mask = call_block_filter(block_filter, ctx, block64, rows, cands)
         rows = rows[mask]

@@ -205,22 +205,30 @@ def test_narrow_and_wide_dedup_keys_agree(case, mode):
     block_filter = _random_filter(rng, ids) if case[-1] else None
     keys = ctx.gather_keys(block).astype(np.int64)
     bounds = kernels.gather_bounds(ctx, block, keys)
-    narrow = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
+    key_dtypes = []
+    real_dedup_heads = kernels._dedup_heads
+
+    def recording(values, owner, *args):
+        key_dtypes.append(owner.dtype)
+        return real_dedup_heads(values, owner, *args)
+
     real_id_dtype = kernels.id_dtype
-    with mock.patch.object(kernels, "id_dtype", lambda count: real_id_dtype(count, boundary=0)):
-        wide = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
+    with mock.patch.object(kernels, "_dedup_heads", recording):
+        narrow = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
+        with mock.patch.object(kernels, "id_dtype", lambda count: real_id_dtype(count, boundary=0)):
+            wide = kernels._expand_chunk(ctx, block, keys, block_filter, bounds)
     for got, want in zip(narrow, wide):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
         np.testing.assert_array_equal(got, want)
-    if block_filter is None and wide[1].shape[0]:
-        assert narrow[1].dtype == kernels.DEFAULT_ID_DTYPE != wide[1].dtype
+    assert key_dtypes in ([], [kernels.DEFAULT_ID_DTYPE, np.dtype(np.int64)])
 
 
 def _possible_probes(ctx, block, keys):
     """Scalar count of the first-adjacency probes that could hit: for each
     deduped, non-member head ``x`` of first surviving arrival ``f``, one
-    probe per column of each earlier arrival ``j`` (up to the first that
-    holds ``x``) whose bound ``x`` is below — at or above it, ``j``'s
-    bounded slice would have gathered ``x``."""
+    probe per column of each earlier arrival ``j`` whose bound ``x`` is
+    below — at or above it, ``j``'s bounded slice would have gathered
+    ``x`` — up to the first column that holds ``x``."""
     indptr, data, _, _ = ctx.gather_view()
     arity = ctx.arity
     total = 0
@@ -238,11 +246,11 @@ def _possible_probes(ctx, block, keys):
         for x, f in first.items():
             if x in row:
                 continue
-            for j in range(f):
-                if x < bound(j):
-                    total += arity
-                    if any(x in lists[c] for c in range(j * arity, (j + 1) * arity)):
-                        break
+            arrivals = [j for j in range(f) if x < bound(j)]
+            for c in (j * arity + e for j in arrivals for e in range(arity)):
+                total += 1
+                if x in lists[c]:
+                    break
     return total
 
 
@@ -250,8 +258,9 @@ def _possible_probes(ctx, block, keys):
 @settings(max_examples=30, deadline=None)
 def test_first_adjacency_probes_only_where_a_hit_is_possible(case, mode):
     """The verification probes an earlier column only for heads below its
-    bound: never more probes than the scalar count of those that could
-    hit (the output parity above shows none that could is skipped)."""
+    bound and not yet rejected: exactly the scalar count of the probes
+    that could hit (the output parity above shows none that could is
+    skipped)."""
     drawn = _mode_block(case, mode)
     if drawn is None:
         return
@@ -267,4 +276,4 @@ def test_first_adjacency_probes_only_where_a_hit_is_possible(case, mode):
 
     with mock.patch.object(kernels, "_in_packed", counting):
         kernels._expand_chunk(ctx, block, keys, None, bounds)
-    assert sum(probed) <= _possible_probes(ctx, block, keys)
+    assert sum(probed) == _possible_probes(ctx, block, keys)

@@ -13,9 +13,12 @@ Usage::
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from repro import KaleidoEngine, MiningApplication
+from repro.core.kernels import vertex_kernel_context
 from repro.graph import datasets
 
 
@@ -37,58 +40,41 @@ def one_neighbor_inside(ctx, block, rows, candidates) -> np.ndarray:
 class LabeledStarCensus(MiningApplication):
     """Count 3-stars (a hub with three leaves) by label signature.
 
-    Exploration: vertex-induced to 3-embeddings; the Mapper extends each
-    3-embedding by one more vertex on the fly (like motif counting does)
-    and keeps only star-shaped ones — the EmbeddingFilter already pruned
-    candidates that would close triangles, which shrinks the frontier
-    dramatically on clustered graphs.
+    Exploration: vertex-induced to 4-embeddings; the EmbeddingFilter
+    prunes candidates that would close triangles at every level, which
+    shrinks the frontier dramatically on clustered graphs.  The Mapper
+    keeps only the star-shaped embeddings.
     """
 
     induced = "vertex"
 
     def iterations(self) -> int:
-        return 2  # 1-embeddings -> 3-embeddings
+        return 3  # 1-embeddings -> 4-embeddings
 
     def block_filter(self, ctx):
         return one_neighbor_inside
 
-    def init(self, ctx):
-        self._adjacency = ctx.graph.adjacency_sets()
-        self._labels = ctx.graph.labels
-        return super().init(ctx)
+    def map_block(self, ctx, block, pmap, part=None) -> None:
+        """Listing 1's Mapper over a whole part: ``block`` holds one
+        4-embedding per row.
 
-    @staticmethod
-    def _hub(adjacency, verts) -> int | None:
-        """The unique vertex adjacent to all others, if this is a star."""
-        for hub in verts:
-            if all(w in adjacency[hub] for w in verts if w != hub):
-                leaves = [w for w in verts if w != hub]
-                if all(
-                    leaves[i] not in adjacency[leaves[j]]
-                    for i in range(len(leaves))
-                    for j in range(i + 1, len(leaves))
-                ):
-                    return hub
-        return None
-
-    def map_embedding(self, ctx, embedding, pmap) -> None:
-        from repro.core.explore import canonical_extensions
-
-        labels = self._labels
-        adjacency = self._adjacency
-        for cand in canonical_extensions(ctx.graph, embedding):
-            # The final extension happens here, outside the engine, so
-            # it repeats the filter's triangle-free test per candidate.
-            if sum(1 for v in embedding if cand in adjacency[v]) != 1:
-                continue
-            verts = embedding + (cand,)
-            hub = self._hub(adjacency, verts)
-            if hub is None:
-                continue
-            leaf_labels = sorted(int(labels[v]) for v in verts if v != hub)
-            if len(set(leaf_labels)) != 1:
-                continue
-            key = (int(labels[hub]), leaf_labels[0])
+        The filter admitted each vertex beside exactly one member, so
+        every embedding is a tree, and a tree is a star when one member,
+        the hub, is adjacent to the other three."""
+        has_edges = vertex_kernel_context(ctx.graph).has_edges
+        degree = np.zeros(block.shape, dtype=np.int64)
+        for i, j in combinations(range(block.shape[1]), 2):
+            edge = has_edges(block[:, i], block[:, j])
+            degree[:, i] += edge
+            degree[:, j] += edge
+        is_hub = degree == 3
+        star = is_hub.any(axis=1)
+        labels, is_hub = ctx.graph.labels[block[star]], is_hub[star]
+        # Boolean indexing reads row by row: one hub, then three leaves.
+        hub_labels = labels[is_hub]
+        leaf_labels = labels[~is_hub].reshape(-1, 3)
+        same = np.all(leaf_labels == leaf_labels[:, :1], axis=1)
+        for key in zip(hub_labels[same].tolist(), leaf_labels[same, 0].tolist()):
             pmap[key] = pmap.get(key, 0) + 1
 
     def finalize(self, ctx, cse, pmap):

@@ -7,7 +7,8 @@ which is also a step of the frequent subgraph mining").
 Expressed in the Kaleido API as a vertex-induced exploration whose
 EmbeddingFilter prunes partial embeddings that can no longer complete to a
 match (label multiset and degree-feasibility checks), with the final
-Mapper keeping exactly the isomorphic ones.
+Mapper keeping exactly the rows whose canonical code row is the
+pattern's, the exact isomorphism test FSM's MNI fold groups by.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import numpy as np
 
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
-from ..core.isomorphism import are_isomorphic
-from ..core.pattern import Pattern
+from ..core.kernels import vertex_kernel_context
+from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern
+from .fsm_vertex import edge_keys, vertex_codes
+from .mni import SLAB_ROWS, canonical_placements, distinct_rows
 
 __all__ = ["PatternMatching", "MatchResult", "MatchFeasibility"]
 
@@ -85,10 +88,18 @@ class PatternMatching(MiningApplication):
     def __init__(self, pattern: Pattern, materialize: bool = False) -> None:
         if pattern.num_vertices < 2:
             raise ValueError("pattern needs at least two vertices")
+        if pattern.num_vertices > MAX_EIGENHASH_VERTICES:
+            # Canonical codes are minimised over a table of all k! orderings.
+            raise ValueError(
+                f"pattern needs at most MAX_EIGENHASH_VERTICES "
+                f"({MAX_EIGENHASH_VERTICES}) vertices, got {pattern.num_vertices}"
+            )
         if not pattern.is_connected():
             raise ValueError("only connected patterns occur as embeddings")
         self.pattern = pattern
         self.materialize = materialize
+        k = pattern.num_vertices
+        self._code = canonical_placements(np.array([pattern.to_code(k)]), k)[2][0].tolist()
         self._label_budget = Counter(pattern.labels)
         self._max_degree = max(pattern.degree_sequence())
 
@@ -128,20 +139,33 @@ class PatternMatching(MiningApplication):
     ) -> None:
         self._matches.extend(part)
 
-    def map_embedding(
+    def map_block(
         self,
         ctx: EngineContext,
-        embedding: tuple[int, ...],
+        block: np.ndarray,
         pmap: PatternMap,
         part: list[tuple[int, ...]] | None = None,
     ) -> None:
-        candidate = Pattern.from_vertex_embedding(ctx.graph, embedding)
-        if are_isomorphic(candidate, self.pattern):
-            pmap[0] = pmap.get(0, 0) + 1
+        """Count the rows whose canonical code row equals the pattern's,
+        and under ``materialize`` append them to ``part`` in row order.
+        Each slab's distinct codes are canonicalised once."""
+        graph = ctx.graph
+        kctx, keys = vertex_kernel_context(graph), edge_keys(graph)
+        count = 0
+        for lo in range(0, block.shape[0], SLAB_ROWS):
+            slab = block[lo : lo + SLAB_ROWS]
+            _, codes = vertex_codes(kctx, graph, keys, slab)
+            first_rows, inverse = distinct_rows(codes)
+            canon = canonical_placements(codes[first_rows], slab.shape[1])[2]
+            # List equality: a row with edge-label columns never equals a
+            # pattern code without them, nor the reverse.
+            hit = np.array([row == self._code for row in canon.tolist()], dtype=bool)
+            rows = np.flatnonzero(hit[inverse])
+            count += rows.shape[0]
             if self.materialize:
-                # self._matches is only the receiver when part is None —
-                # the single-threaded direct-call path.
-                (self._matches if part is None else part).append(embedding)  # repro: ignore[R001]
+                part.extend(zip(*slab[rows].T.tolist()))
+        if count:
+            pmap[0] = pmap.get(0, 0) + count
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MatchResult:
         return MatchResult(

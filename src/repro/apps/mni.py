@@ -340,7 +340,7 @@ def canonical_placements(
             owner, slot, q, rows = _canonicalise(codes[at], k, kmax)
             canon[at] = rows
             found.append((at[owner], slot, q))
-    width = max(int(slot.max()) for _, slot, _ in found) + 1
+    width = max((int(slot.max()) + 1 for _, slot, _ in found), default=0)
     index = np.zeros((codes.shape[0], width, kmax), dtype=np.intp)
     valid = np.zeros((codes.shape[0], width, kmax), dtype=bool)
     for owner, slot, q in found:

@@ -31,7 +31,7 @@ import numpy as np
 from ..apps.fsm import FSMResult
 from .mni_sets import SetMNIDomains, edge_pattern_supports
 from ..core.api import MiningResult
-from ..core.canonical import edge_is_canonical, is_canonical
+from .canonical import edge_is_canonical, is_canonical
 from ..core.pattern import Pattern
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph

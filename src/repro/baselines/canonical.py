@@ -8,8 +8,8 @@ canonical order is itself canonical — so generating only canonical
 embeddings yields every connected subgraph exactly once (completeness and
 uniqueness, Section 3.1).
 
-This module holds the brute-force reconstruction, used by engines that
-must re-check full embeddings (Arabesque's ODAG) and by tests.  The
+This module holds the brute-force reconstruction, used by the baseline
+that must re-check full embeddings (Arabesque's ODAG) and by tests.  The
 incremental form of the rule — appending one candidate to an
 already-canonical embedding — is fused into the expansion kernel's
 gather bounds (:func:`repro.core.kernels.expand_block`).

@@ -1,4 +1,4 @@
-"""Kaleido core: CSE, canonicality, exploration, patterns, EigenHash, engine."""
+"""Kaleido core: CSE, exploration, patterns, EigenHash, engine."""
 
 from .api import (
     BlockFilter,
@@ -7,12 +7,6 @@ from .api import (
     MiningApplication,
     MiningResult,
     PatternMap,
-)
-from .canonical import (
-    canonical_edge_order,
-    canonical_order,
-    edge_is_canonical,
-    is_canonical,
 )
 from .cse import CSE, InMemoryLevel, Level
 from .eigenhash import PatternHasher, eigen_hash, faddeev_leverrier, weighted_adjacency
@@ -30,18 +24,12 @@ from .explore import (
     InMemorySink,
     LevelSink,
     PartExpansion,
-    canonical_extensions,
     even_parts,
     expand_edge_level,
     expand_vertex_level,
 )
 from .plan import AggregatePlan, LevelPlan, Planner
-from .isomorphism import (
-    are_isomorphic,
-    automorphism_count,
-    canonical_key,
-    position_orbits,
-)
+from .isomorphism import canonical_key
 from .pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 from .restrictions import (
     LevelConstraint,
@@ -63,23 +51,15 @@ __all__ = [
     "faddeev_leverrier",
     "weighted_adjacency",
     "PatternHasher",
-    "are_isomorphic",
     "canonical_key",
-    "automorphism_count",
-    "position_orbits",
     "Restriction",
     "RestrictionSet",
     "LevelConstraint",
     "PatternGather",
     "compile_restrictions",
     "pattern_gathers",
-    "canonical_order",
-    "is_canonical",
-    "canonical_edge_order",
-    "edge_is_canonical",
     "expand_vertex_level",
     "expand_edge_level",
-    "canonical_extensions",
     "even_parts",
     "ExpansionStats",
     "PartExpansion",

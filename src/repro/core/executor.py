@@ -195,20 +195,17 @@ class ThreadedExecutor(PartExecutor):
     The worker pool *persists across* ``run`` calls: it is created
     lazily on the first run and only released by :meth:`close` — per-run
     pool spin-up is pure overhead once an executor serves many runs of a
-    reused engine.  With ``max_workers`` set the pool size is pinned
-    (several engines may then run concurrently over the one pool, and
-    ``submit`` is thread-safe); without it the pool is sized to each
-    run's ``workers`` and transparently rebuilt when an *idle* executor
-    is asked for a different size.  A failing run cancels only its own
-    queued parts — the pool survives for concurrent and future runs.
+    reused engine.  The pool is sized to each run's ``workers`` and
+    transparently rebuilt when an *idle* executor is asked for a
+    different size; a run that overlaps another (``submit`` is
+    thread-safe) shares the pool as it is.  A failing run cancels only
+    its own queued parts — the pool survives for concurrent and future
+    runs.
     """
 
     name = "threads"
 
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
+    def __init__(self) -> None:
         self._pool: _futures.ThreadPoolExecutor | None = None  # guarded-by: _pool_lock
         self._pool_size = 0  # guarded-by: _pool_lock
         self._active_runs = 0  # guarded-by: _pool_lock
@@ -222,9 +219,9 @@ class ThreadedExecutor(PartExecutor):
     def _acquire_pool(self, pool_size: int) -> tuple[_futures.ThreadPoolExecutor, int]:
         """Get the persistent pool, (re)building it when allowed.
 
-        A size mismatch only rebuilds when no other run is in flight and
-        the size is not pinned; otherwise the existing pool is shared
-        as-is (capacity is a resource bound, not a correctness knob).
+        A size mismatch only rebuilds when no other run is in flight;
+        otherwise the existing pool is shared as-is (capacity is a
+        resource bound, not a correctness knob).
         """
         with self._pool_lock:
             if self._pool is None:
@@ -232,11 +229,7 @@ class ThreadedExecutor(PartExecutor):
                     max_workers=pool_size, thread_name_prefix="kaleido-part"
                 )
                 self._pool_size = pool_size
-            elif (
-                self.max_workers is None
-                and pool_size != self._pool_size
-                and self._active_runs == 0
-            ):
+            elif pool_size != self._pool_size and self._active_runs == 0:
                 self._pool.shutdown(wait=True)
                 self._pool = _futures.ThreadPoolExecutor(
                     max_workers=pool_size, thread_name_prefix="kaleido-part"
@@ -269,7 +262,7 @@ class ThreadedExecutor(PartExecutor):
         tracer: "Tracer | None" = None,
         phase: str = "execute",
     ) -> ExecutionReport:
-        requested = self.max_workers if self.max_workers is not None else max(1, workers)
+        requested = max(1, workers)
         base = tracer.now() if tracer is not None and tracer.enabled else 0.0
         epoch = time.perf_counter()
 

@@ -55,7 +55,6 @@ __all__ = [
     "LevelSink",
     "InMemorySink",
     "BlockTask",
-    "canonical_extensions",
     "expand_vertex_level",
     "expand_edge_level",
     "even_parts",
@@ -153,14 +152,6 @@ def even_parts(total: int, num_parts: int) -> list[tuple[int, int]]:
         raise ValueError("num_parts must be positive")
     bounds = np.linspace(0, total, num_parts + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(num_parts)]
-
-
-def canonical_extensions(graph: Graph, embedding: Sequence[int]) -> list[int]:
-    """All vertices that extend ``embedding`` canonically (Definition 2),
-    ascending: the kernel run on a one-row block."""
-    block = np.asarray([embedding], dtype=np.int64)
-    vert, _, _ = kernels.expand_block(kernels.vertex_kernel_context(graph), block)
-    return vert.tolist()
 
 
 # ----------------------------------------------------------------------

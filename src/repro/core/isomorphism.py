@@ -3,10 +3,10 @@
 Used as ground truth in tests and wherever the EigenHash guarantee does not
 apply (embeddings with 9+ vertices).  Two entry points:
 
-* :func:`are_isomorphic` — backtracking search with label/degree pruning.
 * :func:`canonical_key` — an exact canonical form: the lexicographically
   smallest ``(labels, bits)`` over all permutations consistent with the
   ``(label, degree)`` sort, which is a complete isomorphism invariant.
+* :func:`automorphisms` — every automorphism of a pattern, as a permutation.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from itertools import permutations
 from .pattern import Pattern
 
 __all__ = [
-    "are_isomorphic",
     "canonical_key",
     "canonical_form",
     "pattern_from_key",
     "CanonicalKey",
-    "automorphism_count",
     "automorphisms",
-    "position_orbits",
 ]
 
 
@@ -103,61 +100,6 @@ def canonical_form(pattern: Pattern) -> tuple[CanonicalKey, tuple[int, ...]]:
     return best, best_perm
 
 
-def are_isomorphic(a: Pattern, b: Pattern) -> bool:
-    """Exact labeled-isomorphism test between two patterns."""
-    if a.num_vertices != b.num_vertices:
-        return False
-    if sorted(a.labels) != sorted(b.labels):
-        return False
-    if sorted(a.edge_labels or ()) != sorted(b.edge_labels or ()):
-        return False
-    deg_a, deg_b = a.degree_sequence(), b.degree_sequence()
-    if sorted(zip(a.labels, deg_a)) != sorted(zip(b.labels, deg_b)):
-        return False
-    # Backtracking: map positions of `a` to positions of `b`.
-    k = a.num_vertices
-    candidates: list[list[int]] = []
-    for i in range(k):
-        cands = [
-            j
-            for j in range(k)
-            if a.labels[i] == b.labels[j] and deg_a[i] == deg_b[j]
-        ]
-        if not cands:
-            return False
-        candidates.append(cands)
-    order = sorted(range(k), key=lambda i: len(candidates[i]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(step: int) -> bool:
-        if step == k:
-            return True
-        i = order[step]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = all(
-                a.has_edge(i, other) == b.has_edge(j, mapping[other])
-                and (
-                    not a.has_edge(i, other)
-                    or a.edge_label_at(i, other)
-                    == b.edge_label_at(j, mapping[other])
-                )
-                for other in mapping
-            )
-            if ok:
-                mapping[i] = j
-                used.add(j)
-                if extend(step + 1):
-                    return True
-                del mapping[i]
-                used.discard(j)
-        return False
-
-    return extend(0)
-
-
 def automorphisms(pattern: Pattern) -> list[tuple[int, ...]]:
     """All automorphisms of the pattern, as permutations ``perm`` with
     ``pattern.permute(perm) == pattern``.
@@ -198,43 +140,3 @@ def automorphisms(pattern: Pattern) -> list[tuple[int, ...]]:
 
     rec(0, {})
     return perms
-
-
-def position_orbits(pattern: Pattern) -> list[tuple[int, ...]]:
-    """Orbits of the pattern's positions under its automorphism group.
-
-    Two positions share an orbit iff some automorphism maps one to the
-    other — they are structurally interchangeable.  The restriction
-    compiler (:mod:`repro.core.restrictions`) breaks exactly these
-    symmetries; orbits are returned sorted (and internally ascending) so
-    callers iterate deterministically.
-    """
-    k = pattern.num_vertices
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(pattern):
-        for i in range(k):
-            a, b = find(i), find(perm[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    by_root: dict[int, list[int]] = {}
-    for i in range(k):
-        by_root.setdefault(find(i), []).append(i)
-    return [tuple(by_root[root]) for root in sorted(by_root)]
-
-
-def automorphism_count(pattern: Pattern) -> int:
-    """Number of automorphisms of the pattern (exact, for small k)."""
-    groups = _sort_groups(pattern)
-    count = 0
-    base, _ = pattern.sorted_by_label_degree()
-    for perm in _group_permutations(groups):
-        if pattern.permute(perm) == base:
-            count += 1
-    return count

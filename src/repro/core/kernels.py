@@ -410,6 +410,8 @@ def _dedup_heads(
     first = keys[head]
     heads = first >> cb
     first &= cmask
+    # int64 masks whatever width the keys were packed at (NEP 50 keeps
+    # an int32 key's shift int32).
     columns = np.left_shift(1, first, dtype=np.int64)
     # The few non-head members (a candidate more than one column
     # gathered) OR their column into their group's mask: the j-th of

@@ -10,10 +10,11 @@ from repro.apps import ApproximateMotifCounting, MotifEstimate, approximate_moti
 from repro.core import kernels
 from repro.core.cse import CSE
 from repro.core.eigenhash import PatternHasher
-from repro.core.explore import canonical_extensions, expand_vertex_level
+from repro.core.explore import expand_vertex_level
 from repro.core.pattern import MAX_EIGENHASH_VERTICES, Pattern
 from repro.graph import GraphBuilder, from_edge_list
 from tests.conftest import random_labeled_graph
+from tests.oracles import canonical_extensions
 
 
 def _per_parent_oracle(graph, k, samples, seed=0):

@@ -1,13 +1,15 @@
 """Unit tests for pattern matching (Figure 1)."""
 
+import numpy as np
 import pytest
 
-from repro import KaleidoEngine
+from repro import KaleidoEngine, MiningApplication
 from repro.apps.matching import PatternMatching
-from repro.core import Pattern, are_isomorphic
+from repro.core import Pattern
 from repro.apps.reference import connected_vertex_sets
 from repro.graph import from_edge_list
 from tests.conftest import random_labeled_graph
+from tests.oracles import are_isomorphic
 
 
 def _figure1_graph():
@@ -77,6 +79,11 @@ def test_validates_pattern():
                                                     [0, 0, 0, 1], [0, 0, 1, 0]])
     with pytest.raises(ValueError):
         PatternMatching(disconnected)
+    path9 = Pattern.from_adjacency(
+        [0] * 9, [[int(abs(i - j) == 1) for j in range(9)] for i in range(9)]
+    )
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        PatternMatching(path9)
 
 
 def test_result_equality():
@@ -86,3 +93,59 @@ def test_result_equality():
     b = KaleidoEngine(graph).run(PatternMatching(pattern)).value
     assert a == b
     assert a == a.count
+
+
+class PerRowMatching(PatternMatching):
+    """The per-embedding mapper as an oracle: one ``Pattern`` and one
+    backtracking ``are_isomorphic`` test per row, through the default
+    per-row ``map_block``."""
+
+    map_block = MiningApplication.map_block
+
+    def map_embedding(self, ctx, embedding, pmap, part=None):
+        candidate = Pattern.from_vertex_embedding(ctx.graph, embedding)
+        if are_isomorphic(candidate, self.pattern):
+            pmap[0] = pmap.get(0, 0) + 1
+            if self.materialize:
+                part.append(embedding)
+
+
+def _graph(seed, k, edge_labelled):
+    """A random 2-labelled 12-vertex graph with a planted label-0 K_k, so
+    that complete queries have matches too."""
+    rng = np.random.default_rng(seed)
+    density = rng.uniform(0.2, 0.45)
+    edges = {(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < density}
+    edges |= {(u, v) for u in range(k) for v in range(u + 1, k)}
+    labels = rng.integers(2, size=12)
+    labels[:k] = 0
+    graph = from_edge_list(sorted(edges), labels=labels.tolist())
+    if edge_labelled:
+        graph = graph.with_edge_labels(rng.integers(2, size=graph.num_edges))
+    return graph, rng
+
+
+def _query(graph, k, kind, rng):
+    if kind == "complete":
+        return Pattern((0,) * k, (1 << k * (k - 1) // 2) - 1)
+    sets = connected_vertex_sets(graph, k)
+    drawn = Pattern.from_vertex_embedding(graph, sets[int(rng.integers(len(sets)))])
+    return drawn if kind == "drawn" else Pattern(drawn.labels, drawn.bits)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["drawn", "stripped", "complete"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("edge_labelled", [False, True])
+def test_block_mapper_matches_per_row_oracle(edge_labelled, k, kind, seed):
+    """Counts and materialised match lists, order included, equal the
+    per-row oracle's under both executors, materialised or not."""
+    graph, rng = _graph(1000 * seed + 10 * k + edge_labelled, k, edge_labelled)
+    pattern = _query(graph, k, kind, rng)
+    oracle = KaleidoEngine(graph).run(PerRowMatching(pattern, materialize=True)).value
+    for executor in ("serial", "threads"):
+        with KaleidoEngine(graph, workers=2, executor=executor) as engine:
+            for materialize in (False, True):
+                got = engine.run(PatternMatching(pattern, materialize=materialize)).value
+                assert got.count == oracle.count
+                assert got.matches == (oracle.matches if materialize else None)

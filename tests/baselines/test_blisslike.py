@@ -3,8 +3,9 @@
 import numpy as np
 
 from repro.baselines import BlissLikeHasher, canonical_form_search
-from repro.core import Pattern, are_isomorphic, eigen_hash
+from repro.core import Pattern, eigen_hash
 from repro.core.eigenhash import HARARY_COSPECTRAL_9
+from tests.oracles import are_isomorphic
 
 
 def _random_pattern(rng, max_k=6, num_labels=2):

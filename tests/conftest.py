@@ -13,9 +13,13 @@ from repro.graph import Graph, GraphBuilder, from_edge_list
 
 # Hypothesis profiles.  Every property test pins its own max_examples
 # except the engine fuzzer (tests/property/test_engine_fuzz.py), whose
-# budget is the profile's: "tier1" (loaded here) keeps tier-1 fast,
-# "deep" (``pytest --hypothesis-profile=deep``) is the long fuzz run.
-settings.register_profile("tier1", max_examples=100, deadline=None)
+# budget is the profile's: "tier1" (loaded here) keeps tier-1 fast and
+# deterministic — derandomized, with no example database, so every run
+# draws the same examples; "deep" (``pytest --hypothesis-profile=deep``)
+# is the long fuzz run and keeps its random draws.
+settings.register_profile(
+    "tier1", max_examples=100, deadline=None, derandomize=True, database=None
+)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 # A test module importing ``tests.conftest`` runs this file a second time,
 # after the command line's profile was loaded: keep a chosen profile.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (
+from repro.baselines.canonical import (
     canonical_edge_order,
     canonical_order,
     edge_is_canonical,

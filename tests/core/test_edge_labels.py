@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Pattern, are_isomorphic, canonical_key, eigen_hash
+from repro.core import Pattern, canonical_key, eigen_hash
 from repro.core.isomorphism import pattern_from_key
 from repro.errors import GraphConstructionError
 from repro.graph import from_edge_list
+from tests.oracles import are_isomorphic
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@ from repro.core.eigenhash import (
     PatternHasher,
     eigen_hash_codes,
 )
-from repro.core.isomorphism import are_isomorphic, canonical_key
+from repro.core.isomorphism import canonical_key
 from repro.errors import EmbeddingSizeError
+from tests.oracles import are_isomorphic
 
 
 # ----------------------------------------------------------------------

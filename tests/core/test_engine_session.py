@@ -41,7 +41,7 @@ def test_per_run_max_embeddings_override(paper_graph):
 
 
 def test_caller_owned_executor_survives_engine_close(paper_graph):
-    executor = ThreadedExecutor(max_workers=2)
+    executor = ThreadedExecutor()
     try:
         engine = KaleidoEngine(paper_graph, workers=2, executor=executor)
         engine.run(TriangleCounting())

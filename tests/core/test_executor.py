@@ -96,7 +96,7 @@ def test_threaded_bounded_inflight_window():
                 max_outstanding = max(max_outstanding, created - completed)
             yield make_task(i)
 
-    report = ThreadedExecutor(max_workers=pool).run(tasks(), workers=pool)
+    report = ThreadedExecutor().run(tasks(), workers=pool)
     assert report.results == list(range(40))
     assert max_outstanding <= 2 * pool
 
@@ -135,11 +135,6 @@ def test_resolve_executor():
 def test_resolve_executor_rejects_processes():
     with pytest.raises(ValueError, match=r"'processes' \(choose from serial, threads\)"):
         resolve_executor("processes")
-
-
-def test_threaded_rejects_bad_pool_size():
-    with pytest.raises(ValueError):
-        ThreadedExecutor(max_workers=0)
 
 
 def test_empty_task_list():

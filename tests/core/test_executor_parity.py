@@ -106,7 +106,7 @@ def test_explicit_executor_instance(seeded_graph):
 
     raw = KaleidoEngine(seeded_graph, executor=SerialExecutor()).run(TriangleCounting())
     pooled = KaleidoEngine(
-        seeded_graph, executor=ThreadedExecutor(max_workers=3)
+        seeded_graph, workers=3, executor=ThreadedExecutor()
     ).run(TriangleCounting())
     assert raw.value == pooled.value
     assert raw.level_sizes == pooled.level_sizes

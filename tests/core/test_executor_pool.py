@@ -1,4 +1,4 @@
-"""ThreadedExecutor's persistent worker pool, pinned or sized per run."""
+"""ThreadedExecutor's persistent worker pool, sized per run."""
 
 import threading
 
@@ -12,7 +12,7 @@ def tasks(n):
 
 
 def test_pool_persists_across_runs():
-    executor = ThreadedExecutor(max_workers=2)
+    executor = ThreadedExecutor()
     try:
         executor.run(tasks(4), workers=2)
         first_pool = executor._pool
@@ -25,7 +25,7 @@ def test_pool_persists_across_runs():
 
 
 def test_close_releases_then_rebuilds_lazily():
-    executor = ThreadedExecutor(max_workers=2)
+    executor = ThreadedExecutor()
     executor.run(tasks(2), workers=2)
     executor.close()
     assert executor.pool_size == 0
@@ -47,17 +47,8 @@ def test_unpinned_pool_resizes_only_when_idle():
         executor.close()
 
 
-def test_pinned_pool_ignores_per_run_workers():
-    executor = ThreadedExecutor(max_workers=2)
-    try:
-        executor.run(tasks(2), workers=8)
-        assert executor.pool_size == 2
-    finally:
-        executor.close()
-
-
 def test_failing_run_leaves_pool_usable():
-    executor = ThreadedExecutor(max_workers=2)
+    executor = ThreadedExecutor()
 
     def boom():
         raise RuntimeError("task failed")
@@ -72,7 +63,7 @@ def test_failing_run_leaves_pool_usable():
 
 
 def test_concurrent_runs_share_one_pool():
-    executor = ThreadedExecutor(max_workers=3)
+    executor = ThreadedExecutor()
     barrier = threading.Barrier(2)
     reports = {}
 

@@ -39,7 +39,7 @@ APPS = {
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
     "simulated": lambda: SimulatedSchedule(),
-    "threads": lambda: ThreadedExecutor(max_workers=4),
+    "threads": lambda: ThreadedExecutor(),
 }
 
 

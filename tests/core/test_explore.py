@@ -6,7 +6,6 @@ import pytest
 from repro.apps.reference import connected_edge_sets, connected_vertex_sets
 from repro.core import CSE
 from repro.core.explore import (
-    canonical_extensions,
     even_parts,
     expand_edge_level,
     expand_vertex_level,
@@ -14,6 +13,7 @@ from repro.core.explore import (
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import all_adjacent
+from tests.oracles import canonical_extensions
 
 
 def test_expand_matches_figure3(paper_graph):

@@ -10,7 +10,7 @@ from tests.conftest import random_labeled_graph
 
 
 def test_inline_edge_expand_matches_full_recheck():
-    from repro.core.canonical import edge_is_canonical
+    from repro.baselines.canonical import edge_is_canonical
 
     for seed in range(3):
         graph = random_labeled_graph(12, 24, 2, seed=10 + seed)

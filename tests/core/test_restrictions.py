@@ -37,13 +37,12 @@ from repro.core import (
     expand_edge_level,
     expand_vertex_level,
     pattern_gathers,
-    position_orbits,
 )
-from repro.core.isomorphism import are_isomorphic, automorphisms
+from repro.core.isomorphism import automorphisms
 from repro.graph.edge_index import EdgeIndex
 
 from tests.conftest import random_labeled_graph
-from tests.oracles import OracleExecutor
+from tests.oracles import OracleExecutor, are_isomorphic, position_orbits
 
 # ----------------------------------------------------------------------
 # Hand-built symmetric pattern corpus

@@ -16,7 +16,12 @@ independent second opinion:
   ``expand_vertex_level(..., executor=OracleExecutor())`` is a whole
   second run with no engine knob;
 * :func:`extension_codes` — the motif mapper's codes probed pair by
-  pair, against the adjacency masks the kernel returns.
+  pair, against the adjacency masks the kernel returns;
+* :func:`canonical_extensions` — the kernel run on one embedding;
+* :func:`are_isomorphic`, :func:`position_orbits` and
+  :func:`automorphism_count` — exact isomorphism facts about one pattern
+  (or a pair), by backtracking and permutation search, beside the
+  canonical code rows the mappers compare.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ import numpy as np
 from repro.core import kernels
 from repro.core.executor import ExecutionReport, PartExecutor, SerialExecutor
 from repro.core.explore import BlockTask, PartExpansion
-from repro.core.pattern import triangle_index
+from repro.core.isomorphism import _group_permutations, _sort_groups, automorphisms
+from repro.core.pattern import Pattern, triangle_index
+from repro.graph.graph import Graph
 
 __all__ = [
     "extends_canonically",
@@ -38,6 +45,10 @@ __all__ = [
     "expand_block",
     "OracleExecutor",
     "extension_codes",
+    "canonical_extensions",
+    "are_isomorphic",
+    "position_orbits",
+    "automorphism_count",
 ]
 
 
@@ -280,3 +291,108 @@ def extension_codes(kctx: kernels.VertexKernelContext, slab: np.ndarray, k: int)
             codes[kctx.has_edges(slab[rows, i], slab[rows, j])] |= 1 << triangle_index(i, j, k)
         codes[kctx.has_edges(slab[rows, i], cands)] |= 1 << triangle_index(i, last, k)
     return rows, codes
+
+
+def canonical_extensions(graph: Graph, embedding: Sequence[int]) -> list[int]:
+    """All vertices that extend ``embedding`` canonically (Definition 2),
+    ascending: the kernel run on a one-row block."""
+    block = np.asarray([embedding], dtype=np.int64)
+    vert, _, _ = kernels.expand_block(kernels.vertex_kernel_context(graph), block)
+    return vert.tolist()
+
+
+def are_isomorphic(a: Pattern, b: Pattern) -> bool:
+    """Exact labeled-isomorphism test between two patterns."""
+    if a.num_vertices != b.num_vertices:
+        return False
+    if sorted(a.labels) != sorted(b.labels):
+        return False
+    if sorted(a.edge_labels or ()) != sorted(b.edge_labels or ()):
+        return False
+    deg_a, deg_b = a.degree_sequence(), b.degree_sequence()
+    if sorted(zip(a.labels, deg_a)) != sorted(zip(b.labels, deg_b)):
+        return False
+    # Backtracking: map positions of `a` to positions of `b`.
+    k = a.num_vertices
+    candidates: list[list[int]] = []
+    for i in range(k):
+        cands = [
+            j
+            for j in range(k)
+            if a.labels[i] == b.labels[j] and deg_a[i] == deg_b[j]
+        ]
+        if not cands:
+            return False
+        candidates.append(cands)
+    order = sorted(range(k), key=lambda i: len(candidates[i]))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(step: int) -> bool:
+        if step == k:
+            return True
+        i = order[step]
+        for j in candidates[i]:
+            if j in used:
+                continue
+            ok = all(
+                a.has_edge(i, other) == b.has_edge(j, mapping[other])
+                and (
+                    not a.has_edge(i, other)
+                    or a.edge_label_at(i, other)
+                    == b.edge_label_at(j, mapping[other])
+                )
+                for other in mapping
+            )
+            if ok:
+                mapping[i] = j
+                used.add(j)
+                if extend(step + 1):
+                    return True
+                del mapping[i]
+                used.discard(j)
+        return False
+
+    return extend(0)
+
+
+
+def position_orbits(pattern: Pattern) -> list[tuple[int, ...]]:
+    """Orbits of the pattern's positions under its automorphism group.
+
+    Two positions share an orbit iff some automorphism maps one to the
+    other — they are structurally interchangeable.  The restriction
+    compiler (:mod:`repro.core.restrictions`) breaks exactly these
+    symmetries; orbits are returned sorted (and internally ascending) so
+    callers iterate deterministically.
+    """
+    k = pattern.num_vertices
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in automorphisms(pattern):
+        for i in range(k):
+            a, b = find(i), find(perm[i])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    by_root: dict[int, list[int]] = {}
+    for i in range(k):
+        by_root.setdefault(find(i), []).append(i)
+    return [tuple(by_root[root]) for root in sorted(by_root)]
+
+
+
+def automorphism_count(pattern: Pattern) -> int:
+    """Number of automorphisms of the pattern (exact, for small k)."""
+    groups = _sort_groups(pattern)
+    count = 0
+    base, _ = pattern.sorted_by_label_degree()
+    for perm in _group_permutations(groups):
+        if pattern.permute(perm) == base:
+            count += 1
+    return count

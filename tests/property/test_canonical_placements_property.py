@@ -175,6 +175,19 @@ def test_one_code_chunks_are_byte_identical(edge_labelled):
     assert chunked_canon.dtype == canon.dtype and chunked_canon.tobytes() == canon.tobytes()
 
 
+@pytest.mark.parametrize("edge_labelled", [False, True])
+def test_zero_codes_give_empty_placements(edge_labelled):
+    """A part with no rows (a matching part the filter emptied) places
+    nothing instead of raising."""
+    kmax = 4
+    width = 2 + kmax + (kmax * (kmax - 1) // 2 if edge_labelled else 0)
+    codes = np.zeros((0, width), dtype=np.int64)
+    index, valid, canon = canonical_placements(codes, kmax)
+    assert index.shape == valid.shape == (0, 0, kmax)
+    assert index.dtype == np.intp and valid.dtype == bool
+    assert canon.shape == codes.shape and canon.dtype == codes.dtype
+
+
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(st.data())

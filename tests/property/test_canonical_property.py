@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import canonical_order, is_canonical
+from repro.baselines.canonical import canonical_order, is_canonical
 from repro.graph import from_edge_list
 
 from tests.oracles import extends_canonically

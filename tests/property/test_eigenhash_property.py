@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Pattern, are_isomorphic, eigen_hash, faddeev_leverrier
+from repro.core import Pattern, eigen_hash, faddeev_leverrier
 from repro.core.pattern import triangle_index
+from tests.oracles import are_isomorphic
 
 
 @st.composite

@@ -81,7 +81,7 @@ def test_gather_levels_equal_canonical_plus_all_adjacent(case):
     k = case["k"]
     gathers = Planner(graph, policy=None).pattern_gathers(CliqueDiscovery(k))
     assert sorted(gathers) == list(range(1, k))
-    inner = SerialExecutor() if case["executor"] == "serial" else ThreadedExecutor(2)
+    inner = SerialExecutor() if case["executor"] == "serial" else ThreadedExecutor()
     executor = inner if case["kernel"] else OracleExecutor(inner)
     roots = np.arange(graph.num_vertices, dtype=np.int32)
     gathered, reference = CSE(roots.copy()), CSE(roots.copy())

@@ -54,7 +54,7 @@ class LabeledStarCensus(MiningApplication):
     def block_filter(self, ctx):
         return one_neighbor_inside
 
-    def map_block(self, ctx, block, pmap, part=None) -> None:
+    def map_block(self, ctx, block, pmap) -> None:
         """Listing 1's Mapper over a whole part: ``block`` holds one
         4-embedding per row.
 

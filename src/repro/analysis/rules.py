@@ -8,15 +8,15 @@ and asserts the rule fires.
 ========  ==============================================================
 R001      Part purity: ``MiningApplication`` subclasses must not write
           ``self.*`` inside per-part hot methods (``map_block``,
-          ``map_embedding``, ``block_filter``, ``start_part`` and
-          anything they reach through ``self``).  Concurrent executors
-          run parts on pool threads; mutation belongs in the part state
-          returned by ``start_part`` and absorbed serially by
-          ``finish_part``.  (``block_filter`` hands out the filter
-          object every part calls: it builds from ``init``'s tables and
-          stashes nothing on the app.)  Subclasses are resolved across
-          every module of the lint run, so an app whose base lives in
-          another file is checked when that file is linted with it.
+          ``map_embedding``, ``block_filter`` and anything they reach
+          through ``self``).  Concurrent executors run parts on pool
+          threads; per-part output goes in the part's pattern map and
+          is absorbed serially in ``reduce``.  (``block_filter`` hands
+          out the filter object every part calls: it builds from
+          ``init``'s tables and stashes nothing on the app.)
+          Subclasses are resolved across every module of the lint run,
+          so an app whose base lives in another file is checked when
+          that file is linted with it.
           Rent: FSM's mapper appended to ``self._iter_hashes``, so its
           prune was silently wrong under the threaded executor.
 R002      Determinism: no wall-clock / entropy sources (``time.time``,
@@ -223,7 +223,7 @@ class PartPurityRule(Rule):
     scope = ()  # every MiningApplication subclass in the lint run
 
     #: Hot entry points: called per part, possibly on pool threads.
-    HOT_ENTRY = ("map_block", "map_embedding", "block_filter", "start_part")
+    HOT_ENTRY = ("map_block", "map_embedding", "block_filter")
     #: Method names that mutate their receiver in place.
     MUTATORS = frozenset(
         {
@@ -305,7 +305,7 @@ class PartPurityRule(Rule):
     ) -> list[Diagnostic]:
         where = (
             f"in per-part hot method '{cls.name}.{method.name}'; per-part "
-            f"mutation belongs in the start_part/finish_part part state"
+            f"output belongs in the part's pattern map, absorbed in reduce"
         )
         diagnostics: list[Diagnostic] = []
         for node in ast.walk(method):

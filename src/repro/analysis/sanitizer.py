@@ -14,8 +14,8 @@ Mechanics: instance attribute writes go through
 enough — the app's own methods would still see the real ``self``.
 Instead the sanitizer swaps ``app.__class__`` for a dynamically created
 subclass whose ``__setattr__`` / ``__delattr__`` consult the hot-phase
-flag.  Outside hot phases (``init``, ``finish_part``, ``reduce``,
-``prune`` — all coordinator-serial) writes pass straight through, so a
+flag.  Outside hot phases (``init``, ``reduce``, ``prune`` — all
+coordinator-serial) writes pass straight through, so a
 well-behaved app runs byte-identical to an unsanitized run.
 
 The :class:`LockOrderSanitizer` is the runtime complement of static
@@ -95,9 +95,8 @@ class PartPuritySanitizer:
             raise PartPurityError(
                 f"{app_name} wrote shared attribute '{attribute}' "
                 f"({kind}) during a per-part hot phase on thread "
-                f"'{write.thread}'; per-part mutation must live in the "
-                f"state returned by start_part and be absorbed in "
-                f"finish_part"
+                f"'{write.thread}'; per-part output must live in the "
+                f"part's pattern map and be absorbed in reduce"
             )
 
     # -- class swap -----------------------------------------------------

@@ -66,9 +66,7 @@ class CliqueDiscovery(MiningApplication):
                 bits |= 1 << triangle_index(i, j, self.k)
         return Pattern((0,) * self.k, bits)
 
-    def map_block(
-        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
-    ) -> None:
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         # Every top-level embedding is a k-clique: the mapper just counts.
         if block.shape[0]:
             pmap[0] = pmap.get(0, 0) + block.shape[0]

@@ -52,26 +52,8 @@ __all__ = [
     "FrequentSubgraphMining",
     "MNIApplication",
     "FSMResult",
-    "FSMMapperPart",
     "frequent_edge_mask",
 ]
-
-
-class FSMMapperPart:
-    """One mapper part's local state for the FSM apps.
-
-    ``prune`` needs the per-embedding pattern hashes *in level position
-    order*; recording them here (instead of on the application) keeps
-    ``map_block`` pure per part, and the engine's part-ordered
-    ``finish_part`` calls reassemble the positional hashes
-    deterministically under any executor."""
-
-    __slots__ = ("hashes", "insertions", "mapped")
-
-    def __init__(self) -> None:
-        self.hashes = np.zeros(0, dtype=np.uint64)
-        self.insertions = 0
-        self.mapped = 0
 
 
 def edge_codes(
@@ -155,13 +137,15 @@ class FSMResult(dict):
 
 
 class MNIApplication(MiningApplication):
-    """The MNI plumbing both FSM apps share: support threshold, per-part
-    hash recording, the one-pass array reduce of the parts' MNI states,
+    """The MNI plumbing both FSM apps share: support threshold, the
+    one-pass array reduce of the parts' MNI states, the cost counters,
     pruning and the frequent result.
 
     Subclasses supply ``init``, ``iterations``, ``block_filter`` and a
-    ``map_block`` that folds each block into its :class:`FSMMapperPart`
-    through :func:`fold_mni_block`."""
+    ``map_block`` that folds each block into its part's map through
+    :func:`fold_mni_block`.  Each part's :class:`~repro.apps.mni.MNIState`
+    carries its rows' pattern hashes, which ``reduce`` collects, in part
+    order, for ``prune``."""
 
     aggregate_every_iteration = True
 
@@ -171,18 +155,22 @@ class MNIApplication(MiningApplication):
         self.support = support
         self.exact_mni = exact_mni
         self._iter_hashes: list[np.ndarray] = []
+        #: Total MNI set insertions performed (deterministic cost proxy for
+        #: the Figure-11 support sweep).
+        self.total_insertions = 0
+        #: Total embeddings mapped across all iterations.
+        self.total_mapped = 0
 
     @property
     def _threshold(self) -> int | None:
         return None if self.exact_mni else self.support
 
-    def start_part(self, ctx: EngineContext) -> FSMMapperPart:
-        return FSMMapperPart()
-
-    def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        self._iter_hashes.append(part.hashes)
-
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
+        # A part with rows always publishes a state; an empty part maps none.
+        states = [state for state in map(mni_state, pmaps) if state is not None]
+        self._iter_hashes = [state.rows for state in states]
+        self.total_insertions += sum(state.keys.shape[0] for state in states)
+        self.total_mapped += sum(state.rows.shape[0] for state in states)
         return reduce_domains(pmaps, self._threshold)
 
     def prune(
@@ -199,8 +187,12 @@ class MNIApplication(MiningApplication):
 
     def checkpoint_state(self, ctx: EngineContext) -> dict:
         # exact_mni changes the supports but not the name, so the resume
-        # checks it here.
-        return {"exact_mni": self.exact_mni}
+        # checks it here; the cost counters accumulate across iterations.
+        return {
+            "exact_mni": self.exact_mni,
+            "total_insertions": self.total_insertions,
+            "total_mapped": self.total_mapped,
+        }
 
     def restore_state(self, ctx: EngineContext, state: dict) -> None:
         saved = state.get("exact_mni")
@@ -209,6 +201,8 @@ class MNIApplication(MiningApplication):
                 f"checkpoint belongs to {self.name!r} with exact_mni={saved!r}, "
                 f"not exact_mni={self.exact_mni!r}"
             )
+        self.total_insertions = state["total_insertions"]
+        self.total_mapped = state["total_mapped"]
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
         supports: dict[int, int] = {}
@@ -253,11 +247,6 @@ class FrequentSubgraphMining(MNIApplication):
         self.hash_every_embedding = hash_every_embedding
         #: Per-edge-id table of the frequent single-edge patterns' edges.
         self._frequent_edges = np.zeros(0, dtype=bool)
-        #: Total MNI set insertions performed (deterministic cost proxy for
-        #: the Figure-11 support sweep).
-        self.total_insertions = 0
-        #: Total embeddings mapped across all iterations.
-        self.total_mapped = 0
 
     @property
     def name(self) -> str:
@@ -277,18 +266,11 @@ class FrequentSubgraphMining(MNIApplication):
         return CandidateTable(self._frequent_edges)
 
     # ------------------------------------------------------------------
-    def finish_part(self, ctx: EngineContext, part: FSMMapperPart) -> None:
-        super().finish_part(ctx, part)
-        self.total_insertions += part.insertions
-        self.total_mapped += part.mapped
-
-    def map_block(
-        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
-    ) -> None:
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Patternise the part's embeddings and fold their automorphic
         placements into per-pattern MNI domains."""
         assert ctx.edge_index is not None
-        part.hashes, part.insertions = fold_mni_block(
+        fold_mni_block(
             ctx,
             block,
             pmap,
@@ -296,20 +278,3 @@ class FrequentSubgraphMining(MNIApplication):
             self._threshold,
             self.hash_every_embedding,
         )
-        part.mapped = block.shape[0]
-
-    # ------------------------------------------------------------------
-    def checkpoint_state(self, ctx: EngineContext) -> dict:
-        # _frequent_edges is rebuilt deterministically (init reruns on
-        # resume); only the accumulated cost counters need to survive a
-        # crash.
-        return {
-            **super().checkpoint_state(ctx),
-            "total_insertions": self.total_insertions,
-            "total_mapped": self.total_mapped,
-        }
-
-    def restore_state(self, ctx: EngineContext, state: dict) -> None:
-        super().restore_state(ctx, state)
-        self.total_insertions = state["total_insertions"]
-        self.total_mapped = state["total_mapped"]

@@ -113,14 +113,9 @@ class VertexInducedFSM(MNIApplication):
         """Only expand by vertices of frequent labels."""
         return CandidateTable(self._frequent_vertices)
 
-    def map_block(
-        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
-    ) -> None:
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Patternise the part's induced subgraphs and fold their
         automorphic placements into per-pattern MNI domains."""
         graph = ctx.graph
         encode = partial(vertex_codes, vertex_kernel_context(graph), graph, edge_keys(graph))
-        part.hashes, part.insertions = fold_mni_block(
-            ctx, block, pmap, encode, self._threshold
-        )
-        part.mapped = block.shape[0]
+        fold_mni_block(ctx, block, pmap, encode, self._threshold)

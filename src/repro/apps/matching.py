@@ -116,7 +116,6 @@ class PatternMatching(MiningApplication):
         return self.pattern
 
     def init(self, ctx: EngineContext):
-        self._matches: list[tuple[int, ...]] = []
         # Seed only vertices whose label occurs in the pattern.
         wanted = np.isin(ctx.graph.labels, sorted(self._label_budget))
         return np.flatnonzero(wanted).astype(np.int32)
@@ -128,30 +127,13 @@ class PatternMatching(MiningApplication):
             budget[labels == label] = count
         return MatchFeasibility(labels, budget, self._max_degree)
 
-    def start_part(self, ctx: EngineContext) -> list[tuple[int, ...]] | None:
-        # Per-part match buffer, merged back in part-index order by
-        # finish_part — concurrent parts must not append to the shared
-        # list, or the materialised order becomes completion order.
-        return [] if self.materialize else None
-
-    def finish_part(
-        self, ctx: EngineContext, part: list[tuple[int, ...]]
-    ) -> None:
-        self._matches.extend(part)
-
-    def map_block(
-        self,
-        ctx: EngineContext,
-        block: np.ndarray,
-        pmap: PatternMap,
-        part: list[tuple[int, ...]] | None = None,
-    ) -> None:
-        """Count the rows whose canonical code row equals the pattern's,
-        and under ``materialize`` append them to ``part`` in row order.
-        Each slab's distinct codes are canonicalised once."""
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
+        """Count the rows whose canonical code row equals the pattern's —
+        under ``materialize``, list them in row order instead — as the
+        part's value.  Each slab's distinct codes are canonicalised once."""
         graph = ctx.graph
         kctx, keys = vertex_kernel_context(graph), edge_keys(graph)
-        count = 0
+        count, matches = 0, []
         for lo in range(0, block.shape[0], SLAB_ROWS):
             slab = block[lo : lo + SLAB_ROWS]
             _, codes = vertex_codes(kctx, graph, keys, slab)
@@ -163,9 +145,17 @@ class PatternMatching(MiningApplication):
             rows = np.flatnonzero(hit[inverse])
             count += rows.shape[0]
             if self.materialize:
-                part.extend(zip(*slab[rows].T.tolist()))
+                matches.extend(zip(*slab[rows].T.tolist()))
         if count:
-            pmap[0] = pmap.get(0, 0) + count
+            pmap[0] = matches if self.materialize else count
+
+    def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
+        """Sum the parts' counts; under ``materialize``, join the parts'
+        matches in part order for the result and count them."""
+        if not self.materialize:
+            return super().reduce(ctx, pmaps)
+        self._matches = [row for pmap in pmaps for row in pmap.get(0, ())]
+        return {0: len(self._matches)} if self._matches else {}
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MatchResult:
         return MatchResult(

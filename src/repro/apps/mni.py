@@ -133,9 +133,11 @@ class MNIState:
     per domain member, so each (group, position) cell is one contiguous
     run; ``support[g]`` is the smallest of group ``g``'s ``sizes[g]`` cell
     sizes and ``frozen[g]`` whether short-circuit counting stopped it.
+    A part's state also carries ``rows``, its rows' pattern hashes in row
+    order (``None`` on a reduced state).
     """
 
-    __slots__ = ("hashes", "sizes", "keys", "frozen", "support", "kmax", "n")
+    __slots__ = ("hashes", "sizes", "keys", "frozen", "support", "kmax", "n", "rows")
 
     def __init__(
         self,
@@ -154,14 +156,21 @@ class MNIState:
         self.frozen = frozen
         self.kmax = kmax
         self.n = n
+        #: ``uint64`` pattern hash per mapped row (a part's state only).
+        self.rows: np.ndarray | None = None
         groups = hashes.shape[0]
         counts = np.bincount(keys // n, minlength=groups * kmax).reshape(groups, kmax)
         counts[np.arange(kmax) >= sizes[:, None]] = _NEVER
         self.support = counts.min(axis=1)
 
+    def __reduce__(self):
+        # A checkpoint pickles the defining arrays: ``support`` is rebuilt
+        # from them and ``rows`` is part output, never in a reduced map.
+        return MNIState, (self.hashes, self.sizes, self.keys, self.frozen, self.kmax, self.n)
+
     @property
     def nbytes(self) -> int:
-        """The state's array bytes."""
+        """The state's domain array bytes (``rows`` excluded)."""
         return sum(
             getattr(self, name).nbytes for name in ("hashes", "sizes", "keys", "frozen", "support")
         )
@@ -447,9 +456,9 @@ def fold_mni_block(
     encode: BlockEncoder,
     threshold: int | None,
     hash_every_embedding: bool = False,
-) -> tuple[np.ndarray, int]:
+) -> None:
     """Fold one part's embeddings into a fresh :class:`MNIState` and
-    publish its views in ``pmap``.
+    publish its views in ``pmap`` (nothing for an empty part).
 
     Equal, domains and ``frozen`` flags alike, to calling the set-based
     ``MNIDomains.add`` for every automorphic placement of every row in
@@ -469,8 +478,9 @@ def fold_mni_block(
     heads gives the state's keys, which :func:`_settle` trims at each
     group's short-circuit freeze step.
 
-    Returns each row's pattern hash (``uint64``) and the number of set
-    insertions the per-row fold would have made (the state's key count).
+    The state's ``rows`` holds each row's pattern hash (``uint64``); its
+    key count is the number of set insertions the per-row fold would have
+    made.
     """
     rows_total = block.shape[0]
     n = ctx.graph.num_vertices
@@ -523,7 +533,7 @@ def fold_mni_block(
     np.take(np.array(cls_hash, dtype=np.uint64), row_cls, out=row_hashes)
     del row_cls  # not held through the part-wide dedup below
     if not head_keys:
-        return row_hashes, 0
+        return
     keys = np.concatenate(head_keys)
     steps = np.concatenate(head_steps)
     if len(group_k) < len(codes):
@@ -544,8 +554,8 @@ def fold_mni_block(
         kmax,
         threshold,
     )
+    state.rows = row_hashes
     state.publish(pmap)
-    return row_hashes, int(state.keys.shape[0])
 
 
 def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
@@ -569,8 +579,6 @@ def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
     parts = [(p, state) for p, state in enumerate(map(mni_state, pmaps)) if state is not None]
     if not parts:
         return {}
-    if len(parts) == 1:
-        return dict(pmaps[parts[0][0]])
     # One level's parts: every state has the level's kmax and the graph's n.
     kmax, n = parts[0][1].kmax, parts[0][1].n
     hashes = np.concatenate([state.hashes for _, state in parts])

@@ -146,9 +146,7 @@ class MotifCounting(MiningApplication):
         # Explore 1-embeddings up to (k-1)-embeddings.
         return self.k - 2
 
-    def map_block(
-        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
-    ) -> None:
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Expand the block to k-embeddings on the fly and count each
         adjacency code, hashing every distinct code once."""
         k = self.k

@@ -42,9 +42,7 @@ class TriangleCounting(MiningApplication):
     def query_pattern(self) -> Pattern:
         return _TRIANGLE
 
-    def map_block(
-        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap, part=None
-    ) -> None:
+    def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Count each edge ``<u, v>``'s common neighbors ``w > v``: gather
         the tail of ``N(u)`` past ``v`` and probe ``(v, w)`` adjacency."""
         kctx = vertex_kernel_context(ctx.graph)

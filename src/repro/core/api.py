@@ -12,14 +12,13 @@ the hooks of Listing 1:
   filter");
 * ``map_block``           — the AggregatingMapper: fold one part's block
   of embeddings — an ``(rows, k)`` id array decoded straight from the
-  CSE — into a PatternMap (a pure per-part function; side outputs go
-  through the ``start_part`` / ``finish_part`` part-state hooks so
-  concurrent executors stay deterministic).  Apps with a per-row mapper
-  define ``map_embedding`` instead; the default ``map_block`` feeds it
-  one tuple per row;
-* ``reduce``              — the AggregatingReducer: merge per-worker
-  PatternMaps and apply the PatternFilter;
-* ``pattern_filter``      — optional pruning of aggregated patterns.
+  CSE — into the part's own PatternMap (a pure per-part function:
+  everything a part produces lives in its map, so concurrent executors
+  stay deterministic).  Apps with a per-row mapper define
+  ``map_embedding`` instead; the default ``map_block`` feeds it one
+  tuple per row;
+* ``reduce``              — the AggregatingReducer: merge the part maps,
+  in part order, and apply the app's PatternFilter.
 
 The engine (:class:`repro.core.engine.KaleidoEngine`) drives the two
 phases: embedding exploration then pattern aggregation.  Applications that
@@ -174,59 +173,30 @@ class MiningApplication:
     # ------------------------------------------------------------------
     # Phase 2 hooks
     # ------------------------------------------------------------------
-    def start_part(self, ctx: EngineContext) -> Any:
-        """Create one mapper part's local state (default ``None``).
-
-        The engine may run mapper parts concurrently, so ``map_block``
-        must not mutate application attributes.  Any side output beyond
-        the part's PatternMap — positional hash lists, materialised
-        embeddings, counters — belongs in the object returned here; the
-        engine passes it to the part's ``map_block`` call and hands all
-        part states to ``finish_part`` serially in part-index order,
-        which keeps results deterministic whatever order parts completed
-        in.
-
-        Returning ``None`` (the default) keeps the three-argument
-        ``map_embedding`` calling convention for apps with no side
-        output."""
-        return None
-
     def map_block(
-        self,
-        ctx: EngineContext,
-        block: np.ndarray,
-        pmap: PatternMap,
-        part: Any = None,
+        self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap
     ) -> None:
         """AggregatingMapper: fold one part's embeddings into ``pmap``.
 
         ``block`` is the part's ``(rows, k)`` id array in CSE storage
         order (vertex ids, or edge ids under edge-induced exploration);
-        the engine calls this once per part.  Must be a pure function of
-        ``(block, pmap, part)`` — concurrent executors run parts on pool
-        threads, so shared application state may only be *read* here.
-        ``part`` is the state from ``start_part``.
+        the engine calls this once per part, with a fresh ``pmap``.  Must
+        be a pure function of ``(block, pmap)`` — concurrent executors
+        run parts on pool threads, so shared application state may only
+        be *read* here.  Any per-part output beyond pattern counts
+        (positional hashes, materialised embeddings) goes in the part's
+        ``pmap`` too, for :meth:`reduce` to take in.
 
         The default runs ``map_embedding`` once per row, passing the row
-        as a tuple of ints (and ``part`` only when ``start_part``
-        returned one).  It converts :data:`ADAPTOR_ROWS` rows to Python
-        ints at a time, so a large part never exists as Python ints all
-        at once."""
+        as a tuple of ints.  It converts :data:`ADAPTOR_ROWS` rows to
+        Python ints at a time, so a large part never exists as Python
+        ints all at once."""
         for lo in range(0, block.shape[0], ADAPTOR_ROWS):
-            rows = zip(*block[lo : lo + ADAPTOR_ROWS].T.tolist())
-            if part is None:
-                for embedding in rows:
-                    self.map_embedding(ctx, embedding, pmap)
-            else:
-                for embedding in rows:
-                    self.map_embedding(ctx, embedding, pmap, part)
+            for embedding in zip(*block[lo : lo + ADAPTOR_ROWS].T.tolist()):
+                self.map_embedding(ctx, embedding, pmap)
 
     def map_embedding(
-        self,
-        ctx: EngineContext,
-        embedding: tuple[int, ...],
-        pmap: PatternMap,
-        part: Any = None,
+        self, ctx: EngineContext, embedding: tuple[int, ...], pmap: PatternMap
     ) -> None:
         """Per-row mapper convenience: fold one embedding into ``pmap``.
 
@@ -234,26 +204,19 @@ class MiningApplication:
         contract holds."""
         raise NotImplementedError
 
-    def finish_part(self, ctx: EngineContext, part: Any) -> None:
-        """Absorb one part's mapper state into the application.
-
-        Called from the coordinating thread, serially and in part-index
-        order, after the executor has run every part."""
-
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
-        """AggregatingReducer: merge per-worker maps, apply PatternFilter.
+        """AggregatingReducer: merge the part maps into one.
 
-        Default implementation sums numeric values and drops patterns the
-        pattern filter rejects."""
+        ``pmaps`` are the parts' maps in part-index order, whatever order
+        the executor completed them in.  Called from the coordinating
+        thread, so this is where per-part output is taken into the
+        application, and where an app drops the patterns its
+        PatternFilter rejects.  The default sums numeric values."""
         merged: PatternMap = {}
         for pmap in pmaps:
             for key, value in pmap.items():
                 merged[key] = merged.get(key, 0) + value
-        return {k: v for k, v in merged.items() if self.pattern_filter(k, v)}
-
-    def pattern_filter(self, pattern_hash: int, value: Any) -> bool:
-        """Listing 1's PatternFilter; default accepts everything."""
-        return True
+        return merged
 
     # ------------------------------------------------------------------
     # Iteration-coupled aggregation (FSM)

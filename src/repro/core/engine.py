@@ -53,8 +53,9 @@ from .explore import expand_edge_level, expand_vertex_level
 from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
-#: 3: the FSM apps' reduced map holds array-backed MNI views, not sets.
-_RUN_STATE_VERSION = 3
+#: 4: an ``MNIState`` pickles only its defining arrays, and both FSM apps
+#: carry their cost counters in their app state.
+_RUN_STATE_VERSION = 4
 
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")
@@ -66,21 +67,20 @@ logger = logging.getLogger("repro.engine")
 
 def aggregate_part(
     app: MiningApplication, ctx: EngineContext, block: np.ndarray
-) -> tuple[PatternMap, object]:
+) -> PatternMap:
     """Run the AggregatingMapper over one part's ``(rows, k)`` block.
 
-    Pure per-part function (each part owns its own PatternMap and its own
-    ``start_part`` state — the paper's FSM avoids a concurrent hashmap
-    the same way), so mapper parts go through the same executor seam as
-    expansion parts.  Returns ``(pmap, part_state)``; the engine hands
-    the part states to ``app.finish_part`` in part-index order, so apps
-    with positional side outputs (FSM's per-iteration hash list,
-    materialised matches) stay deterministic under concurrent executors.
+    Pure per-part function (each part owns its own PatternMap — the
+    paper's FSM avoids a concurrent hashmap the same way), so mapper
+    parts go through the same executor seam as expansion parts.  The
+    part's map is all it produces; the engine hands the maps to
+    ``app.reduce`` in part-index order, so apps with positional output
+    (FSM's per-row hashes, materialised matches) stay deterministic under
+    concurrent executors.
     """
     pmap: PatternMap = {}
-    part = app.start_part(ctx)
-    app.map_block(ctx, block, pmap, part)
-    return pmap, part
+    app.map_block(ctx, block, pmap)
+    return pmap
 
 
 class KaleidoEngine:
@@ -701,13 +701,7 @@ class KaleidoEngine:
                 report = self.executor.run(
                     tasks(), workers=self.workers, tracer=self.tracer, phase="aggregate"
                 )
-            pmaps: list[PatternMap] = [pmap for pmap, _ in report.results]
-            # Part states are absorbed serially in part-index order,
-            # whatever order the executor completed the parts in.
-            for _, part_state in report.results:
-                if part_state is not None:
-                    app.finish_part(ctx, part_state)
-
+            pmaps: list[PatternMap] = report.results
             meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
             if hasattr(self.hasher, "nbytes"):
                 meter.set("hasher_cache", self.hasher.nbytes)

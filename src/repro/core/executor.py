@@ -156,9 +156,9 @@ class SimulatedSchedule(PartExecutor):
 
     The inner executor (serial by default) produces the part results; the
     reported schedule is the deterministic work-stealing replay of its part
-    durations onto ``workers`` modelled workers — exactly the engine's
-    pre-refactor behaviour, kept as the default so the simulated-parallel
-    benchmarks (Fig. 14/17/18) are unchanged.
+    durations onto ``workers`` modelled workers.  It is the default, so
+    the simulated-parallel benchmarks (Fig. 14/17/18) model ``workers``
+    workers on any box.
     """
 
     name = "simulated"

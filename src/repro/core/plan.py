@@ -10,9 +10,9 @@ Before each aggregation it produces the analogous :class:`AggregatePlan`
 for the mapper parts.  The engine builds one planner per run, with that
 run's guard and pattern gathers.
 
-This logic used to be inlined in ``KaleidoEngine.run()``; pulling it out
-gives every executor the same deterministic work decomposition and makes
-the planning stage independently testable and timeable.
+Keeping planning out of ``KaleidoEngine.run()`` gives every executor the
+same deterministic work decomposition and makes the planning stage
+independently testable and timeable.
 """
 
 from __future__ import annotations

@@ -67,11 +67,10 @@ class PartPurityError(KaleidoError):
     """An application mutated shared state inside a per-part hot phase.
 
     Raised by the part-purity sanitizer when a ``MiningApplication``
-    writes an attribute on itself while parts are being executed —
-    exactly the shared-mapper-state race that made FSM silently wrong
-    under the threaded executor before PR 1's review.  Per-part mutation
-    belongs in the state object returned by ``start_part`` and absorbed
-    serially by ``finish_part``.
+    writes an attribute on itself while parts are being executed — the
+    shared-mapper-state race that makes an app's results depend on how
+    the threaded executor interleaves its parts.  Per-part output belongs
+    in the part's own pattern map and is absorbed serially by ``reduce``.
     """
 
 

@@ -1,4 +1,5 @@
-"""R001 fixture: the legal shape — mutation lives in the part state."""
+"""R001 fixture: the legal shape — per-part output lives in the part's
+pattern map and is absorbed in ``reduce``."""
 
 
 class MiningApplication:
@@ -9,17 +10,14 @@ class PureApp(MiningApplication):
     def __init__(self):
         self.total = 0
 
-    def start_part(self, ctx):
-        return {"count": 0, "seen": []}
-
-    def map_embedding(self, ctx, embedding, pmap, part=None):
+    def map_embedding(self, ctx, embedding, pmap):
         local = list(embedding)  # locals are fine
-        part["count"] += 1  # part state is fine
-        part["seen"].append(local)
-        pmap[0] = pmap.get(0, 0) + 1  # pmap is per-part too
+        pmap.setdefault("seen", []).append(local)  # pmap is per-part
+        pmap[0] = pmap.get(0, 0) + 1
 
-    def finish_part(self, ctx, part):
-        self.total += part["count"]  # serial absorption: legal
+    def reduce(self, ctx, pmaps):
+        self.total += sum(pmap.get(0, 0) for pmap in pmaps)  # serial absorption: legal
+        return {}
 
 
 class NotAnApp:

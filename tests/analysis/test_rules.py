@@ -21,7 +21,7 @@ SRC = ROOT / "src" / "repro"
 
 #: rule id -> expected violation count in its bad fixture.
 EXPECTED_BAD_HITS = {
-    "R001": 7,
+    "R001": 6,
     "R002": 6,
     "R003": 4,
     "R004": 2,
@@ -211,16 +211,16 @@ RENT_MUTATIONS = {
     # FSM's mapper records its per-iteration hashes on the shared app.
     "R001": (
         "apps/fsm.py",
-        "        part.mapped = block.shape[0]\n",
-        "        part.mapped = block.shape[0]\n"
-        "        self._iter_hashes.append(part.hashes)\n",
+        "            self.hash_every_embedding,\n        )\n",
+        "            self.hash_every_embedding,\n        )\n"
+        "        self._iter_hashes.append(mni_state(pmap).rows)\n",
     ),
     # The same race in vFSM, whose app base is imported from apps/fsm.py.
     "R001-vfsm": (
         "apps/fsm_vertex.py",
-        "        part.mapped = block.shape[0]\n",
-        "        part.mapped = block.shape[0]\n"
-        "        self._iter_hashes.append(part.hashes)\n",
+        "        fold_mni_block(ctx, block, pmap, encode, self._threshold)\n",
+        "        fold_mni_block(ctx, block, pmap, encode, self._threshold)\n"
+        "        self._iter_hashes.append(mni_state(pmap).rows)\n",
     ),
     # The restriction compiler walks an automorphism orbit in set hash order.
     "R002": (
@@ -266,8 +266,8 @@ RENT_MUTATIONS = {
     # An R001 suppression left behind on code that no longer needs it.
     UNUSED_IGNORE_RULE: (
         "apps/fsm.py",
-        "        part.mapped = block.shape[0]\n",
-        "        part.mapped = block.shape[0]  # repro: ignore[R001] -- memo race\n",
+        "            self.hash_every_embedding,\n        )\n",
+        "            self.hash_every_embedding,  # repro: ignore[R001] -- memo race\n        )\n",
     ),
 }
 

@@ -18,7 +18,7 @@ class RacyCounting(MiningApplication):
     def iterations(self):
         return 1
 
-    def map_embedding(self, ctx, embedding, pmap, part=None):
+    def map_embedding(self, ctx, embedding, pmap):
         self.count += 1  # the race: shared state mutated on pool threads
         pmap[0] = self.count
 
@@ -26,8 +26,9 @@ class RacyCounting(MiningApplication):
         return self.count
 
 
-class PartStateCounting(MiningApplication):
-    """The legal version: mutation lives in the per-part state."""
+class PartMapCounting(MiningApplication):
+    """The legal version: each part counts in its own pattern map, and
+    ``reduce`` absorbs the parts' counts."""
 
     def __init__(self):
         self.count = 0
@@ -35,15 +36,12 @@ class PartStateCounting(MiningApplication):
     def iterations(self):
         return 1
 
-    def start_part(self, ctx):
-        return {"count": 0}
-
-    def map_embedding(self, ctx, embedding, pmap, part=None):
-        part["count"] += 1
+    def map_embedding(self, ctx, embedding, pmap):
         pmap[0] = pmap.get(0, 0) + 1
 
-    def finish_part(self, ctx, part):
-        self.count += part["count"]
+    def reduce(self, ctx, pmaps):
+        self.count += sum(pmap.get(0, 0) for pmap in pmaps)
+        return super().reduce(ctx, pmaps)
 
     def finalize(self, ctx, cse, pmap):
         return self.count
@@ -66,7 +64,7 @@ def test_raced_app_passes_unsanitized(paper_graph):
 
 def test_part_state_app_passes_sanitized(paper_graph, sanitized_engine):
     engine = sanitized_engine(paper_graph, workers=4, executor="threads")
-    result = engine.run(PartStateCounting())
+    result = engine.run(PartMapCounting())
     assert result.value == 7
     assert result.extra["sanitize"] is True
 
@@ -82,7 +80,7 @@ def test_error_names_attribute_and_app(paper_graph, sanitized_engine):
     message = str(excinfo.value)
     assert "RacyCounting" in message
     assert "'count'" in message
-    assert "start_part" in message
+    assert "reduce" in message
 
 
 @pytest.mark.parametrize(
@@ -108,12 +106,12 @@ def test_shipped_apps_byte_identical_under_sanitizer(
 
 
 def test_app_class_and_name_survive_the_swap(paper_graph, sanitized_engine):
-    app = PartStateCounting()
+    app = PartMapCounting()
     original = type(app)
     engine = sanitized_engine(paper_graph, workers=2)
     engine.run(app)
     assert type(app) is original  # class restored after the run
-    assert app.name == "PartStateCounting"
+    assert app.name == "PartMapCounting"
 
 
 def test_sanitizer_records_cold_writes():

@@ -56,6 +56,17 @@ class _Recording:
         return mask
 
 
+class _PartDomains(SetMNIDomains):
+    """One pattern's set domains in one oracle part, plus what the block
+    mappers' part ``MNIState`` carries: the part's rows that mapped to the
+    pattern and the set insertions its placements made."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__(k)
+        self.rows: list[int] = []
+        self.insertions = 0
+
+
 class _PerRowOracle:
     """Per-row MNI fold shared by both oracles, over set domains, with the
     set-based reduce, prune, accounting and result; also records, per part
@@ -67,24 +78,28 @@ class _PerRowOracle:
         self._positions = PositionMapper()
         self.freezes: list[tuple[int, int]] = []
 
-    def _fold(self, ctx, pmap, part, rows) -> None:
-        hashes = []
+    def _fold(self, pmap, rows) -> None:
         first_row: dict[int, int] = {}
         for row, (pattern, phash, structure_order) in enumerate(rows):
             dom = pmap.get(phash)
             if dom is None:
-                dom = pmap[phash] = SetMNIDomains(len(structure_order))
+                dom = pmap[phash] = _PartDomains(len(structure_order))
                 first_row[phash] = row
             was_frozen = dom.frozen
             for placement in self._positions.placements(pattern, structure_order):
-                part.insertions += dom.add(placement, self._threshold)
+                dom.insertions += dom.add(placement, self._threshold)
             if dom.frozen and not was_frozen:
                 self.freezes.append((first_row[phash], row))
-            hashes.append(phash)
-        part.hashes = np.array(hashes, dtype=np.uint64)
-        part.mapped = len(hashes)
+            dom.rows.append(row)
 
     def reduce(self, ctx, pmaps):
+        self._iter_hashes = []
+        for pmap in pmaps:
+            # The part's row hashes, in row order, from its patterns' rows.
+            by_row = sorted((row, phash) for phash, dom in pmap.items() for row in dom.rows)
+            self._iter_hashes.append(np.array([phash for _, phash in by_row], dtype=np.uint64))
+            self.total_insertions += sum(dom.insertions for dom in pmap.values())
+            self.total_mapped += len(by_row)
         merged: dict = {}
         for pmap in pmaps:
             for phash, dom in pmap.items():
@@ -115,7 +130,7 @@ class OracleFSM(_Recording, _PerRowOracle, FrequentSubgraphMining):
         super().__init__(*args, **kwargs)
         self._memo: dict[tuple, int] = {}
 
-    def map_block(self, ctx, block, pmap, part=None):
+    def map_block(self, ctx, block, pmap):
         eu, ev = ctx.edge_index.edge_u.tolist(), ctx.edge_index.edge_v.tolist()
         rows = []
         for embedding in block.tolist():
@@ -130,16 +145,16 @@ class OracleFSM(_Recording, _PerRowOracle, FrequentSubgraphMining):
                     phash = self._memo[raw_key] = ctx.hash_pattern(pattern)
             structure_order = list(dict.fromkeys(w for edge in edges for w in edge))
             rows.append((pattern, phash, structure_order))
-        self._fold(ctx, pmap, part, rows)
+        self._fold(pmap, rows)
 
 
 class OracleVFSM(_Recording, _PerRowOracle, VertexInducedFSM):
-    def map_block(self, ctx, block, pmap, part=None):
+    def map_block(self, ctx, block, pmap):
         rows = []
         for embedding in block.tolist():
             pattern = Pattern.from_vertex_embedding(ctx.graph, embedding)
             rows.append((pattern, ctx.hash_pattern(pattern), embedding))
-        self._fold(ctx, pmap, part, rows)
+        self._fold(pmap, rows)
 
 
 class BlockFSM(_Recording, FrequentSubgraphMining):
@@ -165,7 +180,7 @@ def _run(graph, app, executor):
     return result, hasher
 
 
-def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> None:
+def _assert_same(app, block, ref, oracle, executor) -> None:
     got, got_hasher = block
     want, want_hasher = oracle
     assert got.level_sizes == want.level_sizes
@@ -184,9 +199,8 @@ def _assert_same(app, block, ref, oracle, executor, vertex_induced: bool) -> Non
         assert (mine is None) == (theirs is None)
         if mine is not None:
             assert np.array_equal(mine, theirs)
-    if not vertex_induced:
-        assert app.total_insertions == ref.total_insertions
-        assert app.total_mapped == ref.total_mapped
+    assert app.total_insertions == ref.total_insertions
+    assert app.total_mapped == ref.total_mapped
     if executor == "serial":
         # Threads may race the oracle's memo into a duplicate hash call.
         # The block mappers hand the hasher one canonical row per class per
@@ -224,7 +238,7 @@ def check_config(config: dict) -> list[tuple[int, int]]:
     with mock.patch.object(mni, "SLAB_ROWS", config["slab_rows"]):
         block = _run(graph, block_app, executor)
     oracle = _run(graph, oracle_app, executor)
-    _assert_same(block_app, block, oracle_app, oracle, executor, vertex_induced)
+    _assert_same(block_app, block, oracle_app, oracle, executor)
     return oracle_app.freezes
 
 

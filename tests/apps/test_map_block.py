@@ -129,7 +129,7 @@ def test_aggregate_part_on_zero_rows(app, paper_graph):
     with KaleidoEngine(paper_graph) as engine:
         ctx = EngineContext(graph=paper_graph, engine=engine)
         block = np.zeros((0, 2), dtype=np.int32)
-        assert aggregate_part(app, ctx, block) == ({}, None)
+        assert aggregate_part(app, ctx, block) == {}
 
 
 def test_default_adaptor_passes_int_tuples(paper_graph):

@@ -102,12 +102,13 @@ class PerRowMatching(PatternMatching):
 
     map_block = MiningApplication.map_block
 
-    def map_embedding(self, ctx, embedding, pmap, part=None):
+    def map_embedding(self, ctx, embedding, pmap):
         candidate = Pattern.from_vertex_embedding(ctx.graph, embedding)
         if are_isomorphic(candidate, self.pattern):
-            pmap[0] = pmap.get(0, 0) + 1
             if self.materialize:
-                part.append(embedding)
+                pmap.setdefault(0, []).append(embedding)
+            else:
+                pmap[0] = pmap.get(0, 0) + 1
 
 
 def _graph(seed, k, edge_labelled):

@@ -44,11 +44,9 @@ def test_default_reduce_merges_and_filters(paper_graph):
             key = emb[0] % 2
             pmap[key] = pmap.get(key, 0) + 1
 
-        def pattern_filter(self, phash, value):
-            return phash == 1
-
     result = KaleidoEngine(paper_graph, workers=3).run(App())
-    assert set(result.pattern_map) == {1}
+    # The paper graph's seven 2-embeddings start at 1, 1, 2, 2, 3, 3, 4.
+    assert result.pattern_map == {0: 3, 1: 4}
 
 
 def test_unimplemented_hooks_raise(paper_graph):
@@ -63,7 +61,6 @@ def test_unimplemented_hooks_raise(paper_graph):
 def test_default_filters_accept():
     app = MiningApplication()
     assert app.block_filter(None) is None
-    assert app.pattern_filter(123, 1)
     assert app.prune(None, None, {}) is None
 
 
@@ -112,21 +109,18 @@ class _RowRecorder(MiningApplication):
     def __init__(self):
         self.calls = []
 
-    def map_embedding(self, ctx, emb, pmap, *part):
-        self.calls.append((emb, part))
+    def map_embedding(self, ctx, emb, pmap):
+        self.calls.append(emb)
 
 
-@pytest.mark.parametrize("part", [None, "state"])
-def test_default_map_block_feeds_rows_in_order(paper_graph, part):
+def test_default_map_block_feeds_rows_in_order(paper_graph):
     """The per-row adaptor walks the part in slabs: every row arrives as a
-    tuple of ints, in block order across slab boundaries, with ``part``
-    passed only when there is one."""
+    tuple of ints, in block order across slab boundaries."""
     block = np.random.default_rng(0).integers(0, 10**6, size=(2 * ADAPTOR_ROWS + 3, 3))
     app = _RowRecorder()
-    app.map_block(EngineContext(graph=paper_graph, engine=None), block, {}, part)
-    assert [emb for emb, _ in app.calls] == [tuple(row) for row in block.tolist()]
-    assert all(type(v) is int for v in app.calls[-1][0])
-    assert {rest for _, rest in app.calls} == ({()} if part is None else {(part,)})
+    app.map_block(EngineContext(graph=paper_graph, engine=None), block, {})
+    assert app.calls == [tuple(row) for row in block.tolist()]
+    assert all(type(v) is int for v in app.calls[-1])
 
 
 def test_default_map_block_memory_is_bounded_by_the_slab(paper_graph):

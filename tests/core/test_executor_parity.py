@@ -5,7 +5,7 @@ FSM (both induced modes, whose per-iteration prune depends on the
 *positional* order of mapper side outputs) and materialised pattern
 matching on a seeded random graph give identical results under the
 serial (work-stealing replay) executor and the real thread-pool executor
-— merging part results and ``finish_part`` states in part-index order
+— handing the part maps to ``reduce`` in part-index order
 makes completion order irrelevant.
 """
 

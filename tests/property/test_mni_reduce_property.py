@@ -6,8 +6,9 @@ aggregated level's embeddings, cuts each level into 1–8 random parts
 ``map_block``.  ``reduce`` over those parts must equal folding the same
 parts' domains, as ``SetMNIDomains``, in part order with
 ``merge_set_domains``: insertion order, domains, ``frozen`` flags and
-supports; then the prune mask and the ``FSMResult`` read from the
-reduced map.  The budget is the hypothesis profile's, so the ``deep``
+supports; then the prune mask — over the row hashes ``reduce`` took
+from the parts, checked against one ``hash_pattern`` per row — and the
+``FSMResult`` read from the reduced map.  The budget is the hypothesis profile's, so the ``deep``
 profile runs it longer; the module imports nothing from ``tests`` (a
 second import of ``tests/conftest.py`` would reload the tier-1 profile
 for the whole session).
@@ -21,9 +22,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import FrequentSubgraphMining, KaleidoEngine
-from repro.apps.fsm import FSMMapperPart
 from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.baselines.mni_sets import SetMNIDomains, merge_set_domains
+from repro.core import Pattern
 from repro.graph import GraphBuilder
 
 
@@ -50,10 +51,10 @@ class _LevelRecorder:
         self._parts: list[np.ndarray] = []
         self.ctx = None
 
-    def map_block(self, ctx, block, pmap, part=None):
+    def map_block(self, ctx, block, pmap):
         self.ctx = ctx
         self._parts.append(np.array(block, copy=True))
-        super().map_block(ctx, block, pmap, part)
+        super().map_block(ctx, block, pmap)
 
     def reduce(self, ctx, pmaps):
         self.levels.append(np.concatenate(self._parts))
@@ -102,6 +103,20 @@ def set_fold(parts: list[dict], threshold: int | None) -> tuple[dict, set[str]]:
     return merged, events
 
 
+def row_hashes(ctx, block: np.ndarray, edge_induced: bool) -> np.ndarray:
+    """Each row's pattern hash, one ``hash_pattern`` call per row."""
+    hashes = []
+    if edge_induced:
+        eu, ev = ctx.edge_index.edge_u.tolist(), ctx.edge_index.edge_v.tolist()
+    for row in block.tolist():
+        if edge_induced:
+            pattern = Pattern.from_edge_embedding(ctx.graph, [(eu[e], ev[e]) for e in row])
+        else:
+            pattern = Pattern.from_vertex_embedding(ctx.graph, row)
+        hashes.append(ctx.hash_pattern(pattern))
+    return np.array(hashes, dtype=np.uint64)
+
+
 def check_case(case: dict) -> set[str]:
     """Run one case; returns the freeze events the set fold saw."""
     graph = _graph(
@@ -123,13 +138,11 @@ def check_case(case: dict) -> set[str]:
     for block in recorder.levels:
         cuts = np.sort(rng.integers(0, block.shape[0] + 1, size=case["parts"] - 1))
         bounds = [0, *cuts.tolist(), block.shape[0]]
-        pmaps, hashes = [], []
+        pmaps = []
         for lo, hi in zip(bounds, bounds[1:]):
             pmap: dict = {}
-            part = FSMMapperPart()
-            fresh.map_block(ctx, block[lo:hi], pmap, part)
+            fresh.map_block(ctx, block[lo:hi], pmap)
             pmaps.append(pmap)
-            hashes.append(part.hashes)
         want, seen = set_fold([_as_sets(pmap) for pmap in pmaps], threshold)
         events |= seen
         got = fresh.reduce(ctx, pmaps)
@@ -137,10 +150,10 @@ def check_case(case: dict) -> set[str]:
         assert got == want
         assert [d.support for d in got.values()] == [d.support for d in want.values()]
         assert [d.frozen for d in got.values()] == [d.frozen for d in want.values()]
-        # Prune reads the reduced supports.
-        fresh._iter_hashes = list(hashes)
+        # Prune reads the reduced supports and the row hashes reduce took
+        # from the parts.
         mask = fresh.prune(ctx, None, got)
-        rows = np.concatenate(hashes)
+        rows = row_hashes(ctx, block, case["app"] == "fsm")
         frequent = [h for h, d in want.items() if d.support >= support]
         keep = np.isin(rows, np.array(frequent, dtype=np.uint64))
         assert (mask is None) == bool(keep.all())

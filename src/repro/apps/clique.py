@@ -16,6 +16,7 @@ import numpy as np
 from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.pattern import Pattern, triangle_index
+from ..core.restrictions import chain_order
 
 __all__ = ["CliqueDiscovery", "CliqueResult"]
 
@@ -75,5 +76,5 @@ class CliqueDiscovery(MiningApplication):
         count = pmap.get(0, 0)
         cliques = None
         if self.materialize:
-            cliques = [emb for _, emb in cse.iter_embeddings()]
+            cliques = chain_order(ctx.input_ids(cse.decode_block(0, cse.size())))
         return CliqueResult(self.k, count, cliques)

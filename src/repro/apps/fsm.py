@@ -205,6 +205,8 @@ class MNIApplication(MiningApplication):
         self.total_mapped = state["total_mapped"]
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
+        # A run with no iteration never prunes its one aggregation.
+        self._iter_hashes = []
         supports: dict[int, int] = {}
         state = mni_state(pmap)
         if state is not None:

@@ -22,6 +22,8 @@ from ..core.api import EngineContext, MiningApplication, PatternMap
 from ..core.cse import CSE
 from ..core.kernels import vertex_kernel_context
 from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern
+from ..core.plan import Planner
+from ..core.restrictions import chain_order
 from .fsm_vertex import edge_keys, vertex_codes
 from .mni import SLAB_ROWS, canonical_placements, distinct_rows
 
@@ -102,6 +104,9 @@ class PatternMatching(MiningApplication):
         self._code = canonical_placements(np.array([pattern.to_code(k)]), k)[2][0].tolist()
         self._label_budget = Counter(pattern.labels)
         self._max_degree = max(pattern.degree_sequence())
+        #: Whether the levels take a pattern gather (a complete pattern,
+        #: all labels equal): the run then explores a relabelled graph.
+        self._gathered = bool(Planner.pattern_gathers(self))
 
     @property
     def name(self) -> str:
@@ -151,10 +156,15 @@ class PatternMatching(MiningApplication):
 
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
         """Sum the parts' counts; under ``materialize``, join the parts'
-        matches in part order for the result and count them."""
+        matches in part order for the result and count them.  Gathered
+        matches come back in the caller's ids, in chain order: each
+        ascending, the list lexicographic."""
         if not self.materialize:
             return super().reduce(ctx, pmaps)
         self._matches = [row for pmap in pmaps for row in pmap.get(0, ())]
+        if self._gathered:
+            rows = np.array(self._matches, dtype=np.int64).reshape(-1, self.pattern.num_vertices)
+            self._matches = chain_order(ctx.input_ids(rows))
         return {0: len(self._matches)} if self._matches else {}
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MatchResult:

@@ -94,11 +94,23 @@ class CandidateTable:
 
 @dataclass
 class EngineContext:
-    """Everything a mining application may need while running."""
+    """Everything a mining application may need while running.
+
+    ``graph`` is the graph the run explores: the caller's graph, or —
+    for runs whose levels take a pattern gather (clique discovery,
+    triangle counting, matching a complete pattern) — its
+    :meth:`~repro.graph.graph.Graph.degree_ordered` view.  Apps that emit
+    vertex ids map them back through :meth:`input_ids`."""
 
     graph: Graph
     engine: "KaleidoEngine"
     edge_index: EdgeIndex | None = None
+
+    def input_ids(self, ids: np.ndarray) -> np.ndarray:
+        """The caller's ids of the explored vertex ids ``ids`` (any
+        shape); ``ids`` itself when the run explores the caller's graph."""
+        order = self.graph.input_ids
+        return ids if order is None else order[ids]
 
     def hash_pattern(self, pattern) -> int:
         """Fingerprint a pattern with the engine's isomorphism checker."""

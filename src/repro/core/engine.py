@@ -53,9 +53,9 @@ from .explore import expand_edge_level, expand_vertex_level
 from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
-#: 4: an ``MNIState`` pickles only its defining arrays, and both FSM apps
-#: carry their cost counters in their app state.
-_RUN_STATE_VERSION = 4
+#: 5: the state records the fingerprint of the graph the run explored
+#: (the input graph, or its degree-ordered view).
+_RUN_STATE_VERSION = 5
 
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")
@@ -298,14 +298,18 @@ class KaleidoEngine:
         )
         if self._store is not None:
             self._store.io = IOStats()
+        gathers = Planner.pattern_gathers(app)
+        # Complete-pattern levels explore the ascending-degree view, where
+        # every chain-restricted "neighbours above me" tail is short; the
+        # planner carries the run's graph to every stage.
         planner = Planner(
-            self.graph,
+            self.graph.degree_ordered() if gathers else self.graph,
             policy,
             workers=self.workers,
             parts_per_worker=self.parts_per_worker,
             use_prediction=self.use_prediction,
             max_embeddings=max_embeddings,
-            gathers=Planner.pattern_gathers(app),
+            gathers=gathers,
         )
         hasher_before = [getattr(self.hasher, name, 0) for name in _HASHER_COUNTERS]
         try:
@@ -360,6 +364,7 @@ class KaleidoEngine:
         hot_phase: Callable[[], ContextManager],
     ) -> MiningResult:
         started = time.perf_counter()
+        graph = planner.graph
         policy = planner.policy
         meter = policy.meter
         schedules: list[Schedule] = []
@@ -377,8 +382,8 @@ class KaleidoEngine:
             else RunCheckpoint(self.checkpoint_dir, retry=self.io_retry)
         )
 
-        ctx = EngineContext(graph=self.graph, engine=self)
-        meter.set("graph", self.graph.nbytes)
+        ctx = EngineContext(graph=graph, engine=self)
+        meter.set("graph", graph.nbytes)
         if app.induced == "edge":
             # Session reuse: the edge index is a pure function of the
             # graph, so build it once and share it across runs.
@@ -430,7 +435,7 @@ class KaleidoEngine:
                 ), hot_phase():
                     if app.induced == "vertex":
                         stats = expand_vertex_level(
-                            self.graph,
+                            graph,
                             cse,
                             block_filter,
                             parts=plan.part_bounds,
@@ -594,6 +599,7 @@ class KaleidoEngine:
         state = {
             "version": _RUN_STATE_VERSION,
             "app": app.name,
+            "graph": ctx.graph.fingerprint(),
             "iteration": iteration,
             "aggregated": aggregated,
             "reduced": reduced,
@@ -651,6 +657,13 @@ class KaleidoEngine:
             raise StorageError(
                 "checkpoint root level does not match the application's seeds "
                 "(different graph or parameters?)"
+            )
+        # Both id orders of one graph seed the same roots 0..n-1, so only
+        # the fingerprint tells a level written in another order apart.
+        if state.get("graph") != ctx.graph.fingerprint():
+            raise StorageError(
+                "checkpoint was explored on another graph (or another id "
+                "order of this one)"
             )
         if state.get("app_state") is not None:
             app.restore_state(ctx, state["app_state"])

@@ -38,6 +38,8 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+import numpy as np
+
 from .isomorphism import automorphisms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +52,7 @@ __all__ = [
     "PatternGather",
     "compile_restrictions",
     "pattern_gathers",
+    "chain_order",
 ]
 
 
@@ -166,6 +169,19 @@ def pattern_gathers(
         )
         for position in range(1, k)
     }
+
+
+def chain_order(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Vertex-id rows in the order a chain-restricted enumeration
+    (``v0 < v1 < ... < v(k-1)``) over these ids emits them: each row
+    ascending, the rows in lexicographic order, as tuples of ints.
+
+    A gathered level explored on a relabelled graph holds the same rows
+    in another order; mapping them back and sorting here restores the
+    order an enumeration over the caller's ids gives."""
+    rows = np.sort(rows, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return list(zip(*rows.T.tolist()))
 
 
 @functools.lru_cache

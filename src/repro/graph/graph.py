@@ -52,7 +52,9 @@ class Graph:
         "_edge_label_map",
         "_adjacency_sets",
         "_adjacency_keys",
+        "_degree_view",
         "_fingerprint",
+        "input_ids",
         "name",
     )
 
@@ -87,7 +89,11 @@ class Graph:
         self._edge_label_map: dict[tuple[int, int], int] | None = None
         self._adjacency_sets: list[frozenset[int]] | None = None
         self._adjacency_keys: np.ndarray | None = None
+        self._degree_view: Graph | None = None
         self._fingerprint: str | None = None
+        #: On a :meth:`degree_ordered` view, the input id of each of its
+        #: vertices (in :attr:`id_dtype`); None on any other graph.
+        self.input_ids: np.ndarray | None = None
         if edge_labels is not None:
             edge_labels = np.ascontiguousarray(edge_labels, dtype=np.int32)
             if edge_labels.shape[0] != indices.shape[0] // 2:
@@ -175,8 +181,8 @@ class Graph:
         The CSR arrays are nominally immutable, but numpy cannot enforce
         that; callers that do mutate them in place (relabeling an array
         slice, experiment plumbing) must call this so the fingerprint,
-        edge arrays and adjacency caches are rebuilt from the new
-        contents instead of serving stale views.
+        edge arrays, adjacency caches and :meth:`degree_ordered` view are
+        rebuilt from the new contents instead of serving stale views.
         """
         self._fingerprint = None
         self._edge_u = None
@@ -184,6 +190,7 @@ class Graph:
         self._edge_label_map = None
         self._adjacency_sets = None
         self._adjacency_keys = None
+        self._degree_view = None
 
     # ------------------------------------------------------------------
     # Topology queries
@@ -235,6 +242,49 @@ class Graph:
             )
             self._adjacency_keys = sources * self.num_vertices + self.indices
         return self._adjacency_keys
+
+    def degree_ordered(self) -> "Graph":
+        """This graph relabelled by ascending degree, ties broken by id.
+
+        Vertex ``i`` of the view is input vertex ``input_ids[i]``; vertex
+        labels and edge labels travel with their vertices and edges (the
+        edge labels realigned to the view's own :meth:`edge_arrays`
+        order), so every pattern keeps its hash.  The hubs sit at the
+        highest ids, which keeps every "neighbours above me" tail of a
+        chain-restricted clique enumeration short.  Built lazily, with
+        its :meth:`adjacency_keys`, and cached on the graph (threads
+        racing on a first call may each build one; any of them is
+        correct); when the order is already ascending the view is the
+        graph itself.
+        """
+        if self._degree_view is None:
+            n = self.num_vertices
+            degrees = self.degrees()
+            order = np.argsort(degrees, kind="stable")
+            if np.array_equal(order, np.arange(n)):
+                self._degree_view = self
+                return self
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            sources = np.repeat(rank, degrees)
+            keys = np.sort(sources * n + rank[self.indices])
+            edge_labels = None
+            if self.edge_labels is not None:
+                eu, ev = self.edge_arrays()
+                a, b = rank[eu], rank[ev]
+                edge_key = np.minimum(a, b) * n + np.maximum(a, b)
+                edge_labels = self.edge_labels[np.argsort(edge_key)]
+            view = Graph(
+                np.concatenate(([0], np.cumsum(degrees[order]))),
+                keys % n,
+                self.labels[order],
+                name=self.name,
+                edge_labels=edge_labels,
+            )
+            view.input_ids = order.astype(view.id_dtype)
+            view._adjacency_keys = keys
+            self._degree_view = view
+        return self._degree_view
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists (O(1) amortised

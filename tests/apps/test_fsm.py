@@ -29,6 +29,21 @@ def test_single_edge_fsm(labeled_square):
     assert sorted(result.value.values()) == [2, 2]
 
 
+def test_single_edge_fsm_keeps_no_row_hashes_after_the_run(labeled_square):
+    """One edge means no iteration, so no ``prune`` follows the only
+    aggregation: ``finalize`` drops its per-row hashes instead."""
+    app = FrequentSubgraphMining(num_edges=1, support=2, exact_mni=True)
+    assert app.iterations() == 0
+    result = KaleidoEngine(labeled_square).run(app)
+    assert app._iter_hashes == []
+    assert sorted(result.value.values()) == [2, 2]
+    assert sorted(result.value.values()) == sorted(fsm_naive(labeled_square, 1, 2).values())
+    # The reduce's cost counters read what they read before finalize
+    # cleared the hashes.
+    assert app.total_mapped == labeled_square.num_edges == 5
+    assert app.total_insertions == 11
+
+
 def test_matches_naive_exact_mni():
     for seed in range(4):
         g = random_labeled_graph(12, 22, 2, seed=40 + seed)

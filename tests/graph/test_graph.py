@@ -126,3 +126,47 @@ def test_adjacency_keys_sorted_membership(paper_graph):
             found = pos < keys.shape[0] and keys[pos] == packed
             assert found == g.has_edge(u, v)
     assert g.adjacency_keys() is keys  # cached
+
+
+def _hub_first():
+    """A graph whose hub is vertex 0, so ascending degree is not id order."""
+    return from_edge_list(
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)], labels=[5, 1, 2, 3, 4]
+    )
+
+
+def test_degree_ordered_view_relabels_by_ascending_degree():
+    g = _hub_first().with_edge_labels([10, 11, 12, 13, 14, 15, 16])
+    view = g.degree_ordered()
+    order = view.input_ids
+    # Degrees 4, 2, 3, 3, 2: the ties keep id order, the hub goes last.
+    assert order.tolist() == [1, 4, 2, 3, 0]
+    assert order.dtype == view.id_dtype
+    assert np.all(np.diff(g.degrees()[order]) >= 0)
+    assert view.labels.tolist() == g.labels[order].tolist()
+    # Every edge and its label travel with the vertices.
+    for u, v in view.edges():
+        a, b = int(order[u]), int(order[v])
+        assert g.has_edge(a, b)
+        assert view.edge_label(u, v) == g.edge_label(a, b)
+    assert view.num_edges == g.num_edges
+    assert view.nbytes == g.nbytes
+    sources = np.repeat(np.arange(view.num_vertices), view.degrees())
+    assert view.adjacency_keys().tolist() == (sources * view.num_vertices + view.indices).tolist()
+    assert g.degree_ordered() is view  # cached
+    assert view.degree_ordered() is view
+
+
+def test_degree_ordered_view_of_an_ascending_graph_is_the_graph(paper_graph):
+    g = from_edge_list([(0, 3), (1, 3), (2, 3)])
+    assert g.degree_ordered() is g
+    assert g.input_ids is None
+    assert paper_graph.degree_ordered() is not paper_graph
+
+
+def test_invalidate_caches_drops_the_degree_ordered_view():
+    g = _hub_first()
+    view = g.degree_ordered()
+    g.invalidate_caches()
+    assert g.degree_ordered() is not view
+    assert g.degree_ordered().input_ids.tolist() == view.input_ids.tolist()

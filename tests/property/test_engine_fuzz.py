@@ -14,7 +14,13 @@ pick a kill iteration: a checkpointed run dies right after that
 iteration's checkpoint lands, and a fresh engine and app resume it with
 the same storage mode and executor.  The resumed run must equal the
 straight one in pattern map, level sizes and spill counts, leave no part
-in the spill directory, and leave its checkpoints loadable.
+in the spill directory, and leave its checkpoints loadable.  Half pick
+an input order: the target configuration also runs on a random
+relabelling of the drawn graph, and must give the same level sizes and
+the same pattern map, its MNI domains mapped back to the drawn ids.  An
+FSM map also holds the infrequent patterns its last expansion reached,
+and which of those it reaches depends on the canonical parents that
+survived pruning, so there only the frequent patterns are compared.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py``: ``tier1`` by default, ``deep`` with
@@ -24,6 +30,7 @@ The example budget comes from the hypothesis profile in
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -95,6 +102,7 @@ def configurations(draw):
         "executor": draw(st.sampled_from(["serial", "threads"])),
         "warmup": draw(app_specs()) if draw(st.booleans()) else None,
         "kill": draw(st.integers(0, 2)) if draw(st.integers(0, 2)) == 0 else None,
+        "relabel": draw(st.permutations(range(n))) if draw(st.booleans()) else None,
     }
 
 
@@ -155,6 +163,32 @@ def _kill_and_resume(case, spill_dir):
     return resumed
 
 
+def _relabelled(case):
+    """The drawn graph with vertex ``v`` renamed ``case["relabel"][v]``."""
+    graph, new_id = case["graph"], case["relabel"]
+    labels = np.empty_like(graph.labels)
+    labels[new_id] = graph.labels
+    edges = [(new_id[u], new_id[v]) for u, v in graph.edges()]
+    return from_edge_list(edges, labels=labels.tolist(), name="fuzz-relabelled")
+
+
+def _in_drawn_ids(case, pattern_map, old_id):
+    """The order-free part of ``pattern_map``, vertices renamed by
+    ``old_id``: counts as they are; an FSM map's frequent patterns with
+    their MNI domains — or, under the support threshold, where a domain
+    stops growing once frequent at a point that depends on vertex order,
+    just the frequent patterns."""
+    if case["app"] not in ("fsm", "vfsm"):
+        return pattern_map
+    frequent = {key: dom for key, dom in pattern_map.items() if dom.support >= 2}
+    if not case["exact_mni"]:
+        return set(frequent)
+    return {
+        key: [sorted(old_id[v] for v in domain) for domain in dom.domains]
+        for key, dom in frequent.items()
+    }
+
+
 def _check_reference(case, result):
     graph, k = case["graph"], case["k"]
     if case["app"] == "motif":
@@ -189,6 +223,13 @@ def test_engine_matches_oracle_and_reference(case):
                 assert resumed.level_sizes == result.level_sizes
                 for key in ("spilled_levels", "demoted_levels"):
                     assert resumed.extra[key] == result.extra[key]
+            if case["relabel"] is not None:
+                relabelled = _run({**case, "graph": _relabelled(case)}, case["executor"], spill_dir)
+                old_id = np.argsort(case["relabel"]).tolist()
+                assert relabelled.level_sizes == result.level_sizes
+                assert _in_drawn_ids(case, relabelled.pattern_map, old_id) == _in_drawn_ids(
+                    case, result.pattern_map, list(range(len(old_id)))
+                )
     finally:
         oracle_executor.close()
     assert result.pattern_map == oracle.pattern_map

@@ -341,3 +341,45 @@ def test_crash_mid_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatc
     loaded = load_cse(directory)
     assert loaded.depth == 1
     assert loaded.levels[0].vert_array().tolist() == [1, 2, 3]
+
+
+def _hubs_low_graph():
+    """A graph not in ascending-degree order, so clique runs explore a
+    relabelled view of it."""
+    from repro.graph.generators import chung_lu
+
+    graph = chung_lu(40, 160, 5)
+    assert graph.degree_ordered() is not graph
+    return graph
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_clique_kill_and_resume_on_a_relabelled_graph(tmp_path, boundary):
+    graph = _hubs_low_graph()
+    make_app = lambda: CliqueDiscovery(4, materialize=True)
+    straight = _run(graph, make_app(), tmp_path, "clique-straight")
+    resumed = _kill_and_resume(graph, make_app, tmp_path, "clique", boundary)
+    assert resumed.extra["resumed_from_level"] == boundary
+    assert resumed.pattern_map == straight.pattern_map
+    assert resumed.level_sizes == straight.level_sizes
+    assert resumed.value.cliques == straight.value.cliques
+    assert straight.value.count > 0
+
+
+def test_resume_refuses_a_level_explored_in_another_id_order(tmp_path, monkeypatch):
+    """Both id orders seed roots 0..n-1, so the roots check alone would
+    take a level written over the input's ids; the recorded fingerprint
+    of the explored graph refuses it."""
+    from repro.graph import Graph
+
+    graph = _hubs_low_graph()
+    input_fingerprint = graph.fingerprint()
+    ckpt = str(tmp_path / "ckpt")
+    # What a run that explored the input's own id order records.
+    monkeypatch.setattr(Graph, "fingerprint", lambda self: input_fingerprint)
+    with KaleidoEngine(graph, checkpoint_dir=ckpt) as engine:
+        engine.run(CliqueDiscovery(4))
+    monkeypatch.undo()
+    with KaleidoEngine(graph, checkpoint_dir=ckpt) as engine:
+        with pytest.raises(StorageError, match="another id order"):
+            engine.run(CliqueDiscovery(4), resume=True)

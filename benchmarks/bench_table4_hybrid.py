@@ -4,8 +4,9 @@ The paper runs 4-FSM over Patent (supports 50k / 100k) and 4-Motif over
 Patent and MiCo, in memory and with the last CSE level spilled to SSD.
 Paper shape: results identical, runtime penalty below ~30%, and the
 accounted in-memory footprint drops for FSM (the spilled level is the
-big one) while 4-Motif's footprint barely moves (it only stores k-1
-levels plus fixed write buffers).
+big one) while 4-Motif's footprint barely moves (the paper's stores
+k-1 levels; this engine folds every app's last level, so 4-Motif stores
+and spills only up to its 2-embeddings, level k-2).
 """
 
 import tempfile

@@ -33,10 +33,15 @@ from functools import partial
 
 import numpy as np
 
-from ..core.api import CandidateTable, EngineContext, MiningApplication, PatternMap
+from ..core.api import (
+    CandidateTable,
+    EngineContext,
+    MiningApplication,
+    PatternMap,
+    check_saved_flag,
+)
 from ..core.cse import CSE
 from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern
-from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from .mni import (
@@ -44,6 +49,7 @@ from .mni import (
     first_occurrences,
     fold_mni_block,
     frequent_mask,
+    frequent_patterns,
     mni_state,
     reduce_domains,
 )
@@ -145,7 +151,9 @@ class MNIApplication(MiningApplication):
     ``map_block`` that folds each block into its part's map through
     :func:`fold_mni_block`.  Each part's :class:`~repro.apps.mni.MNIState`
     carries its rows' pattern hashes, which ``reduce`` collects, in part
-    order, for ``prune``."""
+    order, for ``prune``.  The reduced map holds the frequent patterns
+    only (Listing 1's PatternFilter), so which infrequent patterns a
+    level reached — which depends on the vertex id order — never shows."""
 
     aggregate_every_iteration = True
 
@@ -171,7 +179,7 @@ class MNIApplication(MiningApplication):
         self._iter_hashes = [state.rows for state in states]
         self.total_insertions += sum(state.keys.shape[0] for state in states)
         self.total_mapped += sum(state.rows.shape[0] for state in states)
-        return reduce_domains(pmaps, self._threshold)
+        return frequent_patterns(reduce_domains(pmaps, self._threshold), self.support)
 
     def prune(
         self, ctx: EngineContext, cse: CSE, reduced: PatternMap
@@ -195,12 +203,7 @@ class MNIApplication(MiningApplication):
         }
 
     def restore_state(self, ctx: EngineContext, state: dict) -> None:
-        saved = state.get("exact_mni")
-        if saved != self.exact_mni:
-            raise StorageError(
-                f"checkpoint belongs to {self.name!r} with exact_mni={saved!r}, "
-                f"not exact_mni={self.exact_mni!r}"
-            )
+        check_saved_flag(self, "exact_mni", state.get("exact_mni"))
         self.total_insertions = state["total_insertions"]
         self.total_mapped = state["total_mapped"]
 
@@ -210,10 +213,8 @@ class MNIApplication(MiningApplication):
         supports: dict[int, int] = {}
         state = mni_state(pmap)
         if state is not None:
-            frequent = state.support >= self.support
-            supports = dict(
-                zip(state.hashes[frequent].tolist(), state.support[frequent].tolist())
-            )
+            # ``reduce`` kept only the frequent patterns.
+            supports = dict(zip(state.hashes.tolist(), state.support.tolist()))
         patterns = {}
         for phash in supports:
             rep = ctx.engine.hasher.representative(phash)

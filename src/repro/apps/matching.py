@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.api import EngineContext, MiningApplication, PatternMap
+from ..core.api import EngineContext, MiningApplication, PatternMap, check_saved_flag
 from ..core.cse import CSE
 from ..core.kernels import vertex_kernel_context
 from ..core.pattern import MAX_EIGENHASH_VERTICES, Pattern
@@ -107,6 +107,8 @@ class PatternMatching(MiningApplication):
         #: Whether the levels take a pattern gather (a complete pattern,
         #: all labels equal): the run then explores a relabelled graph.
         self._gathered = bool(Planner.pattern_gathers(self))
+        #: The run's materialised matches, set by ``reduce``.
+        self._matches: list[tuple[int, ...]] | None = None
 
     @property
     def name(self) -> str:
@@ -121,6 +123,7 @@ class PatternMatching(MiningApplication):
         return self.pattern
 
     def init(self, ctx: EngineContext):
+        self._matches = None
         # Seed only vertices whose label occurs in the pattern.
         wanted = np.isin(ctx.graph.labels, sorted(self._label_budget))
         return np.flatnonzero(wanted).astype(np.int32)
@@ -133,9 +136,10 @@ class PatternMatching(MiningApplication):
         return MatchFeasibility(labels, budget, self._max_degree)
 
     def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
-        """Count the rows whose canonical code row equals the pattern's —
-        under ``materialize``, list them in row order instead — as the
-        part's value.  Each slab's distinct codes are canonicalised once."""
+        """Add the rows whose canonical code row equals the pattern's to
+        the part's count — under ``materialize``, append them to its list
+        in row order instead.  Each slab's distinct codes are
+        canonicalised once."""
         graph = ctx.graph
         kctx, keys = vertex_kernel_context(graph), edge_keys(graph)
         count, matches = 0, []
@@ -151,8 +155,12 @@ class PatternMatching(MiningApplication):
             count += rows.shape[0]
             if self.materialize:
                 matches.extend(zip(*slab[rows].T.tolist()))
-        if count:
-            pmap[0] = matches if self.materialize else count
+        if not count:
+            return
+        if self.materialize:
+            pmap.setdefault(0, []).extend(matches)
+        else:
+            pmap[0] = pmap.get(0, 0) + count
 
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
         """Sum the parts' counts; under ``materialize``, join the parts'
@@ -166,6 +174,17 @@ class PatternMatching(MiningApplication):
             rows = np.array(self._matches, dtype=np.int64).reshape(-1, self.pattern.num_vertices)
             self._matches = chain_order(ctx.input_ids(rows))
         return {0: len(self._matches)} if self._matches else {}
+
+    def checkpoint_state(self, ctx: EngineContext) -> dict:
+        # ``materialize`` changes the answer but not the name, so the
+        # resume checks it here; reduced matches live in the app, and a
+        # resume from the last iteration's checkpoint explores nothing to
+        # rebuild them.
+        return {"materialize": self.materialize, "matches": self._matches}
+
+    def restore_state(self, ctx: EngineContext, state: dict) -> None:
+        check_saved_flag(self, "materialize", state["materialize"])
+        self._matches = state["matches"]
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> MatchResult:
         return MatchResult(

@@ -72,6 +72,7 @@ __all__ = [
     "reduce_domains",
     "mni_state",
     "frequent_mask",
+    "frequent_patterns",
     "SLAB_ROWS",
     "CANON_CELLS",
 ]
@@ -186,6 +187,20 @@ class MNIState:
         keys = self.group_keys(group) - group * self.kmax * self.n
         position, vertex = np.divmod(keys, self.n)
         return [set(vertex[position == p].tolist()) for p in range(int(self.sizes[group]))]
+
+    def select(self, keep: np.ndarray) -> "MNIState":
+        """The state of the groups ``keep`` marks (a ``bool`` per group),
+        renumbered in group order; each kept group's keys, size, flag and
+        support are unchanged."""
+        span = self.kmax * self.n
+        group = self.keys // span
+        kept = keep[group]
+        group = group[kept]
+        renumber = np.cumsum(keep) - 1
+        keys = self.keys[kept] - (group - renumber[group]) * span
+        return MNIState(
+            self.hashes[keep], self.sizes[keep], keys, self.frozen[keep], self.kmax, self.n
+        )
 
     def publish(self, pmap: dict) -> None:
         """Fill ``pmap`` with one :class:`MNIDomains` view per group, in
@@ -607,6 +622,21 @@ def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
     reduced: dict = {}
     merged.publish(reduced)
     return reduced
+
+
+def frequent_patterns(reduced: dict, support: int) -> dict:
+    """Listing 1's PatternFilter over a reduced map: the map of its
+    patterns with support ``>= support`` (``reduced`` itself when every
+    pattern is)."""
+    state = mni_state(reduced)
+    if state is None:
+        return reduced
+    frequent = state.support >= support
+    if frequent.all():
+        return reduced
+    out: dict = {}
+    state.select(frequent).publish(out)
+    return out
 
 
 def frequent_mask(

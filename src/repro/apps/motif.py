@@ -2,12 +2,13 @@
 
 Counts the frequency of every connected k-vertex motif in the (treated as
 unlabeled) input graph.  Per the paper, exploration stops at the
-``(k-1)``-embeddings; the Mapper then explores each part's canonical
+``(k-1)``-embeddings; the Mapper then explores each block's canonical
 k-extensions on the fly — one run of the expansion kernel's chunk
 (:mod:`repro.core.kernels`) per ``PAIR_BUDGET`` slab of rows — and
 fingerprints their patterns, so the largest level is never materialised
-— which is why k-Motif stores only ``k - 1`` CSE levels (Table 4's
-note).
+(Table 4's note).  The engine folds every application's last level —
+here the ``(k-1)``-embeddings — into the Mapper as it is produced, so
+k-Motif stores only ``k - 2`` CSE levels.
 
 An unlabeled k-vertex structure is fully determined by its adjacency
 bitmap, so the mapper builds one bitmap code per k-embedding, counts the
@@ -125,7 +126,6 @@ class MotifCounting(MiningApplication):
     """Count all connected k-vertex motifs, k >= 3."""
 
     induced = "vertex"
-    mapper_cost_tracks_candidates = True
 
     def __init__(self, k: int, hash_every_embedding: bool = False) -> None:
         check_motif_size(k)
@@ -148,7 +148,7 @@ class MotifCounting(MiningApplication):
 
     def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Expand the block to k-embeddings on the fly and count each
-        adjacency code, hashing every distinct code once."""
+        adjacency code, hashing every distinct code of the block once."""
         k = self.k
         kctx = vertex_kernel_context(ctx.graph)
         block = block.astype(np.int64, copy=False)

@@ -10,20 +10,23 @@ the hooks of Listing 1:
   block of ``(embedding, candidate)`` pairs at once (the canonical
   filter is always applied first, as the paper's "default embedding
   filter");
-* ``map_block``           — the AggregatingMapper: fold one part's block
-  of embeddings — an ``(rows, k)`` id array decoded straight from the
-  CSE — into the part's own PatternMap (a pure per-part function:
-  everything a part produces lives in its map, so concurrent executors
-  stay deterministic).  Apps with a per-row mapper define
-  ``map_embedding`` instead; the default ``map_block`` feeds it one
-  tuple per row;
+* ``map_block``           — the AggregatingMapper: fold a block of
+  embeddings — an ``(rows, k)`` id array — into its part's own
+  PatternMap (a pure per-part function: everything a part produces
+  lives in its map, so concurrent executors stay deterministic).  A
+  part's map may take several blocks, one call each.  Apps with a
+  per-row mapper define ``map_embedding`` instead; the default
+  ``map_block`` feeds it one tuple per row;
 * ``reduce``              — the AggregatingReducer: merge the part maps,
   in part order, and apply the app's PatternFilter.
 
 The engine (:class:`repro.core.engine.KaleidoEngine`) drives the two
-phases: embedding exploration then pattern aggregation.  Applications that
-aggregate *every* iteration (FSM) set ``aggregate_every_iteration`` and get
-a ``prune`` callback to drop embeddings of infrequent patterns.
+phases: embedding exploration then pattern aggregation.  The last level
+is never stored: its expansion hands each kernel chunk's embeddings to
+``map_block`` as they are produced.  Applications that aggregate
+*every* iteration (FSM) set ``aggregate_every_iteration`` and get a
+``prune`` callback to drop embeddings of infrequent patterns; their
+levels are stored, and each is mapped part by part after it is built.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from ..errors import StorageError
 from ..graph.edge_index import EdgeIndex
 from ..graph.graph import Graph
 from .cse import CSE
@@ -128,15 +132,9 @@ class MiningApplication:
 
     #: "vertex" or "edge" — which induced exploration to run.
     induced: str = "vertex"
-    #: Run map/reduce after every exploration iteration (FSM) instead of
-    #: once at the end.
+    #: Run map/reduce after every exploration iteration (FSM), over each
+    #: stored level, instead of folding the last level as it is produced.
     aggregate_every_iteration: bool = False
-    #: Whether the mapper's cost per row scales with the embedding's
-    #: candidate count (motif counting expands candidates on the fly) —
-    #: if so, the engine partitions the aggregation phase by the
-    #: candidate-size prediction; otherwise per-embedding cost is roughly
-    #: uniform and an even count split balances better.
-    mapper_cost_tracks_candidates: bool = False
 
     # ------------------------------------------------------------------
     # Phase 1 hooks
@@ -188,16 +186,23 @@ class MiningApplication:
     def map_block(
         self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap
     ) -> None:
-        """AggregatingMapper: fold one part's embeddings into ``pmap``.
+        """AggregatingMapper: fold a block of one part's embeddings into
+        that part's ``pmap``.
 
-        ``block`` is the part's ``(rows, k)`` id array in CSE storage
-        order (vertex ids, or edge ids under edge-induced exploration);
-        the engine calls this once per part, with a fresh ``pmap``.  Must
-        be a pure function of ``(block, pmap)`` — concurrent executors
-        run parts on pool threads, so shared application state may only
-        be *read* here.  Any per-part output beyond pattern counts
-        (positional hashes, materialised embeddings) goes in the part's
-        ``pmap`` too, for :meth:`reduce` to take in.
+        ``block`` is an ``(rows, k)`` id array of consecutive embeddings
+        in storage order (vertex ids, or edge ids under edge-induced
+        exploration).  Each part starts from a fresh ``pmap``, and the
+        engine may call this several times per part, each call folding
+        into the same map: on the last level, once per kernel chunk of
+        the part's children, as they are produced (at most about
+        :data:`~repro.core.kernels.PAIR_BUDGET` rows, unless one parent
+        alone has more children); under ``aggregate_every_iteration``,
+        once per stored part.  So add to ``pmap``, never overwrite it.
+        Must be a pure function of ``(block, pmap)`` — concurrent
+        executors run parts on pool threads, so shared application
+        state may only be *read* here.  Any per-part output beyond
+        pattern counts (positional hashes, materialised embeddings) goes
+        in the part's ``pmap`` too, for :meth:`reduce` to take in.
 
         The default runs ``map_embedding`` once per row, passing the row
         as a tuple of ints.  It converts :data:`ADAPTOR_ROWS` rows to
@@ -263,7 +268,10 @@ class MiningApplication:
         return 160 * len(pmap)
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> Any:
-        """Turn the final PatternMap into the application's result value."""
+        """Turn the final PatternMap into the application's result value.
+
+        ``cse`` holds the stored levels only: the last level was mapped
+        as it was produced (unless ``aggregate_every_iteration``)."""
         return pmap
 
     @property
@@ -278,6 +286,19 @@ class MiningApplication:
         checkpoint.
         """
         return type(self).__name__
+
+
+def check_saved_flag(app: MiningApplication, flag: str, saved: Any) -> None:
+    """Refuse, with :class:`~repro.errors.StorageError`, a checkpoint
+    written under another value of ``app.<flag>`` — a parameter that
+    changes the answer but not the app's name, which its
+    ``restore_state`` checks here."""
+    current = getattr(app, flag)
+    if saved != current:
+        raise StorageError(
+            f"checkpoint belongs to {app.name!r} with {flag}={saved!r}, "
+            f"not {flag}={current!r}"
+        )
 
 
 @dataclass

@@ -12,9 +12,13 @@ graph.  Each exploration iteration flows through three explicit stages:
   the work-stealing replay by default (the modelled-parallel behaviour
   every benchmark is built on), or a real thread pool — and merge the
   part results deterministically.
-* **Aggregate**: decode the top level one part at a time as a
-  ``(rows, k)`` block and run the application's ``map_block`` Mapper
-  over each through the same executor, then the serial Reducer.
+* **Aggregate**: the last level is never stored.  Its expansion parts
+  run the application's ``map_block`` Mapper over each kernel chunk's
+  ``(rows, k)`` children as the chunk is produced (the paper's k-Motif
+  design, engine-wide), then the serial Reducer merges the part maps.
+  Applications that aggregate every iteration (FSM) need each level
+  whole for ``prune``: their levels are stored, decoded one part at a
+  time and mapped through the same executor.
 
 Every live data structure is accounted in the run's :class:`MemoryMeter`,
 and the per-stage wall times are reported in ``MiningResult.phase_spans``
@@ -49,13 +53,14 @@ from .api import EngineContext, MiningApplication, MiningResult, PatternMap
 from .cse import CSE
 from .eigenhash import PatternHasher
 from .executor import PartExecutor, resolve_executor
-from .explore import expand_edge_level, expand_vertex_level
+from .explore import ExpansionStats, expand_edge_level, expand_vertex_level
 from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
 #: 5: the state records the fingerprint of the graph the run explored
-#: (the input graph, or its degree-ordered view).
-_RUN_STATE_VERSION = 5
+#: (the input graph, or its degree-ordered view).  6: the folded last
+#: level's checkpoint records that level's size (it is not stored).
+_RUN_STATE_VERSION = 6
 
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")
@@ -68,7 +73,7 @@ logger = logging.getLogger("repro.engine")
 def aggregate_part(
     app: MiningApplication, ctx: EngineContext, block: np.ndarray
 ) -> PatternMap:
-    """Run the AggregatingMapper over one part's ``(rows, k)`` block.
+    """Run the AggregatingMapper over one stored part's ``(rows, k)`` block.
 
     Pure per-part function (each part owns its own PatternMap — the
     paper's FSM avoids a concurrent hashmap the same way), so mapper
@@ -310,6 +315,9 @@ class KaleidoEngine:
             use_prediction=self.use_prediction,
             max_embeddings=max_embeddings,
             gathers=gathers,
+            # The last expansion starts from depth iterations(); an app
+            # that prunes every level needs each one stored.
+            fold_depth=None if app.aggregate_every_iteration else app.iterations(),
         )
         hasher_before = [getattr(self.hasher, name, 0) for name in _HASHER_COUNTERS]
         try:
@@ -405,15 +413,23 @@ class KaleidoEngine:
         aggregated = False
         start_iteration = 0
         resumed_from: int | None = None
+        # The folded level's size: it is counted, never stored.
+        folded_size: int | None = None
         if resume:
             restored = self._restore(ctx, app, roots, checkpoints, policy)
             if restored is not None:
-                cse, reduced, aggregated, start_iteration, resumed_from = restored
+                cse, reduced, aggregated, folded_size, start_iteration, resumed_from = (
+                    restored
+                )
         meter.set("cse", cse.nbytes_in_memory)
         level_sizes = [cse.size(idx) for idx in range(cse.depth)]
+        if folded_size is not None:
+            level_sizes.append(folded_size)
 
         # ---------------- Phase 1: embedding exploration ----------------
         explore_span = 0.0
+        # The folded last level's expansion stats (its parts' maps).
+        folded: ExpansionStats | None = None
         total_iterations = app.iterations()
         if aggregated and cse.size() == 0:
             # The checkpointed run had already pruned every embedding away;
@@ -429,6 +445,8 @@ class KaleidoEngine:
                     plan = planner.plan_level(ctx, cse)
                 plan_seconds += time.perf_counter() - stage_started
 
+                # The folded level maps each chunk into its part's map.
+                mapper = partial(app.map_block, ctx) if plan.fold else None
                 stage_started = time.perf_counter()
                 with self.tracer.span(
                     "execute", parts=plan.num_parts, spill=plan.spill
@@ -444,6 +462,7 @@ class KaleidoEngine:
                             workers=self.workers,
                             tracer=self.tracer,
                             pattern_gather=plan.pattern_gather,
+                            mapper=mapper,
                         )
                     else:
                         assert ctx.edge_index is not None
@@ -457,6 +476,7 @@ class KaleidoEngine:
                             executor=self.executor,
                             workers=self.workers,
                             tracer=self.tracer,
+                            mapper=mapper,
                         )
                 execute_seconds += time.perf_counter() - stage_started
 
@@ -465,15 +485,20 @@ class KaleidoEngine:
                 schedules.append(schedule)
                 schedule_phases.append("explore")
                 explore_span += schedule.span_seconds
-                level_sizes.append(cse.size())
+                level_sizes.append(stats.emitted)
                 meter.set("cse", cse.nbytes_in_memory)
                 logger.debug(
                     "%s: level %d -> %d embeddings (%d candidates examined, "
                     "%.3fs span, %.2f MB accounted)",
-                    app.name, cse.depth, cse.size(), stats.candidates_examined,
-                    schedule.span_seconds, meter.current_bytes / 1e6,
+                    app.name, len(level_sizes), stats.emitted,
+                    stats.candidates_examined, schedule.span_seconds,
+                    meter.current_bytes / 1e6,
                 )
 
+                if plan.fold:
+                    # Reduced (and checkpointed) in phase 2, below.
+                    folded = stats
+                    continue
                 if app.aggregate_every_iteration:
                     reduced, agg_span, agg_wall = self._aggregate(
                         ctx, app, cse, planner, hot_phase, schedules, schedule_phases
@@ -487,7 +512,7 @@ class KaleidoEngine:
                         level_sizes[-1] = cse.size()
                         meter.set("cse", cse.nbytes_in_memory)
                 outcome = self._maybe_checkpoint(
-                    ctx, app, cse, iteration, reduced, aggregated, checkpoints, policy
+                    ctx, app, cse, iteration, reduced, aggregated, None, checkpoints, policy
                 )
                 if outcome is not None:
                     checkpoint_outcomes[outcome] += 1
@@ -498,7 +523,26 @@ class KaleidoEngine:
         phase_spans["explore"] = explore_span
 
         # ---------------- Phase 2: pattern aggregation ------------------
-        if not app.aggregate_every_iteration or not aggregated:
+        if folded is not None:
+            # The last level was mapped as it was produced: reduce its
+            # parts' maps, then checkpoint its iteration.
+            stage_started = time.perf_counter()
+            with self.tracer.span("aggregate", size=folded.emitted):
+                reduced, phase_spans["aggregate"] = self._reduce(
+                    ctx, app, folded.pmaps, meter
+                )
+            aggregate_seconds += time.perf_counter() - stage_started
+            aggregated = True
+            folded_size = folded.emitted
+            outcome = self._maybe_checkpoint(
+                ctx, app, cse, total_iterations - 1, reduced, aggregated, folded_size,
+                checkpoints, policy,
+            )
+            if outcome is not None:
+                checkpoint_outcomes[outcome] += 1
+        elif not aggregated:
+            # Only a run with no expansion (iterations() == 0) is left
+            # with a stored level nothing has mapped.
             reduced, agg_span, agg_wall = self._aggregate(
                 ctx, app, cse, planner, hot_phase, schedules, schedule_phases
             )
@@ -582,10 +626,15 @@ class KaleidoEngine:
         iteration: int,
         reduced: PatternMap,
         aggregated: bool,
+        folded_size: int | None,
         checkpoints: RunCheckpoint | None,
         policy: StoragePolicy,
     ) -> str | None:
         """Write the per-level checkpoint for one completed iteration.
+
+        After the folded iteration it holds the stored levels, the
+        reduced map and the folded level's size, so a resume from it
+        explores nothing.
 
         Returns ``"written"``, ``"failed"``, or None when no checkpoint
         was due.  Checkpoints are an availability feature, not a
@@ -603,6 +652,7 @@ class KaleidoEngine:
             "iteration": iteration,
             "aggregated": aggregated,
             "reduced": reduced,
+            "folded_size": folded_size,
             "app_state": app.checkpoint_state(ctx),
             "spilled_levels": policy.spilled_levels,
             "demoted_levels": policy.demoted_levels,
@@ -631,7 +681,7 @@ class KaleidoEngine:
         roots: np.ndarray,
         checkpoints: RunCheckpoint | None,
         policy: StoragePolicy,
-    ) -> tuple[CSE, PatternMap, bool, int, int] | None:
+    ) -> tuple[CSE, PatternMap, bool, int | None, int, int] | None:
         """Load the deepest valid checkpoint through ``policy`` (levels that
         were on disk come back on disk); None means start fresh."""
         if checkpoints is None:
@@ -678,7 +728,14 @@ class KaleidoEngine:
             "resuming %s from checkpoint level %d (depth %d, %d embeddings)",
             app.name, iteration, cse.depth, cse.size(),
         )
-        return cse, state["reduced"], bool(state["aggregated"]), iteration + 1, iteration
+        return (
+            cse,
+            state["reduced"],
+            bool(state["aggregated"]),
+            state["folded_size"],
+            iteration + 1,
+            iteration,
+        )
 
     # ------------------------------------------------------------------
     def _aggregate(
@@ -691,7 +748,8 @@ class KaleidoEngine:
         schedules: list[Schedule],
         schedule_phases: list[str],
     ) -> tuple[PatternMap, float, float]:
-        """Plan mapper parts, run them through the executor, then reduce.
+        """Map the stored top level: plan mapper parts, run them through
+        the executor, then reduce.
 
         Returns ``(reduced, simulated span, wall seconds)``.  Per-part
         PatternMaps are modelled faithfully: each part owns its own map,
@@ -700,9 +758,8 @@ class KaleidoEngine:
         (Fig. 14).
         """
         wall_started = time.perf_counter()
-        meter = planner.policy.meter
         with self.tracer.span("aggregate", size=cse.size()):
-            plan = planner.plan_aggregate(ctx, app, cse)
+            plan = planner.plan_aggregate(cse)
 
             def tasks():
                 # The kernels' read path (the sequential walk): resident
@@ -714,20 +771,32 @@ class KaleidoEngine:
                 report = self.executor.run(
                     tasks(), workers=self.workers, tracer=self.tracer, phase="aggregate"
                 )
-            pmaps: list[PatternMap] = report.results
-            meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
-            if hasattr(self.hasher, "nbytes"):
-                meter.set("hasher_cache", self.hasher.nbytes)
             schedule = report.schedule
             schedules.append(schedule)
             schedule_phases.append("aggregate")
-
-            reduce_started = time.perf_counter()
-            reduced = app.reduce(ctx, pmaps)
-            reduce_seconds = time.perf_counter() - reduce_started
-            meter.set("pattern_maps", app.pmap_nbytes(reduced))
+            reduced, reduce_seconds = self._reduce(
+                ctx, app, report.results, planner.policy.meter
+            )
         wall = time.perf_counter() - wall_started
         return reduced, schedule.span_seconds + reduce_seconds, wall
+
+    def _reduce(
+        self,
+        ctx: EngineContext,
+        app: MiningApplication,
+        pmaps: list[PatternMap],
+        meter: MemoryMeter,
+    ) -> tuple[PatternMap, float]:
+        """Account the part maps, reduce them in part order, and account
+        the result; returns ``(reduced, reduce seconds)``."""
+        meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
+        if hasattr(self.hasher, "nbytes"):
+            meter.set("hasher_cache", self.hasher.nbytes)
+        started = time.perf_counter()
+        reduced = app.reduce(ctx, pmaps)
+        seconds = time.perf_counter() - started
+        meter.set("pattern_maps", app.pmap_nbytes(reduced))
+        return reduced, seconds
 
     def close(self) -> None:
         """Reap engine-owned worker pools (safe to call twice); each run

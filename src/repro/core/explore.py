@@ -28,12 +28,17 @@ Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
 fit; sinks accept out-of-order part submission (each write carries its
 part index) so a concurrent executor can overlap part I/O with compute.
+A *folded* level has no sink: given a ``mapper`` (the application's
+``map_block`` bound to its context), each part maps every kernel chunk's
+``(rows, k + 1)`` children into its own pattern map as the chunk is
+produced, and the level is never stored — the engine folds every
+application's last level this way unless it aggregates every iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,10 +60,18 @@ __all__ = [
     "LevelSink",
     "InMemorySink",
     "BlockTask",
+    "Mapper",
+    "child_block",
     "expand_vertex_level",
     "expand_edge_level",
     "even_parts",
 ]
+
+#: A folded level's mapper: ``mapper(children, pmap)`` folds one
+#: ``(rows, k + 1)`` block of children into the part's pattern map — the
+#: application's ``map_block`` with its context bound.
+Mapper = Callable[[np.ndarray, "dict[int, Any]"], None]
+
 
 @dataclass
 class PartExpansion:
@@ -66,12 +79,16 @@ class PartExpansion:
 
     index: int
     bound: tuple[int, int]
-    #: Emitted last-vertex (or edge-id) array for this part, in order.
-    vert: np.ndarray
-    #: Per-position emitted counts over ``bound`` (len == end - start).
-    counts: np.ndarray
+    #: Emitted last-vertex (or edge-id) array for this part, in order;
+    #: None on a folded level.
+    vert: np.ndarray | None
+    #: Per-position emitted counts over ``bound`` (len == end - start);
+    #: None on a folded level.
+    counts: np.ndarray | None
     emitted: int
     candidates_examined: int
+    #: A folded level's part pattern map (None on a stored level).
+    pmap: "dict[int, Any] | None" = None
 
 
 @dataclass
@@ -85,6 +102,9 @@ class ExpansionStats:
     emitted: int = 0
     #: The executor's schedule for this level (real or replayed timeline).
     schedule: Schedule | None = None
+    #: A folded level's part pattern maps, in part order (empty when the
+    #: level was stored).
+    pmaps: "list[dict[int, Any]]" = field(default_factory=list)
 
     @property
     def span_seconds(self) -> float:
@@ -146,6 +166,18 @@ class InMemorySink(LevelSink):
         self._parts.clear()
 
 
+def child_block(parents: np.ndarray, vert: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ``(rows, k + 1)`` children of ``parents`` (``(n, k)``): row
+    ``i`` repeated ``counts[i]`` times beside its emitted ids ``vert``.
+    Its bytes and dtype are what decoding the stored level would give."""
+    out = np.empty(
+        (vert.shape[0], parents.shape[1] + 1), dtype=np.result_type(parents.dtype, vert.dtype)
+    )
+    out[:, :-1] = np.repeat(parents, counts, axis=0)
+    out[:, -1] = vert
+    return out
+
+
 def even_parts(total: int, num_parts: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into ``num_parts`` contiguous near-equal parts."""
     if num_parts <= 0:
@@ -167,7 +199,10 @@ class BlockTask:
     oracle executor does.
     ``block_filter`` is the application's filter (or None); graph arrays
     reach it through the kernel context.  ``pattern_gather`` is the
-    level plan's gather descriptor (or None).
+    level plan's gather descriptor (or None).  With a ``mapper`` the
+    part is folded: each :data:`~repro.core.kernels.PAIR_BUDGET` chunk's
+    children go to ``mapper`` as they are produced, into one fresh
+    pattern map for the part, and no ``vert`` is returned.
     """
 
     ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext"
@@ -176,8 +211,11 @@ class BlockTask:
     index: int
     block_filter: "BlockFilter | None" = None
     pattern_gather: "PatternGather | None" = None
+    mapper: Mapper | None = None
 
     def __call__(self) -> PartExpansion:
+        if self.mapper is not None:
+            return self._fold()
         vert, counts, examined = kernels.expand_block(
             self.ctx, self.block, self.block_filter, self.pattern_gather
         )
@@ -190,6 +228,27 @@ class BlockTask:
             candidates_examined=examined,
         )
 
+    def _fold(self) -> PartExpansion:
+        assert self.mapper is not None
+        pmap: dict[int, Any] = {}
+        emitted = examined = 0
+        for start, end, vert, counts, chunk_examined in kernels.expand_chunks(
+            self.ctx, self.block, self.block_filter, self.pattern_gather
+        ):
+            examined += chunk_examined
+            if vert.shape[0]:
+                emitted += vert.shape[0]
+                self.mapper(child_block(self.block[start:end], vert, counts), pmap)
+        return PartExpansion(
+            index=self.index,
+            bound=self.bound,
+            vert=None,
+            counts=None,
+            emitted=emitted,
+            candidates_examined=examined,
+            pmap=pmap,
+        )
+
 
 def _block_tasks(
     cse: CSE,
@@ -197,18 +256,20 @@ def _block_tasks(
     ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext",
     block_filter: "BlockFilter | None",
     pattern_gather: "PatternGather | None",
+    mapper: Mapper | None,
 ) -> Iterator[BlockTask]:
     """One :class:`BlockTask` per part, each decoded as a 2-D block.
 
     Decoding happens as the executor pulls each task, so at most a
     bounded number of blocks (the executor's in-flight window) exist at
     once; ``block_filter`` is the application's keep-mask over each
-    chunk's survivors, ``pattern_gather`` the level's gather descriptor.
+    chunk's survivors, ``pattern_gather`` the level's gather descriptor,
+    ``mapper`` a folded level's mapper.
     """
     for index, (start, end) in enumerate(parts):
         yield BlockTask(
             ctx, cse.decode_block(start, end), (start, end), index,
-            block_filter, pattern_gather,
+            block_filter, pattern_gather, mapper,
         )
 
 
@@ -225,13 +286,15 @@ def _run_expansion(
     executor: "PartExecutor | None",
     workers: int,
     tracer: "Tracer | None",
+    mapper: Mapper | None = None,
 ) -> ExpansionStats:
     """Common expansion driver shared by the vertex and edge paths.
 
     Each part becomes one :class:`BlockTask`.  Completed parts go to the
     sink as they finish (possibly out of order); counts and stats are
     assembled in part-index order, so the produced level is identical
-    for every executor.
+    for every executor.  A folded level (``mapper`` given) has no sink:
+    the CSE is left as it was and ``stats.pmaps`` holds the parts' maps.
     """
     from .executor import SerialExecutor
 
@@ -239,7 +302,9 @@ def _run_expansion(
     if parts is None:
         parts = [(0, total)]
     _check_parts(parts, total)
-    if sink is None:
+    if mapper is not None and sink is not None:
+        raise ValueError("a folded level is never stored: pass no sink")
+    if sink is None and mapper is None:
         sink = InMemorySink(dtype=ctx.out_dtype)
     if executor is None:
         executor = SerialExecutor()
@@ -253,11 +318,15 @@ def _run_expansion(
 
     try:
         report = executor.run(
-            _block_tasks(cse, parts, ctx, block_filter, pattern_gather),
-            workers=workers, on_result=on_result, tracer=tracer, phase="execute",
+            _block_tasks(cse, parts, ctx, block_filter, pattern_gather, mapper),
+            workers=workers,
+            on_result=None if sink is None else on_result,
+            tracer=tracer,
+            phase="execute",
         )
     except BaseException:
-        sink.abort()
+        if sink is not None:
+            sink.abort()
         raise
 
     stats = ExpansionStats(schedule=report.schedule)
@@ -267,6 +336,9 @@ def _run_expansion(
         stats.part_emitted.append(part.emitted)
         stats.candidates_examined += part.candidates_examined
         stats.emitted += part.emitted
+    if sink is None:
+        stats.pmaps = [part.pmap for part in report.results]
+        return stats
 
     off = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(counts, out=off[1:])
@@ -290,6 +362,7 @@ def expand_vertex_level(
     workers: int = 1,
     tracer: "Tracer | None" = None,
     pattern_gather: "PatternGather | None" = None,
+    mapper: Mapper | None = None,
 ) -> ExpansionStats:
     """Expand the CSE's top level by one vertex (one exploration iteration).
 
@@ -302,11 +375,14 @@ def expand_vertex_level(
     the level to a complete query pattern's bindings through the
     kernel's gather-and-probe branch.  Appends the new level to the CSE
     and returns the per-part stats.  ``tracer`` (optional) receives the
-    executor's per-part worker spans.
+    executor's per-part worker spans.  With a ``mapper`` (and no
+    ``sink``) the level is folded instead of appended: see
+    :class:`BlockTask`; the stats' ``pmaps`` hold the parts' maps.
     """
     ctx = kernels.vertex_kernel_context(graph)
     return _run_expansion(
-        cse, ctx, block_filter, pattern_gather, parts, sink, executor, workers, tracer
+        cse, ctx, block_filter, pattern_gather, parts, sink, executor, workers, tracer,
+        mapper,
     )
 
 
@@ -320,11 +396,12 @@ def expand_edge_level(
     executor: "PartExecutor | None" = None,
     workers: int = 1,
     tracer: "Tracer | None" = None,
+    mapper: Mapper | None = None,
 ) -> ExpansionStats:
     """Edge-induced analogue of :func:`expand_vertex_level`."""
     ctx = kernels.edge_kernel_context(index)
     return _run_expansion(
-        cse, ctx, block_filter, None, parts, sink, executor, workers, tracer
+        cse, ctx, block_filter, None, parts, sink, executor, workers, tracer, mapper
     )
 
 

@@ -135,6 +135,7 @@ __all__ = [
     "vertex_kernel_context",
     "edge_kernel_context",
     "expand_block",
+    "expand_chunks",
     "gather_bounds",
     "call_block_filter",
 ]
@@ -536,29 +537,44 @@ def expand_block(
     query pattern's level, where ``candidates_examined`` is the one
     gathered tail per row.
     """
+    chunks = expand_chunks(ctx, block, block_filter, pattern_gather)
+    counts = np.zeros(len(block), dtype=np.int64)
+    pieces: list[np.ndarray] = []
+    examined = 0
+    for start, end, vert, chunk_counts, chunk_examined in chunks:
+        counts[start:end] = chunk_counts
+        pieces.append(vert)
+        examined += chunk_examined
+    if pieces:
+        vert = np.concatenate(pieces)
+    else:
+        vert = np.zeros(0, dtype=ctx.out_dtype)
+    return vert.astype(ctx.out_dtype, copy=False), counts, examined
+
+
+def expand_chunks(
+    ctx: VertexKernelContext | EdgeKernelContext,
+    block: np.ndarray,
+    block_filter=None,
+    pattern_gather: "PatternGather | None" = None,
+):
+    """:func:`expand_block` one :data:`PAIR_BUDGET` chunk at a time:
+    ``(start, end, vert, counts, candidates_examined)`` per chunk of rows
+    ``start..end``, in row order, so the concatenated chunks are
+    :func:`expand_block`'s result.  A folded level
+    (:class:`repro.core.explore.BlockTask` with a mapper) maps each
+    chunk's children as it is produced."""
     block = np.ascontiguousarray(block)
     if block.ndim != 2:
         raise ValueError(f"block must be 2-D (rows, k), got shape {block.shape}")
     if pattern_gather is not None and ctx.kind != "vertex":
         raise ValueError("a pattern gather needs a vertex kernel context")
     rows_total, k = block.shape
-    counts = np.zeros(rows_total, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    examined = 0
-    if rows_total and k:
-        if pattern_gather is None:
-            chunks = _canonical_chunks(ctx, block, block_filter)
-        else:
-            chunks = _pattern_chunks(ctx, block, pattern_gather, block_filter)
-        for start, end, vert, chunk_counts, chunk_examined in chunks:
-            counts[start:end] = chunk_counts
-            pieces.append(vert)
-            examined += chunk_examined
-    if pieces:
-        vert = np.concatenate(pieces)
-    else:
-        vert = np.zeros(0, dtype=ctx.out_dtype)
-    return vert.astype(ctx.out_dtype, copy=False), counts, examined
+    if not (rows_total and k):
+        return iter(())
+    if pattern_gather is None:
+        return _canonical_chunks(ctx, block, block_filter)
+    return _pattern_chunks(ctx, block, pattern_gather, block_filter)
 
 
 def _canonical_chunks(ctx, block: np.ndarray, block_filter):

@@ -5,10 +5,13 @@ per-embedding candidate costs (Figure 8, read from the kernel's gather
 lengths), the balanced part bounds derived from them, the predicted size
 of the next level, the guard check against ``max_embeddings``, and the
 sink the run's :class:`repro.storage.StoragePolicy` hands back (memory
-or spilling).
-Before each aggregation it produces the analogous :class:`AggregatePlan`
-for the mapper parts.  The engine builds one planner per run, with that
-run's guard and pattern gathers.
+or spilling) — except on the run's *folded* level (``fold_depth``), the
+last one, which is mapped as it is produced and never stored, so it
+takes no sink and no I/O-plan part cut.
+Before an aggregation over a stored level (applications that aggregate
+every iteration) it produces the analogous :class:`AggregatePlan` for
+the mapper parts.  The engine builds one planner per run, with that
+run's guard, pattern gathers and folded depth.
 
 Keeping planning out of ``KaleidoEngine.run()`` gives every executor the
 same deterministic work decomposition and makes the planning stage
@@ -74,8 +77,9 @@ class LevelPlan:
     predicted_entries: int
     #: Whether the new level goes to disk.
     spill: bool
-    #: The sink to expand into, as chosen by the storage policy.
-    sink: LevelSink
+    #: The sink to expand into, as chosen by the storage policy; None on
+    #: the folded level.
+    sink: LevelSink | None
     #: The gather-and-probe descriptor for the vertex this level binds
     #: (see :func:`~repro.core.restrictions.pattern_gathers`), or None
     #: when the app's query pattern is not complete and uniformly
@@ -85,6 +89,9 @@ class LevelPlan:
     #: The storage policy's part-size choice for this level when it
     #: spills; None for in-memory levels.
     io_plan: IOPlan | None = None
+    #: Whether this is the run's folded level: its parts map their
+    #: children as they are produced, and nothing is stored.
+    fold: bool = False
 
     @property
     def num_parts(self) -> int:
@@ -96,7 +103,6 @@ class AggregatePlan:
     """One aggregation pass's plan: mapper part bounds over the top level."""
 
     size: int
-    costs: np.ndarray | None
     part_bounds: list[tuple[int, int]]
 
     @property
@@ -110,7 +116,8 @@ class Planner:
     ``max_embeddings`` is the run's exploration guard (None: no guard);
     ``gathers`` are the run's per-position pattern gathers (from
     :meth:`pattern_gathers`; empty for apps without a complete,
-    uniformly labelled query pattern).
+    uniformly labelled query pattern); ``fold_depth`` is the CSE depth
+    whose expansion is folded (None: every level is stored).
     """
 
     def __init__(
@@ -123,6 +130,7 @@ class Planner:
         use_prediction: bool = True,
         max_embeddings: int | None = None,
         gathers: dict[int, PatternGather] | None = None,
+        fold_depth: int | None = None,
     ) -> None:
         self.graph = graph
         self.policy = policy
@@ -131,6 +139,7 @@ class Planner:
         self.use_prediction = use_prediction
         self.max_embeddings = max_embeddings
         self.gathers = gathers or {}
+        self.fold_depth = fold_depth
 
     @staticmethod
     def pattern_restrictions(app: MiningApplication) -> RestrictionSet | None:
@@ -169,7 +178,8 @@ class Planner:
         return predict_costs(kctx, cse, gather)
 
     def plan_level(self, ctx: EngineContext, cse: CSE) -> LevelPlan:
-        """Plan the next expansion; raises :class:`PlanError` on the guard."""
+        """Plan the next expansion; raises :class:`PlanError` on the guard
+        (the folded level's prediction is guarded too)."""
         # This expansion binds pattern position `depth` (0-based).
         gather = self.gathers.get(cse.depth)
         costs = self.predict_costs(ctx, cse, gather)
@@ -179,15 +189,19 @@ class Planner:
                 f"next level predicted at {predicted_entries:,} embeddings, "
                 f"above the max_embeddings guard of {self.max_embeddings:,}"
             )
-        # The emitted level stores ids of the exploration's id space:
-        # edge ids for edge-induced apps, vertex ids otherwise.  Its
-        # dtype drives both the sink's storage width and the
-        # bytes-per-entry the spill decision sizes with.
-        dtype = (ctx.edge_index or self.graph).id_dtype
-        sink = self.policy.sink_for_next_level(
-            cse, predicted_entries, bytes_per_entry=dtype.itemsize, dtype=dtype
-        )
-        spill = not isinstance(sink, InMemorySink)
+        # The folded level is never stored: it asks the policy for nothing.
+        fold = cse.depth == self.fold_depth
+        sink: LevelSink | None = None
+        if not fold:
+            # The emitted level stores ids of the exploration's id space:
+            # edge ids for edge-induced apps, vertex ids otherwise.  Its
+            # dtype drives both the sink's storage width and the
+            # bytes-per-entry the spill decision sizes with.
+            dtype = (ctx.edge_index or self.graph).id_dtype
+            sink = self.policy.sink_for_next_level(
+                cse, predicted_entries, bytes_per_entry=dtype.itemsize, dtype=dtype
+            )
+        spill = sink is not None and not isinstance(sink, InMemorySink)
         io_plan: IOPlan | None = self.policy.last_io_plan if spill else None
         # When the level spills, each expansion part becomes one on-disk
         # part — so the policy's part size, not the fixed
@@ -211,26 +225,14 @@ class Planner:
             sink=sink,
             pattern_gather=gather,
             io_plan=io_plan,
+            fold=fold,
         )
 
-    def plan_aggregate(
-        self, ctx: EngineContext, app: MiningApplication, cse: CSE
-    ) -> AggregatePlan:
-        """Plan the mapper parts over the top level.
-
-        Parts follow the candidate-size prediction (the canonical gather
-        lengths) only when the app's Mapper cost tracks candidate counts
-        (motif counting expands every embedding on the fly — the
-        Figure-17 balance effect); otherwise per-embedding cost is
-        uniform and an even count split is the better balance.
-        """
-        costs = (
-            self.predict_costs(ctx, cse)
-            if self.use_prediction and app.mapper_cost_tracks_candidates
-            else None
+    def plan_aggregate(self, cse: CSE) -> AggregatePlan:
+        """Plan the mapper parts over the stored top level: an even count
+        split, since a stored embedding's mapper cost is roughly uniform
+        (an application whose mapper expands candidates maps its folded
+        level inside the expansion's balanced parts instead)."""
+        return AggregatePlan(
+            size=cse.size(), part_bounds=even_parts(cse.size(), self.num_parts)
         )
-        if costs is not None:
-            part_bounds = balanced_parts(costs, self.num_parts)
-        else:
-            part_bounds = even_parts(cse.size(), self.num_parts)
-        return AggregatePlan(size=cse.size(), costs=costs, part_bounds=part_bounds)

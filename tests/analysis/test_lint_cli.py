@@ -2,13 +2,36 @@
 
 from pathlib import Path
 
-from repro.analysis import rule_ids
+import pytest
+
+import repro.analysis.__main__ as cli_module
+from repro.analysis import lint_paths_report, rule_ids
 from repro.analysis.__main__ import main as analysis_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parents[2] / "src" / "repro")
 
 
+@pytest.fixture(scope="module")
+def clean_tree_report():
+    """One whole-tree lint pass, as the CLI runs it on ``SRC`` with no
+    flags, shared by the clean-tree CLI tests."""
+    return lint_paths_report([SRC], select=None, report_unused_ignores=False)
+
+
+@pytest.fixture
+def shared_clean_tree_lint(clean_tree_report, monkeypatch):
+    """The CLI's lint call answered from the shared pass; the CLI still
+    parses its arguments, formats the report and picks the exit code."""
+
+    def lint(paths, select=None, report_unused_ignores=False):
+        assert (paths, select, report_unused_ignores) == ([SRC], None, False)
+        return clean_tree_report
+
+    monkeypatch.setattr(cli_module, "lint_paths_report", lint)
+
+
+@pytest.mark.usefixtures("shared_clean_tree_lint")
 def test_module_cli_clean_tree_exits_zero(capsys):
     assert analysis_main([SRC]) == 0
     assert capsys.readouterr().out == ""
@@ -54,6 +77,7 @@ def test_module_cli_json_format(capsys):
     assert payload["unused_ignores"] == []
 
 
+@pytest.mark.usefixtures("shared_clean_tree_lint")
 def test_module_cli_json_clean_tree(capsys):
     import json
 

@@ -165,3 +165,28 @@ def test_pattern_map_is_a_view_of_one_array_state():
     for dom in result.pattern_map.values():
         assert dom.support == min(len(domain) for domain in dom.domains)
     assert app.pmap_nbytes({}) == 0
+
+
+@pytest.mark.parametrize("exact_mni", [False, True])
+def test_reduced_map_holds_only_frequent_patterns_in_any_id_order(exact_mni):
+    """Listing 1's PatternFilter runs in ``reduce``: on the star-plus-edge
+    graph a pruned level reaches a support-1 pattern from one id order
+    and not from another, and neither reduced map keeps it."""
+    from repro.apps import VertexInducedFSM
+    from repro.graph import from_edge_list
+
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]
+    new_id = [0, 4, 2, 3, 1]
+    graph = from_edge_list(edges)
+    relabelled = from_edge_list([(new_id[u], new_id[v]) for u, v in edges])
+    results = [
+        KaleidoEngine(g).run(VertexInducedFSM(4, support=2, exact_mni=exact_mni))
+        for g in (graph, relabelled)
+    ]
+    assert [r.level_sizes for r in results] == [[5, 5, 1, 0]] * 2
+    maps = [r.pattern_map for r in results]
+    assert list(maps[0]) == list(maps[1])
+    for pattern_map, result in zip(maps, results):
+        assert all(dom.support >= 2 for dom in pattern_map.values())
+        assert dict(result.value) == {h: d.support for h, d in pattern_map.items()}
+    assert dict(results[0].value) == dict(results[1].value)

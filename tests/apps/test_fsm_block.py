@@ -5,8 +5,8 @@ whole blocks: patternise one embedding, hash it (through its own
 raw-structure memo for edge-induced FSM), place its vertices with
 ``PositionMapper.placements`` and call ``SetMNIDomains.add`` once per
 automorphic placement; its Reducer folds the parts' set domains in order
-with ``merge_set_domains``, and its prune and result read the merged
-sets.  The block mappers and the array reduce must reproduce every
+with ``merge_set_domains`` and keeps the frequent patterns (Listing 1's
+PatternFilter), and its prune and result read the merged sets.  The block mappers and the array reduce must reproduce every
 per-part and every reduced pattern map (domains, ``frozen`` flags and
 insertion order), the cost counters, the prune masks and the result
 exactly, with one hasher miss per pattern class (one call per row under
@@ -108,7 +108,7 @@ class _PerRowOracle:
                     merged[phash] = dom
                 else:
                     merge_set_domains(mine, dom, self._threshold)
-        return merged
+        return {phash: dom for phash, dom in merged.items() if dom.support >= self.support}
 
     def prune(self, ctx, cse, reduced):
         frequent = [phash for phash, dom in reduced.items() if dom.support >= self.support]

@@ -150,3 +150,24 @@ def test_block_mapper_matches_per_row_oracle(edge_labelled, k, kind, seed):
                 got = engine.run(PatternMatching(pattern, materialize=materialize)).value
                 assert got.count == oracle.count
                 assert got.matches == (oracle.matches if materialize else None)
+
+
+@pytest.mark.parametrize("materialize", [False, True])
+def test_map_block_folds_several_blocks_into_one_part_map(materialize):
+    """The engine maps a part's last level one kernel chunk at a time, so
+    ``map_block`` adds each block to the part's map: two halves fold to
+    what the whole block gives."""
+    from repro.core.api import EngineContext
+
+    graph, rng = _graph(7, 4, False)
+    pattern = _query(graph, 4, "drawn", rng)
+    app = PatternMatching(pattern, materialize=materialize)
+    block = np.array(connected_vertex_sets(graph, 4), dtype=np.int64)
+    ctx = EngineContext(graph=graph, engine=None)
+    whole: dict = {}
+    app.map_block(ctx, block, whole)
+    halves: dict = {}
+    middle = block.shape[0] // 2
+    app.map_block(ctx, block[:middle], halves)
+    app.map_block(ctx, block[middle:], halves)
+    assert whole and halves == whole

@@ -80,7 +80,9 @@ def test_engine_reports_io_plan(paper_graph, tmp_path):
         paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     )
     try:
-        result = engine.run(MotifCounting(3))
+        # 4-Motif stores (and spills) its 2-embeddings; the last level
+        # is folded, never stored.
+        result = engine.run(MotifCounting(4))
     finally:
         engine.close()
     plan = result.extra["io_plan"]

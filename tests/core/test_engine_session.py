@@ -3,7 +3,7 @@ and run state that does not leak from one run into the next."""
 
 import pytest
 
-from repro.apps import FrequentSubgraphMining, MotifCounting, TriangleCounting
+from repro.apps import CliqueDiscovery, FrequentSubgraphMining, MotifCounting, TriangleCounting
 from repro.core.engine import KaleidoEngine
 from repro.core.eigenhash import PatternHasher
 from repro.core.executor import ThreadedExecutor
@@ -101,7 +101,8 @@ def test_registry_counts_each_run_once(tmp_path):
     engine = KaleidoEngine(
         graph, storage_mode="spill-last", spill_dir=str(tmp_path), metrics=registry
     )
-    results = [engine.run(MotifCounting(3)) for _ in range(3)]
+    # One spilled level: 4-Motif's 2-embeddings (the last level is folded).
+    results = [engine.run(MotifCounting(4)) for _ in range(3)]
     assert [r.io_bytes_written for r in results] == [3_096] * 3
     assert [r.extra["spilled_levels"] for r in results] == [1] * 3
     snapshot = registry.snapshot()
@@ -119,7 +120,8 @@ def test_runs_leave_no_spill_parts(tmp_path):
         graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     ) as engine:
         for _ in range(3):
-            result = engine.run(MotifCounting(4))
+            # 4-Clique stores two levels past the roots; the last is folded.
+            result = engine.run(CliqueDiscovery(4))
             assert result.extra["spilled_levels"] == 2
             assert list(tmp_path.glob("*.npy")) == []
             assert engine.io_stats.deletes > 0

@@ -151,7 +151,8 @@ def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, filtered):
 
 
 DISPATCH_APPS = {
-    "motif": lambda: MotifCounting(4),
+    # Two stored levels past the roots (the last level is folded).
+    "motif": lambda: MotifCounting(5),
     "fsm": lambda: FrequentSubgraphMining(3, support=3),
 }
 

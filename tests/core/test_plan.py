@@ -7,7 +7,6 @@ from repro.core import CSE, EngineContext, InMemorySink, KaleidoEngine, Planner
 from repro.core.plan import AggregatePlan, LevelPlan
 from repro.errors import PlanError
 from repro.storage import MemoryBudget, MemoryMeter, SpillingSink, StoragePolicy
-from repro.apps import MotifCounting
 
 
 def _planner(graph, policy=None, **kwargs):
@@ -79,18 +78,37 @@ def test_plan_spill_decision(paper_graph, tmp_path):
 
 
 def test_plan_aggregate_even_vs_predicted(paper_graph):
-    planner = _planner(paper_graph, parts_per_worker=2)
+    # A stored level's mapper parts are an even count split, with the
+    # prediction on or off: an app whose mapper cost tracks candidates
+    # maps its folded level inside the expansion's balanced parts.
     cse = CSE(np.arange(6))
-    ctx = _ctx(paper_graph)
+    for use_prediction in (True, False):
+        planner = _planner(paper_graph, parts_per_worker=2, use_prediction=use_prediction)
+        plan = planner.plan_aggregate(cse)
+        assert isinstance(plan, AggregatePlan)
+        assert plan.size == 6
+        assert plan.part_bounds == [(0, 3), (3, 6)]
 
-    app = MotifCounting(3)  # mapper cost tracks candidates
-    plan = planner.plan_aggregate(ctx, app, cse)
-    assert isinstance(plan, AggregatePlan)
-    assert plan.costs is not None
 
-    class Uniform(MotifCounting):
-        mapper_cost_tracks_candidates = False
+def test_plan_folded_level_takes_no_sink(paper_graph, tmp_path):
+    """The folded depth is planned like any level — costs, balanced cut,
+    guard — but asks the policy for no sink, even under a one-byte
+    budget that spills every stored level."""
+    from repro.storage import PartStore
 
-    plan = planner.plan_aggregate(ctx, Uniform(3), cse)
-    assert plan.costs is None
-    assert plan.part_bounds == [(0, 3), (3, 6)]
+    policy = StoragePolicy(
+        MemoryBudget(1), MemoryMeter(), store=PartStore(str(tmp_path)),
+    )
+    planner = _planner(paper_graph, policy=policy, fold_depth=1, parts_per_worker=2)
+    cse = CSE(np.arange(6))
+    plan = planner.plan_level(_ctx(paper_graph), cse)
+    assert plan.fold
+    assert plan.sink is None and not plan.spill and plan.io_plan is None
+    assert plan.predicted_entries == 7
+    assert plan.part_bounds == _planner(paper_graph, parts_per_worker=2).plan_level(
+        _ctx(paper_graph), cse
+    ).part_bounds
+    assert policy.last_io_plan is None
+    guarded = _planner(paper_graph, fold_depth=1, max_embeddings=1)
+    with pytest.raises(PlanError, match="max_embeddings"):
+        guarded.plan_level(_ctx(paper_graph), cse)

@@ -7,7 +7,6 @@ from repro import (
     FrequentSubgraphMining,
     KaleidoEngine,
     MotifCounting,
-    TriangleCounting,
 )
 from repro.graph import datasets
 
@@ -22,12 +21,16 @@ def _run(graph, app, **kwargs):
         return engine.run(app)
 
 
+# Each app stores a level past the roots for spill-last to write: the
+# last level is folded, never stored.  TriangleCounting stores only its
+# roots, so the "tc" case counts the triangles as 3-cliques, whose edge
+# level spills.
 @pytest.mark.parametrize(
     "app_factory",
     [
-        lambda: MotifCounting(3),
+        lambda: MotifCounting(4),
         lambda: CliqueDiscovery(4),
-        lambda: TriangleCounting(),
+        lambda: CliqueDiscovery(3),
     ],
     ids=["motif", "clique", "tc"],
 )

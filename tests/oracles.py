@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.executor import ExecutionReport, PartExecutor, SerialExecutor
-from repro.core.explore import BlockTask, PartExpansion
+from repro.core.explore import BlockTask, PartExpansion, child_block
 from repro.core.isomorphism import _group_permutations, _sort_groups, automorphisms
 from repro.core.pattern import Pattern, triangle_index
 from repro.graph.graph import Graph
@@ -228,13 +228,19 @@ def _oracle_task(task: BlockTask) -> Callable[[], PartExpansion]:
         vert, counts, examined = expand_block(
             task.ctx, task.block, task.block_filter, task.pattern_gather
         )
+        folded = task.mapper is not None
+        pmap: dict | None = {} if folded else None
+        if folded and vert.shape[0]:
+            # The whole part's children in one map_block call.
+            task.mapper(child_block(task.block, vert, counts), pmap)
         return PartExpansion(
             index=task.index,
             bound=task.bound,
-            vert=vert,
-            counts=counts,
+            vert=None if folded else vert,
+            counts=None if folded else counts,
             emitted=int(vert.shape[0]),
             candidates_examined=examined,
+            pmap=pmap,
         )
 
     return run
@@ -247,8 +253,10 @@ class OracleExecutor(PartExecutor):
     :class:`~repro.core.executor.SimulatedSchedule` does.  During the
     ``"execute"`` phase each :class:`~repro.core.explore.BlockTask` is
     replaced by :func:`expand_block` over the same block, kernel
-    context, block filter and pattern gather; every other task (the
-    aggregate phase's) passes through unchanged.
+    context, block filter and pattern gather; a folded level's task then
+    maps the whole part's children with one ``map_block`` call (the
+    kernel maps one chunk at a time).  Every other task (the aggregate
+    phase's) passes through unchanged.
     """
 
     name = "oracle"

@@ -3,10 +3,11 @@
 Each drawn case runs FSM or vertex FSM on a random graph, keeps every
 aggregated level's embeddings, cuts each level into 1–8 random parts
 (empty ones included) and folds every part through the app's
-``map_block``.  ``reduce`` over those parts must equal folding the same
-parts' domains, as ``SetMNIDomains``, in part order with
+``map_block``.  ``reduce_domains`` over those parts must equal folding
+the same parts' domains, as ``SetMNIDomains``, in part order with
 ``merge_set_domains``: insertion order, domains, ``frozen`` flags and
-supports; then the prune mask — over the row hashes ``reduce`` took
+supports; the app's ``reduce`` must equal that fold's frequent patterns
+(Listing 1's PatternFilter), the same way; then the prune mask — over the row hashes ``reduce`` took
 from the parts, checked against one ``hash_pattern`` per row — and the
 ``FSMResult`` read from the reduced map.  The budget is the hypothesis profile's, so the ``deep``
 profile runs it longer; the module imports nothing from ``tests`` (a
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps.fsm_vertex import VertexInducedFSM
+from repro.apps.mni import reduce_domains
 from repro.baselines.mni_sets import SetMNIDomains, merge_set_domains
 from repro.core import Pattern
 from repro.graph import GraphBuilder
@@ -143,8 +145,15 @@ def check_case(case: dict) -> set[str]:
             pmap: dict = {}
             fresh.map_block(ctx, block[lo:hi], pmap)
             pmaps.append(pmap)
-        want, seen = set_fold([_as_sets(pmap) for pmap in pmaps], threshold)
+        merged, seen = set_fold([_as_sets(pmap) for pmap in pmaps], threshold)
         events |= seen
+        unfiltered = reduce_domains(pmaps, threshold)
+        assert list(unfiltered) == list(merged)
+        assert unfiltered == merged
+        assert [d.support for d in unfiltered.values()] == [
+            d.support for d in merged.values()
+        ]
+        want = {h: d for h, d in merged.items() if d.support >= support}
         got = fresh.reduce(ctx, pmaps)
         assert list(got) == list(want)
         assert got == want

@@ -139,7 +139,8 @@ def test_gather_examines_only_the_shortest_tail():
 @pytest.mark.parametrize("kernel", [True, False])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_engine_runs_under_spill_every_level_budget(k, kernel, executor, tmp_path):
-    """Clique runs under a budget that spills every level, on the kernel
+    """Clique runs under a budget that spills every stored level (all but
+    the roots and the folded last level), on the kernel
     or (``kernel=False``) on the scalar oracle loops; k = 5 and the hub
     graph lie outside the engine fuzzer's draws."""
     graph = _graph(30, 150, seed=k, hub=True)
@@ -159,6 +160,6 @@ def test_engine_runs_under_spill_every_level_budget(k, kernel, executor, tmp_pat
             spilled = engine.run(CliqueDiscovery(k))
     finally:
         runner.close()
-    assert spilled.extra["spilled_levels"] == k - 1
+    assert spilled.extra["spilled_levels"] == k - 2
     assert spilled.level_sizes == memory.level_sizes
     assert spilled.value.count == memory.value.count == count_cliques_naive(graph, k)

@@ -20,6 +20,7 @@ from repro import (
     CliqueDiscovery,
     FrequentSubgraphMining,
     KaleidoEngine,
+    MiningApplication,
     MotifCounting,
     Pattern,
 )
@@ -39,6 +40,17 @@ def _kill_at(boundary):
             raise _Kill
 
     return on_checkpoint
+
+
+class _RowCount(MiningApplication):
+    """Counts the connected 4-vertex subgraphs: three stored levels and
+    an O(1) mapper over the folded fourth."""
+
+    def iterations(self):
+        return 3
+
+    def map_block(self, ctx, block, pmap):
+        pmap[0] = pmap.get(0, 0) + block.shape[0]
 
 
 def _manifests(ckpt):
@@ -96,22 +108,27 @@ def test_save_holds_only_the_arrays_it_writes(tmp_path, monkeypatch):
         spill_dir=str(tmp_path / "spill"),
         checkpoint_dir=str(tmp_path / "ckpt"),
     ) as engine:
-        engine.run(MotifCounting(4))
-    assert len(saves) == 2
+        # Its stored 3-vertex level is the one 4-Motif used to spill last.
+        engine.run(_RowCount())
+    assert len(saves) == 3
     for peak, written, _ in saves:
         assert peak <= 2 * written + 64 * 1024
     peak, _, spilled = saves[-1]
     assert spilled > 64 * 1024 and peak < spilled
 
 
-def _resume_pair(make_app, spill_root, ckpt, boundary):
+def _resume_pair(make_app, spill_root, ckpt, boundary, checkpoint_every=1):
     """(straight run, run killed after checkpoint ``boundary`` and resumed),
     spill-last on ``chung_lu(80, 300, 3)``."""
     graph = chung_lu(80, 300, 3)
 
     def engine(name, **kwargs):
         return KaleidoEngine(
-            graph, storage_mode="spill-last", spill_dir=str(spill_root / name), **kwargs
+            graph,
+            storage_mode="spill-last",
+            spill_dir=str(spill_root / name),
+            checkpoint_every=checkpoint_every,
+            **kwargs,
         )
 
     with engine("straight") as straight_engine:
@@ -252,8 +269,11 @@ def test_cross_device_checkpoint_copies_parts(tmp_path):
         pytest.skip("needs /dev/shm on another device than tmp_path")
     ckpt = tmp_path / "ckpt"
     with tempfile.TemporaryDirectory(dir="/dev/shm") as shm:
+        # The resumed run re-explores stored level 4 and checkpoints it
+        # with the folded last iteration (iteration 3): no later
+        # checkpoint links its parts.
         straight, resumed = _resume_pair(
-            lambda: CliqueDiscovery(4), Path(shm), ckpt, boundary=1
+            lambda: CliqueDiscovery(5), Path(shm), ckpt, boundary=1, checkpoint_every=2
         )
         assert not list(Path(shm).glob("*/*.npy"))
     assert resumed.pattern_map == straight.pattern_map
@@ -337,14 +357,15 @@ def _fail_part_saves(monkeypatch, nth):
 def test_failed_save_removes_its_partial_level_directory(tmp_path, monkeypatch):
     """Level 0's save writes the root, level 1's vert and off and the state
     blob (four saves); level 1's fails on its off part, after the links
-    and the vert part landed, and must leave no ``level-001/`` behind."""
-    graph = chung_lu(300, 1400, 3)
+    and the vert part landed, and must leave no ``level-001/`` behind.
+    FSM stores its last level too, so no later checkpoint follows."""
+    graph = chung_lu(60, 200, 3)
     ckpt = tmp_path / "ckpt"
     calls = _fail_part_saves(monkeypatch, nth=6)
     with KaleidoEngine(
         graph, storage_mode="memory", checkpoint_dir=str(ckpt), checkpoint_every=1
     ) as engine:
-        result = engine.run(MotifCounting(4))
+        result = engine.run(FrequentSubgraphMining(3, 2))
     assert calls[:6] == ["level0", "level1", "off1", "state", "level2", "off2"]
     assert result.extra["checkpoint_failures"] == 1
     assert result.extra["checkpoints_written"] == 1

@@ -59,7 +59,8 @@ def test_engine_error_leaves_no_partial_result(tmp_path, paper_graph, monkeypatc
         paper_graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     )
     with pytest.raises(StorageError):
-        engine.run(MotifCounting(3))
+        # 4-Motif's 2-embeddings are its stored level that spills.
+        engine.run(MotifCounting(4))
     assert original is hybrid.SpillingSink  # sanity: we only patched policy
 
 

@@ -239,16 +239,17 @@ def test_engine_disk_full_aborts_run_then_next_run_is_correct(tmp_path, paper_gr
     """
     from repro import KaleidoEngine, MotifCounting
 
-    expected = KaleidoEngine(paper_graph).run(MotifCounting(3))
+    # 4-Motif's 2-embeddings are its stored level that spills.
+    expected = KaleidoEngine(paper_graph).run(MotifCounting(4))
     engine, plan = _engine_with_faults(
         paper_graph, tmp_path, [FaultSpec(op="save", kind="full", at=1)]
     )
     with engine:
         with pytest.raises(DiskFullError):
-            engine.run(MotifCounting(3))
+            engine.run(MotifCounting(4))
         assert not list(tmp_path.glob("*.npy"))
         assert not list(tmp_path.glob("*.tmp"))
-        result = engine.run(MotifCounting(3))
+        result = engine.run(MotifCounting(4))
     assert [kind for _op, kind, _count in plan.fired] == ["full"]
     assert result.pattern_map == expected.pattern_map
     assert result.level_sizes == expected.level_sizes
@@ -265,7 +266,7 @@ def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph
         [FaultSpec(op="save", kind="permanent", at=2)],
     )
     with engine, pytest.raises(StorageError):
-        engine.run(MotifCounting(3))
+        engine.run(MotifCounting(4))
     assert plan.calls("save") >= 2
     # abort() deleted the parts written before the permanent fault.
     assert not list(tmp_path.glob("*.npy"))

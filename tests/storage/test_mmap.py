@@ -217,7 +217,8 @@ def test_spill_parity_across_executors(paper_graph):
                 sanitize=True,
             )
             try:
-                result = engine.run(MotifCounting(3))
+                # 4-Motif spills its 2-embeddings; the last level is folded.
+                result = engine.run(MotifCounting(4))
             finally:
                 engine.close()
             assert result.extra["spilled_levels"] >= 1

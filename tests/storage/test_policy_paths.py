@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import KaleidoEngine, MotifCounting
+from repro import CliqueDiscovery, KaleidoEngine, MotifCounting
 from repro.graph import datasets
 from repro.storage import PartStore, SpillingSink
 
@@ -22,19 +22,20 @@ def _spill_files(directory):
 def test_top_level_demotion_end_to_end(paper_graph, tmp_path):
     """A budget so tight that spill_level demotes the current top level.
 
-    4-motif runs two expansion iterations.  The budget is picked so the
-    first level still fits in memory (graph 136 B + roots 24 B +
-    predicted 56 B = 216 B) but the accounted total after it (244 B) is
-    already over budget: the second spill decision then demotes the
-    in-memory top level to disk before exploring the new level.
+    5-motif runs three expansion iterations and stores the first two (the
+    last is folded).  The budget is picked so the first level still fits
+    in memory (graph 136 B + roots 24 B + predicted 56 B = 216 B) but
+    the accounted total after it (244 B) is already over budget: the
+    second spill decision then demotes the in-memory top level to disk
+    before exploring the new level.
     """
-    baseline = KaleidoEngine(paper_graph, storage_mode="memory").run(MotifCounting(4))
+    baseline = KaleidoEngine(paper_graph, storage_mode="memory").run(MotifCounting(5))
     with KaleidoEngine(
         paper_graph,
         memory_limit_bytes=230,
         spill_dir=str(tmp_path),
     ) as engine:
-        result = engine.run(MotifCounting(4))
+        result = engine.run(MotifCounting(5))
     assert result.extra["spilled_levels"] >= 1
     assert result.extra["demoted_levels"] >= 1
     assert result.io_bytes_written > 0
@@ -44,15 +45,16 @@ def test_top_level_demotion_end_to_end(paper_graph, tmp_path):
 
 
 def test_spill_last_end_to_end(paper_graph, tmp_path):
-    """storage_mode="spill-last" spills every explored level (Table 4)."""
-    baseline = KaleidoEngine(paper_graph, storage_mode="memory").run(MotifCounting(4))
+    """storage_mode="spill-last" spills every stored level (Table 4)."""
+    baseline = KaleidoEngine(paper_graph, storage_mode="memory").run(MotifCounting(5))
     with KaleidoEngine(
         paper_graph,
         storage_mode="spill-last",
         spill_dir=str(tmp_path),
     ) as engine:
-        result = engine.run(MotifCounting(4))
-    # 4-motif runs two expansion iterations; both levels must have spilled.
+        result = engine.run(MotifCounting(5))
+    # 5-motif stores two levels past the roots (the last one is folded);
+    # both must have spilled.
     assert result.extra["spilled_levels"] == 2
     assert result.io_bytes_written > 0
     assert result.io_bytes_read > 0
@@ -75,7 +77,8 @@ def test_parts_written_counts_spilled_part_files(tmp_path):
     with KaleidoEngine(
         graph, storage_mode="spill-last", spill_dir=str(tmp_path)
     ) as engine:
-        result = engine.run(MotifCounting(4))
+        # Two stored levels past the roots; the last level is folded.
+        result = engine.run(CliqueDiscovery(4))
     assert result.extra["spilled_levels"] == 2
     saves = [event for event in engine.io_stats.events if event.kind == "write"]
     assert len(saves) > 2
@@ -86,9 +89,10 @@ def test_parts_written_counts_spilled_part_files(tmp_path):
 
 def test_threads_spill_last_matches_serial(tmp_path):
     graph = datasets.load("citeseer", "tiny")
-    serial, _ = _spill_last(graph, tmp_path / "serial", MotifCounting(4), workers=2)
+    # Two stored levels past the roots; the last level is folded.
+    serial, _ = _spill_last(graph, tmp_path / "serial", MotifCounting(5), workers=2)
     threads, _ = _spill_last(
-        graph, tmp_path / "threads", MotifCounting(4), executor="threads", workers=2
+        graph, tmp_path / "threads", MotifCounting(5), executor="threads", workers=2
     )
     assert serial.pattern_map == threads.pattern_map
     assert serial.level_sizes == threads.level_sizes

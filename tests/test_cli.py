@@ -58,8 +58,9 @@ def test_mine_from_adjacency_file(tmp_path, capsys):
 
 
 def test_mine_spill_options(tmp_path, capsys):
+    # 4-Motif spills its 2-embeddings; the last level is folded.
     assert main(
-        ["mine", "motif", "-k", "3", "--dataset", "citeseer", "--profile", "tiny",
+        ["mine", "motif", "-k", "4", "--dataset", "citeseer", "--profile", "tiny",
          "--storage", "spill-last", "--spill-dir", str(tmp_path), "--json"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -86,9 +87,10 @@ def test_mine_io_plan_flags(tmp_path, capsys):
         with pytest.raises(SystemExit):
             parser.parse_args(["mine", "tc", "--dataset", "citeseer", *flag])
     capsys.readouterr()
-    # End to end: a spilled run reports the plan it chose.
+    # End to end: a spilled run reports the plan it chose (4-Motif spills
+    # its 2-embeddings; the last level is folded).
     assert main(
-        ["mine", "motif", "-k", "3", "--dataset", "citeseer", "--profile", "tiny",
+        ["mine", "motif", "-k", "4", "--dataset", "citeseer", "--profile", "tiny",
          "--storage", "spill-last", "--spill-dir", str(tmp_path), "--json"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -36,15 +36,10 @@ def _trace(graph, support, use_prediction):
         ) as engine:
             result = engine.run(FrequentSubgraphMining(3, support))
     # The paper's dotted boxes mark the embedding exploration phase —
-    # that is where the partitioning strategy acts, so the trace covers
-    # the exploration schedules (aggregation parts are count-split in
-    # both configurations).
-    explore = [
-        s
-        for s, phase in zip(result.schedules, result.extra["schedule_phases"])
-        if phase == "explore"
-    ]
-    series = utilization_series(explore, bins=30)
+    # that is where the partitioning strategy acts.  Every schedule is an
+    # exploration level's (each level is mapped inside its expansion
+    # parts, under the same cut).
+    series = utilization_series(result.schedules, bins=30)
     average = (
         sum(u for _, u in series) / len(series) if series else 0.0
     )

@@ -132,7 +132,14 @@ def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:
 
 
 class FSMResult(dict):
-    """Pattern hash → support, plus the representative structures."""
+    """Pattern hash → support, plus the representative structures.
+
+    Without ``exact_mni``, a support at or above the threshold is a
+    short-circuited lower bound that depends on the mapper's part cut,
+    so on ``workers × parts_per_worker``: it is the same in every
+    storage mode and executor, but not across part counts.  Which
+    patterns are frequent, and every exact support, never depend on it.
+    """
 
     def __init__(self, supports: dict[int, int], patterns: dict[int, Pattern]):
         super().__init__(supports)
@@ -271,7 +278,8 @@ class FrequentSubgraphMining(MNIApplication):
     # ------------------------------------------------------------------
     def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Patternise the part's embeddings and fold their automorphic
-        placements into per-pattern MNI domains."""
+        placements into per-pattern MNI domains: the whole part in one
+        call, into an empty ``pmap`` (see :func:`fold_mni_block`)."""
         assert ctx.edge_index is not None
         fold_mni_block(
             ctx,

@@ -115,7 +115,9 @@ class VertexInducedFSM(MNIApplication):
 
     def map_block(self, ctx: EngineContext, block: np.ndarray, pmap: PatternMap) -> None:
         """Patternise the part's induced subgraphs and fold their
-        automorphic placements into per-pattern MNI domains."""
+        automorphic placements into per-pattern MNI domains: the whole
+        part in one call, into an empty ``pmap`` (see
+        :func:`fold_mni_block`)."""
         graph = ctx.graph
         encode = partial(vertex_codes, vertex_kernel_context(graph), graph, edge_keys(graph))
         fold_mni_block(ctx, block, pmap, encode, self._threshold)

@@ -475,6 +475,9 @@ def fold_mni_block(
     """Fold one part's embeddings into a fresh :class:`MNIState` and
     publish its views in ``pmap`` (nothing for an empty part).
 
+    ``block`` is the whole part, mapped in one call: a non-empty
+    ``pmap`` raises ``ValueError``.
+
     Equal, domains and ``frozen`` flags alike, to calling the set-based
     ``MNIDomains.add`` for every automorphic placement of every row in
     order.  One :func:`canonical_placements` call per slab places its
@@ -497,6 +500,11 @@ def fold_mni_block(
     key count is the number of set insertions the per-row fold would have
     made.
     """
+    if pmap:
+        raise ValueError(
+            "fold_mni_block maps a whole part in one call: its pattern map "
+            f"already holds {len(pmap)} patterns"
+        )
     rows_total = block.shape[0]
     n = ctx.graph.num_vertices
     classes: dict[tuple, int] = {}

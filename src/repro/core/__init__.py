@@ -10,7 +10,7 @@ from .api import (
 )
 from .cse import CSE, InMemoryLevel, Level
 from .eigenhash import PatternHasher, eigen_hash, faddeev_leverrier, weighted_adjacency
-from .engine import KaleidoEngine, aggregate_part
+from .engine import KaleidoEngine
 from .executor import (
     ExecutionReport,
     PartExecutor,
@@ -28,7 +28,7 @@ from .explore import (
     expand_edge_level,
     expand_vertex_level,
 )
-from .plan import AggregatePlan, LevelPlan, Planner
+from .plan import LevelPlan, Planner
 from .isomorphism import canonical_key
 from .pattern import MAX_EIGENHASH_VERTICES, Pattern, triangle_index
 from .restrictions import (
@@ -67,14 +67,12 @@ __all__ = [
     "InMemorySink",
     "Planner",
     "LevelPlan",
-    "AggregatePlan",
     "PartExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "SimulatedSchedule",
     "ExecutionReport",
     "resolve_executor",
-    "aggregate_part",
     "KaleidoEngine",
     "MiningApplication",
     "MiningResult",

@@ -13,20 +13,22 @@ the hooks of Listing 1:
 * ``map_block``           — the AggregatingMapper: fold a block of
   embeddings — an ``(rows, k)`` id array — into its part's own
   PatternMap (a pure per-part function: everything a part produces
-  lives in its map, so concurrent executors stay deterministic).  A
-  part's map may take several blocks, one call each.  Apps with a
-  per-row mapper define ``map_embedding`` instead; the default
-  ``map_block`` feeds it one tuple per row;
+  lives in its map, so concurrent executors stay deterministic): once
+  per kernel chunk on the folded last level, once per part on a stored
+  level.  Apps with a per-row mapper define ``map_embedding`` instead;
+  the default ``map_block`` feeds it one tuple per row;
 * ``reduce``              — the AggregatingReducer: merge the part maps,
   in part order, and apply the app's PatternFilter.
 
 The engine (:class:`repro.core.engine.KaleidoEngine`) drives the two
-phases: embedding exploration then pattern aggregation.  The last level
-is never stored: its expansion hands each kernel chunk's embeddings to
-``map_block`` as they are produced.  Applications that aggregate
-*every* iteration (FSM) set ``aggregate_every_iteration`` and get a
-``prune`` callback to drop embeddings of infrequent patterns; their
-levels are stored, and each is mapped part by part after it is built.
+phases: embedding exploration then pattern aggregation.  Every level
+the application maps is mapped by the expansion that produces it.  The
+last level is never stored: its expansion hands each kernel chunk's
+embeddings to ``map_block`` as they are produced.  Applications that
+aggregate *every* iteration (FSM) set ``aggregate_every_iteration`` and
+get a ``prune`` callback to drop embeddings of infrequent patterns;
+their levels are stored, and each expansion part maps all its children
+in one call.
 """
 
 from __future__ import annotations
@@ -191,13 +193,14 @@ class MiningApplication:
 
         ``block`` is an ``(rows, k)`` id array of consecutive embeddings
         in storage order (vertex ids, or edge ids under edge-induced
-        exploration).  Each part starts from a fresh ``pmap``, and the
-        engine may call this several times per part, each call folding
-        into the same map: on the last level, once per kernel chunk of
-        the part's children, as they are produced (at most about
+        exploration).  Each part starts from a fresh ``pmap``.  On the
+        folded last level the engine calls this once per kernel chunk
+        of the part's children, as they are produced (at most about
         :data:`~repro.core.kernels.PAIR_BUDGET` rows, unless one parent
-        alone has more children); under ``aggregate_every_iteration``,
-        once per stored part.  So add to ``pmap``, never overwrite it.
+        alone has more children), each call folding into the same map:
+        so add to ``pmap``, never overwrite it.  On a stored level
+        (``aggregate_every_iteration``) it calls this once per part, on
+        all the part's children, even none.
         Must be a pure function of ``(block, pmap)`` — concurrent
         executors run parts on pool threads, so shared application
         state may only be *read* here.  Any per-part output beyond

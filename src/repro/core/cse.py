@@ -288,7 +288,7 @@ class CSE:
         bytes as ``decode_rows(np.arange(start, end))``.  Each level is
         read as one contiguous slice and repeated by run length, so the
         cost is amortised O(1) per embedding — how the expansion kernel
-        and the aggregate stage read every part.  Resident levels slice
+        reads every part.  Resident levels slice
         their arrays; spilled levels their mmap-served ``vert_accessor``.
         """
         level_idx = self._level_index(level_idx)

@@ -12,13 +12,15 @@ graph.  Each exploration iteration flows through three explicit stages:
   the work-stealing replay by default (the modelled-parallel behaviour
   every benchmark is built on), or a real thread pool — and merge the
   part results deterministically.
-* **Aggregate**: the last level is never stored.  Its expansion parts
-  run the application's ``map_block`` Mapper over each kernel chunk's
+* **Aggregate**: every level the application maps is mapped by the
+  expansion that produces it, then the serial Reducer merges the part
+  maps.  The last level is never stored: its expansion parts run the
+  application's ``map_block`` Mapper over each kernel chunk's
   ``(rows, k)`` children as the chunk is produced (the paper's k-Motif
-  design, engine-wide), then the serial Reducer merges the part maps.
-  Applications that aggregate every iteration (FSM) need each level
-  whole for ``prune``: their levels are stored, decoded one part at a
-  time and mapped through the same executor.
+  design, engine-wide).  Applications that aggregate every iteration
+  (FSM) need each level whole for ``prune``: their levels are stored,
+  and each expansion part maps all its children in one call.  A run
+  with no expansion maps its roots in place.
 
 Every live data structure is accounted in the run's :class:`MemoryMeter`,
 and the per-stage wall times are reported in ``MiningResult.phase_spans``
@@ -53,7 +55,7 @@ from .api import EngineContext, MiningApplication, MiningResult, PatternMap
 from .cse import CSE
 from .eigenhash import PatternHasher
 from .executor import PartExecutor, resolve_executor
-from .explore import ExpansionStats, expand_edge_level, expand_vertex_level
+from .explore import ExpansionStats, even_parts, expand_edge_level, expand_vertex_level
 from .plan import Planner, check_embedding_cap
 
 #: Version tag of the pickled run-state blob inside mid-run checkpoints.
@@ -65,27 +67,9 @@ _RUN_STATE_VERSION = 6
 #: The lookup counters a hasher may keep (bliss-like baselines keep none).
 _HASHER_COUNTERS = ("hits", "misses", "evictions")
 
-__all__ = ["KaleidoEngine", "aggregate_part"]
+__all__ = ["KaleidoEngine"]
 
 logger = logging.getLogger("repro.engine")
-
-
-def aggregate_part(
-    app: MiningApplication, ctx: EngineContext, block: np.ndarray
-) -> PatternMap:
-    """Run the AggregatingMapper over one stored part's ``(rows, k)`` block.
-
-    Pure per-part function (each part owns its own PatternMap — the
-    paper's FSM avoids a concurrent hashmap the same way), so mapper
-    parts go through the same executor seam as expansion parts.  The
-    part's map is all it produces; the engine hands the maps to
-    ``app.reduce`` in part-index order, so apps with positional output
-    (FSM's per-row hashes, materialised matches) stay deterministic under
-    concurrent executors.
-    """
-    pmap: PatternMap = {}
-    app.map_block(ctx, block, pmap)
-    return pmap
 
 
 class KaleidoEngine:
@@ -316,8 +300,9 @@ class KaleidoEngine:
             max_embeddings=max_embeddings,
             gathers=gathers,
             # The last expansion starts from depth iterations(); an app
-            # that prunes every level needs each one stored.
+            # that prunes every level needs each one stored, and mapped.
             fold_depth=None if app.aggregate_every_iteration else app.iterations(),
+            map_every_level=app.aggregate_every_iteration,
         )
         hasher_before = [getattr(self.hasher, name, 0) for name in _HASHER_COUNTERS]
         try:
@@ -376,7 +361,6 @@ class KaleidoEngine:
         policy = planner.policy
         meter = policy.meter
         schedules: list[Schedule] = []
-        schedule_phases: list[str] = []
         phase_spans: dict[str, float] = {}
         plan_seconds = 0.0
         execute_seconds = 0.0
@@ -445,8 +429,8 @@ class KaleidoEngine:
                     plan = planner.plan_level(ctx, cse)
                 plan_seconds += time.perf_counter() - stage_started
 
-                # The folded level maps each chunk into its part's map.
-                mapper = partial(app.map_block, ctx) if plan.fold else None
+                # A mapped level's parts map their children as they go.
+                mapper = partial(app.map_block, ctx) if plan.mapped else None
                 stage_started = time.perf_counter()
                 with self.tracer.span(
                     "execute", parts=plan.num_parts, spill=plan.spill
@@ -483,7 +467,6 @@ class KaleidoEngine:
                 schedule = stats.schedule
                 assert schedule is not None
                 schedules.append(schedule)
-                schedule_phases.append("explore")
                 explore_span += schedule.span_seconds
                 level_sizes.append(stats.emitted)
                 meter.set("cse", cse.nbytes_in_memory)
@@ -499,13 +482,13 @@ class KaleidoEngine:
                     # Reduced (and checkpointed) in phase 2, below.
                     folded = stats
                     continue
-                if app.aggregate_every_iteration:
-                    reduced, agg_span, agg_wall = self._aggregate(
-                        ctx, app, cse, planner, hot_phase, schedules, schedule_phases
-                    )
+                if plan.mapped:
+                    stage_started = time.perf_counter()
+                    with self.tracer.span("aggregate", size=stats.emitted):
+                        reduced, reduce_seconds = self._reduce(ctx, app, stats.pmaps, meter)
+                    aggregate_seconds += time.perf_counter() - stage_started
                     aggregated = True
-                    explore_span += agg_span
-                    aggregate_seconds += agg_wall
+                    explore_span += reduce_seconds
                     mask = app.prune(ctx, cse, reduced)
                     if mask is not None:
                         cse.filter_top_level(mask)
@@ -542,12 +525,19 @@ class KaleidoEngine:
                 checkpoint_outcomes[outcome] += 1
         elif not aggregated:
             # Only a run with no expansion (iterations() == 0) is left
-            # with a stored level nothing has mapped.
-            reduced, agg_span, agg_wall = self._aggregate(
-                ctx, app, cse, planner, hot_phase, schedules, schedule_phases
-            )
-            phase_spans["aggregate"] = agg_span
-            aggregate_seconds += agg_wall
+            # with a level nothing has mapped: its roots, one map_block
+            # call per even part.
+            stage_started = time.perf_counter()
+            with self.tracer.span("aggregate", size=cse.size()):
+                pmaps: list[PatternMap] = []
+                with hot_phase():
+                    for start, end in even_parts(cse.size(), planner.num_parts):
+                        pmaps.append({})
+                        app.map_block(ctx, cse.decode_block(start, end), pmaps[-1])
+                map_seconds = time.perf_counter() - stage_started
+                reduced, reduce_seconds = self._reduce(ctx, app, pmaps, meter)
+            phase_spans["aggregate"] = map_seconds + reduce_seconds
+            aggregate_seconds += time.perf_counter() - stage_started
 
         simulated_seconds = sum(phase_spans.values())
         phase_spans["plan_seconds"] = plan_seconds
@@ -562,6 +552,7 @@ class KaleidoEngine:
             meter.peak_bytes / 1e6,
         )
         io = IOStats() if policy.store is None else policy.store.io
+        capacity = sum(s.span_seconds * s.num_workers for s in schedules)
         return MiningResult(
             app_name=app.name,
             value=value,
@@ -575,15 +566,11 @@ class KaleidoEngine:
             io_bytes_written=io.bytes_written,
             memory_snapshot=meter.snapshot(),
             schedules=schedules,
+            # A run that ran no parts left no worker idle.
             utilization=(
-                sum(s.busy_seconds for s in schedules)
-                / max(
-                    1e-12,
-                    sum(s.span_seconds * s.num_workers for s in schedules),
-                )
+                sum(s.busy_seconds for s in schedules) / capacity if capacity else 1.0
             ),
             extra={
-                "schedule_phases": schedule_phases,
                 "executor": self.executor.name,
                 "hasher_cache_entries": len(self.hasher)
                 if hasattr(self.hasher, "__len__")
@@ -738,48 +725,6 @@ class KaleidoEngine:
         )
 
     # ------------------------------------------------------------------
-    def _aggregate(
-        self,
-        ctx: EngineContext,
-        app: MiningApplication,
-        cse: CSE,
-        planner: Planner,
-        hot_phase: Callable[[], ContextManager],
-        schedules: list[Schedule],
-        schedule_phases: list[str],
-    ) -> tuple[PatternMap, float, float]:
-        """Map the stored top level: plan mapper parts, run them through
-        the executor, then reduce.
-
-        Returns ``(reduced, simulated span, wall seconds)``.  Per-part
-        PatternMaps are modelled faithfully: each part owns its own map,
-        so accounted memory grows with the worker count and the final
-        merge is serial — which is exactly why FSM scales sublinearly
-        (Fig. 14).
-        """
-        wall_started = time.perf_counter()
-        with self.tracer.span("aggregate", size=cse.size()):
-            plan = planner.plan_aggregate(cse)
-
-            def tasks():
-                # The kernels' read path (the sequential walk): resident
-                # levels slice their arrays, spilled ones their mmap parts.
-                for start, end in plan.part_bounds:
-                    yield partial(aggregate_part, app, ctx, cse.decode_block(start, end))
-
-            with hot_phase():
-                report = self.executor.run(
-                    tasks(), workers=self.workers, tracer=self.tracer, phase="aggregate"
-                )
-            schedule = report.schedule
-            schedules.append(schedule)
-            schedule_phases.append("aggregate")
-            reduced, reduce_seconds = self._reduce(
-                ctx, app, report.results, planner.policy.meter
-            )
-        wall = time.perf_counter() - wall_started
-        return reduced, schedule.span_seconds + reduce_seconds, wall
-
     def _reduce(
         self,
         ctx: EngineContext,

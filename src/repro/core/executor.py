@@ -69,10 +69,10 @@ class ExecutionReport:
 def emit_part_spans(
     tracer: "Tracer | None",
     schedule: Schedule,
-    phase: str,
     base: float,
 ) -> None:
-    """Emit one ``part`` complete-span per schedule interval.
+    """Emit one ``part`` complete-span per schedule interval, under the
+    engine's ``execute`` span.
 
     Each interval becomes a span on its worker's track (``worker-N``),
     offset by ``base`` — the tracer time at which the executor run
@@ -89,7 +89,7 @@ def emit_part_spans(
             start=base + interval.start,
             end=base + interval.end,
             track=f"worker-{interval.worker}",
-            parent=phase,
+            parent="execute",
             task=interval.task_index,
             worker=interval.worker,
         )
@@ -98,7 +98,7 @@ def emit_part_spans(
 class PartExecutor:
     """Runs per-part tasks and reports results in deterministic part order.
 
-    ``tracer``/``phase`` are the observability hooks: when a real tracer
+    ``tracer`` is the observability hook: when a real tracer
     is passed, the executor emits one ``part`` span per schedule interval
     on a per-worker track (via :func:`emit_part_spans`) after the run.
     """
@@ -111,7 +111,6 @@ class PartExecutor:
         workers: int = 1,
         on_result: ResultCallback | None = None,
         tracer: "Tracer | None" = None,
-        phase: str = "execute",
     ) -> ExecutionReport:  # pragma: no cover - protocol
         raise NotImplementedError
 
@@ -130,7 +129,6 @@ class SerialExecutor(PartExecutor):
         workers: int = 1,
         on_result: ResultCallback | None = None,
         tracer: "Tracer | None" = None,
-        phase: str = "execute",
     ) -> ExecutionReport:
         base = tracer.now() if tracer is not None and tracer.enabled else 0.0
         report = ExecutionReport(schedule=Schedule(num_workers=1))
@@ -147,7 +145,7 @@ class SerialExecutor(PartExecutor):
             clock += elapsed
             if on_result is not None:
                 on_result(index, result)
-        emit_part_spans(tracer, report.schedule, phase, base)
+        emit_part_spans(tracer, report.schedule, base)
         return report
 
 
@@ -172,14 +170,13 @@ class SimulatedSchedule(PartExecutor):
         workers: int = 1,
         on_result: ResultCallback | None = None,
         tracer: "Tracer | None" = None,
-        phase: str = "execute",
     ) -> ExecutionReport:
         # The inner executor runs untraced: the part spans that matter
         # are the replayed (modelled-parallel) intervals, emitted below.
         base = tracer.now() if tracer is not None and tracer.enabled else 0.0
         report = self.inner.run(tasks, workers=1, on_result=on_result)
         report.schedule = simulate_work_stealing(report.durations, workers)
-        emit_part_spans(tracer, report.schedule, phase, base)
+        emit_part_spans(tracer, report.schedule, base)
         return report
 
 
@@ -260,7 +257,6 @@ class ThreadedExecutor(PartExecutor):
         workers: int = 1,
         on_result: ResultCallback | None = None,
         tracer: "Tracer | None" = None,
-        phase: str = "execute",
     ) -> ExecutionReport:
         requested = max(1, workers)
         base = tracer.now() if tracer is not None and tracer.enabled else 0.0
@@ -323,7 +319,7 @@ class ThreadedExecutor(PartExecutor):
             report.schedule.intervals.append(
                 TaskInterval(worker=slot, start=started, end=ended, task_index=index)
             )
-        emit_part_spans(tracer, report.schedule, phase, base)
+        emit_part_spans(tracer, report.schedule, base)
         return report
 
 

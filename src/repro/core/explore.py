@@ -28,11 +28,11 @@ Output goes to a *sink* — in-memory for the common case, a spilling sink
 (:mod:`repro.storage`) when the memory budget says the next level will not
 fit; sinks accept out-of-order part submission (each write carries its
 part index) so a concurrent executor can overlap part I/O with compute.
-A *folded* level has no sink: given a ``mapper`` (the application's
-``map_block`` bound to its context), each part maps every kernel chunk's
-``(rows, k + 1)`` children into its own pattern map as the chunk is
-produced, and the level is never stored — the engine folds every
-application's last level this way unless it aggregates every iteration.
+Given a ``mapper`` (the application's ``map_block`` bound to its
+context), each part also maps its ``(rows, k + 1)`` children into its
+own pattern map: all in one call if the level is stored (an application
+that aggregates every iteration), or each kernel chunk's as it is
+produced if there is no sink — a *folded* level, never stored.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ __all__ = [
     "even_parts",
 ]
 
-#: A folded level's mapper: ``mapper(children, pmap)`` folds one
+#: A mapped level's mapper: ``mapper(children, pmap)`` folds one
 #: ``(rows, k + 1)`` block of children into the part's pattern map — the
 #: application's ``map_block`` with its context bound.
 Mapper = Callable[[np.ndarray, "dict[int, Any]"], None]
@@ -87,7 +87,7 @@ class PartExpansion:
     counts: np.ndarray | None
     emitted: int
     candidates_examined: int
-    #: A folded level's part pattern map (None on a stored level).
+    #: A mapped level's part pattern map (None when nothing maps it).
     pmap: "dict[int, Any] | None" = None
 
 
@@ -102,8 +102,8 @@ class ExpansionStats:
     emitted: int = 0
     #: The executor's schedule for this level (real or replayed timeline).
     schedule: Schedule | None = None
-    #: A folded level's part pattern maps, in part order (empty when the
-    #: level was stored).
+    #: A mapped level's part pattern maps, in part order (empty when
+    #: nothing maps the level).
     pmaps: "list[dict[int, Any]]" = field(default_factory=list)
 
     @property
@@ -200,9 +200,9 @@ class BlockTask:
     ``block_filter`` is the application's filter (or None); graph arrays
     reach it through the kernel context.  ``pattern_gather`` is the
     level plan's gather descriptor (or None).  With a ``mapper`` the
-    part is folded: each :data:`~repro.core.kernels.PAIR_BUDGET` chunk's
-    children go to ``mapper`` as they are produced, into one fresh
-    pattern map for the part, and no ``vert`` is returned.
+    part maps its children into one fresh pattern map: all of them in
+    one call (even none), or, if ``fold``, each chunk's as it is
+    produced, returning no ``vert``.
     """
 
     ctx: "kernels.VertexKernelContext | kernels.EdgeKernelContext"
@@ -212,13 +212,18 @@ class BlockTask:
     block_filter: "BlockFilter | None" = None
     pattern_gather: "PatternGather | None" = None
     mapper: Mapper | None = None
+    fold: bool = False
 
     def __call__(self) -> PartExpansion:
-        if self.mapper is not None:
+        if self.fold:
             return self._fold()
         vert, counts, examined = kernels.expand_block(
             self.ctx, self.block, self.block_filter, self.pattern_gather
         )
+        pmap: dict[int, Any] | None = None
+        if self.mapper is not None:
+            pmap = {}
+            self.mapper(child_block(self.block, vert, counts), pmap)
         return PartExpansion(
             index=self.index,
             bound=self.bound,
@@ -226,6 +231,7 @@ class BlockTask:
             counts=counts,
             emitted=int(vert.shape[0]),
             candidates_examined=examined,
+            pmap=pmap,
         )
 
     def _fold(self) -> PartExpansion:
@@ -257,6 +263,7 @@ def _block_tasks(
     block_filter: "BlockFilter | None",
     pattern_gather: "PatternGather | None",
     mapper: Mapper | None,
+    fold: bool,
 ) -> Iterator[BlockTask]:
     """One :class:`BlockTask` per part, each decoded as a 2-D block.
 
@@ -264,12 +271,12 @@ def _block_tasks(
     bounded number of blocks (the executor's in-flight window) exist at
     once; ``block_filter`` is the application's keep-mask over each
     chunk's survivors, ``pattern_gather`` the level's gather descriptor,
-    ``mapper`` a folded level's mapper.
+    ``mapper`` a mapped level's mapper, ``fold`` whether it is folded.
     """
     for index, (start, end) in enumerate(parts):
         yield BlockTask(
             ctx, cse.decode_block(start, end), (start, end), index,
-            block_filter, pattern_gather, mapper,
+            block_filter, pattern_gather, mapper, fold,
         )
 
 
@@ -293,8 +300,9 @@ def _run_expansion(
     Each part becomes one :class:`BlockTask`.  Completed parts go to the
     sink as they finish (possibly out of order); counts and stats are
     assembled in part-index order, so the produced level is identical
-    for every executor.  A folded level (``mapper`` given) has no sink:
-    the CSE is left as it was and ``stats.pmaps`` holds the parts' maps.
+    for every executor.  With a ``mapper``, ``stats.pmaps`` holds the
+    parts' maps; a ``mapper`` without a ``sink`` folds the level, and
+    the CSE is left as it was.
     """
     from .executor import SerialExecutor
 
@@ -302,8 +310,7 @@ def _run_expansion(
     if parts is None:
         parts = [(0, total)]
     _check_parts(parts, total)
-    if mapper is not None and sink is not None:
-        raise ValueError("a folded level is never stored: pass no sink")
+    fold = sink is None and mapper is not None
     if sink is None and mapper is None:
         sink = InMemorySink(dtype=ctx.out_dtype)
     if executor is None:
@@ -318,11 +325,10 @@ def _run_expansion(
 
     try:
         report = executor.run(
-            _block_tasks(cse, parts, ctx, block_filter, pattern_gather, mapper),
+            _block_tasks(cse, parts, ctx, block_filter, pattern_gather, mapper, fold),
             workers=workers,
             on_result=None if sink is None else on_result,
             tracer=tracer,
-            phase="execute",
         )
     except BaseException:
         if sink is not None:
@@ -336,8 +342,9 @@ def _run_expansion(
         stats.part_emitted.append(part.emitted)
         stats.candidates_examined += part.candidates_examined
         stats.emitted += part.emitted
-    if sink is None:
+    if mapper is not None:
         stats.pmaps = [part.pmap for part in report.results]
+    if sink is None:
         return stats
 
     off = np.zeros(total + 1, dtype=np.int64)
@@ -375,9 +382,10 @@ def expand_vertex_level(
     the level to a complete query pattern's bindings through the
     kernel's gather-and-probe branch.  Appends the new level to the CSE
     and returns the per-part stats.  ``tracer`` (optional) receives the
-    executor's per-part worker spans.  With a ``mapper`` (and no
-    ``sink``) the level is folded instead of appended: see
-    :class:`BlockTask`; the stats' ``pmaps`` hold the parts' maps.
+    executor's per-part worker spans.  With a ``mapper`` each part also
+    maps its children, and the stats' ``pmaps`` hold the parts' maps;
+    without a ``sink`` too, the level is folded instead of appended:
+    see :class:`BlockTask`.
     """
     ctx = kernels.vertex_kernel_context(graph)
     return _run_expansion(

@@ -7,11 +7,11 @@ of the next level, the guard check against ``max_embeddings``, and the
 sink the run's :class:`repro.storage.StoragePolicy` hands back (memory
 or spilling) — except on the run's *folded* level (``fold_depth``), the
 last one, which is mapped as it is produced and never stored, so it
-takes no sink and no I/O-plan part cut.
-Before an aggregation over a stored level (applications that aggregate
-every iteration) it produces the analogous :class:`AggregatePlan` for
-the mapper parts.  The engine builds one planner per run, with that
-run's guard, pattern gathers and folded depth.
+takes no sink and no I/O-plan part cut.  A level that is stored and
+mapped (``map_every_level``: the application aggregates every
+iteration) takes no I/O-plan part cut either, since its mapper's part
+cut shapes the application's result.  The engine builds one planner per
+run, with that run's guard, pattern gathers, folded depth and mapping.
 
 Keeping planning out of ``KaleidoEngine.run()`` gives every executor the
 same deterministic work decomposition and makes the planning stage
@@ -41,7 +41,7 @@ from .restrictions import (
     pattern_gathers,
 )
 
-__all__ = ["LevelPlan", "AggregatePlan", "Planner", "check_embedding_cap"]
+__all__ = ["LevelPlan", "Planner", "check_embedding_cap"]
 
 
 def check_embedding_cap(value: Any) -> None:
@@ -92,18 +92,9 @@ class LevelPlan:
     #: Whether this is the run's folded level: its parts map their
     #: children as they are produced, and nothing is stored.
     fold: bool = False
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.part_bounds)
-
-
-@dataclass
-class AggregatePlan:
-    """One aggregation pass's plan: mapper part bounds over the top level."""
-
-    size: int
-    part_bounds: list[tuple[int, int]]
+    #: Whether the level's parts map their children (the folded level,
+    #: or every level under ``map_every_level``).
+    mapped: bool = False
 
     @property
     def num_parts(self) -> int:
@@ -111,13 +102,14 @@ class AggregatePlan:
 
 
 class Planner:
-    """Produces one run's per-level and per-aggregation plans.
+    """Produces one run's per-level plans.
 
     ``max_embeddings`` is the run's exploration guard (None: no guard);
     ``gathers`` are the run's per-position pattern gathers (from
     :meth:`pattern_gathers`; empty for apps without a complete,
     uniformly labelled query pattern); ``fold_depth`` is the CSE depth
-    whose expansion is folded (None: every level is stored).
+    whose expansion is folded (None: every level is stored);
+    ``map_every_level`` maps every stored level as it is produced.
     """
 
     def __init__(
@@ -131,6 +123,7 @@ class Planner:
         max_embeddings: int | None = None,
         gathers: dict[int, PatternGather] | None = None,
         fold_depth: int | None = None,
+        map_every_level: bool = False,
     ) -> None:
         self.graph = graph
         self.policy = policy
@@ -140,6 +133,7 @@ class Planner:
         self.max_embeddings = max_embeddings
         self.gathers = gathers or {}
         self.fold_depth = fold_depth
+        self.map_every_level = map_every_level
 
     @staticmethod
     def pattern_restrictions(app: MiningApplication) -> RestrictionSet | None:
@@ -206,9 +200,12 @@ class Planner:
         # When the level spills, each expansion part becomes one on-disk
         # part — so the policy's part size, not the fixed
         # parts-per-worker knob, sets the cut (bounded to keep task
-        # overhead sane on huge levels).
+        # overhead sane on huge levels).  A mapped level keeps the fixed
+        # cut in every storage mode: its mapper's parts shape the result
+        # (FSM's short-circuited supports).
+        mapped = fold or self.map_every_level
         num_parts = self.num_parts
-        if io_plan is not None and predicted_entries > 0:
+        if io_plan is not None and predicted_entries > 0 and not mapped:
             target = math.ceil(predicted_entries / io_plan.part_entries)
             num_parts = max(num_parts, min(target, 64 * max(1, self.workers)))
         if self.use_prediction:
@@ -226,13 +223,5 @@ class Planner:
             pattern_gather=gather,
             io_plan=io_plan,
             fold=fold,
-        )
-
-    def plan_aggregate(self, cse: CSE) -> AggregatePlan:
-        """Plan the mapper parts over the stored top level: an even count
-        split, since a stored embedding's mapper cost is roughly uniform
-        (an application whose mapper expands candidates maps its folded
-        level inside the expansion's balanced parts instead)."""
-        return AggregatePlan(
-            size=cse.size(), part_bounds=even_parts(cse.size(), self.num_parts)
+            mapped=mapped,
         )

@@ -30,7 +30,16 @@ from repro.apps.fsm import FSMResult, frequent_edge_mask
 from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.baselines.mni_sets import SetMNIDomains, edge_pattern_supports, merge_set_domains
 from repro.baselines.positions import PositionMapper
-from repro.core import Pattern, PatternHasher
+from repro.core import (
+    CSE,
+    EngineContext,
+    Pattern,
+    PatternHasher,
+    expand_edge_level,
+    expand_vertex_level,
+)
+from repro.graph import datasets
+from repro.graph.edge_index import EdgeIndex
 from tests.conftest import random_labeled_graph
 
 
@@ -348,3 +357,27 @@ def test_frequent_edge_mask_matches_edge_supports(seed, edge_labels, support):
     mask = frequent_edge_mask(graph, support)
     assert mask.dtype == bool
     assert mask.tolist() == expected
+
+
+@pytest.mark.parametrize("vertex_induced", [False, True], ids=["fsm", "vfsm"])
+def test_map_block_takes_a_part_in_one_call(vertex_induced):
+    """A part's MNI state is built from its whole block: a second call
+    into the same map would leave views of two states side by side, so
+    it raises."""
+    graph = datasets.load("citeseer", "tiny")
+    ctx = EngineContext(graph=graph, engine=KaleidoEngine(graph))
+    if vertex_induced:
+        app = VertexInducedFSM(3, 2, exact_mni=True)
+        cse = CSE(app.init(ctx))
+        expand_vertex_level(graph, cse, app.block_filter(ctx))
+    else:
+        app = FrequentSubgraphMining(2, 2, exact_mni=True)
+        ctx.edge_index = EdgeIndex(graph)
+        cse = CSE(app.init(ctx))
+        expand_edge_level(graph, ctx.edge_index, cse, app.block_filter(ctx))
+    block = cse.decode_block(0, cse.size())
+    pmap: dict = {}
+    app.map_block(ctx, block[: block.shape[0] // 2], pmap)
+    assert pmap
+    with pytest.raises(ValueError, match="one call"):
+        app.map_block(ctx, block[block.shape[0] // 2 :], pmap)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import CliqueDiscovery, KaleidoEngine, MotifCounting, TriangleCounting
+from repro import (
+    CliqueDiscovery,
+    FrequentSubgraphMining,
+    KaleidoEngine,
+    MotifCounting,
+    TriangleCounting,
+)
+from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.apps.reference import (
     count_cliques_naive,
     count_motifs_naive,
@@ -12,9 +19,9 @@ from repro.apps.reference import (
 from repro.core import kernels
 from repro.core.api import EngineContext, MiningApplication
 from repro.core.eigenhash import PatternHasher, eigen_hash
-from repro.core.engine import aggregate_part
 from repro.core.isomorphism import pattern_from_key
 from repro.graph import from_edge_list
+from repro.graph.edge_index import EdgeIndex
 from tests.conftest import random_labeled_graph
 
 
@@ -123,13 +130,27 @@ class _PerRow(MiningApplication):
 
 
 @pytest.mark.parametrize(
-    "app", [MotifCounting(3), TriangleCounting(), CliqueDiscovery(2), _PerRow()]
+    "app",
+    [
+        MotifCounting(3),
+        TriangleCounting(),
+        CliqueDiscovery(2),
+        _PerRow(),
+        FrequentSubgraphMining(2, 1),
+        VertexInducedFSM(3, 1),
+    ],
 )
-def test_aggregate_part_on_zero_rows(app, paper_graph):
+def test_map_block_on_zero_rows(app, paper_graph):
+    """A stored part with no children is still mapped, in one call: every
+    app leaves its map empty."""
     with KaleidoEngine(paper_graph) as engine:
         ctx = EngineContext(graph=paper_graph, engine=engine)
-        block = np.zeros((0, 2), dtype=np.int32)
-        assert aggregate_part(app, ctx, block) == {}
+        if app.induced == "edge":
+            ctx.edge_index = EdgeIndex(paper_graph)
+        app.init(ctx)
+        pmap: dict = {}
+        app.map_block(ctx, np.zeros((0, 2), dtype=np.int32), pmap)
+        assert pmap == {}
 
 
 def test_default_adaptor_passes_int_tuples(paper_graph):

@@ -1,11 +1,14 @@
 """Unit tests for the Planner stage (plan → execute → aggregate)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repro.core import CSE, EngineContext, InMemorySink, KaleidoEngine, Planner
-from repro.core.plan import AggregatePlan, LevelPlan
+from repro.core.plan import LevelPlan
 from repro.errors import PlanError
+from repro.graph import from_edge_list
 from repro.storage import MemoryBudget, MemoryMeter, SpillingSink, StoragePolicy
 
 
@@ -77,17 +80,40 @@ def test_plan_spill_decision(paper_graph, tmp_path):
     assert isinstance(plan.sink, SpillingSink)
 
 
-def test_plan_aggregate_even_vs_predicted(paper_graph):
-    # A stored level's mapper parts are an even count split, with the
-    # prediction on or off: an app whose mapper cost tracks candidates
-    # maps its folded level inside the expansion's balanced parts.
-    cse = CSE(np.arange(6))
+def test_plan_mapped_level_cut_vs_io_plan(tmp_path):
+    """A stored level the app maps keeps the fixed cut in every storage
+    mode, with the prediction on or off: its mapper's parts shape the
+    app's result (FSM's short-circuited supports).  A spilled level
+    nothing maps still takes the I/O plan's finer cut."""
+    from repro.storage import PartStore
+
+    # K_150: 11,175 next-level entries, several minimum-size spill parts.
+    graph = from_edge_list(list(combinations(range(150), 2)))
+    cse = CSE(np.arange(150))
+    ctx = _ctx(graph)
+
+    def plan(mode, **kwargs):
+        policy = StoragePolicy(
+            MemoryBudget(1), MemoryMeter(), store=PartStore(str(tmp_path)),
+            storage_mode=mode,
+        )
+        return _planner(graph, policy=policy, parts_per_worker=2, **kwargs).plan_level(
+            ctx, cse
+        )
+
     for use_prediction in (True, False):
-        planner = _planner(paper_graph, parts_per_worker=2, use_prediction=use_prediction)
-        plan = planner.plan_aggregate(cse)
-        assert isinstance(plan, AggregatePlan)
-        assert plan.size == 6
-        assert plan.part_bounds == [(0, 3), (3, 6)]
+        memory = plan("memory", map_every_level=True, use_prediction=use_prediction)
+        spilled = plan("spill-last", map_every_level=True, use_prediction=use_prediction)
+        assert memory.mapped and spilled.mapped and not spilled.fold
+        assert spilled.spill and spilled.io_plan is not None
+        assert memory.size == spilled.size == 150
+        assert spilled.part_bounds == memory.part_bounds
+        assert memory.num_parts == 2
+        if not use_prediction:
+            assert memory.part_bounds == [(0, 75), (75, 150)]
+        unmapped = plan("spill-last", use_prediction=use_prediction)
+        assert not unmapped.mapped and unmapped.spill
+        assert unmapped.num_parts > 2
 
 
 def test_plan_folded_level_takes_no_sink(paper_graph, tmp_path):

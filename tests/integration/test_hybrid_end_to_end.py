@@ -1,5 +1,7 @@
 """Integration: hybrid storage produces identical results with real I/O."""
 
+import math
+
 import pytest
 
 from repro import (
@@ -8,6 +10,7 @@ from repro import (
     KaleidoEngine,
     MotifCounting,
 )
+from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.graph import datasets
 
 
@@ -84,3 +87,47 @@ def test_hybrid_memory_reduced(graph, tmp_path):
     )
     assert dict(in_mem.value) == dict(hybrid.value)
 
+
+
+#: The parity run's fixed worker layout, and an ``auto`` budget that
+#: spills the last level in parts far smaller than it (about 6K entries).
+PARITY_WORKERS = 2
+PARITY_PARTS_PER_WORKER = 2
+PARITY_BUDGET = 300_000
+
+
+@pytest.mark.parametrize(
+    "app_factory",
+    [lambda: FrequentSubgraphMining(3, 3), lambda: VertexInducedFSM(4, 3)],
+    ids=["fsm", "vfsm"],
+)
+def test_short_circuit_fsm_parity_across_storage_and_executors(
+    graph, app_factory, tmp_path
+):
+    """Short-circuited MNI supports depend on the mapper's part cut, so a
+    level the app maps is cut the same way in every storage mode: the
+    I/O plan, which would cut a spilled level finer, does not apply."""
+    results = {}
+    for mode, budget in (("memory", None), ("spill-last", None), ("auto", PARITY_BUDGET)):
+        for executor in ("serial", "threads"):
+            results[mode, executor] = _run(
+                graph,
+                app_factory(),
+                workers=PARITY_WORKERS,
+                parts_per_worker=PARITY_PARTS_PER_WORKER,
+                executor=executor,
+                storage_mode=mode,
+                memory_limit_bytes=budget,
+                spill_dir=str(tmp_path / f"{mode}-{executor}"),
+            )
+    auto = results["auto", "serial"]
+    assert auto.extra["spilled_levels"] >= 1
+    # The predicted entries bound the last level from above, so the I/O
+    # plan's part target for it is at least this.
+    target = math.ceil(auto.level_sizes[-1] / auto.extra["io_plan"]["part_entries"])
+    assert target > PARITY_WORKERS * PARITY_PARTS_PER_WORKER
+    base = results["memory", "serial"]
+    for key, result in results.items():
+        assert dict(result.value) == dict(base.value), key
+        assert result.pattern_map == base.pattern_map, key
+        assert result.level_sizes == base.level_sizes, key

@@ -4,9 +4,9 @@ Tier-1 asserts the shapes over *fixed synthetic part durations*: the
 engine supplies what is deterministic — how many parts each phase was
 cut into for the worker count — and every phase is given one second of
 work split evenly over its parts (plus a fixed serial reduce per
-aggregation), replayed through :func:`simulate_work_stealing`.  The
-same shapes over measured wall-clock part times are ``slow`` checks:
-they depend on the machine, not on the code.
+reduce the run makes), replayed through :func:`simulate_work_stealing`.
+The same shapes over measured wall-clock part times are ``slow``
+checks: they depend on the machine, not on the code.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.balance.worksteal import simulate_work_stealing
 from repro.graph import datasets
 
 #: Synthetic seconds of parallel work per phase / of serial reduce per
-#: aggregation phase.
+#: reduce the run makes.
 PHASE_WORK = 1.0
 SERIAL_REDUCE = 0.25
 
@@ -34,14 +34,18 @@ def _synthetic_seconds(graph, app, workers):
     """Replay the run's real part structure with fixed part durations."""
     result = _simulated(graph, app, workers)
     total = 0.0
-    for schedule, phase in zip(result.schedules, result.extra["schedule_phases"]):
+    for schedule in result.schedules:
         parts = len(schedule.intervals)
         if parts:
             total += simulate_work_stealing(
                 [PHASE_WORK / parts] * parts, workers
             ).span_seconds
-        if phase == "aggregate":
+        # An app that aggregates every iteration reduces each level.
+        if app.aggregate_every_iteration:
             total += SERIAL_REDUCE
+    if not app.aggregate_every_iteration:
+        # One reduce, of the folded last level.
+        total += SERIAL_REDUCE
     return total
 
 

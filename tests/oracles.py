@@ -228,16 +228,16 @@ def _oracle_task(task: BlockTask) -> Callable[[], PartExpansion]:
         vert, counts, examined = expand_block(
             task.ctx, task.block, task.block_filter, task.pattern_gather
         )
-        folded = task.mapper is not None
-        pmap: dict | None = {} if folded else None
-        if folded and vert.shape[0]:
+        pmap: dict | None = None
+        if task.mapper is not None:
             # The whole part's children in one map_block call.
+            pmap = {}
             task.mapper(child_block(task.block, vert, counts), pmap)
         return PartExpansion(
             index=task.index,
             bound=task.bound,
-            vert=None if folded else vert,
-            counts=None if folded else counts,
+            vert=None if task.fold else vert,
+            counts=None if task.fold else counts,
             emitted=int(vert.shape[0]),
             candidates_examined=examined,
             pmap=pmap,
@@ -250,13 +250,13 @@ class OracleExecutor(PartExecutor):
     """Runs every expansion part on the scalar loops instead of the kernel.
 
     Wraps another executor (serial by default) the way
-    :class:`~repro.core.executor.SimulatedSchedule` does.  During the
-    ``"execute"`` phase each :class:`~repro.core.explore.BlockTask` is
-    replaced by :func:`expand_block` over the same block, kernel
-    context, block filter and pattern gather; a folded level's task then
-    maps the whole part's children with one ``map_block`` call (the
-    kernel maps one chunk at a time).  Every other task (the aggregate
-    phase's) passes through unchanged.
+    :class:`~repro.core.executor.SimulatedSchedule` does.  Each
+    :class:`~repro.core.explore.BlockTask` is replaced by
+    :func:`expand_block` over the same block, kernel context, block
+    filter and pattern gather; a mapped level's task then maps the whole
+    part's children with one ``map_block`` call (the kernel maps a
+    folded part one chunk at a time), and returns its ``vert``,
+    ``counts`` and map when the level is stored.
     """
 
     name = "oracle"
@@ -270,15 +270,12 @@ class OracleExecutor(PartExecutor):
         workers: int = 1,
         on_result=None,
         tracer=None,
-        phase: str = "execute",
     ) -> ExecutionReport:
-        if phase == "execute":
-            tasks = (
-                _oracle_task(task) if isinstance(task, BlockTask) else task
-                for task in tasks
-            )
+        tasks = (
+            _oracle_task(task) if isinstance(task, BlockTask) else task for task in tasks
+        )
         return self.inner.run(
-            tasks, workers=workers, on_result=on_result, tracer=tracer, phase=phase
+            tasks, workers=workers, on_result=on_result, tracer=tracer
         )
 
     def close(self) -> None:

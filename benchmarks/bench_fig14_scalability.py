@@ -39,9 +39,7 @@ def test_fig14_scalability(benchmark, emit):
         for name, factory in _apps().items():
             series = []
             for workers in WORKERS:
-                result = KaleidoEngine(
-                    graph, workers=workers, parts_per_worker=4
-                ).run(factory())
+                result = KaleidoEngine(graph, workers=workers).run(factory())
                 series.append(
                     (workers, result.simulated_seconds,
                      result.peak_memory_bytes / 1e6)

@@ -25,11 +25,11 @@ def _trace(graph, support, use_prediction):
     with tempfile.TemporaryDirectory(prefix="fig18-") as tmp:
         with KaleidoEngine(
             graph,
+            # The engine cuts each level into one part per worker (the
+            # default), as on-disk parts are not stealable — each thread
+            # owns the part it writes/loads (Figure 7); this is
+            # precisely where the size prediction earns its keep.
             workers=WORKERS,
-            # One part per worker, as on-disk parts are not stealable —
-            # each thread owns the part it writes/loads (Figure 7); this
-            # is precisely where the size prediction earns its keep.
-            parts_per_worker=1,
             use_prediction=use_prediction,
             storage_mode="spill-last",
             spill_dir=tmp,

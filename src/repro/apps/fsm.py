@@ -136,8 +136,8 @@ class FSMResult(dict):
 
     Without ``exact_mni``, a support at or above the threshold is a
     short-circuited lower bound that depends on the mapper's part cut,
-    so on ``workers × parts_per_worker``: it is the same in every
-    storage mode and executor, but not across part counts.  Which
+    one part per worker, so on ``workers``: it is the same in every
+    storage mode and executor, but not across worker counts.  Which
     patterns are frequent, and every exact support, never depend on it.
     """
 

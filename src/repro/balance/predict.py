@@ -66,16 +66,16 @@ def plan_io(
     cost falls linearly in the block (part) size ``B``, so within the
     memory budget ``M`` parts should be as large as the budget allows
     rather than a fixed knob.  Two parts ``2 · B · b`` are held to about
-    a quarter of the measured headroom so the level's own output and the
-    off arrays keep their share of ``M``; without a budget the part size
-    is ``_DEFAULT_PART_ENTRIES``.  The size is clamped to
+    a quarter of the measured headroom (none left: the smallest part),
+    so the level's own output and the off arrays keep their share of
+    ``M``; without a budget it is ``_DEFAULT_PART_ENTRIES``.  Clamped to
     ``[_MIN_PART_ENTRIES, _MAX_PART_ENTRIES]`` and to the level itself.
     """
     bytes_per_entry = max(1, int(bytes_per_entry))
-    if headroom_bytes is not None and headroom_bytes > 0:
-        part_entries = headroom_bytes // 4 // (2 * bytes_per_entry)
-    else:
+    if headroom_bytes is None:
         part_entries = _DEFAULT_PART_ENTRIES
+    else:
+        part_entries = max(0, headroom_bytes) // 4 // (2 * bytes_per_entry)
     part_entries = max(_MIN_PART_ENTRIES, min(_MAX_PART_ENTRIES, int(part_entries)))
     # No point cutting parts larger than the level itself.
     if predicted_entries > 0:

@@ -96,8 +96,9 @@ class KaleidoEngine:
     graph:
         The input graph.
     workers:
-        Worker count: the modelled worker count for the work-stealing
-        replay, and the thread-pool size for the ``"threads"`` executor.
+        Worker count: the cost-balanced parts per level (more if it
+        spills), the work-stealing replay's modelled workers, and the
+        ``"threads"`` executor's pool size.
     hasher:
         Isomorphism fingerprinter; defaults to the paper's EigenHash.
         Pass ``repro.baselines.BlissLikeHasher()`` for the Fig.-12 study.
@@ -113,8 +114,6 @@ class KaleidoEngine:
         default) or by plain embedding counts (the Fig.-17 baseline).
         The ``max_embeddings`` guard and the next level's size estimate
         read the predicted sizes either way.
-    parts_per_worker:
-        Task granularity for the executor and the scheduler model.
     executor:
         ``"serial"`` (default: serial execution replayed through the
         work-stealing model), ``"threads"`` (a real thread pool of
@@ -176,7 +175,6 @@ class KaleidoEngine:
         storage_mode: str = "auto",
         spill_dir: str | None = None,
         use_prediction: bool = True,
-        parts_per_worker: int = 4,
         executor: "str | PartExecutor" = "serial",
         io_retry: RetryPolicy | None = None,
         checkpoint_dir: str | None = None,
@@ -200,7 +198,6 @@ class KaleidoEngine:
         self.budget = MemoryBudget(memory_limit_bytes)
         self.storage_mode = storage_mode
         self.use_prediction = use_prediction
-        self.parts_per_worker = parts_per_worker
         self.io_retry = io_retry
         self.executor = resolve_executor(executor)
         # Executors resolved from a spec string are engine-owned: close()
@@ -295,7 +292,6 @@ class KaleidoEngine:
             self.graph.degree_ordered() if gathers else self.graph,
             policy,
             workers=self.workers,
-            parts_per_worker=self.parts_per_worker,
             use_prediction=self.use_prediction,
             max_embeddings=max_embeddings,
             gathers=gathers,
@@ -531,7 +527,7 @@ class KaleidoEngine:
             with self.tracer.span("aggregate", size=cse.size()):
                 pmaps: list[PatternMap] = []
                 with hot_phase():
-                    for start, end in even_parts(cse.size(), planner.num_parts):
+                    for start, end in even_parts(cse.size(), planner.workers):
                         pmaps.append({})
                         app.map_block(ctx, cse.decode_block(start, end), pmaps[-1])
                 map_seconds = time.perf_counter() - stage_started

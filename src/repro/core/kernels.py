@@ -563,7 +563,11 @@ def expand_chunks(
     ``start..end``, in row order, so the concatenated chunks are
     :func:`expand_block`'s result.  A folded level
     (:class:`repro.core.explore.BlockTask` with a mapper) maps each
-    chunk's children as it is produced."""
+    chunk's children as it is produced.  The block is walked in
+    windows of ``PAIR_BUDGET // (k * arity)`` rows (as
+    :func:`repro.balance.predict.predict_costs` walks a level), each
+    widened and bounded on its own, so a part's transients stay bounded
+    however many rows the planner cut into it."""
     block = np.ascontiguousarray(block)
     if block.ndim != 2:
         raise ValueError(f"block must be 2-D (rows, k), got shape {block.shape}")
@@ -572,9 +576,16 @@ def expand_chunks(
     rows_total, k = block.shape
     if not (rows_total and k):
         return iter(())
-    if pattern_gather is None:
-        return _canonical_chunks(ctx, block, block_filter)
-    return _pattern_chunks(ctx, block, pattern_gather, block_filter)
+    window = max(1, PAIR_BUDGET // (k * ctx.arity))
+    return (
+        (lo + start, lo + end, *chunk)
+        for lo in range(0, rows_total, window)
+        for start, end, *chunk in (
+            _canonical_chunks(ctx, block[lo : lo + window], block_filter)
+            if pattern_gather is None
+            else _pattern_chunks(ctx, block[lo : lo + window], pattern_gather, block_filter)
+        )
+    )
 
 
 def _canonical_chunks(ctx, block: np.ndarray, block_filter):

@@ -118,7 +118,6 @@ class Planner:
         policy,
         *,
         workers: int = 1,
-        parts_per_worker: int = 4,
         use_prediction: bool = True,
         max_embeddings: int | None = None,
         gathers: dict[int, PatternGather] | None = None,
@@ -128,7 +127,6 @@ class Planner:
         self.graph = graph
         self.policy = policy
         self.workers = workers
-        self.parts_per_worker = parts_per_worker
         self.use_prediction = use_prediction
         self.max_embeddings = max_embeddings
         self.gathers = gathers or {}
@@ -152,11 +150,6 @@ class Planner:
         if rset is None or app.induced != "vertex":
             return {}
         return pattern_gathers(app.query_pattern(), rset)
-
-    @property
-    def num_parts(self) -> int:
-        """Task granularity: parts per level."""
-        return max(1, self.workers * self.parts_per_worker)
 
     # ------------------------------------------------------------------
     def predict_costs(
@@ -197,14 +190,13 @@ class Planner:
             )
         spill = sink is not None and not isinstance(sink, InMemorySink)
         io_plan: IOPlan | None = self.policy.last_io_plan if spill else None
-        # When the level spills, each expansion part becomes one on-disk
-        # part — so the policy's part size, not the fixed
-        # parts-per-worker knob, sets the cut (bounded to keep task
-        # overhead sane on huge levels).  A mapped level keeps the fixed
-        # cut in every storage mode: its mapper's parts shape the result
-        # (FSM's short-circuited supports).
+        # One cost-balanced part per worker.  A spilled level's parts
+        # are its on-disk parts, so the policy's part size may raise the
+        # cut (bounded to keep task overhead sane on huge levels).  A
+        # mapped level keeps the per-worker cut in every storage mode:
+        # its parts shape the result (FSM's short-circuited supports).
         mapped = fold or self.map_every_level
-        num_parts = self.num_parts
+        num_parts = self.workers
         if io_plan is not None and predicted_entries > 0 and not mapped:
             target = math.ceil(predicted_entries / io_plan.part_entries)
             num_parts = max(num_parts, min(target, 64 * max(1, self.workers)))

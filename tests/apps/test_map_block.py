@@ -98,7 +98,7 @@ def test_motif_hash_calls(every):
     per 4-embedding under ``hash_every_embedding``."""
     graph = random_labeled_graph(13, 30, 1, seed=8)
     hasher = _CountingHasher()
-    engine = KaleidoEngine(graph, hasher=hasher, parts_per_worker=1)
+    engine = KaleidoEngine(graph, hasher=hasher)
     total = engine.run(MotifCounting(4, hash_every_embedding=every)).value.total
     if every:
         assert len(hasher.bitmaps) == total

@@ -36,6 +36,18 @@ def test_part_size_clamps():
     assert vast.part_entries == 1 << 20  # ceiling
 
 
+def test_part_size_never_falls_as_headroom_grows():
+    # A run at or over its budget (headroom 0 or below) gets the
+    # smallest part, not the no-budget default.
+    headrooms = [-(1 << 20), 0, 1, 1024, 100_000, 16 << 20, 1 << 40]
+    sizes = [
+        plan_io(100_000_000, 4, headroom_bytes=h).part_entries for h in headrooms
+    ]
+    assert sizes[0] == sizes[1] == 1 << 12
+    assert sizes == sorted(sizes)
+    assert sizes[-1] == 1 << 20
+
+
 def test_parts_never_exceed_level_size():
     plan = plan_io(predicted_entries=20_000, bytes_per_entry=4)
     assert plan.part_entries == 20_000

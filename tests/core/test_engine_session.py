@@ -99,7 +99,8 @@ def test_registry_counts_each_run_once(tmp_path):
     graph = datasets.load("citeseer", "tiny")
     registry = MetricsRegistry()
     engine = KaleidoEngine(
-        graph, storage_mode="spill-last", spill_dir=str(tmp_path), metrics=registry
+        graph, workers=4, storage_mode="spill-last", spill_dir=str(tmp_path),
+        metrics=registry,
     )
     # One spilled level: 4-Motif's 2-embeddings (the last level is folded).
     results = [engine.run(MotifCounting(4)) for _ in range(3)]

@@ -6,6 +6,8 @@ the kernel's contract is *bit-identical* emission, not just equal counts;
 its fused bounds examine at most the scalar loop's candidates.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,54 @@ def test_skewed_graph_chunks_stay_within_pair_budget(monkeypatch, filtered):
         assert cse.size() > leaves * (leaves - 1) // 2
         assert sum(gathered) > 10 * kernels.PAIR_BUDGET
     assert max(gathered) <= kernels.PAIR_BUDGET
+
+
+@pytest.mark.parametrize("branch", ["canonical", "pattern"])
+def test_row_windows_bound_a_large_blocks_transients(branch):
+    """A part of many row windows expands to the same rows as its own
+    rows would alone, and its traced peak stays a constant multiple of
+    PAIR_BUDGET instead of growing with the part.
+
+    The block is one graph's edges tiled ``reps`` times, so its
+    expansion is the edges' own expansion (one window) tiled: a
+    reference that crosses every window boundary at the real budget.
+    The windowed walk peaks at 90-120 B per budget pair here; building
+    the whole part's keys and bounds at once peaked at 400."""
+    graph = random_labeled_graph(300, 1200, 1, seed=11)
+    ctx = kernels.vertex_kernel_context(graph)
+    edges = np.stack(graph.edge_arrays(), axis=1).astype(np.int32)
+    window = kernels.PAIR_BUDGET // (edges.shape[1] * ctx.arity)
+    assert edges.shape[0] <= window
+    reps = -(-9 * window // edges.shape[0])
+    block = np.tile(edges, (reps, 1))
+    assert block.shape[0] > 8 * window
+    gather = None
+    if branch == "pattern":
+        gather = Planner(graph, policy=None).pattern_gathers(CliqueDiscovery(3))[2]
+    one_vert, one_counts, one_examined = kernels.expand_block(ctx, edges, None, gather)
+    ref_vert = np.tile(one_vert, reps)
+    ref_counts = np.tile(one_counts, reps)
+
+    rows = emitted = examined = 0
+    tracemalloc.start()
+    try:
+        for start, end, vert, counts, chunk_examined in kernels.expand_chunks(
+            ctx, block, None, gather
+        ):
+            assert start == rows and end > start  # part-relative, in order
+            np.testing.assert_array_equal(counts, ref_counts[start:end])
+            np.testing.assert_array_equal(vert, ref_vert[emitted : emitted + len(vert)])
+            rows, emitted = end, emitted + len(vert)
+            examined += chunk_examined
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows, emitted, examined) == (len(block), len(ref_vert), one_examined * reps)
+    assert peak < 200 * kernels.PAIR_BUDGET
+    vert, counts, whole_examined = kernels.expand_block(ctx, block, None, gather)
+    np.testing.assert_array_equal(vert, ref_vert)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert whole_examined == examined
 
 
 DISPATCH_APPS = {

@@ -23,7 +23,7 @@ def _ctx(graph):
 
 
 def test_plan_level_covers_level(paper_graph):
-    planner = _planner(paper_graph, workers=2, parts_per_worker=3)
+    planner = _planner(paper_graph, workers=6)
     cse = CSE(np.arange(6))
     plan = planner.plan_level(_ctx(paper_graph), cse)
     assert isinstance(plan, LevelPlan)
@@ -40,7 +40,7 @@ def test_plan_level_covers_level(paper_graph):
 
 
 def test_plan_without_prediction_splits_evenly(paper_graph):
-    planner = _planner(paper_graph, use_prediction=False, parts_per_worker=2)
+    planner = _planner(paper_graph, use_prediction=False, workers=2)
     cse = CSE(np.arange(6))
     plan = planner.plan_level(_ctx(paper_graph), cse)
     assert plan.part_bounds == [(0, 3), (3, 6)]
@@ -81,7 +81,7 @@ def test_plan_spill_decision(paper_graph, tmp_path):
 
 
 def test_plan_mapped_level_cut_vs_io_plan(tmp_path):
-    """A stored level the app maps keeps the fixed cut in every storage
+    """A stored level the app maps keeps the per-worker cut in every storage
     mode, with the prediction on or off: its mapper's parts shape the
     app's result (FSM's short-circuited supports).  A spilled level
     nothing maps still takes the I/O plan's finer cut."""
@@ -97,7 +97,7 @@ def test_plan_mapped_level_cut_vs_io_plan(tmp_path):
             MemoryBudget(1), MemoryMeter(), store=PartStore(str(tmp_path)),
             storage_mode=mode,
         )
-        return _planner(graph, policy=policy, parts_per_worker=2, **kwargs).plan_level(
+        return _planner(graph, policy=policy, workers=2, **kwargs).plan_level(
             ctx, cse
         )
 
@@ -125,13 +125,13 @@ def test_plan_folded_level_takes_no_sink(paper_graph, tmp_path):
     policy = StoragePolicy(
         MemoryBudget(1), MemoryMeter(), store=PartStore(str(tmp_path)),
     )
-    planner = _planner(paper_graph, policy=policy, fold_depth=1, parts_per_worker=2)
+    planner = _planner(paper_graph, policy=policy, fold_depth=1, workers=2)
     cse = CSE(np.arange(6))
     plan = planner.plan_level(_ctx(paper_graph), cse)
     assert plan.fold
     assert plan.sink is None and not plan.spill and plan.io_plan is None
     assert plan.predicted_entries == 7
-    assert plan.part_bounds == _planner(paper_graph, parts_per_worker=2).plan_level(
+    assert plan.part_bounds == _planner(paper_graph, workers=2).plan_level(
         _ctx(paper_graph), cse
     ).part_bounds
     assert policy.last_io_plan is None

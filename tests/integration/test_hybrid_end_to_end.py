@@ -91,8 +91,7 @@ def test_hybrid_memory_reduced(graph, tmp_path):
 
 #: The parity run's fixed worker layout, and an ``auto`` budget that
 #: spills the last level in parts far smaller than it (about 6K entries).
-PARITY_WORKERS = 2
-PARITY_PARTS_PER_WORKER = 2
+PARITY_WORKERS = 4
 PARITY_BUDGET = 300_000
 
 
@@ -114,7 +113,6 @@ def test_short_circuit_fsm_parity_across_storage_and_executors(
                 graph,
                 app_factory(),
                 workers=PARITY_WORKERS,
-                parts_per_worker=PARITY_PARTS_PER_WORKER,
                 executor=executor,
                 storage_mode=mode,
                 memory_limit_bytes=budget,
@@ -125,7 +123,7 @@ def test_short_circuit_fsm_parity_across_storage_and_executors(
     # The predicted entries bound the last level from above, so the I/O
     # plan's part target for it is at least this.
     target = math.ceil(auto.level_sizes[-1] / auto.extra["io_plan"]["part_entries"])
-    assert target > PARITY_WORKERS * PARITY_PARTS_PER_WORKER
+    assert target > PARITY_WORKERS
     base = results["memory", "serial"]
     for key, result in results.items():
         assert dict(result.value) == dict(base.value), key

@@ -27,7 +27,7 @@ def graph():
 
 
 def _simulated(graph, app, workers):
-    return KaleidoEngine(graph, workers=workers, parts_per_worker=4).run(app)
+    return KaleidoEngine(graph, workers=workers).run(app)
 
 
 def _synthetic_seconds(graph, app, workers):

@@ -3,7 +3,8 @@
 One hypothesis draw picks a small random labelled graph, an application
 (motif, clique, tc, fsm, vertex-FSM or matching), k in 3..4, a storage
 mode (resident, spill-last, or a one-byte budget that spills every
-level) and an executor (serial or threads).  The engine's run must then
+level), an executor (serial or threads) and 1-4 workers, each level's
+part count, so every cut the engine makes.  The engine's run must then
 equal the same configuration run on the scalar oracle loops
 (:class:`tests.oracles.OracleExecutor`, which maps a folded last level
 with one ``map_block`` call per part where the kernel maps one chunk at
@@ -102,6 +103,7 @@ def configurations(draw):
         **draw(app_specs()),
         "storage": draw(st.sampled_from(STORAGE)),
         "executor": draw(st.sampled_from(["serial", "threads"])),
+        "workers": draw(st.integers(min_value=1, max_value=4)),
         "warmup": draw(app_specs()) if draw(st.booleans()) else None,
         "kill": draw(st.integers(0, 2)) if draw(st.integers(0, 2)) == 0 else None,
         "relabel": draw(st.permutations(range(n))) if draw(st.booleans()) else None,
@@ -133,7 +135,9 @@ def _engine(case, executor, spill_dir, **kwargs):
         "spill-last": {"storage_mode": "spill-last", "spill_dir": spill_dir},
         "spill-every-level": {"memory_limit_bytes": 1, "spill_dir": spill_dir},
     }[case["storage"]]
-    return KaleidoEngine(case["graph"], executor=executor, workers=2, **storage, **kwargs)
+    return KaleidoEngine(
+        case["graph"], executor=executor, workers=case["workers"], **storage, **kwargs
+    )
 
 
 def _run(case, executor, spill_dir, warmup=None):

@@ -264,6 +264,7 @@ def test_engine_permanent_fault_aborts_level_without_leaks(tmp_path, paper_graph
         paper_graph,
         tmp_path,
         [FaultSpec(op="save", kind="permanent", at=2)],
+        workers=4,
     )
     with engine, pytest.raises(StorageError):
         engine.run(MotifCounting(4))

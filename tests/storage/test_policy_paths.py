@@ -75,7 +75,7 @@ def test_parts_written_counts_spilled_part_files(tmp_path):
     deleted once when the run ends."""
     graph = datasets.load("citeseer", "tiny")
     with KaleidoEngine(
-        graph, storage_mode="spill-last", spill_dir=str(tmp_path)
+        graph, workers=4, storage_mode="spill-last", spill_dir=str(tmp_path)
     ) as engine:
         # Two stored levels past the roots; the last level is folded.
         result = engine.run(CliqueDiscovery(4))

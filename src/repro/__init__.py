@@ -3,7 +3,7 @@
 Kaleido is a single-machine, out-of-core graph mining system built on
 three ideas: the Compressed Sparse Embedding (CSE) tensor encoding of
 intermediate embeddings, the EigenHash characteristic-polynomial
-isomorphism fingerprint for patterns under nine vertices, and hybrid
+isomorphism fingerprint for patterns under eight vertices, and hybrid
 half-memory-half-disk storage with prediction-based load balancing.
 
 Quickstart::

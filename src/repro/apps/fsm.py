@@ -13,7 +13,10 @@ The implementation follows the paper exactly:
   Reducer prunes infrequent patterns *and their embeddings* from the CSE;
 * support counting short-circuits at the threshold unless
   ``exact_mni=True`` (Kaleido "does not statistic the accurate MNI
-  support").
+  support"): a part stops placing the rows of a pattern class once its
+  domains reach the threshold, and a frequent pattern's support is
+  reported as the threshold itself ("at least the threshold"), the same
+  whatever the part cut.
 
 The Mapper works on whole blocks: one quick-pattern code per embedding
 (structure-order labels, adjacency bits and edge labels), the placements
@@ -134,11 +137,12 @@ def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:
 class FSMResult(dict):
     """Pattern hash → support, plus the representative structures.
 
-    Without ``exact_mni``, a support at or above the threshold is a
-    short-circuited lower bound that depends on the mapper's part cut,
-    one part per worker, so on ``workers``: it is the same in every
-    storage mode and executor, but not across worker counts.  Which
-    patterns are frequent, and every exact support, never depend on it.
+    Without ``exact_mni``, counting short-circuits, and every frequent
+    pattern reports the threshold itself: its support reads "at least
+    the threshold".  The count it stopped at depends on the mapper's part
+    cut (one part per worker), so the capped value is what makes the
+    answer the same at every worker count, storage mode and executor.
+    With ``exact_mni`` every support is exact.
     """
 
     def __init__(self, supports: dict[int, int], patterns: dict[int, Pattern]):
@@ -221,7 +225,8 @@ class MNIApplication(MiningApplication):
         state = mni_state(pmap)
         if state is not None:
             # ``reduce`` kept only the frequent patterns.
-            supports = dict(zip(state.hashes.tolist(), state.support.tolist()))
+            support = state.support if self.exact_mni else np.minimum(state.support, self.support)
+            supports = dict(zip(state.hashes.tolist(), support.tolist()))
         patterns = {}
         for phash in supports:
             rep = ctx.engine.hasher.representative(phash)

@@ -12,6 +12,10 @@ The paper's Kaleido does not compute exact supports: once a pattern's
 domains all reach the threshold it is marked frequent and its counting
 short-circuits (Section 6.2's discussion of Figure 11).  Both the
 short-circuit mode and the exact mode used for verification live here.
+The short-circuit saves time as well as memory: once a pattern class's
+domains in a part reach the threshold at the end of a slab, the fold
+still classifies its later rows (their hashes feed ``prune``) but places
+none of their vertices.
 
 MNI state is sorted int64 arrays, never Python sets.  A part's state
 (:class:`MNIState`) is the sorted key array its fold builds, one key
@@ -28,10 +32,13 @@ order is one ``np.sort`` of packed int64 keys (:func:`first_occurrences`,
 ``lexsort``.  The set-based reference (``MNIDomains.add`` per placement
 and its pairwise merge) lives in :mod:`repro.baselines.mni_sets`.
 
-Placements come from one batched canonicaliser per slab
+Placements come from a batched canonicaliser
 (:func:`canonical_placements`), which finds every distinct code's
 canonical witness and automorphic placements with array operations over a
 fixed permutation table, and also returns each code's canonical code.
+The fold memoises its result per part, so each distinct raw code is
+canonicalised once per part: a slab sends only the codes no earlier slab
+brought.
 
 The canonical code is the mappers' pattern identity: a part hands the
 hasher its classes' canonical code rows in one
@@ -464,6 +471,126 @@ def _settle(
     return MNIState(hashes, sizes, keys, frozen, kmax, n)
 
 
+class _CodeMemo:
+    """A part's memo from raw code row to its isomorphism class and its
+    placement rows (:func:`canonical_placements`' ``index`` and ``valid``
+    rows, padded to the widest automorphism group seen so far).
+
+    Raw codes are keyed by their row bytes; classes by canonical code row,
+    numbered in first-sighting order, so ``classes`` lists their canonical
+    rows in class order.  The per-row arrays grow by doubling.
+    """
+
+    def __init__(self, kmax: int) -> None:
+        self.kmax = kmax
+        self.rows: dict[bytes, int] = {}
+        self.classes: dict[tuple, int] = {}
+        #: Per memo row (the first ``len(rows)`` entries): class,
+        #: placement count, placement rows.
+        self.cls = np.zeros(0, dtype=np.intp)
+        self.width = np.zeros(0, dtype=np.intp)
+        self.index = np.zeros((0, 0, kmax), dtype=np.intp)
+        self.valid = np.zeros((0, 0, kmax), dtype=bool)
+        #: Per class: vertex count.
+        self.sizes = np.zeros(0, dtype=np.int64)
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """The memo row of each of the distinct ``codes``; only codes not
+        seen before go through :func:`canonical_placements`, in order."""
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        raw = codes.view(np.dtype((np.void, codes.shape[1] * 8))).ravel().tolist()
+        seen = len(self.rows)
+        at = np.array([self.rows.setdefault(code, len(self.rows)) for code in raw], dtype=np.intp)
+        if len(self.rows) > seen:
+            # Unseen codes were numbered seen, seen + 1, ... in order.
+            index, valid, canon = canonical_placements(codes[at >= seen], self.kmax)
+            classes = self.classes
+            cls = [classes.setdefault(tuple(code), len(classes)) for code in canon.tolist()]
+            self.sizes = _grow(self.sizes, len(self.classes))
+            self.sizes[cls] = canon[:, 0]
+            self._reserve(len(self.rows), index.shape[1])
+            self.cls[seen : len(self.rows)] = cls
+            self.width[seen : len(self.rows)] = valid[:, :, 0].sum(axis=1)
+            self.index[seen : len(self.rows), : index.shape[1]] = index
+            self.valid[seen : len(self.rows), : index.shape[1]] = valid
+        return at
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Room for ``rows`` memo rows of up to ``width`` placements."""
+        held, wide = self.index.shape[:2]
+        if rows <= held and width <= wide:
+            return
+        capacity = max(rows, 2 * held) if rows > held else held
+        cls = np.zeros(capacity, dtype=np.intp)
+        cls[:held] = self.cls
+        counts = np.zeros(capacity, dtype=np.intp)
+        counts[:held] = self.width
+        index = np.zeros((capacity, max(width, wide), self.kmax), dtype=np.intp)
+        index[:held, :wide] = self.index
+        valid = np.zeros(index.shape, dtype=bool)
+        valid[:held, :wide] = self.valid
+        self.cls, self.width, self.index, self.valid = cls, counts, index, valid
+
+
+def _grow(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` extended with zeros to ``size`` entries."""
+    extra = size - array.shape[0]
+    return array if extra == 0 else np.concatenate([array, np.zeros(extra, dtype=array.dtype)])
+
+
+class _FreezeCounts:
+    """Per (class, position) distinct-vertex counts of a part's heads, and
+    which classes they froze: every position below the class's vertex
+    count holds ``threshold`` vertices.
+
+    Only cells below ``threshold`` need their keys to dedup later heads
+    against, so ``open`` holds at most ``threshold - 1`` keys per cell.
+    Slabs' heads wait until they outnumber ``open`` and are then counted
+    together, so each key is merged into ``open`` a logarithmic number of
+    times however many slabs the part has; a class freezes at most that
+    late, which only places a few more rows than needed.
+    """
+
+    def __init__(self, threshold: int, kmax: int, n: int) -> None:
+        self.threshold = threshold
+        self.kmax = kmax
+        self.n = n
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.open = np.zeros(0, dtype=np.int64)
+        self.frozen = np.zeros(0, dtype=bool)
+        self.waiting: list[np.ndarray] = []
+
+    def add(self, heads: np.ndarray, sizes: np.ndarray) -> None:
+        """Take a slab's distinct keys; ``sizes`` is every class's vertex
+        count so far."""
+        self.waiting.append(heads)
+        if sum(keys.shape[0] for keys in self.waiting) < self.open.shape[0]:
+            return
+        heads = np.unique(np.concatenate(self.waiting)) if len(self.waiting) > 1 else heads
+        self.waiting = []
+        cells = sizes.shape[0] * self.kmax
+        self.counts = _grow(self.counts, cells)
+        heads = heads[self.counts[heads // self.n] < self.threshold]
+        if self.open.shape[0] and heads.shape[0]:
+            at = np.searchsorted(self.open, heads)
+            np.minimum(at, self.open.shape[0] - 1, out=at)
+            heads = heads[self.open[at] != heads]
+        self.counts += np.bincount(heads // self.n, minlength=cells)
+        merged = np.concatenate([self.open, heads])
+        merged.sort()
+        self.open = merged[self.counts[merged // self.n] < self.threshold]
+        full = self.counts.reshape(-1, self.kmax) >= self.threshold
+        self.frozen = np.all(full | (np.arange(self.kmax) >= sizes[:, None]), axis=1)
+
+    def live(self, cls: np.ndarray, classes: int) -> np.ndarray | None:
+        """Indices of the rows whose class (of ``classes`` so far) has not
+        frozen, or ``None`` when none has; a class first seen after the
+        last ``add`` is live."""
+        if not self.frozen.any():
+            return None
+        return np.flatnonzero(~_grow(self.frozen, classes)[cls])
+
+
 def fold_mni_block(
     ctx,
     block: np.ndarray,
@@ -480,21 +607,35 @@ def fold_mni_block(
 
     Equal, domains and ``frozen`` flags alike, to calling the set-based
     ``MNIDomains.add`` for every automorphic placement of every row in
-    order.  One :func:`canonical_placements` call per slab places its
-    distinct codes and groups them into isomorphism classes by canonical
-    code; classes are numbered part-wide in first-sighting order.  Every
-    placed vertex becomes a packed key ``(class·kmax + position)·n +
+    order.  Each distinct raw code is canonicalised once per part: a
+    part-wide memo maps it to its isomorphism class (by canonical code;
+    classes are numbered in first-sighting order) and its placement rows,
+    and only a slab's unseen codes go through :func:`canonical_placements`.
+    Every placed vertex becomes a packed key ``(class·kmax + position)·n +
     vertex``, and :func:`first_occurrences` over each slab's keys in (row,
     placement) order yields each distinct key's first step (the per-slab
     dedup shrinks a slab's placed keys to its heads before they are held
-    for the part).  After the slabs, the part's classes' canonical rows
-    are hashed in one ``ctx.hash_codes`` call (or once per row under
+    for the part).  A slab's steps run over its own widest placement
+    count, after the earlier slabs' steps, so they ascend in (row,
+    placement) order across the part.
+
+    With a ``threshold``, each slab's heads also count distinct vertices
+    per (class, position); once a class holds ``threshold`` at each of
+    its positions, its rows in later slabs get their class but are not
+    placed.  This drops no key the state keeps: classes that share a hash
+    share one vertex count, so the class's group holds ``threshold``
+    vertices at each of its positions by then too, and :func:`_settle`
+    trims every key first seen after the group's freeze step.
+
+    After the slabs, the part's classes' canonical rows are hashed in one
+    ``ctx.hash_codes`` call (or once per row under
     ``hash_every_embedding``), and a group — a pattern hash numbered in
     first-appearance order over the classes, so ``pmap`` keeps its
     insertion order — replaces the class in each key; that renumbering is
-    the identity unless two classes share a hash.  One more :func:`first_occurrences` over the part's
-    heads gives the state's keys, which :func:`_settle` trims at each
-    group's short-circuit freeze step.
+    the identity unless two classes share a hash.  One more
+    :func:`first_occurrences` over the part's heads gives the state's
+    keys, which :func:`_settle` trims at each group's short-circuit
+    freeze step.
 
     The state's ``rows`` holds each row's pattern hash (``uint64``); its
     key count is the number of set insertions the per-row fold would have
@@ -507,7 +648,8 @@ def fold_mni_block(
         )
     rows_total = block.shape[0]
     n = ctx.graph.num_vertices
-    classes: dict[tuple, int] = {}
+    memo: _CodeMemo | None = None
+    freeze: _FreezeCounts | None = None
     row_cls = np.empty(rows_total, dtype=np.intp)
     row_hashes = np.empty(rows_total, dtype=np.uint64)
     head_keys: list[np.ndarray] = []
@@ -517,26 +659,32 @@ def fold_mni_block(
     for start in range(0, rows_total, SLAB_ROWS):
         verts, codes = encode(block[start : start + SLAB_ROWS])
         rows, kmax = verts.shape
+        if memo is None:
+            memo = _CodeMemo(kmax)
+            freeze = None if threshold is None else _FreezeCounts(threshold, kmax, n)
         first_rows, inverse = distinct_rows(codes)
-        index, valid, canon = canonical_placements(codes[first_rows], kmax)
-        class_rows, cls_of = distinct_rows(canon)
-        slab_cls = np.array(
-            [classes.setdefault(tuple(code), len(classes)) for code in canon[class_rows].tolist()],
-            dtype=np.intp,
-        )
-        cls = row_cls[start : start + rows] = slab_cls[cls_of[inverse]]
-        # One gather places the whole slab; padded cells are masked out.
-        width = index.shape[1]
-        keys = verts[np.arange(rows)[:, None, None], index[inverse]]
+        at = memo.lookup(codes[first_rows])[inverse]
+        cls = row_cls[start : start + rows] = memo.cls[at]
+        live = None if freeze is None else freeze.live(cls, memo.sizes.shape[0])
+        if live is not None:
+            verts, at, cls = verts[live], at[live], cls[live]
+            rows = live.shape[0]
+            if rows == 0:
+                continue
+        # One gather places the slab's live rows; padded cells are masked.
+        width = int(memo.width[at].max())
+        keys = verts[np.arange(rows)[:, None, None], memo.index[:, :width][at]]
         keys += (cls[:, None, None] * kmax + np.arange(kmax)) * n
         # Flat position (row·width + placement)·kmax + position of each
         # placed vertex; its step is the (row, placement) part.
-        placed = np.flatnonzero(valid[inverse])
+        placed = np.flatnonzero(memo.valid[:, :width][at])
         keys, first = first_occurrences(keys.reshape(-1)[placed])
         head_keys.append(keys)
         head_steps.append(step_base + placed[first] // kmax)
         step_base += rows * width
-    codes = list(classes)
+        if freeze is not None:
+            freeze.add(keys, memo.sizes)
+    codes = [] if memo is None else list(memo.classes)
     if hash_every_embedding:
         cls_hash = []
         for code, count in zip(codes, np.bincount(row_cls, minlength=len(codes)).tolist()):

@@ -19,10 +19,11 @@ of both: :meth:`~PatternHasher.hash_pattern` takes one pattern, and
 :meth:`~PatternHasher.hash_codes` takes the code rows the block mappers
 already hold and hashes the memo's misses in one batched pass.
 
-Correctness (Theorem 2 / Corollary 1): for embeddings with fewer than nine
-vertices, equal degrees plus equal spectrum implies isomorphism (Harary et
-al.), so the fingerprint is collision-free in the mining regime the paper
-targets (k < 9).
+Correctness (Theorem 2 / Corollary 1): the paper claims that for
+embeddings with fewer than nine vertices, equal degrees plus equal
+spectrum implies isomorphism (Harary et al.).  That holds up to seven
+vertices, and fails at eight (:data:`COSPECTRAL_EQUAL_DEGREES_8`), so the
+fingerprint is used for k < 8 only (:data:`MAX_EIGENHASH_VERTICES`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "PatternHasher",
     "HARARY_COSPECTRAL_6",
     "HARARY_COSPECTRAL_9",
+    "COSPECTRAL_EQUAL_DEGREES_8",
 ]
 
 
@@ -131,7 +133,7 @@ def weighted_adjacency(pattern: Pattern) -> np.ndarray:
 def eigen_hash(pattern: Pattern) -> int:
     """The EigenHash fingerprint of a pattern (Algorithm 1, ``EigenHash``).
 
-    Two patterns of embeddings with < 9 vertices receive the same value
+    Two patterns of embeddings with < 8 vertices receive the same value
     iff the embeddings are isomorphic (Theorem 2).  Deterministic across
     runs (independent of ``PYTHONHASHSEED``).
 
@@ -358,7 +360,7 @@ def eigen_hash_codes(codes: np.ndarray, kmax: int) -> np.ndarray:
     top = int(ks.max())
     if top > MAX_EIGENHASH_VERTICES:
         raise EmbeddingSizeError(
-            f"EigenHash is only collision-free below 9 vertices; pattern has {top}"
+            f"EigenHash is only collision-free below 8 vertices; pattern has {top}"
         )
     for k in np.unique(ks).tolist():
         at = np.flatnonzero(ks == k)
@@ -618,17 +620,36 @@ HARARY_COSPECTRAL_6: tuple[Pattern, Pattern] = (
     _pair_graph([(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)], 6),
 )
 
-#: Figure 6, right: the smallest cospectral non-isomorphic pair with equal
-#: degree sequences needs 9 vertices.  These two trees share the paper's
+#: Figure 6, right: the paper's cospectral non-isomorphic pair with equal
+#: degree sequences, on 9 vertices.  These two trees share the paper's
 #: printed polynomial λ^9 − 8λ^7 + 19λ^5 − 14λ^3 + 2λ and the degree
-#: sequence (1,1,1,1,2,2,2,3,3) — the EigenHash *cannot* separate them,
-#: which is exactly the k < 9 limit of Corollary 1.  Recovered by
-#: exhaustive search over the 47 trees on 9 vertices.
+#: sequence (1,1,1,1,2,2,2,3,3) — the EigenHash *cannot* separate them.
+#: The paper takes 9 as the limit of Corollary 1, but
+#: :data:`COSPECTRAL_EQUAL_DEGREES_8` breaks it one vertex earlier.
+#: Recovered by exhaustive search over the 47 trees on 9 vertices.
 HARARY_COSPECTRAL_9: tuple[Pattern, Pattern] = (
     _pair_graph(
         [(0, 6), (0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (6, 7), (7, 8)], 9
     ),
     _pair_graph(
         [(0, 5), (0, 7), (0, 1), (1, 2), (2, 3), (2, 4), (5, 6), (7, 8)], 9
+    ),
+)
+
+#: Two non-isomorphic graphs on 8 vertices with equal degree sequences
+#: (1,2,2,3,3,3,4,4) and equal characteristic polynomials
+#: λ^8 − 11λ^6 − 4λ^5 + 28λ^4 + 6λ^3 − 24λ^2 + 4: unlabelled, the EigenHash
+#: gives both the same value, so Corollary 1 fails at 8 vertices and
+#: :data:`MAX_EIGENHASH_VERTICES` is 7.  Found by hashing every 8-vertex
+#: extension of one representative per 7-vertex class (12,216 distinct
+#: values against 12,346 graphs on 8 vertices).
+COSPECTRAL_EQUAL_DEGREES_8: tuple[Pattern, Pattern] = (
+    _pair_graph(
+        [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 5), (1, 7), (2, 4), (2, 5), (3, 4), (3, 6)],
+        8,
+    ),
+    _pair_graph(
+        [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 6), (1, 7), (2, 4), (2, 7), (3, 5), (3, 7)],
+        8,
     ),
 )

@@ -24,9 +24,13 @@ from ..graph.graph import Graph
 
 __all__ = ["Pattern", "triangle_index", "MAX_EIGENHASH_VERTICES"]
 
-#: Largest embedding size for which the EigenHash fingerprint is proven
-#: collision-free (Corollary 1: same degrees + same spectrum + < 9 vertices).
-MAX_EIGENHASH_VERTICES = 8
+#: Largest embedding size for which the EigenHash fingerprint is
+#: collision-free.  The paper's Corollary 1 claims equal degrees plus an
+#: equal spectrum imply isomorphism below 9 vertices, but on 8 vertices
+#: two non-isomorphic graphs share both
+#: (:data:`~repro.core.eigenhash.COSPECTRAL_EQUAL_DEGREES_8`), so the
+#: bound is 7.
+MAX_EIGENHASH_VERTICES = 7
 
 
 def triangle_index(i: int, j: int, k: int) -> int:
@@ -315,7 +319,7 @@ class Pattern:
         """Raise if this pattern is too large for the EigenHash guarantee."""
         if self.num_vertices > MAX_EIGENHASH_VERTICES:
             raise EmbeddingSizeError(
-                f"EigenHash is only collision-free below 9 vertices; "
+                f"EigenHash is only collision-free below 8 vertices; "
                 f"pattern has {self.num_vertices}"
             )
 

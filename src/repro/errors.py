@@ -22,8 +22,9 @@ class GraphConstructionError(KaleidoError):
 class EmbeddingSizeError(KaleidoError):
     """An embedding operation was requested for an unsupported size.
 
-    The EigenHash isomorphism fingerprint is only proven collision-free for
-    embeddings with fewer than 9 vertices (Corollary 1 of the paper).
+    The EigenHash isomorphism fingerprint is only collision-free for
+    embeddings with fewer than 8 vertices (the paper's Corollary 1 claims
+    9, but fails at 8).
     """
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro import FrequentSubgraphMining, KaleidoEngine
+from repro.apps.fsm_vertex import VertexInducedFSM
 from repro.apps.mni import mni_state
 from repro.baselines.mni_sets import edge_pattern_supports
 from repro.apps.reference import fsm_naive
 from repro.core.isomorphism import canonical_form, pattern_from_key
 from repro.core.pattern import MAX_EIGENHASH_VERTICES
+from repro.graph import datasets
 from repro.graph.generators import chung_lu
 from tests.conftest import random_labeled_graph
 
@@ -190,3 +192,28 @@ def test_reduced_map_holds_only_frequent_patterns_in_any_id_order(exact_mni):
         assert all(dom.support >= 2 for dom in pattern_map.values())
         assert dict(result.value) == {h: d.support for h, d in pattern_map.items()}
     assert dict(results[0].value) == dict(results[1].value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: FrequentSubgraphMining(3, 3), lambda: VertexInducedFSM(4, 3)],
+    ids=["fsm", "vfsm"],
+)
+def test_short_circuit_answer_is_the_same_at_every_worker_count(make):
+    """The short-circuit stops counting at a step set by the part cut (one
+    part per worker), so only the capped support is the answer: equal
+    values, and equal pattern maps up to the domains' contents (which
+    patterns, in which order, frozen or not, support capped)."""
+    graph = datasets.load("citeseer", "tiny")
+    runs = []
+    for workers in (1, 2, 4):
+        with KaleidoEngine(graph, workers=workers) as engine:
+            runs.append(engine.run(make()))
+    base = runs[0]
+    assert all(value == 3 for value in base.value.values())
+    for run in runs[1:]:
+        assert dict(run.value) == dict(base.value)
+        assert list(run.value) == list(base.value)
+        assert [(h, d.frozen, min(d.support, 3)) for h, d in run.pattern_map.items()] == [
+            (h, d.frozen, min(d.support, 3)) for h, d in base.pattern_map.items()
+        ]

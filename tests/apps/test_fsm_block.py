@@ -38,7 +38,7 @@ from repro.core import (
     expand_edge_level,
     expand_vertex_level,
 )
-from repro.graph import datasets
+from repro.graph import datasets, from_edge_list
 from repro.graph.edge_index import EdgeIndex
 from tests.conftest import random_labeled_graph
 
@@ -130,7 +130,13 @@ class _PerRowOracle:
         return sum(120 + dom.nbytes for dom in pmap.values())
 
     def finalize(self, ctx, cse, pmap):
-        supports = {h: dom.support for h, dom in pmap.items() if dom.support >= self.support}
+        # A short-circuited support reads "at least the threshold".
+        cap = None if self.exact_mni else self.support
+        supports = {
+            h: dom.support if cap is None else min(dom.support, cap)
+            for h, dom in pmap.items()
+            if dom.support >= self.support
+        }
         return FSMResult(supports, {})
 
 
@@ -381,3 +387,42 @@ def test_map_block_takes_a_part_in_one_call(vertex_induced):
     assert pmap
     with pytest.raises(ValueError, match="one call"):
         app.map_block(ctx, block[block.shape[0] // 2 :], pmap)
+
+
+@pytest.mark.parametrize("exact_mni", [False, True], ids=["short-circuit", "exact"])
+def test_frozen_classes_skip_placement_across_slabs(exact_mni):
+    """Two-row slabs over one hand-built part, support 3: the path class
+    holds 2 centres after slab 0 and freezes in slab 1, then recurs with
+    new vertices; the triangle class, with the wider automorphism group (6
+    placements against 2), first appears in slab 1 and freezes there.  The
+    fold must equal the per-row oracle, and under the short-circuit it
+    must leave the rows of slabs 2 and 3 unplaced."""
+    paths = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (15, 16), (16, 17)]
+    triangles = [(9, 10), (10, 11), (9, 11), (12, 13), (13, 14), (12, 14)]
+    graph = from_edge_list(paths + triangles, [0] * 18, "frozen-slabs")
+    block = np.array(
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (15, 16, 17), (12, 13, 14), (11, 9, 10)],
+        dtype=np.int32,
+    )
+    ctx = EngineContext(graph=graph, engine=KaleidoEngine(graph))
+    skipped = []
+    live = mni._FreezeCounts.live
+
+    def counting_live(self, cls, classes):
+        alive = live(self, cls, classes)
+        skipped.append(0 if alive is None else cls.shape[0] - alive.shape[0])
+        return alive
+
+    got: dict = {}
+    want: dict = {}
+    with mock.patch.object(mni, "SLAB_ROWS", 2):
+        with mock.patch.object(mni._FreezeCounts, "live", counting_live):
+            BlockVFSM(3, 3, exact_mni).map_block(ctx, block, got)
+    OracleVFSM(3, 3, exact_mni).map_block(ctx, block, want)
+    assert list(got) == list(want)
+    assert got == want
+    state = mni.mni_state(got)
+    assert state.keys.shape[0] == sum(dom.insertions for dom in want.values())
+    by_row = sorted((row, phash) for phash, dom in want.items() for row in dom.rows)
+    assert state.rows.tolist() == [phash for _, phash in by_row]
+    assert sum(skipped) == (0 if exact_mni else 3)

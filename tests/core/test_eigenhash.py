@@ -1,12 +1,18 @@
 """Unit tests for the EigenHash fingerprint (Algorithm 1, Figure 6)."""
 
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import FrequentSubgraphMining, MotifCounting
+from repro.apps.fsm_vertex import VertexInducedFSM
+from repro.apps.matching import PatternMatching
 from repro.core import Pattern, eigen_hash, faddeev_leverrier, weighted_adjacency
+from repro.core import eigenhash
 from repro.core.eigenhash import (
+    COSPECTRAL_EQUAL_DEGREES_8,
     HARARY_COSPECTRAL_6,
     HARARY_COSPECTRAL_9,
     PatternHasher,
@@ -132,16 +138,50 @@ def test_harary_6_pair_is_cospectral_but_degree_separated():
 
 
 def test_harary_9_pair_defeats_eigenhash_exactly_at_the_bound():
+    """The paper's 9-vertex pair; the bound it was meant to mark is one
+    vertex lower (:func:`test_eight_vertex_pair_defeats_eigenhash`)."""
     a, b = HARARY_COSPECTRAL_9
     poly_a = faddeev_leverrier(a.adjacency_matrix())
     poly_b = faddeev_leverrier(b.adjacency_matrix())
     assert poly_a == poly_b == (0, -8, 0, 19, 0, -14, 0, 2, 0)  # paper's polynomial
     assert sorted(a.degree_sequence()) == sorted(b.degree_sequence())
     assert not are_isomorphic(a, b)
-    # 9 vertices: the EigenHash guarantee no longer applies — the checker
-    # refuses rather than silently colliding.
+    # Above the bound the checker refuses rather than silently colliding.
     with pytest.raises(EmbeddingSizeError):
         eigen_hash(a)
+
+
+def test_eight_vertex_pair_defeats_eigenhash():
+    """Equal degrees and an equal characteristic polynomial on 8 vertices,
+    yet not isomorphic: EigenHash would merge them, so 8 vertices is past
+    ``MAX_EIGENHASH_VERTICES``."""
+    a, b = COSPECTRAL_EQUAL_DEGREES_8
+    poly_a = faddeev_leverrier(a.adjacency_matrix())
+    poly_b = faddeev_leverrier(b.adjacency_matrix())
+    assert poly_a == poly_b == (0, -11, -4, 28, 6, -24, 0, 4)
+    assert sorted(a.degree_sequence()) == sorted(b.degree_sequence()) == [1, 2, 2, 3, 3, 3, 4, 4]
+    assert not are_isomorphic(a, b)
+    with pytest.raises(EmbeddingSizeError):
+        eigen_hash(a)
+    with mock.patch.object(eigenhash, "MAX_EIGENHASH_VERTICES", 8):
+        assert eigen_hash(a) == eigen_hash(b)
+        codes = np.array([a.to_code(8), b.to_code(8)])
+        hashes = eigen_hash_codes(codes, 8).tolist()
+        assert hashes[0] == hashes[1]
+
+
+def test_apps_refuse_eight_vertex_patterns():
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        MotifCounting(8)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        VertexInducedFSM(8, 1)
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        FrequentSubgraphMining(num_edges=7, support=1)
+    path8 = Pattern.from_adjacency(
+        [0] * 8, [[int(abs(i - j) == 1) for j in range(8)] for i in range(8)]
+    )
+    with pytest.raises(ValueError, match="MAX_EIGENHASH_VERTICES"):
+        PatternMatching(path8)
 
 
 def _unlabelled_codes(k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:

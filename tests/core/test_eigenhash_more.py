@@ -5,8 +5,11 @@ import subprocess
 import sys
 
 import repro
+import pytest
+
 from repro.core import Pattern, eigen_hash
 from repro.core.eigenhash import _stable_hash
+from repro.errors import EmbeddingSizeError
 
 
 def test_hash_stable_across_interpreter_runs():
@@ -69,15 +72,22 @@ def test_disconnected_patterns_distinguished():
     assert eigen_hash(two_edges) != eigen_hash(path_iso)
 
 
-def test_eight_vertex_boundary():
-    """k = 8 is the largest supported size; it must work."""
-    ring8 = 0
+def _ring(k: int) -> Pattern:
     from repro.core.pattern import triangle_index
 
-    for i in range(8):
-        j = (i + 1) % 8
+    bits = 0
+    for i in range(k):
+        j = (i + 1) % k
         a, b = (i, j) if i < j else (j, i)
-        ring8 |= 1 << triangle_index(a, b, 8)
-    p = Pattern((0,) * 8, ring8)
-    q = p.permute([3, 4, 5, 6, 7, 0, 1, 2])
+        bits |= 1 << triangle_index(a, b, k)
+    return Pattern((0,) * k, bits)
+
+
+def test_eight_vertex_boundary():
+    """k = 7 is the largest supported size and must work; k = 8 is where
+    the hash stops being collision-free, so it is refused."""
+    p = _ring(7)
+    q = p.permute([3, 4, 5, 6, 0, 1, 2])
     assert eigen_hash(p) == eigen_hash(q)
+    with pytest.raises(EmbeddingSizeError):
+        eigen_hash(_ring(8))

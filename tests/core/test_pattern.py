@@ -102,9 +102,9 @@ def test_storage_size_matches_figure5():
 
 
 def test_check_eigenhash_size():
-    small = Pattern((0,) * 8, 0)
+    small = Pattern((0,) * 7, 0)
     small.check_eigenhash_size()  # no raise
-    big = Pattern((0,) * 9, 0)
+    big = Pattern((0,) * 8, 0)
     with pytest.raises(EmbeddingSizeError):
         big.check_eigenhash_size()
 

@@ -128,30 +128,31 @@ def test_overflow_guard_sides(monkeypatch, offset, falls_back):
 
 @pytest.mark.parametrize("label, falls_back", [(3, False), (10, True)])
 def test_guard_checks_every_step(monkeypatch, label, falls_back):
-    """K8 with one vertex label ``l`` (every weight ``w = (l+1)(l+3)``, so
-    ``R = 7w``).  Both rows pass the first check, ``k·R² < 2^62``, and both
-    fail the a-priori bound ``k·2^(k+1)·R^k``; at ``l = 3`` every later
-    check passes and the row stays in the int64 pass, at ``l = 10`` a later
-    one fails and the row falls back."""
-    reach = 7 * (label + 1) * (label + 3)
-    assert 8 * reach * reach < FLV_INT64_BOUND
-    assert 8 * 2**9 * reach**8 >= FLV_INT64_BOUND
+    """K7 with one vertex label ``l`` and every edge labelled 0 (every
+    weight ``w = 2(l+1)(l+3) + 1``, so ``R = 6w``).  Both rows pass the
+    first check, ``k·R² < 2^62``, and both fail the a-priori bound
+    ``k·2^(k+1)·R^k``; at ``l = 3`` every later check passes and the row
+    stays in the int64 pass, at ``l = 10`` a later one fails and the row
+    falls back."""
+    reach = 6 * (2 * (label + 1) * (label + 3) + 1)
+    assert 7 * reach * reach < FLV_INT64_BOUND
+    assert 7 * 2**8 * reach**7 >= FLV_INT64_BOUND
     calls = []
     scalar = eigenhash.eigen_hash
     monkeypatch.setattr(eigenhash, "eigen_hash", lambda p: calls.append(p) or scalar(p))
-    pattern = Pattern((label,) * 8, (1 << 28) - 1)
-    assert eigen_hash_codes(np.array([pattern.to_code(8)]), 8).tolist() == [scalar(pattern)]
+    pattern = Pattern((label,) * 7, (1 << 21) - 1, (0,) * 21)
+    assert eigen_hash_codes(np.array([pattern.to_code(7)]), 7).tolist() == [scalar(pattern)]
     assert calls == ([pattern] if falls_back else [])
 
 
-def test_huge_labels_force_fallback_on_eight_vertices(monkeypatch):
+def test_huge_labels_force_fallback_on_seven_vertices(monkeypatch):
     calls = []
     scalar = eigenhash.eigen_hash
     monkeypatch.setattr(eigenhash, "eigen_hash", lambda p: calls.append(p) or scalar(p))
-    big = Pattern(tuple(range(1 << 40, (1 << 40) + 8)), (1 << 28) - 1, tuple(range(28)))
-    small = Pattern((0,) * 8, (1 << 28) - 1, (0,) * 28)
-    codes = np.array([big.to_code(8), small.to_code(8)])
-    assert eigen_hash_codes(codes, 8).tolist() == [scalar(big), scalar(small)]
+    big = Pattern(tuple(range(1 << 40, (1 << 40) + 7)), (1 << 21) - 1, tuple(range(21)))
+    small = Pattern((0,) * 7, (1 << 21) - 1, (0,) * 21)
+    codes = np.array([big.to_code(7), small.to_code(7)])
+    assert eigen_hash_codes(codes, 7).tolist() == [scalar(big), scalar(small)]
     assert calls == [big]
 
 
@@ -160,7 +161,7 @@ def test_empty_and_oversized_batches():
     empty = Pattern((), 0)
     assert eigen_hash_codes(np.array([empty.to_code(1)]), 1).tolist() == [eigen_hash(empty)]
     with pytest.raises(EmbeddingSizeError):
-        eigen_hash_codes(np.array([Pattern((0,) * 9, 0).to_code(9)]), 9)
+        eigen_hash_codes(np.array([Pattern((0,) * 8, 0).to_code(8)]), 8)
 
 
 # ----------------------------------------------------------------------

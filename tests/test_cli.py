@@ -223,11 +223,17 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
         (["mine", "fsm", "--profile", "tiny", "--support", "0"],
          "support must be at least 1"),
         (["mine", "motif", "--profile", "tiny", "-k", "9"],
-         "motif size must be at most MAX_EIGENHASH_VERTICES (8), got 9"),
+         "motif size must be at most MAX_EIGENHASH_VERTICES (7), got 9"),
         (["approx", "--profile", "tiny", "-k", "9"],
-         "motif size must be at most MAX_EIGENHASH_VERTICES (8), got 9"),
+         "motif size must be at most MAX_EIGENHASH_VERTICES (7), got 9"),
         (["mine", "fsm", "--profile", "tiny", "--edges", "8"],
-         "num_edges must be at most MAX_EIGENHASH_VERTICES - 1 (7), got 8"),
+         "num_edges must be at most MAX_EIGENHASH_VERTICES - 1 (6), got 8"),
+        (["mine", "motif", "--profile", "tiny", "-k", "8"],
+         "motif size must be at most MAX_EIGENHASH_VERTICES (7), got 8"),
+        (["approx", "--profile", "tiny", "-k", "8"],
+         "motif size must be at most MAX_EIGENHASH_VERTICES (7), got 8"),
+        (["mine", "fsm", "--profile", "tiny", "--edges", "7"],
+         "num_edges must be at most MAX_EIGENHASH_VERTICES - 1 (6), got 7"),
     ],
     ids=[
         "approx-samples", "approx-k", "generate-vertices", "generate-edges-negative",
@@ -237,6 +243,7 @@ def test_non_positive_counts_exit_2(command, flag, value, capsys):
         "memory-limit-inf", "memory-limit-below-one-byte",
         "motif-k1", "motif-k2", "clique-k1", "fsm-edges0", "fsm-support0",
         "motif-k9", "approx-k9", "fsm-edges8",
+        "motif-k8", "approx-k8", "fsm-edges7",
     ],
 )
 def test_invalid_inputs_exit_2(argv, message, capsys):

@@ -72,41 +72,63 @@ def edge_codes(
 
     Vertices are numbered in first-appearance order over the edges'
     ``(u, v)`` endpoints, exactly as :meth:`Pattern.from_edge_embedding`
-    numbers them, by comparing each endpoint column with the earlier ones.
+    numbers them.  The work is column-major, so every column it touches
+    is one contiguous array: each endpoint column is compared with the
+    earlier ones a column at a time (positions and vertex counts are
+    ``int8``), and each code column is written in place into one
+    ``(width, rows)`` array.  Both results are transposed views of
+    column-major arrays, so no code row is ever assembled and
+    :func:`~repro.apps.mni.distinct_rows` reads the columns without a
+    copy.
     """
     rows, m = slab.shape
     kmax = m + 1
-    ends = np.empty((rows, 2 * m), dtype=np.int64)
-    ends[:, 0::2] = index.edge_u[slab]
-    ends[:, 1::2] = index.edge_v[slab]
-    pos = np.empty_like(ends)
-    verts = np.zeros((rows, kmax), dtype=np.int64)
-    nv = np.zeros(rows, dtype=np.int64)
-    row_ids = np.arange(rows)
+    ids = slab.T
+    ends = np.empty((2 * m, rows), dtype=index.edge_u.dtype)
+    for e in range(m):
+        np.take(index.edge_u, ids[e], out=ends[2 * e])
+        np.take(index.edge_v, ids[e], out=ends[2 * e + 1])
+    # A repeated endpoint copies the earlier one's position; a fresh one
+    # keeps ``nv``, which every earlier position is below.
+    pos = np.empty((2 * m, rows), dtype=np.int8)
+    nv = np.zeros(rows, dtype=np.int8)
+    same = np.empty(rows, dtype=bool)
     for c in range(2 * m):
-        col = ends[:, c]
-        at = nv.copy()
-        fresh = np.ones(rows, dtype=bool)
+        np.copyto(pos[c], nv)
         for prev in range(c):
-            same = col == ends[:, prev]
-            at = np.where(same, pos[:, prev], at)
-            fresh &= ~same
-        pos[:, c] = at
-        verts[row_ids[fresh], nv[fresh]] = col[fresh]
-        nv += fresh
-    lo = np.minimum(pos[:, 0::2], pos[:, 1::2])
-    hi = np.maximum(pos[:, 0::2], pos[:, 1::2])
+            np.equal(ends[c], ends[prev], out=same)
+            np.copyto(pos[c], pos[prev], where=same)
+        nv += pos[c] == nv
+    # verts[pos, row] = ends for every endpoint at once (a repeat rewrites
+    # the same vertex).
+    flat = pos.astype(np.intp)
+    flat *= rows
+    flat += np.arange(rows)
+    verts = np.zeros((kmax, rows), dtype=np.int64)
+    verts.reshape(-1)[flat] = ends
+    lo = np.minimum(pos[0::2], pos[1::2])
+    hi = np.maximum(pos[0::2], pos[1::2])
     # triangle_index(lo, hi, k) with each row's own vertex count k.
-    cells = lo * (nv[:, None] - 1) - lo * (lo - 1) // 2 + (hi - lo - 1)
-    bits = np.bitwise_or.reduce(np.left_shift(1, cells), axis=1)
-    labels = np.where(np.arange(kmax) < nv[:, None], graph.labels[verts], -1)
-    columns = [nv[:, None], labels, bits[:, None]]
-    if graph.has_edge_labels:
+    cells = lo * (nv - 1) - lo * (lo - 1) // 2 + (hi - lo - 1)
+    labelled = graph.has_edge_labels
+    width = 2 + kmax + (kmax * (kmax - 1) // 2 if labelled else 0)
+    codes = np.empty((width, rows), dtype=np.int64)
+    codes[0] = nv
+    labels = codes[1 : 1 + kmax]
+    labels[...] = graph.labels[verts]
+    np.copyto(labels, -1, where=np.arange(kmax)[:, None] >= nv)
+    bits = codes[1 + kmax]
+    np.left_shift(1, cells[0], out=bits, dtype=np.int64)
+    for e in range(1, m):
+        bits |= np.left_shift(1, cells[e], dtype=np.int64)
+    if labelled:
         assert graph.edge_labels is not None
-        by_cell = np.zeros((rows, kmax * (kmax - 1) // 2), dtype=np.int64)
-        by_cell[row_ids[:, None], cells] = graph.edge_labels[slab]
-        columns.append(by_cell)
-    return verts, np.hstack(columns)
+        by_cell = codes[2 + kmax :]
+        by_cell.fill(0)
+        row_ids = np.arange(rows)
+        for e in range(m):
+            by_cell[cells[e], row_ids] = graph.edge_labels[ids[e]]
+    return verts.T, codes.T
 
 
 def frequent_edge_mask(graph: Graph, support: int) -> np.ndarray:

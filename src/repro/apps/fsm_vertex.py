@@ -54,26 +54,28 @@ def vertex_codes(
     """:data:`~repro.apps.mni.BlockEncoder` of vertex-induced embeddings:
     the block columns already are the structure order, and the induced
     edges come from batched ``has_edges`` probes (their labels from
-    ``keys``, :func:`edge_keys` built once per block)."""
+    ``keys``, :func:`edge_keys` built once per block).  The codes are
+    :func:`~repro.apps.fsm.edge_codes`' layout: each column written in
+    place into one ``(width, rows)`` array, returned transposed."""
     slab = slab.astype(np.int64, copy=False)
     rows, k = slab.shape
-    bits = np.zeros(rows, dtype=np.int64)
-    by_cell = np.zeros((rows, k * (k - 1) // 2), dtype=np.int64)
+    width = 2 + k + (k * (k - 1) // 2 if keys is not None else 0)
+    codes = np.zeros((width, rows), dtype=np.int64)
+    codes[0] = k
+    codes[1 : 1 + k] = graph.labels[slab.T]
+    bits, by_cell = codes[1 + k], codes[2 + k :]
     assert keys is None or graph.edge_labels is not None
     for i in range(k):
         for j in range(i + 1, k):
             cell = triangle_index(i, j, k)
             present = kctx.has_edges(slab[:, i], slab[:, j])
-            bits[present] |= 1 << cell
+            np.bitwise_or(bits, 1 << cell, out=bits, where=present)
             if keys is not None:
                 lo = np.minimum(slab[present, i], slab[present, j])
                 hi = np.maximum(slab[present, i], slab[present, j])
                 eid = np.searchsorted(keys, lo * graph.num_vertices + hi)
-                by_cell[present, cell] = graph.edge_labels[eid]
-    columns = [np.full((rows, 1), k), graph.labels[slab], bits[:, None]]
-    if keys is not None:
-        columns.append(by_cell)
-    return slab, np.hstack(columns).astype(np.int64, copy=False)
+                by_cell[cell, present] = graph.edge_labels[eid]
+    return slab, codes.T
 
 
 class VertexInducedFSM(MNIApplication):

@@ -85,8 +85,22 @@ __all__ = [
 ]
 
 #: Rows per slab of :func:`fold_mni_block`: bounds its ``rows ×
-#: placements × positions`` key temporaries whatever the part size.
-SLAB_ROWS = 4096
+#: placements × positions`` key temporaries whatever the part size (about
+#: 265 B per slab row on 2-edge FSM).  The encoders cost per row; each
+#: slab also pays fixed costs — a :func:`distinct_rows` pass, a memo
+#: lookup whose unseen codes go through :func:`canonical_placements`, a
+#: head dedup and a freeze count — so small slabs pay those too often and
+#: large ones outgrow the cache.  Fold times of captured parts (medians
+#: of 15-25 interleaved rounds, support 3, 2-core x86 box) at 4 / 8 / 16
+#: Ki rows: ``fsm3-mem``'s seed-7 72,217-row 2-edge part 38.8-40.2 /
+#: 32.8-34.4 / 34.8-35.3 ms (2 Ki: 51.7, 6 Ki: 34.6-36.3, 12 Ki:
+#: 32.4-33.8, 32 Ki: 40.8); its 70,416-row 3-vertex vFSM part 44.9 / 39.4
+#: / 43.5 ms; ``service-mix``'s 25,888-row part 13.3-16.7 / 13.0-17.2 /
+#: 18.1 ms.  8 Ki is the best or within noise of it everywhere, and
+#: end to end (``perf/run.py --seed 7``, 3 runs each) ``fsm3-mem`` takes
+#: 33.1 / 31.5 / 30.4 ms at 4 / 6 / 8 Ki rows for 53.8 / 54.0 / 54.3 MB
+#: peak RSS, and ``service-mix`` 31.4 / 31.0 / 30.5 ms.
+SLAB_ROWS = 8192
 
 #: Bound on one :func:`canonical_placements` chunk's ``codes × k! × k²``
 #: temporaries: at ``k = 8`` a single code has 40,320 candidate
@@ -678,7 +692,9 @@ def fold_mni_block(
         # Flat position (row·width + placement)·kmax + position of each
         # placed vertex; its step is the (row, placement) part.
         placed = np.flatnonzero(memo.valid[:, :width][at])
-        keys, first = first_occurrences(keys.reshape(-1)[placed])
+        # Rebinding frees the slab's whole key array before the dedup copies.
+        keys = keys.reshape(-1)[placed]
+        keys, first = first_occurrences(keys)
         head_keys.append(keys)
         head_steps.append(step_base + placed[first] // kmax)
         step_base += rows * width

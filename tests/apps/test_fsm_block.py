@@ -17,6 +17,7 @@ the oracle.
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps import mni
 from repro.apps.fsm import FSMResult, frequent_edge_mask
 from repro.apps.fsm_vertex import VertexInducedFSM
+from repro.apps.reference import connected_edge_sets
 from repro.baselines.mni_sets import SetMNIDomains, edge_pattern_supports, merge_set_domains
 from repro.baselines.positions import PositionMapper
 from repro.core import (
@@ -426,3 +428,37 @@ def test_frozen_classes_skip_placement_across_slabs(exact_mni):
     by_row = sorted((row, phash) for phash, dom in want.items() for row in dom.rows)
     assert state.rows.tolist() == [phash for _, phash in by_row]
     assert sum(skipped) == (0 if exact_mni else 3)
+
+
+@pytest.mark.parametrize("exact_mni", [False, True])
+def test_slabs_bound_a_large_parts_fold_transients(exact_mni):
+    """A part of more than 8 slabs folds to the same state as one slab of
+    the whole part, and its traced peak, less the 16 B per row the fold
+    holds for the part (each row's class and pattern hash), stays a
+    constant multiple of SLAB_ROWS instead of growing with the part.
+
+    The part is one small graph's 2-edge embeddings tiled, so its classes,
+    memo and distinct keys stay one tile's.  The slabbed fold peaks at
+    264-270 B per slab row here; one slab for the whole part peaked at
+    2,670 x SLAB_ROWS."""
+    graph = random_labeled_graph(40, 100, 3, seed=3)
+    ctx = EngineContext(graph=graph, engine=KaleidoEngine(graph), edge_index=EdgeIndex(graph))
+    tile = np.array(connected_edge_sets(graph, 2), dtype=np.int32)
+    block = np.tile(tile, (-(-9 * mni.SLAB_ROWS // tile.shape[0]), 1))
+    assert block.shape[0] > 8 * mni.SLAB_ROWS
+    app = FrequentSubgraphMining(2, 3, exact_mni)
+    got: dict = {}
+    tracemalloc.start()
+    try:
+        app.map_block(ctx, block, got)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want: dict = {}
+    with mock.patch.object(mni, "SLAB_ROWS", block.shape[0]):
+        app.map_block(ctx, block, want)
+    assert list(got) == list(want)
+    mine, whole = mni.mni_state(got), mni.mni_state(want)
+    for name in ("hashes", "sizes", "keys", "frozen", "support", "rows"):
+        np.testing.assert_array_equal(getattr(mine, name), getattr(whole, name))
+    assert peak - 16 * block.shape[0] < 500 * mni.SLAB_ROWS

@@ -402,3 +402,23 @@ def test_red_run_result_matches_direct_engine(paper_graph):
     solo = KaleidoEngine(paper_graph).run(TriangleCounting())
     assert result.pattern_map == dict(solo.pattern_map)
     assert result.value == solo.value
+
+
+@pytest.mark.parametrize("pool_workers", [1, 2, 4])
+def test_fsm_answer_is_the_solo_answer_at_every_pool_size(pool_workers):
+    """The cache key carries no worker count, so an FSM answer, mined
+    (the miss) or served (the hit), must be the solo ``workers=1`` run's:
+    the short-circuited supports are capped at the threshold, whatever
+    part cut the pool's workers make."""
+    params = {"edges": 2, "support": 3}
+    with KaleidoEngine(datasets.load("citeseer", "tiny"), workers=1) as engine:
+        solo = engine.run(build_app("fsm", 3, params)).value
+    request = QueryRequest(app="fsm", dataset="citeseer", profile="tiny", params=params)
+    with MiningService(pool_workers=pool_workers) as svc:
+        miss = svc.query(request)
+        hit = svc.query(request)
+    assert (miss.route, miss.cache_hit) == (Route.RED, False)
+    assert (hit.route, hit.cache_hit) == (Route.GREEN, True)
+    assert len(solo) > 1
+    assert dict(miss.value) == dict(solo)
+    assert dict(hit.value) == dict(solo)

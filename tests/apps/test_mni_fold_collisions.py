@@ -51,7 +51,7 @@ def _run(graph, app):
 @pytest.mark.parametrize("app", ["fsm", "vfsm"])
 @pytest.mark.parametrize("edge_labels", [0, 2])
 @pytest.mark.parametrize("exact_mni", [False, True])
-@pytest.mark.parametrize("slab_rows", [3, mni.SLAB_ROWS])
+@pytest.mark.parametrize("slab_rows", [3, 4096, mni.SLAB_ROWS])
 def test_colliding_classes_merge_like_the_oracle(app, edge_labels, exact_mni, slab_rows):
     graph = _graph(11, 20, 50, 3, edge_labels)
     if app == "fsm":

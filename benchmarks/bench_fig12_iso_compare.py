@@ -22,7 +22,7 @@ from repro.apps.mni import canonical_placements
 from repro.baselines import BlissLikeHasher
 from repro.bench import format_table, geomean
 from repro.core import PatternHasher, eigenhash
-from repro.core.eigenhash import eigen_hash, eigen_hash_codes
+from repro.core.eigenhash import MAX_EIGENHASH_VERTICES, eigen_hash, eigen_hash_codes
 from repro.core.pattern import Pattern, triangle_index
 from repro.graph import datasets
 
@@ -141,8 +141,8 @@ def test_fig12_iso_compare(benchmark, emit):
 HASH_BATCHES = (1, 32, 4096)
 
 #: Distinct codes timed through ``canonical_placements`` per k: its
-#: ``k!`` permutation table makes one 8-vertex code cost milliseconds.
-CANON_CODES = {3: 512, 4: 512, 5: 512, 6: 128, 7: 16, 8: 4}
+#: ``k!`` permutation table makes one 7-vertex code cost milliseconds.
+CANON_CODES = {3: 512, 4: 512, 5: 512, 6: 128, 7: 16}
 
 
 def _connected_corpus(k: int, count: int, rng) -> list[Pattern]:
@@ -176,7 +176,8 @@ def test_fig12_hash_cost_per_k(benchmark, emit):
 
     def run_cases():
         rng = np.random.default_rng(12)
-        for k in range(3, 9):
+        # EigenHash refuses patterns above its audited bound.
+        for k in range(3, MAX_EIGENHASH_VERTICES + 1):
             corpus = _connected_corpus(k, max(HASH_BATCHES), rng)
             codes = np.array([p.to_code(k) for p in corpus], dtype=np.int64)
             want = []

@@ -183,10 +183,11 @@ class MNIApplication(MiningApplication):
     Subclasses supply ``init``, ``iterations``, ``block_filter`` and a
     ``map_block`` that folds each block into its part's map through
     :func:`fold_mni_block`.  Each part's :class:`~repro.apps.mni.MNIState`
-    carries its rows' pattern hashes, which ``reduce`` collects, in part
-    order, for ``prune``.  The reduced map holds the frequent patterns
-    only (Listing 1's PatternFilter), so which infrequent patterns a
-    level reached — which depends on the vertex id order — never shows."""
+    carries its rows' groups, which ``reduce`` collects with the groups'
+    hashes, in part order, for ``prune``.  The reduced map holds the
+    frequent patterns only (Listing 1's PatternFilter), so which
+    infrequent patterns a level reached — which depends on the vertex id
+    order — never shows."""
 
     aggregate_every_iteration = True
 
@@ -195,7 +196,7 @@ class MNIApplication(MiningApplication):
             raise ValueError("support must be at least 1")
         self.support = support
         self.exact_mni = exact_mni
-        self._iter_hashes: list[np.ndarray] = []
+        self._iter_rows: list[tuple[np.ndarray, np.ndarray]] = []
         #: Total MNI set insertions performed (deterministic cost proxy for
         #: the Figure-11 support sweep).
         self.total_insertions = 0
@@ -209,7 +210,7 @@ class MNIApplication(MiningApplication):
     def reduce(self, ctx: EngineContext, pmaps: list[PatternMap]) -> PatternMap:
         # A part with rows always publishes a state; an empty part maps none.
         states = [state for state in map(mni_state, pmaps) if state is not None]
-        self._iter_hashes = [state.rows for state in states]
+        self._iter_rows = [(state.hashes, state.rows) for state in states]
         self.total_insertions += sum(state.keys.shape[0] for state in states)
         self.total_mapped += sum(state.rows.shape[0] for state in states)
         return frequent_patterns(reduce_domains(pmaps, self._threshold), self.support)
@@ -217,8 +218,8 @@ class MNIApplication(MiningApplication):
     def prune(
         self, ctx: EngineContext, cse: CSE, reduced: PatternMap
     ) -> np.ndarray | None:
-        keep = frequent_mask(self._iter_hashes, reduced, self.support)
-        self._iter_hashes = []
+        keep = frequent_mask(self._iter_rows, reduced, self.support)
+        self._iter_rows = []
         return keep
 
     def pmap_nbytes(self, pmap: PatternMap) -> int:
@@ -242,7 +243,7 @@ class MNIApplication(MiningApplication):
 
     def finalize(self, ctx: EngineContext, cse: CSE, pmap: PatternMap) -> FSMResult:
         # A run with no iteration never prunes its one aggregation.
-        self._iter_hashes = []
+        self._iter_rows = []
         supports: dict[int, int] = {}
         state = mni_state(pmap)
         if state is not None:

@@ -14,7 +14,7 @@ short-circuits (Section 6.2's discussion of Figure 11).  Both the
 short-circuit mode and the exact mode used for verification live here.
 The short-circuit saves time as well as memory: once a pattern class's
 domains in a part reach the threshold at the end of a slab, the fold
-still classifies its later rows (their hashes feed ``prune``) but places
+still classifies its later rows (their groups feed ``prune``) but places
 none of their vertices.
 
 MNI state is sorted int64 arrays, never Python sets.  A part's state
@@ -155,8 +155,8 @@ class MNIState:
     per domain member, so each (group, position) cell is one contiguous
     run; ``support[g]`` is the smallest of group ``g``'s ``sizes[g]`` cell
     sizes and ``frozen[g]`` whether short-circuit counting stopped it.
-    A part's state also carries ``rows``, its rows' pattern hashes in row
-    order (``None`` on a reduced state).
+    A part's state also carries ``rows``, its rows' groups in row order
+    (``None`` on a reduced state).
     """
 
     __slots__ = ("hashes", "sizes", "keys", "frozen", "support", "kmax", "n", "rows")
@@ -178,7 +178,8 @@ class MNIState:
         self.frozen = frozen
         self.kmax = kmax
         self.n = n
-        #: ``uint64`` pattern hash per mapped row (a part's state only).
+        #: ``np.intp`` group per mapped row (a part's state only):
+        #: ``hashes[rows]`` are the rows' pattern hashes.
         self.rows: np.ndarray | None = None
         groups = hashes.shape[0]
         counts = np.bincount(keys // n, minlength=groups * kmax).reshape(groups, kmax)
@@ -222,6 +223,15 @@ class MNIState:
         return MNIState(
             self.hashes[keep], self.sizes[keep], keys, self.frozen[keep], self.kmax, self.n
         )
+
+    def without_rows(self) -> "MNIState":
+        """This state's arrays, shared, under a state whose ``rows`` is
+        ``None``."""
+        state = MNIState.__new__(MNIState)
+        for name in MNIState.__slots__:
+            setattr(state, name, getattr(self, name))
+        state.rows = None
+        return state
 
     def publish(self, pmap: dict) -> None:
         """Fill ``pmap`` with one :class:`MNIDomains` view per group, in
@@ -651,9 +661,9 @@ def fold_mni_block(
     keys, which :func:`_settle` trims at each group's short-circuit
     freeze step.
 
-    The state's ``rows`` holds each row's pattern hash (``uint64``); its
-    key count is the number of set insertions the per-row fold would have
-    made.
+    The state's ``rows`` holds each row's group (``np.intp``, so
+    ``hashes[rows]`` are the rows' pattern hashes); its key count is the
+    number of set insertions the per-row fold would have made.
     """
     if pmap:
         raise ValueError(
@@ -665,7 +675,6 @@ def fold_mni_block(
     memo: _CodeMemo | None = None
     freeze: _FreezeCounts | None = None
     row_cls = np.empty(rows_total, dtype=np.intp)
-    row_hashes = np.empty(rows_total, dtype=np.uint64)
     head_keys: list[np.ndarray] = []
     head_steps: list[np.ndarray] = []
     step_base = 0
@@ -716,9 +725,9 @@ def fold_mni_block(
     for code, phash in zip(codes, cls_hash):
         group_k.setdefault(phash, code[0])
     group_of = {phash: group for group, phash in enumerate(group_k)}
-    cls_group = np.array([group_of[phash] for phash in cls_hash], dtype=np.int64)
-    np.take(np.array(cls_hash, dtype=np.uint64), row_cls, out=row_hashes)
-    del row_cls  # not held through the part-wide dedup below
+    cls_group = np.array([group_of[phash] for phash in cls_hash], dtype=np.intp)
+    # Each row's class becomes its group, in place: the state's ``rows``.
+    np.take(cls_group, row_cls, out=row_cls)
     if not head_keys:
         return
     keys = np.concatenate(head_keys)
@@ -741,7 +750,7 @@ def fold_mni_block(
         kmax,
         threshold,
     )
-    state.rows = row_hashes
+    state.rows = row_cls
     state.publish(pmap)
 
 
@@ -762,10 +771,20 @@ def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
     so the union has reached it by then: the parts' ``frozen`` flags add
     nothing.  In exact mode (``threshold=None``) nothing freezes and the
     result is the plain union.
+
+    With one non-empty part that merge is the identity — its groups are
+    already numbered in first-appearance order, its keys distinct and
+    sorted, and a group whose every position holds ``threshold`` vertices
+    is one its fold froze — so the part's state is returned as it is,
+    without ``rows``.
     """
     parts = [(p, state) for p, state in enumerate(map(mni_state, pmaps)) if state is not None]
     if not parts:
         return {}
+    reduced: dict = {}
+    if len(parts) == 1:
+        parts[0][1].without_rows().publish(reduced)
+        return reduced
     # One level's parts: every state has the level's kmax and the graph's n.
     kmax, n = parts[0][1].kmax, parts[0][1].n
     hashes = np.concatenate([state.hashes for _, state in parts])
@@ -791,7 +810,6 @@ def reduce_domains(pmaps: list[dict], threshold: int | None) -> dict:
         kmax,
         threshold,
     )
-    reduced: dict = {}
     merged.publish(reduced)
     return reduced
 
@@ -812,22 +830,22 @@ def frequent_patterns(reduced: dict, support: int) -> dict:
 
 
 def frequent_mask(
-    hashes: list[np.ndarray], reduced: dict, support: int
+    parts: list[tuple[np.ndarray, np.ndarray]], reduced: dict, support: int
 ) -> np.ndarray | None:
-    """Keep-mask of the rows whose pattern hash is frequent in ``reduced``
-    (``None`` when every row is kept) — the FSM apps' ``prune``."""
+    """Keep-mask of the parts' rows, in part order, whose pattern is
+    frequent in ``reduced`` (``None`` when every row is kept) — the FSM
+    apps' ``prune``.
+
+    Each part is ``(hashes, rows)`` of its :class:`MNIState`: its groups'
+    pattern hashes and each row's group.  A part's groups are tested
+    against the frequent hashes, then gathered by row.
+    """
     state = mni_state(reduced)
     if state is None:
         frequent = np.zeros(0, dtype=np.uint64)
     else:
-        frequent = np.sort(state.hashes[state.support >= support])
-    row_hashes = np.concatenate(hashes) if hashes else np.zeros(0, dtype=np.uint64)
-    if frequent.shape[0] == 0:
-        keep = np.zeros(row_hashes.shape[0], dtype=bool)
-    else:
-        at = np.searchsorted(frequent, row_hashes)
-        np.minimum(at, frequent.shape[0] - 1, out=at)
-        keep = frequent[at] == row_hashes
-    if keep.all():
+        frequent = state.hashes[state.support >= support]
+    kept = [np.isin(hashes, frequent) for hashes, _ in parts]
+    if all(keep.all() for keep in kept):
         return None
-    return keep
+    return np.concatenate([keep[rows] for keep, (_, rows) in zip(kept, parts)])

@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the mining service (line-delimited JSON over stdin or TCP)",
     )
-    serve.add_argument("--workers", type=_positive_int, default=4, help="workers per engine")
     serve.add_argument(
         "--sessions-per-graph",
         type=_positive_int,
@@ -407,7 +406,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     wants_obs = args.trace_out or args.metrics_out
     tracer = Tracer() if args.trace_out else None
     service = MiningService(
-        pool_workers=args.workers,
         max_sessions_per_graph=args.sessions_per_graph,
         cache_entries=args.cache_entries,
         default_quota=TenantQuota(max_concurrent=args.max_concurrent),

@@ -28,7 +28,10 @@ Concurrency: :meth:`query` is safe to call from many threads at once
 an internal request pool and returns a future.  A RED query's engine
 runs its parts serially on the thread that serves the query (the
 caller's, or a :meth:`submit` dispatcher thread): a part pool under the
-request threads only added hand-offs and GIL contention.
+request threads only added hand-offs and GIL contention.  So a session
+engine cuts each level into one part by default: more parts on one
+thread only repeat per-part work (an FSM part's fold setup, its
+canonicalisation of the same raw codes, its hash call, and the merge).
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ class MiningService:
     Parameters
     ----------
     pool_workers:
-        Each session engine's ``workers``: its parts per level and its
-        modelled schedule (the parts run on the query's own thread).
+        Accepted and ignored.  A RED query runs its engine's parts one
+        after another on the thread that serves it, so cutting a level
+        into more parts only adds per-part work; a session engine takes
+        ``workers`` from ``engine_kwargs`` like any other engine option
+        (default 1: one part per level).
     max_sessions_per_graph:
         How many engine sessions may exist per graph fingerprint — the
         per-graph concurrency ceiling for RED runs.
@@ -93,7 +99,7 @@ class MiningService:
 
     def __init__(
         self,
-        pool_workers: int = 4,
+        pool_workers: int | None = None,
         max_sessions_per_graph: int = 4,
         cache_entries: int = 256,
         default_quota: TenantQuota | None = None,
@@ -103,11 +109,8 @@ class MiningService:
         metrics: MetricsRegistry | None = None,
         sanitize: bool = False,
     ) -> None:
-        if pool_workers < 1:
-            raise ValueError("pool_workers must be positive")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.pool_workers = pool_workers
         self.sanitize = sanitize
         self._engine_kwargs = dict(engine_kwargs or {})
         self.hasher = PatternHasher()
@@ -151,7 +154,6 @@ class MiningService:
     # ------------------------------------------------------------------
     def _build_engine(self, graph: Graph) -> KaleidoEngine:
         kwargs: dict[str, Any] = {
-            "workers": self.pool_workers,
             "hasher": self.hasher,
             "metrics": MetricsRegistry(),
             "sanitize": self.sanitize,
@@ -398,7 +400,6 @@ class MiningService:
         """A JSON-friendly snapshot of service health."""
         return {
             "closed": self._closed,
-            "pool_workers": self.pool_workers,
             "sessions": len(self.sessions),
             "cache_entries": len(self.cache),
             "hasher_entries": len(self.hasher),

@@ -162,7 +162,7 @@ def test_sanitized_engine_run_is_lock_order_clean(paper_graph):
 
 
 def test_sanitized_service_round_trip(small_random):
-    svc = MiningService(pool_workers=2, sanitize=True)
+    svc = MiningService(engine_kwargs={"workers": 2}, sanitize=True)
     try:
         instrumented = len(svc.lock_sanitizer._instrumented)
         assert instrumented > 0  # service-tier locks actually wrapped
@@ -174,7 +174,7 @@ def test_sanitized_service_round_trip(small_random):
 
 
 def test_unsanitized_service_has_no_sanitizer(small_random):
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     try:
         assert svc.lock_sanitizer is None
     finally:

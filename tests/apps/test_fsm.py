@@ -37,7 +37,7 @@ def test_single_edge_fsm_keeps_no_row_hashes_after_the_run(labeled_square):
     app = FrequentSubgraphMining(num_edges=1, support=2, exact_mni=True)
     assert app.iterations() == 0
     result = KaleidoEngine(labeled_square, workers=4).run(app)
-    assert app._iter_hashes == []
+    assert app._iter_rows == []
     assert sorted(result.value.values()) == [2, 2]
     assert sorted(result.value.values()) == sorted(fsm_naive(labeled_square, 1, 2).values())
     # The reduce's cost counters read what they read before finalize

@@ -426,16 +426,16 @@ def test_frozen_classes_skip_placement_across_slabs(exact_mni):
     state = mni.mni_state(got)
     assert state.keys.shape[0] == sum(dom.insertions for dom in want.values())
     by_row = sorted((row, phash) for phash, dom in want.items() for row in dom.rows)
-    assert state.rows.tolist() == [phash for _, phash in by_row]
+    assert state.hashes[state.rows].tolist() == [phash for _, phash in by_row]
     assert sum(skipped) == (0 if exact_mni else 3)
 
 
 @pytest.mark.parametrize("exact_mni", [False, True])
 def test_slabs_bound_a_large_parts_fold_transients(exact_mni):
     """A part of more than 8 slabs folds to the same state as one slab of
-    the whole part, and its traced peak, less the 16 B per row the fold
-    holds for the part (each row's class and pattern hash), stays a
-    constant multiple of SLAB_ROWS instead of growing with the part.
+    the whole part, and its traced peak, less the 8 B per row the fold
+    holds for the part (each row's class, which becomes its group), stays
+    a constant multiple of SLAB_ROWS instead of growing with the part.
 
     The part is one small graph's 2-edge embeddings tiled, so its classes,
     memo and distinct keys stay one tile's.  The slabbed fold peaks at
@@ -461,4 +461,4 @@ def test_slabs_bound_a_large_parts_fold_transients(exact_mni):
     mine, whole = mni.mni_state(got), mni.mni_state(want)
     for name in ("hashes", "sizes", "keys", "frozen", "support", "rows"):
         np.testing.assert_array_equal(getattr(mine, name), getattr(whole, name))
-    assert peak - 16 * block.shape[0] < 500 * mni.SLAB_ROWS
+    assert peak - 8 * block.shape[0] < 500 * mni.SLAB_ROWS

@@ -89,9 +89,9 @@ def test_hybrid_memory_reduced(graph, tmp_path):
 
 
 
-#: The parity run's fixed worker layout, and an ``auto`` budget that
-#: spills the last level in parts far smaller than it (about 6K entries).
-PARITY_WORKERS = 4
+#: The parity runs' worker counts, and an ``auto`` budget that spills
+#: the last level in parts far smaller than it (about 6K entries).
+PARITY_WORKERS = (1, 2, 4)
 PARITY_BUDGET = 300_000
 
 
@@ -105,27 +105,30 @@ def test_short_circuit_fsm_parity_across_storage_and_executors(
 ):
     """Short-circuited MNI supports depend on the mapper's part cut, so a
     level the app maps is cut the same way in every storage mode: the
-    I/O plan, which would cut a spilled level finer, does not apply."""
-    results = {}
-    for mode, budget in (("memory", None), ("spill-last", None), ("auto", PARITY_BUDGET)):
-        for executor in ("serial", "threads"):
-            results[mode, executor] = _run(
-                graph,
-                app_factory(),
-                workers=PARITY_WORKERS,
-                executor=executor,
-                storage_mode=mode,
-                memory_limit_bytes=budget,
-                spill_dir=str(tmp_path / f"{mode}-{executor}"),
-            )
-    auto = results["auto", "serial"]
-    assert auto.extra["spilled_levels"] >= 1
-    # The predicted entries bound the last level from above, so the I/O
-    # plan's part target for it is at least this.
-    target = math.ceil(auto.level_sizes[-1] / auto.extra["io_plan"]["part_entries"])
-    assert target > PARITY_WORKERS
-    base = results["memory", "serial"]
-    for key, result in results.items():
-        assert dict(result.value) == dict(base.value), key
-        assert result.pattern_map == base.pattern_map, key
-        assert result.level_sizes == base.level_sizes, key
+    I/O plan, which would cut a spilled level finer, does not apply.
+    Checked at 1, 2 and 4 workers, each against its own memory-mode
+    serial run."""
+    for workers in PARITY_WORKERS:
+        results = {}
+        for mode, budget in (("memory", None), ("spill-last", None), ("auto", PARITY_BUDGET)):
+            for executor in ("serial", "threads"):
+                results[workers, mode, executor] = _run(
+                    graph,
+                    app_factory(),
+                    workers=workers,
+                    executor=executor,
+                    storage_mode=mode,
+                    memory_limit_bytes=budget,
+                    spill_dir=str(tmp_path / f"{workers}-{mode}-{executor}"),
+                )
+        auto = results[workers, "auto", "serial"]
+        assert auto.extra["spilled_levels"] >= 1
+        # The predicted entries bound the last level from above, so the
+        # I/O plan's part target for it is at least this.
+        target = math.ceil(auto.level_sizes[-1] / auto.extra["io_plan"]["part_entries"])
+        assert target > workers
+        base = results[workers, "memory", "serial"]
+        for key, result in results.items():
+            assert dict(result.value) == dict(base.value), key
+            assert result.pattern_map == base.pattern_map, key
+            assert result.level_sizes == base.level_sizes, key

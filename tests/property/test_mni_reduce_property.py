@@ -7,9 +7,12 @@ aggregated level's embeddings, cuts each level into 1–8 random parts
 the same parts' domains, as ``SetMNIDomains``, in part order with
 ``merge_set_domains``: insertion order, domains, ``frozen`` flags and
 supports; the app's ``reduce`` must equal that fold's frequent patterns
-(Listing 1's PatternFilter), the same way; then the prune mask — over the row hashes ``reduce`` took
-from the parts, checked against one ``hash_pattern`` per row — and the
-``FSMResult`` read from the reduced map.  The budget is the hypothesis profile's, so the ``deep``
+(Listing 1's PatternFilter), the same way; then the prune mask — over
+the group hashes and row groups ``reduce`` took from the parts, whose
+gather is checked against one ``hash_pattern`` per row — and the
+``FSMResult`` read from the reduced map.  Each level also folds as one
+part, whose ``reduce_domains`` must be that part's state without its
+``rows``.  The budget is the hypothesis profile's, so the ``deep``
 profile runs it longer; the module imports nothing from ``tests`` (a
 second import of ``tests/conftest.py`` would reload the tier-1 profile
 for the whole session).
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro import FrequentSubgraphMining, KaleidoEngine
 from repro.apps.fsm_vertex import VertexInducedFSM
-from repro.apps.mni import reduce_domains
+from repro.apps.mni import mni_state, reduce_domains
 from repro.baselines.mni_sets import SetMNIDomains, merge_set_domains
 from repro.core import Pattern
 from repro.graph import GraphBuilder
@@ -119,6 +122,28 @@ def row_hashes(ctx, block: np.ndarray, edge_induced: bool) -> np.ndarray:
     return np.array(hashes, dtype=np.uint64)
 
 
+def check_one_part(app, ctx, block: np.ndarray, threshold: int | None) -> None:
+    """``reduce_domains`` of one part — alone, or among empty parts — is
+    that part's state, field for field, without ``rows``; in both modes."""
+    whole: dict = {}
+    app.map_block(ctx, block, whole)
+    part = mni_state(whole)
+    for pmaps in ([whole], [{}, whole, {}]):
+        reduced = reduce_domains(pmaps, threshold)
+        assert list(reduced) == list(whole)
+        state = mni_state(reduced)
+        if part is None:
+            assert state is None
+            continue
+        assert state.rows is None
+        assert part.rows is not None and part.rows.shape[0] == block.shape[0]
+        assert (state.kmax, state.n) == (part.kmax, part.n)
+        for name in ("hashes", "sizes", "keys", "frozen", "support"):
+            mine, theirs = getattr(state, name), getattr(part, name)
+            assert mine.dtype == theirs.dtype, name
+            np.testing.assert_array_equal(mine, theirs, err_msg=name)
+
+
 def check_case(case: dict) -> set[str]:
     """Run one case; returns the freeze events the set fold saw."""
     graph = _graph(
@@ -147,6 +172,7 @@ def check_case(case: dict) -> set[str]:
             pmaps.append(pmap)
         merged, seen = set_fold([_as_sets(pmap) for pmap in pmaps], threshold)
         events |= seen
+        check_one_part(fresh, ctx, block, threshold)
         unfiltered = reduce_domains(pmaps, threshold)
         assert list(unfiltered) == list(merged)
         assert unfiltered == merged
@@ -159,10 +185,16 @@ def check_case(case: dict) -> set[str]:
         assert got == want
         assert [d.support for d in got.values()] == [d.support for d in want.values()]
         assert [d.frozen for d in got.values()] == [d.frozen for d in want.values()]
-        # Prune reads the reduced supports and the row hashes reduce took
-        # from the parts.
-        mask = fresh.prune(ctx, None, got)
+        # Prune reads the reduced supports and each part's group hashes
+        # and row groups, which reduce took from the parts: the groups'
+        # hashes gathered by row are the rows' pattern hashes.
         rows = row_hashes(ctx, block, case["app"] == "fsm")
+        taken = fresh._iter_rows
+        assert len(taken) == sum(1 for pmap in pmaps if pmap)
+        if taken:
+            by_row = np.concatenate([hashes[groups] for hashes, groups in taken])
+            assert by_row.tolist() == rows.tolist()
+        mask = fresh.prune(ctx, None, got)
         frequent = [h for h, d in want.items() if d.support >= support]
         keep = np.isin(rows, np.array(frequent, dtype=np.uint64))
         assert (mask is None) == bool(keep.all())

@@ -20,7 +20,7 @@ from repro.service.protocol import (
 
 @pytest.fixture
 def service():
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     yield svc
     svc.close()
 

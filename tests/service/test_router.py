@@ -43,7 +43,7 @@ ROUTES = ("service.route.green", "service.route.yellow", "service.route.red")
 
 @pytest.fixture
 def service():
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     yield svc
     svc.close()
 
@@ -201,7 +201,7 @@ def test_service_routes_as_the_solo_guard_decides(case, data):
         expected = "rejected"
     event(expected)
 
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     try:
         query_budget = QueryBudget(allow_degraded=case["allow_degraded"], samples=20)
         if case["on_tenant"]:

@@ -26,7 +26,7 @@ from repro.service import (
 
 @pytest.fixture
 def service():
-    svc = MiningService(pool_workers=2, max_sessions_per_graph=2)
+    svc = MiningService(engine_kwargs={"workers": 2}, max_sessions_per_graph=2)
     yield svc
     svc.close()
 
@@ -41,7 +41,7 @@ def counter(svc, name):
 def test_eight_concurrent_queries_match_solo_run(small_random):
     solo = KaleidoEngine(small_random).run(MotifCounting(3))
     earlier_threads = set(threading.enumerate())
-    svc = MiningService(pool_workers=4, max_sessions_per_graph=4)
+    svc = MiningService(engine_kwargs={"workers": 4}, max_sessions_per_graph=4)
     try:
         futures = [
             svc.submit(
@@ -92,7 +92,9 @@ def test_warm_then_concurrent_tenants_under_sanitizer():
     tenants = ("bob", "carol", "dave")
     measured = [request(*query, tenant) for tenant in tenants for query in SHARED_QUERIES]
     measured += [request("motif", {"tag": t}, "exact", t) for t in tenants]
-    with MiningService(pool_workers=2, max_inflight=len(measured), sanitize=True) as svc:
+    with MiningService(
+        engine_kwargs={"workers": 2}, max_inflight=len(measured), sanitize=True
+    ) as svc:
         for query in SHARED_QUERIES:
             svc.query(request(*query, "alice"))
         results = [future.result(timeout=120) for future in map(svc.submit, measured)]
@@ -325,7 +327,6 @@ def test_warm_session_answers_release_spill_parts_and_report_own_peak(tmp_path):
     own peak, not the FSM run's."""
     graph = datasets.load("citeseer", "tiny")
     svc = MiningService(
-        pool_workers=1,
         engine_kwargs={"storage_mode": "spill-last", "spill_dir": str(tmp_path)},
     )
     try:
@@ -347,7 +348,7 @@ def test_warm_session_answers_release_spill_parts_and_report_own_peak(tmp_path):
 # ----------------------------------------------------------------------
 def test_each_request_gets_its_own_span_track(paper_graph):
     tracer = Tracer()
-    svc = MiningService(pool_workers=1, tracer=tracer, metrics=MetricsRegistry())
+    svc = MiningService(tracer=tracer, metrics=MetricsRegistry())
     try:
         svc.query(QueryRequest(app="tc", graph=paper_graph, tenant="alice"))
         svc.query(QueryRequest(app="tc", graph=paper_graph, tenant="bob"))
@@ -371,7 +372,7 @@ def test_stats_snapshot_shape(service, paper_graph):
 
 
 def test_closed_service_refuses_queries(paper_graph):
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     svc.close()
     with pytest.raises(ServiceError, match="closed"):
         svc.query(QueryRequest(app="tc", graph=paper_graph))
@@ -379,7 +380,7 @@ def test_closed_service_refuses_queries(paper_graph):
 
 
 def test_dataset_queries_resolve_and_cache_the_graph():
-    svc = MiningService(pool_workers=1)
+    svc = MiningService()
     try:
         first = svc.query(
             QueryRequest(app="tc", dataset="citeseer", profile="tiny")
@@ -394,7 +395,7 @@ def test_dataset_queries_resolve_and_cache_the_graph():
 
 
 def test_red_run_result_matches_direct_engine(paper_graph):
-    svc = MiningService(pool_workers=2)
+    svc = MiningService(engine_kwargs={"workers": 2})
     try:
         result = svc.query(QueryRequest(app="tc", graph=paper_graph))
     finally:
@@ -407,18 +408,29 @@ def test_red_run_result_matches_direct_engine(paper_graph):
 @pytest.mark.parametrize("pool_workers", [1, 2, 4])
 def test_fsm_answer_is_the_solo_answer_at_every_pool_size(pool_workers):
     """The cache key carries no worker count, so an FSM answer, mined
-    (the miss) or served (the hit), must be the solo ``workers=1`` run's:
-    the short-circuited supports are capped at the threshold, whatever
-    part cut the pool's workers make."""
+    (the miss) or served (the hit), must be the solo default run's: the
+    short-circuited supports are capped at the threshold, and the
+    ignored ``pool_workers`` leaves each session engine at one part per
+    level, so the whole pattern map — domains, ``frozen`` flags, key
+    order — is the solo run's too."""
     params = {"edges": 2, "support": 3}
-    with KaleidoEngine(datasets.load("citeseer", "tiny"), workers=1) as engine:
-        solo = engine.run(build_app("fsm", 3, params)).value
+    with KaleidoEngine(datasets.load("citeseer", "tiny")) as engine:
+        solo = engine.run(build_app("fsm", 3, params))
     request = QueryRequest(app="fsm", dataset="citeseer", profile="tiny", params=params)
     with MiningService(pool_workers=pool_workers) as svc:
         miss = svc.query(request)
         hit = svc.query(request)
+        with svc.sessions.session(svc.resolve_graph(request)) as session:
+            session_workers = session.engine.workers
+    assert session_workers == 1
     assert (miss.route, miss.cache_hit) == (Route.RED, False)
     assert (hit.route, hit.cache_hit) == (Route.GREEN, True)
-    assert len(solo) > 1
-    assert dict(miss.value) == dict(solo)
-    assert dict(hit.value) == dict(solo)
+    assert len(solo.value) > 1
+    assert dict(miss.value) == dict(solo.value)
+    assert dict(hit.value) == dict(solo.value)
+    for served in (miss, hit):
+        assert list(served.pattern_map) == list(solo.pattern_map)
+        assert served.pattern_map == dict(solo.pattern_map)
+        assert [d.frozen for d in served.pattern_map.values()] == [
+            d.frozen for d in solo.pattern_map.values()
+        ]

@@ -174,7 +174,6 @@ def test_mine_rejects_processes_executor(capsys):
         ("mine", "--workers", "two"),
         ("mine", "--io-retries", "0"),
         ("mine", "--checkpoint-every", "0"),
-        ("serve", "--workers", "0"),
         ("serve", "--sessions-per-graph", "0"),
         ("serve", "--cache-entries", "0"),
         ("serve", "--max-concurrent", "-1"),
@@ -281,7 +280,7 @@ def test_serve_stdin_round_trip(monkeypatch, capsys):
     ]
     stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
     monkeypatch.setattr(_sys, "stdin", stdin)
-    assert main(["serve", "--workers", "1"]) == 0
+    assert main(["serve"]) == 0
     captured = capsys.readouterr()
     responses = [json.loads(line) for line in captured.out.strip().splitlines()]
     assert [r["id"] for r in responses] == [1, 2, 3, 4]
@@ -300,7 +299,7 @@ def test_serve_metrics_export(tmp_path, monkeypatch, capsys):
     stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
     monkeypatch.setattr(_sys, "stdin", stdin)
     metrics_path = tmp_path / "service_metrics.json"
-    assert main(["serve", "--workers", "1", "--metrics-out", str(metrics_path)]) == 0
+    assert main(["serve", "--metrics-out", str(metrics_path)]) == 0
     capsys.readouterr()
     snapshot = json.loads(metrics_path.read_text())
     assert snapshot["service.requests"]["value"] == 1
@@ -311,7 +310,7 @@ def test_query_command_against_socket_server(capsys):
     from repro.service import MiningService
     from repro.service.protocol import ServiceServer
 
-    service = MiningService(pool_workers=1)
+    service = MiningService()
     server = ServiceServer(service, "127.0.0.1", 0)
     thread = server.serve_background()
     host, port = server.address

@@ -12,6 +12,8 @@ import os
 
 import pytest
 
+from repro.balance import Schedule, replay
+
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
@@ -42,3 +44,13 @@ def run_once(benchmark, fn):
     would multiply minutes of runtime for no insight.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def replayed(result, workers: int) -> tuple[list[Schedule], float]:
+    """A run's measured part times replayed onto ``workers`` modelled
+    workers (the scalability figures' model; the engine reports only
+    measured time).  Returns the replayed schedules and the modelled
+    seconds: their makespans plus the run's measured aggregation."""
+    schedules = replay(result.schedules, workers)
+    seconds = sum(s.span_seconds for s in schedules)
+    return schedules, seconds + result.phase_spans["aggregate_seconds"]

@@ -34,7 +34,6 @@ from .core import (
     PatternHasher,
     Planner,
     SerialExecutor,
-    SimulatedSchedule,
     ThreadedExecutor,
     eigen_hash,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "PartExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "SimulatedSchedule",
     "MotifCounting",
     "CliqueDiscovery",
     "TriangleCounting",

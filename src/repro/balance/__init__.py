@@ -5,6 +5,7 @@ from .predict import predict_costs
 from .worksteal import (
     Schedule,
     TaskInterval,
+    replay,
     simulate_work_stealing,
     utilization_series,
 )
@@ -14,6 +15,7 @@ __all__ = [
     "partition_quality",
     "PartitionQuality",
     "predict_costs",
+    "replay",
     "simulate_work_stealing",
     "Schedule",
     "TaskInterval",

@@ -1,14 +1,16 @@
-"""Deterministic work-stealing scheduler model.
+"""Schedules, and a deterministic work-stealing scheduler model.
 
-The paper's engine runs native threads; a pure-Python reproduction cannot
-show real multi-core speedups under the GIL, so parallel execution is
-*modelled*: tasks (exploration parts, aggregation map parts) are executed
-serially and their measured wall times are replayed through a work-stealing
-schedule — each task is claimed, in queue order, by the worker that becomes
-free first, which is exactly the behaviour of a work-stealing pool on a
-shared deque.  The schedule yields the makespan (simulated parallel
-runtime), per-worker busy times, and the CPU-utilization time series of
-Figure 18.  DESIGN.md records this substitution.
+:class:`Schedule` is what an executor reports: the measured interval of
+every part on its worker's timeline.  The paper's engine runs native
+threads; a pure-Python reproduction cannot show real multi-core speedups
+under the GIL, so the scalability figures (Figs. 14, 17 and 18) *model*
+them: :func:`replay` takes a run's measured part times and replays them
+through a work-stealing schedule — each task is claimed, in queue order,
+by the worker that becomes free first, which is exactly the behaviour of
+a work-stealing pool on a shared deque.  The replayed schedule yields the
+makespan (modelled parallel runtime), per-worker busy times, and the
+CPU-utilization time series of Figure 18.  The engine never replays: a
+run reports only measured time.  DESIGN.md records this substitution.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-__all__ = ["TaskInterval", "Schedule", "simulate_work_stealing", "utilization_series"]
+__all__ = ["TaskInterval", "Schedule", "simulate_work_stealing", "replay", "utilization_series"]
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,8 @@ class TaskInterval:
 
 @dataclass
 class Schedule:
-    """Result of replaying task durations through the scheduler."""
+    """Task intervals on ``num_workers`` worker timelines, measured or
+    replayed."""
 
     num_workers: int
     intervals: list[TaskInterval] = field(default_factory=list)
@@ -79,6 +82,15 @@ def simulate_work_stealing(durations: list[float], num_workers: int) -> Schedule
         )
         heapq.heappush(heap, (end, worker))
     return schedule
+
+
+def replay(schedules: list[Schedule], workers: int) -> list[Schedule]:
+    """Replay each measured schedule's interval lengths, in task order,
+    onto ``workers`` modelled workers (:func:`simulate_work_stealing`)."""
+    return [
+        simulate_work_stealing([iv.end - iv.start for iv in schedule.intervals], workers)
+        for schedule in schedules
+    ]
 
 
 def utilization_series(

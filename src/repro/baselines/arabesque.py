@@ -251,7 +251,6 @@ class ArabesqueLikeEngine:
             value=value,
             pattern_map=pattern_map,
             wall_seconds=wall,
-            simulated_seconds=wall,
             peak_memory_bytes=self.meter.peak_bytes,
             memory_snapshot=self.meter.snapshot(),
         )

@@ -371,7 +371,6 @@ class RStreamLikeEngine:
             value=value,
             pattern_map=pattern_map,
             wall_seconds=wall,
-            simulated_seconds=wall,
             peak_memory_bytes=self.meter.peak_bytes,
             io_bytes_read=self.store.io.bytes_read,
             io_bytes_written=self.store.io.bytes_written,

@@ -125,9 +125,8 @@ def run_kaleido(
 ) -> RunRecord:
     """Run one Kaleido workload.
 
-    ``executor`` selects the part executor ("serial" keeps the
-    work-stealing replay every figure benchmark is calibrated on;
-    "threads" runs parts on a real thread pool).
+    ``executor`` selects the part executor ("serial" runs parts one after
+    another; "threads" runs them on a real thread pool).
     """
     app = _make_app(kind, option)
     with KaleidoEngine(graph, executor=executor, **engine_kwargs) as engine:

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         choices=list(EXECUTOR_CHOICES),
-        help="part executor: 'serial' (work-stealing replay, default) or "
+        help="part executor: 'serial' (parts one after another, default) or "
         "'threads' (real thread pool of --workers threads)",
     )
     mine.add_argument("--memory-limit-mb", type=_megabytes, default=None)
@@ -327,7 +327,6 @@ def _cmd_mine(args: argparse.Namespace, app) -> int:
             "graph": graph.name,
             "executor": result.extra.get("executor"),
             "wall_seconds": result.wall_seconds,
-            "simulated_seconds": result.simulated_seconds,
             "peak_memory_bytes": result.peak_memory_bytes,
             "level_sizes": result.level_sizes,
             "io_bytes_read": result.io_bytes_read,

@@ -15,7 +15,6 @@ from .executor import (
     ExecutionReport,
     PartExecutor,
     SerialExecutor,
-    SimulatedSchedule,
     ThreadedExecutor,
     resolve_executor,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "PartExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "SimulatedSchedule",
     "ExecutionReport",
     "resolve_executor",
     "KaleidoEngine",

@@ -312,7 +312,6 @@ class MiningResult:
     value: Any
     pattern_map: PatternMap
     wall_seconds: float
-    simulated_seconds: float
     peak_memory_bytes: int
     level_sizes: list[int] = field(default_factory=list)
     phase_spans: dict[str, float] = field(default_factory=dict)
@@ -320,13 +319,11 @@ class MiningResult:
     io_bytes_written: int = 0
     memory_snapshot: dict[str, int] = field(default_factory=dict)
     schedules: list[Any] = field(default_factory=list)
-    utilization: float = 1.0
     extra: dict[str, Any] = field(default_factory=dict)
 
     def summary(self) -> str:
         return (
             f"{self.app_name}: {self.wall_seconds:.3f}s wall, "
-            f"{self.simulated_seconds:.3f}s simulated, "
             f"peak {self.peak_memory_bytes / 1e6:.2f} MB, "
             f"levels {self.level_sizes}"
         )

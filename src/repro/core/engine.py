@@ -8,10 +8,9 @@ graph.  Each exploration iteration flows through three explicit stages:
   and decide whether the new level lives in memory or spills to disk
   (the hybrid storage policy, driven by the memory budget).
 * **Execute** (:mod:`repro.core.executor`): run the per-part expansion
-  functions through the configured :class:`PartExecutor` — serial with
-  the work-stealing replay by default (the modelled-parallel behaviour
-  every benchmark is built on), or a real thread pool — and merge the
-  part results deterministically.
+  functions through the configured :class:`PartExecutor` — serially on
+  the calling thread by default, or on a real thread pool — and merge
+  the part results deterministically.
 * **Aggregate**: every level the application maps is mapped by the
   expansion that produces it, then the serial Reducer merges the part
   maps.  The last level is never stored: its expansion parts run the
@@ -24,7 +23,9 @@ graph.  Each exploration iteration flows through three explicit stages:
 
 Every live data structure is accounted in the run's :class:`MemoryMeter`,
 and the per-stage wall times are reported in ``MiningResult.phase_spans``
-as ``plan_seconds`` / ``execute_seconds`` / ``aggregate_seconds``.
+as ``plan_seconds`` / ``execute_seconds`` / ``aggregate_seconds``.  Every
+time a run reports is measured; ``MiningResult.schedules`` holds each
+level's measured part intervals.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class KaleidoEngine:
         The input graph.
     workers:
         Worker count: the cost-balanced parts per level (more if it
-        spills), the work-stealing replay's modelled workers, and the
-        ``"threads"`` executor's pool size.
+        spills) and the ``"threads"`` executor's pool size.  The serial
+        executor runs the parts one after another.
     hasher:
         Isomorphism fingerprinter; defaults to the paper's EigenHash.
         Pass ``repro.baselines.BlissLikeHasher()`` for the Fig.-12 study.
@@ -115,9 +116,9 @@ class KaleidoEngine:
         The ``max_embeddings`` guard and the next level's size estimate
         read the predicted sizes either way.
     executor:
-        ``"serial"`` (default: serial execution replayed through the
-        work-stealing model), ``"threads"`` (a real thread pool of
-        ``workers`` threads), or any :class:`PartExecutor` instance.  Part
+        ``"serial"`` (default: parts run one after another on the calling
+        thread), ``"threads"`` (a real thread pool of ``workers``
+        threads), or any :class:`PartExecutor` instance.  Part
         results are merged in part order, so every executor produces
         identical mining results.  Executors resolved from a spec string
         are closed with the engine; instances are caller-owned.
@@ -357,7 +358,6 @@ class KaleidoEngine:
         policy = planner.policy
         meter = policy.meter
         schedules: list[Schedule] = []
-        phase_spans: dict[str, float] = {}
         plan_seconds = 0.0
         execute_seconds = 0.0
         aggregate_seconds = 0.0
@@ -407,7 +407,6 @@ class KaleidoEngine:
             level_sizes.append(folded_size)
 
         # ---------------- Phase 1: embedding exploration ----------------
-        explore_span = 0.0
         # The folded last level's expansion stats (its parts' maps).
         folded: ExpansionStats | None = None
         total_iterations = app.iterations()
@@ -463,7 +462,6 @@ class KaleidoEngine:
                 schedule = stats.schedule
                 assert schedule is not None
                 schedules.append(schedule)
-                explore_span += schedule.span_seconds
                 level_sizes.append(stats.emitted)
                 meter.set("cse", cse.nbytes_in_memory)
                 logger.debug(
@@ -481,10 +479,9 @@ class KaleidoEngine:
                 if plan.mapped:
                     stage_started = time.perf_counter()
                     with self.tracer.span("aggregate", size=stats.emitted):
-                        reduced, reduce_seconds = self._reduce(ctx, app, stats.pmaps, meter)
+                        reduced = self._reduce(ctx, app, stats.pmaps, meter)
                     aggregate_seconds += time.perf_counter() - stage_started
                     aggregated = True
-                    explore_span += reduce_seconds
                     mask = app.prune(ctx, cse, reduced)
                     if mask is not None:
                         cse.filter_top_level(mask)
@@ -499,7 +496,6 @@ class KaleidoEngine:
                 self.tracer.end("level")
             if app.aggregate_every_iteration and cse.size() == 0:
                 break
-        phase_spans["explore"] = explore_span
 
         # ---------------- Phase 2: pattern aggregation ------------------
         if folded is not None:
@@ -507,9 +503,7 @@ class KaleidoEngine:
             # parts' maps, then checkpoint its iteration.
             stage_started = time.perf_counter()
             with self.tracer.span("aggregate", size=folded.emitted):
-                reduced, phase_spans["aggregate"] = self._reduce(
-                    ctx, app, folded.pmaps, meter
-                )
+                reduced = self._reduce(ctx, app, folded.pmaps, meter)
             aggregate_seconds += time.perf_counter() - stage_started
             aggregated = True
             folded_size = folded.emitted
@@ -530,15 +524,8 @@ class KaleidoEngine:
                     for start, end in even_parts(cse.size(), planner.workers):
                         pmaps.append({})
                         app.map_block(ctx, cse.decode_block(start, end), pmaps[-1])
-                map_seconds = time.perf_counter() - stage_started
-                reduced, reduce_seconds = self._reduce(ctx, app, pmaps, meter)
-            phase_spans["aggregate"] = map_seconds + reduce_seconds
+                reduced = self._reduce(ctx, app, pmaps, meter)
             aggregate_seconds += time.perf_counter() - stage_started
-
-        simulated_seconds = sum(phase_spans.values())
-        phase_spans["plan_seconds"] = plan_seconds
-        phase_spans["execute_seconds"] = execute_seconds
-        phase_spans["aggregate_seconds"] = aggregate_seconds
 
         value = app.finalize(ctx, cse, reduced)
         wall = time.perf_counter() - started
@@ -548,24 +535,22 @@ class KaleidoEngine:
             meter.peak_bytes / 1e6,
         )
         io = IOStats() if policy.store is None else policy.store.io
-        capacity = sum(s.span_seconds * s.num_workers for s in schedules)
         return MiningResult(
             app_name=app.name,
             value=value,
             pattern_map=reduced,
             wall_seconds=wall,
-            simulated_seconds=simulated_seconds,
             peak_memory_bytes=meter.peak_bytes,
             level_sizes=level_sizes,
-            phase_spans=phase_spans,
+            phase_spans={
+                "plan_seconds": plan_seconds,
+                "execute_seconds": execute_seconds,
+                "aggregate_seconds": aggregate_seconds,
+            },
             io_bytes_read=io.bytes_read,
             io_bytes_written=io.bytes_written,
             memory_snapshot=meter.snapshot(),
             schedules=schedules,
-            # A run that ran no parts left no worker idle.
-            utilization=(
-                sum(s.busy_seconds for s in schedules) / capacity if capacity else 1.0
-            ),
             extra={
                 "executor": self.executor.name,
                 "hasher_cache_entries": len(self.hasher)
@@ -727,17 +712,15 @@ class KaleidoEngine:
         app: MiningApplication,
         pmaps: list[PatternMap],
         meter: MemoryMeter,
-    ) -> tuple[PatternMap, float]:
+    ) -> PatternMap:
         """Account the part maps, reduce them in part order, and account
-        the result; returns ``(reduced, reduce seconds)``."""
+        the result."""
         meter.set("pattern_maps", sum(app.pmap_nbytes(m) for m in pmaps))
         if hasattr(self.hasher, "nbytes"):
             meter.set("hasher_cache", self.hasher.nbytes)
-        started = time.perf_counter()
         reduced = app.reduce(ctx, pmaps)
-        seconds = time.perf_counter() - started
         meter.set("pattern_maps", app.pmap_nbytes(reduced))
-        return reduced, seconds
+        return reduced
 
     def close(self) -> None:
         """Reap engine-owned worker pools (safe to call twice); each run

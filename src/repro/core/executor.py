@@ -3,10 +3,11 @@ pipeline.
 
 The planner (:mod:`repro.core.plan`) cuts a level into contiguous parts;
 an executor runs one task per part and hands the per-part results back in
-*part order*, whatever order they finished in.  Three executors ship:
+*part order*, whatever order they finished in.  Two executors ship:
 
-* :class:`SerialExecutor` — runs parts one after another on the calling
-  thread and reports the real one-worker timeline.
+* :class:`SerialExecutor` — the engine default: runs parts one after
+  another on the calling thread and reports the measured one-worker
+  timeline.
 * :class:`ThreadedExecutor` — a :class:`concurrent.futures.ThreadPoolExecutor`
   backed executor.  Parts run concurrently (numpy candidate kernels and the
   spill I/O release the GIL); completed parts are delivered to the caller's
@@ -14,11 +15,10 @@ an executor runs one task per part and hands the per-part results back in
   sinks never need locks, and the reported schedule carries the measured
   wall-clock intervals.  Like the paper's Kaleido, real parallelism is
   per-thread parts over one shared graph in one process.
-* :class:`SimulatedSchedule` — wraps another executor (serial by default)
-  and replays its measured part durations through the deterministic
-  work-stealing model (:func:`repro.balance.simulate_work_stealing`).
-  This is the engine default and preserves the modelled-parallelism
-  behaviour every Fig. 14/17/18 benchmark is built on.
+
+Every schedule an executor reports is measured.  The work-stealing model
+(:func:`repro.balance.replay`) is not an executor: the benchmarks that
+plot modelled parallelism replay a run's schedules themselves.
 
 Tasks must be pure functions of their part (no shared mutable state) so an
 executor may run them in any order; result merging is deterministic because
@@ -33,7 +33,7 @@ from concurrent import futures as _futures
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from ..balance.worksteal import Schedule, TaskInterval, simulate_work_stealing
+from ..balance.worksteal import Schedule, TaskInterval
 from ..obs.trace import Tracer
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PartExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "SimulatedSchedule",
     "emit_part_spans",
     "resolve_executor",
     "EXECUTOR_CHOICES",
@@ -57,12 +56,11 @@ ResultCallback = Callable[[int, Any], None]
 class ExecutionReport:
     """What one executor run produced.
 
-    ``results`` and ``durations`` are indexed by *task order* (part index),
-    regardless of the order parts completed in.
+    ``results`` and ``schedule.intervals`` are indexed by *task order*
+    (part index), regardless of the order parts completed in.
     """
 
     results: list[Any] = field(default_factory=list)
-    durations: list[float] = field(default_factory=list)
     schedule: Schedule = field(default_factory=lambda: Schedule(num_workers=1))
 
 
@@ -77,9 +75,9 @@ def emit_part_spans(
     Each interval becomes a span on its worker's track (``worker-N``),
     offset by ``base`` — the tracer time at which the executor run
     started — so the worker tracks line up with the engine's stack spans
-    in the exported timeline.  For the work-stealing replay the interval
-    times are *modelled*, which is exactly the Fig.-17/18 view the
-    benchmarks plot; for the thread pool they are measured wall clock.
+    in the exported timeline.  Interval times are measured wall clock:
+    back to back on ``worker-0`` for the serial executor, one track per
+    pool thread for the thread pool.
     """
     if tracer is None or not tracer.enabled:
         return
@@ -138,44 +136,12 @@ class SerialExecutor(PartExecutor):
             result = task()
             elapsed = time.perf_counter() - started
             report.results.append(result)
-            report.durations.append(elapsed)
             report.schedule.intervals.append(
                 TaskInterval(worker=0, start=clock, end=clock + elapsed, task_index=index)
             )
             clock += elapsed
             if on_result is not None:
                 on_result(index, result)
-        emit_part_spans(tracer, report.schedule, base)
-        return report
-
-
-class SimulatedSchedule(PartExecutor):
-    """Work-stealing replay over another executor's measured durations.
-
-    The inner executor (serial by default) produces the part results; the
-    reported schedule is the deterministic work-stealing replay of its part
-    durations onto ``workers`` modelled workers.  It is the default, so
-    the simulated-parallel benchmarks (Fig. 14/17/18) model ``workers``
-    workers on any box.
-    """
-
-    name = "simulated"
-
-    def __init__(self, inner: PartExecutor | None = None) -> None:
-        self.inner = inner if inner is not None else SerialExecutor()
-
-    def run(
-        self,
-        tasks: Iterable[Callable[[], Any]],
-        workers: int = 1,
-        on_result: ResultCallback | None = None,
-        tracer: "Tracer | None" = None,
-    ) -> ExecutionReport:
-        # The inner executor runs untraced: the part spans that matter
-        # are the replayed (modelled-parallel) intervals, emitted below.
-        base = tracer.now() if tracer is not None and tracer.enabled else 0.0
-        report = self.inner.run(tasks, workers=1, on_result=on_result)
-        report.schedule = simulate_work_stealing(report.durations, workers)
         emit_part_spans(tracer, report.schedule, base)
         return report
 
@@ -315,7 +281,6 @@ class ThreadedExecutor(PartExecutor):
             result, started, ended, ident = records[index]
             slot = slots.setdefault(ident, len(slots))
             report.results.append(result)
-            report.durations.append(ended - started)
             report.schedule.intervals.append(
                 TaskInterval(worker=slot, start=started, end=ended, task_index=index)
             )
@@ -330,15 +295,14 @@ EXECUTOR_CHOICES = ("serial", "threads")
 def resolve_executor(spec: "str | PartExecutor") -> PartExecutor:
     """Turn an executor spec (name or instance) into a :class:`PartExecutor`.
 
-    ``"serial"`` is the default: serial execution with the work-stealing
-    replay (:class:`SimulatedSchedule` around :class:`SerialExecutor`).
-    ``"threads"`` runs parts on a real thread pool sized to the engine's
-    worker count.
+    ``"serial"`` (the default) runs parts one after another on the calling
+    thread; ``"threads"`` runs them on a real thread pool sized to the
+    engine's worker count.
     """
     if isinstance(spec, PartExecutor):
         return spec
     if spec == "serial":
-        return SimulatedSchedule(SerialExecutor())
+        return SerialExecutor()
     if spec == "threads":
         return ThreadedExecutor()
     raise ValueError(

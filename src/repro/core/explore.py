@@ -10,8 +10,8 @@ Expansion is partitioned: the caller supplies contiguous part boundaries
 over the current top level (either an even split or the prediction-driven
 split from :mod:`repro.balance`), and each part becomes one executor task
 so a :class:`repro.core.executor.PartExecutor` can run parts in any order
-— serially, on a thread pool, or under the work-stealing replay — with
-results merged deterministically in part-index order.  Every part runs
+— serially or on a thread pool — with results merged deterministically
+in part-index order.  Every part runs
 the one **vectorized kernel** (:func:`repro.core.kernels.expand_block`):
 its embeddings are decoded straight off the CSE ``off``/``vert`` arrays
 as one 2-D block (:meth:`repro.core.cse.CSE.decode_block` — resident
@@ -100,7 +100,7 @@ class ExpansionStats:
     part_emitted: list[int] = field(default_factory=list)
     candidates_examined: int = 0
     emitted: int = 0
-    #: The executor's schedule for this level (real or replayed timeline).
+    #: The executor's measured schedule for this level.
     schedule: Schedule | None = None
     #: A mapped level's part pattern maps, in part order (empty when
     #: nothing maps the level).
@@ -336,9 +336,9 @@ def _run_expansion(
         raise
 
     stats = ExpansionStats(schedule=report.schedule)
-    for part, seconds in zip(report.results, report.durations):
+    for part, interval in zip(report.results, report.schedule.intervals):
         stats.part_bounds.append(part.bound)
-        stats.part_seconds.append(seconds)
+        stats.part_seconds.append(interval.end - interval.start)
         stats.part_emitted.append(part.emitted)
         stats.candidates_examined += part.candidates_examined
         stats.emitted += part.emitted

@@ -4,7 +4,7 @@ The Chrome export is the Trace Event Format understood by
 ``chrome://tracing`` and https://ui.perfetto.dev — drop the file onto
 either and the run renders as one timeline per track: the engine thread
 with its nested ``run → level → {plan, execute, aggregate}`` spans, one
-track per (real or modelled) worker carrying the per-part intervals,
+track per worker carrying the measured per-part intervals,
 plus instant markers for spills, retries and checkpoints.
 """
 

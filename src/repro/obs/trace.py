@@ -29,7 +29,7 @@ Two kinds of span exist:
   the instrumented code, never silently repaired.
 * *Complete spans* (:meth:`Tracer.complete`) carry explicit start/end
   times and an explicit track — how executors report per-part intervals
-  attributed to (real or modelled) workers after the fact.
+  attributed to workers after the fact.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Unit tests for the work-stealing scheduler model."""
 
+import time
+
 import pytest
 
-from repro.balance import simulate_work_stealing, utilization_series
+from repro.balance import Schedule, replay, simulate_work_stealing, utilization_series
+from repro.core.executor import SerialExecutor
 
 
 def test_single_worker_serial():
@@ -81,3 +84,30 @@ def test_utilization_series_multiphase():
 
 def test_utilization_series_empty():
     assert utilization_series([], bins=4) == []
+
+
+def test_replay_of_a_serial_report():
+    """``replay`` puts a measured schedule's interval lengths, in task
+    order, through the work-stealing model."""
+
+    def task(value, delay):
+        def run():
+            time.sleep(delay)
+            return value
+
+        return run
+
+    delays = [0.004, 0.001, 0.002, 0.001]
+    report = SerialExecutor().run([task(i, d) for i, d in enumerate(delays)])
+    assert report.results == [0, 1, 2, 3]
+    measured = report.schedule
+    assert measured.num_workers == 1
+    replayed, empty = replay([measured, Schedule(num_workers=1)], 2)
+    assert replayed == simulate_work_stealing(
+        [iv.end - iv.start for iv in measured.intervals], 2
+    )
+    assert replayed.num_workers == empty.num_workers == 2
+    assert {iv.worker for iv in replayed.intervals} == {0, 1}
+    assert replayed.busy_seconds == pytest.approx(measured.busy_seconds)
+    assert replayed.span_seconds < measured.span_seconds
+    assert empty.intervals == []

@@ -76,12 +76,12 @@ def test_mining_result_summary():
         value=1,
         pattern_map={},
         wall_seconds=1.5,
-        simulated_seconds=1.0,
         peak_memory_bytes=2_000_000,
         level_sizes=[3, 5],
     )
     text = result.summary()
     assert "X" in text and "1.500s" in text and "2.00 MB" in text
+    assert "simulated" not in text
 
 
 def test_finalize_default_returns_pmap(paper_graph):

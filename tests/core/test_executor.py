@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.executor import (
     SerialExecutor,
-    SimulatedSchedule,
     ThreadedExecutor,
     resolve_executor,
 )
@@ -34,10 +33,10 @@ def test_serial_results_and_callbacks_in_order():
     )
     assert report.results == [10, 20, 30]
     assert seen == [(0, 10), (1, 20), (2, 30)]
-    assert len(report.durations) == 3
+    intervals = report.schedule.intervals
+    assert [iv.task_index for iv in intervals] == [0, 1, 2]
     assert report.schedule.num_workers == 1
     # Serial timeline: intervals laid back to back on one worker.
-    intervals = report.schedule.intervals
     assert all(iv.worker == 0 for iv in intervals)
     for prev, nxt in zip(intervals, intervals[1:]):
         assert nxt.start >= prev.end - 1e-12
@@ -65,7 +64,7 @@ def test_threaded_uses_multiple_workers():
     workers_used = {iv.worker for iv in report.schedule.intervals}
     assert len(workers_used) > 1
     # Real overlap: the span is shorter than the serial sum.
-    assert report.schedule.span_seconds < sum(report.durations)
+    assert report.schedule.span_seconds < report.schedule.busy_seconds
 
 
 def test_threaded_bounded_inflight_window():
@@ -109,22 +108,8 @@ def test_threaded_propagates_task_errors():
         ThreadedExecutor().run([boom], workers=2)
 
 
-def test_simulated_schedule_replays_durations():
-    from repro.balance import simulate_work_stealing
-
-    executor = SimulatedSchedule(SerialExecutor())
-    report = executor.run(_make_tasks([1, 2, 3, 4]), workers=2)
-    assert report.results == [1, 2, 3, 4]
-    expected = simulate_work_stealing(report.durations, 2)
-    assert report.schedule.num_workers == 2
-    assert report.schedule.span_seconds == expected.span_seconds
-    assert [iv.worker for iv in report.schedule.intervals] == [
-        iv.worker for iv in expected.intervals
-    ]
-
-
 def test_resolve_executor():
-    assert isinstance(resolve_executor("serial"), SimulatedSchedule)
+    assert isinstance(resolve_executor("serial"), SerialExecutor)
     assert isinstance(resolve_executor("threads"), ThreadedExecutor)
     inner = SerialExecutor()
     assert resolve_executor(inner) is inner
@@ -138,7 +123,7 @@ def test_resolve_executor_rejects_processes():
 
 
 def test_empty_task_list():
-    for executor in (SerialExecutor(), ThreadedExecutor(), SimulatedSchedule()):
+    for executor in (SerialExecutor(), ThreadedExecutor()):
         report = executor.run([], workers=2)
         assert report.results == []
         assert report.schedule.span_seconds == 0.0

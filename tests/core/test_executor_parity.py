@@ -4,7 +4,7 @@ The acceptance bar for the executor seam: triangle counting, 3-motif,
 FSM (both induced modes, whose per-iteration prune depends on the
 *positional* order of mapper side outputs) and materialised pattern
 matching on a seeded random graph give identical results under the
-serial (work-stealing replay) executor and the real thread-pool executor
+serial executor and the real thread-pool executor
 — handing the part maps to ``reduce`` in part-index order
 makes completion order irrelevant.
 """
@@ -45,7 +45,7 @@ def test_serial_and_threads_identical(seeded_graph, make_app):
         assert dict(serial.value) == dict(threads.value)
     else:
         assert serial.value == threads.value
-    assert serial.extra["executor"] == "simulated"
+    assert serial.extra["executor"] == "serial"
     assert threads.extra["executor"] == "threads"
 
 

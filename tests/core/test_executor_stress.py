@@ -1,8 +1,8 @@
 """Executor-parity stress sweep with span-tree shape checks.
 
 Random seeded graphs x every mining application x every executor
-(the plain serial baseline, the work-stealing simulated schedule, and
-the real thread pool): the pattern maps must be byte-identical and the
+(the serial default and the real thread pool): the pattern maps must
+be byte-identical and the
 traces must have identical span-tree *shapes* — same event multiset of
 (kind, name, parent, non-timing args) — even though wall times and
 worker attribution legitimately differ between executors.
@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.apps import PatternMatching, VertexInducedFSM
 from repro.core.cse import CSE
-from repro.core.executor import SerialExecutor, SimulatedSchedule, ThreadedExecutor
+from repro.core.executor import SerialExecutor, ThreadedExecutor
 from repro.core.explore import even_parts
 from repro.obs import Tracer, span_tree_shape
 
@@ -38,7 +38,6 @@ APPS = {
 
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
-    "simulated": lambda: SimulatedSchedule(),
     "threads": lambda: ThreadedExecutor(),
 }
 
@@ -128,7 +127,7 @@ def test_block_filters_agree_across_executors(app_name):
 
 def test_shape_contains_the_pipeline_spans():
     graph = random_labeled_graph(30, 70, 3, seed=11)
-    _, shape = _run(graph, APPS["motif"], EXECUTORS["simulated"])
+    _, shape = _run(graph, APPS["motif"], EXECUTORS["serial"])
     names = {key[1] for key in shape}
     assert {"run", "level", "plan", "execute", "aggregate", "part"} <= names
     # part spans hang off a stage, never float free

@@ -235,7 +235,7 @@ def test_shipped_apps_pattern_maps_identical_with_and_without(app_name, seed):
     assert restricted.pattern_map == oracle.pattern_map
     assert restricted.level_sizes == oracle.level_sizes
     assert restricted.value == oracle.value
-    assert restricted.extra["executor"] == "simulated"
+    assert restricted.extra["executor"] == "serial"
     assert oracle.extra["executor"] == "oracle"
 
 

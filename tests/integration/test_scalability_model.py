@@ -5,14 +5,15 @@ engine supplies what is deterministic — how many parts each phase was
 cut into for the worker count — and every phase is given one second of
 work split evenly over its parts (plus a fixed serial reduce per
 reduce the run makes), replayed through :func:`simulate_work_stealing`.
-The same shapes over measured wall-clock part times are ``slow``
-checks: they depend on the machine, not on the code.
+The same shapes over measured wall-clock part times, replayed with
+:func:`replay`, are ``slow`` checks: they depend on the machine, not on
+the code.  The engine itself reports only measured time.
 """
 
 import pytest
 
 from repro import FrequentSubgraphMining, KaleidoEngine, MotifCounting
-from repro.balance.worksteal import simulate_work_stealing
+from repro.balance.worksteal import replay, simulate_work_stealing
 from repro.graph import datasets
 
 #: Synthetic seconds of parallel work per phase / of serial reduce per
@@ -26,13 +27,21 @@ def graph():
     return datasets.load("patent", "tiny")
 
 
-def _simulated(graph, app, workers):
+def _run(graph, app, workers):
     return KaleidoEngine(graph, workers=workers).run(app)
+
+
+def _replayed_seconds(graph, app, workers):
+    """The run's measured part times replayed onto ``workers`` workers,
+    plus its measured aggregation."""
+    result = _run(graph, app, workers)
+    spans = sum(s.span_seconds for s in replay(result.schedules, workers))
+    return spans + result.phase_spans["aggregate_seconds"]
 
 
 def _synthetic_seconds(graph, app, workers):
     """Replay the run's real part structure with fixed part durations."""
-    result = _simulated(graph, app, workers)
+    result = _run(graph, app, workers)
     total = 0.0
     for schedule in result.schedules:
         parts = len(schedule.intervals)
@@ -68,27 +77,34 @@ def test_fsm_scales_sublinearly(graph):
 
 @pytest.mark.slow
 def test_motif_wall_clock_replay_scales(graph):
-    t1 = _simulated(graph, MotifCounting(3), 1).simulated_seconds
-    t4 = _simulated(graph, MotifCounting(3), 4).simulated_seconds
+    t1 = _replayed_seconds(graph, MotifCounting(3), 1)
+    t4 = _replayed_seconds(graph, MotifCounting(3), 4)
     assert t1 / 16 < t4 < t1
 
 
 @pytest.mark.slow
 def test_fsm_wall_clock_replay_scales_sublinearly(graph):
-    r1 = _simulated(graph, FrequentSubgraphMining(2, 3), 1)
-    r8 = _simulated(graph, FrequentSubgraphMining(2, 3), 8)
-    assert r8.simulated_seconds <= r1.simulated_seconds
-    assert r1.simulated_seconds / max(r8.simulated_seconds, 1e-9) < 8.0
+    t1 = _replayed_seconds(graph, FrequentSubgraphMining(2, 3), 1)
+    t8 = _replayed_seconds(graph, FrequentSubgraphMining(2, 3), 8)
+    assert t8 <= t1
+    assert t1 / max(t8, 1e-9) < 8.0
 
 
 def test_fsm_memory_grows_with_workers(graph):
     """Per-worker pattern maps make FSM memory grow with threads."""
-    m1 = _simulated(graph, FrequentSubgraphMining(2, 3), 1).peak_memory_bytes
-    m8 = _simulated(graph, FrequentSubgraphMining(2, 3), 8).peak_memory_bytes
+    m1 = _run(graph, FrequentSubgraphMining(2, 3), 1).peak_memory_bytes
+    m8 = _run(graph, FrequentSubgraphMining(2, 3), 8).peak_memory_bytes
     assert m8 >= m1
 
 
 def test_schedule_utilization_reported(graph):
-    result = _simulated(graph, MotifCounting(3), 4)
-    assert 0 < result.utilization <= 1.0
+    """A serial run reports one measured worker per level, busy for its
+    whole span; the replay onto 4 workers leaves some of them idle."""
+    result = _run(graph, MotifCounting(3), 4)
     assert result.schedules
+    for schedule in result.schedules:
+        assert schedule.num_workers == 1
+        assert schedule.utilization == pytest.approx(1.0)
+    for schedule in replay(result.schedules, 4):
+        assert schedule.num_workers == 4
+        assert 0 < schedule.utilization <= 1.0

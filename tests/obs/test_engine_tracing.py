@@ -75,6 +75,22 @@ def test_part_spans_carry_worker_tracks(graph):
     assert any(name.startswith("worker-") for name in names.values())
 
 
+def test_default_run_lays_parts_one_after_another_on_one_track(graph):
+    """The default executor is serial: at ``workers=4`` every part span
+    sits on ``worker-0``, in part order, and no two overlap."""
+    tracer = Tracer()
+    KaleidoEngine(graph, workers=4, tracer=tracer).run(MotifCounting(3))
+    parts = [e for e in tracer.events if e.kind == "complete" and e.name == "part"]
+    executes = [e for e in tracer.events if e.kind == "begin" and e.name == "execute"]
+    assert any(e.args["parts"] > 1 for e in executes)
+    assert {e.track for e in parts} == {"worker-0"}
+    assert [e.args["task"] for e in parts] == [
+        task for e in executes for task in range(e.args["parts"])
+    ]
+    for prev, nxt in zip(parts, parts[1:]):
+        assert nxt.ts >= prev.ts + prev.dur - 1e-9
+
+
 def test_metrics_absorbed_after_run(graph):
     tracer = Tracer()
     engine = KaleidoEngine(graph, workers=2, tracer=tracer)

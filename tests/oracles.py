@@ -249,8 +249,8 @@ def _oracle_task(task: BlockTask) -> Callable[[], PartExpansion]:
 class OracleExecutor(PartExecutor):
     """Runs every expansion part on the scalar loops instead of the kernel.
 
-    Wraps another executor (serial by default) the way
-    :class:`~repro.core.executor.SimulatedSchedule` does.  Each
+    Wraps another executor (serial by default), whose measured schedule
+    it reports.  Each
     :class:`~repro.core.explore.BlockTask` is replaced by
     :func:`expand_block` over the same block, kernel context, block
     filter and pattern gather; a mapped level's task then maps the whole

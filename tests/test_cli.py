@@ -117,7 +117,8 @@ def test_run_alias_with_trace_exports(tmp_path, capsys):
         e["args"]["name"] for e in events
         if e["ph"] == "M" and e["args"]["name"].startswith("worker-")
     }
-    assert worker_tracks == {"worker-0", "worker-1"}
+    # The default executor is serial: both parts run on one measured track.
+    assert worker_tracks == {"worker-0"}
 
     lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
     assert len(lines) == len([e for e in events if e["ph"] != "M"])
